@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpanNotClosedError
-from .linalg import nullspace, rank, rref
+from .linalg import nullspace, rref, solve
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,13 @@ class FiniteAlgebra:
         """Coordinates of the two-sided unit, or None."""
         n = self.dim
         # unit u satisfies u * e_j = e_j and e_j * u = e_j for all j
-        aug = []
+        a, b = [], []
         for j in range(n):
             for t in range(n):
-                row = [self.sc[i][j][t] for i in range(n)]
-                aug.append(row + [Fraction(int(t == j))])
-                row = [self.sc[j][i][t] for i in range(n)]
-                aug.append(row + [Fraction(int(t == j))])
-        red, pivots = rref(aug)
-        if n in pivots:
-            return None
-        u = [Fraction(0)] * n
-        for r, pc in enumerate(pivots):
-            u[pc] = red[r][n]
-        return u
+                a.append([self.sc[i][j][t] for i in range(n)])
+                a.append([self.sc[j][i][t] for i in range(n)])
+                b += [Fraction(int(t == j))] * 2
+        return solve(a, b)
 
     def center_dim(self) -> int:
         n = self.dim
@@ -166,21 +159,6 @@ class FiniteAlgebra:
                 for t in range(n)] for j in range(n)] for i in range(n)]
         return FiniteAlgebra(self.names, sc)
 
-    def change_basis(self, new_vectors, new_names):
-        """Structure constants in the span of new_vectors (must be a basis)."""
-        n = self.dim
-        if len(new_vectors) != n or rank([list(v) for v in new_vectors]) != n:
-            raise ValueError("need a full new basis")
-        sc = []
-        for x in new_vectors:
-            row = []
-            for y in new_vectors:
-                prod = self.multiply(x, y)
-                coords = _coords_in_basis(new_vectors, prod)
-                row.append(coords)
-            sc.append(row)
-        return FiniteAlgebra(new_names, sc)
-
     def structure_constants_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
@@ -196,39 +174,9 @@ class FiniteAlgebra:
         return out.getvalue()
 
 
-def _coords_in_basis(basis_vectors, target):
-    n = len(target)
-    aug = [[basis_vectors[j][i] for j in range(len(basis_vectors))] + [target[i]]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    if len(basis_vectors) in pivots:
-        raise ValueError("vector outside the span")
-    coords = [Fraction(0)] * len(basis_vectors)
-    for r, pc in enumerate(pivots):
-        coords[pc] = red[r][len(basis_vectors)]
-    return coords
-
-
 # ----------------------------------------------------------------------
 # spanning the algebra of realized symmetry maps
 # ----------------------------------------------------------------------
-
-def _pivot_coordinates(flats):
-    """A small set of coordinates on which the given flat vectors have full rank."""
-    n = len(flats)
-    chosen = []
-    rows = []
-    for coord in range(len(flats[0])):
-        col = [flats[i][coord] for i in range(n)]
-        if any(col):
-            trial = rows + [col]
-            if rank(trial) == len(trial):
-                rows.append(col)
-                chosen.append(coord)
-                if len(chosen) == n:
-                    break
-    return chosen
-
 
 def span_algebra(maps) -> FiniteAlgebra:
     """Structure constants of the span of the given maps under composition.
@@ -244,12 +192,13 @@ def span_algebra(maps) -> FiniteAlgebra:
         raise ValueError("maps live on different truncated bases")
     flats = [m.flat() for m in maps]
     n = len(maps)
-    if rank(flats) != n:
+    # the pivot columns are coordinates on which the maps have full rank
+    _, pivots = rref(flats)
+    if len(pivots) != n:
         raise ValueError("maps are not linearly independent")
-    pivots = _pivot_coordinates(flats)
     dim = basis.dim
     pivot_elements = sorted({p // dim for p in pivots})
-    small = [[f[p] for p in pivots] for f in flats]
+    small = [[f[p] for f in flats] for p in pivots]
 
     sc = []
     for X in maps:
@@ -259,16 +208,11 @@ def span_algebra(maps) -> FiniteAlgebra:
             images = {j: basis.vector_of(X.func(Y.func(basis.elements[j])))
                       for j in pivot_elements}
             target = [images[p // dim][p % dim] for p in pivots]
-            aug = [[small[i][t] for i in range(n)] + [target[t]]
-                   for t in range(len(pivots))]
-            red, piv = rref(aug)
-            if n in piv:
+            coords = solve(small, target)
+            if coords is None:
                 raise SpanNotClosedError(
                     f"product {X.name} o {Y.name} leaves the span"
                 )
-            coords = [Fraction(0)] * n
-            for r, pc in enumerate(piv):
-                coords[pc] = red[r][n]
             # exact closure check on every basis element
             for b in basis.elements:
                 prod = X.func(Y.func(b))

@@ -34,8 +34,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"not an exact rational: {text!r} (use p/q or an integer)"
         )
-    q = Fraction(text)
-    return q
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _add_common(p):

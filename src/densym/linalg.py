@@ -1,16 +1,13 @@
-"""Dense exact-rational linear algebra: elimination, rank, nullspace, solve.
+"""The one exact elimination kernel and the queries that read it.
 
-Matrices are lists of lists of Fraction.  Sizes here are small (at most a few
-hundred rows), so plain fraction-pivoting Gauss-Jordan is fast enough and
-keeps everything exact.
+Matrices are lists of rows of Fractions (or anything Fraction accepts).
+`rref` is plain fraction-pivoting Gauss-Jordan and the only function that
+performs row operations; rank, nullspace, solve and independent_subset each
+read their answer off a single call to it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat_copy(m):
-    return [row[:] for row in m]
 
 
 def rref(m):
@@ -62,42 +59,29 @@ def nullspace(m, ncols=None):
     return basis
 
 
-def solve_in_span(basis_vectors, target):
-    """Coordinates of target in the span of basis_vectors, or None.
+def solve(a, b):
+    """The exact x with a·x = b (a given as rows), or None if inconsistent.
 
-    basis_vectors: list of length-n vectors, assumed linearly independent.
+    Free unknowns are set to 0, so x is unique when a has full column rank.
     """
-    n = len(target)
-    aug = [[basis_vectors[j][i] for j in range(len(basis_vectors))] + [target[i]]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    last = len(basis_vectors)
-    if last in pivots:
-        return None  # inconsistent: target outside the span
-    coords = [Fraction(0)] * len(basis_vectors)
+    n = len(a[0])
+    red, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
-        coords[pc] = red[r][last]
-    return coords
+        x[pc] = red[r][n]
+    return x
 
 
 def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    chosen = []
-    rows = []
-    for i, v in enumerate(vectors):
-        trial = rows + [list(v)]
-        if rank(trial) == len(trial):
-            rows = trial
-            chosen.append(i)
-    return chosen
+    """Indices of a maximal linearly independent subset, scanned in order.
 
-
-def matvec(m, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def mat_eq_zero(m) -> bool:
-    return all(all(v == 0 for v in row) for row in m)
+    These are the pivot columns of the matrix whose columns are the vectors:
+    a column is a pivot exactly when it is independent of the ones before it.
+    Coordinates where every vector is 0 change no pivot and are left out.
+    """
+    return rref([row for row in zip(*vectors) if any(row)])[1]
 
 
 def max_abs(m) -> Fraction:

@@ -417,14 +417,6 @@ class BilinearOp:
         return Density(self.out_weight, out)
 
 
-def bilinear_apply(J: BilinearOp, phi: Density, psi: Density) -> Density:
-    return J(phi, psi)
-
-
-def grozman_op() -> BilinearOp:
-    return BilinearOp("grozman", Fraction(-2, 3), Fraction(-2, 3))
-
-
 # ----------------------------------------------------------------------
 # symmetries built as bilinear-after-projection
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from . import algebras
 from .errors import SpanMismatchError
 from .operators import CATALOG, conjugated_endo, second_analog_locus
 from .linalg import independent_subset, nullspace
-from .rings import CIRCLE, format_rat, rat
+from .rings import CIRCLE, LINE, format_rat, rat
 from .truncation import (
     SymmetryMap,
     TruncatedBasis,
@@ -236,19 +236,34 @@ def candidate_generators(k: int, lam, mu, space: str):
     return out
 
 
+def _check_module(k: int, space: str):
+    """Reject an order or a space that names no module, before any work."""
+    if space not in (CIRCLE, LINE):
+        raise ValueError(f"unknown space {space!r}; use {CIRCLE!r} or {LINE!r}")
+    if k < 0:
+        raise ValueError(f"the order k must be nonnegative, got {k}")
+
+
 def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
              check_oracle: bool = True, identify_algebra: bool = True):
-    """Dimension, generators, and matrix-algebra kind of the symmetry algebra."""
+    """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
+
+    M is the truncation window (default k+6); it must be at least k+4, the
+    floor the brute-force oracle needs.
+    """
+    _check_module(k, space)
     lam, mu = rat(lam), rat(mu)
     if M is None:
         M = k + 6
+    if M < k + 4:
+        raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
     sys = build_system(k, lam, mu)
     local = local_dimension(sys)
     nonloc = nonlocal_dimension(k, lam, mu, space)
     total = local + nonloc
 
     if check_oracle:
-        brute, _ = brute_force_local_symmetries(k, lam, mu, space, max(M, k + 4))
+        brute, _ = brute_force_local_symmetries(k, lam, mu, space, M)
         if brute != local:
             raise SpanMismatchError(
                 f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "
@@ -258,7 +273,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     basis = TruncatedBasis(k, M, space, lam, mu)
     maps, names = [], []
     for name, build in candidate_generators(k, lam, mu, space):
-        m = SymmetryMap(basis, build, name=name, nonlocal_part=(name == "L"))
+        m = SymmetryMap(basis, build, name=name)
         if not m.is_zero():
             maps.append(m)
             names.append(name)
@@ -349,8 +364,10 @@ def sweep(kmax: int = 6, space: str = CIRCLE, samples: int = 3,
     """Reproduce the dimension table row by row over sampled representatives.
 
     Every sampled point of a row must give identical dimensions; disagreement
-    raises instead of being averaged away.
+    raises instead of being averaged away, and so does a kind cell whose
+    catalog generators fail the span check.
     """
+    _check_module(kmax, space)
     if samples < 3:
         raise ValueError("need at least 3 sample points per row")
     rng = random.Random(seed)
@@ -372,12 +389,8 @@ def sweep(kmax: int = 6, space: str = CIRCLE, samples: int = 3,
         if with_kinds:
             lam, mu = points[0]
             for k in range(kmax + 1):
-                try:
-                    rep = classify(k, lam, mu, space, check_oracle=False)
-                    kinds.append(rep.algebra_kind or "unidentified")
-                except SpanMismatchError:
-                    # kinds are only reported where the span check passes
-                    kinds.append("unidentified")
+                rep = classify(k, lam, mu, space, check_oracle=False)
+                kinds.append(rep.algebra_kind)
         table.append({
             "row": row_name,
             "points": [(format_rat(l), format_rat(m)) for l, m in points],

@@ -135,11 +135,10 @@ class SymmetryMap:
     than matrix products.
     """
 
-    def __init__(self, basis: TruncatedBasis, func, name="T", nonlocal_part=False):
+    def __init__(self, basis: TruncatedBasis, func, name="T"):
         self.basis = basis
         self.func = func
         self.name = name
-        self.nonlocal_part = nonlocal_part
         self._columns = None
 
     def __call__(self, A: DensityOperator) -> DensityOperator:
@@ -165,7 +164,6 @@ class SymmetryMap:
         return SymmetryMap(
             self.basis, lambda A: self.func(other.func(A)),
             name=f"{self.name}*{other.name}",
-            nonlocal_part=self.nonlocal_part or other.nonlocal_part,
         )
 
     __matmul__ = compose
@@ -174,21 +172,18 @@ class SymmetryMap:
         return SymmetryMap(
             self.basis, lambda A: self.func(A) + other.func(A),
             name=f"({self.name}+{other.name})",
-            nonlocal_part=self.nonlocal_part or other.nonlocal_part,
         )
 
     def __sub__(self, other):
         return SymmetryMap(
             self.basis, lambda A: self.func(A) - other.func(A),
             name=f"({self.name}-{other.name})",
-            nonlocal_part=self.nonlocal_part or other.nonlocal_part,
         )
 
     def __mul__(self, scalar):
         q = rat(scalar)
         return SymmetryMap(self.basis, lambda A: q * self.func(A),
-                           name=f"{scalar}*{self.name}",
-                           nonlocal_part=self.nonlocal_part)
+                           name=f"{scalar}*{self.name}")
 
     __rmul__ = __mul__
 
@@ -221,7 +216,7 @@ def realize(name_or_func, basis: TruncatedBasis) -> SymmetryMap:
             f"(lam, mu)=({basis.lam}, {basis.mu}) on the {basis.space}"
         )
     return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu),
-                       name=name_or_func, nonlocal_part=(name_or_func == "L"))
+                       name=name_or_func)
 
 
 # ----------------------------------------------------------------------

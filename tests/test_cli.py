@@ -54,6 +54,16 @@ class TestClassify:
                            "--lambda", "0.5", "--mu", "1")
         assert code == 2 and "exact rational" in err
 
+    def test_zero_denominator_exit_2(self, capsys):
+        code, _, err = run(capsys, "classify", "-k", "2",
+                           "--lambda", "0", "--mu", "1/0")
+        assert code == 2 and "zero denominator" in err
+
+    def test_window_below_floor_exit_2(self, capsys):
+        code, _, err = run(capsys, "classify", "-k", "3", "--lambda", "0",
+                           "--mu", "1", "-M", "0")
+        assert code == 2 and "M >= k+4" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "classify", "-k", "1", "--lambda", "0",

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from densym import recurrence
 from densym.densities import VectorField
+from densym.errors import SpanMismatchError
 from densym.linalg import max_abs
 from densym.recurrence import (
     build_system, candidate_generators, classify, is_generic, local_dimension,
@@ -180,6 +182,20 @@ class TestClassify:
         rep = classify(2, F(1, 3), F(1, 5), CIRCLE, check_oracle=True)
         assert rep.local_dimension == 2
 
+    @pytest.mark.parametrize("args, bad", [
+        ((2, 0, 1, "sphere"), "'sphere'"),
+        ((-1, 0, 1), "got -1"),
+    ])
+    def test_rejects_a_module_that_does_not_exist(self, args, bad):
+        with pytest.raises(ValueError, match=bad):
+            classify(*args)
+
+    def test_window_floor(self):
+        with pytest.raises(ValueError, match=r"M >= k\+4"):
+            classify(3, 0, 1, CIRCLE, M=6)
+        floor = classify(1, 0, 1, CIRCLE, M=5)
+        assert floor.to_json() == classify(1, 0, 1, CIRCLE).to_json()
+
 
 class TestSweep:
     def test_table_rows_and_determinism(self):
@@ -201,6 +217,22 @@ class TestSweep:
             if row["row"] == "generic":
                 for lam_s, mu_s in row["points"]:
                     assert is_generic(F(lam_s), F(mu_s))
+
+    def test_span_mismatch_is_raised_not_downgraded(self, monkeypatch):
+        def mismatch(*args, **kwargs):
+            raise SpanMismatchError("forced mismatch")
+
+        monkeypatch.setattr(recurrence, "classify", mismatch)
+        with pytest.raises(SpanMismatchError, match="forced mismatch"):
+            sweep(kmax=1, samples=3, with_kinds=True)
+
+    @pytest.mark.parametrize("kwargs, bad", [
+        ({"kmax": 2, "space": "sphere"}, "'sphere'"),
+        ({"kmax": -1}, "got -1"),
+    ])
+    def test_rejects_a_module_that_does_not_exist(self, kwargs, bad):
+        with pytest.raises(ValueError, match=bad):
+            sweep(samples=3, with_kinds=False, **kwargs)
 
     def test_candidate_generators_cover_mirrors(self):
         names = [n for n, _ in candidate_generators(4, F(-1, 4), F(1), CIRCLE)]
