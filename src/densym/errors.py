@@ -34,4 +34,8 @@ class SpanNotClosedError(DensymError):
 
 
 class SpanMismatchError(DensymError):
-    """Catalog generators fail to span the computed symmetry dimension."""
+    """Catalog generators disagree with the computed symmetry space.
+
+    They fail to span its dimension, violate the recurrence, or are not
+    jet maps; the two classification routes disagreeing raises it too.
+    """

@@ -41,6 +41,7 @@ from .truncation import (
     TruncatedBasis,
     bilinear_defect,
     brute_force_local_symmetries,
+    check_window,
     circle_fields,
     equivariance_defect,
     generator_family,
@@ -80,7 +81,11 @@ class CheckConfig:
 
 
 def _basis(k, lam, mu, space, M=None):
-    return TruncatedBasis(k, M if M is not None else k + 6, space, lam, mu)
+    """The window for a windowed check: M = k+6 by default, never below k+4."""
+    if M is None:
+        M = k + 6
+    check_window(k, M)
+    return TruncatedBasis(k, M, space, lam, mu)
 
 
 def _map_defect(basis, func_lhs, func_rhs):
@@ -394,12 +399,14 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
 
 
 def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
+    # v_map is evaluated on single basis elements, not as an equivariance
+    # defect, so this check needs no safe sub-basis and keeps a fixed window
     worst = Fraction(0)
     ok_near = True
     entries = 0
     for k in range(1, 6):
         lam, mu = wilmod_weights(k)
-        basis = _basis(k, lam, mu, cfg.space, 4)
+        basis = TruncatedBasis(k, 4, cfg.space, lam, mu)
         worst = max(worst, max_abs(
             [basis.density_vector(v_map(b, k)) for b in basis.elements]
         ))
@@ -407,7 +414,7 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
         for dl, dm in [(Fraction(1, 7), 0), (0, Fraction(1, 5)),
                        (Fraction(-1, 3), Fraction(-1, 3))]:
             nlam, nmu = lam + dl, mu + dm
-            basis2 = _basis(k, nlam, nmu, cfg.space, 4)
+            basis2 = TruncatedBasis(k, 4, cfg.space, nlam, nmu)
             nonzero = any(
                 not v_map(b, k).is_zero for b in basis2.elements
             )

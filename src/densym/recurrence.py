@@ -27,15 +27,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import algebras
-from .errors import SpanMismatchError
+from .densities import DensityOperator
+from .errors import SpanMismatchError, SpanNotClosedError
 from .operators import CATALOG, conjugated_endo, second_analog_locus
-from .linalg import independent_subset, nullspace
-from .rings import CIRCLE, LINE, format_rat, rat
+from .linalg import independent_subset, nullspace, solve
+from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
 from .truncation import (
-    SymmetryMap,
-    TruncatedBasis,
     brute_force_local_symmetries,
+    check_window,
     component_unknowns,
+    componentwise_map,
+    falling,
 )
 
 
@@ -244,19 +246,141 @@ def _check_module(k: int, space: str):
         raise ValueError(f"the order k must be nonnegative, got {k}")
 
 
+# ----------------------------------------------------------------------
+# jet coordinates: s[r,l] with T(A)_{r-l} += s[r,l] a_r^(l), plus the trace
+# ----------------------------------------------------------------------
+
+def read_jet(build, k: int, lam, mu):
+    """The raw coefficients s[r,l] of a local map, in component_unknowns order.
+
+    On the line, the image of x^(k+1) d^r under a jet map has the coefficient
+    s[r,l] fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r, so these
+    k+1 images fix every s[r,l].  Any other image is not of jet form, and
+    raises SpanMismatchError.
+    """
+    zero, top = PolyFn.zero(), PolyFn.monomial(k + 1)
+    s = []
+    for r in range(k + 1):
+        image = build(DensityOperator(lam, mu, [zero] * r + [top]))
+        if (image.lam, image.mu) != (lam, mu) or image.order > r:
+            raise SpanMismatchError(
+                f"the map sends x^{k + 1} d^{r} out of D^{r}_{{{lam},{mu}}}: "
+                "not a jet map"
+            )
+        for l in range(r + 1):
+            c = image.coefficient(r - l)
+            lead = c.coefficient(k + 1 - l)
+            if c != PolyFn.monomial(k + 1 - l, lead):
+                raise SpanMismatchError(
+                    f"the image of x^{k + 1} d^{r} has the coefficient {c} at "
+                    f"d^{r - l}, not a multiple of x^{k + 1 - l}: not a jet map"
+                )
+            s.append(lead / falling(k + 1, l))
+    return s
+
+
+def jet_unknowns(s, k: int) -> dict:
+    """The recurrence unknowns t[r,l] = s[r,l] / fall(r,l) of a jet vector."""
+    return {
+        (r, l): v / falling(r, l)
+        for (r, l), v in zip(component_unknowns(k), s) if v
+    }
+
+
+def _confirm_on_circle(name, build, s, k: int, lam, mu):
+    """The line read-off must act the same on the circle: one probe operator.
+
+    Its coefficients are distinct and of frequency k+1, so no derivative up
+    to order k vanishes on them.
+    """
+    probe = DensityOperator(lam, mu, [
+        TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
+    ])
+    jet = componentwise_map(jet_unknowns(s, k), k, lam, mu, CIRCLE)
+    if build(probe) != jet(probe):
+        raise SpanMismatchError(
+            f"{name} acts on the circle unlike its jet coordinates read off "
+            f"the line at k={k}, ({lam},{mu})"
+        )
+
+
+def jet_vector(name, build, sys: RecurrenceSystem, space: str):
+    """Coordinates of a candidate: s[r,l] in component_unknowns order, then
+    the coefficient of the nonlocal trace L.
+
+    A local candidate must solve the recurrence exactly; a nonzero residual
+    raises SpanMismatchError.
+    """
+    entry = CATALOG.get(name)
+    if entry is not None and entry.circle_only:
+        return [Fraction(0)] * sys.n_unknowns + [Fraction(1)]
+    k, lam, mu = sys.k, sys.lam, sys.mu
+    s = read_jet(build, k, lam, mu)
+    if space == CIRCLE:
+        _confirm_on_circle(name, build, s, k, lam, mu)
+    worst = residual(sys, jet_unknowns(s, k))
+    if worst != 0:
+        raise SpanMismatchError(
+            f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
+            f"{space}: residual {worst}"
+        )
+    return s + [Fraction(0)]
+
+
+def compose_jets(x, y, k: int):
+    """Jet vector of X o Y (Y applied first).
+
+    Local part: s[r,L] = sum_{l+j=L} s_X[r-j,l] s_Y[r,j].  The trace reads
+    only the mean of a_0 and returns a constant times d, so L o T = s_T[0,0] L,
+    T o L = s_T[1,0] L and L o L = 0.
+    """
+    index = {u: i for i, u in enumerate(component_unknowns(k))}
+    out = [
+        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1))
+        for r, L in component_unknowns(k)
+    ]
+    # s[1,0] exists only for k >= 1, the only orders with a trace
+    out.append(x[-1] * y[0] + (y[-1] * x[index[1, 0]] if y[-1] else 0))
+    return out
+
+
+def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
+    """Exact structure constants of the span of independent jet vectors.
+
+    Each product is solved against the vectors; one outside their span raises
+    SpanNotClosedError.  Closure here holds on every operator, not only on a
+    truncated window.
+    """
+    rows = [list(row) for row in zip(*vectors)]
+    sc = []
+    for x, x_name in zip(vectors, names):
+        row = []
+        for y, y_name in zip(vectors, names):
+            coords = solve(rows, compose_jets(x, y, k))
+            if coords is None:
+                raise SpanNotClosedError(
+                    f"product {x_name} o {y_name} leaves the span"
+                )
+            row.append(coords)
+        sc.append(row)
+    return algebras.FiniteAlgebra(names, sc)
+
+
 def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
              check_oracle: bool = True, identify_algebra: bool = True):
     """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
 
-    M is the truncation window (default k+6); it must be at least k+4, the
-    floor the brute-force oracle needs.
+    The dimension is the recurrence nullspace (plus the circle trace).  The
+    catalog generators are read in jet coordinates s[r,l]; each must solve
+    the recurrence, an independent subset of them must span that dimension,
+    and their exact products give the algebra.  M is only the brute-force
+    oracle's truncation window (default k+6); it must be at least k+4.
     """
     _check_module(k, space)
     lam, mu = rat(lam), rat(mu)
     if M is None:
         M = k + 6
-    if M < k + 4:
-        raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
+    check_window(k, M)
     sys = build_system(k, lam, mu)
     local = local_dimension(sys)
     nonloc = nonlocal_dimension(k, lam, mu, space)
@@ -270,28 +394,25 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
                 f"recurrence gives {local}, brute force gives {brute}"
             )
 
-    basis = TruncatedBasis(k, M, space, lam, mu)
-    maps, names = [], []
+    names, vectors = [], []
     for name, build in candidate_generators(k, lam, mu, space):
-        m = SymmetryMap(basis, build, name=name)
-        if not m.is_zero():
-            maps.append(m)
+        vec = jet_vector(name, build, sys, space)
+        if any(vec):
             names.append(name)
-    flats = [m.flat() for m in maps]
-    chosen = independent_subset(flats)
+            vectors.append(vec)
+    chosen = independent_subset(vectors)
     span_dim = len(chosen)
     if span_dim != total:
         raise SpanMismatchError(
             f"catalog generators span {span_dim} dimensions at k={k}, "
             f"({lam},{mu}), {space}; classifier computed {total}"
         )
-    selected = [maps[i] for i in chosen]
+    selected = [vectors[i] for i in chosen]
     selected_names = [names[i] for i in chosen]
 
     kind = None
     if identify_algebra:
-        alg = algebras.span_algebra(selected)
-        kind = str(algebras.identify(alg))
+        kind = str(algebras.identify(jet_algebra(selected_names, selected, k)))
     return ClassificationReport(
         k, lam, mu, space, local, nonloc, selected_names, kind
     )

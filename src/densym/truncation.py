@@ -28,11 +28,20 @@ def ring_basis(space: str, M: int):
     """Monomial list: x^0..x^M on the line; 1, cos x, sin x, ... on the circle."""
     if space == LINE:
         return [PolyFn.monomial(t) for t in range(M + 1)]
+    if space != CIRCLE:
+        raise ValueError(f"unknown space {space!r}; use {CIRCLE!r} or {LINE!r}")
     out = [TrigFn.constant(1)]
     for n in range(1, M + 1):
         out.append(TrigFn.cosine(n))
         out.append(TrigFn.sine(n))
     return out
+
+
+def check_window(k: int, M: int):
+    """Reject a window below M = k+4, the floor of the brute-force oracle and
+    of the windowed identity checks."""
+    if M < k + 4:
+        raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
 
 
 def ring_dim(space: str, M: int) -> int:
@@ -355,8 +364,7 @@ def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | No
     """
     if M is None:
         M = k + 4
-    if M < k + 4:
-        raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
+    check_window(k, M)
     lam, mu = rat(lam), rat(mu)
     basis = TruncatedBasis(k, M, space, lam, mu)
     idx = {u: i for i, u in enumerate(component_unknowns(k))}

@@ -114,6 +114,18 @@ class TestVerify:
         assert code == 0
         assert "36 entries checked" in out
 
+    def test_window_below_floor_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "mult_table_01", "-k", "4",
+                             "-M", "1")
+        assert code == 2 and out == "" and "M >= k+4" in err
+
+    def test_unknown_space_in_config_exit_2(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("space=sphere\n")
+        code, out, err = run(capsys, "verify", "conj_involution",
+                             "--config", str(conf))
+        assert code == 2 and out == "" and "'sphere'" in err
+
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "definitely_not_a_thing")
         assert code == 2

@@ -3,17 +3,22 @@ from fractions import Fraction as F
 import pytest
 
 from densym import recurrence
-from densym.densities import VectorField
-from densym.errors import SpanMismatchError
+from densym.algebras import span_algebra
+from densym.densities import DensityOperator, VectorField
+from densym.errors import SpanMismatchError, SpanNotClosedError
+from densym.identities import CATALOG_HOMES
 from densym.linalg import max_abs
+from densym.operators import CATALOG
 from densym.recurrence import (
-    build_system, candidate_generators, classify, is_generic, local_dimension,
-    local_solutions, nonlocal_dimension, residual, sample_generic, sweep,
+    MIRRORED_GENERATORS, build_system, candidate_generators, classify,
+    compose_jets, is_generic, jet_algebra, jet_unknowns, jet_vector,
+    local_dimension, local_solutions, nonlocal_dimension, read_jet, residual,
+    sample_generic, sweep,
 )
 from densym.rings import CIRCLE, LINE, PolyFn
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
-    componentwise_map, equivariance_defect,
+    component_unknowns, componentwise_map, equivariance_defect,
 )
 import random
 
@@ -237,3 +242,150 @@ class TestSweep:
     def test_candidate_generators_cover_mirrors(self):
         names = [n for n, _ in candidate_generators(4, F(-1, 4), F(1), CIRCLE)]
         assert "JW*" in names and "P0star" in names
+
+
+# ----------------------------------------------------------------------
+# jet coordinates, against the truncated-basis route
+# ----------------------------------------------------------------------
+
+LOCAL_ENDOS = [n for n, e in CATALOG.items() if e.kind == "endo" and not e.circle_only]
+
+
+def _home_candidates():
+    """(candidate name, k, lam, mu): every local endomorphism at its home
+    weights, and every mirrored one at the mirror of its home, where that is
+    another point."""
+    out = [(name, *CATALOG_HOMES[name]) for name in LOCAL_ENDOS]
+    for name in MIRRORED_GENERATORS:
+        k, lam, mu = CATALOG_HOMES[name]
+        if (1 - mu, 1 - lam) != (lam, mu):
+            out.append((name + "*", k, 1 - mu, 1 - lam))
+    return out
+
+
+def _candidate(name, k, lam, mu, space):
+    (build,) = [b for n, b in candidate_generators(k, lam, mu, space) if n == name]
+    return build
+
+
+def _jet_and_span_algebras(k, lam, mu, space):
+    """The jet structure constants and span_algebra's, for classify's generators."""
+    names = classify(k, lam, mu, space, check_oracle=False,
+                     identify_algebra=False).generator_names
+    sys = build_system(k, lam, mu)
+    builds = dict(candidate_generators(k, lam, mu, space))
+    vectors = [jet_vector(n, builds[n], sys, space) for n in names]
+    basis = TruncatedBasis(k, k + 6, space, lam, mu)
+    maps = [SymmetryMap(basis, builds[n], name=n) for n in names]
+    return jet_algebra(names, vectors, k), span_algebra(maps)
+
+
+class TestJetCoordinates:
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("name, k, lam, mu", _home_candidates())
+    def test_read_off_realizes_the_candidate(self, name, k, lam, mu, space):
+        build = _candidate(name, k, lam, mu, space)
+        s = read_jet(build, k, lam, mu)
+        assert len(s) == (k + 1) * (k + 2) // 2
+        jet = componentwise_map(jet_unknowns(s, k), k, lam, mu, space)
+        for b in TruncatedBasis(k, k + 6, space, lam, mu).elements:
+            assert jet(b) == build(b)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k, lam, mu", [(k, F(0), F(1)) for k in range(1, 5)] + [
+        (4, F(0), F(0)), (3, F(-1, 2), F(3, 2)), (4, F(-2, 3), F(5, 3)),
+    ])
+    def test_structure_constants_equal_span_algebra(self, k, lam, mu, space):
+        jet, span = _jet_and_span_algebras(k, lam, mu, space)
+        assert jet.names == span.names
+        assert jet.sc == span.sc
+
+    def test_trace_rules_match_nonlocal_trace(self):
+        k, lam, mu = 2, F(0), F(1)
+        sys = build_system(k, lam, mu)
+        basis = TruncatedBasis(k, k + 6, CIRCLE, lam, mu)
+        builds = dict(candidate_generators(k, lam, mu, CIRCLE))
+        L = SymmetryMap(basis, builds["L"], name="L")
+        L_vec = jet_vector("L", builds["L"], sys, CIRCLE)
+        zero = [F(0)] * len(L_vec)
+        assert compose_jets(L_vec, L_vec, k) == zero
+        assert (L @ L).is_zero()
+        index = {u: i for i, u in enumerate(component_unknowns(k))}
+        for name in ("Id", "P0", "P0star", "C", "P1"):
+            T = SymmetryMap(basis, builds[name], name=name)
+            T_vec = jet_vector(name, builds[name], sys, CIRCLE)
+            s00, s10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
+            assert compose_jets(L_vec, T_vec, k) == [s00 * v for v in L_vec]
+            assert compose_jets(T_vec, L_vec, k) == [s10 * v for v in L_vec]
+            assert (L @ T).equals(s00 * L)
+            assert (T @ L).equals(s10 * L)
+
+    def test_local_products_match_composition(self):
+        k, lam, mu = 3, F(0), F(1)
+        builds = dict(candidate_generators(k, lam, mu, LINE))
+        basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
+        for x in ("C", "P0star", "P1"):
+            for y in ("C", "P0", "P1"):
+                s_x = read_jet(builds[x], k, lam, mu)
+                s_y = read_jet(builds[y], k, lam, mu)
+                product = compose_jets(s_x + [F(0)], s_y + [F(0)], k)
+                assert product[-1] == 0
+                jet = componentwise_map(jet_unknowns(product[:-1], k), k, lam, mu, LINE)
+                for b in basis.elements:
+                    assert jet(b) == builds[x](builds[y](b))
+
+
+def _times_x(A):
+    return DensityOperator(A.lam, A.mu, [PolyFn.x() * c for c in A.coeffs])
+
+
+def _raise_order(A):
+    return DensityOperator(A.lam, A.mu, [PolyFn.zero()] + list(A.coeffs))
+
+
+def _scalar_term(A):
+    # the scalar-term projection without its lam = 0 precondition
+    return DensityOperator(A.lam, A.mu, [A.coefficient(0)])
+
+
+class TestJetHardErrors:
+    @pytest.mark.parametrize("build", [_times_x, _raise_order])
+    def test_read_off_rejects_a_map_that_is_not_a_jet_map(self, build):
+        with pytest.raises(SpanMismatchError, match="not a jet map"):
+            read_jet(build, 2, F(1, 3), F(1, 5))
+
+    def test_read_off_rejects_a_map_into_another_module(self):
+        with pytest.raises(SpanMismatchError, match="not a jet map"):
+            read_jet(lambda A: DensityOperator(A.lam, A.mu + 1, A.coeffs),
+                     1, F(1, 3), F(1, 5))
+
+    def test_circle_action_must_match_the_line_read_off(self):
+        def ring_dependent(A):
+            return A if A.space == LINE else 2 * A
+
+        sys = build_system(2, F(1, 3), F(1, 5))
+        assert jet_vector("Id", ring_dependent, sys, LINE)[0] == 1
+        with pytest.raises(SpanMismatchError, match="on the circle"):
+            jet_vector("Id", ring_dependent, sys, CIRCLE)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_candidate_violating_the_recurrence_raises(self, monkeypatch, space):
+        # at a generic point, {Id, scalar term} spans the right dimension,
+        # so only the residual check can reject it
+        lam, mu = F(1, 3), F(1, 5)
+        assert classify(1, lam, mu, space, check_oracle=False).total == 2
+        monkeypatch.setattr(recurrence, "candidate_generators",
+                            lambda *args: [("Id", lambda A: A),
+                                           ("scalar", _scalar_term)])
+        with pytest.raises(SpanMismatchError, match="scalar violates the recurrence"):
+            classify(1, lam, mu, space, check_oracle=False)
+
+    def test_product_outside_the_span_raises(self):
+        # P0 o C = P0star, which is not in the span of C and P0
+        k, lam, mu = 2, F(0), F(1)
+        builds = dict(candidate_generators(k, lam, mu, LINE))
+        sys = build_system(k, lam, mu)
+        names = ["C", "P0"]
+        vectors = [jet_vector(n, builds[n], sys, LINE) for n in names]
+        with pytest.raises(SpanNotClosedError, match="leaves the span"):
+            jet_algebra(names, vectors, k)

@@ -31,6 +31,10 @@ class TestTruncatedBasis:
             TrigFn(1, {2: F(1, 2)}, {}), TrigFn.sine(3), TrigFn.cosine(1)])
         assert basis.operator_of(basis.vector_of(A)) == A
 
+    def test_unknown_space_raises(self):
+        with pytest.raises(ValueError, match="unknown space 'sphere'"):
+            TruncatedBasis(2, 6, "sphere", 0, 1)
+
     def test_overflow_on_high_degree(self):
         basis = TruncatedBasis(1, 2, LINE, 0, 0)
         A = DensityOperator(0, 0, [PolyFn.monomial(5)])
@@ -192,6 +196,10 @@ class TestBruteForce:
     def test_window_floor_enforced(self):
         with pytest.raises(ValueError):
             brute_force_local_symmetries(3, 0, 1, LINE, M=5)
+
+    def test_unknown_space_raises(self):
+        with pytest.raises(ValueError, match="'sphere'"):
+            brute_force_local_symmetries(2, 0, 1, "sphere")
 
     def test_solutions_are_symmetry_maps(self):
         dim, maps = brute_force_local_symmetries(2, F(1, 3), F(1, 5), LINE)
