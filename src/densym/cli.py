@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .errors import DensymError, SpanMismatchError, SpanNotClosedError
 from .identities import CATALOG_HOMES, CheckConfig, IDENTITIES, check_catalog_op, run_identity
-from .recurrence import classify, sweep
-from .rings import CIRCLE, LINE
+from .recurrence import EXCEPTIONAL_LOCI, HYPERBOLA, LOCUS_LINES, classify, hyperbola_mu, sweep
+from .rings import CIRCLE, LINE, format_rat
 
 OUTDIR_ENV = "DENSYM_OUT"
 
@@ -195,38 +195,6 @@ def cmd_verify(args) -> int:
 # figures: exceptional loci in the weight plane
 # ----------------------------------------------------------------------
 
-LINE_EQS = {
-    "lambda=0": (1, 0, 0),
-    "mu=1": (0, 1, 1),
-    "lambda+mu=1": (1, 1, 1),
-    "mu-lambda=1": (-1, 1, 1),
-    "mu-lambda=2": (-1, 1, 2),
-}
-
-FIGURE_LOCI = {
-    2: {
-        "lines": ["lambda=0", "mu=1", "mu-lambda=1", "mu-lambda=2"],
-        "hyperbola": False,
-        "points": ["-1/2,3/2", "0,2", "-1,1", "0,1"],
-    },
-    3: {
-        "lines": ["lambda=0", "mu=1", "lambda+mu=1", "mu-lambda=2"],
-        "hyperbola": True,
-        "points": ["-1/2,3/2", "-2/3,5/3", "0,1", "0,2", "0,3", "-1,1", "-2,1"],
-    },
-    4: {
-        "lines": ["lambda=0", "mu=1", "lambda+mu=1"],
-        "hyperbola": False,
-        "points": ["1,1", "0,5/4", "0,0", "-1/4,1", "-2/3,5/3", "0,3",
-                   "-2,1", "0,1"],
-    },
-    5: {
-        "lines": ["lambda=0", "mu=1", "lambda+mu=1"],
-        "hyperbola": False,
-        "points": ["0,0", "1,1", "0,1"],
-    },
-}
-
 WINDOW = (-3.0, 2.5, -2.5, 4.0)  # lam_min, lam_max, mu_min, mu_max
 SIZE = 640.0
 
@@ -260,14 +228,14 @@ def _clip_line(a, b, c):
 
 
 def _hyperbola_paths(n: int = 160):
-    """The two branches of (3L+1)(3M-4) = -1 inside the window."""
+    """The two branches of the order-3 hyperbola inside the window."""
     l0, l1, m0, m1 = WINDOW
     paths = []
     for lo, hi in ((l0, -1.0 / 3 - 1e-3), (-1.0 / 3 + 1e-3, l1)):
         pts = []
         for i in range(n + 1):
             lam = lo + (hi - lo) * i / n
-            mu = (4.0 - 1.0 / (3.0 * lam + 1.0)) / 3.0
+            mu = hyperbola_mu(lam)
             if m0 <= mu <= m1:
                 pts.append((lam, mu))
         if len(pts) >= 2:
@@ -276,7 +244,7 @@ def _hyperbola_paths(n: int = 160):
 
 
 def figure_svg(k: int) -> str:
-    loci = FIGURE_LOCI[k]
+    loci = EXCEPTIONAL_LOCI[k]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
         f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
@@ -292,7 +260,7 @@ def figure_svg(k: int) -> str:
                 f'stroke="#bbbbbb" stroke-width="1"/>'
             )
     for name in loci["lines"]:
-        seg = _clip_line(*LINE_EQS[name])
+        seg = _clip_line(*LOCUS_LINES[name])
         if seg:
             (x1, y1), (x2, y2) = (_to_screen(*p) for p in seg)
             parts.append(
@@ -316,11 +284,11 @@ def figure_svg(k: int) -> str:
             )
         parts.append(
             '<text x="12" y="24" font-size="11" fill="#b23a1f">'
-            "(3*lambda+1)(3*mu-4)=-1</text>"
+            f'{HYPERBOLA.replace(")*(", ")(")}</text>'
         )
-    for pt in loci["points"]:
-        lam_s, mu_s = pt.split(",")
-        x, y = _to_screen(float(Fraction(lam_s)), float(Fraction(mu_s)))
+    for lam, mu in loci["points"]:
+        lam_s, mu_s = format_rat(lam), format_rat(mu)
+        x, y = _to_screen(float(lam), float(mu))
         parts.append(
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#222222"/>'
         )
@@ -333,24 +301,23 @@ def figure_svg(k: int) -> str:
 
 
 def figure_csv(k: int) -> str:
-    loci = FIGURE_LOCI[k]
+    loci = EXCEPTIONAL_LOCI[k]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["kind", "equation", "lambda", "mu"])
     for name in loci["lines"]:
         writer.writerow(["line", name, "", ""])
     if loci["hyperbola"]:
-        writer.writerow(["hyperbola", "(3*lambda+1)*(3*mu-4)=-1", "", ""])
-    for pt in loci["points"]:
-        lam_s, mu_s = pt.split(",")
-        writer.writerow(["point", "", lam_s, mu_s])
+        writer.writerow(["hyperbola", HYPERBOLA, "", ""])
+    for lam, mu in loci["points"]:
+        writer.writerow(["point", "", format_rat(lam), format_rat(mu)])
     return buf.getvalue()
 
 
 def cmd_figures(args) -> int:
     k = args.order
-    if k not in FIGURE_LOCI:
-        raise ValueError(f"figures support k in {sorted(FIGURE_LOCI)}, got {k}")
+    if k not in EXCEPTIONAL_LOCI:
+        raise ValueError(f"figures support k in {sorted(EXCEPTIONAL_LOCI)}, got {k}")
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     svg_path = os.path.join(outdir, f"loci_k{k}.svg")

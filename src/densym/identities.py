@@ -35,7 +35,7 @@ from .operators import (
     w_coefficients,
     wilmod_weights,
 )
-from .recurrence import build_system, local_dimension
+from .recurrence import build_system, check_module, local_dimension
 from .rings import CIRCLE, LINE, TrigFn
 from .truncation import (
     TruncatedBasis,
@@ -135,7 +135,7 @@ SHIFT_LINE_POINTS = [  # mu - lambda = 2, away from 0, -1/2, -1
 # ----------------------------------------------------------------------
 
 def check_conj_involution(cfg: CheckConfig) -> CheckResult:
-    k = cfg.k or 3
+    k = 3 if cfg.k is None else cfg.k
     worst = Fraction(0)
     size = 0
     entries = 0
@@ -197,7 +197,9 @@ GENERATORS_01 = {
 
 
 def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
-    k = cfg.k or 4
+    k = 4 if cfg.k is None else cfg.k
+    if k < 1:
+        raise ValueError(f"mult_table_01 needs k >= 1 for P1 and L, got k={k}")
     basis = _basis(k, Fraction(0), Fraction(1), CIRCLE, cfg.M)
     worst = Fraction(0)
     entries = 0
@@ -219,7 +221,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
 
 
 def check_s_relations(cfg: CheckConfig) -> CheckResult:
-    k = cfg.k or 5
+    k = 5 if cfg.k is None else cfg.k
     basis = _basis(k, Fraction(0), Fraction(0), cfg.space, cfg.M)
     checks = [
         (lambda A: s_map(s_map(A)), lambda A: A),
@@ -353,7 +355,7 @@ def check_gsigma_decomposition(cfg: CheckConfig) -> CheckResult:
 
 
 def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
-    k = cfg.k or 4
+    k = 4 if cfg.k is None else cfg.k
     on_points = [
         (Fraction(0), Fraction(5, 4)),
         (Fraction(1, 3), Fraction(25, 18)),
@@ -370,10 +372,10 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
     size = 0
     for points, expect_zero in ((on_points, True), (off_points, False)):
         for lam, mu in points:
-            if expect_zero:
-                assert second_analog_locus(k, lam, mu) == 0
-            else:
-                assert second_analog_locus(k, lam, mu) != 0
+            if (second_analog_locus(k, lam, mu) == 0) != expect_zero:
+                where = "off" if expect_zero else "on"
+                raise ValueError(f"w_sharpness needs k=4: ({lam},{mu}) is {where} "
+                                 f"the order-{k} locus")
             basis = _basis(k, lam, mu, cfg.space, cfg.M)
             size = basis.dim
             a2, a1, a0 = w_coefficients(k, lam)
@@ -426,7 +428,7 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
 
 def check_grozman_equivariance(cfg: CheckConfig) -> CheckResult:
     J = BilinearOp("grozman", Fraction(-2, 3), Fraction(-2, 3))
-    M = cfg.M or 8
+    M = 8 if cfg.M is None else cfg.M
     cols = bilinear_defect(J, CIRCLE, M, circle_fields(3))
     worst = max_abs(cols)
     entries = len(cols)
@@ -442,7 +444,7 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
     lam = cfg.lam if cfg.lam is not None else Fraction(1, 3)
     mu = cfg.mu if cfg.mu is not None else Fraction(1, 5)
     rec = local_dimension(build_system(k, lam, mu))
-    brute, _ = brute_force_local_symmetries(k, lam, mu, LINE, cfg.M or k + 4)
+    brute, _ = brute_force_local_symmetries(k, lam, mu, LINE, cfg.M)
     passed = rec == brute
     return CheckResult(
         "oracle_agreement", passed, Fraction(abs(rec - brute)), 0, 1,
@@ -503,10 +505,11 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     lam = cfg.lam if cfg.lam is not None else lam0
     mu = cfg.mu if cfg.mu is not None else mu0
     space = cfg.space
+    check_module(k, space)
     fields = generator_family(space, 2)
     if entry.kind == "bilinear":
         J = entry.make(lam, mu)
-        cols = bilinear_defect(J, space, cfg.M or 8, fields)
+        cols = bilinear_defect(J, space, 8 if cfg.M is None else cfg.M, fields)
         worst = max_abs(cols)
         return CheckResult(f"op:{name}", worst == 0, worst,
                            0, len(cols), detail=f"(nu,lam)=({lam},{mu})")
@@ -559,6 +562,8 @@ IDENTITIES = {
 
 def run_identity(name: str, cfg: CheckConfig | None = None) -> CheckResult:
     cfg = cfg or CheckConfig()
+    if cfg.k is not None:
+        check_module(cfg.k, cfg.space)
     if name in IDENTITIES:
         return IDENTITIES[name](cfg)
     raise KeyError(f"unknown identity {name!r}")

@@ -129,26 +129,65 @@ def nonlocal_dimension(k: int, lam, mu, space: str) -> int:
 # exceptional loci and generic sampling
 # ----------------------------------------------------------------------
 
-ISOLATED_EXCEPTIONAL = [
-    (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
-    (Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)),
-    (Fraction(0), Fraction(3)), (Fraction(0), Fraction(5, 4)),
-    (Fraction(-1, 4), Fraction(1)), (Fraction(-1), Fraction(1)),
-    (Fraction(-2), Fraction(1)), (Fraction(-2, 3), Fraction(5, 3)),
-    (Fraction(-1, 2), Fraction(3, 2)),
-]
+LOCUS_LINES = {  # name -> (a, b, c) for the line a*lambda + b*mu = c
+    "lambda=0": (1, 0, 0),
+    "mu=1": (0, 1, 1),
+    "lambda+mu=1": (1, 1, 1),
+    "mu-lambda=1": (-1, 1, 1),
+    "mu-lambda=2": (-1, 1, 2),
+}
+
+HYPERBOLA = "(3*lambda+1)*(3*mu-4)=-1"  # the order-3 locus, locus-k3
+
+
+def hyperbola_mu(lam):
+    """mu on the order-3 hyperbola (3 lam + 1)(3 mu - 4) = -1, lam != -1/3."""
+    return (4 - 1 / (3 * lam + 1)) / 3
+
+
+def _points(*texts):
+    return [tuple(Fraction(x) for x in text.split(",")) for text in texts]
+
+
+# The one hand-kept copy of the loci: per order k, the curves where the
+# algebra differs from the generic one and the points where it differs from
+# that and from every curve through them, in the figures' order.  Checked
+# against classify in test_recurrence.
+EXCEPTIONAL_LOCI = {
+    2: {
+        "lines": ["lambda=0", "mu=1", "mu-lambda=1", "mu-lambda=2"],
+        "hyperbola": False,
+        "points": _points("-1/2,3/2", "0,2", "-1,1", "0,1"),
+    },
+    3: {
+        "lines": ["lambda=0", "mu=1", "lambda+mu=1", "mu-lambda=2"],
+        "hyperbola": True,
+        "points": _points("-1/2,3/2", "-2/3,5/3", "0,1", "0,2", "0,3",
+                          "-1,1", "-2,1"),
+    },
+    4: {
+        "lines": ["lambda=0", "mu=1", "lambda+mu=1"],
+        "hyperbola": False,
+        "points": _points("1,1", "0,5/4", "0,0", "-1/4,1", "-2/3,5/3", "0,3",
+                          "-2,1", "0,1"),
+    },
+    5: {
+        "lines": ["lambda=0", "mu=1", "lambda+mu=1"],
+        "hyperbola": False,
+        "points": _points("0,0", "1,1", "0,1"),
+    },
+}
+
+_ISOLATED = frozenset(p for loci in EXCEPTIONAL_LOCI.values() for p in loci["points"])
 
 
 def exceptional_conditions(kmax: int = 6):
     """Named predicates cutting out the loci where dimensions can jump."""
     conds = {
-        "lambda=0": lambda l, m: l == 0,
-        "mu=1": lambda l, m: m == 1,
-        "lambda+mu=1": lambda l, m: l + m == 1,
-        "mu-lambda=1": lambda l, m: m - l == 1,
-        "mu-lambda=2": lambda l, m: m - l == 2,
-        "isolated": lambda l, m: (l, m) in ISOLATED_EXCEPTIONAL,
+        name: lambda l, m, a=a, b=b, c=c: a * l + b * m == c
+        for name, (a, b, c) in LOCUS_LINES.items()
     }
+    conds["isolated"] = lambda l, m: (l, m) in _ISOLATED
     for k in range(3, max(kmax, 3) + 1):
         conds[f"locus-k{k}"] = (
             lambda l, m, _k=k: second_analog_locus(_k, l, m) == 0
@@ -158,12 +197,8 @@ def exceptional_conditions(kmax: int = 6):
 
 def is_generic(lam, mu, kmax: int = 6, ignore=()) -> bool:
     lam, mu = rat(lam), rat(mu)
-    for name, cond in exceptional_conditions(kmax).items():
-        if name in ignore:
-            continue
-        if cond(lam, mu):
-            return False
-    return True
+    conds = exceptional_conditions(kmax).items()
+    return not any(cond(lam, mu) for name, cond in conds if name not in ignore)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -238,7 +273,7 @@ def candidate_generators(k: int, lam, mu, space: str):
     return out
 
 
-def _check_module(k: int, space: str):
+def check_module(k: int, space: str):
     """Reject an order or a space that names no module, before any work."""
     if space not in (CIRCLE, LINE):
         raise ValueError(f"unknown space {space!r}; use {CIRCLE!r} or {LINE!r}")
@@ -376,7 +411,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     and their exact products give the algebra.  M is only the brute-force
     oracle's truncation window (default k+6); it must be at least k+4.
     """
-    _check_module(k, space)
+    check_module(k, space)
     lam, mu = rat(lam), rat(mu)
     if M is None:
         M = k + 6
@@ -429,43 +464,30 @@ TABLE_ROWS = [
     ("lambda=0 or mu=1, generic", ("lambda=0", "mu=1")),
     ("lambda+mu=1, generic", ("lambda+mu=1",)),
     ("order-3 locus or mu-lambda=2, generic", ("locus-k3", "mu-lambda=2")),
-    ("(-1/4,1), (-2,1), (0,5/4), (0,3)",
-     [(Fraction(-1, 4), Fraction(1)), (Fraction(-2), Fraction(1)),
-      (Fraction(0), Fraction(5, 4)), (Fraction(0), Fraction(3))]),
-    ("(0,0), (1,1)", [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]),
-    ("(-2/3,5/3)", [(Fraction(-2, 3), Fraction(5, 3))]),
-    ("(-1/2,3/2)", [(Fraction(-1, 2), Fraction(3, 2))]),
-    ("(0,1)", [(Fraction(0), Fraction(1))]),
+    ("(-1/4,1), (-2,1), (0,5/4), (0,3)", _points("-1/4,1", "-2,1", "0,5/4", "0,3")),
+    ("(0,0), (1,1)", _points("0,0", "1,1")),
+    ("(-2/3,5/3)", _points("-2/3,5/3")),
+    ("(-1/2,3/2)", _points("-1/2,3/2")),
+    ("(0,1)", _points("0,1")),
 ]
 
 
 def _sample_on_condition(cond_name: str, rng: random.Random, kmax: int):
     """A random point on the named locus, generic with respect to the rest."""
-    conds = exceptional_conditions(kmax)
-    ignore = {cond_name}
-    # points on a line stay parameterized by one rational
+    on_locus = exceptional_conditions(kmax)[cond_name]
     while True:
         t = random_rational(rng)
-        if cond_name == "lambda=0":
-            lam, mu = Fraction(0), t
-        elif cond_name == "mu=1":
-            lam, mu = t, Fraction(1)
-        elif cond_name == "lambda+mu=1":
-            lam, mu = t, 1 - t
-        elif cond_name == "mu-lambda=2":
-            lam, mu = t, t + 2
+        if cond_name in LOCUS_LINES:
+            a, b, c = LOCUS_LINES[cond_name]
+            lam, mu = (t, (c - a * t) / b) if b else (Fraction(c, a), t)
         elif cond_name == "locus-k3":
-            # (3L+1)(3M-4) = -1 with L = t, solved for M
             if 3 * t + 1 == 0:
                 continue
-            lam, mu = t, (4 - 1 / (3 * t + 1)) / 3
+            lam, mu = t, hyperbola_mu(t)
         else:
             raise ValueError(f"no sampler for condition {cond_name!r}")
-        if not conds[cond_name](lam, mu):
-            continue
-        if any(c(lam, mu) for name, c in conds.items() if name not in ignore):
-            continue
-        return lam, mu
+        if on_locus(lam, mu) and is_generic(lam, mu, kmax, ignore={cond_name}):
+            return lam, mu
 
 
 def sweep_points(row_conditions, samples: int, rng: random.Random, kmax: int):
@@ -488,7 +510,7 @@ def sweep(kmax: int = 6, space: str = CIRCLE, samples: int = 3,
     raises instead of being averaged away, and so does a kind cell whose
     catalog generators fail the span check.
     """
-    _check_module(kmax, space)
+    check_module(kmax, space)
     if samples < 3:
         raise ValueError("need at least 3 sample points per row")
     rng = random.Random(seed)

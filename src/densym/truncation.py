@@ -39,7 +39,7 @@ def ring_basis(space: str, M: int):
 
 def check_window(k: int, M: int):
     """Reject a window below M = k+4, the floor of the brute-force oracle and
-    of the windowed identity checks."""
+    of the windowed identity checks (k is the order of a bilinear operator)."""
     if M < k + 4:
         raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
 
@@ -288,6 +288,7 @@ def bilinear_defect(J, space: str, M: int, fields):
     Checks J(L_X phi, psi) + J(phi, L_X psi) = L_X J(phi, psi) on all pairs of
     basis densities whose products stay inside the window.
     """
+    check_window(J.order, M)
     monos = ring_basis(space, M)
     cols = []
     for X in fields:

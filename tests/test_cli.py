@@ -114,10 +114,32 @@ class TestVerify:
         assert code == 0
         assert "36 entries checked" in out
 
-    def test_window_below_floor_exit_2(self, capsys):
-        code, out, err = run(capsys, "verify", "mult_table_01", "-k", "4",
-                             "-M", "1")
+    @pytest.mark.parametrize("argv", [
+        ("mult_table_01", "-k", "4", "-M", "1"),
+        ("grozman_equivariance", "-M", "1"),
+        ("--op", "poisson", "-M", "0"),
+        ("oracle_agreement", "-M", "0"),
+    ])
+    def test_window_below_floor_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and "M >= k+4" in err
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("conj_involution", "-k", "-1"), "got -1"),
+        (("oracle_agreement", "-k", "-1"), "got -1"),
+        (("--op", "C", "-k", "-1"), "got -1"),
+        (("mult_table_01", "-k", "0"), "k >= 1"),
+        (("w_sharpness", "-k", "2"), "order-2 locus"),
+    ])
+    def test_order_out_of_range_exit_2(self, capsys, argv, bad):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and bad in err
+
+    @pytest.mark.parametrize("name", ["conj_involution", "s_relations"])
+    def test_order_zero_is_not_the_default(self, capsys, name):
+        # the default window M = k+6 at k=0 has 2*6+1 circle monomials
+        code, out, _ = run(capsys, "verify", name, "-k", "0")
+        assert code == 0 and out.endswith(", basis size 13\n")
 
     def test_unknown_space_in_config_exit_2(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
@@ -144,6 +166,24 @@ class TestVerify:
         assert "mult_table_01" in out and "op:grozman" in out
 
 
+# `figures -k 3` CSV, recorded before the loci moved into one table
+LOCI_K3_CSV = (
+    b"kind,equation,lambda,mu\r\n"
+    b"line,lambda=0,,\r\n"
+    b"line,mu=1,,\r\n"
+    b"line,lambda+mu=1,,\r\n"
+    b"line,mu-lambda=2,,\r\n"
+    b"hyperbola,(3*lambda+1)*(3*mu-4)=-1,,\r\n"
+    b"point,,-1/2,3/2\r\n"
+    b"point,,-2/3,5/3\r\n"
+    b"point,,0,1\r\n"
+    b"point,,0,2\r\n"
+    b"point,,0,3\r\n"
+    b"point,,-1,1\r\n"
+    b"point,,-2,1\r\n"
+)
+
+
 class TestFigures:
     def test_emits_svg_and_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "figures", "-k", "3", "-o", str(tmp_path))
@@ -153,6 +193,10 @@ class TestFigures:
         assert svg.startswith("<svg") and "polyline" in svg  # hyperbola drawn
         assert "lambda+mu=1" in csv_text and "mu-lambda=2" in csv_text
         assert "point,,-1/2,3/2" in csv_text and "point,,-2,1" in csv_text
+
+    def test_k3_csv_is_pinned(self, capsys, tmp_path):
+        run(capsys, "figures", "-k", "3", "-o", str(tmp_path))
+        assert (tmp_path / "loci_k3.csv").read_bytes() == LOCI_K3_CSV
 
     def test_k5_has_three_lines_three_points(self, capsys, tmp_path):
         run(capsys, "figures", "-k", "5", "-o", str(tmp_path))

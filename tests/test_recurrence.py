@@ -10,8 +10,9 @@ from densym.identities import CATALOG_HOMES
 from densym.linalg import max_abs
 from densym.operators import CATALOG
 from densym.recurrence import (
-    MIRRORED_GENERATORS, build_system, candidate_generators, classify,
-    compose_jets, is_generic, jet_algebra, jet_unknowns, jet_vector,
+    EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
+    build_system, candidate_generators, classify, compose_jets,
+    exceptional_conditions, is_generic, jet_algebra, jet_unknowns, jet_vector,
     local_dimension, local_solutions, nonlocal_dimension, read_jet, residual,
     sample_generic, sweep,
 )
@@ -239,9 +240,75 @@ class TestSweep:
         with pytest.raises(ValueError, match=bad):
             sweep(samples=3, with_kinds=False, **kwargs)
 
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_sampled_points_are_pinned(self, space):
+        points = [row["points"] for row in sweep(6, space, with_kinds=False)]
+        assert points == SWEEP_POINTS
+
     def test_candidate_generators_cover_mirrors(self):
         names = [n for n, _ in candidate_generators(4, F(-1, 4), F(1), CIRCLE)]
         assert "JW*" in names and "P0star" in names
+
+
+# the points column of sweep(6) at SWEEP_SEED, recorded before the loci moved
+# into one table; the samplers must keep drawing exactly these
+SWEEP_POINTS = [
+    [("-27/47", "-69/62"), ("61/2", "-73/50"), ("-27/4", "-54/73")],
+    [("0", "-46/39"), ("-76/85", "1"), ("0", "-16/23")],
+    [("-61/69", "130/69"), ("-61/13", "74/13"), ("-13/81", "94/81")],
+    [("11/6", "50/39"), ("-28/55", "82/55"), ("4", "17/13")],
+    [("-1/4", "1"), ("-2", "1"), ("0", "5/4"), ("0", "3")],
+    [("0", "0"), ("1", "1")],
+    [("-2/3", "5/3")],
+    [("-1/2", "3/2")],
+    [("0", "1")],
+]
+
+
+# ----------------------------------------------------------------------
+# the exceptional loci table, against the classifier
+# ----------------------------------------------------------------------
+
+# every curve and point where some order up to 5 is exceptional; the table
+# must pick out of these exactly the ones the classifier finds at each order.
+# A candidate curve the table leaves out has the generic value, so comparing a
+# point with every candidate curve through it equals comparing with the table's.
+CANDIDATE_LINES = ["lambda=0", "mu=1", "lambda+mu=1", "mu-lambda=1", "mu-lambda=2"]
+CANDIDATE_CURVES = CANDIDATE_LINES + ["locus-k3"]
+CANDIDATE_POINTS = [
+    (F(0), F(0)), (F(1), F(1)), (F(0), F(1)), (F(0), F(2)), (F(0), F(3)),
+    (F(0), F(5, 4)), (F(-1, 4), F(1)), (F(-1), F(1)), (F(-2), F(1)),
+    (F(-2, 3), F(5, 3)), (F(-1, 2), F(3, 2)),
+]
+
+
+class TestExceptionalLoci:
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_table_is_what_the_classifier_finds(self, k, space):
+        def value(lam, mu):
+            rep = classify(k, lam, mu, space, check_oracle=False)
+            return rep.total, rep.algebra_kind
+
+        rng = random.Random(SWEEP_SEED)
+        generic = value(*sample_generic(rng))
+        on_curve = {
+            name: value(*_sample_on_condition(name, rng, 6))
+            for name in CANDIDATE_CURVES
+        }
+        conds = exceptional_conditions()
+        points = [
+            p for p in CANDIDATE_POINTS
+            if value(*p) not in {generic} | {
+                v for name, v in on_curve.items() if conds[name](*p)
+            }
+        ]
+        loci = EXCEPTIONAL_LOCI[k]
+        assert loci["lines"] == [
+            name for name in CANDIDATE_LINES if on_curve[name] != generic
+        ]
+        assert loci["hyperbola"] == (on_curve["locus-k3"] != generic)
+        assert sorted(loci["points"]) == sorted(points)
 
 
 # ----------------------------------------------------------------------
