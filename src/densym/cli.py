@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
         k=args.order,
         lam=parse_rational(args.lam) if args.lam else None,
         mu=parse_rational(args.mu) if args.mu else None,
-        space=args.space or CIRCLE,
+        space=args.space,
         M=args.truncation,
     )
     if args.op:

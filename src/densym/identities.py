@@ -75,9 +75,13 @@ class CheckConfig:
     k: int | None = None
     lam: Fraction | None = None
     mu: Fraction | None = None
-    space: str = CIRCLE
+    space: str | None = None
     M: int | None = None
     extra: dict = field(default_factory=dict)
+
+    def space_or(self, default: str = CIRCLE) -> str:
+        """The space asked for, else the check's own default."""
+        return default if self.space is None else self.space
 
 
 def _basis(k, lam, mu, space, M=None):
@@ -86,6 +90,12 @@ def _basis(k, lam, mu, space, M=None):
         M = k + 6
     check_window(k, M)
     return TruncatedBasis(k, M, space, lam, mu)
+
+
+def _circle_only(cfg, name, why):
+    """Reject --space line for a check that exists only on the circle."""
+    if cfg.space_or() != CIRCLE:
+        raise ValueError(f"{name} is circle-only: {why}, not on the {cfg.space_or()}")
 
 
 def _map_defect(basis, func_lhs, func_rhs):
@@ -140,7 +150,7 @@ def check_conj_involution(cfg: CheckConfig) -> CheckResult:
     size = 0
     entries = 0
     for lam, mu in [(Fraction(1, 4), Fraction(3, 4)), (Fraction(2, 7), Fraction(3, 5))]:
-        basis = _basis(k, lam, mu, cfg.space, cfg.M)
+        basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
         worst = max(worst, _map_defect(
             basis, lambda A: conjugate(conjugate(A)), lambda A: A))
@@ -149,6 +159,7 @@ def check_conj_involution(cfg: CheckConfig) -> CheckResult:
 
 
 def check_adjoint_pairing(cfg: CheckConfig) -> CheckResult:
+    _circle_only(cfg, "adjoint_pairing", "the pairing is the mean over the circle")
     rng = random.Random(987123)
     worst = Fraction(0)
     n = cfg.extra.get("instances", 20)
@@ -200,6 +211,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
     k = 4 if cfg.k is None else cfg.k
     if k < 1:
         raise ValueError(f"mult_table_01 needs k >= 1 for P1 and L, got k={k}")
+    _circle_only(cfg, "mult_table_01", "the trace L exists only on the circle")
     basis = _basis(k, Fraction(0), Fraction(1), CIRCLE, cfg.M)
     worst = Fraction(0)
     entries = 0
@@ -222,7 +234,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
 
 def check_s_relations(cfg: CheckConfig) -> CheckResult:
     k = 5 if cfg.k is None else cfg.k
-    basis = _basis(k, Fraction(0), Fraction(0), cfg.space, cfg.M)
+    basis = _basis(k, Fraction(0), Fraction(0), cfg.space_or(), cfg.M)
     checks = [
         (lambda A: s_map(s_map(A)), lambda A: A),
         (lambda A: p0(s_map(A)), p0),
@@ -240,7 +252,7 @@ def check_calw_square(cfg: CheckConfig) -> CheckResult:
     worst = Fraction(0)
     size = 0
     for lam, mu in HYPERBOLA_POINTS:
-        basis = _basis(3, lam, mu, cfg.space, cfg.M)
+        basis = _basis(3, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
         a0 = cal_w_coefficients(lam)[2]
         scale = a0 * (mu - lam - 1)
@@ -254,7 +266,7 @@ def check_calv_square(cfg: CheckConfig) -> CheckResult:
     worst = Fraction(0)
     size = 0
     for lam, mu in GENERIC_POINTS:
-        basis = _basis(2, lam, mu, cfg.space, cfg.M)
+        basis = _basis(2, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
         scale = (mu - lam - 1) * (mu - lam - 2)
         worst = max(worst, _map_defect(
@@ -269,7 +281,7 @@ def check_calv_conjugation_line(cfg: CheckConfig) -> CheckResult:
     worst = Fraction(0)
     size = 0
     for lam, mu in CONJUGATION_LINE_POINTS:
-        basis = _basis(2, lam, mu, cfg.space, cfg.M)
+        basis = _basis(2, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
         scale = lam * (2 * lam + 1)
         worst = max(worst, _map_defect(
@@ -282,7 +294,7 @@ def check_jv_square_zero(cfg: CheckConfig) -> CheckResult:
     worst = Fraction(0)
     size = 0
     for lam, mu in SHIFT_LINE_POINTS:
-        basis = _basis(3, lam, mu, cfg.space, cfg.M)
+        basis = _basis(3, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
         worst = max(worst, _zero_defect(basis, lambda A: j_v(j_v(A, 3), 3)))
     return CheckResult("jv_square_zero", worst == 0, worst, size,
@@ -290,7 +302,7 @@ def check_jv_square_zero(cfg: CheckConfig) -> CheckResult:
 
 
 def check_gv_relations(cfg: CheckConfig) -> CheckResult:
-    basis = _basis(4, Fraction(-2, 3), Fraction(5, 3), cfg.space, cfg.M)
+    basis = _basis(4, Fraction(-2, 3), Fraction(5, 3), cfg.space_or(), cfg.M)
     checks = [
         (lambda A: g_v(conjugate(A)), lambda A: -1 * g_v(A)),
         (lambda A: conjugate(g_v(A)), lambda A: -1 * g_v(A)),
@@ -303,7 +315,7 @@ def check_gv_relations(cfg: CheckConfig) -> CheckResult:
 
 
 def check_jw_relations(cfg: CheckConfig) -> CheckResult:
-    basis = _basis(4, Fraction(0), Fraction(5, 4), cfg.space, cfg.M)
+    basis = _basis(4, Fraction(0), Fraction(5, 4), cfg.space_or(), cfg.M)
     zero = lambda A: DensityOperator.zero(0, Fraction(5, 4), basis.space)
     checks = [
         (lambda A: j_w(j_w(A)), j_w),
@@ -318,7 +330,7 @@ def check_jw_relations(cfg: CheckConfig) -> CheckResult:
 
 
 def check_jsigma_relations(cfg: CheckConfig) -> CheckResult:
-    basis = _basis(3, Fraction(0), Fraction(3), cfg.space, cfg.M)
+    basis = _basis(3, Fraction(0), Fraction(3), cfg.space_or(), cfg.M)
     zero = lambda A: DensityOperator.zero(0, 3, basis.space)
     checks = [
         (lambda A: j_sigma(j_sigma(A)), zero),
@@ -332,7 +344,7 @@ def check_jsigma_relations(cfg: CheckConfig) -> CheckResult:
 
 
 def check_jv_conj_relations(cfg: CheckConfig) -> CheckResult:
-    basis = _basis(3, Fraction(-1, 2), Fraction(3, 2), cfg.space, cfg.M)
+    basis = _basis(3, Fraction(-1, 2), Fraction(3, 2), cfg.space_or(), cfg.M)
     checks = [
         (lambda A: j_v(conjugate(A), 3), lambda A: j_v(A, 3)),
         (lambda A: conjugate(j_v(A, 3)), lambda A: -1 * j_v(A, 3)),
@@ -344,7 +356,7 @@ def check_jv_conj_relations(cfg: CheckConfig) -> CheckResult:
 
 
 def check_gsigma_decomposition(cfg: CheckConfig) -> CheckResult:
-    basis = _basis(3, Fraction(-2, 3), Fraction(5, 3), cfg.space, cfg.M)
+    basis = _basis(3, Fraction(-2, 3), Fraction(5, 3), cfg.space_or(), cfg.M)
 
     def rhs(A):
         return Fraction(1, 2) * (A - conjugate(A)) - Fraction(9, 4) * cal_w(A)
@@ -366,7 +378,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
         (Fraction(1, 3), Fraction(2)),
         (Fraction(-1, 3), Fraction(0)),
     ]
-    fields = line_fields(3) if cfg.space == LINE else circle_fields(2)
+    fields = line_fields(3) if cfg.space_or() == LINE else circle_fields(2)
     worst_on = Fraction(0)
     ok_off = True
     size = 0
@@ -376,7 +388,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
                 where = "off" if expect_zero else "on"
                 raise ValueError(f"w_sharpness needs k=4: ({lam},{mu}) is {where} "
                                  f"the order-{k} locus")
-            basis = _basis(k, lam, mu, cfg.space, cfg.M)
+            basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
             size = basis.dim
             a2, a1, a0 = w_coefficients(k, lam)
 
@@ -408,7 +420,7 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
     entries = 0
     for k in range(1, 6):
         lam, mu = wilmod_weights(k)
-        basis = TruncatedBasis(k, 4, cfg.space, lam, mu)
+        basis = TruncatedBasis(k, 4, cfg.space_or(), lam, mu)
         worst = max(worst, max_abs(
             [basis.density_vector(v_map(b, k)) for b in basis.elements]
         ))
@@ -416,7 +428,7 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
         for dl, dm in [(Fraction(1, 7), 0), (0, Fraction(1, 5)),
                        (Fraction(-1, 3), Fraction(-1, 3))]:
             nlam, nmu = lam + dl, mu + dm
-            basis2 = TruncatedBasis(k, 4, cfg.space, nlam, nmu)
+            basis2 = TruncatedBasis(k, 4, cfg.space_or(), nlam, nmu)
             nonzero = any(
                 not v_map(b, k).is_zero for b in basis2.elements
             )
@@ -444,7 +456,7 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
     lam = cfg.lam if cfg.lam is not None else Fraction(1, 3)
     mu = cfg.mu if cfg.mu is not None else Fraction(1, 5)
     rec = local_dimension(build_system(k, lam, mu))
-    brute, _ = brute_force_local_symmetries(k, lam, mu, LINE, cfg.M)
+    brute, _ = brute_force_local_symmetries(k, lam, mu, cfg.space_or(LINE), cfg.M)
     passed = rec == brute
     return CheckResult(
         "oracle_agreement", passed, Fraction(abs(rec - brute)), 0, 1,
@@ -453,6 +465,8 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
 
 
 def check_lemma_functionals(cfg: CheckConfig) -> CheckResult:
+    _circle_only(cfg, "lemma_functionals",
+                 "the invariant functionals are counted on trig densities")
     cases = {Fraction(1): 1, Fraction(0): 0, Fraction(1, 2): 0,
              Fraction(-2, 3): 0, Fraction(2): 0}
     bad = []
@@ -504,7 +518,7 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     k = cfg.k if cfg.k is not None else k0
     lam = cfg.lam if cfg.lam is not None else lam0
     mu = cfg.mu if cfg.mu is not None else mu0
-    space = cfg.space
+    space = cfg.space_or()
     check_module(k, space)
     fields = generator_family(space, 2)
     if entry.kind == "bilinear":
@@ -563,7 +577,7 @@ IDENTITIES = {
 def run_identity(name: str, cfg: CheckConfig | None = None) -> CheckResult:
     cfg = cfg or CheckConfig()
     if cfg.k is not None:
-        check_module(cfg.k, cfg.space)
+        check_module(cfg.k, cfg.space_or())
     if name in IDENTITIES:
         return IDENTITIES[name](cfg)
     raise KeyError(f"unknown identity {name!r}")

@@ -30,7 +30,7 @@ from . import algebras
 from .densities import DensityOperator
 from .errors import SpanMismatchError, SpanNotClosedError
 from .operators import CATALOG, conjugated_endo, second_analog_locus
-from .linalg import independent_subset, nullspace, solve
+from .linalg import independent_subset, nullspace, rref, solve
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
 from .truncation import (
     brute_force_local_symmetries,
@@ -405,8 +405,9 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
              check_oracle: bool = True, identify_algebra: bool = True):
     """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
 
-    The dimension is the recurrence nullspace (plus the circle trace).  The
-    catalog generators are read in jet coordinates s[r,l]; each must solve
+    The dimension is the recurrence nullspace (plus the circle trace); the
+    brute-force oracle must find the same solution space.  The catalog
+    generators are read in jet coordinates s[r,l]; each must solve
     the recurrence, an independent subset of them must span that dimension,
     and their exact products give the algebra.  M is only the brute-force
     oracle's truncation window (default k+6); it must be at least k+4.
@@ -417,16 +418,20 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
         M = k + 6
     check_window(k, M)
     sys = build_system(k, lam, mu)
-    local = local_dimension(sys)
+    solutions = nullspace(sys.dense_rows(), sys.n_unknowns)
+    local = len(solutions)
     nonloc = nonlocal_dimension(k, lam, mu, space)
     total = local + nonloc
 
     if check_oracle:
-        brute, _ = brute_force_local_symmetries(k, lam, mu, space, M)
-        if brute != local:
+        # both routes solve for the same unknowns t[r,l]: equal subspaces
+        # have equal reduced row echelon forms
+        brute = brute_force_local_symmetries(k, lam, mu, space, M).solutions
+        if rref(brute)[0] != rref(solutions)[0]:
             raise SpanMismatchError(
                 f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "
-                f"recurrence gives {local}, brute force gives {brute}"
+                f"recurrence gives {local} solutions, brute force gives "
+                f"{len(brute)}, and they span different spaces"
             )
 
     names, vectors = [], []

@@ -18,6 +18,9 @@ CIRCLE = "circle"
 
 Rat = Fraction
 
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
 
 def rat(value) -> Fraction:
     """Coerce ints, strings like '-3/7', and Fractions to an exact rational."""
@@ -55,7 +58,7 @@ class PolyFn:
 
     @classmethod
     def zero(cls) -> "PolyFn":
-        return cls(())
+        return _POLY_ZERO
 
     @classmethod
     def constant(cls, c) -> "PolyFn":
@@ -78,19 +81,29 @@ class PolyFn:
         return not self.coeffs
 
     def coefficient(self, degree: int) -> Fraction:
-        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else Fraction(0)
+        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else _ZERO
 
     def __add__(self, other):
         other = _coerce(other, self)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFn(
-            (self.coefficient(i) + other.coefficient(i)) for i in range(n)
-        )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            cs[i] += c
+        if len(a) == len(b):  # only equal degrees can cancel the top
+            while cs and not cs[-1]:
+                cs.pop()
+        return _poly(tuple(cs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFn(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-_coerce(other, self))
@@ -100,16 +113,20 @@ class PolyFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PolyFn(tuple(rat(other) * c for c in self.coeffs))
+            if not other:
+                return _POLY_ZERO
+            q = rat(other)
+            return _poly(tuple(q * c for c in self.coeffs))
         other = _coerce(other, self)
         if self.is_zero or other.is_zero:
-            return PolyFn.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return _POLY_ZERO
+        # the top coefficient is a product of nonzero rationals: no stripping
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return PolyFn(out)
+        return _poly(tuple(out))
 
     __rmul__ = __mul__
 
@@ -117,7 +134,7 @@ class PolyFn:
         cur = self.coeffs
         for _ in range(n):
             cur = tuple(cur[i] * i for i in range(1, len(cur)))
-        return PolyFn(cur)
+        return _poly(cur)
 
     def __call__(self, x: float) -> float:
         out = 0.0
@@ -166,7 +183,7 @@ class TrigFn:
 
     @classmethod
     def zero(cls) -> "TrigFn":
-        return cls()
+        return _TRIG_ZERO
 
     @classmethod
     def constant(cls, c) -> "TrigFn":
@@ -182,7 +199,7 @@ class TrigFn:
 
     @property
     def is_zero(self) -> bool:
-        return self.mean_coeff == 0 and not self.cos and not self.sin
+        return not self.mean_coeff and not self.cos and not self.sin
 
     @property
     def max_frequency(self) -> int:
@@ -190,18 +207,18 @@ class TrigFn:
 
     def __add__(self, other):
         other = _coerce(other, self)
-        cos = dict(self.cos)
-        sin = dict(self.sin)
-        for n, c in other.cos.items():
-            cos[n] = cos.get(n, Fraction(0)) + c
-        for n, c in other.sin.items():
-            sin[n] = sin.get(n, Fraction(0)) + c
-        return TrigFn(self.mean_coeff + other.mean_coeff, cos, sin)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        return _trig(self.mean_coeff + other.mean_coeff,
+                     _add_terms(self.cos, other.cos),
+                     _add_terms(self.sin, other.sin))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigFn(
+        return _trig(
             -self.mean_coeff,
             {n: -c for n, c in self.cos.items()},
             {n: -c for n, c in self.sin.items()},
@@ -215,7 +232,8 @@ class TrigFn:
 
     def _terms(self):
         # (kind, freq, coeff) with kind 'c' or 's'; the mean is ('c', 0, m)
-        yield ("c", 0, self.mean_coeff)
+        if self.mean_coeff:
+            yield ("c", 0, self.mean_coeff)
         for n, c in self.cos.items():
             yield ("c", n, c)
         for n, c in self.sin.items():
@@ -223,22 +241,20 @@ class TrigFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return _TRIG_ZERO
             q = rat(other)
-            return TrigFn(
+            return _trig(
                 q * self.mean_coeff,
                 {n: q * c for n, c in self.cos.items()},
                 {n: q * c for n, c in self.sin.items()},
             )
         other = _coerce(other, self)
         acc = _TrigAcc()
-        half = Fraction(1, 2)
+        right = list(other._terms())
         for k1, n1, c1 in self._terms():
-            if c1 == 0:
-                continue
-            for k2, n2, c2 in other._terms():
-                if c2 == 0:
-                    continue
-                c = c1 * c2 * half
+            for k2, n2, c2 in right:
+                c = c1 * c2 * _HALF
                 # product-to-sum: indices n1+n2 and n1-n2
                 if k1 == "c" and k2 == "c":
                     acc.add_cos(n1 - n2, c)
@@ -261,7 +277,7 @@ class TrigFn:
         for _ in range(n):
             cos = {m: m * c for m, c in cur.sin.items()}
             sin = {m: -m * c for m, c in cur.cos.items()}
-            cur = TrigFn(0, cos, sin)
+            cur = _trig(_ZERO, cos, sin)
         return cur
 
     @property
@@ -304,7 +320,7 @@ class _TrigAcc:
     """Accumulator normalizing signed frequencies during products."""
 
     def __init__(self):
-        self.mean = Fraction(0)
+        self.mean = _ZERO
         self.cos = {}
         self.sin = {}
 
@@ -313,17 +329,64 @@ class _TrigAcc:
         if n == 0:
             self.mean += c
         else:
-            self.cos[n] = self.cos.get(n, Fraction(0)) + c
+            self.cos[n] = self.cos.get(n, _ZERO) + c
 
     def add_sin(self, n, c):
         if n == 0:
             return
         if n < 0:
             n, c = -n, -c
-        self.sin[n] = self.sin.get(n, Fraction(0)) + c
+        self.sin[n] = self.sin.get(n, _ZERO) + c
 
     def build(self):
-        return TrigFn(self.mean, self.cos, self.sin)
+        return _trig(
+            self.mean,
+            {n: c for n, c in self.cos.items() if c},
+            {n: c for n, c in self.sin.items() if c},
+        )
+
+
+# ----------------------------------------------------------------------
+# trusted constructors: data the ring itself produced is already canonical
+# (Fraction values, no zero harmonic, no trailing zero, frequencies >= 1),
+# so it skips the coercion and validation of the public constructors
+# ----------------------------------------------------------------------
+
+def _poly(coeffs: tuple) -> PolyFn:
+    if not coeffs:
+        return _POLY_ZERO
+    f = object.__new__(PolyFn)
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
+
+
+def _trig(mean: Fraction, cos: dict, sin: dict) -> TrigFn:
+    f = object.__new__(TrigFn)
+    object.__setattr__(f, "mean_coeff", mean)
+    object.__setattr__(f, "cos", cos)
+    object.__setattr__(f, "sin", sin)
+    return f
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """Termwise sum of two harmonic maps, pruning the entries that cancel."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for n, c in b.items():
+        if n in out:
+            c += out[n]
+            if not c:
+                del out[n]
+                continue
+        out[n] = c
+    return out
+
+
+# one shared zero per ring; nothing mutates a ring element in place
+_POLY_ZERO = object.__new__(PolyFn)
+object.__setattr__(_POLY_ZERO, "coeffs", ())
+_TRIG_ZERO = _trig(_ZERO, {}, {})
 
 
 CoefficientFunction = PolyFn | TrigFn
@@ -342,7 +405,7 @@ def _coerce(value, like):
 
 
 def zero(space: str) -> CoefficientFunction:
-    return PolyFn.zero() if space == LINE else TrigFn.zero()
+    return _POLY_ZERO if space == LINE else _TRIG_ZERO
 
 
 def one(space: str) -> CoefficientFunction:

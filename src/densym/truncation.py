@@ -48,22 +48,29 @@ def ring_dim(space: str, M: int) -> int:
     return M + 1 if space == LINE else 2 * M + 1
 
 
-def ring_vector(fn, M: int):
-    """Exact coordinates of a ring element in the monomial list, or overflow."""
+def ring_entries(fn, M: int):
+    """(coordinate, value) for the nonzero coordinates of ring_vector(fn, M)."""
     if fn.space == LINE:
         if fn.degree is not None and fn.degree > M:
             raise TruncationOverflowError(
                 f"polynomial degree {fn.degree} exceeds the window M={M}"
             )
-        return [fn.coefficient(t) for t in range(M + 1)]
+        return [(t, c) for t, c in enumerate(fn.coeffs) if c]
     if fn.max_frequency > M:
         raise TruncationOverflowError(
             f"frequency {fn.max_frequency} exceeds the window M={M}"
         )
-    vec = [fn.mean_coeff]
-    for n in range(1, M + 1):
-        vec.append(fn.cos.get(n, Fraction(0)))
-        vec.append(fn.sin.get(n, Fraction(0)))
+    out = [(0, fn.mean_coeff)] if fn.mean_coeff else []
+    out += [(2 * n - 1, c) for n, c in fn.cos.items()]
+    out += [(2 * n, c) for n, c in fn.sin.items()]
+    return out
+
+
+def ring_vector(fn, M: int):
+    """Exact coordinates of a ring element in the monomial list, or overflow."""
+    vec = [Fraction(0)] * ring_dim(fn.space, M)
+    for t, c in ring_entries(fn, M):
+        vec[t] = c
     return vec
 
 
@@ -356,44 +363,92 @@ def brute_force_fields(space: str):
     ]
 
 
+def elementary_defects(basis: TruncatedBasis, X: VectorField):
+    """The defects e(L_X b) - L_X(e(b)) of the elementary maps e = e_{r,l}
+    (the componentwise map with t[r,l] = 1, every other unknown 0), for each
+    b in basis.safe_elements(X) in order: {coordinate of basis.vector_of:
+    {unknown index: value}}, nonzero entries only.
+
+    By linearity, with one Lie derivative per safe element: e_{r,l}(A) is
+    fall(r,l) a_r^(l) at d^(r-l), so every lhs is read off L_X b, and
+    e_{r,l}(b) vanishes unless r is the order i of b = mono d^i, when it is
+    fall(i,l) mono^(l) d^(i-l), a combination of safe elements whose images
+    under L_X are already known.
+    """
+    M, n = basis.M, len(basis.monomials)
+    idx = {u: j for j, u in enumerate(component_unknowns(basis.k))}
+    safe = basis.safe_elements(X)
+    images = {(b.order, b.coeffs[-1]): lie_derivative_operator(X, b) for b in safe}
+
+    def add(eqs, j, slot, fn, scale):
+        for m, v in ring_entries(fn, M):
+            entries = eqs.setdefault(slot * n + m, {})
+            entries[j] = entries.get(j, 0) + scale * v
+
+    out = []
+    for b in safe:
+        eqs = {}
+        i, mono = b.order, b.coeffs[-1]
+        for r, a in enumerate(images[i, mono].coeffs):
+            for l in range(r + 1):
+                if a.is_zero:
+                    break
+                add(eqs, idx[r, l], r - l, a, falling(r, l))
+                a = a.diff()
+        for l in range(i + 1):
+            for t, c in ring_entries(mono, M):
+                for slot, a in enumerate(images[i - l, basis.monomials[t]].coeffs):
+                    add(eqs, idx[i, l], slot, a, -falling(i, l) * c)
+            mono = mono.diff()
+        out.append({coord: nonzero for coord, entries in eqs.items()
+                    if (nonzero := {j: v for j, v in entries.items() if v})})
+    return out
+
+
+class OracleResult(tuple):
+    """(dimension, maps) as callers unpack it; .solutions is the nullspace
+    basis itself, in component_unknowns order."""
+
+    def __new__(cls, solutions, maps):
+        self = super().__new__(cls, (len(solutions), maps))
+        self.solutions = solutions
+        return self
+
+
 def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | None = None):
     """Exact nullspace of the equivariance conditions on the truncated basis.
 
-    Independent of the recurrence route: the commutation relations are imposed
-    as matrix identities on basis elements.  Returns (dimension, maps) where
-    maps are SymmetryMap representatives on a TruncatedBasis.
+    Independent of the recurrence route: [e, L_X] = 0 is imposed on every
+    safe basis element for the general componentwise map e, whose defect is
+    linear in the unknowns t[r,l] (elementary_defects).  Each coordinate of
+    a defect is one equation; equations proportional to one already kept are
+    dropped, which leaves the row space, hence the nullspace, unchanged.
+    Returns an OracleResult: (dimension, maps) with maps SymmetryMap
+    representatives on a TruncatedBasis, and the solution vectors.
     """
     if M is None:
         M = k + 4
     check_window(k, M)
     lam, mu = rat(lam), rat(mu)
     basis = TruncatedBasis(k, M, space, lam, mu)
-    idx = {u: i for i, u in enumerate(component_unknowns(k))}
-    elementary = [
-        componentwise_map({u: Fraction(1)}, k, lam, mu, space)
-        for u in component_unknowns(k)
-    ]
-    rows = []
+    unknowns = component_unknowns(k)
+    rows = {}  # each equation scaled to a leading 1, kept once, in order
     for X in brute_force_fields(space):
-        for b in basis.safe_elements(X):
-            lie_b = lie_derivative_operator(X, b)
-            defect_cols = []
-            for e in elementary:
-                lhs = e(lie_b)
-                rhs = lie_derivative_operator(X, e(b))
-                defect_cols.append(basis.vector_of(lhs - rhs))
-            for coord in range(basis.dim):
-                row = [defect_cols[u][coord] for u in range(len(idx))]
-                if any(row):
-                    rows.append(row)
-    solutions = nullspace(rows, len(idx))
+        for defects in elementary_defects(basis, X):
+            for eq in defects.values():
+                lead = eq[min(eq)]
+                row = [Fraction(0)] * len(unknowns)
+                for j, v in eq.items():
+                    row[j] = v / lead
+                rows[tuple(row)] = None
+    solutions = nullspace(list(rows), len(unknowns))
     maps = []
     for sol in solutions:
-        coeffs = {u: sol[i] for u, i in idx.items() if sol[i] != 0}
+        coeffs = {u: v for u, v in zip(unknowns, sol) if v != 0}
         maps.append(SymmetryMap(
             basis, componentwise_map(coeffs, k, lam, mu, space), name="T"
         ))
-    return len(solutions), maps
+    return OracleResult(solutions, maps)
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,34 @@ class TestVerify:
         assert "36 entries checked" in out
 
     @pytest.mark.parametrize("argv", [
+        ("mult_table_01", "-k", "1"), ("adjoint_pairing",), ("lemma_functionals",),
+    ])
+    def test_circle_only_check_on_the_line_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--space", "line")
+        assert code == 2 and out == "" and f"{argv[0]} is circle-only" in err
+
+    @pytest.mark.parametrize("argv, space", [
+        ((), "line"),
+        (("--space", "circle"), "circle"),
+        (("--space", "line"), "line"),
+    ])
+    def test_oracle_agreement_honours_space(self, capsys, monkeypatch, argv, space):
+        from densym import identities
+        seen = []
+        real = identities.brute_force_local_symmetries
+
+        def spy(k, lam, mu, sp, M):
+            seen.append(sp)
+            return real(k, lam, mu, sp, M)
+
+        monkeypatch.setattr(identities, "brute_force_local_symmetries", spy)
+        code, out, _ = run(capsys, "verify", "oracle_agreement", *argv)
+        assert code == 0 and seen == [space]
+        assert out == ("oracle_agreement: pass, defect 0, 1 entries checked, "
+                       "basis size 0 (recurrence 1, brute force 1 at k=3, "
+                       "(1/3,1/5))\n")
+
+    @pytest.mark.parametrize("argv", [
         ("mult_table_01", "-k", "4", "-M", "1"),
         ("grozman_equivariance", "-M", "1"),
         ("--op", "poisson", "-M", "0"),

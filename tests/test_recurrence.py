@@ -7,7 +7,7 @@ from densym.algebras import span_algebra
 from densym.densities import DensityOperator, VectorField
 from densym.errors import SpanMismatchError, SpanNotClosedError
 from densym.identities import CATALOG_HOMES
-from densym.linalg import max_abs
+from densym.linalg import max_abs, nullspace
 from densym.operators import CATALOG
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
@@ -18,7 +18,7 @@ from densym.recurrence import (
 )
 from densym.rings import CIRCLE, LINE, PolyFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
+    OracleResult, SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
     component_unknowns, componentwise_map, equivariance_defect,
 )
 import random
@@ -183,10 +183,34 @@ class TestClassify:
         assert rep.generator_names == ["Id", "P0", "JW"]
 
     def test_oracle_check_runs_by_default(self):
-        # forcing a wrong dimension through a corrupt system is not possible
-        # from the public surface; instead assert the check is exercised
         rep = classify(2, F(1, 3), F(1, 5), CIRCLE, check_oracle=True)
         assert rep.local_dimension == 2
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("point", [(F(0), F(1)), (F(1, 3), F(7, 6)),
+                                       (F(-2, 3), F(5, 3))])
+    def test_oracle_finds_the_recurrence_solutions(self, point, space):
+        for k in (2, 3):
+            sys = build_system(k, *point)
+            brute = brute_force_local_symmetries(k, *point, space, k + 6)
+            assert brute.solutions == nullspace(sys.dense_rows(), sys.n_unknowns)
+
+    @pytest.mark.parametrize("count", ["same", "fewer"])
+    def test_oracle_must_find_the_same_space(self, monkeypatch, count):
+        # unit vectors: the right dimension but another solution space, or
+        # one vector short
+        real = recurrence.brute_force_local_symmetries
+
+        def skewed(k, lam, mu, space, M):
+            dim, maps = real(k, lam, mu, space, M)
+            n = len(component_unknowns(k))
+            units = [[F(int(i == j)) for i in range(n)] for j in range(dim)]
+            return OracleResult(units if count == "same" else units[1:], maps)
+
+        monkeypatch.setattr(recurrence, "brute_force_local_symmetries", skewed)
+        with pytest.raises(SpanMismatchError, match="span different spaces"):
+            classify(2, F(0), F(1), CIRCLE)
+        assert classify(2, F(0), F(1), CIRCLE, check_oracle=False).total == 5
 
     @pytest.mark.parametrize("args, bad", [
         ((2, 0, 1, "sphere"), "'sphere'"),

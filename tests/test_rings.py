@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densym import rings
 from densym.errors import RingMismatchError, UnsupportedFunctionalError
 from densym.rings import (
-    PolyFn, TrigFn, circle_mean, from_text, ring_diff, ring_mul, to_text,
+    CIRCLE, LINE, PolyFn, TrigFn, circle_mean, from_text, ring_diff, ring_mul,
+    to_text,
 )
 
 rationals = st.fractions(
@@ -124,3 +126,83 @@ def test_text_format_shape():
     assert to_text(TrigFn(2, {1: F(1, 3)}, {2: F(-1)})) == \
         "trig: 2 | 1:cos=1/3 ; 2:sin=-1"
     assert from_text("trig: 0") == TrigFn.zero()
+
+
+# ----------------------------------------------------------------------
+# ring operations build their results without re-validation: every result
+# must still be in the canonical form the public constructors produce
+# ----------------------------------------------------------------------
+
+scalars = st.one_of(st.integers(-3, 3), rationals)
+
+
+def assert_canonical(f):
+    if isinstance(f, PolyFn):
+        assert all(type(c) is F for c in f.coeffs)
+        assert not f.coeffs or f.coeffs[-1] != 0
+        rebuilt = PolyFn(f.coeffs)
+    else:
+        assert type(f.mean_coeff) is F
+        for terms in (f.cos, f.sin):
+            for n, c in terms.items():
+                assert type(n) is int and n >= 1
+                assert type(c) is F and c != 0
+        rebuilt = TrigFn(f.mean_coeff, f.cos, f.sin)
+    assert f == rebuilt and hash(f) == hash(rebuilt)
+
+
+def results(f, g, q):
+    """Every ring operation on f, g (same space) and the scalar q."""
+    yield f + g
+    yield f - g
+    yield f - f
+    yield f + (g - f)  # g rebuilt after cancelling f
+    yield -f
+    yield q * f
+    yield f * q
+    yield f * g
+    yield q + f
+    yield q - f
+    for n in range(4):
+        yield f.diff(n)
+
+
+same_space_pairs = st.one_of(st.tuples(polys(), polys()), st.tuples(trigs(), trigs()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_space_pairs, scalars)
+def test_operations_return_canonical_form(pair, q):
+    f, g = pair
+    for h in results(f, g, q):
+        assert_canonical(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_space_pairs, scalars)
+def test_operations_on_canonical_results_stay_canonical(pair, q):
+    f, g = pair
+    for h in results(f * g + q, f.diff() - g, q):
+        assert_canonical(h)
+
+
+def test_each_ring_has_one_zero():
+    assert rings.zero(LINE) is PolyFn.zero() is PolyFn.zero()
+    assert rings.zero(CIRCLE) is TrigFn.zero() is TrigFn.zero()
+    assert (PolyFn([1]) - PolyFn([1])) is PolyFn.zero()
+    assert TrigFn.constant(3).diff() == TrigFn.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_space_pairs, scalars)
+def test_no_operation_changes_the_shared_zero(pair, q):
+    f, g = pair
+    zero = rings.zero(f.space)
+    for h in (*results(zero, f, q), *results(f, zero, q), *results(zero, zero, q)):
+        assert_canonical(h)
+    assert zero.is_zero
+    if f.space == LINE:
+        assert zero.coeffs == ()
+    else:
+        assert zero.mean_coeff == 0 and zero.cos == {} and zero.sin == {}
+    assert zero == (PolyFn() if f.space == LINE else TrigFn())

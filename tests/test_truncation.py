@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,10 @@ from densym.linalg import max_abs
 from densym.operators import CATALOG
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, circle_fields,
-    equivariance_defect, invariant_functionals_dimension, line_fields, realize,
+    OracleResult, SymmetryMap, TruncatedBasis, brute_force_fields,
+    brute_force_local_symmetries, circle_fields, component_unknowns,
+    componentwise_map, elementary_defects, equivariance_defect,
+    invariant_functionals_dimension, line_fields, realize,
 )
 
 
@@ -208,6 +211,139 @@ class TestBruteForce:
         for T in maps:
             for X in fields:
                 assert max_abs(equivariance_defect(T, X)) == 0
+
+
+# brute-force nullspace bases (rows over component_unknowns) at the default
+# window M = k+4, as the per-elementary-map route computed them
+PINNED_SOLUTIONS = {
+    (CIRCLE, 1, F("0"), F("1")): [
+        "1 0 0",
+        "0 1 0",
+        "0 0 1",
+    ],
+    (CIRCLE, 2, F("0"), F("1")): [
+        "1 0 0 0 0 0",
+        "0 1 0 1 0 0",
+        "0 -2 0 0 1 0",
+        "0 0 -2 0 0 1",
+    ],
+    (CIRCLE, 3, F("0"), F("1")): [
+        "1 0 0 0 0 0 0 0 0 0",
+        "0 1 0 1 0 0 1 0 0 0",
+        "0 -3 0 -2 1/2 0 0 1 0 0",
+        "0 6 0 0 -3 0 0 0 1 0",
+        "0 0 6 0 0 -3 0 0 0 1",
+    ],
+    (CIRCLE, 4, F("0"), F("1")): [
+        "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        "0 1 0 1 0 0 1 0 0 0 1 0 0 0 0",
+        "0 4 0 0 -2 0 -4 -2 1/3 0 0 2 1 0 0",
+        "0 -24 0 0 12 0 0 0 -4 0 0 0 0 1 0",
+        "0 0 -24 0 0 12 0 0 0 -4 0 0 0 0 1",
+    ],
+    (CIRCLE, 3, F("-1/2"), F("3/2")): [
+        "1 1 0 1 0 0 1 0 0 0",
+        "-12 0 6 -12 -2 -1 0 6 1 0",
+        "24 0 -12 24 0 0 0 -12 0 1",
+    ],
+    (CIRCLE, 2, F("2/7"), F("9/7")): [
+        "1 1 0 1 0 0",
+        "0 0 -14/11 0 0 1",
+    ],
+    (LINE, 1, F("0"), F("1")): [
+        "1 0 0",
+        "0 1 0",
+        "0 0 1",
+    ],
+    (LINE, 2, F("0"), F("1")): [
+        "1 0 0 0 0 0",
+        "0 1 0 1 0 0",
+        "0 -2 0 0 1 0",
+        "0 0 -2 0 0 1",
+    ],
+    (LINE, 3, F("0"), F("1")): [
+        "1 0 0 0 0 0 0 0 0 0",
+        "0 1 0 1 0 0 1 0 0 0",
+        "0 -3 0 -2 1/2 0 0 1 0 0",
+        "0 6 0 0 -3 0 0 0 1 0",
+        "0 0 6 0 0 -3 0 0 0 1",
+    ],
+    (LINE, 4, F("0"), F("1")): [
+        "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        "0 1 0 1 0 0 1 0 0 0 1 0 0 0 0",
+        "0 4 0 0 -2 0 -4 -2 1/3 0 0 2 1 0 0",
+        "0 -24 0 0 12 0 0 0 -4 0 0 0 0 1 0",
+        "0 0 -24 0 0 12 0 0 0 -4 0 0 0 0 1",
+    ],
+    (LINE, 3, F("-1/2"), F("3/2")): [
+        "1 1 0 1 0 0 1 0 0 0",
+        "-12 0 6 -12 -2 -1 0 6 1 0",
+        "24 0 -12 24 0 0 0 -12 0 1",
+    ],
+    (LINE, 2, F("2/7"), F("9/7")): [
+        "1 1 0 1 0 0",
+        "0 0 -14/11 0 0 1",
+    ],
+}
+
+
+class TestBruteForceByLinearity:
+    @pytest.mark.parametrize("case", sorted(PINNED_SOLUTIONS, key=str))
+    def test_solution_vectors_are_pinned(self, case):
+        space, k, lam, mu = case
+        got = brute_force_local_symmetries(k, lam, mu, space)
+        want = [[F(v) for v in row.split()] for row in PINNED_SOLUTIONS[case]]
+        assert isinstance(got, OracleResult)
+        assert got.solutions == want
+        dim, maps = got
+        assert dim == len(maps) == len(want)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_match_the_generic_defect(self, space, k):
+        # sum_u t_u column_u must be the defect of the map with coefficients t
+        rng = random.Random(1000 * k + len(space))
+        lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
+        basis = TruncatedBasis(k, k + 4, space, lam, mu)
+        unknowns = component_unknowns(k)
+        t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
+        T = SymmetryMap(basis, componentwise_map(
+            dict(zip(unknowns, t)), k, lam, mu, space))
+        for X in brute_force_fields(space):
+            defects = elementary_defects(basis, X)
+            want = equivariance_defect(T, X)
+            assert len(defects) == len(want)
+            for eqs, col in zip(defects, want):
+                got = [F(0)] * basis.dim
+                for coord, entries in eqs.items():
+                    got[coord] = sum(t[j] * v for j, v in entries.items())
+                assert got == col
+
+    def test_proportional_rows_are_kept_once(self, monkeypatch):
+        from densym import truncation
+        seen = []
+        real = truncation.nullspace
+        monkeypatch.setattr(truncation, "nullspace",
+                            lambda rows, n: seen.append(rows) or real(rows, n))
+        brute_force_local_symmetries(3, F(0), F(1), CIRCLE)
+        rows = seen[0]
+
+        def normalized(row):
+            lead = next(v for v in row if v)
+            return tuple(v / lead for v in row)
+
+        assert rows and len({normalized(row) for row in rows}) == len(rows)
+
+    def test_one_lie_derivative_per_safe_element(self, monkeypatch):
+        from densym import truncation
+        calls = []
+        real = truncation.lie_derivative_operator
+        monkeypatch.setattr(truncation, "lie_derivative_operator",
+                            lambda X, A: calls.append(A) or real(X, A))
+        basis = TruncatedBasis(3, 7, CIRCLE, F(1, 3), F(1, 5))
+        X = brute_force_fields(CIRCLE)[0]
+        elementary_defects(basis, X)
+        assert len(calls) == len(basis.safe_elements(X))
 
 
 class TestInvariantFunctionals:
