@@ -313,20 +313,25 @@ def lie_derivative_density(X: VectorField, phi: Density) -> Density:
     return Density(phi.weight, val)
 
 
-def lie_operator(X: VectorField, weight) -> DensityOperator:
-    """The Lie derivative along X as a first-order operator in D^1_{w,w}."""
-    w = rat(weight)
-    return DensityOperator(w, w, [w * X.value.diff(), X.value])
-
-
 def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperator:
-    """Commutator action: L^mu_X o A - A o L^lam_X, order <= ord(A)."""
+    """Commutator action L^mu_X o A - A o L^lam_X, with L^w_X = X d + w X'.
+
+    Closed form (C(i,-1) = 0): (L_X A)_m = X a_m' + (mu-lam-m) X' a_m
+    - sum_{i>m} (C(i,m-1) + lam C(i,m)) X^(i-m+1) a_i, the Leibniz expansion
+    of both products after their t = 0 terms X a_i d^(i+1) cancel.
+    """
     if X.space != A.space:
         raise RingMismatchError("field and operator live over different spaces")
-    out = compose(lie_operator(X, A.mu), A) - compose(A, lie_operator(X, A.lam))
-    # the top-order terms cancel exactly; re-normalization drops them
-    assert out.order <= A.order, "commutator action raised the order"
-    return out
+    ders = [X.value.diff(t) for t in range(A.order + 2)]
+    out = [rings.zero(A.space)] * len(A.coeffs)
+    for i, a in enumerate(A.coeffs):
+        if a.is_zero:
+            continue
+        out[i] = out[i] + ders[0] * a.diff() + (A.delta - i) * (ders[1] * a)
+        for m in range(i):
+            if c := (comb(i, m - 1) if m else 0) + A.lam * comb(i, m):
+                out[m] = out[m] - c * (ders[i - m + 1] * a)
+    return DensityOperator(A.lam, A.mu, out)
 
 
 def pairing(phi: Density, psi: Density) -> Fraction:

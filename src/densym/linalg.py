@@ -88,9 +88,7 @@ def max_abs(m) -> Fraction:
     """Max |entry| of a matrix or vector; the exact 'defect norm'."""
     worst = Fraction(0)
     for row in m:
-        if isinstance(row, Fraction):
-            worst = max(worst, abs(row))
-        else:
-            for v in row:
-                worst = max(worst, abs(v))
+        for v in (row,) if isinstance(row, Fraction) else row:
+            if v and abs(v) > worst:  # defect entries are almost all 0
+                worst = abs(v)
     return worst

@@ -123,16 +123,10 @@ def s_map(A: DensityOperator) -> DensityOperator:
     """
     if (A.lam, A.mu) != (0, 0):
         raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
-    k = A.order
-    d = DensityOperator.de_rham(A.space)
-    acc = DensityOperator.zero(0, 0, A.space)
-    for i in range(k + 1):
-        fn = A.coeffs[i] + (A.coeffs[i + 1].diff() if i < k else rings.zero(A.space))
-        term = DensityOperator.multiplication(0, 0, fn)
-        for _ in range(i):
-            term = compose(DensityOperator(0, 0, [rings.zero(A.space), rings.one(A.space)]), term)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    # sum_i (-1)^i d^i o f_i is the conjugate of sum_i f_i d^i in D^k_{1,1}
+    a = A.coeffs + (rings.zero(A.space),)
+    return conjugate(DensityOperator(1, 1, [a[i] + a[i + 1].diff()
+                                            for i in range(A.order + 1)]))
 
 
 def s_map_chain(A: DensityOperator) -> DensityOperator:

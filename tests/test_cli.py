@@ -142,6 +142,52 @@ class TestVerify:
                        "basis size 0 (recurrence 1, brute force 1 at k=3, "
                        "(1/3,1/5))\n")
 
+    def test_oracle_agreement_compares_spaces(self, capsys, monkeypatch):
+        # an oracle of the right dimension that spans another space must fail
+        from fractions import Fraction
+        from densym import identities
+        from densym.truncation import OracleResult
+        real = identities.brute_force_local_symmetries
+
+        def wrong(k, lam, mu, sp, M):
+            n = len(real(k, lam, mu, sp, M).solutions[0])
+            return OracleResult([[Fraction(int(j == n - 1)) for j in range(n)]], [])
+
+        monkeypatch.setattr(identities, "brute_force_local_symmetries", wrong)
+        code, out, _ = run(capsys, "verify", "oracle_agreement")
+        assert code == 1
+        assert out == ("oracle_agreement: FAIL, defect 2, 1 entries checked, "
+                       "basis size 0 (recurrence 1, brute force 1 at k=3, "
+                       "(1/3,1/5); the solution spaces differ)\n")
+
+    @pytest.mark.parametrize("argv, out", [
+        ((), "818 entries checked, basis size 17"),
+        (("--space", "circle"), "663 entries checked, basis size 17"),
+        (("--space", "line"), "155 entries checked, basis size 9"),
+    ])
+    def test_grozman_equivariance_honours_space(self, capsys, argv, out):
+        # both spaces by default: 663 circle and 155 line entries
+        code, got, _ = run(capsys, "verify", "grozman_equivariance", *argv)
+        assert code == 0
+        assert got == f"grozman_equivariance: pass, defect 0, {out}\n"
+
+    def test_w_sharpness_off_locus_stops_at_first_nonzero_defect(
+            self, capsys, monkeypatch):
+        from densym import identities
+        calls = []
+        real = identities.projection_defect
+
+        def spy(proj, basis, X):
+            calls.append((basis.lam, basis.mu))
+            return real(proj, basis, X)
+
+        monkeypatch.setattr(identities, "projection_defect", spy)
+        code, out, _ = run(capsys, "verify", "w_sharpness")
+        assert code == 0 and "6 entries checked" in out
+        # 5 circle fields at each of the 3 points on the locus, fewer off it
+        per_point = [calls.count(p) for p in dict.fromkeys(calls)]
+        assert per_point[:3] == [5, 5, 5] and max(per_point[3:]) < 5
+
     @pytest.mark.parametrize("argv", [
         ("mult_table_01", "-k", "4", "-M", "1"),
         ("grozman_equivariance", "-M", "1"),
@@ -169,12 +215,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", name, "-k", "0")
         assert code == 0 and out.endswith(", basis size 13\n")
 
-    def test_unknown_space_in_config_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", ["conj_involution", "grozman_equivariance"])
+    def test_unknown_space_in_config_exit_2(self, capsys, tmp_path, name):
         conf = tmp_path / "run.conf"
         conf.write_text("space=sphere\n")
-        code, out, err = run(capsys, "verify", "conj_involution",
-                             "--config", str(conf))
-        assert code == 2 and out == "" and "'sphere'" in err
+        code, out, err = run(capsys, "verify", name, "--config", str(conf))
+        assert code == 2 and out == "" and "unknown space 'sphere'" in err
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "definitely_not_a_thing")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from densym.linalg import independent_subset, nullspace, rank, solve
+from densym.linalg import independent_subset, max_abs, nullspace, rank, solve
 
 
 def random_matrix(rng, rows, cols):
@@ -94,3 +94,13 @@ def test_edge_cases():
     assert nullspace([], 2) == [[1, 0], [0, 1]]
     assert solve([[1, 1], [1, 1]], [1, 2]) is None
     assert solve([[2, 0], [0, 4]], [1, 1]) == [F(1, 2), F(1, 4)]
+
+
+def test_max_abs():
+    assert max_abs([[F(0), F(-7, 2)], [F(3), F(0)]]) == F(7, 2)
+    assert max_abs([[F(0)] * 3, [F(0)]]) == 0
+    assert max_abs([[F(0), F(-1, 5)], [F(0)] * 2]) == F(1, 5)
+    assert max_abs([F(-5, 3)]) == F(5, 3)
+    assert max_abs([F(0), F(1, 2), F(-2)]) == 2
+    assert max_abs([]) == 0
+    assert max_abs([[]]) == 0

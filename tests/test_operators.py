@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from densym.densities import Density, DensityOperator, apply, pairing
+from densym.densities import Density, DensityOperator, apply, compose, pairing
 from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, UnsupportedFunctionalError,
     WeightMismatchError,
@@ -115,6 +115,19 @@ class TestNonlocalTrace:
             nonlocal_trace(trig_op(0, F(1, 2), TrigFn.constant(1)))
 
 
+def s_map_by_composition(A):
+    """The docstring formula of s_map, term by term: sum_i (-1)^i d^i o f_i
+    with f_i = a_i + a_{i+1}', each d^i as i compositions with d."""
+    d = DensityOperator(0, 0, [0, 1], space=A.space)
+    out = DensityOperator.zero(0, 0, A.space)
+    for i in range(A.order + 1):
+        term = DensityOperator(0, 0, [A.coefficient(i) + A.coefficient(i + 1).diff()])
+        for _ in range(i):
+            term = compose(d, term)
+        out = out + (-1) ** i * term
+    return out
+
+
 class TestInvolutiveSymmetry:
     def test_order_zero_fixed(self):
         A = poly_op(0, 0, [1, 2, 3])
@@ -127,12 +140,16 @@ class TestInvolutiveSymmetry:
         A = poly_op(0, 0, [1, 1], [0, 2], [3], [0, 0, 1])
         assert s_map(s_map(A)) == A
 
-    def test_explicit_formula_matches_chain(self):
-        for A in (
-            poly_op(0, 0, [1], [0, 1], [2, 3]),
-            trig_op(0, 0, TrigFn.cosine(1), TrigFn.sine(2), TrigFn.constant(1)),
-        ):
-            assert s_map(A) == s_map_chain(A)
+    @pytest.mark.parametrize("space", ["line", "circle"])
+    @pytest.mark.parametrize("k", range(7))
+    def test_explicit_formula_matches_chain(self, space, k):
+        if space == "line":
+            coeffs = [PolyFn([i + 1, F(-1, i + 2), 0, i]) for i in range(k + 1)]
+        else:
+            coeffs = [TrigFn(F(i, 3), {1: i + 1, 2: F(1, i + 1)}, {1 + i % 2: -1})
+                      for i in range(k + 1)]
+        A = DensityOperator(0, 0, coeffs)
+        assert s_map(A) == s_map_chain(A) == s_map_by_composition(A)
 
     def test_s_star_on_target_side(self):
         A = poly_op(1, 1, [0, 1], [2], [1])
