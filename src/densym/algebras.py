@@ -10,8 +10,6 @@ on top of this.
 """
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,20 +156,6 @@ class FiniteAlgebra:
         sc = [[[self.sc[i][j][t] * scales[i] * scales[j] / scales[t]
                 for t in range(n)] for j in range(n)] for i in range(n)]
         return FiniteAlgebra(self.names, sc)
-
-    def structure_constants_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["i", "j", "k", "c"])
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for t in range(n):
-                    c = self.sc[i][j][t]
-                    if c != 0:
-                        writer.writerow([self.names[i], self.names[j],
-                                         self.names[t], str(c)])
-        return out.getvalue()
 
 
 # ----------------------------------------------------------------------

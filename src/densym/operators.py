@@ -286,14 +286,6 @@ class ProjectionSpec:
             "pi_delta": Fraction(0),
         }[self.kind]
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        if self.kind == "v_map":
-            return v_coefficients(self.k, self.lam, self.mu)
-        if self.kind == "w_map":
-            return w_coefficients(self.k, self.lam)
-        return ()
-
     def apply(self, A: DensityOperator) -> Density:
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise WeightMismatchError("operator weights do not match the projection")

@@ -426,7 +426,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     if check_oracle:
         # both routes solve for the same unknowns t[r,l]: equal subspaces
         # have equal reduced row echelon forms
-        brute = brute_force_local_symmetries(k, lam, mu, space, M).solutions
+        brute = brute_force_local_symmetries(k, lam, mu, space, M)
         if rref(brute)[0] != rref(solutions)[0]:
             raise SpanMismatchError(
                 f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "

@@ -16,8 +16,6 @@ from .errors import RingMismatchError, UnsupportedFunctionalError
 LINE = "line"
 CIRCLE = "circle"
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 

@@ -297,18 +297,23 @@ def bilinear_defect(J, space: str, M: int, fields):
     """
     check_window(J.order, M)
     monos = ring_basis(space, M)
+    sizes = [ring_content_size(f) for f in monos]
+    phis = [Density(J.nu, f) for f in monos]
+    psis = [Density(J.lam, f) for f in monos]
     cols = []
     for X in fields:
         growth = ring_content_size(X.value)
-        for f1 in monos:
-            for f2 in monos:
-                if ring_content_size(f1) + ring_content_size(f2) + growth > M:
+        # L_X phi and L_X psi each depend on one argument, so take them once;
+        # the constant has size 0, so a monomial with room < 0 is in no pair
+        room = [M - growth - s for s in sizes]
+        lie = [(lie_derivative_density(X, phi), lie_derivative_density(X, psi))
+               if r >= 0 else None for phi, psi, r in zip(phis, psis, room)]
+        for i, r in enumerate(room):
+            for j, s in enumerate(sizes):
+                if s > r:
                     continue
-                phi = Density(J.nu, f1)
-                psi = Density(J.lam, f2)
-                lhs = J(lie_derivative_density(X, phi), psi) + \
-                    J(phi, lie_derivative_density(X, psi))
-                rhs = lie_derivative_density(X, J(phi, psi))
+                lhs = J(lie[i][0], psis[j]) + J(phis[i], lie[j][1])
+                rhs = lie_derivative_density(X, J(phis[i], psis[j]))
                 cols.append(ring_vector((lhs - rhs).value, M))
     return cols
 
@@ -405,16 +410,6 @@ def elementary_defects(basis: TruncatedBasis, X: VectorField):
     return out
 
 
-class OracleResult(tuple):
-    """(dimension, maps) as callers unpack it; .solutions is the nullspace
-    basis itself, in component_unknowns order."""
-
-    def __new__(cls, solutions, maps):
-        self = super().__new__(cls, (len(solutions), maps))
-        self.solutions = solutions
-        return self
-
-
 def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | None = None):
     """Exact nullspace of the equivariance conditions on the truncated basis.
 
@@ -423,8 +418,7 @@ def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | No
     linear in the unknowns t[r,l] (elementary_defects).  Each coordinate of
     a defect is one equation; equations proportional to one already kept are
     dropped, which leaves the row space, hence the nullspace, unchanged.
-    Returns an OracleResult: (dimension, maps) with maps SymmetryMap
-    representatives on a TruncatedBasis, and the solution vectors.
+    Returns the solution vectors, in component_unknowns order.
     """
     if M is None:
         M = k + 4
@@ -441,14 +435,7 @@ def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | No
                 for j, v in eq.items():
                     row[j] = v / lead
                 rows[tuple(row)] = None
-    solutions = nullspace(list(rows), len(unknowns))
-    maps = []
-    for sol in solutions:
-        coeffs = {u: v for u, v in zip(unknowns, sol) if v != 0}
-        maps.append(SymmetryMap(
-            basis, componentwise_map(coeffs, k, lam, mu, space), name="T"
-        ))
-    return OracleResult(solutions, maps)
+    return nullspace(list(rows), len(unknowns))
 
 
 # ----------------------------------------------------------------------

@@ -83,13 +83,6 @@ class TestFiniteAlgebra:
         aR = block_sum(reference_kind_table("a"), reference_kind_table("R"))
         assert str(identify(aR)) == "a+R"
 
-    def test_csv_export(self):
-        a = reference_kind_table("a")
-        text = a.structure_constants_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "i,j,k,c"
-        assert "atil,btil,btil,1" in lines
-
 
 class TestSpanAlgebra:
     def test_identity_alone(self):

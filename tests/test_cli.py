@@ -1,8 +1,14 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from densym import identities
 from densym.cli import main, parse_rational
+from densym.operators import cal_v, conjugate
+
+VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
 
 
 def run(capsys, *argv):
@@ -114,6 +120,50 @@ class TestVerify:
         assert code == 0
         assert "36 entries checked" in out
 
+    @pytest.mark.parametrize("name", sorted(identities.RELATIONS))
+    def test_relation_line_equals_the_benchmark_golden(self, capsys, name):
+        golden = json.loads(VERIFY_GOLDENS.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "verify", name)
+        assert code == 0 and out == golden[f"verify {name}"]
+
+    @pytest.mark.parametrize("name, pairs", [
+        # calV^2 = (d-1)(d-2) calV with the second factor off by one
+        ("calv_square", lambda lam, mu: [(
+            lambda A: cal_v(cal_v(A)),
+            lambda A: (mu - lam - 1) * (mu - lam - 3) * cal_v(A))]),
+        # the opposite sign of calV = L(2L+1)(Id - C)
+        ("calv_conjugation_line", lambda lam, mu: [(
+            cal_v, lambda A: lam * (2 * lam + 1) * (conjugate(A) - A))]),
+    ])
+    def test_wrong_relation_fails(self, capsys, monkeypatch, name, pairs):
+        row = identities.RELATIONS[name]
+        monkeypatch.setitem(identities.RELATIONS, name, replace(row, pairs=pairs))
+        code, out, _ = run(capsys, "verify", name)
+        assert code == 1
+        assert out.startswith(f"{name}: FAIL, defect ") and ", defect 0," not in out
+
+    @pytest.mark.parametrize("argv, order", [
+        (("calv_square", "-k", "5"), 2),
+        (("jw_relations", "-k", "3"), 4),
+        (("gsigma_decomposition", "-k", "0"), 3),
+    ])
+    def test_other_order_of_a_fixed_order_relation_exit_2(self, capsys, argv, order):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"{argv[0]} is stated at order k={order}, not k={argv[2]}" in err
+
+    def test_relation_accepts_its_own_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "calv_square", "-k", "2")
+        assert code == 0
+        assert out == "calv_square: pass, defect 0, 5 entries checked, basis size 51\n"
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    @pytest.mark.parametrize("name", ["calv_square", "conj_involution", "mult_table_01"])
+    def test_weights_on_a_relation_exit_2(self, capsys, name, flag):
+        code, out, err = run(capsys, "verify", name, flag, "1/2")
+        assert code == 2 and out == ""
+        assert f"{name} is checked at its own weights" in err
+
     @pytest.mark.parametrize("argv", [
         ("mult_table_01", "-k", "1"), ("adjoint_pairing",), ("lemma_functionals",),
     ])
@@ -146,12 +196,11 @@ class TestVerify:
         # an oracle of the right dimension that spans another space must fail
         from fractions import Fraction
         from densym import identities
-        from densym.truncation import OracleResult
         real = identities.brute_force_local_symmetries
 
         def wrong(k, lam, mu, sp, M):
-            n = len(real(k, lam, mu, sp, M).solutions[0])
-            return OracleResult([[Fraction(int(j == n - 1)) for j in range(n)]], [])
+            n = len(real(k, lam, mu, sp, M)[0])
+            return [[Fraction(int(j == n - 1)) for j in range(n)]]
 
         monkeypatch.setattr(identities, "brute_force_local_symmetries", wrong)
         code, out, _ = run(capsys, "verify", "oracle_agreement")

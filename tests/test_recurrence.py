@@ -18,7 +18,7 @@ from densym.recurrence import (
 )
 from densym.rings import CIRCLE, LINE, PolyFn
 from densym.truncation import (
-    OracleResult, SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
+    SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
     component_unknowns, componentwise_map, equivariance_defect,
 )
 import random
@@ -97,8 +97,8 @@ class TestRecurrenceSystem:
             k = 3
             sys = build_system(k, lam, mu)
             rec_solutions = local_solutions(sys)
-            brute_dim, brute_maps = brute_force_local_symmetries(k, lam, mu, LINE)
-            assert len(rec_solutions) == brute_dim
+            brute = brute_force_local_symmetries(k, lam, mu, LINE)
+            assert len(rec_solutions) == len(brute)
             # recurrence solutions realize to equivariant maps
             fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
             basis = TruncatedBasis(k, k + 4, LINE, lam, mu)
@@ -193,7 +193,7 @@ class TestClassify:
         for k in (2, 3):
             sys = build_system(k, *point)
             brute = brute_force_local_symmetries(k, *point, space, k + 6)
-            assert brute.solutions == nullspace(sys.dense_rows(), sys.n_unknowns)
+            assert brute == nullspace(sys.dense_rows(), sys.n_unknowns)
 
     @pytest.mark.parametrize("count", ["same", "fewer"])
     def test_oracle_must_find_the_same_space(self, monkeypatch, count):
@@ -202,10 +202,10 @@ class TestClassify:
         real = recurrence.brute_force_local_symmetries
 
         def skewed(k, lam, mu, space, M):
-            dim, maps = real(k, lam, mu, space, M)
+            dim = len(real(k, lam, mu, space, M))
             n = len(component_unknowns(k))
             units = [[F(int(i == j)) for i in range(n)] for j in range(dim)]
-            return OracleResult(units if count == "same" else units[1:], maps)
+            return units if count == "same" else units[1:]
 
         monkeypatch.setattr(recurrence, "brute_force_local_symmetries", skewed)
         with pytest.raises(SpanMismatchError, match="span different spaces"):

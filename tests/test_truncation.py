@@ -10,7 +10,7 @@ from densym.linalg import max_abs
 from densym.operators import CATALOG
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    OracleResult, SymmetryMap, TruncatedBasis, brute_force_fields,
+    SymmetryMap, TruncatedBasis, brute_force_fields,
     brute_force_local_symmetries, circle_fields, component_unknowns,
     componentwise_map, elementary_defects, equivariance_defect,
     invariant_functionals_dimension, line_fields, realize,
@@ -171,27 +171,33 @@ FROZEN_LOCAL_DIMS = {
 }
 
 
+def oracle_maps(k, lam, mu, space, M=None):
+    """The oracle's solutions as SymmetryMaps on the oracle's own window."""
+    basis = TruncatedBasis(k, k + 4 if M is None else M, space, lam, mu)
+    return [SymmetryMap(basis, componentwise_map(
+                dict(zip(component_unknowns(k), sol)), k, lam, mu, space))
+            for sol in brute_force_local_symmetries(k, lam, mu, space, M)]
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("point,dims", sorted(FROZEN_LOCAL_DIMS.items()))
     def test_dimensions_on_line(self, point, dims):
         lam, mu = point
-        got = [brute_force_local_symmetries(k, lam, mu, LINE)[0]
+        got = [len(brute_force_local_symmetries(k, lam, mu, LINE))
                for k in range(5)]
         assert got == dims
 
     def test_circle_route_matches_line_route(self):
         for lam, mu in [(F(1, 3), F(1, 5)), (F(0), F(1)), (F(-1, 2), F(3, 2))]:
             for k in (1, 2, 3):
-                line_dim, _ = brute_force_local_symmetries(k, lam, mu, LINE)
-                circ_dim, _ = brute_force_local_symmetries(k, lam, mu, CIRCLE)
-                assert line_dim == circ_dim
+                line = brute_force_local_symmetries(k, lam, mu, LINE)
+                circ = brute_force_local_symmetries(k, lam, mu, CIRCLE)
+                assert len(line) == len(circ)
 
     def test_representatives_commute_with_quartic_and_quintic_fields(self):
         # solutions found with x^2, x^3 also commute with x^4 and x^5 d/dx
         for lam, mu in [(F(0), F(1)), (F(1, 3), F(7, 6))]:
-            dim, maps = brute_force_local_symmetries(3, lam, mu, LINE, M=9)
-            assert dim == len(maps)
-            for T in maps:
+            for T in oracle_maps(3, lam, mu, LINE, M=9):
                 for p in (4, 5):
                     X = VectorField(PolyFn.monomial(p))
                     assert max_abs(equivariance_defect(T, X)) == 0
@@ -205,8 +211,8 @@ class TestBruteForce:
             brute_force_local_symmetries(2, 0, 1, "sphere")
 
     def test_solutions_are_symmetry_maps(self):
-        dim, maps = brute_force_local_symmetries(2, F(1, 3), F(1, 5), LINE)
-        assert dim == 2
+        maps = oracle_maps(2, F(1, 3), F(1, 5), LINE)
+        assert len(maps) == 2
         fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
         for T in maps:
             for X in fields:
@@ -293,10 +299,7 @@ class TestBruteForceByLinearity:
         space, k, lam, mu = case
         got = brute_force_local_symmetries(k, lam, mu, space)
         want = [[F(v) for v in row.split()] for row in PINNED_SOLUTIONS[case]]
-        assert isinstance(got, OracleResult)
-        assert got.solutions == want
-        dim, maps = got
-        assert dim == len(maps) == len(want)
+        assert got == want
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
