@@ -15,21 +15,16 @@ from .rings import (
     PolyFn,
     TrigFn,
     circle_mean,
-    ring_diff,
-    ring_mul,
 )
 from .densities import (
     Density,
     DensityOperator,
-    PolynomialSymbol,
     VectorField,
     apply,
     compose,
-    from_symbol,
     lie_derivative_density,
     lie_derivative_operator,
     pairing,
-    total_symbol,
 )
 from .operators import (
     BilinearOp,
@@ -72,15 +67,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraKind", "BilinearOp", "CIRCLE", "ClassificationReport",
     "CoefficientFunction", "Density", "DensityOperator", "FiniteAlgebra",
-    "LINE", "PolyFn", "PolynomialSymbol", "ProjectionSpec", "SymmetryMap",
-    "TrigFn", "TruncatedBasis", "VectorField", "apply",
-    "brute_force_local_symmetries", "build_system", "circle_mean", "classify",
-    "compose", "conjugate", "delta_compose", "delta_inverse",
-    "equivariance_defect", "from_symbol", "identify",
+    "LINE", "PolyFn", "ProjectionSpec", "SymmetryMap", "TrigFn",
+    "TruncatedBasis", "VectorField", "apply", "brute_force_local_symmetries",
+    "build_system", "circle_mean", "classify", "compose", "conjugate",
+    "delta_compose", "delta_inverse", "equivariance_defect", "identify",
     "invariant_functionals_dimension", "lie_derivative_density",
     "lie_derivative_operator", "local_dimension", "nonlocal_trace", "p0",
     "p0_star", "p1", "pairing", "pi_delta", "principal_symbol", "realize",
-    "ring_diff", "ring_mul", "s_map", "s_star", "span_algebra", "sweep",
-    "symmetry_from_projection", "total_symbol", "v_map", "w_map",
-    "wilmod_projections",
+    "s_map", "s_star", "span_algebra", "sweep", "symmetry_from_projection",
+    "v_map", "w_map", "wilmod_projections",
 ]

@@ -40,20 +40,25 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _add_common(p):
-    p.add_argument("-k", "--order", type=int, default=None,
-                   help="operator order k")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="source weight, as p/q")
-    p.add_argument("--mu", default=None, help="target weight, as p/q")
-    p.add_argument("--space", choices=[CIRCLE, LINE], default=None)
-    p.add_argument("-M", "--truncation", type=int, default=None,
-                   help="coefficient degree / frequency window (default k+6)")
-    p.add_argument("--format", dest="fmt", default=None,
-                   choices=["json", "csv", "svg"])
-    p.add_argument("-o", "--out", default=None, help="output file or directory")
-    p.add_argument("--config", default=None,
-                   help="key=value file mirroring the flags")
+# every shared flag: (option strings, argparse keywords); the dest is the key
+FLAGS = {
+    "order": (("-k", "--order"), {"type": int, "help": "operator order k"}),
+    "lam": (("--lambda",), {"help": "source weight, as p/q"}),
+    "mu": (("--mu",), {"help": "target weight, as p/q"}),
+    "space": (("--space",), {"choices": [CIRCLE, LINE]}),
+    "truncation": (("-M", "--truncation"), {
+        "type": int, "help": "coefficient degree / frequency window (default k+6)"}),
+    "fmt": (("--format",), {"choices": ["json", "csv"]}),
+    "out": (("-o", "--out"), {"help": "output file or directory"}),
+    "config": (("--config",), {"help": "key=value file mirroring the flags"}),
+}
+
+
+def _add_flags(p, *names):
+    """Give a subcommand the shared flags it reads, plus -o and --config."""
+    for name in (*names, "out", "config"):
+        options, kwargs = FLAGS[name]
+        p.add_argument(*options, dest=name, default=None, **kwargs)
 
 
 def build_parser():
@@ -65,56 +70,46 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one module")
-    _add_common(p)
+    _add_flags(p, "order", "lam", "mu", "space", "truncation")
 
     p = sub.add_parser("table", help="reproduce the dimension table")
-    _add_common(p)
+    _add_flags(p, "order", "space", "fmt")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--no-kinds", action="store_true",
                    help="dimensions only (faster)")
 
     p = sub.add_parser("verify", help="run a named exact identity check")
-    _add_common(p)
-    p.add_argument("identity", nargs="?", default=None)
-    p.add_argument("--op", default=None,
-                   help="equivariance check of one cataloged map")
-    p.add_argument("--list", action="store_true", help="list known names")
+    _add_flags(p, "order", "lam", "mu", "space", "truncation")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("identity", nargs="?", default=None)
+    what.add_argument("--op", default=None,
+                      help="equivariance check of one cataloged map")
+    what.add_argument("--list", action="store_true", help="list known names")
 
     p = sub.add_parser("figures", help="emit the exceptional loci for one order")
-    _add_common(p)
+    _add_flags(p, "order")
     return parser
 
 
-def load_config(path):
-    conf = {}
+# a --config key is a flag's long or short name without its dashes
+CONFIG_KEYS = ("k", "order", "lambda", "mu", "space", "M", "truncation",
+               "format", "out", "samples")
+
+
+def config_argv(path):
+    """The key=value lines of a --config file as the flags they mirror, so
+    that argparse checks them as it checks the command line."""
+    argv = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            conf[key.strip()] = value.strip()
-    return conf
-
-
-def merge_config(args):
-    if not getattr(args, "config", None):
-        return args
-    conf = load_config(args.config)
-    mapping = {
-        "order": ("order", int), "k": ("order", int),
-        "lambda": ("lam", str), "mu": ("mu", str),
-        "space": ("space", str), "truncation": ("truncation", int),
-        "M": ("truncation", int), "format": ("fmt", str),
-        "out": ("out", str), "samples": ("samples", int),
-    }
-    for key, raw in conf.items():
-        if key not in mapping:
-            raise ValueError(f"unknown config key {key!r}")
-        attr, conv = mapping[key]
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, conv(raw))
-    return args
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            argv.append(f"{'-' if len(key) == 1 else '--'}{key}={value}")
+    return argv
 
 
 def _write(text: str, out_path):
@@ -356,10 +351,11 @@ def _join_rational_flags(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_rational_flags(
-        list(sys.argv[1:] if argv is None else argv)))
+    argv = _join_rational_flags(list(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
-        args = merge_config(args)
+        if args.config:  # after the file's flags, so the command line wins
+            args = parser.parse_args(argv[:1] + config_argv(args.config) + argv[1:])
         return COMMANDS[args.command](args)
     except (SpanMismatchError, SpanNotClosedError) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Densities, differential operators between density spaces, and symbols.
+"""Densities and differential operators between density spaces.
 
 A weight-lam density is phi(x)(dx)^lam.  An operator A in D^k_{lam,mu} maps
 F_lam -> F_mu and is stored by its ordered coefficient list [a_0, ..., a_k]
@@ -7,13 +7,12 @@ densities and by commutator on operators; both actions are exact.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import comb
 
 from . import rings
 from .errors import RingMismatchError, WeightMismatchError
-from .rings import CoefficientFunction, rat, format_rat
+from .rings import CoefficientFunction, rat
 
 
 class Density:
@@ -198,65 +197,6 @@ class DensityOperator:
             f"coeffs={[str(c) for c in self.coeffs]})"
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "lambda": format_rat(self.lam),
-            "mu": format_rat(self.mu),
-            "space": self.space,
-            "coeffs": [rings.to_text(c) for c in self.coeffs],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityOperator":
-        data = json.loads(text)
-        coeffs = [rings.from_text(c) for c in data["coeffs"]]
-        op = cls(Fraction(data["lambda"]), Fraction(data["mu"]), coeffs)
-        if op.space != data["space"]:
-            raise RingMismatchError("JSON space tag does not match coefficients")
-        return op
-
-
-class PolynomialSymbol:
-    """Total symbol: entry i is paired with xi^(i - delta)."""
-
-    __slots__ = ("delta", "coeffs")
-
-    def __init__(self, delta, coeffs):
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "delta", rat(delta))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, v):
-        raise AttributeError("PolynomialSymbol is immutable")
-
-    @property
-    def space(self):
-        return self.coeffs[0].space
-
-    def __add__(self, other):
-        if self.delta != other.delta:
-            raise WeightMismatchError("symbols with different delta")
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = rings.zero(self.space)
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return PolynomialSymbol(self.delta, [x + y for x, y in zip(a, b)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialSymbol)
-            and self.delta == other.delta
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.delta, self.coeffs))
-
-    def __repr__(self):
-        return f"PolynomialSymbol(delta={self.delta}, coeffs={[str(c) for c in self.coeffs]})"
-
 
 # ----------------------------------------------------------------------
 # operations
@@ -341,15 +281,3 @@ def pairing(phi: Density, psi: Density) -> Fraction:
     if phi.weight + psi.weight != 1:
         raise WeightMismatchError("pairing needs weights summing to 1")
     return rings.circle_mean(phi.value * psi.value)
-
-
-def total_symbol(A: DensityOperator) -> PolynomialSymbol:
-    """Coefficient-wise identification of an operator with its total symbol."""
-    return PolynomialSymbol(A.delta, A.coeffs)
-
-
-def from_symbol(P: PolynomialSymbol, lam, mu) -> DensityOperator:
-    lam, mu = rat(lam), rat(mu)
-    if mu - lam != P.delta:
-        raise WeightMismatchError("weights do not match the symbol's delta")
-    return DensityOperator(lam, mu, P.coeffs)

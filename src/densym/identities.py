@@ -52,6 +52,7 @@ from .truncation import (
     projection_defect,
     realize,
     ring_dim,
+    ring_vector,
 )
 
 
@@ -92,6 +93,17 @@ def _basis(k, lam, mu, space, M=None):
         M = k + 6
     check_window(k, M)
     return TruncatedBasis(k, M, space, lam, mu)
+
+
+def _unread(cfg, name, why, *fields):
+    """Reject the CheckConfig fields among `fields` that were set, naming
+    their flags: the check `name` does not read them, for the reason `why`."""
+    given = [flag for field, flag in (("k", "-k"), ("lam", "--lambda"),
+                                      ("mu", "--mu"), ("M", "-M"))
+             if field in fields and getattr(cfg, field) is not None]
+    if given:
+        raise ValueError(f"{name} {why}; {' and '.join(given)} "
+                         f"{'does' if len(given) == 1 else 'do'} not apply")
 
 
 def _circle_only(cfg, name, why):
@@ -259,9 +271,7 @@ RELATIONS = {
 def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     """Worst defect of one RELATIONS row over its points, pairs and basis."""
     row = RELATIONS[name]
-    if cfg.lam is not None or cfg.mu is not None:
-        raise ValueError(f"{name} is checked at its own weights; "
-                         f"--lambda and --mu do not apply")
+    _unread(cfg, name, "is checked at its own weights", "lam", "mu")
     if not row.any_order and cfg.k not in (None, row.k):
         raise ValueError(f"{name} is stated at order k={row.k}, not k={cfg.k}")
     k = row.k if cfg.k is None else cfg.k
@@ -293,6 +303,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_adjoint_pairing(cfg: CheckConfig) -> CheckResult:
+    _unread(cfg, "adjoint_pairing", "draws its own operators", "k", "lam", "mu", "M")
     _circle_only(cfg, "adjoint_pairing", "the pairing is the mean over the circle")
     rng = random.Random(987123)
     worst = Fraction(0)
@@ -319,6 +330,7 @@ def _random_trig(rng, max_freq):
 
 
 def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
+    _unread(cfg, "w_sharpness", "is checked at its own weights", "lam", "mu")
     k = 4 if cfg.k is None else cfg.k
     on_points = [
         (Fraction(0), Fraction(5, 4)),
@@ -368,6 +380,8 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
 def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
     # v_map is evaluated on single basis elements, not as an equivariance
     # defect, so this check needs no safe sub-basis and keeps a fixed window
+    _unread(cfg, "v_wilmod_vanishing", "is checked at k=1..5 on a fixed window",
+            "k", "lam", "mu", "M")
     worst = Fraction(0)
     ok_near = True
     entries = 0
@@ -375,7 +389,7 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
         lam, mu = wilmod_weights(k)
         basis = TruncatedBasis(k, 4, cfg.space_or(), lam, mu)
         worst = max(worst, max_abs(
-            [basis.density_vector(v_map(b, k)) for b in basis.elements]
+            [ring_vector(v_map(b, k).value, basis.M) for b in basis.elements]
         ))
         entries += 1
         for dl, dm in [(Fraction(1, 7), 0), (0, Fraction(1, 5)),
@@ -392,6 +406,8 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
 
 
 def check_grozman_equivariance(cfg: CheckConfig) -> CheckResult:
+    _unread(cfg, "grozman_equivariance", "is checked at its own order and weights",
+            "k", "lam", "mu")
     J = BilinearOp("grozman", Fraction(-2, 3), Fraction(-2, 3))
     M = 8 if cfg.M is None else cfg.M
     spaces = [CIRCLE, LINE] if cfg.space is None else [cfg.space]
@@ -418,6 +434,8 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
 
 
 def check_lemma_functionals(cfg: CheckConfig) -> CheckResult:
+    _unread(cfg, "lemma_functionals", "is checked at its own weights and windows",
+            "k", "lam", "mu", "M")
     _circle_only(cfg, "lemma_functionals",
                  "the invariant functionals are counted on trig densities")
     cases = {Fraction(1): 1, Fraction(0): 0, Fraction(1, 2): 0,
@@ -468,6 +486,8 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     if entry is None:
         raise KeyError(f"unknown catalog name {name!r}")
     k0, lam0, mu0 = CATALOG_HOMES[name]
+    if entry.kind == "bilinear":
+        _unread(cfg, f"op:{name}", "is a bilinear map at its own order", "k")
     k = cfg.k if cfg.k is not None else k0
     lam = cfg.lam if cfg.lam is not None else lam0
     mu = cfg.mu if cfg.mu is not None else mu0

@@ -7,8 +7,6 @@ here ever truncates or rounds.
 """
 from __future__ import annotations
 
-import math
-import re
 from fractions import Fraction
 
 from .errors import RingMismatchError, UnsupportedFunctionalError
@@ -65,10 +63,6 @@ class PolyFn:
     @classmethod
     def monomial(cls, degree: int, c=1) -> "PolyFn":
         return cls((Fraction(0),) * degree + (rat(c),))
-
-    @classmethod
-    def x(cls) -> "PolyFn":
-        return cls((Fraction(0), Fraction(1)))
 
     @property
     def degree(self):
@@ -133,12 +127,6 @@ class PolyFn:
         for _ in range(n):
             cur = tuple(cur[i] * i for i in range(1, len(cur)))
         return _poly(cur)
-
-    def __call__(self, x: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + float(c)
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -278,19 +266,6 @@ class TrigFn:
             cur = _trig(_ZERO, cos, sin)
         return cur
 
-    @property
-    def mean(self) -> Fraction:
-        """The mean over one period (the raw integral divided by 2*pi)."""
-        return self.mean_coeff
-
-    def __call__(self, x: float) -> float:
-        out = float(self.mean_coeff)
-        for n, c in self.cos.items():
-            out += float(c) * math.cos(n * x)
-        for n, c in self.sin.items():
-            out += float(c) * math.sin(n * x)
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TrigFn.constant(other)
@@ -418,25 +393,16 @@ def constant(space: str, c) -> CoefficientFunction:
     raise ValueError(f"unknown space {space!r}")
 
 
-def ring_mul(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
-    """Exact product; raises RingMismatchError on mixed spaces."""
-    return f * _coerce(g, f)
-
-
-def ring_diff(f: CoefficientFunction, n: int = 1) -> CoefficientFunction:
-    """n-th derivative with respect to x."""
-    return f.diff(n)
-
-
 def circle_mean(f: CoefficientFunction) -> Fraction:
-    """Mean Fourier coefficient; only defined on the circle."""
+    """The mean over one period (the raw integral divided by 2*pi); only
+    defined on the circle."""
     if f.space != CIRCLE:
         raise UnsupportedFunctionalError("the mean functional needs a circle element")
-    return f.mean
+    return f.mean_coeff
 
 
 # ----------------------------------------------------------------------
-# text serialization: `poly: c0 + c1*x + ...` / `trig: m | n:cos=c,sin=s ; ...`
+# text form: `poly: c0 + c1*x + ...` / `trig: m | n:cos=c,sin=s ; ...`
 # ----------------------------------------------------------------------
 
 def to_text(f: CoefficientFunction) -> str:
@@ -462,39 +428,3 @@ def to_text(f: CoefficientFunction) -> str:
             chunks.append(f"{n}:" + ",".join(fields))
         return f"trig: {head}" + (" | " + " ; ".join(chunks) if chunks else "")
     raise TypeError(f"not a ring element: {f!r}")
-
-
-def from_text(text: str) -> CoefficientFunction:
-    text = text.strip()
-    if text.startswith("poly:"):
-        body = text[5:].strip()
-        if body == "0":
-            return PolyFn.zero()
-        coeffs = {}
-        for term in body.split("+"):
-            term = term.strip()
-            m = re.fullmatch(r"(-?\d+(?:/\d+)?)(?:\*x\^(\d+))?", term)
-            if not m:
-                raise ValueError(f"bad polynomial term {term!r}")
-            coeffs[int(m.group(2) or 0)] = Fraction(m.group(1))
-        n = max(coeffs) + 1
-        return PolyFn(coeffs.get(i, Fraction(0)) for i in range(n))
-    if text.startswith("trig:"):
-        body = text[5:].strip()
-        head, _, rest = body.partition("|")
-        mean = Fraction(head.strip())
-        cos, sin = {}, {}
-        if rest.strip():
-            for chunk in rest.split(";"):
-                freq_s, _, fields = chunk.strip().partition(":")
-                n = int(freq_s)
-                for field in fields.split(","):
-                    key, _, val = field.strip().partition("=")
-                    if key == "cos":
-                        cos[n] = Fraction(val)
-                    elif key == "sin":
-                        sin[n] = Fraction(val)
-                    else:
-                        raise ValueError(f"bad trig field {field!r}")
-        return TrigFn(mean, cos, sin)
-    raise ValueError(f"unknown ring element format: {text!r}")

@@ -118,20 +118,6 @@ class TruncatedBasis:
             vec.extend(ring_vector(A.coefficient(i), self.M))
         return vec
 
-    def operator_of(self, vec):
-        n = len(self.monomials)
-        coeffs = []
-        for i in range(self.k + 1):
-            fn = rings.zero(self.space)
-            for m, c in enumerate(vec[i * n:(i + 1) * n]):
-                if c:
-                    fn = fn + rat(c) * self.monomials[m]
-            coeffs.append(fn)
-        return DensityOperator(self.lam, self.mu, coeffs)
-
-    def density_vector(self, phi: Density):
-        return ring_vector(phi.value, self.M)
-
     def safe_elements(self, X: VectorField):
         """Basis elements whose image under the X-action stays in the window."""
         growth = max(ring_content_size(X.value) - (1 if self.space == LINE else 0), 0)

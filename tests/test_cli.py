@@ -17,6 +17,38 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_exit(capsys, *argv):
+    """run(), also through argparse's own exit on a flag it does not know."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# a flag a subcommand or a check does not read, and how its exit-2 message
+# names it; after --config comes the file's content
+UNREAD_FLAGS = [
+    (("classify", "-k", "1", "--lambda", "0", "--mu", "1", "--format", "json"),
+     "--format"),
+    (("table", "-k", "1", "--no-kinds", "-M", "5"), "-M"),
+    (("table", "-k", "1", "--no-kinds", "--format", "svg"), "--format"),
+    (("figures", "-k", "3", "--lambda", "1"), "--lambda"),
+    (("classify", "--config", "k=1\nlambda=0\nmu=1\nsamples=3\n"), "--samples"),
+    *[(("verify", "w_sharpness", flag, "1/2"), flag) for flag in ("--lambda", "--mu")],
+    *[(("verify", "grozman_equivariance", flag, value), flag)
+      for flag, value in (("-k", "5"), ("--lambda", "1/2"), ("--mu", "1/2"))],
+    *[(("verify", name, flag, value), flag)
+      for name in ("adjoint_pairing", "lemma_functionals", "v_wilmod_vanishing")
+      for flag, value in (("-k", "2"), ("--lambda", "1/2"), ("--mu", "3"),
+                          ("-M", "9"))],
+    *[(("verify", "--op", name, "-k", "7"), "-k") for name in ("poisson", "grozman")],
+    (("verify", "conj_involution", "--op", "Id"), "--op"),  # one check per run
+    (("verify", "--list", "--op", "Id"), "--op"),
+]
+
+
 class TestParsing:
     def test_accepts_integers_and_fractions(self):
         assert str(parse_rational("-3/7")) == "-3/7"
@@ -120,7 +152,7 @@ class TestVerify:
         assert code == 0
         assert "36 entries checked" in out
 
-    @pytest.mark.parametrize("name", sorted(identities.RELATIONS))
+    @pytest.mark.parametrize("name", sorted(identities.IDENTITIES))
     def test_relation_line_equals_the_benchmark_golden(self, capsys, name):
         golden = json.loads(VERIFY_GOLDENS.read_text(encoding="utf-8"))
         code, out, _ = run(capsys, "verify", name)
@@ -268,8 +300,8 @@ class TestVerify:
     def test_unknown_space_in_config_exit_2(self, capsys, tmp_path, name):
         conf = tmp_path / "run.conf"
         conf.write_text("space=sphere\n")
-        code, out, err = run(capsys, "verify", name, "--config", str(conf))
-        assert code == 2 and out == "" and "unknown space 'sphere'" in err
+        code, out, err = run_exit(capsys, "verify", name, "--config", str(conf))
+        assert code == 2 and out == "" and "invalid choice: 'sphere'" in err
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "definitely_not_a_thing")
@@ -345,6 +377,20 @@ class TestFigures:
         assert (tmp_path / "loci_k2.svg").exists()
 
 
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS, ids=[
+    " ".join(a for a in argv if "\n" not in a) for argv, _ in UNREAD_FLAGS])
+def test_unread_flag_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.setenv("DENSYM_OUT", str(tmp_path))
+    written = []
+    if "--config" in argv:
+        conf = tmp_path / "run.conf"
+        conf.write_text(argv[-1])
+        argv, written = (*argv[:-1], str(conf)), [conf]
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2 and out == "" and flag in err
+    assert list(tmp_path.iterdir()) == written  # figures wrote nothing
+
+
 class TestConfigFile:
     def test_flags_fall_back_to_config(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
@@ -360,6 +406,16 @@ class TestConfigFile:
                            "-k", "2")
         assert code == 0
         assert json.loads(out)["k"] == 2
+
+    @pytest.mark.parametrize("line, bad", [
+        ("format=svg", "invalid choice: 'svg'"),
+        ("samples=2", "at least 3 sample points"),  # read, not left at 3
+    ])
+    def test_table_reads_its_config_keys(self, capsys, tmp_path, line, bad):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"k=1\n{line}\n")
+        code, out, err = run_exit(capsys, "table", "--no-kinds", "--config", str(conf))
+        assert code == 2 and out == "" and bad in err
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -27,11 +27,11 @@ def trig_op(lam, mu, *coeffs):
 
 class TestConjugation:
     def test_order_zero_swaps_weights(self):
-        A = DensityOperator.multiplication(F(1, 3), F(2, 3), PolyFn.x())
+        A = DensityOperator.multiplication(F(1, 3), F(2, 3), PolyFn.monomial(1))
         out = conjugate(A)
         assert (out.lam, out.mu) == (F(1, 3), F(2, 3))
-        assert out == DensityOperator.multiplication(F(1, 3), F(2, 3), PolyFn.x())
-        B = DensityOperator.multiplication(0, F(1, 5), PolyFn.x())
+        assert out == DensityOperator.multiplication(F(1, 3), F(2, 3), PolyFn.monomial(1))
+        B = DensityOperator.multiplication(0, F(1, 5), PolyFn.monomial(1))
         assert (conjugate(B).lam, conjugate(B).mu) == (F(4, 5), F(1))
 
     def test_first_derivative(self):
@@ -183,7 +183,7 @@ class TestPiDelta:
         assert pi_delta(DensityOperator.de_rham("line")) == Density(0, PolyFn([1]))
 
     def test_x_ddx(self):
-        assert pi_delta(poly_op(0, 1, [0], [0, 1])) == Density(0, PolyFn.x())
+        assert pi_delta(poly_op(0, 1, [0], [0, 1])) == Density(0, PolyFn.monomial(1))
 
     def test_explicit_alternating_sum(self):
         A = poly_op(0, 1, [7], [1, 2], [0, 0, 3], [0, 1])
@@ -221,8 +221,8 @@ class TestDensityProjections:
         lam, mu = wilmod_weights(2)
         A = poly_op(lam, mu, [0], [0, 1], [0, 0, 1])
         pa, pb = wilmod_projections(A, 2)
-        assert pa == Density(1, 2 * PolyFn.x())
-        assert pb == Density(1, PolyFn.x())
+        assert pa == Density(1, 2 * PolyFn.monomial(1))
+        assert pb == Density(1, PolyFn.monomial(1))
         B = poly_op(lam, mu, [0], [0], [5])
         assert all(p.is_zero for p in wilmod_projections(B, 2))
         with pytest.raises(InapplicableSymmetryError):
@@ -253,8 +253,8 @@ class TestDensityProjections:
 class TestBilinearOperators:
     def test_poisson_example(self):
         J = BilinearOp("poisson", 1, 0)
-        out = J(Density(1, PolyFn.x()), Density(0, PolyFn.x()))
-        assert out == Density(2, PolyFn.x())
+        out = J(Density(1, PolyFn.monomial(1)), Density(0, PolyFn.monomial(1)))
+        assert out == Density(2, PolyFn.monomial(1))
 
     def test_poisson_antisymmetric_at_equal_weights(self):
         J = BilinearOp("poisson", F(1, 3), F(1, 3))
@@ -273,7 +273,7 @@ class TestBilinearOperators:
             BilinearOp("grozman", 0, 0)
         J = BilinearOp("poisson", 1, 0)
         with pytest.raises(WeightMismatchError):
-            J(Density(0, PolyFn.x()), Density(0, PolyFn.x()))
+            J(Density(0, PolyFn.monomial(1)), Density(0, PolyFn.monomial(1)))
 
     def test_composition_kinds_match_their_definitions(self):
         # {d phi, psi} at nu=0 equals the bracket of phi' (weight 1) with psi

@@ -427,7 +427,7 @@ class TestJetCoordinates:
 
 
 def _times_x(A):
-    return DensityOperator(A.lam, A.mu, [PolyFn.x() * c for c in A.coeffs])
+    return DensityOperator(A.lam, A.mu, [PolyFn.monomial(1) * c for c in A.coeffs])
 
 
 def _raise_order(A):
