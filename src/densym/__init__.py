@@ -28,7 +28,6 @@ from .densities import (
 )
 from .operators import (
     BilinearOp,
-    ProjectionSpec,
     conjugate,
     delta_compose,
     delta_inverse,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraKind", "BilinearOp", "CIRCLE", "ClassificationReport",
     "CoefficientFunction", "Density", "DensityOperator", "FiniteAlgebra",
-    "LINE", "PolyFn", "ProjectionSpec", "SymmetryMap", "TrigFn",
+    "LINE", "PolyFn", "SymmetryMap", "TrigFn",
     "TruncatedBasis", "VectorField", "apply", "brute_force_local_symmetries",
     "build_system", "circle_mean", "classify", "compose", "conjugate",
     "delta_compose", "delta_inverse", "equivariance_defect", "identify",

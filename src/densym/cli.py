@@ -18,7 +18,9 @@ import sys
 from fractions import Fraction
 
 from .errors import DensymError, SpanMismatchError, SpanNotClosedError
-from .identities import CATALOG_HOMES, CheckConfig, IDENTITIES, check_catalog_op, run_identity
+from .identities import (
+    CATALOG_HOMES, CheckConfig, IDENTITIES, check_catalog_op, reject_unread, run_identity,
+)
 from .recurrence import EXCEPTIONAL_LOCI, HYPERBOLA, LOCUS_LINES, classify, hyperbola_mu, sweep
 from .rings import CIRCLE, LINE, format_rat
 
@@ -165,10 +167,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.list:
-        names = sorted(IDENTITIES) + sorted(f"op:{n}" for n in CATALOG_HOMES)
-        _write("\n".join(names) + "\n", args.out)
-        return 0
     cfg = CheckConfig(
         k=args.order,
         lam=parse_rational(args.lam) if args.lam else None,
@@ -176,6 +174,12 @@ def cmd_verify(args) -> int:
         space=args.space,
         M=args.truncation,
     )
+    if args.list:
+        reject_unread(cfg, "verify --list", "lists the check names",
+                      "k", "lam", "mu", "space", "M")
+        names = sorted(IDENTITIES) + sorted(f"op:{n}" for n in CATALOG_HOMES)
+        _write("\n".join(names) + "\n", args.out)
+        return 0
     if args.op:
         result = check_catalog_op(args.op, cfg)
     elif args.identity:

@@ -21,7 +21,6 @@ from .operators import (
     cal_w,
     cal_w_coefficients,
     conjugate,
-    g_sigma,
     g_v,
     j_sigma,
     j_v,
@@ -34,12 +33,13 @@ from .operators import (
     s_map_chain,
     second_analog_locus,
     v_map,
-    w_coefficients,
+    w_formula,
     wilmod_weights,
 )
 from .recurrence import build_system, check_module
 from .rings import CIRCLE, LINE, TrigFn
 from .truncation import (
+    SymmetryMap,
     TruncatedBasis,
     bilinear_defect,
     brute_force_local_symmetries,
@@ -49,8 +49,6 @@ from .truncation import (
     generator_family,
     invariant_functionals_dimension,
     line_fields,
-    projection_defect,
-    realize,
     ring_dim,
     ring_vector,
 )
@@ -95,11 +93,11 @@ def _basis(k, lam, mu, space, M=None):
     return TruncatedBasis(k, M, space, lam, mu)
 
 
-def _unread(cfg, name, why, *fields):
+def reject_unread(cfg, name, why, *fields):
     """Reject the CheckConfig fields among `fields` that were set, naming
     their flags: the check `name` does not read them, for the reason `why`."""
-    given = [flag for field, flag in (("k", "-k"), ("lam", "--lambda"),
-                                      ("mu", "--mu"), ("M", "-M"))
+    given = [flag for field, flag in (("k", "-k"), ("lam", "--lambda"), ("mu", "--mu"),
+                                      ("space", "--space"), ("M", "-M"))
              if field in fields and getattr(cfg, field) is not None]
     if given:
         raise ValueError(f"{name} {why}; {' and '.join(given)} "
@@ -262,7 +260,7 @@ RELATIONS = {
         ]),
     "gsigma_decomposition": Relation(
         3, [(Fraction(-2, 3), Fraction(5, 3))],
-        lambda lam, mu: [(g_sigma, lambda A: Fraction(1, 2) * (A - conjugate(A))
+        lambda lam, mu: [(g_v, lambda A: Fraction(1, 2) * (A - conjugate(A))
                           - Fraction(9, 4) * cal_w(A))],
         per_element=True),
 }
@@ -271,7 +269,7 @@ RELATIONS = {
 def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     """Worst defect of one RELATIONS row over its points, pairs and basis."""
     row = RELATIONS[name]
-    _unread(cfg, name, "is checked at its own weights", "lam", "mu")
+    reject_unread(cfg, name, "is checked at its own weights", "lam", "mu")
     if not row.any_order and cfg.k not in (None, row.k):
         raise ValueError(f"{name} is stated at order k={row.k}, not k={cfg.k}")
     k = row.k if cfg.k is None else cfg.k
@@ -303,7 +301,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_adjoint_pairing(cfg: CheckConfig) -> CheckResult:
-    _unread(cfg, "adjoint_pairing", "draws its own operators", "k", "lam", "mu", "M")
+    reject_unread(cfg, "adjoint_pairing", "draws its own operators", "k", "lam", "mu", "M")
     _circle_only(cfg, "adjoint_pairing", "the pairing is the mean over the circle")
     rng = random.Random(987123)
     worst = Fraction(0)
@@ -330,7 +328,7 @@ def _random_trig(rng, max_freq):
 
 
 def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
-    _unread(cfg, "w_sharpness", "is checked at its own weights", "lam", "mu")
+    reject_unread(cfg, "w_sharpness", "is checked at its own weights", "lam", "mu")
     k = 4 if cfg.k is None else cfg.k
     on_points = [
         (Fraction(0), Fraction(5, 4)),
@@ -352,19 +350,12 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
                 where = "off" if expect_zero else "on"
                 raise ValueError(f"w_sharpness needs k=4: ({lam},{mu}) is {where} "
                                  f"the order-{k} locus")
-            basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
-            size = basis.dim
-            a2, a1, a0 = w_coefficients(k, lam)
-
-            def proj(A):
-                val = (a2 * A.coefficient(k).diff(2)
-                       + a1 * A.coefficient(k - 1).diff()
-                       + a0 * A.coefficient(k - 2))
-                return Density(mu - lam - k + 2, val)
-
+            W = SymmetryMap(_basis(k, lam, mu, cfg.space_or(), cfg.M),
+                            w_formula(k, lam, mu))
+            size = W.basis.dim
             defect = Fraction(0)
             for X in fields:
-                defect = max(defect, max_abs(projection_defect(proj, basis, X)))
+                defect = max(defect, max_abs(equivariance_defect(W, X)))
                 if defect and not expect_zero:
                     break  # off the locus only defect != 0 is asked
             if expect_zero:
@@ -380,8 +371,8 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
 def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
     # v_map is evaluated on single basis elements, not as an equivariance
     # defect, so this check needs no safe sub-basis and keeps a fixed window
-    _unread(cfg, "v_wilmod_vanishing", "is checked at k=1..5 on a fixed window",
-            "k", "lam", "mu", "M")
+    reject_unread(cfg, "v_wilmod_vanishing", "is checked at k=1..5 on a fixed window",
+                  "k", "lam", "mu", "M")
     worst = Fraction(0)
     ok_near = True
     entries = 0
@@ -406,8 +397,8 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
 
 
 def check_grozman_equivariance(cfg: CheckConfig) -> CheckResult:
-    _unread(cfg, "grozman_equivariance", "is checked at its own order and weights",
-            "k", "lam", "mu")
+    reject_unread(cfg, "grozman_equivariance", "is checked at its own order and weights",
+                  "k", "lam", "mu")
     J = BilinearOp("grozman", Fraction(-2, 3), Fraction(-2, 3))
     M = 8 if cfg.M is None else cfg.M
     spaces = [CIRCLE, LINE] if cfg.space is None else [cfg.space]
@@ -434,8 +425,8 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
 
 
 def check_lemma_functionals(cfg: CheckConfig) -> CheckResult:
-    _unread(cfg, "lemma_functionals", "is checked at its own weights and windows",
-            "k", "lam", "mu", "M")
+    reject_unread(cfg, "lemma_functionals", "is checked at its own weights and windows",
+                  "k", "lam", "mu", "M")
     _circle_only(cfg, "lemma_functionals",
                  "the invariant functionals are counted on trig densities")
     cases = {Fraction(1): 1, Fraction(0): 0, Fraction(1, 2): 0,
@@ -452,32 +443,8 @@ def check_lemma_functionals(cfg: CheckConfig) -> CheckResult:
     )
 
 
-CATALOG_HOMES = {
-    "Id": (3, Fraction(1, 3), Fraction(1, 5)),
-    "C": (3, Fraction(1, 4), Fraction(3, 4)),
-    "P0": (3, Fraction(0), Fraction(2, 7)),
-    "P0star": (3, Fraction(2, 7), Fraction(1)),
-    "P1": (3, Fraction(0), Fraction(1)),
-    "L": (3, Fraction(0), Fraction(1)),
-    "S": (4, Fraction(0), Fraction(0)),
-    "Sstar": (4, Fraction(1), Fraction(1)),
-    "calV": (2, Fraction(1, 3), Fraction(1, 5)),
-    "calW": (3, Fraction(1, 3), Fraction(7, 6)),
-    "JV": (3, Fraction(1, 5), Fraction(11, 5)),
-    "JW": (4, Fraction(0), Fraction(5, 4)),
-    "Jsigma": (3, Fraction(0), Fraction(3)),
-    "GV": (4, Fraction(-2, 3), Fraction(5, 3)),
-    "Gsigma": (3, Fraction(-2, 3), Fraction(5, 3)),
-    "wilGen": (2, Fraction(-1, 2), Fraction(3, 2)),
-    "sigma": (3, Fraction(1, 3), Fraction(1, 5)),
-    "V": (3, Fraction(1, 3), Fraction(1, 5)),
-    "W": (4, Fraction(0), Fraction(5, 4)),
-    "wilmodA": (2, Fraction(-1, 2), Fraction(3, 2)),
-    "wilmodB": (2, Fraction(-1, 2), Fraction(3, 2)),
-    "piDelta": (3, Fraction(0), Fraction(1)),
-    "poisson": (0, Fraction(2, 3), Fraction(1, 5)),
-    "grozman": (0, Fraction(-2, 3), Fraction(-2, 3)),
-}
+# every catalog name, with the (k, lam, mu) its `verify --op` check defaults to
+CATALOG_HOMES = {name: entry.home for name, entry in CATALOG.items()}
 
 
 def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
@@ -485,9 +452,9 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     entry = CATALOG.get(name)
     if entry is None:
         raise KeyError(f"unknown catalog name {name!r}")
-    k0, lam0, mu0 = CATALOG_HOMES[name]
+    k0, lam0, mu0 = entry.home
     if entry.kind == "bilinear":
-        _unread(cfg, f"op:{name}", "is a bilinear map at its own order", "k")
+        reject_unread(cfg, f"op:{name}", "is a bilinear map at its own order", "k")
     k = cfg.k if cfg.k is not None else k0
     lam = cfg.lam if cfg.lam is not None else lam0
     mu = cfg.mu if cfg.mu is not None else mu0
@@ -504,20 +471,15 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
         raise KeyError(
             f"{name!r} is not defined at k={k}, ({lam},{mu}) on the {space}"
         )
-    basis = _basis(k, lam, mu, space, cfg.M)
-    if entry.kind == "projection":
-        spec = entry.make(k, lam, mu)
-        defect, detail = partial(projection_defect, spec.apply, basis), ""
-    else:
-        defect = partial(equivariance_defect, realize(name, basis))
-        detail = f"k={k}, ({lam},{mu}), {space}"
+    T = SymmetryMap(_basis(k, lam, mu, space, cfg.M), entry.make(k, lam, mu), name=name)
+    detail = "" if entry.kind == "projection" else f"k={k}, ({lam},{mu}), {space}"
     worst = Fraction(0)
     entries = 0
     for X in fields:
-        cols = defect(X)
+        cols = equivariance_defect(T, X)
         worst = max(worst, max_abs(cols))
         entries += len(cols)
-    return CheckResult(f"op:{name}", worst == 0, worst, basis.dim, entries,
+    return CheckResult(f"op:{name}", worst == 0, worst, T.basis.dim, entries,
                        detail=detail)
 
 

@@ -219,6 +219,25 @@ def w_coefficients(k: int, lam) -> tuple[Fraction, Fraction, Fraction]:
     return a2, a1, a0
 
 
+def w_formula(k: int, lam, mu):
+    """The second-order analog's formula on D^k_{lam,mu}, without its locus
+    gate: A -> a2 a_k'' + a1 a_{k-1}' + a0 a_{k-2}, coefficients computed once."""
+    a2, a1, a0 = w_coefficients(k, lam)
+    nu = rat(mu) - rat(lam) - k + 2
+
+    def apply(A: DensityOperator) -> Density:
+        if A.order > k:
+            raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
+        val = (
+            a2 * A.coefficient(k).diff(2)
+            + a1 * A.coefficient(k - 1).diff()
+            + a0 * A.coefficient(k - 2)
+        )
+        return Density(nu, val)
+
+    return apply
+
+
 def w_map(A: DensityOperator, k: int) -> Density:
     """Second-order analog of the symbol map, defined on its weight locus."""
     if k < 3:
@@ -227,81 +246,7 @@ def w_map(A: DensityOperator, k: int) -> Density:
         raise InapplicableSymmetryError(
             "weights are off the locus carrying the second-order analog"
         )
-    if A.order > k:
-        raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-    a2, a1, a0 = w_coefficients(k, A.lam)
-    val = (
-        a2 * A.coefficient(k).diff(2)
-        + a1 * A.coefficient(k - 1).diff()
-        + a0 * A.coefficient(k - 2)
-    )
-    return Density(A.delta - k + 2, val)
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """A named invariant projection D^k_{lam,mu} -> F_nu.
-
-    Coefficients are always recomputed from (kind, k, lam, mu); nothing is
-    stored stale.
-    """
-
-    kind: str  # principal_symbol | v_map | w_map | wilmod_a | wilmod_b | p0 | pi_delta
-    k: int
-    lam: Fraction
-    mu: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", rat(self.lam))
-        object.__setattr__(self, "mu", rat(self.mu))
-        if self.kind not in {
-            "principal_symbol", "v_map", "w_map", "wilmod_a", "wilmod_b",
-            "p0", "pi_delta",
-        }:
-            raise ValueError(f"unknown projection kind {self.kind!r}")
-        if self.kind == "w_map":
-            if self.k < 3 or second_analog_locus(self.k, self.lam, self.mu) != 0:
-                raise InapplicableSymmetryError("second-order analog undefined here")
-        if self.kind in ("wilmod_a", "wilmod_b"):
-            if (self.lam, self.mu) != wilmod_weights(self.k):
-                raise InapplicableSymmetryError("degenerate-weight projections undefined here")
-        if self.kind == "p0" and self.lam != 0:
-            raise InapplicableSymmetryError("scalar-term projection needs lam = 0")
-        if self.kind == "pi_delta" and (self.lam, self.mu) != (0, 1):
-            raise InapplicableSymmetryError("this projection needs (lam, mu) = (0, 1)")
-
-    @property
-    def delta(self) -> Fraction:
-        return self.mu - self.lam
-
-    @property
-    def target_weight(self) -> Fraction:
-        return {
-            "principal_symbol": self.delta - self.k,
-            "v_map": self.delta - self.k + 1,
-            "w_map": self.delta - self.k + 2,
-            "wilmod_a": Fraction(1),
-            "wilmod_b": Fraction(1),
-            "p0": self.mu,
-            "pi_delta": Fraction(0),
-        }[self.kind]
-
-    def apply(self, A: DensityOperator) -> Density:
-        if (A.lam, A.mu) != (self.lam, self.mu):
-            raise WeightMismatchError("operator weights do not match the projection")
-        if self.kind == "principal_symbol":
-            return principal_symbol(A, self.k)
-        if self.kind == "v_map":
-            return v_map(A, self.k)
-        if self.kind == "w_map":
-            return w_map(A, self.k)
-        if self.kind == "wilmod_a":
-            return wilmod_projections(A, self.k)[0]
-        if self.kind == "wilmod_b":
-            return wilmod_projections(A, self.k)[1]
-        if self.kind == "p0":
-            return Density(self.mu, A.coeffs[0])
-        return pi_delta(A)
+    return w_formula(k, A.lam, A.mu)(A)
 
 
 # ----------------------------------------------------------------------
@@ -407,28 +352,33 @@ class BilinearOp:
 # symmetries built as bilinear-after-projection
 # ----------------------------------------------------------------------
 
-def symmetry_from_projection(J: BilinearOp, pi: ProjectionSpec):
-    """The endomorphism A -> J(pi(A), .) of D^k_{lam,mu}.
+def symmetry_from_projection(J: BilinearOp, pi, lam, mu):
+    """The endomorphism A -> J(pi(A), .) of D^k_{lam,mu}, for a projection
+    pi: D^k_{lam,mu} -> F_nu.
 
-    The weight chain J: F_nu x F_lam -> F_mu with nu the projection's target
-    is checked up front; the result is a plain callable on operators.
+    The weight chain J: F_nu x F_lam -> F_mu is checked up front, with nu the
+    weight of the density pi gives the zero operator; the result is a plain
+    callable on operators.
     """
-    if J.nu != pi.target_weight:
+    lam, mu = rat(lam), rat(mu)
+    nu = pi(DensityOperator.zero(lam, mu, rings.LINE)).weight
+    if J.nu != nu:
         raise WeightMismatchError(
-            f"bilinear left weight {J.nu} != projection target {pi.target_weight}"
+            f"bilinear left weight {J.nu} != projection target {nu}"
         )
-    if J.lam != pi.lam:
+    if J.lam != lam:
         raise WeightMismatchError(
-            f"bilinear right weight {J.lam} != module source weight {pi.lam}"
+            f"bilinear right weight {J.lam} != module source weight {lam}"
         )
-    if J.out_weight != pi.mu:
+    if J.out_weight != mu:
         raise WeightMismatchError(
-            f"bilinear output weight {J.out_weight} != module target weight {pi.mu}"
+            f"bilinear output weight {J.out_weight} != module target weight {mu}"
         )
 
     def act(A: DensityOperator) -> DensityOperator:
-        phi = pi.apply(A)
-        return DensityOperator(pi.lam, pi.mu, J.coefficient_list(phi.value))
+        if (A.lam, A.mu) != (lam, mu):
+            raise WeightMismatchError("operator weights do not match the projection")
+        return DensityOperator(lam, mu, J.coefficient_list(pi(A).value))
 
     return act
 
@@ -514,9 +464,8 @@ def j_v(A: DensityOperator, k: int) -> DensityOperator:
         inner = 6 * A.coefficient(4).diff() - A.coefficient(3)
         return DensityOperator(lam, mu, [z, -inner.diff(2), inner.diff()])
     if k == 3 and lam == 0:
-        pi = ProjectionSpec("v_map", 3, lam, mu)
-        J = BilinearOp("d_right", pi.target_weight, lam)
-        return symmetry_from_projection(J, pi)(A)
+        J = BilinearOp("d_right", d - 2, lam)  # V's target weight at k = 3
+        return symmetry_from_projection(J, lambda B: v_map(B, 3), lam, mu)(A)
     raise InapplicableSymmetryError(
         f"no bilinear-after-V generator at k={k}, (lam, mu)=({lam}, {mu})"
     )
@@ -569,19 +518,6 @@ def g_v(A: DensityOperator) -> DensityOperator:
     ])
 
 
-def g_sigma(A: DensityOperator) -> DensityOperator:
-    """Order-3 generator at (-2/3, 5/3): the order-4 formula with a4 = 0."""
-    if A.order > 3 or (A.lam, A.mu) != (Fraction(-2, 3), Fraction(5, 3)):
-        raise InapplicableSymmetryError("this generator lives on D^3_{-2/3,5/3}")
-    a3 = A.coefficient(3)
-    return DensityOperator(A.lam, A.mu, [
-        -a3.diff(3),
-        Fraction(-3, 2) * a3.diff(2),
-        Fraction(3, 2) * a3.diff(),
-        a3,
-    ])
-
-
 def wil_gen(A: DensityOperator) -> DensityOperator:
     """Order-2 generator at (-1/2, 3/2): a2' d + 1/2 a2''."""
     if A.order > 2 or (A.lam, A.mu) != (Fraction(-1, 2), Fraction(3, 2)):
@@ -599,16 +535,23 @@ class CatalogEntry:
     name: str
     kind: str                   # endo | projection | bilinear
     applies: object             # callable (k, lam, mu, space) -> bool
-    make: object                # endo/projection: (k, lam, mu) -> action;
-                                # bilinear: (nu, lam) -> BilinearOp
+    make: object                # endo/projection: (k, lam, mu) -> callable on
+                                # operators; bilinear: (nu, lam) -> BilinearOp
+    home: tuple                 # (k, lam, mu) that `verify --op` checks by
+                                # default; (0, nu, lam) for a bilinear map
     circle_only: bool = False
 
 
-def _e(name, applies, action, circle_only=False):
+def _e(name, home, applies, action, circle_only=False):
     # formulas that read fixed coefficient slots do not depend on k
     return CatalogEntry(
-        name, "endo", applies, lambda k, l, m, _a=action: _a, circle_only
+        name, "endo", applies, lambda k, l, m, _a=action: _a, home, circle_only
     )
+
+
+def _at_home(name, home, action):
+    """An endomorphism that exists only at its home (k, lam, mu)."""
+    return _e(name, home, lambda k, l, m, s: (k, l, m) == home, action)
 
 
 def _jv_applies(k, lam, mu, space):
@@ -622,48 +565,59 @@ def _jv_applies(k, lam, mu, space):
 
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
-    _e("Id", lambda k, l, m, s: True, lambda A: A),
-    _e("C", lambda k, l, m, s: l + m == 1, conjugate),
-    _e("P0", lambda k, l, m, s: l == 0, p0),
-    _e("P0star", lambda k, l, m, s: m == 1, p0_star),
-    _e("P1", lambda k, l, m, s: k >= 1 and (l, m) == (0, 1), p1),
-    _e("L", lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
+    _e("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: True, lambda A: A),
+    _e("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda k, l, m, s: l + m == 1, conjugate),
+    _e("P0", (3, Fraction(0), Fraction(2, 7)), lambda k, l, m, s: l == 0, p0),
+    _e("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m, s: m == 1, p0_star),
+    _e("P1", (3, Fraction(0), Fraction(1)),
+       lambda k, l, m, s: k >= 1 and (l, m) == (0, 1), p1),
+    _e("L", (3, Fraction(0), Fraction(1)),
+       lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
        nonlocal_trace, circle_only=True),
-    _e("S", lambda k, l, m, s: (l, m) == (0, 0), s_map),
-    _e("Sstar", lambda k, l, m, s: (l, m) == (1, 1), s_star),
-    _e("calV", lambda k, l, m, s: k == 2, cal_v),
-    _e("calW", lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0, cal_w),
-    CatalogEntry("JV", "endo", _jv_applies,
-                 lambda k, l, m: (lambda A: j_v(A, k))),
-    _e("JW", lambda k, l, m, s: k == 4 and (l, m) == (0, Fraction(5, 4)), j_w),
-    _e("Jsigma", lambda k, l, m, s: k == 3 and (l, m) == (0, 3), j_sigma),
-    _e("GV", lambda k, l, m, s: k == 4 and (l, m) == (Fraction(-2, 3), Fraction(5, 3)), g_v),
-    _e("Gsigma", lambda k, l, m, s: k == 3 and (l, m) == (Fraction(-2, 3), Fraction(5, 3)), g_sigma),
-    _e("wilGen", lambda k, l, m, s: k == 2 and (l, m) == (Fraction(-1, 2), Fraction(3, 2)), wil_gen),
+    _e("S", (4, Fraction(0), Fraction(0)), lambda k, l, m, s: (l, m) == (0, 0), s_map),
+    _e("Sstar", (4, Fraction(1), Fraction(1)), lambda k, l, m, s: (l, m) == (1, 1), s_star),
+    _e("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: k == 2, cal_v),
+    _e("calW", (3, Fraction(1, 3), Fraction(7, 6)),
+       lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0, cal_w),
+    CatalogEntry("JV", "endo", _jv_applies, lambda k, l, m: (lambda A: j_v(A, k)),
+                 (3, Fraction(1, 5), Fraction(11, 5))),
+    _at_home("JW", (4, Fraction(0), Fraction(5, 4)), j_w),
+    _at_home("Jsigma", (3, Fraction(0), Fraction(3)), j_sigma),
+    _at_home("GV", (4, Fraction(-2, 3), Fraction(5, 3)), g_v),
+    _at_home("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), g_v),  # GV with a4 = 0
+    _at_home("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), wil_gen),
     CatalogEntry("sigma", "projection",
                  lambda k, l, m, s: True,
-                 lambda k, l, m: ProjectionSpec("principal_symbol", k, l, m)),
+                 lambda k, l, m: lambda A: principal_symbol(A, k),
+                 (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("V", "projection",
                  lambda k, l, m, s: True,
-                 lambda k, l, m: ProjectionSpec("v_map", k, l, m)),
+                 lambda k, l, m: lambda A: v_map(A, k),
+                 (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("W", "projection",
                  lambda k, l, m, s: k >= 3 and second_analog_locus(k, l, m) == 0,
-                 lambda k, l, m: ProjectionSpec("w_map", k, l, m)),
+                 lambda k, l, m: lambda A: w_map(A, k),
+                 (4, Fraction(0), Fraction(5, 4))),
     CatalogEntry("wilmodA", "projection",
                  lambda k, l, m, s: (l, m) == wilmod_weights(k),
-                 lambda k, l, m: ProjectionSpec("wilmod_a", k, l, m)),
+                 lambda k, l, m: lambda A: wilmod_projections(A, k)[0],
+                 (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("wilmodB", "projection",
                  lambda k, l, m, s: (l, m) == wilmod_weights(k),
-                 lambda k, l, m: ProjectionSpec("wilmod_b", k, l, m)),
+                 lambda k, l, m: lambda A: wilmod_projections(A, k)[1],
+                 (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("piDelta", "projection",
                  lambda k, l, m, s: (l, m) == (0, 1),
-                 lambda k, l, m: ProjectionSpec("pi_delta", k, l, m)),
+                 lambda k, l, m: pi_delta,
+                 (3, Fraction(0), Fraction(1))),
     CatalogEntry("poisson", "bilinear",
                  lambda k, l, m, s: True,
-                 lambda nu, lam: BilinearOp("poisson", nu, lam)),
+                 lambda nu, lam: BilinearOp("poisson", nu, lam),
+                 (0, Fraction(2, 3), Fraction(1, 5))),
     CatalogEntry("grozman", "bilinear",
                  lambda k, l, m, s: True,
-                 lambda nu, lam: BilinearOp("grozman", nu, lam)),
+                 lambda nu, lam: BilinearOp("grozman", nu, lam),
+                 (0, Fraction(-2, 3), Fraction(-2, 3))),
 ]}
 
 

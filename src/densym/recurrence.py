@@ -282,19 +282,20 @@ def check_module(k: int, space: str):
 
 
 # ----------------------------------------------------------------------
-# jet coordinates: s[r,l] with T(A)_{r-l} += s[r,l] a_r^(l), plus the trace
+# jet coordinates: the recurrence unknowns t[r,l], with
+# T(A)_{r-l} += t[r,l] fall(r,l) a_r^(l), plus the trace
 # ----------------------------------------------------------------------
 
 def read_jet(build, k: int, lam, mu):
-    """The raw coefficients s[r,l] of a local map, in component_unknowns order.
+    """The coordinates t[r,l] of a local map, in component_unknowns order.
 
     On the line, the image of x^(k+1) d^r under a jet map has the coefficient
-    s[r,l] fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r, so these
-    k+1 images fix every s[r,l].  Any other image is not of jet form, and
-    raises SpanMismatchError.
+    t[r,l] fall(r,l) fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r,
+    so these k+1 images fix every t[r,l].  Any other image is not of jet form,
+    and raises SpanMismatchError.
     """
     zero, top = PolyFn.zero(), PolyFn.monomial(k + 1)
-    s = []
+    t = []
     for r in range(k + 1):
         image = build(DensityOperator(lam, mu, [zero] * r + [top]))
         if (image.lam, image.mu) != (lam, mu) or image.order > r:
@@ -310,19 +311,11 @@ def read_jet(build, k: int, lam, mu):
                     f"the image of x^{k + 1} d^{r} has the coefficient {c} at "
                     f"d^{r - l}, not a multiple of x^{k + 1 - l}: not a jet map"
                 )
-            s.append(lead / falling(k + 1, l))
-    return s
+            t.append(lead / (falling(r, l) * falling(k + 1, l)))
+    return t
 
 
-def jet_unknowns(s, k: int) -> dict:
-    """The recurrence unknowns t[r,l] = s[r,l] / fall(r,l) of a jet vector."""
-    return {
-        (r, l): v / falling(r, l)
-        for (r, l), v in zip(component_unknowns(k), s) if v
-    }
-
-
-def _confirm_on_circle(name, build, s, k: int, lam, mu):
+def _confirm_on_circle(name, build, t, k: int, lam, mu):
     """The line read-off must act the same on the circle: one probe operator.
 
     Its coefficients are distinct and of frequency k+1, so no derivative up
@@ -331,7 +324,7 @@ def _confirm_on_circle(name, build, s, k: int, lam, mu):
     probe = DensityOperator(lam, mu, [
         TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
     ])
-    jet = componentwise_map(jet_unknowns(s, k), k, lam, mu, CIRCLE)
+    jet = componentwise_map(dict(zip(component_unknowns(k), t)), k, lam, mu, CIRCLE)
     if build(probe) != jet(probe):
         raise SpanMismatchError(
             f"{name} acts on the circle unlike its jet coordinates read off "
@@ -340,7 +333,7 @@ def _confirm_on_circle(name, build, s, k: int, lam, mu):
 
 
 def jet_vector(name, build, sys: RecurrenceSystem, space: str):
-    """Coordinates of a candidate: s[r,l] in component_unknowns order, then
+    """Coordinates of a candidate: t[r,l] in component_unknowns order, then
     the coefficient of the nonlocal trace L.
 
     A local candidate must solve the recurrence exactly; a nonzero residual
@@ -350,31 +343,32 @@ def jet_vector(name, build, sys: RecurrenceSystem, space: str):
     if entry is not None and entry.circle_only:
         return [Fraction(0)] * sys.n_unknowns + [Fraction(1)]
     k, lam, mu = sys.k, sys.lam, sys.mu
-    s = read_jet(build, k, lam, mu)
+    t = read_jet(build, k, lam, mu)
     if space == CIRCLE:
-        _confirm_on_circle(name, build, s, k, lam, mu)
-    worst = residual(sys, jet_unknowns(s, k))
+        _confirm_on_circle(name, build, t, k, lam, mu)
+    worst = residual(sys, dict(zip(component_unknowns(k), t)))
     if worst != 0:
         raise SpanMismatchError(
             f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
             f"{space}: residual {worst}"
         )
-    return s + [Fraction(0)]
+    return t + [Fraction(0)]
 
 
 def compose_jets(x, y, k: int):
     """Jet vector of X o Y (Y applied first).
 
-    Local part: s[r,L] = sum_{l+j=L} s_X[r-j,l] s_Y[r,j].  The trace reads
-    only the mean of a_0 and returns a constant times d, so L o T = s_T[0,0] L,
-    T o L = s_T[1,0] L and L o L = 0.
+    Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
+    fall(r-j,l) fall(r,j) = fall(r,L).  The trace reads only the mean of a_0
+    and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
+    and L o L = 0.
     """
     index = {u: i for i, u in enumerate(component_unknowns(k))}
     out = [
         sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1))
         for r, L in component_unknowns(k)
     ]
-    # s[1,0] exists only for k >= 1, the only orders with a trace
+    # t[1,0] exists only for k >= 1, the only orders with a trace
     out.append(x[-1] * y[0] + (y[-1] * x[index[1, 0]] if y[-1] else 0))
     return out
 
@@ -407,7 +401,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
 
     The dimension is the recurrence nullspace (plus the circle trace); the
     brute-force oracle must find the same solution space.  The catalog
-    generators are read in jet coordinates s[r,l]; each must solve
+    generators are read in jet coordinates t[r,l]; each must solve
     the recurrence, an independent subset of them must span that dimension,
     and their exact products give the algebra.  M is only the brute-force
     oracle's truncation window (default k+6); it must be at least k+4.

@@ -132,7 +132,9 @@ class TruncatedBasis:
 class SymmetryMap:
     """A linear map on a truncated module, carried as an exact callable.
 
-    The matrix (columns = images of basis elements) is materialized lazily;
+    The map goes into the module or, for a projection, into the densities;
+    the matrix (columns = images of basis elements) exists for the first
+    kind only, and is materialized lazily;
     identity checks act on basis elements directly, which is much cheaper
     than matrix products.
     """
@@ -248,7 +250,8 @@ def generator_family(space: str, N: int = 2):
 def equivariance_defect(T: SymmetryMap, X: VectorField):
     """Matrix of T o L_X - L_X o T on the safe sub-basis (columns per element).
 
-    The zero matrix is equivalent to equivariance at this truncation.
+    T maps into the operators or, as a projection, into the densities.  The
+    zero matrix is equivalent to equivariance at this truncation.
     """
     basis = T.basis
     safe = basis.safe_elements(X)
@@ -256,22 +259,11 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
     cols = []
     for b in safe:
-        lhs = T.func(lie_derivative_operator(X, b))
-        rhs = lie_derivative_operator(X, T.func(b))
-        cols.append(basis.vector_of(lhs - rhs))
-    return cols
-
-
-def projection_defect(pi_apply, basis: TruncatedBasis, X: VectorField):
-    """Same defect for a map into densities."""
-    safe = basis.safe_elements(X)
-    if not safe:
-        raise TruncationOverflowError("no safe sub-basis: window M is too small")
-    cols = []
-    for b in safe:
-        lhs = pi_apply(lie_derivative_operator(X, b))
-        rhs = lie_derivative_density(X, pi_apply(b))
-        cols.append(ring_vector((lhs - rhs).value, basis.M))
+        lhs, image = T.func(lie_derivative_operator(X, b)), T.func(b)
+        if isinstance(image, Density):
+            cols.append(ring_vector((lhs - lie_derivative_density(X, image)).value, basis.M))
+        else:
+            cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
     return cols
 
 

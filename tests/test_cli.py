@@ -6,9 +6,27 @@ import pytest
 
 from densym import identities
 from densym.cli import main, parse_rational
-from densym.operators import cal_v, conjugate
+from densym.densities import Density, DensityOperator
+from densym.operators import CATALOG, cal_v, conjugate, v_coefficients
 
 VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
+
+
+def _cal_v_off_by_one(A):
+    """calV with its factor (d-2) changed to (d-1): not equivariant."""
+    lam, d = A.lam, A.delta
+    inner = (2 * lam + 1) * A.coefficient(2).diff() + (d - 1) * A.coefficient(1)
+    return DensityOperator(A.lam, A.mu, [-lam * inner.diff(), (d - 1) * inner])
+
+
+def _v_beta_plus_one(k):
+    """V with beta + 1: not equivariant."""
+    def act(A):
+        alpha, beta = v_coefficients(k, A.lam, A.mu)
+        val = alpha * A.coefficient(k).diff() + (beta + 1) * A.coefficient(k - 1)
+        return Density(A.delta - k + 1, val)
+
+    return act
 
 
 def run(capsys, *argv):
@@ -46,6 +64,9 @@ UNREAD_FLAGS = [
     *[(("verify", "--op", name, "-k", "7"), "-k") for name in ("poisson", "grozman")],
     (("verify", "conj_involution", "--op", "Id"), "--op"),  # one check per run
     (("verify", "--list", "--op", "Id"), "--op"),
+    *[(("verify", "--list", flag, value), flag)
+      for flag, value in (("-k", "3"), ("--lambda", "1"), ("--mu", "1/2"),
+                          ("--space", "line"), ("-M", "9"))],
 ]
 
 
@@ -256,13 +277,13 @@ class TestVerify:
             self, capsys, monkeypatch):
         from densym import identities
         calls = []
-        real = identities.projection_defect
+        real = identities.equivariance_defect
 
-        def spy(proj, basis, X):
-            calls.append((basis.lam, basis.mu))
-            return real(proj, basis, X)
+        def spy(T, X):
+            calls.append((T.basis.lam, T.basis.mu))
+            return real(T, X)
 
-        monkeypatch.setattr(identities, "projection_defect", spy)
+        monkeypatch.setattr(identities, "equivariance_defect", spy)
         code, out, _ = run(capsys, "verify", "w_sharpness")
         assert code == 0 and "6 entries checked" in out
         # 5 circle fields at each of the 3 points on the locus, fewer off it
@@ -310,6 +331,16 @@ class TestVerify:
     def test_op_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--op", "GV")
         assert code == 0 and "op:GV: pass" in out
+
+    @pytest.mark.parametrize("name, make", [
+        ("calV", lambda k, lam, mu: _cal_v_off_by_one),
+        ("V", lambda k, lam, mu: _v_beta_plus_one(k)),
+    ])
+    def test_wrong_catalog_formula_fails(self, capsys, monkeypatch, name, make):
+        monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+        code, out, _ = run(capsys, "verify", "--op", name)
+        assert code == 1
+        assert out.startswith(f"op:{name}: FAIL, defect ") and ", defect 0," not in out
 
     def test_gsigma_decomposition(self, capsys):
         code, out, _ = run(capsys, "verify", "gsigma_decomposition")

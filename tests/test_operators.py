@@ -8,13 +8,13 @@ from densym.errors import (
     WeightMismatchError,
 )
 from densym.operators import (
-    BilinearOp, ProjectionSpec, cal_v, conjugate, delta_compose,
-    delta_inverse, g_sigma, g_v, j_sigma, j_v, j_w, nonlocal_trace, p0,
+    CATALOG, BilinearOp, cal_v, conjugate, delta_compose,
+    delta_inverse, g_v, j_sigma, j_v, j_w, nonlocal_trace, p0,
     p0_star, p1, pi_delta, principal_symbol, s_map, s_map_chain, s_star,
     second_analog_locus, symmetry_from_projection, v_map, w_coefficients,
     w_map, wil_gen, wilmod_projections, wilmod_weights,
 )
-from densym.rings import PolyFn, TrigFn
+from densym.rings import CIRCLE, PolyFn, TrigFn
 
 
 def poly_op(lam, mu, *coeff_lists):
@@ -294,56 +294,57 @@ class TestBilinearOperators:
 
 class TestBilinearAfterProjection:
     def test_order3_symbol_generator_exact(self):
-        pi = ProjectionSpec("principal_symbol", 3, 0, 3)
         J = BilinearOp("dd_inner", 0, 0)
-        T = symmetry_from_projection(J, pi)
+        T = symmetry_from_projection(J, lambda A: principal_symbol(A, 3), 0, 3)
         A = poly_op(0, 3, [1], [0, 1], [0], [0, 0, 0, 1])
         assert T(A) == j_sigma(A)
         assert T(A) == poly_op(0, 3, [0], [0, -6], [0, 0, 3])
 
     def test_cal_v_is_bracket_after_v(self):
         lam, mu = F(1, 3), F(1, 5)
-        pi = ProjectionSpec("v_map", 2, lam, mu)
-        J = BilinearOp("poisson", pi.target_weight, lam)
-        T = symmetry_from_projection(J, pi)
+        J = BilinearOp("poisson", mu - lam - 1, lam)
+        T = symmetry_from_projection(J, lambda A: v_map(A, 2), lam, mu)
         A = poly_op(lam, mu, [1, 2], [0, 1], [3, 0, 1])
         assert T(A) == cal_v(A)
 
     def test_line_shift_generator_is_dleft_after_v(self):
         lam, mu = F(1, 5), F(11, 5)
-        pi = ProjectionSpec("v_map", 3, lam, mu)
         J = BilinearOp("d_left", 0, lam)
-        T = symmetry_from_projection(J, pi)
+        T = symmetry_from_projection(J, lambda A: v_map(A, 3), lam, mu)
         A = poly_op(lam, mu, [1], [2, 1], [0, 3], [0, 0, 1])
         assert T(A) == j_v(A, 3)
 
     def test_g_v_proportional_to_raw_composition(self):
         lam, mu = F(-2, 3), F(5, 3)
-        pi = ProjectionSpec("v_map", 4, lam, mu)
         J = BilinearOp("grozman", lam, lam)
-        T = symmetry_from_projection(J, pi)
+        T = symmetry_from_projection(J, lambda A: v_map(A, 4), lam, mu)
         A = poly_op(lam, mu, [0], [0], [1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-10, 3) * g_v(A)
 
     def test_j_w_proportional_to_raw_composition(self):
-        pi = ProjectionSpec("w_map", 4, 0, F(5, 4))
-        J = BilinearOp("d_right", pi.target_weight, 0)
-        T = symmetry_from_projection(J, pi)
+        J = BilinearOp("d_right", F(-3, 4), 0)
+        T = symmetry_from_projection(J, lambda A: w_map(A, 4), 0, F(5, 4))
         A = poly_op(0, F(5, 4), [1], [0], [0, 1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-21, 2) * j_w(A)
 
     def test_wil_gen_is_bracket_after_wilmod(self):
         lam, mu = wilmod_weights(2)
-        pi = ProjectionSpec("wilmod_a", 2, lam, mu)
         J = BilinearOp("poisson", 1, lam)
-        T = symmetry_from_projection(J, pi)
+        T = symmetry_from_projection(
+            J, lambda A: wilmod_projections(A, 2)[0], lam, mu)
         A = poly_op(lam, mu, [1], [0, 2], [0, 0, 1])
         assert T(A) == wil_gen(A)
 
     def test_weight_chain_is_checked(self):
-        pi = ProjectionSpec("principal_symbol", 3, 0, 3)
         with pytest.raises(WeightMismatchError):
-            symmetry_from_projection(BilinearOp("poisson", 1, 0), pi)
+            symmetry_from_projection(BilinearOp("poisson", 1, 0),
+                                     lambda A: principal_symbol(A, 3), 0, 3)
+
+    def test_operator_of_another_module_is_rejected(self):
+        T = symmetry_from_projection(BilinearOp("dd_inner", 0, 0),
+                                     lambda A: principal_symbol(A, 3), 0, 3)
+        with pytest.raises(WeightMismatchError):
+            T(poly_op(0, 2, [1], [0, 1]))
 
 
 class TestPrintedGenerators:
@@ -363,8 +364,9 @@ class TestPrintedGenerators:
             g2, g1, g0 = w_coefficients(3, lam)
             assert (4 * a2, 4 * a1, 4 * a0) == (g2, g1, g0)
 
-    def test_g_sigma_is_g_v_with_top_zero(self):
-        lam, mu = F(-2, 3), F(5, 3)
-        A3 = poly_op(lam, mu, [1], [0, 1], [2], [0, 0, 0, 1])
-        A4 = DensityOperator(lam, mu, list(A3.coeffs) + [PolyFn.zero()])
-        assert g_sigma(A3) == g_v(A4)
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_home_is_applicable(name):
+    # `verify --op NAME` checks the entry at its home unless told otherwise
+    k, lam, mu = CATALOG[name].home
+    assert CATALOG[name].applies(k, lam, mu, CIRCLE)

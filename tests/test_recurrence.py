@@ -12,7 +12,7 @@ from densym.operators import CATALOG
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
     build_system, candidate_generators, classify, compose_jets,
-    exceptional_conditions, is_generic, jet_algebra, jet_unknowns, jet_vector,
+    exceptional_conditions, is_generic, jet_algebra, jet_vector,
     local_dimension, local_solutions, nonlocal_dimension, read_jet, residual,
     sample_generic, sweep,
 )
@@ -376,9 +376,9 @@ class TestJetCoordinates:
     @pytest.mark.parametrize("name, k, lam, mu", _home_candidates())
     def test_read_off_realizes_the_candidate(self, name, k, lam, mu, space):
         build = _candidate(name, k, lam, mu, space)
-        s = read_jet(build, k, lam, mu)
-        assert len(s) == (k + 1) * (k + 2) // 2
-        jet = componentwise_map(jet_unknowns(s, k), k, lam, mu, space)
+        t = read_jet(build, k, lam, mu)
+        assert len(t) == (k + 1) * (k + 2) // 2
+        jet = componentwise_map(dict(zip(component_unknowns(k), t)), k, lam, mu, space)
         for b in TruncatedBasis(k, k + 6, space, lam, mu).elements:
             assert jet(b) == build(b)
 
@@ -405,11 +405,11 @@ class TestJetCoordinates:
         for name in ("Id", "P0", "P0star", "C", "P1"):
             T = SymmetryMap(basis, builds[name], name=name)
             T_vec = jet_vector(name, builds[name], sys, CIRCLE)
-            s00, s10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
-            assert compose_jets(L_vec, T_vec, k) == [s00 * v for v in L_vec]
-            assert compose_jets(T_vec, L_vec, k) == [s10 * v for v in L_vec]
-            assert (L @ T).equals(s00 * L)
-            assert (T @ L).equals(s10 * L)
+            t00, t10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
+            assert compose_jets(L_vec, T_vec, k) == [t00 * v for v in L_vec]
+            assert compose_jets(T_vec, L_vec, k) == [t10 * v for v in L_vec]
+            assert (L @ T).equals(t00 * L)
+            assert (T @ L).equals(t10 * L)
 
     def test_local_products_match_composition(self):
         k, lam, mu = 3, F(0), F(1)
@@ -417,11 +417,12 @@ class TestJetCoordinates:
         basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
         for x in ("C", "P0star", "P1"):
             for y in ("C", "P0", "P1"):
-                s_x = read_jet(builds[x], k, lam, mu)
-                s_y = read_jet(builds[y], k, lam, mu)
-                product = compose_jets(s_x + [F(0)], s_y + [F(0)], k)
+                t_x = read_jet(builds[x], k, lam, mu)
+                t_y = read_jet(builds[y], k, lam, mu)
+                product = compose_jets(t_x + [F(0)], t_y + [F(0)], k)
                 assert product[-1] == 0
-                jet = componentwise_map(jet_unknowns(product[:-1], k), k, lam, mu, LINE)
+                jet = componentwise_map(dict(zip(component_unknowns(k), product[:-1])),
+                                        k, lam, mu, LINE)
                 for b in basis.elements:
                     assert jet(b) == builds[x](builds[y](b))
 
