@@ -124,25 +124,18 @@ def _write(text: str, out_path):
             sys.stdout.write("\n")
 
 
-def _check_order(k):
-    if k is None or k < 0:
-        raise ValueError("the order -k must be a nonnegative integer")
-    return k
-
-
 def cmd_classify(args) -> int:
     if args.order is None or args.lam is None or args.mu is None:
         raise ValueError("classify needs -k, --lambda and --mu")
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
     space = args.space or CIRCLE
-    report = classify(_check_order(args.order), lam, mu, space,
-                      M=args.truncation)
+    report = classify(args.order, lam, mu, space, M=args.truncation)
     _write(report.to_json(), args.out)
     return 0
 
 
 def cmd_table(args) -> int:
-    kmax = _check_order(args.order if args.order is not None else 6)
+    kmax = args.order if args.order is not None else 6
     space = args.space or CIRCLE
     rows = sweep(kmax=kmax, space=space, samples=args.samples,
                  with_kinds=not args.no_kinds)

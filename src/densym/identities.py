@@ -17,14 +17,7 @@ from .linalg import max_abs, nullspace, rank, rref
 from .operators import (
     CATALOG,
     BilinearOp,
-    cal_v,
-    cal_w,
-    cal_w_coefficients,
     conjugate,
-    g_v,
-    j_sigma,
-    j_v,
-    j_w,
     nonlocal_trace,
     p0,
     p1,
@@ -32,7 +25,8 @@ from .operators import (
     s_map,
     s_map_chain,
     second_analog_locus,
-    v_map,
+    v_formula,
+    w_coefficients,
     w_formula,
     wilmod_weights,
 )
@@ -181,10 +175,6 @@ def _mult_table_pairs(lam, mu):
             for row, cols in MULT_TABLE_01.items() for col, combo in cols.items()]
 
 
-def _j_v3(A):
-    return j_v(A, 3)
-
-
 @dataclass
 class Relation:
     """Relations lhs = rhs among maps of D^k_{lam,mu}, each checked on every
@@ -192,7 +182,8 @@ class Relation:
 
     k: int  # the order the relations are stated at
     points: list  # the weight points (lam, mu)
-    pairs: Callable  # (lam, mu) -> [(lhs, rhs)], rhs None meaning 0
+    pairs: Callable  # (lam, mu, *maps) -> [(lhs, rhs)], rhs None meaning 0
+    uses: tuple = ()  # catalog names: their maps, built once per point, follow mu
     per_element: bool = False  # an entry is a basis element, not a (point, pair)
     any_order: bool = False  # the relations hold at every order; k is a default
 
@@ -215,54 +206,54 @@ RELATIONS = {
         ], any_order=True),
     "calw_square": Relation(
         3, HYPERBOLA_POINTS,
-        lambda lam, mu: [(lambda A: cal_w(cal_w(A)), _times(
-            cal_w_coefficients(lam)[2] * (mu - lam - 1), cal_w))]),
+        lambda lam, mu, W: [(lambda A: W(W(A)), _times(
+            w_coefficients(3, lam)[2] / 4 * (mu - lam - 1), W))], uses=("calW",)),
     "calv_square": Relation(
         2, GENERIC_POINTS,
-        lambda lam, mu: [(lambda A: cal_v(cal_v(A)), _times(
-            (mu - lam - 1) * (mu - lam - 2), cal_v))]),
+        lambda lam, mu, V: [(lambda A: V(V(A)), _times(
+            (mu - lam - 1) * (mu - lam - 2), V))], uses=("calV",)),
     # the exact combination is L(2L+1)(Id - C); the square relation pins the
     # sign (see the regression test for the opposite variant)
     "calv_conjugation_line": Relation(
         2, CONJUGATION_LINE_POINTS,
-        lambda lam, mu: [(cal_v, _times(
-            lam * (2 * lam + 1), lambda A: A - conjugate(A)))]),
+        lambda lam, mu, V: [(V, _times(
+            lam * (2 * lam + 1), lambda A: A - conjugate(A)))], uses=("calV",)),
     "jv_square_zero": Relation(
         3, SHIFT_LINE_POINTS,
-        lambda lam, mu: [(lambda A: _j_v3(_j_v3(A)), None)]),
+        lambda lam, mu, J: [(lambda A: J(J(A)), None)], uses=("JV",)),
     "gv_relations": Relation(
         4, [(Fraction(-2, 3), Fraction(5, 3))],
-        lambda lam, mu: [
-            (lambda A: g_v(conjugate(A)), _times(-1, g_v)),
-            (lambda A: conjugate(g_v(A)), _times(-1, g_v)),
-            (lambda A: g_v(g_v(A)), g_v),
-        ]),
+        lambda lam, mu, G: [
+            (lambda A: G(conjugate(A)), _times(-1, G)),
+            (lambda A: conjugate(G(A)), _times(-1, G)),
+            (lambda A: G(G(A)), G),
+        ], uses=("GV",)),
     "jw_relations": Relation(
         4, [(Fraction(0), Fraction(5, 4))],
-        lambda lam, mu: [
-            (lambda A: j_w(j_w(A)), j_w),
-            (lambda A: j_w(p0(A)), None),
-            (lambda A: p0(j_w(A)), None),
+        lambda lam, mu, J: [
+            (lambda A: J(J(A)), J),
+            (lambda A: J(p0(A)), None),
+            (lambda A: p0(J(A)), None),
             (lambda A: p0(p0(A)), p0),
-        ]),
+        ], uses=("JW",)),
     "jsigma_relations": Relation(
         3, [(Fraction(0), Fraction(3))],
-        lambda lam, mu: [
-            (lambda A: j_sigma(j_sigma(A)), None),
-            (lambda A: j_sigma(p0(A)), None),
-            (lambda A: p0(j_sigma(A)), None),
-        ]),
+        lambda lam, mu, J: [
+            (lambda A: J(J(A)), None),
+            (lambda A: J(p0(A)), None),
+            (lambda A: p0(J(A)), None),
+        ], uses=("Jsigma",)),
     "jv_conj_relations": Relation(
         3, [(Fraction(-1, 2), Fraction(3, 2))],
-        lambda lam, mu: [
-            (lambda A: _j_v3(conjugate(A)), _j_v3),
-            (lambda A: conjugate(_j_v3(A)), _times(-1, _j_v3)),
-        ]),
+        lambda lam, mu, J: [
+            (lambda A: J(conjugate(A)), J),
+            (lambda A: conjugate(J(A)), _times(-1, J)),
+        ], uses=("JV",)),
     "gsigma_decomposition": Relation(
         3, [(Fraction(-2, 3), Fraction(5, 3))],
-        lambda lam, mu: [(g_v, lambda A: Fraction(1, 2) * (A - conjugate(A))
-                          - Fraction(9, 4) * cal_w(A))],
-        per_element=True),
+        lambda lam, mu, G, W: [(G, lambda A: Fraction(1, 2) * (A - conjugate(A))
+                                - Fraction(9, 4) * W(A))],
+        per_element=True, uses=("Gsigma", "calW")),
 }
 
 
@@ -278,7 +269,8 @@ def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     for lam, mu in row.points:
         basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
-        for lhs, rhs in row.pairs(lam, mu):
+        maps = [CATALOG[name].make(k, lam, mu) for name in row.uses]
+        for lhs, rhs in row.pairs(lam, mu, *maps):
             for b in basis.elements:
                 image = lhs(b) if rhs is None else lhs(b) - rhs(b)
                 worst = max(worst, max_abs([basis.vector_of(image)]))
@@ -340,7 +332,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
         (Fraction(1, 3), Fraction(2)),
         (Fraction(-1, 3), Fraction(0)),
     ]
-    fields = line_fields(3) if cfg.space_or() == LINE else circle_fields(2)
+    fields = generator_family(cfg.space_or(), 2)
     worst_on = Fraction(0)
     ok_off = True
     size = 0
@@ -369,7 +361,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
 
 
 def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
-    # v_map is evaluated on single basis elements, not as an equivariance
+    # V is evaluated on single basis elements, not as an equivariance
     # defect, so this check needs no safe sub-basis and keeps a fixed window
     reject_unread(cfg, "v_wilmod_vanishing", "is checked at k=1..5 on a fixed window",
                   "k", "lam", "mu", "M")
@@ -379,16 +371,18 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
     for k in range(1, 6):
         lam, mu = wilmod_weights(k)
         basis = TruncatedBasis(k, 4, cfg.space_or(), lam, mu)
+        V = v_formula(k, lam, mu)
         worst = max(worst, max_abs(
-            [ring_vector(v_map(b, k).value, basis.M) for b in basis.elements]
+            [ring_vector(V(b).value, basis.M) for b in basis.elements]
         ))
         entries += 1
         for dl, dm in [(Fraction(1, 7), 0), (0, Fraction(1, 5)),
                        (Fraction(-1, 3), Fraction(-1, 3))]:
             nlam, nmu = lam + dl, mu + dm
             basis2 = TruncatedBasis(k, 4, cfg.space_or(), nlam, nmu)
+            V = v_formula(k, nlam, nmu)
             nonzero = any(
-                not v_map(b, k).is_zero for b in basis2.elements
+                not V(b).is_zero for b in basis2.elements
             )
             ok_near = ok_near and nonzero
             entries += 1

@@ -169,20 +169,25 @@ def principal_symbol(A: DensityOperator, k: int) -> Density:
     return Density(A.delta - k, A.coefficient(k))
 
 
-def v_coefficients(k: int, lam, mu) -> tuple[Fraction, Fraction]:
+def v_formula(k: int, lam, mu):
+    """The first-order analog of the symbol on D^k_{lam,mu}:
+    A -> alpha a_k' + beta a_{k-1}, coefficients computed once."""
     lam, mu = rat(lam), rat(mu)
     alpha = lam * k + Fraction(k * (k - 1), 2)
     beta = mu - lam - k
-    return alpha, beta
+    nu = beta + 1
+
+    def apply(A: DensityOperator) -> Density:
+        if A.order > k:
+            raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
+        return Density(nu, alpha * A.coefficient(k).diff() + beta * A.coefficient(k - 1))
+
+    return apply
 
 
 def v_map(A: DensityOperator, k: int) -> Density:
     """First-order analog of the principal symbol: alpha a_k' + beta a_{k-1}."""
-    if A.order > k:
-        raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-    alpha, beta = v_coefficients(k, A.lam, A.mu)
-    val = alpha * A.coefficient(k).diff() + beta * A.coefficient(k - 1)
-    return Density(A.delta - k + 1, val)
+    return v_formula(k, A.lam, A.mu)(A)
 
 
 def wilmod_weights(k: int) -> tuple[Fraction, Fraction]:
@@ -384,149 +389,6 @@ def symmetry_from_projection(J: BilinearOp, pi, lam, mu):
 
 
 # ----------------------------------------------------------------------
-# the printed generators (fixed normalizations)
-# ----------------------------------------------------------------------
-
-def cal_v(A: DensityOperator) -> DensityOperator:
-    """Order-2 generator built from the bracket and the first symbol analog.
-
-    (d-1)[(2L+1)a2' + (d-2)a1] d/dx - L[(2L+1)a2'' + (d-2)a1'],
-    where L is the source weight and d the weight difference.  Defined for
-    every weight pair; squares to (d-1)(d-2) times itself.
-    """
-    if A.order > 2:
-        raise InapplicableSymmetryError("this generator lives on order-2 modules")
-    lam, d = A.lam, A.delta
-    a2, a1 = A.coefficient(2), A.coefficient(1)
-    inner = (2 * lam + 1) * a2.diff() + (d - 2) * a1
-    c1 = (d - 1) * inner
-    c0 = -lam * inner.diff()
-    return DensityOperator(A.lam, A.mu, [c0, c1])
-
-
-def cal_w_coefficients(lam) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients of the order-3 hyperbola generator.
-
-    The middle coefficient is -(3L+1)(1+2L): the specialization of the
-    general second-analog coefficients to k = 3 after removing the overall
-    factor 4.  (The variant with (1-2L) fails both the equivariance check and
-    the exact decomposition against the exceptional-bilinear generator; see
-    tests.)
-    """
-    lam = rat(lam)
-    return (
-        (3 * lam + 1) ** 2,
-        -(3 * lam + 1) * (1 + 2 * lam),
-        3 * lam * lam + 3 * lam + 1,
-    )
-
-
-def cal_w(A: DensityOperator) -> DensityOperator:
-    """Order-3 generator on the hyperbola (3L+1)(3M-4) = -1."""
-    if A.order > 3:
-        raise InapplicableSymmetryError("this generator lives on order-3 modules")
-    if second_analog_locus(3, A.lam, A.mu) != 0:
-        raise InapplicableSymmetryError("weights are off the order-3 hyperbola")
-    lam, d = A.lam, A.delta
-    a2c, a1c, a0c = cal_w_coefficients(lam)
-    inner = (
-        a2c * A.coefficient(3).diff(2)
-        + a1c * A.coefficient(2).diff()
-        + a0c * A.coefficient(1)
-    )
-    c1 = (d - 1) * inner
-    c0 = -lam * inner.diff()
-    return DensityOperator(A.lam, A.mu, [c0, c1])
-
-
-def j_v(A: DensityOperator, k: int) -> DensityOperator:
-    """Bilinear-after-V generator of the order-k module, per weights:
-
-    * k = 1, any weights: multiplication by L a1' + (d-1) a0.
-    * k = 3 on the line M - L = 2: (3(L+1)a3'' - a2') d - L (3(L+1)a3''' - a2'').
-    * k = 4 at (0, 3): (6a4'' - a3') d^2 - (6a4''' - a3'') d.
-    * k = 3 with L = 0: the raw second-order composition.
-
-    k is the order of the module, not of the particular element: the same
-    formula must be applied to every element of D^k for the map to be linear.
-    """
-    lam, mu, d = A.lam, A.mu, A.delta
-    if A.order > k:
-        raise InapplicableSymmetryError(f"element order {A.order} exceeds k={k}")
-    z = rings.zero(A.space)
-    if k == 1:
-        val = lam * A.coefficient(1).diff() + (d - 1) * A.coefficient(0)
-        return DensityOperator(lam, mu, [val])
-    if k == 3 and d == 2:
-        inner = 3 * (lam + 1) * A.coefficient(3).diff() - A.coefficient(2)
-        return DensityOperator(lam, mu, [-lam * inner.diff(2), inner.diff()])
-    if k == 4 and (lam, mu) == (0, 3):
-        inner = 6 * A.coefficient(4).diff() - A.coefficient(3)
-        return DensityOperator(lam, mu, [z, -inner.diff(2), inner.diff()])
-    if k == 3 and lam == 0:
-        J = BilinearOp("d_right", d - 2, lam)  # V's target weight at k = 3
-        return symmetry_from_projection(J, lambda B: v_map(B, 3), lam, mu)(A)
-    raise InapplicableSymmetryError(
-        f"no bilinear-after-V generator at k={k}, (lam, mu)=({lam}, {mu})"
-    )
-
-
-def j_w(A: DensityOperator) -> DensityOperator:
-    """Order-4 generator at (0, 5/4):
-
-        (16/7 a4'' - 12/7 a3' + a2) d^2
-            + 4/3 (16/7 a4''' - 12/7 a3'' + a2') d.
-
-    This is the unique idempotent scaling of the bilinear-after-projection
-    composition; the variant with the d-coefficient scaled by a further 3/4
-    fails the equivariance check (see tests).
-    """
-    if A.order > 4 or (A.lam, A.mu) != (0, Fraction(5, 4)):
-        raise InapplicableSymmetryError("this generator lives on D^4_{0,5/4}")
-    a4, a3, a2 = A.coefficient(4), A.coefficient(3), A.coefficient(2)
-    c2 = Fraction(16, 7) * a4.diff(2) - Fraction(12, 7) * a3.diff() + a2
-    c1 = Fraction(4, 3) * (
-        Fraction(16, 7) * a4.diff(3) - Fraction(12, 7) * a3.diff(2) + a2.diff()
-    )
-    z = rings.zero(A.space)
-    return DensityOperator(A.lam, A.mu, [z, c1, c2])
-
-
-def j_sigma(A: DensityOperator) -> DensityOperator:
-    """Order-3 generator at (0, 3): a3' d^2 - a3'' d."""
-    if A.order > 3 or (A.lam, A.mu) != (0, 3):
-        raise InapplicableSymmetryError("this generator lives on D^3_{0,3}")
-    a3 = A.coefficient(3)
-    z = rings.zero(A.space)
-    return DensityOperator(A.lam, A.mu, [z, -a3.diff(2), a3.diff()])
-
-
-def g_v(A: DensityOperator) -> DensityOperator:
-    """Order-4 generator at (-2/3, 5/3) built from the exceptional bilinear map:
-
-    (a3 - 2a4') d^3 + (3/2 a3' - 3a4'') d^2 - (3/2 a3'' - 3a4''') d - (a3''' - 2a4'''').
-    """
-    if A.order > 4 or (A.lam, A.mu) != (Fraction(-2, 3), Fraction(5, 3)):
-        raise InapplicableSymmetryError("this generator lives on D^4_{-2/3,5/3}")
-    a4, a3 = A.coefficient(4), A.coefficient(3)
-    inner = a3 - 2 * a4.diff()
-    return DensityOperator(A.lam, A.mu, [
-        -inner.diff(3),
-        Fraction(-3, 2) * inner.diff(2),
-        Fraction(3, 2) * inner.diff(),
-        inner,
-    ])
-
-
-def wil_gen(A: DensityOperator) -> DensityOperator:
-    """Order-2 generator at (-1/2, 3/2): a2' d + 1/2 a2''."""
-    if A.order > 2 or (A.lam, A.mu) != (Fraction(-1, 2), Fraction(3, 2)):
-        raise InapplicableSymmetryError("this generator lives on D^2_{-1/2,3/2}")
-    a2 = A.coefficient(2)
-    return DensityOperator(A.lam, A.mu, [Fraction(1, 2) * a2.diff(2), a2.diff()])
-
-
-# ----------------------------------------------------------------------
 # named catalog
 # ----------------------------------------------------------------------
 
@@ -549,19 +411,42 @@ def _e(name, home, applies, action, circle_only=False):
     )
 
 
-def _at_home(name, home, action):
-    """An endomorphism that exists only at its home (k, lam, mu)."""
-    return _e(name, home, lambda k, l, m, s: (k, l, m) == home, action)
+def _symbol(k, lam, mu):
+    return lambda A: principal_symbol(A, k)
 
 
-def _jv_applies(k, lam, mu, space):
-    d = mu - lam
-    return (
-        k == 1
-        or (k == 3 and d == 2)
-        or (k == 4 and (lam, mu) == (0, 3))
-        or (k == 3 and lam == 0)
-    )
+def _jv_kind(k, lam, mu):
+    """The bilinear kind JV puts after V on D^k_{lam,mu}, None where JV does
+    not exist.  The first match wins: at (0, 2) with k = 3 it is d_left."""
+    if k == 1:
+        return "product"
+    if k == 3 and mu - lam == 2:
+        return "d_left"
+    if k == 4 and (lam, mu) == (0, 3):
+        return "dd_inner"
+    if k == 3 and lam == 0:
+        return "d_right"
+    return None
+
+
+def _printed(name, home, kind, projection, scale=1, applies=None):
+    """A printed generator: A -> J(scale pi(A), .) on D^k_{lam,mu}, where pi
+    is projection(k, lam, mu) and J the bilinear operator of the given kind
+    (a name, or a function of (k, lam, mu)) at the weights the chain forces.
+    Without `applies` it exists only at its home."""
+
+    def make(k, lam, mu):
+        lam, mu = rat(lam), rat(mu)
+        J_kind = kind(k, lam, mu) if callable(kind) else kind
+        J = BilinearOp(J_kind, mu - lam - BILINEAR_ORDERS[J_kind], lam)
+        pi = projection(k, lam, mu)
+        if scale != 1:
+            pi = lambda A, _pi=pi: scale * _pi(A)
+        return symmetry_from_projection(J, pi, lam, mu)
+
+    if applies is None:
+        applies = lambda k, l, m, s: (k, l, m) == home
+    return CatalogEntry(name, "endo", applies, make, home)
 
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
@@ -576,27 +461,33 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
        nonlocal_trace, circle_only=True),
     _e("S", (4, Fraction(0), Fraction(0)), lambda k, l, m, s: (l, m) == (0, 0), s_map),
     _e("Sstar", (4, Fraction(1), Fraction(1)), lambda k, l, m, s: (l, m) == (1, 1), s_star),
-    _e("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: k == 2, cal_v),
-    _e("calW", (3, Fraction(1, 3), Fraction(7, 6)),
-       lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0, cal_w),
-    CatalogEntry("JV", "endo", _jv_applies, lambda k, l, m: (lambda A: j_v(A, k)),
-                 (3, Fraction(1, 5), Fraction(11, 5))),
-    _at_home("JW", (4, Fraction(0), Fraction(5, 4)), j_w),
-    _at_home("Jsigma", (3, Fraction(0), Fraction(3)), j_sigma),
-    _at_home("GV", (4, Fraction(-2, 3), Fraction(5, 3)), g_v),
-    _at_home("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), g_v),  # GV with a4 = 0
-    _at_home("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), wil_gen),
+    # each scale is the printed normalization: JW and GV are idempotent, calW
+    # drops the common factor 4 of W at k = 3, and Gsigma is GV with a4 = 0
+    _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), "poisson", v_formula,
+             applies=lambda k, l, m, s: k == 2),
+    _printed("calW", (3, Fraction(1, 3), Fraction(7, 6)), "poisson", w_formula,
+             Fraction(1, 4),
+             applies=lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0),
+    _printed("JV", (3, Fraction(1, 5), Fraction(11, 5)), _jv_kind, v_formula,
+             applies=lambda k, l, m, s: _jv_kind(k, l, m) is not None),
+    _printed("JW", (4, Fraction(0), Fraction(5, 4)), "d_right", w_formula, Fraction(-2, 21)),
+    _printed("Jsigma", (3, Fraction(0), Fraction(3)), "dd_inner", _symbol),
+    _printed("GV", (4, Fraction(-2, 3), Fraction(5, 3)), "grozman", v_formula,
+             Fraction(-3, 10)),
+    _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), "grozman", _symbol,
+             Fraction(1, 2)),
+    _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), "d_left", _symbol),
     CatalogEntry("sigma", "projection",
                  lambda k, l, m, s: True,
-                 lambda k, l, m: lambda A: principal_symbol(A, k),
+                 _symbol,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("V", "projection",
                  lambda k, l, m, s: True,
-                 lambda k, l, m: lambda A: v_map(A, k),
+                 v_formula,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("W", "projection",
                  lambda k, l, m, s: k >= 3 and second_analog_locus(k, l, m) == 0,
-                 lambda k, l, m: lambda A: w_map(A, k),
+                 w_formula,
                  (4, Fraction(0), Fraction(5, 4))),
     CatalogEntry("wilmodA", "projection",
                  lambda k, l, m, s: (l, m) == wilmod_weights(k),

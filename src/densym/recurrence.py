@@ -233,7 +233,7 @@ class ClassificationReport:
     local_dimension: int
     nonlocal_dimension: int
     generator_names: list
-    algebra_kind: str | None
+    algebra_kind: str
 
     @property
     def total(self) -> int:
@@ -396,7 +396,7 @@ def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
 
 
 def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
-             check_oracle: bool = True, identify_algebra: bool = True):
+             check_oracle: bool = True):
     """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
 
     The dimension is the recurrence nullspace (plus the circle trace); the
@@ -444,9 +444,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     selected = [vectors[i] for i in chosen]
     selected_names = [names[i] for i in chosen]
 
-    kind = None
-    if identify_algebra:
-        kind = str(algebras.identify(jet_algebra(selected_names, selected, k)))
+    kind = str(algebras.identify(jet_algebra(selected_names, selected, k)))
     return ClassificationReport(
         k, lam, mu, space, local, nonloc, selected_names, kind
     )

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from densym import identities
+from densym import identities, operators
 from densym.cli import main, parse_rational
 from densym.densities import Density, DensityOperator
-from densym.operators import CATALOG, cal_v, conjugate, v_coefficients
+from densym.operators import CATALOG, conjugate, v_formula
 
 VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
 
@@ -19,14 +19,10 @@ def _cal_v_off_by_one(A):
     return DensityOperator(A.lam, A.mu, [-lam * inner.diff(), (d - 1) * inner])
 
 
-def _v_beta_plus_one(k):
+def _v_beta_plus_one(k, lam, mu):
     """V with beta + 1: not equivariant."""
-    def act(A):
-        alpha, beta = v_coefficients(k, A.lam, A.mu)
-        val = alpha * A.coefficient(k).diff() + (beta + 1) * A.coefficient(k - 1)
-        return Density(A.delta - k + 1, val)
-
-    return act
+    V = v_formula(k, lam, mu)
+    return lambda A: V(A) + Density(mu - lam - k + 1, A.coefficient(k - 1))
 
 
 def run(capsys, *argv):
@@ -138,6 +134,15 @@ class TestClassify:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "-k", "-1", "--lambda", "0", "--mu", "1"),
+    ("table", "-k", "-1"),
+])
+def test_negative_order_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "got -1" in err
+
+
 class TestTable:
     def test_csv_grid(self, capsys):
         code, out, _ = run(capsys, "table", "-k", "3", "--no-kinds")
@@ -181,11 +186,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, pairs", [
         # calV^2 = (d-1)(d-2) calV with the second factor off by one
-        ("calv_square", lambda lam, mu: [(
+        ("calv_square", lambda lam, mu, cal_v: [(
             lambda A: cal_v(cal_v(A)),
             lambda A: (mu - lam - 1) * (mu - lam - 3) * cal_v(A))]),
         # the opposite sign of calV = L(2L+1)(Id - C)
-        ("calv_conjugation_line", lambda lam, mu: [(
+        ("calv_conjugation_line", lambda lam, mu, cal_v: [(
             cal_v, lambda A: lam * (2 * lam + 1) * (conjugate(A) - A))]),
     ])
     def test_wrong_relation_fails(self, capsys, monkeypatch, name, pairs):
@@ -332,9 +337,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--op", "GV")
         assert code == 0 and "op:GV: pass" in out
 
+    def test_op_builds_its_generator_once(self, capsys, monkeypatch):
+        calls = []
+        build = operators.symmetry_from_projection
+        monkeypatch.setattr(operators, "symmetry_from_projection",
+                            lambda *args: calls.append(args) or build(*args))
+        code, out, _ = run(capsys, "verify", "--op", "JV", "--lambda", "0", "--mu", "1")
+        assert code == 0 and out.startswith("op:JV: pass")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name, make", [
         ("calV", lambda k, lam, mu: _cal_v_off_by_one),
-        ("V", lambda k, lam, mu: _v_beta_plus_one(k)),
+        ("V", lambda k, lam, mu: _v_beta_plus_one(k, lam, mu)),
     ])
     def test_wrong_catalog_formula_fails(self, capsys, monkeypatch, name, make):
         monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))

@@ -8,13 +8,13 @@ from densym.errors import (
     WeightMismatchError,
 )
 from densym.operators import (
-    CATALOG, BilinearOp, cal_v, conjugate, delta_compose,
-    delta_inverse, g_v, j_sigma, j_v, j_w, nonlocal_trace, p0,
+    CATALOG, BilinearOp, conjugate, delta_compose,
+    delta_inverse, nonlocal_trace, p0,
     p0_star, p1, pi_delta, principal_symbol, s_map, s_map_chain, s_star,
-    second_analog_locus, symmetry_from_projection, v_map, w_coefficients,
-    w_map, wil_gen, wilmod_projections, wilmod_weights,
+    second_analog_locus, symmetry_from_projection, v_formula, v_map, w_coefficients,
+    w_map, wilmod_projections, wilmod_weights,
 )
-from densym.rings import CIRCLE, PolyFn, TrigFn
+from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 
 
 def poly_op(lam, mu, *coeff_lists):
@@ -292,40 +292,158 @@ class TestBilinearOperators:
         assert got2 == Density(1, inner.value.diff())
 
 
+# ----------------------------------------------------------------------
+# the printed generators, as their formulas are printed; a = A.coefficient,
+# L the source weight and d = mu - L the weight difference
+# ----------------------------------------------------------------------
+
+def _op(A, *coeffs):
+    return DensityOperator(A.lam, A.mu, list(coeffs))
+
+
+def printed_cal_v(A):
+    """(d-1)[(2L+1)a2' + (d-2)a1] d - L[(2L+1)a2'' + (d-2)a1']."""
+    a, L, d = A.coefficient, A.lam, A.delta
+    inner = (2 * L + 1) * a(2).diff() + (d - 2) * a(1)
+    return _op(A, -L * inner.diff(), (d - 1) * inner)
+
+
+def printed_cal_w(A):
+    """On (3L+1)(3M-4) = -1: (d-1) w d - L w', with
+    w = (3L+1)^2 a3'' - (3L+1)(1+2L) a2' + (3L^2+3L+1) a1."""
+    a, L, d = A.coefficient, A.lam, A.delta
+    inner = ((3 * L + 1) ** 2 * a(3).diff(2) - (3 * L + 1) * (1 + 2 * L) * a(2).diff()
+             + (3 * L * L + 3 * L + 1) * a(1))
+    return _op(A, -L * inner.diff(), (d - 1) * inner)
+
+
+def printed_j_v1(A):
+    """k = 1, any weights: multiplication by L a1' + (d-1) a0."""
+    a, L, d = A.coefficient, A.lam, A.delta
+    return _op(A, L * a(1).diff() + (d - 1) * a(0))
+
+
+def printed_j_v3_shift(A):
+    """k = 3 on d = 2: (3(L+1)a3'' - a2') d - L (3(L+1)a3''' - a2'')."""
+    a, L = A.coefficient, A.lam
+    inner = 3 * (L + 1) * a(3).diff() - a(2)
+    return _op(A, -L * inner.diff(2), inner.diff())
+
+
+def printed_j_v4(A):
+    """k = 4 at (0, 3): (6a4'' - a3') d^2 - (6a4''' - a3'') d."""
+    a = A.coefficient
+    inner = 6 * a(4).diff() - a(3)
+    return _op(A, 0 * inner, -inner.diff(2), inner.diff())
+
+
+def printed_j_v3_source0(A):
+    """k = 3 with L = 0: (d-2) v d^2 - v' d, with v = 3a3' + (d-3)a2."""
+    a, d = A.coefficient, A.delta
+    v = 3 * a(3).diff() + (d - 3) * a(2)
+    return _op(A, 0 * v, -v.diff(), (d - 2) * v)
+
+
+def printed_j_w(A):
+    """At (0, 5/4): (16/7 a4'' - 12/7 a3' + a2) d^2
+    + 4/3 (16/7 a4''' - 12/7 a3'' + a2') d."""
+    a = A.coefficient
+    inner = F(16, 7) * a(4).diff(2) - F(12, 7) * a(3).diff() + a(2)
+    return _op(A, 0 * inner, F(4, 3) * inner.diff(), inner)
+
+
+def printed_j_sigma(A):
+    """At (0, 3): a3' d^2 - a3'' d."""
+    a3 = A.coefficient(3)
+    return _op(A, 0 * a3, -a3.diff(2), a3.diff())
+
+
+def printed_g_v(A):
+    """At (-2/3, 5/3): (a3 - 2a4') d^3 + (3/2 a3' - 3a4'') d^2
+    - (3/2 a3'' - 3a4''') d - (a3''' - 2a4'''')."""
+    a = A.coefficient
+    inner = a(3) - 2 * a(4).diff()
+    return _op(A, -inner.diff(3), F(-3, 2) * inner.diff(2), F(3, 2) * inner.diff(), inner)
+
+
+def printed_wil_gen(A):
+    """At (-1/2, 3/2): a2' d + 1/2 a2''."""
+    a2 = A.coefficient(2)
+    return _op(A, F(1, 2) * a2.diff(2), a2.diff())
+
+
+# (catalog name, printed formula, k, lam, mu): every home, a few other points
+# for the entries that exist off their home, and JV once per branch at least
+PRINTED_CASES = [
+    ("calV", printed_cal_v, 2, F(1, 3), F(1, 5)),
+    ("calV", printed_cal_v, 2, F(2, 7), F(9, 5)),
+    ("calV", printed_cal_v, 2, F(-3, 5), F(7, 11)),
+    ("calV", printed_cal_v, 2, F(2), F(-1)),
+    ("calW", printed_cal_w, 3, F(1, 3), F(7, 6)),
+    ("calW", printed_cal_w, 3, F(1), F(5, 4)),
+    ("calW", printed_cal_w, 3, F(2, 3), F(11, 9)),
+    ("calW", printed_cal_w, 3, F(-2, 3), F(5, 3)),
+    ("JV", printed_j_v1, 1, F(1, 3), F(1, 5)),
+    ("JV", printed_j_v1, 1, F(-1, 2), F(3, 2)),
+    ("JV", printed_j_v3_shift, 3, F(1, 5), F(11, 5)),
+    ("JV", printed_j_v3_shift, 3, F(-4, 7), F(10, 7)),
+    ("JV", printed_j_v3_shift, 3, F(-1, 2), F(3, 2)),
+    ("JV", printed_j_v4, 4, F(0), F(3)),
+    ("JV", printed_j_v3_source0, 3, F(0), F(7, 5)),
+    ("JV", printed_j_v3_source0, 3, F(0), F(3)),
+    ("JW", printed_j_w, 4, F(0), F(5, 4)),
+    ("Jsigma", printed_j_sigma, 3, F(0), F(3)),
+    ("GV", printed_g_v, 4, F(-2, 3), F(5, 3)),
+    ("Gsigma", printed_g_v, 3, F(-2, 3), F(5, 3)),
+    ("wilGen", printed_wil_gen, 2, F(-1, 2), F(3, 2)),
+]
+
+
+def sample_operator(k, lam, mu, space):
+    """An element of D^k_{lam,mu} with distinct, generic coefficients."""
+    if space == LINE:
+        coeffs = [PolyFn([r + 1, -2 * r, F(r + 3, 2), 0, 1, F(1, r + 2)][: k + 3])
+                  for r in range(k + 1)]
+    else:
+        coeffs = [TrigFn(F(r, 3), {1: r + 1, 2: F(-1, r + 2)}, {1: F(2, r + 1), 3: r})
+                  for r in range(k + 1)]
+    return DensityOperator(lam, mu, coeffs)
+
+
 class TestBilinearAfterProjection:
     def test_order3_symbol_generator_exact(self):
         J = BilinearOp("dd_inner", 0, 0)
         T = symmetry_from_projection(J, lambda A: principal_symbol(A, 3), 0, 3)
         A = poly_op(0, 3, [1], [0, 1], [0], [0, 0, 0, 1])
-        assert T(A) == j_sigma(A)
+        assert T(A) == printed_j_sigma(A)
         assert T(A) == poly_op(0, 3, [0], [0, -6], [0, 0, 3])
 
     def test_cal_v_is_bracket_after_v(self):
         lam, mu = F(1, 3), F(1, 5)
         J = BilinearOp("poisson", mu - lam - 1, lam)
-        T = symmetry_from_projection(J, lambda A: v_map(A, 2), lam, mu)
+        T = symmetry_from_projection(J, v_formula(2, lam, mu), lam, mu)
         A = poly_op(lam, mu, [1, 2], [0, 1], [3, 0, 1])
-        assert T(A) == cal_v(A)
+        assert T(A) == printed_cal_v(A)
 
     def test_line_shift_generator_is_dleft_after_v(self):
         lam, mu = F(1, 5), F(11, 5)
         J = BilinearOp("d_left", 0, lam)
         T = symmetry_from_projection(J, lambda A: v_map(A, 3), lam, mu)
         A = poly_op(lam, mu, [1], [2, 1], [0, 3], [0, 0, 1])
-        assert T(A) == j_v(A, 3)
+        assert T(A) == printed_j_v3_shift(A)
 
     def test_g_v_proportional_to_raw_composition(self):
         lam, mu = F(-2, 3), F(5, 3)
         J = BilinearOp("grozman", lam, lam)
         T = symmetry_from_projection(J, lambda A: v_map(A, 4), lam, mu)
         A = poly_op(lam, mu, [0], [0], [1], [0, 0, 1], [0, 0, 0, 1])
-        assert T(A) == F(-10, 3) * g_v(A)
+        assert T(A) == F(-10, 3) * printed_g_v(A)
 
     def test_j_w_proportional_to_raw_composition(self):
         J = BilinearOp("d_right", F(-3, 4), 0)
         T = symmetry_from_projection(J, lambda A: w_map(A, 4), 0, F(5, 4))
         A = poly_op(0, F(5, 4), [1], [0], [0, 1], [0, 0, 1], [0, 0, 0, 1])
-        assert T(A) == F(-21, 2) * j_w(A)
+        assert T(A) == F(-21, 2) * printed_j_w(A)
 
     def test_wil_gen_is_bracket_after_wilmod(self):
         lam, mu = wilmod_weights(2)
@@ -333,7 +451,7 @@ class TestBilinearAfterProjection:
         T = symmetry_from_projection(
             J, lambda A: wilmod_projections(A, 2)[0], lam, mu)
         A = poly_op(lam, mu, [1], [0, 2], [0, 0, 1])
-        assert T(A) == wil_gen(A)
+        assert T(A) == printed_wil_gen(A)
 
     def test_weight_chain_is_checked(self):
         with pytest.raises(WeightMismatchError):
@@ -351,18 +469,27 @@ class TestPrintedGenerators:
     def test_expsym_formula_order4(self):
         # (6 a4'' - a3') d^2 - (6 a4''' - a3'') d at (0, 3)
         A = poly_op(0, 3, [0], [0], [0], [0, 0, 1], [0, 0, 0, 1])
-        got = j_v(A, 4)
+        got = CATALOG["JV"].make(4, 0, 3)(A)
         a4, a3 = PolyFn.monomial(3), PolyFn.monomial(2)
         inner = 6 * a4.diff() - a3
         assert got == DensityOperator(0, 3, [PolyFn.zero(), -inner.diff(2), inner.diff()])
 
-    def test_cal_w_against_general_coefficients(self):
-        # the order-3 coefficients equal 1/4 of the general k=3 ones
-        for lam in (F(1, 3), F(1), F(2, 3)):
-            from densym.operators import cal_w_coefficients
-            a2, a1, a0 = cal_w_coefficients(lam)
-            g2, g1, g0 = w_coefficients(3, lam)
-            assert (4 * a2, 4 * a1, 4 * a0) == (g2, g1, g0)
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("name, printed, k, lam, mu", PRINTED_CASES)
+    def test_catalog_map_is_the_printed_formula(self, name, printed, k, lam, mu, space):
+        assert CATALOG[name].applies(k, lam, mu, space)
+        A = sample_operator(k, lam, mu, space)
+        got = CATALOG[name].make(k, lam, mu)(A)
+        assert not got.is_zero and got == printed(A)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_jv_precedence_at_0_2(self, space):
+        # k = 3 at (0, 2) is on both d = 2 and L = 0; the first branch, d_left,
+        # wins, and the d_right formula has the opposite sign there
+        A = sample_operator(3, 0, 2, space)
+        got = CATALOG["JV"].make(3, 0, 2)(A)
+        assert not got.is_zero
+        assert got == printed_j_v3_shift(A) == -1 * printed_j_v3_source0(A)
 
 
 @pytest.mark.parametrize("name", list(CATALOG))

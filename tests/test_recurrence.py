@@ -361,8 +361,7 @@ def _candidate(name, k, lam, mu, space):
 
 def _jet_and_span_algebras(k, lam, mu, space):
     """The jet structure constants and span_algebra's, for classify's generators."""
-    names = classify(k, lam, mu, space, check_oracle=False,
-                     identify_algebra=False).generator_names
+    names = classify(k, lam, mu, space, check_oracle=False).generator_names
     sys = build_system(k, lam, mu)
     builds = dict(candidate_generators(k, lam, mu, space))
     vectors = [jet_vector(n, builds[n], sys, space) for n in names]
