@@ -3,8 +3,9 @@
 Structure constants are computed by exact linear solves of each pairwise
 product against the given basis.  Identification with the four reference
 matrix algebras (and their direct sums with copies of the scalars) goes
-through exact invariants: dimension, radical (via the regular trace form,
-valid in characteristic zero), center, and commutativity.  The explicit
+through exact invariants, each read straight off the structure constants:
+dimension, radical (via the regular trace form, valid in characteristic
+zero), center, and commutativity.  The explicit
 basis changes printed for the flagship cases are verified in the test suite
 on top of this.
 """
@@ -72,41 +73,19 @@ class FiniteAlgebra:
     def dim(self) -> int:
         return len(self.names)
 
-    def multiply(self, x, y):
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for t in range(n):
-                    out[t] += c * self.sc[i][j][t]
-        return out
-
-    def left_multiplication_matrix(self, x):
-        n = self.dim
-        cols = []
-        for j in range(n):
-            e = [Fraction(int(t == j)) for t in range(n)]
-            cols.append(self.multiply(x, e))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def is_associative(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for t in range(n):
-                    ei = [Fraction(int(s == i)) for s in range(n)]
-                    ej = [Fraction(int(s == j)) for s in range(n)]
-                    et = [Fraction(int(s == t)) for s in range(n)]
-                    left = self.multiply(self.multiply(ei, ej), et)
-                    right = self.multiply(ei, self.multiply(ej, et))
-                    if left != right:
-                        return False
-        return True
+        """(e_i e_j) e_t = e_i (e_j e_t), both sides read off sc:
+        sum_s sc[i][j][s] sc[s][t] against sum_s sc[j][t][s] sc[i][s]."""
+        n, sc = self.dim, self.sc
+
+        def combo(coeffs, vectors):
+            return [sum(c * v[u] for c, v in zip(coeffs, vectors) if c)
+                    for u in range(n)]
+
+        return all(
+            combo(sc[i][j], [sc[s][t] for s in range(n)]) == combo(sc[j][t], sc[i])
+            for i in range(n) for j in range(n) for t in range(n)
+        )
 
     def is_commutative(self) -> bool:
         n = self.dim
@@ -135,19 +114,14 @@ class FiniteAlgebra:
         return len(nullspace(rows, n))
 
     def radical_dim(self) -> int:
-        """Radical = kernel of the regular trace form (characteristic zero)."""
-        n = self.dim
-        mats = [self.left_multiplication_matrix(
-            [Fraction(int(s == i)) for s in range(n)]) for i in range(n)]
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod_trace = sum(
-                    mats[i][a][b] * mats[j][b][a] for a in range(n) for b in range(n)
-                )
-                row.append(prod_trace)
-            gram.append(row)
+        """Radical = kernel of the regular trace form (characteristic zero).
+
+        L_i has the entry sc[i][b][a] at row a, column b, so
+        tr(L_i L_j) = sum_{a,b} sc[i][b][a] sc[j][a][b].
+        """
+        n, sc = self.dim, self.sc
+        gram = [[sum(sc[i][b][a] * sc[j][a][b] for a in range(n) for b in range(n))
+                 for j in range(n)] for i in range(n)]
         return len(nullspace(gram, n))
 
     def rescale_basis(self, scales):

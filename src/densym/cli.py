@@ -358,7 +358,9 @@ def main(argv=None) -> int:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, DensymError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -43,41 +43,35 @@ from .truncation import (
 
 @dataclass
 class RecurrenceSystem:
-    """Sparse exact linear system in the unknowns t[r,l], 0 <= l <= r <= k."""
+    """Exact linear system in the unknowns t[r,l], 0 <= l <= r <= k: dense
+    rows over component_unknowns order, where t[r,l] sits at r(r+1)/2 + l."""
 
     k: int
     lam: Fraction
     mu: Fraction
-    index: dict = field(repr=False)
     rows: list = field(repr=False)
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.index)
-
-    def dense_rows(self):
-        out = []
-        for row in self.rows:
-            dense = [Fraction(0)] * self.n_unknowns
-            for u, c in row.items():
-                dense[self.index[u]] = c
-            out.append(dense)
-        return out
+        return (self.k + 1) * (self.k + 2) // 2
 
 
 def build_system(k: int, lam, mu) -> RecurrenceSystem:
-    """All valid instances of the two recurrence families at (k, lam, mu)."""
+    """All valid instances of the two recurrence families at (k, lam, mu).
+
+    Every instance names distinct unknowns inside 0 <= l <= r <= k; a row
+    whose coefficients all vanish at these weights is left out.
+    """
     lam, mu = rat(lam), rat(mu)
     d = mu - lam
     index = {u: i for i, u in enumerate(component_unknowns(k))}
     rows = []
 
     def add(entries):
-        row = {}
+        row = [Fraction(0)] * len(index)
         for u, c in entries:
-            if c != 0 and u in index:
-                row[u] = row.get(u, Fraction(0)) + c
-        if row:
+            row[index[u]] = c
+        if any(row):
             rows.append(row)
 
     for r in range(1, k + 1):
@@ -95,34 +89,23 @@ def build_system(k: int, lam, mu) -> RecurrenceSystem:
                 ((R - 2, j), -(R + 3 * lam - 2)),
                 ((R, j), R - j + 3 * lam - 2),
             ])
-    return RecurrenceSystem(k, lam, mu, index, rows)
-
-
-def local_solutions(sys: RecurrenceSystem):
-    """Nullspace basis as dicts {(r, l): value}."""
-    sols = nullspace(sys.dense_rows(), sys.n_unknowns)
-    out = []
-    for sol in sols:
-        out.append({u: sol[i] for u, i in sys.index.items() if sol[i] != 0})
-    return out
+    return RecurrenceSystem(k, lam, mu, rows)
 
 
 def local_dimension(sys: RecurrenceSystem) -> int:
-    return len(local_solutions(sys))
+    return len(nullspace(sys.rows, sys.n_unknowns))
 
 
-def residual(sys: RecurrenceSystem, coeffs: dict) -> Fraction:
-    """Largest absolute violation of the system by a coefficient dict."""
-    worst = Fraction(0)
-    for row in sys.rows:
-        val = sum(c * coeffs.get(u, Fraction(0)) for u, c in row.items())
-        worst = max(worst, abs(val))
-    return worst
+def residual(sys: RecurrenceSystem, t) -> Fraction:
+    """Largest absolute violation of the system by a jet vector t."""
+    return max((abs(sum(c * x for c, x in zip(row, t, strict=True))) for row in sys.rows),
+               default=Fraction(0))
 
 
 def nonlocal_dimension(k: int, lam, mu, space: str) -> int:
-    """1 exactly for the circle modules from functions to 1-forms, k >= 1."""
-    return 1 if space == CIRCLE and (rat(lam), rat(mu)) == (0, 1) and k >= 1 else 0
+    """1 where the trace L exists (the circle modules from functions to
+    1-forms, k >= 1), else 0."""
+    return int(CATALOG["L"].applies(k, rat(lam), rat(mu), space))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +307,7 @@ def _confirm_on_circle(name, build, t, k: int, lam, mu):
     probe = DensityOperator(lam, mu, [
         TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
     ])
-    jet = componentwise_map(dict(zip(component_unknowns(k), t)), k, lam, mu, CIRCLE)
+    jet = componentwise_map(t, k, lam, mu, CIRCLE)
     if build(probe) != jet(probe):
         raise SpanMismatchError(
             f"{name} acts on the circle unlike its jet coordinates read off "
@@ -346,7 +329,7 @@ def jet_vector(name, build, sys: RecurrenceSystem, space: str):
     t = read_jet(build, k, lam, mu)
     if space == CIRCLE:
         _confirm_on_circle(name, build, t, k, lam, mu)
-    worst = residual(sys, dict(zip(component_unknowns(k), t)))
+    worst = residual(sys, t)
     if worst != 0:
         raise SpanMismatchError(
             f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
@@ -412,7 +395,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
         M = k + 6
     check_window(k, M)
     sys = build_system(k, lam, mu)
-    solutions = nullspace(sys.dense_rows(), sys.n_unknowns)
+    solutions = nullspace(sys.rows, sys.n_unknowns)
     local = len(solutions)
     nonloc = nonlocal_dimension(k, lam, mu, space)
     total = local + nonloc

@@ -243,8 +243,8 @@ def circle_fields(N: int = 2):
     return fields
 
 
-def generator_family(space: str, N: int = 2):
-    return line_fields(3) if space == LINE else circle_fields(N)
+def generator_family(space: str):
+    return line_fields(3) if space == LINE else circle_fields(2)
 
 
 def equivariance_defect(T: SymmetryMap, X: VectorField):
@@ -312,24 +312,24 @@ def component_unknowns(k: int):
     return [(r, l) for r in range(k + 1) for l in range(r + 1)]
 
 
-def componentwise_map(coeffs: dict, k: int, lam, mu, space: str):
+def componentwise_map(t, k: int, lam, mu, space: str):
     """The translation/scaling-invariant ansatz as an operator map.
 
-    coeffs maps (r, l) to the constant multiplying D^l on the degree-r
-    component; the action on coefficient lists is
-    (T A)_m = sum_l coeffs[m+l, l] * fall(m+l, l) * a_{m+l}^(l).
+    t is a jet vector in component_unknowns order: t[r,l] multiplies D^l on
+    the degree-r component, so the action on coefficient lists is
+    (T A)_m = sum_l t[m+l,l] * fall(m+l, l) * a_{m+l}^(l).
     """
     lam, mu = rat(lam), rat(mu)
+    terms = [(r, l, c * falling(r, l))
+             for (r, l), c in zip(component_unknowns(k), t, strict=True) if c != 0]
 
     def act(A: DensityOperator) -> DensityOperator:
         out = [rings.zero(space) for _ in range(k + 1)]
-        for (r, l), t in coeffs.items():
-            if t == 0:
-                continue
+        for r, l, c in terms:
             src = A.coefficient(r)
             if src.is_zero:
                 continue
-            out[r - l] = out[r - l] + (t * falling(r, l)) * src.diff(l)
+            out[r - l] = out[r - l] + c * src.diff(l)
         return DensityOperator(lam, mu, out)
 
     return act

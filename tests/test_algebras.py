@@ -5,9 +5,12 @@ import pytest
 from densym.algebras import (
     AlgebraKind, FiniteAlgebra, identify, reference_kind_table, span_algebra,
 )
+from densym import algebras
 from densym.errors import SpanNotClosedError
+from densym.linalg import rank
+from densym.recurrence import classify
 from densym.truncation import TruncatedBasis, realize
-from densym.rings import CIRCLE
+from densym.rings import CIRCLE, LINE
 
 
 def zero_one_basis(k, M=None):
@@ -33,6 +36,114 @@ def block_sum(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
             for t in range(m):
                 sc[n + i][n + j][n + t] = b.sc[i][j][t]
     return FiniteAlgebra(names, sc)
+
+
+# ----------------------------------------------------------------------
+# the invariants from their definitions: products of coordinate vectors and
+# explicit left-multiplication matrices L_x, with column b = x e_b
+# ----------------------------------------------------------------------
+
+def _unit(n, i):
+    return [F(int(s == i)) for s in range(n)]
+
+
+def _product(alg, x, y):
+    n = alg.dim
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if x[i] and y[j]:
+                for t in range(n):
+                    out[t] += x[i] * y[j] * alg.sc[i][j][t]
+    return out
+
+
+def _left_matrix(alg, x):
+    n = alg.dim
+    cols = [_product(alg, x, _unit(n, b)) for b in range(n)]
+    return [[cols[b][a] for b in range(n)] for a in range(n)]
+
+
+def _matmul(A, B):
+    return [[sum(A[a][c] * B[c][b] for c in range(len(B))) for b in range(len(B[0]))]
+            for a in range(len(A))]
+
+
+def _trace(A):
+    return sum(A[a][a] for a in range(len(A)))
+
+
+def reference_is_associative(alg):
+    """L_(e_i e_j) = L_(e_i) L_(e_j), i.e. (e_i e_j) z = e_i (e_j z) for all z."""
+    n = alg.dim
+    lefts = [_left_matrix(alg, _unit(n, i)) for i in range(n)]
+    return all(
+        _left_matrix(alg, _product(alg, _unit(n, i), _unit(n, j)))
+        == _matmul(lefts[i], lefts[j])
+        for i in range(n) for j in range(n)
+    )
+
+
+def reference_radical_dim(alg):
+    """Kernel dimension of the trace form (x, y) -> tr(L_x L_y)."""
+    n = alg.dim
+    lefts = [_left_matrix(alg, _unit(n, i)) for i in range(n)]
+    gram = [[_trace(_matmul(lefts[i], lefts[j])) for j in range(n)] for i in range(n)]
+    return n - rank(gram)
+
+
+def _unchecked(sc):
+    """A FiniteAlgebra that skips the constructor's associativity check."""
+    alg = FiniteAlgebra.__new__(FiniteAlgebra)
+    alg.names, alg.sc = [f"x{i}" for i in range(len(sc))], sc
+    return alg
+
+
+REFERENCE_KINDS = ["a", "b", "t2", "R", "R^3"]
+BLOCK_SUMS = [("b", "R"), ("b", "R^2"), ("t2", "R"), ("a", "R"), ("a", "t2"),
+              ("b", "a"), ("t2", "t2")]
+
+
+class TestInvariantsAgainstDefinitions:
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    def test_reference_kinds(self, kind):
+        alg = reference_kind_table(kind)
+        assert alg.is_associative() and reference_is_associative(alg)
+        assert alg.radical_dim() == reference_radical_dim(alg)
+
+    @pytest.mark.parametrize("kinds", BLOCK_SUMS)
+    def test_block_sums(self, kinds):
+        alg = block_sum(*(reference_kind_table(kind) for kind in kinds))
+        assert alg.is_associative() and reference_is_associative(alg)
+        assert alg.radical_dim() == reference_radical_dim(alg)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_jet_algebras_of_classify(self, monkeypatch, k, space):
+        seen = []
+        real = algebras.identify
+        monkeypatch.setattr(algebras, "identify", lambda alg: seen.append(alg) or real(alg))
+        report = classify(k, F(0), F(1), space, check_oracle=False)
+        [alg] = seen
+        assert alg.dim == report.total
+        assert alg.is_associative() and reference_is_associative(alg)
+        assert alg.radical_dim() == reference_radical_dim(alg)
+
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS + ["b+R", "t2+R"])
+    def test_perturbed_tables(self, kind):
+        # one structure constant moved at a time: associativity and the trace
+        # form must still agree with the definitions, associative or not
+        base = (reference_kind_table(kind) if "+" not in kind else
+                block_sum(*(reference_kind_table(x) for x in kind.split("+"))))
+        n = base.dim
+        for i in range(n):
+            for j in range(n):
+                t = (i + j) % n
+                sc = [[list(v) for v in row] for row in base.sc]
+                sc[i][j][t] += 1
+                alg = _unchecked(sc)
+                assert alg.is_associative() == reference_is_associative(alg)
+                assert alg.radical_dim() == reference_radical_dim(alg)
 
 
 class TestAlgebraKind:

@@ -246,9 +246,19 @@ class TestVerify:
         monkeypatch.setattr(identities, "brute_force_local_symmetries", spy)
         code, out, _ = run(capsys, "verify", "oracle_agreement", *argv)
         assert code == 0 and seen == [space]
+        named = "" if space == "line" else ", circle"
         assert out == ("oracle_agreement: pass, defect 0, 1 entries checked, "
                        "basis size 0 (recurrence 1, brute force 1 at k=3, "
-                       "(1/3,1/5))\n")
+                       f"(1/3,1/5){named})\n")
+
+    def test_oracle_agreement_names_the_circle(self, capsys):
+        # the default (line) line is the benchmark golden; the circle adds its name
+        lines = {space: run(capsys, "verify", "oracle_agreement", "--space", space)[1]
+                 for space in ("line", "circle")}
+        golden = json.loads(VERIFY_GOLDENS.read_text(encoding="utf-8"))
+        assert lines["line"] == golden["verify oracle_agreement"]
+        assert lines["circle"] != lines["line"]
+        assert lines["circle"] == lines["line"].replace(")\n", ", circle)\n")
 
     def test_oracle_agreement_compares_spaces(self, capsys, monkeypatch):
         # an oracle of the right dimension that spans another space must fail
@@ -330,8 +340,17 @@ class TestVerify:
         assert code == 2 and out == "" and "invalid choice: 'sphere'" in err
 
     def test_unknown_identity_exit_2(self, capsys):
-        code, _, err = run(capsys, "verify", "definitely_not_a_thing")
-        assert code == 2
+        # the message itself, not the repr quotes a KeyError adds
+        assert run(capsys, "verify", "definitely_not_a_thing") == (
+            2, "", "error: unknown identity 'definitely_not_a_thing'\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--op", "nope"), "error: unknown catalog name 'nope'\n"),
+        (("--op", "L", "--space", "line"),
+         "error: 'L' is not defined at k=3, (0,1) on the line\n"),
+    ])
+    def test_unknown_or_inapplicable_op_exit_2(self, capsys, argv, err):
+        assert run(capsys, "verify", *argv) == (2, "", err)
 
     def test_op_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--op", "GV")

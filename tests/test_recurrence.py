@@ -13,7 +13,7 @@ from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
     build_system, candidate_generators, classify, compose_jets,
     exceptional_conditions, is_generic, jet_algebra, jet_vector,
-    local_dimension, local_solutions, nonlocal_dimension, read_jet, residual,
+    local_dimension, nonlocal_dimension, read_jet, residual,
     sample_generic, sweep,
 )
 from densym.rings import CIRCLE, LINE, PolyFn
@@ -64,19 +64,16 @@ class TestRecurrenceSystem:
 
     def test_identity_always_solves(self):
         sys = build_system(4, F(2, 7), F(9, 5))
-        identity_coeffs = {(r, 0): F(1) for r in range(5)}
-        assert residual(sys, identity_coeffs) == 0
+        identity = [F(int(l == 0)) for r, l in component_unknowns(4)]
+        assert residual(sys, identity) == 0
 
     def test_conjugation_solves_on_symmetric_line(self):
         # T[r, l] = (-1)^r / l! in the component normalization
         import math
         lam = F(2, 7)
         sys = build_system(4, lam, 1 - lam)
-        coeffs = {
-            (r, l): F((-1) ** r, math.factorial(l))
-            for r in range(5) for l in range(r + 1)
-        }
-        assert residual(sys, coeffs) == 0
+        t = [F((-1) ** r, math.factorial(l)) for r, l in component_unknowns(4)]
+        assert residual(sys, t) == 0
 
     def test_printed_two_term_relation_rejected(self):
         # regression: the two-term variant of the cubic-field relation is
@@ -84,19 +81,19 @@ class TestRecurrenceSystem:
         # of a correct system; the derived four-term family is used instead
         lam, mu = F(0), F(1)
         d = mu - lam
-        conj = {(0, 0): F(1), (1, 0): F(-1), (1, 1): F(-1)}
+        conj = [F(1), F(-1), F(-1)]  # t[0,0], t[1,0], t[1,1]
         sys = build_system(1, lam, mu)
         assert residual(sys, conj) == 0  # C is a true solution
         r, l = 1, 1
-        two_term = ((6 * lam + 3 * r - 3) * conj[(r - 1, l - 1)]
-                    + l * (3 * d - 3 * r + l - 2) * conj[(r, l)])
+        two_term = ((6 * lam + 3 * r - 3) * conj[0]  # t[r-1,l-1]
+                    + l * (3 * d - 3 * r + l - 2) * conj[2])  # t[r,l]
         assert two_term != 0
 
     def test_solutions_satisfy_brute_force_and_conversely(self):
         for lam, mu in [(F(1, 3), F(1, 5)), (F(0), F(1)), (F(-2, 3), F(5, 3))]:
             k = 3
             sys = build_system(k, lam, mu)
-            rec_solutions = local_solutions(sys)
+            rec_solutions = nullspace(sys.rows, sys.n_unknowns)
             brute = brute_force_local_symmetries(k, lam, mu, LINE)
             assert len(rec_solutions) == len(brute)
             # recurrence solutions realize to equivariant maps
@@ -193,7 +190,7 @@ class TestClassify:
         for k in (2, 3):
             sys = build_system(k, *point)
             brute = brute_force_local_symmetries(k, *point, space, k + 6)
-            assert brute == nullspace(sys.dense_rows(), sys.n_unknowns)
+            assert brute == nullspace(sys.rows, sys.n_unknowns)
 
     @pytest.mark.parametrize("count", ["same", "fewer"])
     def test_oracle_must_find_the_same_space(self, monkeypatch, count):
@@ -377,9 +374,20 @@ class TestJetCoordinates:
         build = _candidate(name, k, lam, mu, space)
         t = read_jet(build, k, lam, mu)
         assert len(t) == (k + 1) * (k + 2) // 2
-        jet = componentwise_map(dict(zip(component_unknowns(k), t)), k, lam, mu, space)
+        jet = componentwise_map(t, k, lam, mu, space)
         for b in TruncatedBasis(k, k + 6, space, lam, mu).elements:
             assert jet(b) == build(b)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_read_off_inverts_componentwise_map(self, k):
+        # a jet vector and its map are one object: reading the map back off
+        # the line returns the vector
+        rng = random.Random(k)
+        lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
+        for _ in range(3):
+            t = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0)
+                 for _ in component_unknowns(k)]
+            assert read_jet(componentwise_map(t, k, lam, mu, LINE), k, lam, mu) == t
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k, lam, mu", [(k, F(0), F(1)) for k in range(1, 5)] + [
@@ -420,8 +428,7 @@ class TestJetCoordinates:
                 t_y = read_jet(builds[y], k, lam, mu)
                 product = compose_jets(t_x + [F(0)], t_y + [F(0)], k)
                 assert product[-1] == 0
-                jet = componentwise_map(dict(zip(component_unknowns(k), product[:-1])),
-                                        k, lam, mu, LINE)
+                jet = componentwise_map(product[:-1], k, lam, mu, LINE)
                 for b in basis.elements:
                     assert jet(b) == builds[x](builds[y](b))
 

@@ -109,9 +109,9 @@ class TestEquivarianceDefect:
     def test_non_symmetry_has_nonzero_defect(self):
         # a1 d/dx -> a1' is translation-invariant but not a symmetry of
         # D^1_{0,0}: the quadratic field must detect it
-        from densym.truncation import componentwise_map
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
-        T = SymmetryMap(basis, componentwise_map({(1, 1): F(1)}, 1, 0, 0, LINE))
+        # t[1,1] = 1 in the order t[0,0], t[1,0], t[1,1]
+        T = SymmetryMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0, LINE))
         defects = [max_abs(equivariance_defect(T, X)) for X in line_fields(3)]
         assert any(d != 0 for d in defects)
 
@@ -177,8 +177,7 @@ FROZEN_LOCAL_DIMS = {
 def oracle_maps(k, lam, mu, space, M=None):
     """The oracle's solutions as SymmetryMaps on the oracle's own window."""
     basis = TruncatedBasis(k, k + 4 if M is None else M, space, lam, mu)
-    return [SymmetryMap(basis, componentwise_map(
-                dict(zip(component_unknowns(k), sol)), k, lam, mu, space))
+    return [SymmetryMap(basis, componentwise_map(sol, k, lam, mu, space))
             for sol in brute_force_local_symmetries(k, lam, mu, space, M)]
 
 
@@ -313,8 +312,7 @@ class TestBruteForceByLinearity:
         basis = TruncatedBasis(k, k + 4, space, lam, mu)
         unknowns = component_unknowns(k)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
-        T = SymmetryMap(basis, componentwise_map(
-            dict(zip(unknowns, t)), k, lam, mu, space))
+        T = SymmetryMap(basis, componentwise_map(t, k, lam, mu, space))
         for X in brute_force_fields(space):
             defects = elementary_defects(basis, X)
             want = equivariance_defect(T, X)
