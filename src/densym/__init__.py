@@ -40,8 +40,6 @@ from .operators import (
     s_map,
     s_star,
     symmetry_from_projection,
-    v_map,
-    w_map,
     wilmod_projections,
 )
 from .truncation import (
@@ -74,5 +72,5 @@ __all__ = [
     "lie_derivative_operator", "local_dimension", "nonlocal_trace", "p0",
     "p0_star", "p1", "pairing", "pi_delta", "principal_symbol", "realize",
     "s_map", "s_star", "span_algebra", "sweep", "symmetry_from_projection",
-    "v_map", "w_map", "wilmod_projections",
+    "wilmod_projections",
 ]

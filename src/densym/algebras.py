@@ -1,13 +1,13 @@
-"""Finite associative algebras spanned by realized symmetries.
+"""Finite associative algebras spanned by symmetries.
 
-Structure constants are computed by exact linear solves of each pairwise
-product against the given basis.  Identification with the four reference
-matrix algebras (and their direct sums with copies of the scalars) goes
-through exact invariants, each read straight off the structure constants:
-dimension, radical (via the regular trace form, valid in characteristic
-zero), center, and commutativity.  The explicit
-basis changes printed for the flagship cases are verified in the test suite
-on top of this.
+`structure_constants` reads an algebra off independent coordinate vectors and
+a product rule; the jet algebra `classify` prints and the windowed
+`span_algebra` oracle differ only in that rule.  Identification with the four
+reference matrix algebras (and their direct sums with copies of the scalars)
+goes through exact invariants, each read straight off the structure
+constants: dimension, radical (via the regular trace form, valid in
+characteristic zero), center, and commutativity.  The explicit basis changes
+printed for the flagship cases are verified in the test suite on top of this.
 """
 from __future__ import annotations
 
@@ -133,8 +133,44 @@ class FiniteAlgebra:
 
 
 # ----------------------------------------------------------------------
-# spanning the algebra of realized symmetry maps
+# reading structure constants off coordinate vectors
 # ----------------------------------------------------------------------
+
+def structure_constants(names, vectors, product) -> FiniteAlgebra:
+    """Structure constants of the span of independent coordinate vectors.
+
+    product(i, j) is the coordinate vector of item i times item j.  One rref
+    of the vectors, each extended by a unit vector, gives their pivot
+    coordinates and the inverse of the n x n pivot block; each product is
+    solved there and then confirmed on every coordinate.  Dependent vectors
+    raise ValueError, and the first product (row-major) outside the span
+    raises SpanNotClosedError.
+    """
+    if not vectors:
+        raise ValueError("need at least one vector")
+    n, width = len(vectors), len(vectors[0])
+    red, pivots = rref([list(v) + [int(i == j) for j in range(n)]
+                        for i, v in enumerate(vectors)])
+    if pivots[-1] >= width:  # a pivot in the unit block: a dependent vector
+        raise ValueError("the vectors are not linearly independent")
+    inverse = [row[width:] for row in red]
+    nonzero = [[(p, c) for p, c in enumerate(v) if c] for v in vectors]
+
+    def coordinates(i, j):
+        prod = product(i, j)
+        coords = [sum(prod[p] * inv_row[s] for p, inv_row in zip(pivots, inverse))
+                  for s in range(n)]
+        combo = [0] * width
+        for c, entries in zip(coords, nonzero):
+            if c:
+                for p, v in entries:
+                    combo[p] += c * v
+        if combo != prod:
+            raise SpanNotClosedError(f"product {names[i]} o {names[j]} leaves the span")
+        return coords
+
+    return FiniteAlgebra(names, [[coordinates(i, j) for j in range(n)] for i in range(n)])
+
 
 def span_algebra(maps) -> FiniteAlgebra:
     """Structure constants of the span of the given maps under composition.
@@ -143,55 +179,10 @@ def span_algebra(maps) -> FiniteAlgebra:
     the span must be multiplicatively closed; a product escaping the span
     raises SpanNotClosedError (truncation too small or wrong generator set).
     """
-    if not maps:
-        raise ValueError("need at least one map")
-    basis = maps[0].basis
-    if any(m.basis is not basis for m in maps):
+    if any(m.basis is not maps[0].basis for m in maps):
         raise ValueError("maps live on different truncated bases")
-    flats = [m.flat() for m in maps]
-    n = len(maps)
-    # the pivot columns are coordinates on which the maps have full rank
-    _, pivots = rref(flats)
-    if len(pivots) != n:
-        raise ValueError("maps are not linearly independent")
-    dim = basis.dim
-    pivot_elements = sorted({p // dim for p in pivots})
-    small = [[f[p] for f in flats] for p in pivots]
-
-    sc = []
-    for X in maps:
-        row = []
-        for Y in maps:
-            # product evaluated only at the pivot coordinates, then solved
-            images = {j: basis.vector_of(X.func(Y.func(basis.elements[j])))
-                      for j in pivot_elements}
-            target = [images[p // dim][p % dim] for p in pivots]
-            coords = solve(small, target)
-            if coords is None:
-                raise SpanNotClosedError(
-                    f"product {X.name} o {Y.name} leaves the span"
-                )
-            # exact closure check on every basis element
-            for b in basis.elements:
-                prod = X.func(Y.func(b))
-                combo = None
-                for c, Z in zip(coords, maps):
-                    if c == 0:
-                        continue
-                    term = c * Z.func(b)
-                    combo = term if combo is None else combo + term
-                if combo is None:
-                    if not prod.is_zero:
-                        raise SpanNotClosedError(
-                            f"product {X.name} o {Y.name} leaves the span"
-                        )
-                elif combo != prod:
-                    raise SpanNotClosedError(
-                        f"product {X.name} o {Y.name} leaves the span"
-                    )
-            row.append(coords)
-        sc.append(row)
-    return FiniteAlgebra([m.name for m in maps], sc)
+    return structure_constants([m.name for m in maps], [m.flat() for m in maps],
+                               lambda i, j: (maps[i] @ maps[j]).flat())
 
 
 # ----------------------------------------------------------------------

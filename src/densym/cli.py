@@ -162,8 +162,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     cfg = CheckConfig(
         k=args.order,
-        lam=parse_rational(args.lam) if args.lam else None,
-        mu=parse_rational(args.mu) if args.mu else None,
+        lam=None if args.lam is None else parse_rational(args.lam),
+        mu=None if args.mu is None else parse_rational(args.mu),
         space=args.space,
         M=args.truncation,
     )

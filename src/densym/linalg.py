@@ -2,8 +2,9 @@
 
 Matrices are lists of rows of Fractions (or anything Fraction accepts).
 `rref` is plain fraction-pivoting Gauss-Jordan and the only function that
-performs row operations; rank, nullspace, solve and independent_subset each
-read their answer off a single call to it.
+performs row operations; rank, nullspace, solve and independent_subset here,
+and the structure-constant reader in `algebras`, each read their answer off
+a single call to it.
 """
 from __future__ import annotations
 
@@ -41,7 +42,10 @@ def rank(m) -> int:
 
 
 def nullspace(m, ncols=None):
-    """Basis of the right nullspace of m (list of column vectors)."""
+    """Basis of the right nullspace of m (list of column vectors).
+
+    Read off the unique RREF, so equal solution spaces over the same unknowns
+    give equal lists."""
     if not m:
         if ncols is None:
             return []

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from . import rings
-from .densities import Density, DensityOperator, compose
+from .densities import Density, DensityOperator, apply, compose
 from .errors import (
     InapplicableSymmetryError,
     NotInKernelError,
@@ -185,11 +185,6 @@ def v_formula(k: int, lam, mu):
     return apply
 
 
-def v_map(A: DensityOperator, k: int) -> Density:
-    """First-order analog of the principal symbol: alpha a_k' + beta a_{k-1}."""
-    return v_formula(k, A.lam, A.mu)(A)
-
-
 def wilmod_weights(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(1 - k, 2), Fraction(1 + k, 2)
 
@@ -241,17 +236,6 @@ def w_formula(k: int, lam, mu):
         return Density(nu, val)
 
     return apply
-
-
-def w_map(A: DensityOperator, k: int) -> Density:
-    """Second-order analog of the symbol map, defined on its weight locus."""
-    if k < 3:
-        raise InapplicableSymmetryError("the second-order analog needs k >= 3")
-    if second_analog_locus(k, A.lam, A.mu) != 0:
-        raise InapplicableSymmetryError(
-            "weights are off the locus carrying the second-order analog"
-        )
-    return w_formula(k, A.lam, A.mu)(A)
 
 
 # ----------------------------------------------------------------------
@@ -338,19 +322,14 @@ class BilinearOp:
         return [-2 * phi.diff(3), -3 * phi.diff(2), 3 * phi.diff(), 2 * phi]
 
     def __call__(self, phi: Density, psi: Density) -> Density:
-        if phi.weight != self.nu or psi.weight != self.lam:
+        """J(phi, psi): the operator sum_j c_j d^j, built from phi, applied to psi."""
+        if phi.weight != self.nu:
             raise WeightMismatchError(
-                f"bilinear operator {self.kind!r} expects weights "
-                f"({self.nu}, {self.lam}), got ({phi.weight}, {psi.weight})"
+                f"bilinear operator {self.kind!r} expects left weight "
+                f"{self.nu}, got {phi.weight}"
             )
-        out = rings.zero(phi.space)
-        der = psi.value
-        for j, c in enumerate(self.coefficient_list(phi.value)):
-            if j > 0:
-                der = der.diff()
-            if not c.is_zero:
-                out = out + c * der
-        return Density(self.out_weight, out)
+        A = DensityOperator(self.lam, self.out_weight, self.coefficient_list(phi.value))
+        return apply(A, psi)
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +460,9 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  lambda k, l, m, s: True,
                  _symbol,
                  (3, Fraction(1, 3), Fraction(1, 5))),
+    # V, wilmodB and piDelta are the zero map at k = 0
     CatalogEntry("V", "projection",
-                 lambda k, l, m, s: True,
+                 lambda k, l, m, s: k >= 1,
                  v_formula,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("W", "projection",
@@ -494,11 +474,11 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  lambda k, l, m: lambda A: wilmod_projections(A, k)[0],
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("wilmodB", "projection",
-                 lambda k, l, m, s: (l, m) == wilmod_weights(k),
+                 lambda k, l, m, s: k >= 1 and (l, m) == wilmod_weights(k),
                  lambda k, l, m: lambda A: wilmod_projections(A, k)[1],
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("piDelta", "projection",
-                 lambda k, l, m, s: (l, m) == (0, 1),
+                 lambda k, l, m, s: k >= 1 and (l, m) == (0, 1),
                  lambda k, l, m: pi_delta,
                  (3, Fraction(0), Fraction(1))),
     CatalogEntry("poisson", "bilinear",

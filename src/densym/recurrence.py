@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from . import algebras
 from .densities import DensityOperator
-from .errors import SpanMismatchError, SpanNotClosedError
+from .errors import SpanMismatchError
 from .operators import CATALOG, conjugated_endo, second_analog_locus
-from .linalg import independent_subset, nullspace, rref, solve
+from .linalg import independent_subset, nullspace
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
 from .truncation import (
     brute_force_local_symmetries,
@@ -357,25 +357,12 @@ def compose_jets(x, y, k: int):
 
 
 def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
-    """Exact structure constants of the span of independent jet vectors.
-
-    Each product is solved against the vectors; one outside their span raises
-    SpanNotClosedError.  Closure here holds on every operator, not only on a
-    truncated window.
+    """Exact structure constants of the span of independent jet vectors under
+    compose_jets.  A product outside their span raises SpanNotClosedError;
+    closure here holds on every operator, not only on a truncated window.
     """
-    rows = [list(row) for row in zip(*vectors)]
-    sc = []
-    for x, x_name in zip(vectors, names):
-        row = []
-        for y, y_name in zip(vectors, names):
-            coords = solve(rows, compose_jets(x, y, k))
-            if coords is None:
-                raise SpanNotClosedError(
-                    f"product {x_name} o {y_name} leaves the span"
-                )
-            row.append(coords)
-        sc.append(row)
-    return algebras.FiniteAlgebra(names, sc)
+    return algebras.structure_constants(
+        names, vectors, lambda i, j: compose_jets(vectors[i], vectors[j], k))
 
 
 def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
@@ -401,10 +388,10 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     total = local + nonloc
 
     if check_oracle:
-        # both routes solve for the same unknowns t[r,l]: equal subspaces
-        # have equal reduced row echelon forms
+        # both routes solve for the same unknowns t[r,l], and nullspace reads
+        # its basis off the unique RREF: equal spaces give equal lists
         brute = brute_force_local_symmetries(k, lam, mu, space, M)
-        if rref(brute)[0] != rref(solutions)[0]:
+        if brute != solutions:
             raise SpanMismatchError(
                 f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "
                 f"recurrence gives {local} solutions, brute force gives "

@@ -4,6 +4,7 @@ import pytest
 
 from densym.algebras import (
     AlgebraKind, FiniteAlgebra, identify, reference_kind_table, span_algebra,
+    structure_constants,
 )
 from densym import algebras
 from densym.errors import SpanNotClosedError
@@ -193,6 +194,55 @@ class TestFiniteAlgebra:
         assert str(identify(t2R)) == "t2+R"
         aR = block_sum(reference_kind_table("a"), reference_kind_table("R"))
         assert str(identify(aR)) == "a+R"
+
+
+def _poly_mul(p, q, degree):
+    """Coefficients of p q up to x^degree (higher powers dropped)."""
+    out = [F(0)] * (degree + 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i + j <= degree:
+                out[i + j] += a * b
+    return out
+
+
+def _values(p, points):
+    return [sum(c * t ** i for i, c in enumerate(p)) for t in points]
+
+
+class TestStructureConstants:
+    def test_truncated_polynomial_ring(self):
+        # Q[x]/x^3 in the basis 1, x, x^2, each carried by its values at four
+        # points: the pivot block is not the identity, and one coordinate is
+        # left over for the exact check
+        polys = [[F(1)], [F(0), F(1)], [F(0), F(0), F(1)]]
+        points = [0, 1, 2, 3]
+        alg = structure_constants(
+            ["1", "x", "x^2"], [_values(p, points) for p in polys],
+            lambda i, j: _values(_poly_mul(polys[i], polys[j], 2), points))
+        # x^i x^j = x^(i+j), and 0 from x^3 on
+        assert alg.sc == [[[F(int(t == i + j)) for t in range(3)] for j in range(3)]
+                          for i in range(3)]
+        assert alg.unit() == [1, 0, 0] and alg.radical_dim() == 2
+
+    def test_first_product_outside_the_span_is_named(self):
+        # x x = x^2 stays in span{x, x^2}; x x^2, x^2 x and x^2 x^2 leave it,
+        # and the first of them in row-major order is named
+        polys = [[F(0), F(1)], [F(0), F(0), F(1)]]
+        padded = [p + [F(0)] * (5 - len(p)) for p in polys]
+        with pytest.raises(SpanNotClosedError, match=r"^product x o x\^2 leaves the span$"):
+            structure_constants(["x", "x^2"], padded,
+                                lambda i, j: _poly_mul(polys[i], polys[j], 4))
+
+    @pytest.mark.parametrize("vectors", [
+        [[1, 2, 3], [2, 4, 6]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        [[0, 0]],
+    ])
+    def test_dependent_vectors_raise(self, vectors):
+        with pytest.raises(ValueError, match="not linearly independent"):
+            structure_constants([f"v{i}" for i in range(len(vectors))], vectors,
+                                lambda i, j: vectors[0])
 
 
 class TestSpanAlgebra:

@@ -348,9 +348,25 @@ class TestVerify:
         (("--op", "nope"), "error: unknown catalog name 'nope'\n"),
         (("--op", "L", "--space", "line"),
          "error: 'L' is not defined at k=3, (0,1) on the line\n"),
+        # the zero map at k = 0
+        (("--op", "V", "-k", "0"),
+         "error: 'V' is not defined at k=0, (1/3,1/5) on the circle\n"),
+        (("--op", "wilmodB", "-k", "0", "--lambda", "1/2", "--mu", "1/2"),
+         "error: 'wilmodB' is not defined at k=0, (1/2,1/2) on the circle\n"),
+        (("--op", "piDelta", "-k", "0"),
+         "error: 'piDelta' is not defined at k=0, (0,1) on the circle\n"),
     ])
     def test_unknown_or_inapplicable_op_exit_2(self, capsys, argv, err):
         assert run(capsys, "verify", *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "calv_square", "--lambda="),
+        ("verify", "calv_square", "--mu="),
+        ("classify", "-k", "1", "--lambda=", "--mu", "1"),
+    ])
+    def test_empty_weight_exit_2(self, capsys, argv):
+        assert run(capsys, *argv) == (
+            2, "", "error: not an exact rational: '' (use p/q or an integer)\n")
 
     def test_op_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--op", "GV")

@@ -69,6 +69,20 @@ def test_nullspace_is_annihilated_and_has_full_size(m):
 
 
 @pytest.mark.parametrize("m", list(cases()))
+def test_nullspace_depends_only_on_the_row_space(m):
+    # rows shuffled, scaled, duplicated and combined span the same row space,
+    # so the basis, read off the unique RREF, is the same list
+    rng = random.Random(len(m) * 11 + len(m[0]))
+    other = []
+    for row in m:
+        c = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+        other.append([c * v for v in row])
+    other += [list(rng.choice(m)), [a - 2 * b for a, b in zip(m[0], m[-1])]]
+    rng.shuffle(other)
+    assert nullspace(other, len(m[0])) == nullspace(m, len(m[0]))
+
+
+@pytest.mark.parametrize("m", list(cases()))
 def test_solve_satisfies_or_reports_inconsistency(m):
     rng = random.Random(len(m) * 7 + len(m[0]))
     for b in ([F(rng.randint(-3, 3)) for _ in m],

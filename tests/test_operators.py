@@ -11,8 +11,8 @@ from densym.operators import (
     CATALOG, BilinearOp, conjugate, delta_compose,
     delta_inverse, nonlocal_trace, p0,
     p0_star, p1, pi_delta, principal_symbol, s_map, s_map_chain, s_star,
-    second_analog_locus, symmetry_from_projection, v_formula, v_map, w_coefficients,
-    w_map, wilmod_projections, wilmod_weights,
+    second_analog_locus, symmetry_from_projection, v_formula, w_coefficients,
+    w_formula, wilmod_projections, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 
@@ -200,22 +200,23 @@ class TestDensityProjections:
         assert principal_symbol(A + B, 2) == \
             Density(-1, PolyFn.monomial(3) + PolyFn([2]))
 
-    def test_v_map_at_zero_zero(self):
+    def test_v_formula_at_zero_zero(self):
         # (lam, mu) = (0, 0), k = 2: alpha = 1, beta = -2, so a2' - 2 a1
+        V = v_formula(2, 0, 0)
         A = poly_op(0, 0, [1], [1], [0, 0, 0, 1])  # a2 = x^3, a1 = 1
-        assert v_map(A, 2) == Density(-1, PolyFn([-2, 0, 3]))
+        assert V(A) == Density(-1, PolyFn([-2, 0, 3]))
         B = poly_op(0, 0, [0], [0, 1], [0, 0, 1])  # a2' = 2x cancels 2 a1 = 2x
-        assert v_map(B, 2).is_zero
+        assert V(B).is_zero
 
-    def test_v_map_vanishes_at_degenerate_weights(self):
+    def test_v_formula_vanishes_at_degenerate_weights(self):
         lam, mu = wilmod_weights(2)
         A = poly_op(lam, mu, [1, 2], [3, 4], [5, 6])
-        assert v_map(A, 2).is_zero
+        assert v_formula(2, lam, mu)(A).is_zero
 
-    def test_v_map_constant_coefficients_with_zero_beta(self):
+    def test_v_formula_constant_coefficients_with_zero_beta(self):
         # beta = 0 at mu - lam = k; constant a_k kills the alpha term too
         A = poly_op(0, 2, [0], [1], [3])
-        assert v_map(A, 2).is_zero
+        assert v_formula(2, 0, 2)(A).is_zero
 
     def test_wilmod_projections(self):
         lam, mu = wilmod_weights(2)
@@ -235,19 +236,21 @@ class TestDensityProjections:
         assert F(24, 14) == F(12, 7)
         assert w_coefficients(3, 0) == (4, -4, 4)
 
-    def test_w_map_locus_gate(self):
-        assert second_analog_locus(4, 0, F(5, 4)) == 0
+    def test_w_formula_at_the_order_four_point(self):
         # a4 = x^2, a3 = 0, a2 = x: 32 a4'' - 24 a3' + 14 a2 = 64 + 14x
         A = poly_op(0, F(5, 4), [0], [0], [0, 1], [0], [0, 0, 1])
-        assert w_map(A, 4) == Density(F(-3, 4), PolyFn([64, 14]))
-        with pytest.raises(InapplicableSymmetryError):
-            w_map(poly_op(0, 1, [1]), 4)
-        with pytest.raises(InapplicableSymmetryError):
-            w_map(poly_op(0, F(5, 4), [1]), 2)
+        assert w_formula(4, 0, F(5, 4))(A) == Density(F(-3, 4), PolyFn([64, 14]))
 
-    def test_w_map_low_order_input_gives_zero(self):
+    def test_w_locus_gate(self):
+        applies = CATALOG["W"].applies
+        assert second_analog_locus(4, 0, F(5, 4)) == 0
+        assert applies(4, 0, F(5, 4), LINE) and applies(4, 0, F(5, 4), CIRCLE)
+        assert not applies(4, 0, 1, LINE)  # off the locus
+        assert not applies(2, 0, F(5, 4), LINE)  # below k = 3
+
+    def test_w_formula_low_order_input_gives_zero(self):
         A = poly_op(0, F(5, 4), [1, 2])
-        assert w_map(A, 4).is_zero
+        assert w_formula(4, 0, F(5, 4))(A).is_zero
 
 
 class TestBilinearOperators:
@@ -428,20 +431,20 @@ class TestBilinearAfterProjection:
     def test_line_shift_generator_is_dleft_after_v(self):
         lam, mu = F(1, 5), F(11, 5)
         J = BilinearOp("d_left", 0, lam)
-        T = symmetry_from_projection(J, lambda A: v_map(A, 3), lam, mu)
+        T = symmetry_from_projection(J, v_formula(3, lam, mu), lam, mu)
         A = poly_op(lam, mu, [1], [2, 1], [0, 3], [0, 0, 1])
         assert T(A) == printed_j_v3_shift(A)
 
     def test_g_v_proportional_to_raw_composition(self):
         lam, mu = F(-2, 3), F(5, 3)
         J = BilinearOp("grozman", lam, lam)
-        T = symmetry_from_projection(J, lambda A: v_map(A, 4), lam, mu)
+        T = symmetry_from_projection(J, v_formula(4, lam, mu), lam, mu)
         A = poly_op(lam, mu, [0], [0], [1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-10, 3) * printed_g_v(A)
 
     def test_j_w_proportional_to_raw_composition(self):
         J = BilinearOp("d_right", F(-3, 4), 0)
-        T = symmetry_from_projection(J, lambda A: w_map(A, 4), 0, F(5, 4))
+        T = symmetry_from_projection(J, w_formula(4, 0, F(5, 4)), 0, F(5, 4))
         A = poly_op(0, F(5, 4), [1], [0], [0, 1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-21, 2) * printed_j_w(A)
 

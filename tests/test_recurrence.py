@@ -479,11 +479,12 @@ class TestJetHardErrors:
             classify(1, lam, mu, space, check_oracle=False)
 
     def test_product_outside_the_span_raises(self):
-        # P0 o C = P0star, which is not in the span of C and P0
+        # P0 o P0 = P0 stays in the span of P0 and C; the next product in
+        # row-major order, P0 o C = P0star, is the first to leave it
         k, lam, mu = 2, F(0), F(1)
         builds = dict(candidate_generators(k, lam, mu, LINE))
         sys = build_system(k, lam, mu)
-        names = ["C", "P0"]
+        names = ["P0", "C"]
         vectors = [jet_vector(n, builds[n], sys, LINE) for n in names]
-        with pytest.raises(SpanNotClosedError, match="leaves the span"):
+        with pytest.raises(SpanNotClosedError, match="^product P0 o C leaves the span$"):
             jet_algebra(names, vectors, k)
