@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpanNotClosedError
-from .linalg import nullspace, rref, solve
+from .linalg import ZERO, nullspace, rref, solve
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,20 @@ class FiniteAlgebra:
     def is_associative(self) -> bool:
         """(e_i e_j) e_t = e_i (e_j e_t), both sides read off sc:
         sum_s sc[i][j][s] sc[s][t] against sum_s sc[j][t][s] sc[i][s]."""
-        n, sc = self.dim, self.sc
+        n = self.dim
+        # nz[i][j]: the nonzero (s, sc[i][j][s]); most structure constants are 0
+        nz = [[[(s, c) for s, c in enumerate(v) if c] for v in row] for row in self.sc]
+        times = [[nz[s][t] for s in range(n)] for t in range(n)]  # e_s e_t, by t
 
-        def combo(coeffs, vectors):
-            return [sum(c * v[u] for c, v in zip(coeffs, vectors) if c)
-                    for u in range(n)]
+        def combo(coeffs, products):
+            out = [0] * n
+            for s, c in coeffs:
+                for u, v in products[s]:
+                    out[u] += c * v
+            return out
 
         return all(
-            combo(sc[i][j], [sc[s][t] for s in range(n)]) == combo(sc[j][t], sc[i])
+            combo(nz[i][j], times[t]) == combo(nz[j][t], nz[i])
             for i in range(n) for j in range(n) for t in range(n)
         )
 
@@ -119,9 +125,12 @@ class FiniteAlgebra:
         L_i has the entry sc[i][b][a] at row a, column b, so
         tr(L_i L_j) = sum_{a,b} sc[i][b][a] sc[j][a][b].
         """
-        n, sc = self.dim, self.sc
-        gram = [[sum(sc[i][b][a] * sc[j][a][b] for a in range(n) for b in range(n))
-                 for j in range(n)] for i in range(n)]
+        n = self.dim
+        # L_i as its nonzero entries {(a, b): sc[i][b][a]}
+        mats = [{(a, b): c for b, v in enumerate(row) for a, c in enumerate(v) if c}
+                for row in self.sc]
+        gram = [[sum(c * lj[b, a] for (a, b), c in li.items() if (b, a) in lj)
+                 for lj in mats] for li in mats]
         return len(nullspace(gram, n))
 
     def rescale_basis(self, scales):
@@ -158,7 +167,9 @@ def structure_constants(names, vectors, product) -> FiniteAlgebra:
 
     def coordinates(i, j):
         prod = product(i, j)
-        coords = [sum(prod[p] * inv_row[s] for p, inv_row in zip(pivots, inverse))
+        at_pivots = [(prod[p], inv_row) for p, inv_row in zip(pivots, inverse) if prod[p]]
+        # an empty sum is the int 0; the coordinates stay Fractions
+        coords = [sum(c * inv_row[s] for c, inv_row in at_pivots if inv_row[s]) or ZERO
                   for s in range(n)]
         combo = [0] * width
         for c, entries in zip(coords, nonzero):

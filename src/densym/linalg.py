@@ -1,40 +1,64 @@
 """The one exact elimination kernel and the queries that read it.
 
 Matrices are lists of rows of Fractions (or anything Fraction accepts).
-`rref` is plain fraction-pivoting Gauss-Jordan and the only function that
-performs row operations; rank, nullspace, solve and independent_subset here,
-and the structure-constant reader in `algebras`, each read their answer off
-a single call to it.
+`rref` is the only function that performs row operations; it returns the
+unique reduced row echelon form over Q, every entry a Fraction.  Rank,
+nullspace, solve and independent_subset here, and the structure-constant
+reader in `algebras`, each read their answer off a single call to it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+ZERO = Fraction(0)
+
+
+def _primitive(row):
+    """The row scaled to coprime integers (a zero row stays zero)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
 
 
 def rref(m):
-    """Reduced row echelon form. Returns (rref_matrix, pivot_columns)."""
-    m = [list(map(Fraction, row)) for row in m]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+    """Reduced row echelon form. Returns (rref_matrix, pivot_columns).
+
+    The RREF over Q is unique; it is returned as Fractions.  Internally each
+    row is scaled once to coprime integers and eliminated with integer row
+    operations a*row - b*pivot_row, kept primitive, so no Fraction arithmetic
+    runs until the pivots are divided out at the end.
+    """
+    rows = []
+    for row in m:
+        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        # a list, not a generator: star-unpacking an iterator leaves its
+        # resized argument tuples in CPython's tuple free lists
+        den = lcm(*[v.denominator for v in row])
+        rows.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+    if not rows:
+        return [], []
+    n, cols = len(rows), len(rows[0])
     pivots = []
-    r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == n:
             break
-    return m, pivots
+    red = [[Fraction(x, row[c]) if x else ZERO for x in row]
+           for row, c in zip(rows, pivots)]
+    return red + [[ZERO] * cols for _ in range(n - len(pivots))], pivots
 
 
 def rank(m) -> int:
@@ -89,10 +113,12 @@ def independent_subset(vectors):
 
 
 def max_abs(m) -> Fraction:
-    """Max |entry| of a matrix or vector; the exact 'defect norm'."""
+    """Max |entry| of a matrix or vector; the exact 'defect norm'.
+
+    Entries are ints or Fractions; a row that is itself one is an entry."""
     worst = Fraction(0)
     for row in m:
-        for v in (row,) if isinstance(row, Fraction) else row:
+        for v in (row,) if isinstance(row, (int, Fraction)) else row:
             if v and abs(v) > worst:  # defect entries are almost all 0
                 worst = abs(v)
     return worst

@@ -30,7 +30,7 @@ from . import algebras
 from .densities import DensityOperator
 from .errors import SpanMismatchError
 from .operators import CATALOG, conjugated_endo, second_analog_locus
-from .linalg import independent_subset, nullspace
+from .linalg import ZERO, independent_subset, nullspace
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
 from .truncation import (
     brute_force_local_symmetries,
@@ -98,8 +98,8 @@ def local_dimension(sys: RecurrenceSystem) -> int:
 
 def residual(sys: RecurrenceSystem, t) -> Fraction:
     """Largest absolute violation of the system by a jet vector t."""
-    return max((abs(sum(c * x for c, x in zip(row, t, strict=True))) for row in sys.rows),
-               default=Fraction(0))
+    return max((abs(sum(c * x for c, x in zip(row, t, strict=True) if c))
+                for row in sys.rows), default=Fraction(0))
 
 
 def nonlocal_dimension(k: int, lam, mu, space: str) -> int:
@@ -347,12 +347,15 @@ def compose_jets(x, y, k: int):
     and L o L = 0.
     """
     index = {u: i for i, u in enumerate(component_unknowns(k))}
+    # only nonzero products are formed; an empty sum is the int 0, read as ZERO
     out = [
-        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1))
+        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1)
+            if y[index[r, j]] and x[index[r - j, L - j]]) or ZERO
         for r, L in component_unknowns(k)
     ]
     # t[1,0] exists only for k >= 1, the only orders with a trace
-    out.append(x[-1] * y[0] + (y[-1] * x[index[1, 0]] if y[-1] else 0))
+    trace = (x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0)
+    out.append(trace or ZERO)
     return out
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from densym.linalg import independent_subset, max_abs, nullspace, rank, solve
+from densym import truncation
+from densym.linalg import independent_subset, max_abs, nullspace, rank, rref, solve
+from densym.rings import CIRCLE, LINE
 
 
 def random_matrix(rng, rows, cols):
@@ -33,6 +35,100 @@ def cases(n=60):
     rng = random.Random(20260)
     for _ in range(n):
         yield random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+
+
+def fraction_rref(m):
+    """Fraction-pivoting Gauss-Jordan: the reference rref must agree with."""
+    m = [list(map(F, row)) for row in m]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def sympy_rref(m):
+    """sympy's RREF as (rows of Fractions, pivots); m needs at least one row."""
+    red, pivots = sympy.Matrix(len(m), len(m[0]),
+                               [sympy.Rational(str(F(v))) for row in m for v in row]).rref()
+    return [[F(int(v.p), int(v.q)) for v in red.row(i)] for i in range(red.rows)], list(pivots)
+
+
+def large_denominator_rows(rng, rows, cols):
+    """Denominators up to ~10^15, numerators up to ~10^20, mixed signs, and
+    one row dependent on two others."""
+    m = [[F(rng.randint(-10**20, 10**20), rng.randint(1, 10**15)) if rng.random() < 0.8
+          else F(0) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3:
+        a, b = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**12)), F(-7, 10**15)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def rref_cases():
+    yield from cases()
+    rng = random.Random(20261)
+    for rows, cols in [(1, 1), (3, 3), (4, 6), (6, 4), (5, 5), (2, 9), (9, 2)]:
+        yield large_denominator_rows(rng, rows, cols)
+    yield [[3, -6, 9], [2, 4, 0], [1, 2, 0]]               # all ints
+    yield [[0, 0], [0, 0], [5, 0]]                          # zero rows
+    yield [["1/2", "-3/4", 0], ["2", "1/3", "-5/6"]]       # strings
+    yield [["1/2", 2], [F(1, 4), 1]]                        # mixed, rank 1
+    yield [[], [], []]                                      # zero columns
+    yield [[0, 0, 0, 0]]                                    # one zero row
+    yield [[F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(3)] for _ in range(12)]
+    yield [[F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(12)] for _ in range(3)]
+
+
+@pytest.mark.parametrize("m", list(rref_cases()))
+def test_rref_is_the_unique_rref(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == fraction_rref(m)
+    assert (red, pivots) == sympy_rref(m)
+    assert all(type(v) is F for row in red for v in row)
+
+
+@pytest.mark.parametrize("space", [CIRCLE, LINE])
+@pytest.mark.parametrize("point", [(F(0), F(1)), (F(2, 7), F(-3, 5))])
+def test_rref_on_the_oracle_matrices(monkeypatch, point, space):
+    seen = []  # the equations the brute-force oracle eliminates, as handed over
+    real = truncation.nullspace
+    monkeypatch.setattr(truncation, "nullspace",
+                        lambda rows, ncols: seen.append(rows) or real(rows, ncols))
+    truncation.brute_force_local_symmetries(6, *point, space, 12)
+    m = seen[0]
+    red, pivots = rref(m)
+    assert (red, pivots) == fraction_rref(m)
+    assert (red, pivots) == sympy_rref(m)
+
+
+def test_rref_without_rows():
+    assert rref([]) == ([], [])
+
+
+def test_outputs_are_fractions():
+    for m in ([[2, 4], [1, 3]], [[6, 3, 0]], [["1/2", 1, 0], [0, 0, 1]], [[0, 0]]):
+        for v in [x for row in rref(m)[0] for x in row] + [x for v in nullspace(m) for x in v]:
+            assert type(v) is F
+    x = solve([[2, 0], [0, 4]], [6, 8])
+    assert x == [3, 2] and all(type(v) is F for v in x)
+    assert all(type(v) is F for v in solve([[1, 1, 0]], [0]))
 
 
 def sympy_rank(m):
@@ -118,3 +214,7 @@ def test_max_abs():
     assert max_abs([F(0), F(1, 2), F(-2)]) == 2
     assert max_abs([]) == 0
     assert max_abs([[]]) == 0
+    assert max_abs([0, -3]) == 3
+    assert max_abs([0, 0]) == 0
+    assert max_abs([[0, 2], [-5, 1]]) == 5
+    assert max_abs([[F(1, 2), -1], [0, F(-3, 4)]]) == 1

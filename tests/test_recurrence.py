@@ -167,6 +167,30 @@ class TestClassify:
             "generators": ["Id", "P0", "P0star", "C", "P1", "L"],
         }
 
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_high_orders_at_zero_one_with_the_oracle(self, k):
+        # the k >= 5 column of the table: the algebra stops growing at k = 3
+        rep = classify(k, 0, 1, CIRCLE)
+        assert (rep.total, rep.algebra_kind) == (6, "b+R^2")
+        rep = classify(k, 0, 1, LINE)
+        assert (rep.total, rep.algebra_kind) == (5, "t2+R^2")
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_structure_constants_stay_fractions(self, monkeypatch, space):
+        built = []
+        real = recurrence.jet_algebra
+
+        def spy(names, vectors, k):
+            built.append(real(names, vectors, k))
+            return built[-1]
+
+        monkeypatch.setattr(recurrence, "jet_algebra", spy)
+        for k in range(1, 5):
+            classify(k, 0, 1, space)
+        assert len(built) == 4
+        for alg in built:
+            assert all(type(v) is F for row in alg.sc for vec in row for v in vec)
+
     def test_line_and_circle_agree_away_from_zero_one(self):
         for lam, mu in [(F(1, 3), F(1, 5)), (F(0), F(2, 7)), (F(1, 5), F(4, 5))]:
             line = classify(2, lam, mu, LINE)
