@@ -28,6 +28,7 @@ from .densities import (
 )
 from .operators import (
     BilinearOp,
+    Projection,
     conjugate,
     delta_compose,
     delta_inverse,
@@ -36,11 +37,11 @@ from .operators import (
     p0_star,
     p1,
     pi_delta,
-    principal_symbol,
     s_map,
     s_star,
+    symbol,
     symmetry_from_projection,
-    wilmod_projections,
+    wilmod,
 )
 from .truncation import (
     SymmetryMap,
@@ -64,13 +65,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraKind", "BilinearOp", "CIRCLE", "ClassificationReport",
     "CoefficientFunction", "Density", "DensityOperator", "FiniteAlgebra",
-    "LINE", "PolyFn", "SymmetryMap", "TrigFn",
+    "LINE", "PolyFn", "Projection", "SymmetryMap", "TrigFn",
     "TruncatedBasis", "VectorField", "apply", "brute_force_local_symmetries",
     "build_system", "circle_mean", "classify", "compose", "conjugate",
     "delta_compose", "delta_inverse", "equivariance_defect", "identify",
     "invariant_functionals_dimension", "lie_derivative_density",
     "lie_derivative_operator", "local_dimension", "nonlocal_trace", "p0",
-    "p0_star", "p1", "pairing", "pi_delta", "principal_symbol", "realize",
-    "s_map", "s_star", "span_algebra", "sweep", "symmetry_from_projection",
-    "wilmod_projections",
+    "p0_star", "p1", "pairing", "pi_delta", "realize", "s_map", "s_star",
+    "span_algebra", "sweep", "symbol", "symmetry_from_projection", "wilmod",
 ]

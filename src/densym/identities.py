@@ -19,10 +19,7 @@ from .operators import (
     CATALOG,
     BilinearOp,
     conjugate,
-    nonlocal_trace,
     p0,
-    p1,
-    p0_star,
     s_map,
     s_map_chain,
     second_analog_locus,
@@ -157,19 +154,14 @@ def _identity(A):
     return A
 
 
-GENERATORS_01 = {
-    "Id": _identity, "P0": p0, "C": conjugate, "P0star": p0_star,
-    "P1": p1, "L": nonlocal_trace,
-}
-
-
 def _times(c, f):
     return lambda A: c * f(A)
 
 
-def _mult_table_pairs(lam, mu):
-    """X o Y and its MULT_TABLE_01 entry, for every row X and column Y."""
-    gen = GENERATORS_01
+def _mult_table_pairs(lam, mu, *maps):
+    """X o Y and its MULT_TABLE_01 entry, for every row X and column Y; the
+    catalog maps come in the order of the table's rows."""
+    gen = dict(zip(MULT_TABLE_01, maps))
     return [(lambda A, X=gen[row], Y=gen[col]: X(Y(A)),
              lambda A, combo=combo: sum((c * gen[n](A) for n, c in combo.items()),
                                         DensityOperator.zero(lam, mu, A.space)))
@@ -195,7 +187,8 @@ RELATIONS = {
         lambda lam, mu: [(lambda A: conjugate(conjugate(A)), _identity)],
         per_element=True, any_order=True),
     "mult_table_01": Relation(
-        4, [(Fraction(0), Fraction(1))], _mult_table_pairs, any_order=True),
+        4, [(Fraction(0), Fraction(1))], _mult_table_pairs, uses=tuple(MULT_TABLE_01),
+        any_order=True),
     "s_relations": Relation(
         5, [(Fraction(0), Fraction(0))],
         lambda lam, mu: [

@@ -7,13 +7,15 @@ and second-order analogs), the classified bilinear operators on densities,
 and the general bilinear-after-projection construction that produces the
 remaining symmetry generators.
 
-Every map is an explicit exact formula on coefficient lists.  Weight
-preconditions are hard errors: the maps move between modules and silent
-coercion would mask bugs.
+Every map is an explicit exact formula on coefficient lists; a projection
+onto densities (`Projection`) and a bilinear operator (`BILINEAR`) are each
+one row of coefficients.  Weight preconditions are hard errors: the maps
+move between modules and silent coercion would mask bugs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from math import comb
 
@@ -162,45 +164,60 @@ def pi_delta(A: DensityOperator) -> Density:
 # projections onto densities
 # ----------------------------------------------------------------------
 
-def principal_symbol(A: DensityOperator, k: int) -> Density:
-    """a_k as a density of weight mu - lam - k (zero if ord(A) < k)."""
-    if A.order > k:
-        raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-    return Density(A.delta - k, A.coefficient(k))
+class Projection:
+    """A -> (sum_r c_r a_r^(r-n)) (dx)^nu on D^k_{lam,mu}, nu = mu - lam - n,
+    kept as its row of nonzero (r, c_r); it rejects operators of another
+    module or of order above k."""
+
+    __slots__ = ("k", "lam", "mu", "n", "nu", "row")
+
+    def __init__(self, k: int, lam, mu, n: int, row: dict):
+        self.k, self.lam, self.mu, self.n = k, rat(lam), rat(mu), n
+        self.nu = self.mu - self.lam - n
+        # a_r is zero for r < 0, so such slots drop out with the zero c_r
+        self.row = tuple((r, rat(c)) for r, c in row.items() if c and r >= 0)
+
+    def __rmul__(self, scalar) -> "Projection":
+        return Projection(self.k, self.lam, self.mu, self.n,
+                          {r: scalar * c for r, c in self.row})
+
+    def __call__(self, A: DensityOperator) -> Density:
+        if (A.lam, A.mu) != (self.lam, self.mu):
+            raise WeightMismatchError("operator weights do not match the projection")
+        if A.order > self.k:
+            raise WeightMismatchError(f"operator order {A.order} exceeds k = {self.k}")
+        value = rings.zero(A.space)
+        for r, c in self.row:
+            value = value + c * A.coefficient(r).diff(r - self.n)
+        return Density(self.nu, value)
 
 
-def v_formula(k: int, lam, mu):
+def symbol(k: int, lam, mu) -> Projection:
+    """The principal symbol a_k, a density of weight mu - lam - k."""
+    return Projection(k, lam, mu, k, {k: 1})
+
+
+def v_formula(k: int, lam, mu) -> Projection:
     """The first-order analog of the symbol on D^k_{lam,mu}:
-    A -> alpha a_k' + beta a_{k-1}, coefficients computed once."""
+    A -> alpha a_k' + beta a_{k-1}."""
     lam, mu = rat(lam), rat(mu)
     alpha = lam * k + Fraction(k * (k - 1), 2)
     beta = mu - lam - k
-    nu = beta + 1
-
-    def apply(A: DensityOperator) -> Density:
-        if A.order > k:
-            raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-        return Density(nu, alpha * A.coefficient(k).diff() + beta * A.coefficient(k - 1))
-
-    return apply
+    return Projection(k, lam, mu, k - 1, {k: alpha, k - 1: beta})
 
 
 def wilmod_weights(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(1 - k, 2), Fraction(1 + k, 2)
 
 
-def wilmod_projections(A: DensityOperator, k: int) -> tuple[Density, Density]:
-    """The two independent projections to 1-forms at the degenerate weights."""
-    if (A.lam, A.mu) != wilmod_weights(k):
+def wilmod(drop: int, k: int, lam, mu) -> Projection:
+    """a_{k-drop}^(1-drop) as a 1-form, for drop = 0 (wilmodA) or 1 (wilmodB):
+    the two independent projections at the degenerate weights wilmod_weights(k)."""
+    if (rat(lam), rat(mu)) != wilmod_weights(k):
         raise InapplicableSymmetryError(
             f"these projections need (lam, mu) = ((1-{k})/2, (1+{k})/2)"
         )
-    if A.order > k:
-        raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-    return (
-        Density(1, A.coefficient(k).diff()),
-        Density(1, A.coefficient(k - 1)),
-    )
+    return Projection(k, lam, mu, k - 1, {k - drop: 1})
 
 
 def second_analog_locus(k: int, lam, mu) -> Fraction:
@@ -219,39 +236,30 @@ def w_coefficients(k: int, lam) -> tuple[Fraction, Fraction, Fraction]:
     return a2, a1, a0
 
 
-def w_formula(k: int, lam, mu):
+def w_formula(k: int, lam, mu) -> Projection:
     """The second-order analog's formula on D^k_{lam,mu}, without its locus
-    gate: A -> a2 a_k'' + a1 a_{k-1}' + a0 a_{k-2}, coefficients computed once."""
+    gate: A -> a2 a_k'' + a1 a_{k-1}' + a0 a_{k-2}."""
     a2, a1, a0 = w_coefficients(k, lam)
-    nu = rat(mu) - rat(lam) - k + 2
-
-    def apply(A: DensityOperator) -> Density:
-        if A.order > k:
-            raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
-        val = (
-            a2 * A.coefficient(k).diff(2)
-            + a1 * A.coefficient(k - 1).diff()
-            + a0 * A.coefficient(k - 2)
-        )
-        return Density(nu, val)
-
-    return apply
+    return Projection(k, lam, mu, k - 2, {k: a2, k - 1: a1, k - 2: a0})
 
 
 # ----------------------------------------------------------------------
 # bilinear invariant operators on densities
 # ----------------------------------------------------------------------
 
-BILINEAR_ORDERS = {
-    "product": 0,
-    "poisson": 1,
-    "d_left": 2,
-    "d_right": 2,
-    "d_outer": 2,
-    "dd_inner": 3,
-    "d_d_left": 3,
-    "d_d_right": 3,
-    "grozman": 3,
+# kind -> (order n, where it is defined, its row (c_0, ..., c_n)), both
+# functions of (nu, lam); J(phi, psi) = sum_j c_j phi^(n-j) psi^(j)
+BILINEAR = {
+    "product": (0, lambda nu, lam: True, lambda nu, lam: (1,)),
+    "poisson": (1, lambda nu, lam: True, lambda nu, lam: (-lam, nu)),
+    "d_left": (2, lambda nu, lam: nu == 0, lambda nu, lam: (-lam, 1, 0)),
+    "d_right": (2, lambda nu, lam: lam == 0, lambda nu, lam: (0, -1, nu)),
+    "d_outer": (2, lambda nu, lam: nu + lam == -1, lambda nu, lam: (-lam, nu - lam, nu)),
+    "dd_inner": (3, lambda nu, lam: (nu, lam) == (0, 0), lambda nu, lam: (0, -1, 1, 0)),
+    "d_d_left": (3, lambda nu, lam: (nu, lam) == (0, -2), lambda nu, lam: (2, 3, 1, 0)),
+    "d_d_right": (3, lambda nu, lam: (nu, lam) == (-2, 0), lambda nu, lam: (0, -1, -3, -2)),
+    "grozman": (3, lambda nu, lam: (nu, lam) == (Fraction(-2, 3), Fraction(-2, 3)),
+                lambda nu, lam: (-2, -3, 3, 2)),
 }
 
 
@@ -261,110 +269,74 @@ class BilinearOp:
 
     The catalog is the complete one-dimensional classification: the product,
     the Poisson bracket, the compositions of the bracket with d, and the
-    exceptional third-order operator at weights (-2/3, -2/3).
+    exceptional third-order operator at weights (-2/3, -2/3).  Its row in
+    BILINEAR and its output weight are evaluated once, at construction.
     """
 
     kind: str
     nu: Fraction
     lam: Fraction
+    row: tuple = field(init=False, repr=False, compare=False)
+    out_weight: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nu", rat(self.nu))
         object.__setattr__(self, "lam", rat(self.lam))
-        constraints = {
-            "product": True,
-            "poisson": True,
-            "d_left": self.nu == 0,
-            "d_right": self.lam == 0,
-            "d_outer": self.nu + self.lam == -1,
-            "dd_inner": (self.nu, self.lam) == (0, 0),
-            "d_d_left": (self.nu, self.lam) == (0, -2),
-            "d_d_right": (self.nu, self.lam) == (-2, 0),
-            "grozman": (self.nu, self.lam) == (Fraction(-2, 3), Fraction(-2, 3)),
-        }
-        if self.kind not in constraints:
+        if self.kind not in BILINEAR:
             raise ValueError(f"unknown bilinear kind {self.kind!r}")
-        if not constraints[self.kind]:
+        _, defined, row = BILINEAR[self.kind]
+        if not defined(self.nu, self.lam):
             raise WeightMismatchError(
                 f"bilinear operator {self.kind!r} is not defined at "
                 f"(nu, lam) = ({self.nu}, {self.lam})"
             )
+        object.__setattr__(self, "row", tuple(rat(c) for c in row(self.nu, self.lam)))
+        object.__setattr__(self, "out_weight", self.nu + self.lam + self.order)
 
     @property
     def order(self) -> int:
-        return BILINEAR_ORDERS[self.kind]
+        return len(self.row) - 1
 
-    @property
-    def out_weight(self) -> Fraction:
-        return self.nu + self.lam + self.order
-
-    def coefficient_list(self, phi: CoefficientFunction) -> list[CoefficientFunction]:
-        """Coefficients c_j with J(phi, psi) = sum_j c_j psi^(j)."""
-        nu, lam = self.nu, self.lam
-        z = rings.zero(phi.space)
-        if self.kind == "product":
-            return [phi]
-        if self.kind == "poisson":
-            return [-lam * phi.diff(), nu * phi]
-        if self.kind == "d_left":
-            return [-lam * phi.diff(2), phi.diff()]
-        if self.kind == "d_right":
-            return [z, -phi.diff(), nu * phi]
-        if self.kind == "d_outer":
-            return [-lam * phi.diff(2), (nu - lam) * phi.diff(), nu * phi]
-        if self.kind == "dd_inner":
-            return [z, -phi.diff(2), phi.diff()]
-        if self.kind == "d_d_left":
-            return [2 * phi.diff(3), 3 * phi.diff(2), phi.diff()]
-        if self.kind == "d_d_right":
-            return [z, -phi.diff(2), -3 * phi.diff(), -2 * phi]
-        # grozman
-        return [-2 * phi.diff(3), -3 * phi.diff(2), 3 * phi.diff(), 2 * phi]
-
-    def __call__(self, phi: Density, psi: Density) -> Density:
-        """J(phi, psi): the operator sum_j c_j d^j, built from phi, applied to psi."""
+    def operator(self, phi: Density) -> DensityOperator:
+        """J(phi, .) = sum_j c_j phi^(n-j) d^j, in D_{lam, out_weight}."""
         if phi.weight != self.nu:
             raise WeightMismatchError(
                 f"bilinear operator {self.kind!r} expects left weight "
                 f"{self.nu}, got {phi.weight}"
             )
-        A = DensityOperator(self.lam, self.out_weight, self.coefficient_list(phi.value))
-        return apply(A, psi)
+        z = rings.zero(phi.space)
+        return DensityOperator(self.lam, self.out_weight, [
+            c * phi.value.diff(self.order - j) if c else z for j, c in enumerate(self.row)
+        ])
+
+    def __call__(self, phi: Density, psi: Density) -> Density:
+        return apply(self.operator(phi), psi)
 
 
 # ----------------------------------------------------------------------
 # symmetries built as bilinear-after-projection
 # ----------------------------------------------------------------------
 
-def symmetry_from_projection(J: BilinearOp, pi, lam, mu):
+def symmetry_from_projection(J: BilinearOp, pi: Projection):
     """The endomorphism A -> J(pi(A), .) of D^k_{lam,mu}, for a projection
     pi: D^k_{lam,mu} -> F_nu.
 
-    The weight chain J: F_nu x F_lam -> F_mu is checked up front, with nu the
-    weight of the density pi gives the zero operator; the result is a plain
-    callable on operators.
+    The weight chain J: F_nu x F_lam -> F_mu is checked up front; pi's call
+    checks that each operator is in D^k_{lam,mu}.
     """
-    lam, mu = rat(lam), rat(mu)
-    nu = pi(DensityOperator.zero(lam, mu, rings.LINE)).weight
-    if J.nu != nu:
+    if J.nu != pi.nu:
         raise WeightMismatchError(
-            f"bilinear left weight {J.nu} != projection target {nu}"
+            f"bilinear left weight {J.nu} != projection target {pi.nu}"
         )
-    if J.lam != lam:
+    if J.lam != pi.lam:
         raise WeightMismatchError(
-            f"bilinear right weight {J.lam} != module source weight {lam}"
+            f"bilinear right weight {J.lam} != module source weight {pi.lam}"
         )
-    if J.out_weight != mu:
+    if J.out_weight != pi.mu:
         raise WeightMismatchError(
-            f"bilinear output weight {J.out_weight} != module target weight {mu}"
+            f"bilinear output weight {J.out_weight} != module target weight {pi.mu}"
         )
-
-    def act(A: DensityOperator) -> DensityOperator:
-        if (A.lam, A.mu) != (lam, mu):
-            raise WeightMismatchError("operator weights do not match the projection")
-        return DensityOperator(lam, mu, J.coefficient_list(pi(A).value))
-
-    return act
+    return lambda A: J.operator(pi(A))
 
 
 # ----------------------------------------------------------------------
@@ -390,10 +362,6 @@ def _e(name, home, applies, action, circle_only=False):
     )
 
 
-def _symbol(k, lam, mu):
-    return lambda A: principal_symbol(A, k)
-
-
 def _jv_kind(k, lam, mu):
     """The bilinear kind JV puts after V on D^k_{lam,mu}, None where JV does
     not exist.  The first match wins: at (0, 2) with k = 3 it is d_left."""
@@ -409,19 +377,16 @@ def _jv_kind(k, lam, mu):
 
 
 def _printed(name, home, kind, projection, scale=1, applies=None):
-    """A printed generator: A -> J(scale pi(A), .) on D^k_{lam,mu}, where pi
-    is projection(k, lam, mu) and J the bilinear operator of the given kind
-    (a name, or a function of (k, lam, mu)) at the weights the chain forces.
-    Without `applies` it exists only at its home."""
+    """A printed generator: A -> J(pi(A), .) on D^k_{lam,mu}, where pi is
+    scale times projection(k, lam, mu) and J the bilinear operator of the
+    given kind (a name, or a function of (k, lam, mu)) at the weights the
+    chain forces.  Without `applies` it exists only at its home."""
 
     def make(k, lam, mu):
         lam, mu = rat(lam), rat(mu)
         J_kind = kind(k, lam, mu) if callable(kind) else kind
-        J = BilinearOp(J_kind, mu - lam - BILINEAR_ORDERS[J_kind], lam)
-        pi = projection(k, lam, mu)
-        if scale != 1:
-            pi = lambda A, _pi=pi: scale * _pi(A)
-        return symmetry_from_projection(J, pi, lam, mu)
+        J = BilinearOp(J_kind, mu - lam - BILINEAR[J_kind][0], lam)
+        return symmetry_from_projection(J, scale * projection(k, lam, mu))
 
     if applies is None:
         applies = lambda k, l, m, s: (k, l, m) == home
@@ -450,15 +415,15 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _printed("JV", (3, Fraction(1, 5), Fraction(11, 5)), _jv_kind, v_formula,
              applies=lambda k, l, m, s: _jv_kind(k, l, m) is not None),
     _printed("JW", (4, Fraction(0), Fraction(5, 4)), "d_right", w_formula, Fraction(-2, 21)),
-    _printed("Jsigma", (3, Fraction(0), Fraction(3)), "dd_inner", _symbol),
+    _printed("Jsigma", (3, Fraction(0), Fraction(3)), "dd_inner", symbol),
     _printed("GV", (4, Fraction(-2, 3), Fraction(5, 3)), "grozman", v_formula,
              Fraction(-3, 10)),
-    _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), "grozman", _symbol,
+    _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), "grozman", symbol,
              Fraction(1, 2)),
-    _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), "d_left", _symbol),
+    _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), "d_left", symbol),
     CatalogEntry("sigma", "projection",
                  lambda k, l, m, s: True,
-                 _symbol,
+                 symbol,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     # V, wilmodB and piDelta are the zero map at k = 0
     CatalogEntry("V", "projection",
@@ -471,11 +436,11 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  (4, Fraction(0), Fraction(5, 4))),
     CatalogEntry("wilmodA", "projection",
                  lambda k, l, m, s: (l, m) == wilmod_weights(k),
-                 lambda k, l, m: lambda A: wilmod_projections(A, k)[0],
+                 partial(wilmod, 0),
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("wilmodB", "projection",
                  lambda k, l, m, s: k >= 1 and (l, m) == wilmod_weights(k),
-                 lambda k, l, m: lambda A: wilmod_projections(A, k)[1],
+                 partial(wilmod, 1),
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("piDelta", "projection",
                  lambda k, l, m, s: k >= 1 and (l, m) == (0, 1),

@@ -19,13 +19,11 @@ _HALF = Fraction(1, 2)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '-3/7', and Fractions to an exact rational."""
+    """Coerce ints and Fractions to an exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

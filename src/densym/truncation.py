@@ -15,6 +15,7 @@ from .densities import (
     Density,
     DensityOperator,
     VectorField,
+    apply,
     lie_derivative_density,
     lie_derivative_operator,
 )
@@ -145,9 +146,6 @@ class SymmetryMap:
         self.name = name
         self._columns = None
 
-    def __call__(self, A: DensityOperator) -> DensityOperator:
-        return self.func(A)
-
     @property
     def columns(self):
         if self._columns is None:
@@ -191,9 +189,6 @@ class SymmetryMap:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1
-
     def equals(self, other: "SymmetryMap") -> bool:
         return all(
             self.func(b) == other.func(b) for b in self.basis.elements
@@ -203,24 +198,19 @@ class SymmetryMap:
         return all(self.func(b).is_zero for b in self.basis.elements)
 
 
-def realize(name_or_func, basis: TruncatedBasis) -> SymmetryMap:
-    """Realize a cataloged endomorphism (by name) or a raw callable."""
-    if callable(name_or_func) and not isinstance(name_or_func, str):
-        return SymmetryMap(basis, name_or_func)
-    entry = CATALOG.get(name_or_func)
+def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
+    """Realize a cataloged endomorphism, by name, on the basis."""
+    entry = CATALOG.get(name)
     if entry is None:
-        raise KeyError(f"unknown catalog name {name_or_func!r}")
+        raise KeyError(f"unknown catalog name {name!r}")
     if entry.kind != "endo":
-        raise InapplicableSymmetryError(
-            f"{name_or_func!r} is a {entry.kind}, not an endomorphism"
-        )
+        raise InapplicableSymmetryError(f"{name!r} is a {entry.kind}, not an endomorphism")
     if not entry.applies(basis.k, basis.lam, basis.mu, basis.space):
         raise InapplicableSymmetryError(
-            f"{name_or_func!r} is not defined at k={basis.k}, "
+            f"{name!r} is not defined at k={basis.k}, "
             f"(lam, mu)=({basis.lam}, {basis.mu}) on the {basis.space}"
         )
-    return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu),
-                       name=name_or_func)
+    return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu), name=name)
 
 
 # ----------------------------------------------------------------------
@@ -271,28 +261,27 @@ def bilinear_defect(J, space: str, M: int, fields):
     """Equivariance defect of a bilinear operator on density pairs.
 
     Checks J(L_X phi, psi) + J(phi, L_X psi) = L_X J(phi, psi) on all pairs of
-    basis densities whose products stay inside the window.
+    basis densities whose products stay inside the window.  With A_phi =
+    J(phi, .) and L_X acting on operators by the commutator, the defect is
+    (A_{L_X phi} - L_X A_phi)(psi): one operator per field and phi.
     """
     check_window(J.order, M)
     monos = ring_basis(space, M)
     sizes = [ring_content_size(f) for f in monos]
-    phis = [Density(J.nu, f) for f in monos]
     psis = [Density(J.lam, f) for f in monos]
     cols = []
     for X in fields:
         growth = ring_content_size(X.value)
-        # L_X phi and L_X psi each depend on one argument, so take them once;
-        # the constant has size 0, so a monomial with room < 0 is in no pair
-        room = [M - growth - s for s in sizes]
-        lie = [(lie_derivative_density(X, phi), lie_derivative_density(X, psi))
-               if r >= 0 else None for phi, psi, r in zip(phis, psis, room)]
-        for i, r in enumerate(room):
-            for j, s in enumerate(sizes):
-                if s > r:
-                    continue
-                lhs = J(lie[i][0], psis[j]) + J(phis[i], lie[j][1])
-                rhs = lie_derivative_density(X, J(phis[i], psis[j]))
-                cols.append(ring_vector((lhs - rhs).value, M))
+        for f, size in zip(monos, sizes):
+            # the constant has size 0, so a phi with room < 0 is in no pair
+            room = M - growth - size
+            if room < 0:
+                continue
+            phi = Density(J.nu, f)
+            D = (J.operator(lie_derivative_density(X, phi))
+                 - lie_derivative_operator(X, J.operator(phi)))
+            cols += [ring_vector(apply(D, psi).value, M)
+                     for psi, s in zip(psis, sizes) if s <= room]
     return cols
 
 

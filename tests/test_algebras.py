@@ -195,6 +195,14 @@ class TestFiniteAlgebra:
         aR = block_sum(reference_kind_table("a"), reference_kind_table("R"))
         assert str(identify(aR)) == "a+R"
 
+    def test_identify_reports_what_it_cannot_name(self):
+        # x x = 0 has no unit; Q[x]/x^3 (basis 1, x, x^2) is local of radical 2
+        assert identify(FiniteAlgebra(["x"], [[[F(0)]]])) == "unidentified(dim=1, no unit)"
+        truncated = FiniteAlgebra(["1", "x", "x2"], [
+            [[F(int(s == i + j)) for s in range(3)] for j in range(3)] for i in range(3)])
+        assert identify(truncated) == \
+            "unidentified(dim=3, radical=2, center=3, commutative=True)"
+
 
 def _poly_mul(p, q, degree):
     """Coefficients of p q up to x^degree (higher powers dropped)."""

@@ -7,7 +7,7 @@ import pytest
 from densym import identities, operators
 from densym.cli import main, parse_rational
 from densym.densities import Density, DensityOperator
-from densym.operators import CATALOG, conjugate, v_formula
+from densym.operators import CATALOG, conjugate, p0, v_formula
 
 VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
 
@@ -143,6 +143,27 @@ def test_negative_order_exit_2(capsys, argv):
     assert code == 2 and out == "" and "got -1" in err
 
 
+class TestInternalAssertion:
+    """Exit 3: the catalog disagrees with the classifier."""
+
+    def test_span_mismatch_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setitem(CATALOG, "calV",
+                            replace(CATALOG["calV"], applies=lambda k, l, m, s: False))
+        assert run(capsys, "classify", "-k", "2", "--lambda", "1/3", "--mu", "1/5") == (
+            3, "", "internal assertion failed: catalog generators span 1 dimensions "
+                   "at k=2, (1/3,1/5), circle; classifier computed 2\n")
+
+    def test_non_jet_map_exit_3(self, capsys, monkeypatch):
+        def make(k, lam, mu):  # P0 plus a_0' at d^0: not a jet map
+            return lambda A: p0(A) + DensityOperator.multiplication(
+                A.lam, A.mu, A.coefficient(0).diff())
+        monkeypatch.setitem(CATALOG, "P0", replace(CATALOG["P0"], make=make))
+        code, out, err = run(capsys, "classify", "-k", "2", "--lambda", "0", "--mu", "2/7")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal assertion failed: ")
+        assert err.endswith("not a jet map\n")
+
+
 class TestTable:
     def test_csv_grid(self, capsys):
         code, out, _ = run(capsys, "table", "-k", "3", "--no-kinds")
@@ -165,6 +186,17 @@ class TestTable:
         _, out1, _ = run(capsys, "table", "-k", "2", "--no-kinds")
         _, out2, _ = run(capsys, "table", "-k", "2", "--no-kinds")
         assert out1 == out2
+
+    def test_default_csv_has_kinds(self, capsys):
+        code, out, _ = run(capsys, "table", "-k", "2")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "row,points,k=0,k=1,k=2,kind k=0,kind k=1,kind k=2"
+        assert lines[-1].startswith('"(0,1)"') and lines[-1].endswith(",R,b,b+R")
+        code, out, _ = run(capsys, "table", "-k", "2", "--format", "json")
+        assert code == 0
+        kinds = [row["kinds"] for row in json.loads(out)]
+        assert [line.split(",")[-3:] for line in lines[1:]] == kinds
 
 
 class TestVerify:

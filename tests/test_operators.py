@@ -2,19 +2,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from densym.densities import Density, DensityOperator, apply, compose, pairing
+from densym.densities import (
+    Density, DensityOperator, apply, compose, lie_derivative_density, pairing,
+)
 from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, UnsupportedFunctionalError,
     WeightMismatchError,
 )
 from densym.operators import (
-    CATALOG, BilinearOp, conjugate, delta_compose,
+    BILINEAR, CATALOG, BilinearOp, conjugate, delta_compose,
     delta_inverse, nonlocal_trace, p0,
-    p0_star, p1, pi_delta, principal_symbol, s_map, s_map_chain, s_star,
-    second_analog_locus, symmetry_from_projection, v_formula, w_coefficients,
-    w_formula, wilmod_projections, wilmod_weights,
+    p0_star, p1, pi_delta, s_map, s_map_chain, s_star,
+    second_analog_locus, symbol, symmetry_from_projection, v_formula, w_coefficients,
+    w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
+from densym.truncation import (
+    bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
+    ring_content_size, ring_vector,
+)
 
 
 def poly_op(lam, mu, *coeff_lists):
@@ -194,11 +200,23 @@ class TestPiDelta:
 class TestDensityProjections:
     def test_principal_symbol(self):
         A = poly_op(F(1, 2), F(3, 2), [0], [1], [0, 0, 0, 1])
-        assert principal_symbol(A, 2) == Density(-1, PolyFn.monomial(3))
-        assert principal_symbol(poly_op(0, 0, [0], [1]), 2).is_zero
+        sigma = symbol(2, F(1, 2), F(3, 2))
+        assert (sigma.n, sigma.nu, sigma.row) == (2, -1, ((2, 1),))
+        assert sigma(A) == Density(-1, PolyFn.monomial(3))
+        assert symbol(2, 0, 0)(poly_op(0, 0, [0], [1])).is_zero
         B = poly_op(F(1, 2), F(3, 2), [1], [0], [2])
-        assert principal_symbol(A + B, 2) == \
-            Density(-1, PolyFn.monomial(3) + PolyFn([2]))
+        assert sigma(A + B) == Density(-1, PolyFn.monomial(3) + PolyFn([2]))
+        with pytest.raises(WeightMismatchError):
+            symbol(1, F(1, 2), F(3, 2))(A)  # order 2 above k = 1
+
+    def test_projection_row_keeps_nonzero_slots(self):
+        # V at the degenerate weights has alpha = beta = 0: the empty row
+        assert v_formula(2, *wilmod_weights(2)).row == ()
+        assert v_formula(0, F(1, 3), F(1, 5)).row == ()  # a_{-1} = 0, alpha = 0
+        assert w_formula(4, 0, F(5, 4)).row == ((4, 32), (3, -24), (2, 14))
+        assert (F(1, 2) * symbol(3, 0, 3)).row == ((3, F(1, 2)),)
+        with pytest.raises(WeightMismatchError):
+            symbol(2, 0, 1)(poly_op(0, 2, [1]))  # another module
 
     def test_v_formula_at_zero_zero(self):
         # (lam, mu) = (0, 0), k = 2: alpha = 1, beta = -2, so a2' - 2 a1
@@ -221,13 +239,15 @@ class TestDensityProjections:
     def test_wilmod_projections(self):
         lam, mu = wilmod_weights(2)
         A = poly_op(lam, mu, [0], [0, 1], [0, 0, 1])
-        pa, pb = wilmod_projections(A, 2)
-        assert pa == Density(1, 2 * PolyFn.monomial(1))
-        assert pb == Density(1, PolyFn.monomial(1))
+        pa, pb = wilmod(0, 2, lam, mu), wilmod(1, 2, lam, mu)
+        assert pa(A) == Density(1, 2 * PolyFn.monomial(1))
+        assert pb(A) == Density(1, PolyFn.monomial(1))
         B = poly_op(lam, mu, [0], [0], [5])
-        assert all(p.is_zero for p in wilmod_projections(B, 2))
+        assert pa(B).is_zero and pb(B).is_zero
         with pytest.raises(InapplicableSymmetryError):
-            wilmod_projections(poly_op(0, 1, [1]), 2)
+            wilmod(0, 2, 0, 1)
+        with pytest.raises(WeightMismatchError):
+            pa(poly_op(0, 1, [1]))
 
     def test_w_coefficients_frozen_values(self):
         assert w_coefficients(4, 0) == (32, -24, 14)
@@ -416,7 +436,7 @@ def sample_operator(k, lam, mu, space):
 class TestBilinearAfterProjection:
     def test_order3_symbol_generator_exact(self):
         J = BilinearOp("dd_inner", 0, 0)
-        T = symmetry_from_projection(J, lambda A: principal_symbol(A, 3), 0, 3)
+        T = symmetry_from_projection(J, symbol(3, 0, 3))
         A = poly_op(0, 3, [1], [0, 1], [0], [0, 0, 0, 1])
         assert T(A) == printed_j_sigma(A)
         assert T(A) == poly_op(0, 3, [0], [0, -6], [0, 0, 3])
@@ -424,48 +444,52 @@ class TestBilinearAfterProjection:
     def test_cal_v_is_bracket_after_v(self):
         lam, mu = F(1, 3), F(1, 5)
         J = BilinearOp("poisson", mu - lam - 1, lam)
-        T = symmetry_from_projection(J, v_formula(2, lam, mu), lam, mu)
+        T = symmetry_from_projection(J, v_formula(2, lam, mu))
         A = poly_op(lam, mu, [1, 2], [0, 1], [3, 0, 1])
         assert T(A) == printed_cal_v(A)
 
     def test_line_shift_generator_is_dleft_after_v(self):
         lam, mu = F(1, 5), F(11, 5)
         J = BilinearOp("d_left", 0, lam)
-        T = symmetry_from_projection(J, v_formula(3, lam, mu), lam, mu)
+        T = symmetry_from_projection(J, v_formula(3, lam, mu))
         A = poly_op(lam, mu, [1], [2, 1], [0, 3], [0, 0, 1])
         assert T(A) == printed_j_v3_shift(A)
 
     def test_g_v_proportional_to_raw_composition(self):
         lam, mu = F(-2, 3), F(5, 3)
         J = BilinearOp("grozman", lam, lam)
-        T = symmetry_from_projection(J, v_formula(4, lam, mu), lam, mu)
+        T = symmetry_from_projection(J, v_formula(4, lam, mu))
         A = poly_op(lam, mu, [0], [0], [1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-10, 3) * printed_g_v(A)
 
     def test_j_w_proportional_to_raw_composition(self):
         J = BilinearOp("d_right", F(-3, 4), 0)
-        T = symmetry_from_projection(J, w_formula(4, 0, F(5, 4)), 0, F(5, 4))
+        T = symmetry_from_projection(J, w_formula(4, 0, F(5, 4)))
         A = poly_op(0, F(5, 4), [1], [0], [0, 1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-21, 2) * printed_j_w(A)
 
     def test_wil_gen_is_bracket_after_wilmod(self):
         lam, mu = wilmod_weights(2)
         J = BilinearOp("poisson", 1, lam)
-        T = symmetry_from_projection(
-            J, lambda A: wilmod_projections(A, 2)[0], lam, mu)
+        T = symmetry_from_projection(J, wilmod(0, 2, lam, mu))
         A = poly_op(lam, mu, [1], [0, 2], [0, 0, 1])
         assert T(A) == printed_wil_gen(A)
 
     def test_weight_chain_is_checked(self):
-        with pytest.raises(WeightMismatchError):
-            symmetry_from_projection(BilinearOp("poisson", 1, 0),
-                                     lambda A: principal_symbol(A, 3), 0, 3)
+        sigma = symbol(3, 0, 3)  # D^3_{0,3} -> F_0
+        symmetry_from_projection(BilinearOp("dd_inner", 0, 0), sigma)
+        for J, side in [(BilinearOp("poisson", 1, 0), "left"),
+                        (BilinearOp("d_left", 0, 1), "right"),
+                        (BilinearOp("poisson", 0, 0), "output")]:
+            with pytest.raises(WeightMismatchError, match=f"bilinear {side} weight"):
+                symmetry_from_projection(J, sigma)
 
     def test_operator_of_another_module_is_rejected(self):
-        T = symmetry_from_projection(BilinearOp("dd_inner", 0, 0),
-                                     lambda A: principal_symbol(A, 3), 0, 3)
+        T = symmetry_from_projection(BilinearOp("dd_inner", 0, 0), symbol(3, 0, 3))
         with pytest.raises(WeightMismatchError):
             T(poly_op(0, 2, [1], [0, 1]))
+        with pytest.raises(WeightMismatchError):
+            T(poly_op(0, 3, [1], [0], [0], [0], [1]))  # order 4 above k = 3
 
 
 class TestPrintedGenerators:
@@ -500,3 +524,160 @@ def test_catalog_home_is_applicable(name):
     # `verify --op NAME` checks the entry at its home unless told otherwise
     k, lam, mu = CATALOG[name].home
     assert CATALOG[name].applies(k, lam, mu, CIRCLE)
+
+
+# ----------------------------------------------------------------------
+# the coefficient rows against the code they replaced: the former
+# per-kind if-chain, projection closures and pairwise bilinear defect
+# ----------------------------------------------------------------------
+
+def former_coefficient_list(kind, nu, lam, phi):
+    """Coefficients c_j with J(phi, psi) = sum_j c_j psi^(j), one branch a kind."""
+    z = TrigFn.zero() if phi.space == CIRCLE else PolyFn.zero()
+    if kind == "product":
+        return [phi]
+    if kind == "poisson":
+        return [-lam * phi.diff(), nu * phi]
+    if kind == "d_left":
+        return [-lam * phi.diff(2), phi.diff()]
+    if kind == "d_right":
+        return [z, -phi.diff(), nu * phi]
+    if kind == "d_outer":
+        return [-lam * phi.diff(2), (nu - lam) * phi.diff(), nu * phi]
+    if kind == "dd_inner":
+        return [z, -phi.diff(2), phi.diff()]
+    if kind == "d_d_left":
+        return [2 * phi.diff(3), 3 * phi.diff(2), phi.diff()]
+    if kind == "d_d_right":
+        return [z, -phi.diff(2), -3 * phi.diff(), -2 * phi]
+    assert kind == "grozman"
+    return [-2 * phi.diff(3), -3 * phi.diff(2), 3 * phi.diff(), 2 * phi]
+
+
+def former_symbol(k):
+    def apply_(A):
+        if A.order > k:
+            raise WeightMismatchError(f"operator order {A.order} exceeds k = {k}")
+        return Density(A.delta - k, A.coefficient(k))
+    return apply_
+
+
+def former_v_formula(k, lam, mu):
+    alpha = lam * k + F(k * (k - 1), 2)
+    beta = mu - lam - k
+    return lambda A: Density(beta + 1, alpha * A.coefficient(k).diff()
+                             + beta * A.coefficient(k - 1))
+
+
+def former_w_formula(k, lam, mu):
+    a2, a1, a0 = w_coefficients(k, lam)
+    return lambda A: Density(mu - lam - k + 2, a2 * A.coefficient(k).diff(2)
+                             + a1 * A.coefficient(k - 1).diff() + a0 * A.coefficient(k - 2))
+
+
+def former_wilmod(k):
+    return (lambda A: Density(1, A.coefficient(k).diff()),
+            lambda A: Density(1, A.coefficient(k - 1)))
+
+
+def pairwise_bilinear_defect(J, space, M, fields):
+    """J(L_X phi, psi) + J(phi, L_X psi) - L_X J(phi, psi), three J calls a pair."""
+    check_window(J.order, M)
+    monos = ring_basis(space, M)
+    sizes = [ring_content_size(f) for f in monos]
+    phis = [Density(J.nu, f) for f in monos]
+    psis = [Density(J.lam, f) for f in monos]
+    cols = []
+    for X in fields:
+        room = [M - ring_content_size(X.value) - s for s in sizes]
+        for i, r in enumerate(room):
+            for j, s in enumerate(sizes):
+                if s > r:
+                    continue
+                lhs = (J(lie_derivative_density(X, phis[i]), psis[j])
+                       + J(phis[i], lie_derivative_density(X, psis[j])))
+                rhs = lie_derivative_density(X, J(phis[i], psis[j]))
+                cols.append(ring_vector((lhs - rhs).value, M))
+    return cols
+
+
+# one (nu, lam) for each kind, where it is defined
+BILINEAR_HOMES = {
+    "product": (F(1, 3), F(2, 5)),
+    "poisson": (F(2, 3), F(1, 5)),
+    "d_left": (F(0), F(2, 5)),
+    "d_right": (F(3, 7), F(0)),
+    "d_outer": (F(-1, 3), F(-2, 3)),
+    "dd_inner": (F(0), F(0)),
+    "d_d_left": (F(0), F(-2)),
+    "d_d_right": (F(-2), F(0)),
+    "grozman": (F(-2, 3), F(-2, 3)),
+}
+
+SAMPLE_PHIS = [PolyFn([3, F(-1, 2), 0, 2, F(1, 7)]),
+               TrigFn(F(1, 3), {1: 2, 3: F(-1, 4)}, {2: F(5, 3)})]
+
+
+def defect_fields(space):
+    return circle_fields(3) if space == CIRCLE else line_fields(5)
+
+
+class TestCoefficientRows:
+    def test_table_covers_every_kind_at_its_home(self):
+        assert set(BILINEAR) == set(BILINEAR_HOMES)
+        for kind, (nu, lam) in BILINEAR_HOMES.items():
+            J = BilinearOp(kind, nu, lam)
+            assert J.order == BILINEAR[kind][0] == len(J.row) - 1
+
+    @pytest.mark.parametrize("phi", SAMPLE_PHIS, ids=[LINE, CIRCLE])
+    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    def test_operator_is_the_former_coefficient_list(self, kind, phi):
+        nu, lam = BILINEAR_HOMES[kind]
+        J = BilinearOp(kind, nu, lam)
+        A = J.operator(Density(nu, phi))
+        assert (A.lam, A.mu) == (lam, J.out_weight)
+        assert A == DensityOperator(lam, J.out_weight, former_coefficient_list(kind, nu, lam, phi))
+
+    def test_row_is_evaluated_once_per_operator(self, monkeypatch):
+        calls = []
+        order, defined, row = BILINEAR["poisson"]
+        monkeypatch.setitem(BILINEAR, "poisson",
+                            (order, defined, lambda nu, lam: calls.append(1) or row(nu, lam)))
+        J = BilinearOp("poisson", F(2, 3), F(1, 5))
+        for phi in SAMPLE_PHIS:
+            J(Density(J.nu, phi), Density(J.lam, phi))
+            J.operator(Density(J.nu, phi))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    def test_every_kind_is_equivariant(self, kind, space):
+        cols = bilinear_defect(BilinearOp(kind, *BILINEAR_HOMES[kind]), space, 8,
+                               defect_fields(space))
+        assert cols and all(v == 0 for col in cols for v in col)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_defect_columns_are_the_pairwise_formula(self, monkeypatch, space, changed):
+        if changed:  # grozman with c_3 = 1 instead of 2: not equivariant
+            order, defined, _ = BILINEAR["grozman"]
+            monkeypatch.setitem(BILINEAR, "grozman",
+                                (order, defined, lambda nu, lam: (-2, -3, 3, 1)))
+        J = BilinearOp("grozman", F(-2, 3), F(-2, 3))
+        cols = bilinear_defect(J, space, 8, defect_fields(space))
+        assert cols == pairwise_bilinear_defect(J, space, 8, defect_fields(space))
+        assert any(v != 0 for col in cols for v in col) == changed
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_projections_are_the_former_closures(self, k, space):
+        for lam, mu in [(F(1, 3), F(1, 5)), (F(-2, 7), F(5, 4)), (F(0), F(3))]:
+            A = sample_operator(k, lam, mu, space)
+            assert symbol(k, lam, mu)(A) == former_symbol(k)(A)
+            assert v_formula(k, lam, mu)(A) == former_v_formula(k, lam, mu)(A)
+            assert w_formula(k, lam, mu)(A) == former_w_formula(k, lam, mu)(A)
+        lam, mu = wilmod_weights(k)
+        A = sample_operator(k, lam, mu, space)
+        for drop, former in enumerate(former_wilmod(k)):
+            got = wilmod(drop, k, lam, mu)(A)
+            assert got == former(A) and not got.is_zero
