@@ -67,12 +67,17 @@ def ring_entries(fn, M: int):
     return out
 
 
-def ring_vector(fn, M: int):
-    """Exact coordinates of a ring element in the monomial list, or overflow."""
-    vec = [Fraction(0)] * ring_dim(fn.space, M)
-    for t, c in ring_entries(fn, M):
+def dense(entries, n: int):
+    """The length-n vector with the given (coordinate, value) entries."""
+    vec = [Fraction(0)] * n
+    for t, c in entries:
         vec[t] = c
     return vec
+
+
+def ring_vector(fn, M: int):
+    """Exact coordinates of a ring element in the monomial list, or overflow."""
+    return dense(ring_entries(fn, M), ring_dim(fn.space, M))
 
 
 def ring_content_size(fn) -> int:
@@ -107,55 +112,80 @@ class TruncatedBasis:
     def dim(self) -> int:
         return (self.k + 1) * len(self.monomials)
 
-    def vector_of(self, A: DensityOperator):
+    def entries_of(self, A: DensityOperator):
+        """(coordinate, value) for the nonzero coordinates of vector_of(A)."""
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise TruncationOverflowError("operator weights do not match the basis")
         if A.order > self.k and not all(c.is_zero for c in A.coeffs[self.k + 1:]):
             raise TruncationOverflowError(
                 f"operator order {A.order} exceeds the window k={self.k}"
             )
-        vec = []
-        for i in range(self.k + 1):
-            vec.extend(ring_vector(A.coefficient(i), self.M))
-        return vec
+        n = len(self.monomials)
+        return [(i * n + t, c) for i, a in enumerate(A.coeffs[:self.k + 1])
+                for t, c in ring_entries(a, self.M)]
+
+    def vector_of(self, A: DensityOperator):
+        return dense(self.entries_of(A), self.dim)
+
+    def safe_indices(self, X: VectorField):
+        """Indices of the basis elements whose image under the X-action stays
+        in the window."""
+        growth = max(ring_content_size(X.value) - (1 if self.space == LINE else 0), 0)
+        return [j for j, b in enumerate(self.elements)
+                if max(ring_content_size(c) for c in b.coeffs) + growth <= self.M]
 
     def safe_elements(self, X: VectorField):
         """Basis elements whose image under the X-action stays in the window."""
-        growth = max(ring_content_size(X.value) - (1 if self.space == LINE else 0), 0)
-        keep = []
-        for b in self.elements:
-            size = max(ring_content_size(c) for c in b.coeffs)
-            if size + growth <= self.M:
-                keep.append(b)
-        return keep
+        return [self.elements[j] for j in self.safe_indices(X)]
 
 
 class SymmetryMap:
     """A linear map on a truncated module, carried as an exact callable.
 
-    The map goes into the module or, for a projection, into the densities;
-    the matrix (columns = images of basis elements) exists for the first
-    kind only, and is materialized lazily;
-    identity checks act on basis elements directly, which is much cheaper
-    than matrix products.
+    The map goes into the module or, for a projection, into the densities
+    F_nu.  The image of each basis element is computed once per map and kept
+    as a sparse column: coordinates on the basis for an operator, on the ring
+    window for a density.  The matrix, flat() and the equivariance defects
+    all read these columns.
     """
 
     def __init__(self, basis: TruncatedBasis, func, name="T"):
         self.basis = basis
         self.func = func
         self.name = name
-        self._columns = None
+        self.nu = None  # the weight of the images, once one is a density
+        self._images = {}  # basis index -> (coordinate, value) entries
+
+    def image(self, j: int):
+        """Nonzero (coordinate, value) entries of the image of element j;
+        an image that leaves the window raises TruncationOverflowError."""
+        col = self._images.get(j)
+        if col is None:
+            image = self.func(self.basis.elements[j])
+            if isinstance(image, Density):
+                self.nu = image.weight
+                col = ring_entries(image.value, self.basis.M)
+            else:
+                col = self.basis.entries_of(image)
+            self._images[j] = col
+        return col
+
+    @property
+    def target_dim(self) -> int:
+        """Length of an image column; read it after an image is computed."""
+        basis = self.basis
+        return basis.dim if self.nu is None else ring_dim(basis.space, basis.M)
 
     @property
     def columns(self):
-        if self._columns is None:
-            self._columns = [self.basis.vector_of(self.func(b)) for b in self.basis.elements]
-        return self._columns
+        images = [self.image(j) for j in range(self.basis.dim)]
+        n = self.target_dim
+        return [dense(col, n) for col in images]
 
     @property
     def matrix(self):
         cols = self.columns
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.basis.dim)]
+        return [[cols[j][i] for j in range(len(cols))] for i in range(self.target_dim)]
 
     def flat(self):
         return [v for col in self.columns for v in col]
@@ -242,19 +272,46 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
 
     T maps into the operators or, as a projection, into the densities.  The
     zero matrix is equivalent to equivariance at this truncation.
+
+    T is assumed linear, so the column of a safe element b is assembled from
+    sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
+    vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single basis elements
+    e_j (monomials of F_nu for a projection): T.image applies T once per
+    element and map, and L_X is applied once per element here.  An image
+    T(e_j) or L_X(e_j) that leaves the window raises TruncationOverflowError;
+    nothing is cut off.
     """
     basis = T.basis
-    safe = basis.safe_elements(X)
+    safe = basis.safe_indices(X)
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
+    lie_ops, lie_densities = {}, {}
+
+    def lie_op(j):
+        if j not in lie_ops:
+            lie_ops[j] = basis.entries_of(lie_derivative_operator(X, basis.elements[j]))
+        return lie_ops[j]
+
+    def lie_density(t):
+        if t not in lie_densities:
+            phi = Density(T.nu, basis.monomials[t])
+            lie_densities[t] = ring_entries(lie_derivative_density(X, phi).value, basis.M)
+        return lie_densities[t]
+
     cols = []
     for b in safe:
-        lhs, image = T.func(lie_derivative_operator(X, b)), T.func(b)
-        if isinstance(image, Density):
-            cols.append(ring_vector((lhs - lie_derivative_density(X, image)).value, basis.M))
-        else:
-            cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
-    return cols
+        col = {}
+        for j, c in lie_op(b):
+            for i, v in T.image(j):
+                col[i] = col.get(i, 0) + c * v
+        image = T.image(b)
+        lie = lie_op if T.nu is None else lie_density
+        for j, c in image:
+            for i, v in lie(j):
+                col[i] = col.get(i, 0) - c * v
+        cols.append(col.items())
+    n = T.target_dim
+    return [dense(col, n) for col in cols]
 
 
 def bilinear_defect(J, space: str, M: int, fields):

@@ -1,20 +1,44 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from densym.densities import DensityOperator, VectorField
+from densym import cli, rings, truncation
+from densym.densities import (
+    Density, DensityOperator, VectorField, lie_derivative_density,
+    lie_derivative_operator,
+)
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import max_abs
-from densym.operators import CATALOG
+from densym.operators import CATALOG, conjugate, w_formula
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_fields,
     brute_force_local_symmetries, circle_fields, component_unknowns,
     componentwise_map, elementary_defects, equivariance_defect,
-    invariant_functionals_dimension, line_fields, realize,
+    generator_family, invariant_functionals_dimension, line_fields, realize,
+    ring_vector,
 )
+
+
+def direct_equivariance_defect(T, X):
+    """Reference for equivariance_defect: T o L_X - L_X o T evaluated on each
+    safe basis element directly, with no appeal to linearity."""
+    basis = T.basis
+    safe = basis.safe_elements(X)
+    if not safe:
+        raise TruncationOverflowError("no safe sub-basis: window M is too small")
+    cols = []
+    for b in safe:
+        lhs, image = T.func(lie_derivative_operator(X, b)), T.func(b)
+        if isinstance(image, Density):
+            cols.append(ring_vector((lhs - lie_derivative_density(X, image)).value, basis.M))
+        else:
+            cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
+    return cols
 
 
 class TestTruncatedBasis:
@@ -112,8 +136,9 @@ class TestEquivarianceDefect:
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
         # t[1,1] = 1 in the order t[0,0], t[1,0], t[1,1]
         T = SymmetryMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0, LINE))
-        defects = [max_abs(equivariance_defect(T, X)) for X in line_fields(3)]
-        assert any(d != 0 for d in defects)
+        defects = [equivariance_defect(T, X) for X in line_fields(3)]
+        assert any(max_abs(cols) != 0 for cols in defects)
+        assert defects == [direct_equivariance_defect(T, X) for X in line_fields(3)]
 
     def test_degree_raising_map_overflows_instead_of_truncating(self):
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
@@ -125,6 +150,19 @@ class TestEquivarianceDefect:
         with pytest.raises(TruncationOverflowError):
             for X in line_fields(3):
                 equivariance_defect(T, X)
+
+    @pytest.mark.parametrize("X", circle_fields(2), ids=repr)
+    def test_frequency_raising_map_overflows_instead_of_truncating(self, X):
+        # T(b) of a top-frequency element leaves the window; every field's
+        # defect needs such an image, so each one raises
+        basis = TruncatedBasis(1, 4, CIRCLE, 0, 0)
+
+        def raises_frequency(A):
+            return DensityOperator(0, 0, [TrigFn.cosine(1) * c for c in A.coeffs])
+
+        T = SymmetryMap(basis, raises_frequency, name="cos*")
+        with pytest.raises(TruncationOverflowError):
+            equivariance_defect(T, X)
 
     def test_window_too_small_raises(self):
         basis = TruncatedBasis(1, 1, CIRCLE, 0, 1)
@@ -163,6 +201,91 @@ def test_catalog_equivariance_stable_under_larger_window(name):
     k = CATALOG_HOMES[name][0]
     res = check_catalog_op(name, CheckConfig(space=CIRCLE, M=k + 8))
     assert res.passed, res.line()
+
+
+def home_map(name, space, M=None):
+    """The catalog map `name` at its home, on the window of its --op check."""
+    k, lam, mu = CATALOG_HOMES[name]
+    basis = TruncatedBasis(k, k + 6 if M is None else M, space, lam, mu)
+    return SymmetryMap(basis, CATALOG[name].make(k, lam, mu), name=name)
+
+
+def every_map_home():
+    return [(name, space) for name, space in every_home_entry()
+            if CATALOG[name].kind != "bilinear"]
+
+
+class TestDefectByLinearity:
+    @pytest.mark.parametrize("wide", [False, True], ids=["M=k+6", "M=k+8"])
+    @pytest.mark.parametrize("name,space", every_map_home())
+    def test_columns_equal_the_direct_route(self, name, space, wide):
+        k = CATALOG_HOMES[name][0]
+        T = home_map(name, space, k + 8 if wide else None)
+        for X in generator_family(space):
+            assert equivariance_defect(T, X) == direct_equivariance_defect(T, X)
+
+    @pytest.mark.parametrize("lam,mu", [(F(0), F(1, 2)), (F(1, 3), F(2)), (F(-1, 3), F(0))])
+    def test_nonzero_columns_equal_the_direct_route(self, lam, mu):
+        # the points w_sharpness checks off the order-4 locus
+        T = SymmetryMap(TruncatedBasis(4, 10, CIRCLE, lam, mu), w_formula(4, lam, mu))
+        defects = [equivariance_defect(T, X) for X in circle_fields(2)]
+        assert any(max_abs(cols) != 0 for cols in defects)
+        assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
+
+    def test_wrong_formula_fails_on_both_routes(self, capsys, monkeypatch):
+        def s_sign_flipped(A):
+            a = A.coeffs + (rings.zero(A.space),)
+            return conjugate(DensityOperator(1, 1, [a[i] - a[i + 1].diff()
+                                                    for i in range(A.order + 1)]))
+
+        monkeypatch.setitem(CATALOG, "S", replace(
+            CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped))
+        T = home_map("S", CIRCLE)
+        defects = [equivariance_defect(T, X) for X in circle_fields(2)]
+        assert any(max_abs(cols) != 0 for cols in defects)
+        assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
+        assert cli.main(["verify", "--op", "S"]) == 1
+        assert "op:S: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["S", "W", "piDelta"])
+    def test_columns_are_the_image_vectors(self, name):
+        # an operator image is read on the basis, a density on the ring window
+        T = home_map(name, CIRCLE)
+        images = [T.func(b) for b in T.basis.elements]
+        assert T.columns == [ring_vector(A.value, T.basis.M) if isinstance(A, Density)
+                             else T.basis.vector_of(A) for A in images]
+
+    @pytest.mark.parametrize("name,space", every_map_home())
+    def test_maps_are_linear(self, name, space):
+        T = home_map(name, space)
+        elements = T.basis.elements
+        rng = random.Random(f"{name} {space}")
+        for _ in range(4):
+            b1, b2 = rng.sample(elements, 2)
+            # odd over even: never an integer
+            q1, q2 = (F(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4)) for _ in range(2))
+            assert T.func(q1 * b1 + q2 * b2) == q1 * T.func(b1) + q2 * T.func(b2)
+
+    @pytest.mark.parametrize("name", ["S", "Sstar", "W"])
+    def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
+        applied, lie_calls = [], Counter()
+        real_make = CATALOG[name].make
+
+        def make(k, lam, mu):
+            T = real_make(k, lam, mu)
+            return lambda A: applied.append(A) or T(A)
+
+        def lie(X, A):
+            lie_calls[repr(X)] += 1
+            return lie_derivative_operator(X, A)
+
+        monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+        monkeypatch.setattr(truncation, "lie_derivative_operator", lie)
+        res = check_catalog_op(name, CheckConfig())
+        assert res.passed, res.line()
+        assert 0 < len(applied) <= res.basis_size
+        assert len(lie_calls) == len(generator_family(CIRCLE))
+        assert max(lie_calls.values()) <= res.basis_size
 
 
 FROZEN_LOCAL_DIMS = {
