@@ -34,9 +34,6 @@ from .operators import (
     delta_inverse,
     nonlocal_trace,
     p0,
-    p0_star,
-    p1,
-    pi_delta,
     s_map,
     s_star,
     symbol,
@@ -71,6 +68,6 @@ __all__ = [
     "delta_compose", "delta_inverse", "equivariance_defect", "identify",
     "invariant_functionals_dimension", "lie_derivative_density",
     "lie_derivative_operator", "local_dimension", "nonlocal_trace", "p0",
-    "p0_star", "p1", "pairing", "pi_delta", "realize", "s_map", "s_star",
-    "span_algebra", "sweep", "symbol", "symmetry_from_projection", "wilmod",
+    "pairing", "realize", "s_map", "s_star", "span_algebra", "sweep", "symbol",
+    "symmetry_from_projection", "wilmod",
 ]

@@ -14,7 +14,7 @@ move between modules and silent coercion would mask bugs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from math import comb
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFunctionalError,
     WeightMismatchError,
 )
-from .rings import CIRCLE, CoefficientFunction, rat
+from .rings import CIRCLE, rat
 
 
 # ----------------------------------------------------------------------
@@ -54,32 +54,6 @@ def p0(A: DensityOperator) -> DensityOperator:
     if A.lam != 0:
         raise InapplicableSymmetryError("the scalar-term projection needs lam = 0")
     return DensityOperator.multiplication(A.lam, A.mu, A.coeffs[0])
-
-
-def p0_star(A: DensityOperator) -> DensityOperator:
-    """Conjugated scalar-term projection: multiplication by sum (-1)^i a_i^(i)."""
-    if A.mu != 1:
-        raise InapplicableSymmetryError("the adjoint projection needs mu = 1")
-    total = rings.zero(A.space)
-    for i, a in enumerate(A.coeffs):
-        term = a.diff(i)
-        total = total + (term if i % 2 == 0 else -term)
-    return DensityOperator.multiplication(A.lam, A.mu, total)
-
-
-def _p1_scalar(A: DensityOperator) -> CoefficientFunction:
-    total = rings.zero(A.space)
-    for i in range(1, A.order + 1):
-        term = A.coeffs[i].diff(i - 1)
-        total = total + (term if (i - 1) % 2 == 0 else -term)
-    return total
-
-
-def p1(A: DensityOperator) -> DensityOperator:
-    """(sum_{i>=1} (-1)^(i-1) a_i^(i-1)) o d, on D^k_{0,1}."""
-    if (A.lam, A.mu) != (0, 1):
-        raise InapplicableSymmetryError("this projection needs (lam, mu) = (0, 1)")
-    return DensityOperator(0, 1, [rings.zero(A.space), _p1_scalar(A)])
 
 
 def nonlocal_trace(A: DensityOperator) -> DensityOperator:
@@ -150,16 +124,6 @@ def s_star(A: DensityOperator) -> DensityOperator:
     return conjugate(s_map(conjugate(A)))
 
 
-def pi_delta(A: DensityOperator) -> Density:
-    """P0 o C o delta^{-1} o (Id - P0): an invariant projection to F_0."""
-    if (A.lam, A.mu) != (0, 1):
-        raise InapplicableSymmetryError("this projection needs (lam, mu) = (0, 1)")
-    step = A - p0(A)
-    step = delta_inverse(step)               # D^{k-1}_{1,1}
-    step = conjugate(step)                   # D^{k-1}_{0,0}
-    return Density(0, p0(step).coeffs[0])
-
-
 # ----------------------------------------------------------------------
 # projections onto densities
 # ----------------------------------------------------------------------
@@ -188,7 +152,9 @@ class Projection:
             raise WeightMismatchError(f"operator order {A.order} exceeds k = {self.k}")
         value = rings.zero(A.space)
         for r, c in self.row:
-            value = value + c * A.coefficient(r).diff(r - self.n)
+            # only the nonzero coefficients up to the operator's order contribute
+            if r <= A.order and not A.coeffs[r].is_zero:
+                value = value + A.coeffs[r].diff(r - self.n) * c
         return Density(self.nu, value)
 
 
@@ -204,6 +170,12 @@ def v_formula(k: int, lam, mu) -> Projection:
     alpha = lam * k + Fraction(k * (k - 1), 2)
     beta = mu - lam - k
     return Projection(k, lam, mu, k - 1, {k: alpha, k - 1: beta})
+
+
+def alternating(n: int, k: int, lam, mu) -> Projection:
+    """sum_{r=n..k} (-1)^(r-n) a_r^(r-n): at n = 0 the scalar of P0star, at
+    n = 1 the projection piDelta = P0 o C o delta^{-1} o (Id - P0) of D^k_{0,1}."""
+    return Projection(k, lam, mu, n, {r: (-1) ** (r - n) for r in range(n, k + 1)})
 
 
 def wilmod_weights(k: int) -> tuple[Fraction, Fraction]:
@@ -252,6 +224,8 @@ def w_formula(k: int, lam, mu) -> Projection:
 BILINEAR = {
     "product": (0, lambda nu, lam: True, lambda nu, lam: (1,)),
     "poisson": (1, lambda nu, lam: True, lambda nu, lam: (-lam, nu)),
+    "phi_dpsi": (1, lambda nu, lam: lam == 0, lambda nu, lam: (0, 1)),
+    "dphi_psi": (1, lambda nu, lam: nu == 0, lambda nu, lam: (1, 0)),
     "d_left": (2, lambda nu, lam: nu == 0, lambda nu, lam: (-lam, 1, 0)),
     "d_right": (2, lambda nu, lam: lam == 0, lambda nu, lam: (0, -1, nu)),
     "d_outer": (2, lambda nu, lam: nu + lam == -1, lambda nu, lam: (-lam, nu - lam, nu)),
@@ -263,35 +237,30 @@ BILINEAR = {
 }
 
 
-@dataclass(frozen=True)
 class BilinearOp:
     """An invariant bilinear differential operator F_nu x F_lam -> F_mu.
 
-    The catalog is the complete one-dimensional classification: the product,
-    the Poisson bracket, the compositions of the bracket with d, and the
-    exceptional third-order operator at weights (-2/3, -2/3).  Its row in
-    BILINEAR and its output weight are evaluated once, at construction.
+    The kinds are the product, the Poisson bracket, the two order-1
+    operators phi psi' (on lam = 0) and phi' psi (on nu = 0), the
+    compositions of the bracket with d, and the exceptional third-order
+    operator at weights (-2/3, -2/3).  Its row in BILINEAR and its output
+    weight are evaluated once, at construction.
     """
 
-    kind: str
-    nu: Fraction
-    lam: Fraction
-    row: tuple = field(init=False, repr=False, compare=False)
-    out_weight: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "nu", "lam", "row", "out_weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", rat(self.nu))
-        object.__setattr__(self, "lam", rat(self.lam))
-        if self.kind not in BILINEAR:
-            raise ValueError(f"unknown bilinear kind {self.kind!r}")
-        _, defined, row = BILINEAR[self.kind]
+    def __init__(self, kind: str, nu, lam):
+        self.kind, self.nu, self.lam = kind, rat(nu), rat(lam)
+        if kind not in BILINEAR:
+            raise ValueError(f"unknown bilinear kind {kind!r}")
+        _, defined, row = BILINEAR[kind]
         if not defined(self.nu, self.lam):
             raise WeightMismatchError(
-                f"bilinear operator {self.kind!r} is not defined at "
+                f"bilinear operator {kind!r} is not defined at "
                 f"(nu, lam) = ({self.nu}, {self.lam})"
             )
-        object.__setattr__(self, "row", tuple(rat(c) for c in row(self.nu, self.lam)))
-        object.__setattr__(self, "out_weight", self.nu + self.lam + self.order)
+        self.row = tuple(rat(c) for c in row(self.nu, self.lam))
+        self.out_weight = self.nu + self.lam + self.order
 
     @property
     def order(self) -> int:
@@ -306,7 +275,7 @@ class BilinearOp:
             )
         z = rings.zero(phi.space)
         return DensityOperator(self.lam, self.out_weight, [
-            c * phi.value.diff(self.order - j) if c else z for j, c in enumerate(self.row)
+            phi.value.diff(self.order - j) * c if c else z for j, c in enumerate(self.row)
         ])
 
     def __call__(self, phi: Density, psi: Density) -> Density:
@@ -397,9 +366,10 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _e("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: True, lambda A: A),
     _e("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda k, l, m, s: l + m == 1, conjugate),
     _e("P0", (3, Fraction(0), Fraction(2, 7)), lambda k, l, m, s: l == 0, p0),
-    _e("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m, s: m == 1, p0_star),
-    _e("P1", (3, Fraction(0), Fraction(1)),
-       lambda k, l, m, s: k >= 1 and (l, m) == (0, 1), p1),
+    _printed("P0star", (3, Fraction(2, 7), Fraction(1)), "product", partial(alternating, 0),
+             applies=lambda k, l, m, s: m == 1),
+    _printed("P1", (3, Fraction(0), Fraction(1)), "phi_dpsi", partial(alternating, 1),
+             applies=lambda k, l, m, s: k >= 1 and (l, m) == (0, 1)),
     _e("L", (3, Fraction(0), Fraction(1)),
        lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
        nonlocal_trace, circle_only=True),
@@ -444,7 +414,7 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("piDelta", "projection",
                  lambda k, l, m, s: k >= 1 and (l, m) == (0, 1),
-                 lambda k, l, m: pi_delta,
+                 partial(alternating, 1),
                  (3, Fraction(0), Fraction(1))),
     CatalogEntry("poisson", "bilinear",
                  lambda k, l, m, s: True,

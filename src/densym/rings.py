@@ -105,6 +105,8 @@ class PolyFn:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _POLY_ZERO
+            if other == 1:
+                return self
             q = rat(other)
             return _poly(tuple(q * c for c in self.coeffs))
         other = _coerce(other, self)
@@ -227,6 +229,8 @@ class TrigFn:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _TRIG_ZERO
+            if other == 1:
+                return self
             q = rat(other)
             return _trig(
                 q * self.mean_coeff,

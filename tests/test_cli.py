@@ -7,7 +7,10 @@ import pytest
 from densym import identities, operators
 from densym.cli import main, parse_rational
 from densym.densities import Density, DensityOperator
-from densym.operators import CATALOG, conjugate, p0, v_formula
+from densym.operators import (
+    CATALOG, BilinearOp, Projection, alternating, conjugate, p0, symmetry_from_projection,
+    v_formula,
+)
 
 VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
 
@@ -58,6 +61,7 @@ UNREAD_FLAGS = [
       for flag, value in (("-k", "2"), ("--lambda", "1/2"), ("--mu", "3"),
                           ("-M", "9"))],
     *[(("verify", "--op", name, "-k", "7"), "-k") for name in ("poisson", "grozman")],
+    (("verify", "v_wilmod_vanishing", "--space", "line"), "--space"),
     (("verify", "conj_involution", "--op", "Id"), "--op"),  # one check per run
     (("verify", "--list", "--op", "Id"), "--op"),
     *[(("verify", "--list", flag, value), flag)
@@ -162,6 +166,36 @@ class TestInternalAssertion:
         assert (code, out) == (3, "")
         assert err.startswith("internal assertion failed: ")
         assert err.endswith("not a jet map\n")
+
+
+def _alternating_flipped(n, k, lam, mu):
+    """The alternating row with the sign of its r = n+1 slot flipped."""
+    return Projection(k, lam, mu, n, {r: -c if r == n + 1 else c
+                                      for r, c in alternating(n, k, lam, mu).row})
+
+
+class TestFlippedAlternatingRow:
+    """A sign flipped in the row that P1 and piDelta are built from fails
+    the equivariance check and the classifier's recurrence check."""
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        monkeypatch.setitem(CATALOG, "P1", replace(
+            CATALOG["P1"], make=lambda k, lam, mu: symmetry_from_projection(
+                BilinearOp("phi_dpsi", 0, 0), _alternating_flipped(1, k, lam, mu))))
+        monkeypatch.setitem(CATALOG, "piDelta", replace(
+            CATALOG["piDelta"], make=lambda k, lam, mu: _alternating_flipped(1, k, lam, mu)))
+
+    @pytest.mark.parametrize("name", ["P1", "piDelta"])
+    def test_verify_op_exit_1(self, capsys, flipped, name):
+        code, out, _ = run(capsys, "verify", "--op", name)
+        assert code == 1
+        assert out.startswith(f"op:{name}: FAIL, defect ") and ", defect 0," not in out
+
+    def test_classify_exit_3(self, capsys, flipped):
+        code, out, err = run(capsys, "classify", "-k", "3", "--lambda", "0", "--mu", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal assertion failed: P1 violates the recurrence")
 
 
 class TestTable:

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from densym import rings
 from densym.densities import (
     Density, DensityOperator, apply, compose, lie_derivative_density, pairing,
 )
@@ -9,10 +11,10 @@ from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, UnsupportedFunctionalError,
     WeightMismatchError,
 )
+from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
-    BILINEAR, CATALOG, BilinearOp, conjugate, delta_compose,
-    delta_inverse, nonlocal_trace, p0,
-    p0_star, p1, pi_delta, s_map, s_map_chain, s_star,
+    BILINEAR, CATALOG, BilinearOp, alternating, conjugate, delta_compose,
+    delta_inverse, nonlocal_trace, p0, s_map, s_map_chain, s_star,
     second_analog_locus, symbol, symmetry_from_projection, v_formula, w_coefficients,
     w_formula, wilmod, wilmod_weights,
 )
@@ -29,6 +31,54 @@ def poly_op(lam, mu, *coeff_lists):
 
 def trig_op(lam, mu, *coeffs):
     return DensityOperator(lam, mu, list(coeffs))
+
+
+# ----------------------------------------------------------------------
+# reference formulas for the maps the catalog builds from alternating rows
+# ----------------------------------------------------------------------
+
+def reference_p0_star(A):
+    """Conjugated scalar-term projection: multiplication by sum (-1)^i a_i^(i)."""
+    total = rings.zero(A.space)
+    for i, a in enumerate(A.coeffs):
+        term = a.diff(i)
+        total = total + (term if i % 2 == 0 else -term)
+    return DensityOperator.multiplication(A.lam, A.mu, total)
+
+
+def reference_p1_scalar(A):
+    """sum_{i>=1} (-1)^(i-1) a_i^(i-1)."""
+    total = rings.zero(A.space)
+    for i in range(1, A.order + 1):
+        term = A.coeffs[i].diff(i - 1)
+        total = total + (term if (i - 1) % 2 == 0 else -term)
+    return total
+
+
+def reference_p1(A):
+    """(sum_{i>=1} (-1)^(i-1) a_i^(i-1)) o d, on D^k_{0,1}."""
+    return DensityOperator(0, 1, [rings.zero(A.space), reference_p1_scalar(A)])
+
+
+def reference_pi_delta(A):
+    """The alternating sum a_1 - a_2' + a_3'' - ..., a density of weight 0."""
+    return Density(0, reference_p1_scalar(A))
+
+
+def pi_delta_chain(A):
+    """P0 o C o delta^{-1} o (Id - P0): an invariant projection to F_0."""
+    step = A - p0(A)
+    step = delta_inverse(step)               # D^{k-1}_{1,1}
+    step = conjugate(step)                   # D^{k-1}_{0,0}
+    return Density(0, p0(step).coeffs[0])
+
+
+def catalog_map(name, k=3):
+    """The catalog map `name` on D^k of the operator it is applied to."""
+    return lambda A: CATALOG[name].make(k, A.lam, A.mu)(A)
+
+
+P0STAR, P1, PI_DELTA = catalog_map("P0star"), catalog_map("P1"), catalog_map("piDelta")
 
 
 class TestConjugation:
@@ -75,29 +125,31 @@ class TestScalarProjections:
             p0(poly_op(F(1, 2), 1, [1]))
 
     def test_p0_star_examples(self):
-        assert p0_star(poly_op(F(1, 2), 1, [0], [0, 1])) == \
+        assert P0STAR(poly_op(F(1, 2), 1, [0], [0, 1])) == \
             DensityOperator.multiplication(F(1, 2), 1, PolyFn([-1]))
         a0 = PolyFn([2, 0, 1])
-        assert p0_star(poly_op(0, 1, list(a0.coeffs))) == \
+        assert P0STAR(poly_op(0, 1, list(a0.coeffs))) == \
             DensityOperator.multiplication(0, 1, a0)
-        assert p0_star(poly_op(F(1, 3), 1, [0], [0], [5])).is_zero
+        assert P0STAR(poly_op(F(1, 3), 1, [0], [0], [5])).is_zero
 
     def test_p0_star_requires_target_weight_one(self):
+        applies = CATALOG["P0star"].applies
+        assert applies(3, F(2, 7), 1, LINE) and not applies(3, 0, 0, LINE)
         with pytest.raises(InapplicableSymmetryError):
-            p0_star(poly_op(0, 0, [1]))
+            check_catalog_op("P0star", CheckConfig(mu=F(0)))
 
     def test_p1_examples(self):
-        assert p1(poly_op(0, 1, [0], [0], [0, 0, 1])) == \
+        assert P1(poly_op(0, 1, [0], [0], [0, 0, 1])) == \
             poly_op(0, 1, [0], [0, -2])
-        assert p1(poly_op(0, 1, [1, 2, 3])).is_zero
+        assert P1(poly_op(0, 1, [1, 2, 3])).is_zero
         c = F(5, 3)
-        assert p1(poly_op(0, 1, [0], [c])) == poly_op(0, 1, [0], [c])
+        assert P1(poly_op(0, 1, [0], [c])) == poly_op(0, 1, [0], [c])
 
     def test_p1_is_projection_composition(self):
-        # p1(A) equals the invariant scalar of pi_delta composed with d
+        # P1(A) equals the invariant scalar of piDelta composed with d
         A = trig_op(0, 1, TrigFn.cosine(2), TrigFn.sine(1), TrigFn(F(1, 2), {1: F(1)}, {}))
-        val = pi_delta(A).value
-        assert p1(A) == DensityOperator(0, 1, [TrigFn.zero(), val])
+        val = PI_DELTA(A).value
+        assert P1(A) == DensityOperator(0, 1, [TrigFn.zero(), val])
 
 
 class TestNonlocalTrace:
@@ -183,18 +235,68 @@ class TestRightCompositionWithD:
 
 class TestPiDelta:
     def test_kills_multiplication_operators(self):
-        assert pi_delta(poly_op(0, 1, [1, 5])).is_zero
+        assert PI_DELTA(poly_op(0, 1, [1, 5])).is_zero
 
     def test_de_rham_goes_to_one(self):
-        assert pi_delta(DensityOperator.de_rham("line")) == Density(0, PolyFn([1]))
+        assert PI_DELTA(DensityOperator.de_rham("line")) == Density(0, PolyFn([1]))
 
     def test_x_ddx(self):
-        assert pi_delta(poly_op(0, 1, [0], [0, 1])) == Density(0, PolyFn.monomial(1))
+        assert PI_DELTA(poly_op(0, 1, [0], [0, 1])) == Density(0, PolyFn.monomial(1))
 
     def test_explicit_alternating_sum(self):
         A = poly_op(0, 1, [7], [1, 2], [0, 0, 3], [0, 1])
         expected = (A.coeffs[1] - A.coeffs[2].diff() + A.coeffs[3].diff(2))
-        assert pi_delta(A) == Density(0, expected)
+        assert PI_DELTA(A) == Density(0, expected) == pi_delta_chain(A)
+
+
+def random_operator(rng, k, lam, mu, space):
+    """A seeded element of D^k_{lam,mu}; some coefficients are zero."""
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def coefficient():
+        if rng.random() < 0.2:
+            return rings.zero(space)
+        if space == LINE:
+            return PolyFn([q() for _ in range(rng.randint(1, k + 3))])
+        return TrigFn(q(), {n: q() for n in range(1, rng.randint(1, 3) + 1)},
+                      {n: q() for n in range(1, rng.randint(1, 3) + 1)})
+    return DensityOperator(lam, mu, [coefficient() for _ in range(k + 1)], space=space)
+
+
+class TestAlternatingRows:
+    """P0star, P1 and piDelta are the alternating rows n = 0 and n = 1."""
+
+    def test_rows(self):
+        assert alternating(1, 3, 0, 1).row == ((1, 1), (2, -1), (3, 1))
+        pi = alternating(0, 2, F(2, 7), 1)
+        assert (pi.n, pi.nu, pi.row) == (0, F(5, 7), ((0, 1), (1, -1), (2, 1)))
+        assert alternating(1, 0, 0, 1).row == ()
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k", range(7))
+    def test_row_maps_are_the_reference_formulas(self, k, space):
+        rng = random.Random(1000 + k)
+        for _ in range(3):
+            A = random_operator(rng, k, 0, 1, space)
+            assert CATALOG["P1"].make(k, 0, 1)(A) == reference_p1(A)
+            assert CATALOG["piDelta"].make(k, 0, 1)(A) == reference_pi_delta(A) \
+                == pi_delta_chain(A)
+            for lam in (F(0), F(rng.randint(-6, 6), rng.randint(1, 5))):
+                A = random_operator(rng, k, lam, 1, space)
+                assert CATALOG["P0star"].make(k, lam, 1)(A) == reference_p0_star(A)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_p1_and_p0star_are_order_one_kinds_after_pi_delta(self, k, space):
+        rng = random.Random(2000 + k)
+        phi_dpsi, dphi_psi = BilinearOp("phi_dpsi", 0, 0), BilinearOp("dphi_psi", 0, 0)
+        for _ in range(3):
+            A = random_operator(rng, k, 0, 1, space)
+            pi = CATALOG["piDelta"].make(k, 0, 1)(A)
+            assert CATALOG["P1"].make(k, 0, 1)(A) == phi_dpsi.operator(pi)
+            assert CATALOG["P0star"].make(k, 0, 1)(A) - p0(A) == \
+                -1 * dphi_psi.operator(pi)
 
 
 class TestDensityProjections:
@@ -605,6 +707,8 @@ def pairwise_bilinear_defect(J, space, M, fields):
 BILINEAR_HOMES = {
     "product": (F(1, 3), F(2, 5)),
     "poisson": (F(2, 3), F(1, 5)),
+    "phi_dpsi": (F(3, 7), F(0)),
+    "dphi_psi": (F(0), F(2, 5)),
     "d_left": (F(0), F(2, 5)),
     "d_right": (F(3, 7), F(0)),
     "d_outer": (F(-1, 3), F(-2, 3)),
@@ -613,6 +717,11 @@ BILINEAR_HOMES = {
     "d_d_right": (F(-2), F(0)),
     "grozman": (F(-2, 3), F(-2, 3)),
 }
+
+# the two order-1 kinds besides poisson, with J(phi, .) as coefficients of
+# psi, psi'; neither had a former branch
+ORDER_ONE_KINDS = {"phi_dpsi": lambda phi: [rings.zero(phi.space), phi],
+                   "dphi_psi": lambda phi: [phi.diff()]}
 
 SAMPLE_PHIS = [PolyFn([3, F(-1, 2), 0, 2, F(1, 7)]),
                TrigFn(F(1, 3), {1: 2, 3: F(-1, 4)}, {2: F(5, 3)})]
@@ -630,13 +739,33 @@ class TestCoefficientRows:
             assert J.order == BILINEAR[kind][0] == len(J.row) - 1
 
     @pytest.mark.parametrize("phi", SAMPLE_PHIS, ids=[LINE, CIRCLE])
-    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    @pytest.mark.parametrize("kind", [k for k in BILINEAR_HOMES if k not in ORDER_ONE_KINDS])
     def test_operator_is_the_former_coefficient_list(self, kind, phi):
         nu, lam = BILINEAR_HOMES[kind]
         J = BilinearOp(kind, nu, lam)
         A = J.operator(Density(nu, phi))
         assert (A.lam, A.mu) == (lam, J.out_weight)
         assert A == DensityOperator(lam, J.out_weight, former_coefficient_list(kind, nu, lam, phi))
+
+    @pytest.mark.parametrize("phi", SAMPLE_PHIS, ids=[LINE, CIRCLE])
+    @pytest.mark.parametrize("kind", list(ORDER_ONE_KINDS))
+    def test_order_one_kind_operator(self, kind, phi):
+        nu, lam = BILINEAR_HOMES[kind]
+        J = BilinearOp(kind, nu, lam)
+        assert J.out_weight == nu + lam + 1
+        assert J.operator(Density(nu, phi)) == \
+            DensityOperator(lam, J.out_weight, ORDER_ONE_KINDS[kind](phi))
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("kind", list(ORDER_ONE_KINDS))
+    def test_order_one_kind_is_equivariant_only_on_its_line(self, monkeypatch, kind, space):
+        with pytest.raises(WeightMismatchError):
+            BilinearOp(kind, F(1, 3), F(1, 5))
+        order, _, row = BILINEAR[kind]
+        monkeypatch.setitem(BILINEAR, kind, (order, lambda nu, lam: True, row))
+        cols = bilinear_defect(BilinearOp(kind, F(1, 3), F(1, 5)), space, 8,
+                               defect_fields(space))
+        assert any(v != 0 for col in cols for v in col)
 
     def test_row_is_evaluated_once_per_operator(self, monkeypatch):
         calls = []

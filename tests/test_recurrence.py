@@ -457,6 +457,44 @@ class TestJetCoordinates:
                     assert jet(b) == builds[x](builds[y](b))
 
 
+# the local generators of the k >= 5 column, at weights where each exists
+COLUMN_GENERATORS = ["Id", "P0", "P0star", "C", "S", "Sstar", "P1"]
+
+
+class TestRestrictionToLowerOrder:
+    """The order-k jet is the r <= k prefix of the order-(k+1) jet, and
+    compose_jets respects that prefix: restriction is an algebra map."""
+
+    @pytest.mark.parametrize("name", COLUMN_GENERATORS)
+    def test_generator_jets_restrict(self, name):
+        _, lam, mu = CATALOG[name].home
+        n = lambda k: (k + 1) * (k + 2) // 2
+        jets = {k: read_jet(CATALOG[name].make(k, lam, mu), k, lam, mu)
+                for k in range(1, 14)}
+        for k in range(1, 13):
+            assert len(jets[k]) == n(k)
+            assert jets[k + 1][:n(k)] == jets[k]
+        assert any(jets[13])
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_compose_jets_block_depends_only_on_the_input_blocks(self, k):
+        rng = random.Random(500 + k)
+        low, high = (k + 1) * (k + 2) // 2, (k + 2) * (k + 3) // 2
+
+        def q():
+            return F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0)
+
+        for _ in range(4):
+            x, y = [q() for _ in range(high + 1)], [q() for _ in range(high + 1)]
+            block = compose_jets(x, y, k + 1)[:low]
+            # the order-k product of the blocks, traces kept
+            assert block == compose_jets(x[:low] + x[-1:], y[:low] + y[-1:], k)[:low]
+            # new top rows t[k+1, .] leave the block unchanged
+            x2 = x[:low] + [q() for _ in range(low, high)] + x[-1:]
+            y2 = y[:low] + [q() for _ in range(low, high)] + y[-1:]
+            assert compose_jets(x2, y2, k + 1)[:low] == block
+
+
 def _times_x(A):
     return DensityOperator(A.lam, A.mu, [PolyFn.monomial(1) * c for c in A.coeffs])
 

@@ -57,6 +57,11 @@ def test_multiplication_by_zero_absorbs():
     assert (PolyFn([1, 2]) * PolyFn.zero()).is_zero
 
 
+def test_multiplication_by_one_returns_the_function():
+    for f in (PolyFn([1, F(2, 3)]), TrigFn(2, {1: F(3)}, {2: F(-1, 2)})):
+        assert 1 * f is f and f * F(1) is f
+
+
 def test_space_mismatch_raises():
     with pytest.raises(RingMismatchError):
         PolyFn.monomial(1) * TrigFn.cosine(1)
