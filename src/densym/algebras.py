@@ -133,13 +133,6 @@ class FiniteAlgebra:
                  for lj in mats] for li in mats]
         return len(nullspace(gram, n))
 
-    def rescale_basis(self, scales):
-        """Structure constants after basis_i -> scales[i] * basis_i."""
-        n = self.dim
-        sc = [[[self.sc[i][j][t] * scales[i] * scales[j] / scales[t]
-                for t in range(n)] for j in range(n)] for i in range(n)]
-        return FiniteAlgebra(self.names, sc)
-
 
 # ----------------------------------------------------------------------
 # reading structure constants off coordinate vectors

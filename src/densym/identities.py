@@ -340,7 +340,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
             size = W.basis.dim
             defect = Fraction(0)
             for X in fields:
-                defect = max(defect, max_abs(equivariance_defect(W, X)))
+                defect = max(defect, max_abs(v.values() for v in equivariance_defect(W, X)))
                 if defect and not expect_zero:
                     break  # off the locus only defect != 0 is asked
             if expect_zero:
@@ -457,7 +457,7 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     entries = 0
     for X in fields:
         cols = equivariance_defect(T, X)
-        worst = max(worst, max_abs(cols))
+        worst = max(worst, max_abs(col.values() for col in cols))
         entries += len(cols)
     return CheckResult(f"op:{name}", worst == 0, worst, T.basis.dim, entries,
                        detail=detail)

@@ -20,21 +20,25 @@ def _primitive(row):
     return row if g <= 1 else [v // g for v in row]
 
 
+def integer_row(row):
+    """The coprime integer multiple of the row with a positive leading entry."""
+    row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    # a list, not a generator: star-unpacking an iterator leaves its
+    # resized argument tuples in CPython's tuple free lists
+    den = lcm(*[v.denominator for v in row])
+    row = _primitive([v.numerator * (den // v.denominator) for v in row])
+    return [-v for v in row] if next((v for v in row if v), 0) < 0 else row
+
+
 def rref(m):
     """Reduced row echelon form. Returns (rref_matrix, pivot_columns).
 
     The RREF over Q is unique; it is returned as Fractions.  Internally each
-    row is scaled once to coprime integers and eliminated with integer row
-    operations a*row - b*pivot_row, kept primitive, so no Fraction arithmetic
-    runs until the pivots are divided out at the end.
+    row is scaled once to coprime integers (integer_row) and eliminated with
+    integer row operations a*row - b*pivot_row, kept primitive, so no Fraction
+    arithmetic runs until the pivots are divided out at the end.
     """
-    rows = []
-    for row in m:
-        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-        # a list, not a generator: star-unpacking an iterator leaves its
-        # resized argument tuples in CPython's tuple free lists
-        den = lcm(*[v.denominator for v in row])
-        rows.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+    rows = [integer_row(row) for row in m]
     if not rows:
         return [], []
     n, cols = len(rows), len(rows[0])

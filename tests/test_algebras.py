@@ -332,10 +332,14 @@ class TestSpanAlgebra:
             m.name = n
         alg = span_algebra(scaled)
         assert str(identify(alg)) == "b+R^2"
-        # and the rescaled basis still produces the exact reference table
-        rescaled = alg.rescale_basis([F(1)] * 5 + [F(1, 7)])
+        # and the rescaled basis, basis_i -> s_i basis_i, still produces the
+        # exact reference table: sc[i][j][t] * s_i * s_j / s_t
+        s = [F(1)] * 5 + [F(1, 7)]
+        d = alg.dim
+        rescaled = [[[alg.sc[i][j][t] * s[i] * s[j] / s[t] for t in range(d)]
+                     for j in range(d)] for i in range(d)]
         plain = span_algebra([maps[n] for n in order])
-        assert rescaled.sc == plain.sc
+        assert rescaled == plain.sc
 
     def test_structure_constants_stable_under_window_growth(self):
         for M in (9, 11):

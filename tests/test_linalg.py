@@ -6,7 +6,9 @@ import pytest
 import sympy
 
 from densym import truncation
-from densym.linalg import independent_subset, max_abs, nullspace, rank, rref, solve
+from densym.linalg import (
+    independent_subset, integer_row, max_abs, nullspace, rank, rref, solve,
+)
 from densym.rings import CIRCLE, LINE
 
 
@@ -116,6 +118,16 @@ def test_rref_on_the_oracle_matrices(monkeypatch, point, space):
     red, pivots = rref(m)
     assert (red, pivots) == fraction_rref(m)
     assert (red, pivots) == sympy_rref(m)
+
+
+def test_integer_row_is_one_key_per_line_through_the_origin():
+    row = [F(0), F(-3, 4), F(1, 2), 6]
+    assert integer_row(row) == [0, 3, -2, -24]
+    assert all(type(v) is int for v in integer_row(row))
+    for q in (F(-2), F(5, 3), F(-1, 7)):
+        assert integer_row([q * v for v in row]) == integer_row(row)
+    assert integer_row(["0", "-1/2"]) == [0, 1]
+    assert integer_row([F(0), 0]) == [0, 0]
 
 
 def test_rref_without_rows():

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from dataclasses import replace
@@ -5,22 +6,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from densym import cli, rings, truncation
+from densym import cli, identities, rings, truncation
 from densym.densities import (
     Density, DensityOperator, VectorField, lie_derivative_density,
     lie_derivative_operator,
 )
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
-from densym.linalg import max_abs
+from densym.linalg import integer_row, max_abs
 from densym.operators import CATALOG, conjugate, w_formula
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_fields,
     brute_force_local_symmetries, circle_fields, component_unknowns,
-    componentwise_map, elementary_defects, equivariance_defect,
-    generator_family, invariant_functionals_dimension, line_fields, realize,
-    ring_vector,
+    componentwise_map, dense, equivariance_defect, generator_family,
+    invariant_functionals_dimension, line_fields, realize, ring_vector,
 )
 
 
@@ -28,7 +28,7 @@ def direct_equivariance_defect(T, X):
     """Reference for equivariance_defect: T o L_X - L_X o T evaluated on each
     safe basis element directly, with no appeal to linearity."""
     basis = T.basis
-    safe = basis.safe_elements(X)
+    safe = [basis.elements[j] for j in basis.safe_indices(X)]
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
     cols = []
@@ -39,6 +39,11 @@ def direct_equivariance_defect(T, X):
         else:
             cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
     return cols
+
+
+def dense_defect(T, X):
+    """equivariance_defect with each sparse column written out densely."""
+    return [dense(col.items(), T.target_dim) for col in equivariance_defect(T, X)]
 
 
 class TestTruncatedBasis:
@@ -77,10 +82,10 @@ class TestTruncatedBasis:
         with pytest.raises(TruncationOverflowError):
             basis.vector_of(A)
 
-    def test_safe_elements_shrink_with_field_size(self):
+    def test_safe_indices_shrink_with_field_size(self):
         basis = TruncatedBasis(1, 4, CIRCLE, 0, 0)
-        big = len(basis.safe_elements(VectorField(TrigFn.cosine(1))))
-        small = len(basis.safe_elements(VectorField(TrigFn.cosine(3))))
+        big = len(basis.safe_indices(VectorField(TrigFn.cosine(1))))
+        small = len(basis.safe_indices(VectorField(TrigFn.cosine(3))))
         assert big > small > 0
 
 
@@ -122,13 +127,13 @@ class TestEquivarianceDefect:
         basis = TruncatedBasis(1, 4, LINE, F(1, 3), F(1, 5))
         T = realize("Id", basis)
         for X in line_fields(3):
-            assert max_abs(equivariance_defect(T, X)) == 0
+            assert max_abs(dense_defect(T, X)) == 0
 
     def test_conjugation_commutes_on_symmetric_line(self):
         basis = TruncatedBasis(2, 5, LINE, F(1, 4), F(3, 4))
         T = realize("C", basis)
         for X in line_fields(3):
-            assert max_abs(equivariance_defect(T, X)) == 0
+            assert max_abs(dense_defect(T, X)) == 0
 
     def test_non_symmetry_has_nonzero_defect(self):
         # a1 d/dx -> a1' is translation-invariant but not a symmetry of
@@ -136,7 +141,7 @@ class TestEquivarianceDefect:
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
         # t[1,1] = 1 in the order t[0,0], t[1,0], t[1,1]
         T = SymmetryMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0, LINE))
-        defects = [equivariance_defect(T, X) for X in line_fields(3)]
+        defects = [dense_defect(T, X) for X in line_fields(3)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in line_fields(3)]
 
@@ -177,7 +182,7 @@ class TestEquivarianceDefect:
             for name in ("C", "P1", "L"):
                 T = realize(name, basis)
                 for X in circle_fields(2):
-                    assert max_abs(equivariance_defect(T, X)) == 0
+                    assert max_abs(dense_defect(T, X)) == 0
 
 
 def every_home_entry():
@@ -222,13 +227,13 @@ class TestDefectByLinearity:
         k = CATALOG_HOMES[name][0]
         T = home_map(name, space, k + 8 if wide else None)
         for X in generator_family(space):
-            assert equivariance_defect(T, X) == direct_equivariance_defect(T, X)
+            assert dense_defect(T, X) == direct_equivariance_defect(T, X)
 
     @pytest.mark.parametrize("lam,mu", [(F(0), F(1, 2)), (F(1, 3), F(2)), (F(-1, 3), F(0))])
     def test_nonzero_columns_equal_the_direct_route(self, lam, mu):
         # the points w_sharpness checks off the order-4 locus
         T = SymmetryMap(TruncatedBasis(4, 10, CIRCLE, lam, mu), w_formula(4, lam, mu))
-        defects = [equivariance_defect(T, X) for X in circle_fields(2)]
+        defects = [dense_defect(T, X) for X in circle_fields(2)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
 
@@ -241,7 +246,7 @@ class TestDefectByLinearity:
         monkeypatch.setitem(CATALOG, "S", replace(
             CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped))
         T = home_map("S", CIRCLE)
-        defects = [equivariance_defect(T, X) for X in circle_fields(2)]
+        defects = [dense_defect(T, X) for X in circle_fields(2)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
         assert cli.main(["verify", "--op", "S"]) == 1
@@ -325,7 +330,7 @@ class TestBruteForce:
             for T in oracle_maps(3, lam, mu, LINE, M=9):
                 for p in (4, 5):
                     X = VectorField(PolyFn.monomial(p))
-                    assert max_abs(equivariance_defect(T, X)) == 0
+                    assert max_abs(dense_defect(T, X)) == 0
 
     def test_window_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -341,7 +346,7 @@ class TestBruteForce:
         fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
         for T in maps:
             for X in fields:
-                assert max_abs(equivariance_defect(T, X)) == 0
+                assert max_abs(dense_defect(T, X)) == 0
 
 
 # brute-force nullspace bases (rows over component_unknowns) at the default
@@ -428,23 +433,40 @@ class TestBruteForceByLinearity:
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_rows_match_the_generic_defect(self, space, k):
-        # sum_u t_u column_u must be the defect of the map with coefficients t
+    def test_rows_match_the_direct_defect(self, space, k, monkeypatch):
+        # the equation at (safe element b, coordinate i) is the row
+        # u -> defect of e_u at (b, i); sum_u t_u row_u must be the direct
+        # defect of the map with coefficients t, and the rows handed to the
+        # elimination must be exactly these equations, kept once each
         rng = random.Random(1000 * k + len(space))
         lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
-        basis = TruncatedBasis(k, k + 4, space, lam, mu)
+        defects, kept = {}, []  # field -> the defect of each e_u, in unknown order
+        real_defect, real_nullspace = truncation.equivariance_defect, truncation.nullspace
+
+        def spy(T, X):
+            defects.setdefault(X, []).append(real_defect(T, X))
+            return defects[X][-1]
+
+        monkeypatch.setattr(truncation, "equivariance_defect", spy)
+        monkeypatch.setattr(truncation, "nullspace",
+                            lambda rows, n: kept.append(rows) or real_nullspace(rows, n))
+        brute_force_local_symmetries(k, lam, mu, space)
         unknowns = component_unknowns(k)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
-        T = SymmetryMap(basis, componentwise_map(t, k, lam, mu, space))
-        for X in brute_force_fields(space):
-            defects = elementary_defects(basis, X)
-            want = equivariance_defect(T, X)
-            assert len(defects) == len(want)
-            for eqs, col in zip(defects, want):
-                got = [F(0)] * basis.dim
-                for coord, entries in eqs.items():
-                    got[coord] = sum(t[j] * v for j, v in entries.items())
-                assert got == col
+        T = SymmetryMap(TruncatedBasis(k, k + 4, space, lam, mu),
+                        componentwise_map(t, k, lam, mu, space))
+        assert len(defects) == len(brute_force_fields(space))
+        rows = set()
+        for X, per_unit in defects.items():
+            assert len(per_unit) == len(unknowns)
+            want = direct_equivariance_defect(T, X)
+            for b, col in enumerate(want):
+                for i, value in enumerate(col):
+                    row = [cols[b].get(i, 0) for cols in per_unit]
+                    assert sum(tu * v for tu, v in zip(t, row) if v) == value
+                    if any(row):
+                        rows.add(tuple(integer_row(row)))
+        assert {tuple(row) for row in kept[0]} == rows and len(kept[0]) == len(rows)
 
     def test_proportional_rows_are_kept_once(self, monkeypatch):
         from densym import truncation
@@ -462,15 +484,48 @@ class TestBruteForceByLinearity:
         assert rows and len({normalized(row) for row in rows}) == len(rows)
 
     def test_one_lie_derivative_per_safe_element(self, monkeypatch):
-        from densym import truncation
-        calls = []
+        # every elementary map reads L_X off the shared basis
+        calls = Counter()
         real = truncation.lie_derivative_operator
         monkeypatch.setattr(truncation, "lie_derivative_operator",
-                            lambda X, A: calls.append(A) or real(X, A))
+                            lambda X, A: calls.update([(repr(X), A)]) or real(X, A))
+        brute_force_local_symmetries(3, F(1, 3), F(1, 5), CIRCLE, 7)
         basis = TruncatedBasis(3, 7, CIRCLE, F(1, 3), F(1, 5))
-        X = brute_force_fields(CIRCLE)[0]
-        elementary_defects(basis, X)
-        assert len(calls) == len(basis.safe_elements(X))
+        assert calls == Counter((repr(X), basis.elements[j])
+                                for X in brute_force_fields(CIRCLE)
+                                for j in basis.safe_indices(X))
+
+
+def _kernel_with_flipped_lie_after_t():
+    """equivariance_defect with the sign of its L_X o T term flipped."""
+    source = inspect.getsource(truncation.equivariance_defect)
+    term = "col[i] = col.get(i, 0) - c * v"
+    assert source.count(term) == 1
+    namespace = dict(vars(truncation))
+    exec(compile(source.replace(term, "col[i] = col.get(i, 0) + c * v"),
+                 truncation.__file__, "exec"), namespace)
+    return namespace["equivariance_defect"]
+
+
+class TestFlippedKernel:
+    """The --op checks and the oracle share one kernel; a fault in it still
+    fails the check, and the recurrence route catches it in classify."""
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        kernel = _kernel_with_flipped_lie_after_t()
+        monkeypatch.setattr(truncation, "equivariance_defect", kernel)
+        monkeypatch.setattr(identities, "equivariance_defect", kernel)
+
+    def test_verify_op_exit_1(self, capsys, flipped):
+        assert cli.main(["verify", "--op", "S"]) == 1
+        assert capsys.readouterr().out.startswith("op:S: FAIL, defect ")
+
+    def test_classify_exit_3(self, capsys, flipped):
+        assert cli.main(["classify", "-k", "3", "--lambda", "0", "--mu", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal assertion failed: oracle disagreement at k=3")
 
 
 class TestInvariantFunctionals:
