@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 from .densities import Density, DensityOperator, apply, pairing
@@ -19,8 +20,6 @@ from .operators import (
     CATALOG,
     BilinearOp,
     conjugate,
-    p0,
-    s_map,
     s_map_chain,
     second_analog_locus,
     v_formula,
@@ -149,104 +148,85 @@ MULT_TABLE_01 = {
 }
 
 
-def _identity(A):
-    return A
-
-
-def _times(c, f):
-    return lambda A: c * f(A)
-
-
-def _mult_table_pairs(lam, mu, *maps):
+def _mult_table_pairs(basis, *maps):
     """X o Y and its MULT_TABLE_01 entry, for every row X and column Y; the
     catalog maps come in the order of the table's rows."""
     gen = dict(zip(MULT_TABLE_01, maps))
-    return [(lambda A, X=gen[row], Y=gen[col]: X(Y(A)),
-             lambda A, combo=combo: sum((c * gen[n](A) for n, c in combo.items()),
-                                        DensityOperator.zero(lam, mu, A.space)))
+    return [(gen[row] @ gen[col],
+             reduce(add, (c * gen[n] for n, c in combo.items())) if combo else None)
             for row, cols in MULT_TABLE_01.items() for col, combo in cols.items()]
 
 
 @dataclass
 class Relation:
     """Relations lhs = rhs among maps of D^k_{lam,mu}, each checked on every
-    element of the truncated basis at each weight point."""
+    element of the truncated basis at each weight point.
+
+    At each point, pairs receives the TruncatedBasis and the maps of `uses`
+    realized on it, and returns [(lhs, rhs)]: SymmetryMaps on that basis, rhs
+    None meaning 0.  Sums, differences, scalings and compositions of the maps
+    are read off their cached columns; a map that leaves the module on the
+    way is one leaf SymmetryMap of its own callable."""
 
     k: int  # the order the relations are stated at
     points: list  # the weight points (lam, mu)
-    pairs: Callable  # (lam, mu, *maps) -> [(lhs, rhs)], rhs None meaning 0
-    uses: tuple = ()  # catalog names: their maps, built once per point, follow mu
+    pairs: Callable  # (basis, *maps) -> [(lhs, rhs)]
+    uses: tuple = ()  # catalog names: their maps, built once per point, follow basis
     per_element: bool = False  # an entry is a basis element, not a (point, pair)
     any_order: bool = False  # the relations hold at every order; k is a default
 
 
 RELATIONS = {
+    # C leaves the module off lam + mu = 1, so C o C is one callable
     "conj_involution": Relation(
         3, [(Fraction(1, 4), Fraction(3, 4)), (Fraction(2, 7), Fraction(3, 5))],
-        lambda lam, mu: [(lambda A: conjugate(conjugate(A)), _identity)],
-        per_element=True, any_order=True),
+        lambda basis, Id: [(SymmetryMap(basis, lambda A: conjugate(conjugate(A))), Id)],
+        uses=("Id",), per_element=True, any_order=True),
     "mult_table_01": Relation(
         4, [(Fraction(0), Fraction(1))], _mult_table_pairs, uses=tuple(MULT_TABLE_01),
         any_order=True),
+    # the chain passes through D^{k+1}_{0,1}, so it is one callable
     "s_relations": Relation(
         5, [(Fraction(0), Fraction(0))],
-        lambda lam, mu: [
-            (lambda A: s_map(s_map(A)), _identity),
-            (lambda A: p0(s_map(A)), p0),
-            (lambda A: s_map(p0(A)), p0),
-            (lambda A: p0(p0(A)), p0),
-            (s_map, s_map_chain),
-        ], any_order=True),
+        lambda basis, S, P0, Id: [
+            (S @ S, Id), (P0 @ S, P0), (S @ P0, P0), (P0 @ P0, P0),
+            (S, SymmetryMap(basis, s_map_chain)),
+        ], uses=("S", "P0", "Id"), any_order=True),
     "calw_square": Relation(
         3, HYPERBOLA_POINTS,
-        lambda lam, mu, W: [(lambda A: W(W(A)), _times(
-            w_coefficients(3, lam)[2] / 4 * (mu - lam - 1), W))], uses=("calW",)),
+        lambda basis, W: [(W @ W, w_coefficients(3, basis.lam)[2] / 4
+                           * (basis.mu - basis.lam - 1) * W)], uses=("calW",)),
     "calv_square": Relation(
         2, GENERIC_POINTS,
-        lambda lam, mu, V: [(lambda A: V(V(A)), _times(
-            (mu - lam - 1) * (mu - lam - 2), V))], uses=("calV",)),
+        lambda basis, V: [(V @ V, (basis.mu - basis.lam - 1)
+                           * (basis.mu - basis.lam - 2) * V)], uses=("calV",)),
     # the exact combination is L(2L+1)(Id - C); the square relation pins the
     # sign (see the regression test for the opposite variant)
     "calv_conjugation_line": Relation(
         2, CONJUGATION_LINE_POINTS,
-        lambda lam, mu, V: [(V, _times(
-            lam * (2 * lam + 1), lambda A: A - conjugate(A)))], uses=("calV",)),
+        lambda basis, V, Id, C: [(V, basis.lam * (2 * basis.lam + 1) * (Id - C))],
+        uses=("calV", "Id", "C")),
     "jv_square_zero": Relation(
-        3, SHIFT_LINE_POINTS,
-        lambda lam, mu, J: [(lambda A: J(J(A)), None)], uses=("JV",)),
+        3, SHIFT_LINE_POINTS, lambda basis, J: [(J @ J, None)], uses=("JV",)),
     "gv_relations": Relation(
         4, [(Fraction(-2, 3), Fraction(5, 3))],
-        lambda lam, mu, G: [
-            (lambda A: G(conjugate(A)), _times(-1, G)),
-            (lambda A: conjugate(G(A)), _times(-1, G)),
-            (lambda A: G(G(A)), G),
-        ], uses=("GV",)),
+        lambda basis, G, C: [(G @ C, -1 * G), (C @ G, -1 * G), (G @ G, G)],
+        uses=("GV", "C")),
     "jw_relations": Relation(
         4, [(Fraction(0), Fraction(5, 4))],
-        lambda lam, mu, J: [
-            (lambda A: J(J(A)), J),
-            (lambda A: J(p0(A)), None),
-            (lambda A: p0(J(A)), None),
-            (lambda A: p0(p0(A)), p0),
-        ], uses=("JW",)),
+        lambda basis, J, P0: [(J @ J, J), (J @ P0, None), (P0 @ J, None), (P0 @ P0, P0)],
+        uses=("JW", "P0")),
     "jsigma_relations": Relation(
         3, [(Fraction(0), Fraction(3))],
-        lambda lam, mu, J: [
-            (lambda A: J(J(A)), None),
-            (lambda A: J(p0(A)), None),
-            (lambda A: p0(J(A)), None),
-        ], uses=("Jsigma",)),
+        lambda basis, J, P0: [(J @ J, None), (J @ P0, None), (P0 @ J, None)],
+        uses=("Jsigma", "P0")),
     "jv_conj_relations": Relation(
         3, [(Fraction(-1, 2), Fraction(3, 2))],
-        lambda lam, mu, J: [
-            (lambda A: J(conjugate(A)), J),
-            (lambda A: conjugate(J(A)), _times(-1, J)),
-        ], uses=("JV",)),
+        lambda basis, J, C: [(J @ C, J), (C @ J, -1 * J)], uses=("JV", "C")),
     "gsigma_decomposition": Relation(
         3, [(Fraction(-2, 3), Fraction(5, 3))],
-        lambda lam, mu, G, W: [(G, lambda A: Fraction(1, 2) * (A - conjugate(A))
-                                - Fraction(9, 4) * W(A))],
-        per_element=True, uses=("Gsigma", "calW")),
+        lambda basis, G, W, Id, C: [(G, Fraction(1, 2) * (Id - C) - Fraction(9, 4) * W)],
+        per_element=True, uses=("Gsigma", "calW", "Id", "C")),
 }
 
 
@@ -262,12 +242,11 @@ def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     for lam, mu in row.points:
         basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
-        maps = [CATALOG[name].make(k, lam, mu) for name in row.uses]
-        for lhs, rhs in row.pairs(lam, mu, *maps):
-            for b in basis.elements:
-                image = lhs(b) if rhs is None else lhs(b) - rhs(b)
-                worst = max(worst, max_abs([basis.vector_of(image)]))
-            entries += basis.dim if row.per_element else 1
+        maps = [SymmetryMap(basis, CATALOG[n].make(k, lam, mu), name=n) for n in row.uses]
+        for lhs, rhs in row.pairs(basis, *maps):
+            defect = lhs if rhs is None else lhs - rhs
+            worst = max(worst, max_abs(v for j in range(size) for _, v in defect.image(j)))
+            entries += size if row.per_element else 1
     return CheckResult(name, worst == 0, worst, size, entries)
 
 

@@ -147,21 +147,30 @@ class TruncatedBasis:
 
 
 class SymmetryMap:
-    """A linear map on a truncated module, carried as an exact callable.
+    """A linear map on a truncated module, carried as its sparse columns.
 
     The map goes into the module or, for a projection, into the densities
-    F_nu.  The image of each basis element is computed once per map and kept
-    as a sparse column: coordinates on the basis for an operator, on the ring
-    window for a density.  The matrix, flat() and the equivariance defects
-    all read these columns.
+    F_nu.  A map built from a callable applies it once per basis element and
+    keeps the image as a sparse column: coordinates on the basis for an
+    operator, on the ring window for a density.  X @ Y, X + Y, X - Y and
+    q * X are built from their operands' columns, apply no callable and
+    keep no column of their own.  The matrix, flat() and the equivariance
+    defects all read the columns.
     """
 
     def __init__(self, basis: TruncatedBasis, func, name="T"):
         self.basis = basis
         self.func = func
         self.name = name
-        self.nu = None  # the weight of the images, once one is a density
+        self._nu = None
         self._images = {}  # basis index -> (coordinate, value) entries
+
+    @property
+    def nu(self):
+        """The weight of the images if they are densities, else None."""
+        if not self._images:
+            self.image(0)
+        return self._nu
 
     def image(self, j: int):
         """Nonzero (coordinate, value) entries of the image of element j;
@@ -170,7 +179,7 @@ class SymmetryMap:
         if col is None:
             image = self.func(self.basis.elements[j])
             if isinstance(image, Density):
-                self.nu = image.weight
+                self._nu = image.weight
                 col = ring_entries(image.value, self.basis.M)
             else:
                 col = self.basis.entries_of(image)
@@ -179,15 +188,14 @@ class SymmetryMap:
 
     @property
     def target_dim(self) -> int:
-        """Length of an image column; read it after an image is computed."""
+        """Length of an image column."""
         basis = self.basis
         return basis.dim if self.nu is None else ring_dim(basis.space, basis.M)
 
     @property
     def columns(self):
-        images = [self.image(j) for j in range(self.basis.dim)]
         n = self.target_dim
-        return [dense(col, n) for col in images]
+        return [dense(self.image(j), n) for j in range(self.basis.dim)]
 
     @property
     def matrix(self):
@@ -197,42 +205,52 @@ class SymmetryMap:
     def flat(self):
         return [v for col in self.columns for v in col]
 
-    def compose(self, other: "SymmetryMap") -> "SymmetryMap":
-        if other.basis is not self.basis:
-            raise ValueError("maps live on different bases")
-        return SymmetryMap(
-            self.basis, lambda A: self.func(other.func(A)),
-            name=f"{self.name}*{other.name}",
-        )
-
-    __matmul__ = compose
+    def __matmul__(self, other: "SymmetryMap") -> "SymmetryMap":
+        if other.nu is not None:
+            raise ValueError(f"cannot compose after the projection {other.name}")
+        return _Combination(f"{self.name}*{other.name}", [(1, self, other)])
 
     def __add__(self, other):
-        return SymmetryMap(
-            self.basis, lambda A: self.func(A) + other.func(A),
-            name=f"({self.name}+{other.name})",
-        )
+        return _Combination(f"({self.name}+{other.name})", [(1, self, None), (1, other, None)])
 
     def __sub__(self, other):
-        return SymmetryMap(
-            self.basis, lambda A: self.func(A) - other.func(A),
-            name=f"({self.name}-{other.name})",
-        )
+        return _Combination(f"({self.name}-{other.name})", [(1, self, None), (-1, other, None)])
 
     def __mul__(self, scalar):
-        q = rat(scalar)
-        return SymmetryMap(self.basis, lambda A: q * self.func(A),
-                           name=f"{scalar}*{self.name}")
+        return _Combination(f"{scalar}*{self.name}", [(rat(scalar), self, None)])
 
     __rmul__ = __mul__
 
     def equals(self, other: "SymmetryMap") -> bool:
-        return all(
-            self.func(b) == other.func(b) for b in self.basis.elements
-        )
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        return all(self.func(b).is_zero for b in self.basis.elements)
+        return not any(self.image(j) for j in range(self.basis.dim))
+
+
+class _Combination(SymmetryMap):
+    """sum c * outer o inner over its terms (c, outer, inner), inner None
+    meaning the identity: each image is read off the operands' columns."""
+
+    def __init__(self, name, terms):
+        basis = terms[0][1].basis
+        if any(m.basis is not basis for _, *pair in terms for m in pair if m is not None):
+            raise ValueError("maps live on different bases")
+        if len({outer.nu for _, outer, _ in terms}) > 1:
+            raise ValueError(f"{name} adds maps into different spaces")
+        self.basis, self.name, self.terms = basis, name, terms
+
+    @property
+    def nu(self):
+        return self.terms[0][1].nu
+
+    def image(self, j: int):
+        col = {}
+        for c, outer, inner in self.terms:
+            for i, v in [(j, 1)] if inner is None else inner.image(j):
+                for t, w in outer.image(i):
+                    col[t] = col.get(t, 0) + c * v * w
+        return [(t, v) for t, v in col.items() if v]
 
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
@@ -301,15 +319,14 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
             lie_densities[t] = ring_entries(lie_derivative_density(X, phi).value, basis.M)
         return lie_densities[t]
 
+    lie = partial(basis.lie_entries, X) if T.nu is None else lie_density
     cols = []
     for b in safe:
         col = {}
         for j, c in basis.lie_entries(X, b):
             for i, v in T.image(j):
                 col[i] = col.get(i, 0) + c * v
-        image = T.image(b)
-        lie = partial(basis.lie_entries, X) if T.nu is None else lie_density
-        for j, c in image:
+        for j, c in T.image(b):
             for i, v in lie(j):
                 col[i] = col.get(i, 0) - c * v
         cols.append(col)

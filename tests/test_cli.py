@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 from densym import identities, operators
 from densym.cli import main, parse_rational
 from densym.densities import Density, DensityOperator
+from densym.truncation import TruncatedBasis
 from densym.operators import (
-    CATALOG, BilinearOp, Projection, alternating, conjugate, p0, symmetry_from_projection,
+    CATALOG, BilinearOp, Projection, alternating, p0, symmetry_from_projection,
     v_formula,
 )
 
@@ -252,12 +254,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, pairs", [
         # calV^2 = (d-1)(d-2) calV with the second factor off by one
-        ("calv_square", lambda lam, mu, cal_v: [(
-            lambda A: cal_v(cal_v(A)),
-            lambda A: (mu - lam - 1) * (mu - lam - 3) * cal_v(A))]),
+        ("calv_square", lambda basis, V: [(
+            V @ V, (basis.mu - basis.lam - 1) * (basis.mu - basis.lam - 3) * V)]),
         # the opposite sign of calV = L(2L+1)(Id - C)
-        ("calv_conjugation_line", lambda lam, mu, cal_v: [(
-            cal_v, lambda A: lam * (2 * lam + 1) * (conjugate(A) - A))]),
+        ("calv_conjugation_line", lambda basis, V, Id, C: [(
+            V, basis.lam * (2 * basis.lam + 1) * (C - Id))]),
     ])
     def test_wrong_relation_fails(self, capsys, monkeypatch, name, pairs):
         row = identities.RELATIONS[name]
@@ -265,6 +266,39 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", name)
         assert code == 1
         assert out.startswith(f"{name}: FAIL, defect ") and ", defect 0," not in out
+
+    def test_wrong_mult_table_entry_fails(self, capsys, monkeypatch):
+        # C o P1 = P0star - P1 - P0, with the sign of P1 flipped
+        monkeypatch.setitem(identities.MULT_TABLE_01["C"], "P1",
+                            {"P0star": 1, "P1": 1, "P0": -1})
+        code, out, _ = run(capsys, "verify", "mult_table_01")
+        assert code == 1
+        assert out.startswith("mult_table_01: FAIL, defect ") and ", defect 0," not in out
+
+    @pytest.mark.parametrize("name", ["mult_table_01", "calw_square"])
+    def test_relation_applies_each_catalog_map_once_per_element(
+            self, capsys, monkeypatch, name):
+        # products and combinations are read off the maps' cached columns:
+        # no catalog map is applied twice to one basis element at one point
+        row = identities.RELATIONS[name]
+        calls = Counter()
+        for n in row.uses:
+            real = CATALOG[n].make
+
+            def make(k, lam, mu, n=n, real=real):
+                T = real(k, lam, mu)
+                return lambda A: calls.update([(n, lam, mu)]) or T(A)
+
+            monkeypatch.setitem(CATALOG, n, replace(CATALOG[n], make=make))
+        monkeypatch.setattr(TruncatedBasis, "vector_of", None)  # never called
+        code, out, _ = run(capsys, "verify", name)
+        assert code == 0, out
+        dim = int(out.rsplit("basis size ", 1)[1].split()[0])
+        assert {n for n, _, _ in calls} == set(row.uses)
+        assert len(calls) == len(row.uses) * len(row.points)
+        assert max(calls.values()) <= dim
+        if name == "mult_table_01":
+            assert dim == 105 and sum(calls.values()) <= 630
 
     @pytest.mark.parametrize("argv, order", [
         (("calv_square", "-k", "5"), 2),

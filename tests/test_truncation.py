@@ -1,4 +1,5 @@
 import inspect
+import operator
 import random
 from collections import Counter
 from dataclasses import replace
@@ -20,7 +21,8 @@ from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_fields,
     brute_force_local_symmetries, circle_fields, component_unknowns,
     componentwise_map, dense, equivariance_defect, generator_family,
-    invariant_functionals_dimension, line_fields, realize, ring_vector,
+    invariant_functionals_dimension, line_fields, realize, ring_dim, ring_entries,
+    ring_vector,
 )
 
 
@@ -120,6 +122,81 @@ class TestRealize:
         Z = (C @ C) - Id
         assert Z.is_zero()
         assert (2 * Id - Id - Id).is_zero()
+
+
+def _catalog_maps(space, names, k=3, lam=F(0), mu=F(1), M=None):
+    """The named catalog maps at (lam, mu) on one basis, and their callables."""
+    basis = TruncatedBasis(k, k + 6 if M is None else M, space, lam, mu)
+    funcs = {n: CATALOG[n].make(k, lam, mu) for n in names}
+    return basis, {n: SymmetryMap(basis, f, name=n) for n, f in funcs.items()}, funcs
+
+
+class TestColumnArithmetic:
+    # each derived map against the callables applied per element
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("x, y", [("C", "P1"), ("P0star", "C"), ("P1", "P0"),
+                                      ("P0", "P0star")])
+    def test_images_match_the_callables(self, space, x, y):
+        basis, maps, f = _catalog_maps(space, [x, y])
+        X, Y, q = maps[x], maps[y], F(-3, 7)
+        derived = [
+            (X @ Y, lambda A: f[x](f[y](A))),
+            (X + Y, lambda A: f[x](A) + f[y](A)),
+            (X - Y, lambda A: f[x](A) - f[y](A)),
+            (q * X, lambda A: q * f[x](A)),
+            (X * q - Y @ X, lambda A: q * f[x](A) - f[y](f[x](A))),
+        ]
+        for T, func in derived:
+            assert not hasattr(T, "func")
+            for j, b in enumerate(basis.elements):
+                assert dict(T.image(j)) == dict(basis.entries_of(func(b))), (T.name, j)
+            assert T.nu is None and T.target_dim == basis.dim
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_projection_as_outer_map_gives_density_columns(self, space):
+        basis, maps, f = _catalog_maps(space, ["sigma", "C", "P1"])
+        sigma, C, P1 = maps["sigma"], maps["C"], maps["P1"]
+        nu = f["sigma"](basis.elements[0]).weight
+        derived = [
+            (sigma @ C, lambda A: f["sigma"](f["C"](A))),
+            (sigma @ (C - P1), lambda A: f["sigma"](f["C"](A) - f["P1"](A))),
+            (2 * sigma - sigma @ P1, lambda A: 2 * f["sigma"](A) - f["sigma"](f["P1"](A))),
+        ]
+        for T, func in derived:
+            assert T.nu == nu == sigma.nu
+            assert T.target_dim == ring_dim(space, basis.M) == len(T.columns[0])
+            for j, b in enumerate(basis.elements):
+                image = func(b)
+                assert image.weight == nu
+                assert dict(T.image(j)) == dict(ring_entries(image.value, basis.M))
+
+    def test_composing_after_a_projection_raises(self):
+        _, maps, _ = _catalog_maps(CIRCLE, ["sigma", "C"])
+        with pytest.raises(ValueError, match="after the projection sigma"):
+            maps["C"] @ maps["sigma"]
+        with pytest.raises(ValueError, match="after the projection sigma"):
+            maps["sigma"] @ (maps["sigma"] @ maps["C"])
+        with pytest.raises(ValueError, match="different spaces"):
+            maps["C"] + maps["sigma"]
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+    def test_maps_on_different_bases_raise(self, op):
+        _, one, _ = _catalog_maps(CIRCLE, ["C"])
+        _, other, _ = _catalog_maps(CIRCLE, ["C"])
+        with pytest.raises(ValueError, match="different bases"):
+            op(one["C"], other["C"])
+        with pytest.raises(ValueError, match="different bases"):
+            op(one["C"], 2 * other["C"])
+
+    def test_derived_maps_apply_no_callable_and_keep_no_column(self):
+        calls = Counter()
+        basis = TruncatedBasis(2, 8, CIRCLE, F(0), F(1))
+        C = SymmetryMap(basis, lambda A: calls.update([A]) or conjugate(A), name="C")
+        Z = C @ C - 3 * C
+        for _ in range(2):
+            Z.flat()
+        assert set(calls.values()) == {1} and len(calls) == basis.dim
+        assert not hasattr(Z, "_images")
 
 
 class TestEquivarianceDefect:
