@@ -55,12 +55,12 @@ from .recurrence import (
     local_dimension,
     sweep,
 )
-from .algebras import AlgebraKind, FiniteAlgebra, identify, span_algebra
+from .algebras import FiniteAlgebra, identify, span_algebra
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraKind", "BilinearOp", "CIRCLE", "ClassificationReport",
+    "BilinearOp", "CIRCLE", "ClassificationReport",
     "CoefficientFunction", "Density", "DensityOperator", "FiniteAlgebra",
     "LINE", "PolyFn", "Projection", "SymmetryMap", "TrigFn",
     "TruncatedBasis", "VectorField", "apply", "brute_force_local_symmetries",

@@ -6,51 +6,16 @@ a product rule; the jet algebra `classify` prints and the windowed
 reference matrix algebras (and their direct sums with copies of the scalars)
 goes through exact invariants, each read straight off the structure
 constants: dimension, radical (via the regular trace form, valid in
-characteristic zero), center, and commutativity.  The explicit basis changes
-printed for the flagship cases are verified in the test suite on top of this.
+characteristic zero) and center; the algebra is commutative exactly when its
+center is all of it.  The explicit basis changes printed for the flagship
+cases are verified in the test suite on top of this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpanNotClosedError
 from .linalg import ZERO, nullspace, rref, solve
-
-
-@dataclass(frozen=True)
-class AlgebraKind:
-    """A direct sum over the atoms b, t2, a, and R^n, in canonical order."""
-
-    atoms: tuple  # e.g. ("b", "R", "R")
-
-    ATOM_ORDER = {"b": 0, "t2": 1, "a": 2, "R": 3}
-
-    @classmethod
-    def of(cls, *atoms):
-        matrix_atoms = sorted(
-            (a for a in atoms if a != "R"), key=lambda a: cls.ATOM_ORDER[a]
-        )
-        scalars = tuple(a for a in atoms if a == "R")
-        return cls(tuple(matrix_atoms) + scalars)
-
-    @property
-    def dim(self) -> int:
-        sizes = {"b": 4, "t2": 3, "a": 2, "R": 1}
-        return sum(sizes[a] for a in self.atoms)
-
-    def __str__(self):
-        parts = []
-        i = 0
-        atoms = self.atoms
-        while i < len(atoms):
-            if atoms[i] == "R":
-                n = len(atoms) - i
-                parts.append("R" if n == 1 else f"R^{n}")
-                break
-            parts.append(atoms[i])
-            i += 1
-        return "+".join(parts) if parts else "0"
 
 
 class FiniteAlgebra:
@@ -91,12 +56,6 @@ class FiniteAlgebra:
         return all(
             combo(nz[i][j], times[t]) == combo(nz[j][t], nz[i])
             for i in range(n) for j in range(n) for t in range(n)
-        )
-
-    def is_commutative(self) -> bool:
-        n = self.dim
-        return all(
-            self.sc[i][j] == self.sc[j][i] for i in range(n) for j in range(i)
         )
 
     def unit(self):
@@ -193,28 +152,37 @@ def span_algebra(maps) -> FiniteAlgebra:
 # identification
 # ----------------------------------------------------------------------
 
-def identify(alg: FiniteAlgebra):
+def _kind(atom, scalars: int) -> str:
+    """The printed kind: the matrix atom b, t2 or a (None for none), then
+    the copies of the scalars, as in b+R^2, t2+R or R^3."""
+    parts = [atom] if atom else []
+    if scalars:
+        parts.append("R" if scalars == 1 else f"R^{scalars}")
+    return "+".join(parts) or "0"
+
+
+def identify(alg: FiniteAlgebra) -> str:
     """Match against the reference kinds through exact invariants.
 
-    Returns an AlgebraKind, or the string 'unidentified(...)' with the
-    fingerprint when nothing matches; never guesses.
+    Returns the printed kind, or 'unidentified(...)' with the fingerprint
+    when nothing matches; never guesses.
     """
     n = alg.dim
     if alg.unit() is None:
         return f"unidentified(dim={n}, no unit)"
     r = alg.radical_dim()
     z = alg.center_dim()
-    comm = alg.is_commutative()
+    comm = z == n
     if comm:
         if r == 0:
-            return AlgebraKind.of(*(["R"] * n))
+            return _kind(None, n)
         if r == 1 and n >= 2:
-            return AlgebraKind.of("a", *(["R"] * (n - 2)))
+            return _kind("a", n - 2)
     else:
         if r == 1 and n >= 3 and z == n - 2:
-            return AlgebraKind.of("t2", *(["R"] * (n - 3)))
+            return _kind("t2", n - 3)
         if r == 2 and n >= 4 and z == n - 3:
-            return AlgebraKind.of("b", *(["R"] * (n - 4)))
+            return _kind("b", n - 4)
     return f"unidentified(dim={n}, radical={r}, center={z}, commutative={comm})"
 
 

@@ -231,7 +231,7 @@ class ClassificationReport:
             "local_dim": self.local_dimension,
             "nonlocal_dim": self.nonlocal_dimension,
             "total": self.total,
-            "algebra": self.algebra_kind if self.algebra_kind else "unidentified",
+            "algebra": self.algebra_kind,
             "generators": list(self.generator_names),
         }
 
@@ -417,7 +417,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     selected = [vectors[i] for i in chosen]
     selected_names = [names[i] for i in chosen]
 
-    kind = str(algebras.identify(jet_algebra(selected_names, selected, k)))
+    kind = algebras.identify(jet_algebra(selected_names, selected, k))
     return ClassificationReport(
         k, lam, mu, space, local, nonloc, selected_names, kind
     )

@@ -11,7 +11,6 @@ map, the brute-force oracle's elementary maps included.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from . import rings
 from .densities import (
@@ -111,13 +110,28 @@ class TruncatedBasis:
                 coeffs = [z] * i + [mono]
                 self.elements.append(DensityOperator(self.lam, self.mu, coeffs))
         self._lie = {}  # field -> {element index: entries of L_X(element)}
+        self._densities = {}  # weight nu -> the window of F_nu
+
+    def densities(self, nu) -> "TruncatedBasis":
+        """F_nu as the order-0 window D^0_{0,nu} on this ring window, one per
+        weight: its coordinates are ring_entries, and its L_X, the operator
+        action at order 0, is X a' + nu X' a."""
+        nu = rat(nu)
+        if nu not in self._densities:
+            self._densities[nu] = TruncatedBasis(0, self.M, self.space, 0, nu)
+        return self._densities[nu]
 
     @property
     def dim(self) -> int:
         return (self.k + 1) * len(self.monomials)
 
-    def entries_of(self, A: DensityOperator):
-        """(coordinate, value) for the nonzero coordinates of vector_of(A)."""
+    def entries_of(self, A: DensityOperator | Density):
+        """(coordinate, value) for the nonzero coordinates of vector_of(A).
+
+        A density of weight nu is read as the order-0 operator in D^0_{0,nu}.
+        """
+        if isinstance(A, Density):
+            A = DensityOperator(0, A.weight, [A.value])
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise TruncationOverflowError("operator weights do not match the basis")
         if A.order > self.k and not all(c.is_zero for c in A.coeffs[self.k + 1:]):
@@ -149,28 +163,27 @@ class TruncatedBasis:
 class SymmetryMap:
     """A linear map on a truncated module, carried as its sparse columns.
 
-    The map goes into the module or, for a projection, into the densities
-    F_nu.  A map built from a callable applies it once per basis element and
-    keeps the image as a sparse column: coordinates on the basis for an
-    operator, on the ring window for a density.  X @ Y, X + Y, X - Y and
-    q * X are built from their operands' columns, apply no callable and
-    keep no column of their own.  The matrix, flat() and the equivariance
-    defects all read the columns.
+    The columns are coordinates on its target window, read off the first
+    image: the basis itself for an operator map, basis.densities(nu) (F_nu
+    as the order-0 window) for a projection.  A map built from a callable
+    applies it once per basis element and keeps the image as a sparse
+    column.  X @ Y, X + Y, X - Y and q * X are built from their operands'
+    columns, apply no callable and keep no column of their own.  The
+    matrix, flat() and the equivariance defects all read the columns.
     """
 
     def __init__(self, basis: TruncatedBasis, func, name="T"):
         self.basis = basis
         self.func = func
         self.name = name
-        self._nu = None
+        self._target = None
         self._images = {}  # basis index -> (coordinate, value) entries
 
     @property
-    def nu(self):
-        """The weight of the images if they are densities, else None."""
-        if not self._images:
+    def target(self) -> TruncatedBasis:
+        if self._target is None:
             self.image(0)
-        return self._nu
+        return self._target
 
     def image(self, j: int):
         """Nonzero (coordinate, value) entries of the image of element j;
@@ -178,36 +191,26 @@ class SymmetryMap:
         col = self._images.get(j)
         if col is None:
             image = self.func(self.basis.elements[j])
-            if isinstance(image, Density):
-                self._nu = image.weight
-                col = ring_entries(image.value, self.basis.M)
-            else:
-                col = self.basis.entries_of(image)
-            self._images[j] = col
+            if self._target is None:
+                self._target = (self.basis.densities(image.weight)
+                                if isinstance(image, Density) else self.basis)
+            col = self._images[j] = self._target.entries_of(image)
         return col
 
     @property
-    def target_dim(self) -> int:
-        """Length of an image column."""
-        basis = self.basis
-        return basis.dim if self.nu is None else ring_dim(basis.space, basis.M)
-
-    @property
     def columns(self):
-        n = self.target_dim
+        n = self.target.dim
         return [dense(self.image(j), n) for j in range(self.basis.dim)]
 
     @property
     def matrix(self):
         cols = self.columns
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.target_dim)]
+        return [[cols[j][i] for j in range(len(cols))] for i in range(self.target.dim)]
 
     def flat(self):
         return [v for col in self.columns for v in col]
 
     def __matmul__(self, other: "SymmetryMap") -> "SymmetryMap":
-        if other.nu is not None:
-            raise ValueError(f"cannot compose after the projection {other.name}")
         return _Combination(f"{self.name}*{other.name}", [(1, self, other)])
 
     def __add__(self, other):
@@ -236,13 +239,16 @@ class _Combination(SymmetryMap):
         basis = terms[0][1].basis
         if any(m.basis is not basis for _, *pair in terms for m in pair if m is not None):
             raise ValueError("maps live on different bases")
-        if len({outer.nu for _, outer, _ in terms}) > 1:
+        for _, outer, inner in terms:
+            if inner is not None and inner.target is not basis:
+                raise ValueError(f"cannot compose after the projection {inner.name}")
+        if len({outer.target for _, outer, _ in terms}) > 1:
             raise ValueError(f"{name} adds maps into different spaces")
         self.basis, self.name, self.terms = basis, name, terms
 
     @property
-    def nu(self):
-        return self.terms[0][1].nu
+    def target(self) -> TruncatedBasis:
+        return self.terms[0][1].target
 
     def image(self, j: int):
         col = {}
@@ -294,32 +300,23 @@ def generator_family(space: str):
 
 def equivariance_defect(T: SymmetryMap, X: VectorField):
     """T o L_X - L_X o T on the safe sub-basis: one sparse column, a dict
-    {coordinate of T.image: value}, per safe element, in order.
+    {coordinate on T.target: value}, per safe element, in order.
 
-    T maps into the operators or, as a projection, into the densities.
     All-zero columns are equivalent to equivariance at this truncation.
 
     T is assumed linear, so the column of a safe element b is assembled from
     sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
-    vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single basis elements
-    e_j (monomials of F_nu for a projection): T.image applies T once per
-    element and map, and the basis L_X once per element and field.  An image
-    T(e_j) or L_X(e_j) that leaves the window raises TruncationOverflowError;
-    nothing is cut off.
+    vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single elements e_j
+    of the basis and of the target window: T.image applies T once per
+    element and map, and each window L_X once per element and field.  An
+    image T(e_j) or L_X(e_j) that leaves the window raises
+    TruncationOverflowError; nothing is cut off.
     """
     basis = T.basis
     safe = basis.safe_indices(X)
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
-    lie_densities = {}
-
-    def lie_density(t):
-        if t not in lie_densities:
-            phi = Density(T.nu, basis.monomials[t])
-            lie_densities[t] = ring_entries(lie_derivative_density(X, phi).value, basis.M)
-        return lie_densities[t]
-
-    lie = partial(basis.lie_entries, X) if T.nu is None else lie_density
+    target = T.target
     cols = []
     for b in safe:
         col = {}
@@ -327,7 +324,7 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
             for i, v in T.image(j):
                 col[i] = col.get(i, 0) + c * v
         for j, c in T.image(b):
-            for i, v in lie(j):
+            for i, v in target.lie_entries(X, j):
                 col[i] = col.get(i, 0) - c * v
         cols.append(col)
     return cols
@@ -452,20 +449,13 @@ def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | No
 def invariant_functionals_dimension(lam, N: int) -> int:
     """Dimension of the invariant functionals on trig densities of frequency <= N.
 
-    Counts linear functionals annihilating every Lie derivative computable
-    inside the window; the unique surviving functional at weight 1 is the
-    integral of 1-forms.
+    Counts linear functionals on the order-0 window F_lam annihilating every
+    Lie derivative computable inside it; the unique surviving functional at
+    weight 1 is the integral of 1-forms.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    lam = rat(lam)
-    monos = ring_basis(CIRCLE, N)
-    rows = []
-    for X in circle_fields(N):
-        n = ring_content_size(X.value)
-        for mono in monos:
-            if ring_content_size(mono) + n > N:
-                continue
-            phi = Density(lam, mono)
-            rows.append(ring_vector(lie_derivative_density(X, phi).value, N))
-    return ring_dim(CIRCLE, N) - rank(rows)
+    window = TruncatedBasis(0, N, CIRCLE, 0, lam)
+    rows = [dense(window.lie_entries(X, j), window.dim)
+            for X in circle_fields(N) for j in window.safe_indices(X)]
+    return window.dim - rank(rows)

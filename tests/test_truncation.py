@@ -14,15 +14,15 @@ from densym.densities import (
 )
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
-from densym.linalg import integer_row, max_abs
+from densym.linalg import integer_row, max_abs, rank
 from densym.operators import CATALOG, conjugate, w_formula
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_fields,
     brute_force_local_symmetries, circle_fields, component_unknowns,
     componentwise_map, dense, equivariance_defect, generator_family,
-    invariant_functionals_dimension, line_fields, realize, ring_dim, ring_entries,
-    ring_vector,
+    invariant_functionals_dimension, line_fields, realize, ring_basis,
+    ring_content_size, ring_dim, ring_entries, ring_vector,
 )
 
 
@@ -45,7 +45,7 @@ def direct_equivariance_defect(T, X):
 
 def dense_defect(T, X):
     """equivariance_defect with each sparse column written out densely."""
-    return [dense(col.items(), T.target_dim) for col in equivariance_defect(T, X)]
+    return [dense(col.items(), T.target.dim) for col in equivariance_defect(T, X)]
 
 
 class TestTruncatedBasis:
@@ -150,7 +150,7 @@ class TestColumnArithmetic:
             assert not hasattr(T, "func")
             for j, b in enumerate(basis.elements):
                 assert dict(T.image(j)) == dict(basis.entries_of(func(b))), (T.name, j)
-            assert T.nu is None and T.target_dim == basis.dim
+            assert T.target is basis
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_projection_as_outer_map_gives_density_columns(self, space):
@@ -162,9 +162,12 @@ class TestColumnArithmetic:
             (sigma @ (C - P1), lambda A: f["sigma"](f["C"](A) - f["P1"](A))),
             (2 * sigma - sigma @ P1, lambda A: 2 * f["sigma"](A) - f["sigma"](f["P1"](A))),
         ]
+        densities = basis.densities(nu)
+        assert (densities.k, densities.lam, densities.mu) == (0, 0, nu)
+        assert densities.dim == ring_dim(space, basis.M)
         for T, func in derived:
-            assert T.nu == nu == sigma.nu
-            assert T.target_dim == ring_dim(space, basis.M) == len(T.columns[0])
+            assert T.target is sigma.target is densities
+            assert len(T.columns[0]) == densities.dim
             for j, b in enumerate(basis.elements):
                 image = func(b)
                 assert image.weight == nu
@@ -197,6 +200,30 @@ class TestColumnArithmetic:
             Z.flat()
         assert set(calls.values()) == {1} and len(calls) == basis.dim
         assert not hasattr(Z, "_images")
+
+
+class TestDensityWindow:
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("nu", [F(0), F(1), F(-2, 3)])
+    def test_a_density_is_read_as_an_order_0_operator(self, space, nu):
+        basis = TruncatedBasis(2, 6, space, F(1, 2), F(3))
+        window = basis.densities(nu)
+        assert basis.densities(nu) is window and basis.densities(nu + 1) is not window
+        rng = random.Random(f"{space} {nu}")
+        for _ in range(5):
+            f = sum((rng.randint(-4, 4) * m for m in window.monomials), rings.zero(space))
+            assert window.entries_of(Density(nu, f)) == ring_entries(f, basis.M)
+            with pytest.raises(TruncationOverflowError):
+                window.entries_of(Density(nu + F(1, 3), f))
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_window_lie_derivative_is_the_density_one(self, space):
+        window = TruncatedBasis(3, 6, space, 0, 1).densities(F(-1, 2))
+        for X in generator_family(space):
+            for j in window.safe_indices(X):
+                phi = Density(window.mu, window.monomials[j])
+                want = ring_entries(lie_derivative_density(X, phi).value, window.M)
+                assert window.lie_entries(X, j) == want
 
 
 class TestEquivarianceDefect:
@@ -350,24 +377,36 @@ class TestDefectByLinearity:
 
     @pytest.mark.parametrize("name", ["S", "Sstar", "W"])
     def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
-        applied, lie_calls = [], Counter()
-        real_make = CATALOG[name].make
+        # L_X is counted per (field, element, window): W's images are read on
+        # the densities window, whose elements L_X meets once each as well
+        applied, lie_calls, window = [], Counter(), []
+        real_make, real_lie_entries = CATALOG[name].make, TruncatedBasis.lie_entries
 
         def make(k, lam, mu):
             T = real_make(k, lam, mu)
             return lambda A: applied.append(A) or T(A)
 
+        def lie_entries(self, X, j):
+            window.append(self)
+            try:
+                return real_lie_entries(self, X, j)
+            finally:
+                window.pop()
+
         def lie(X, A):
-            lie_calls[repr(X)] += 1
+            lie_calls[repr(X), A, id(window[-1])] += 1
             return lie_derivative_operator(X, A)
 
         monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+        monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
         monkeypatch.setattr(truncation, "lie_derivative_operator", lie)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
         assert 0 < len(applied) <= res.basis_size
-        assert len(lie_calls) == len(generator_family(CIRCLE))
-        assert max(lie_calls.values()) <= res.basis_size
+        assert {X for X, _, _ in lie_calls} == {repr(X) for X in generator_family(CIRCLE)}
+        assert set(lie_calls.values()) == {1}
+        if name == "W":  # a projection: L_X on the basis and on F_nu
+            assert len({w for _, _, w in lie_calls}) == 2
 
 
 FROZEN_LOCAL_DIMS = {
@@ -605,7 +644,25 @@ class TestFlippedKernel:
         assert err.startswith("internal assertion failed: oracle disagreement at k=3")
 
 
+def monomial_loop_functionals_dimension(lam, N):
+    """Reference for invariant_functionals_dimension: the rank of the density
+    Lie derivatives of each monomial that stays in the window."""
+    rows = []
+    for X in circle_fields(N):
+        n = ring_content_size(X.value)
+        for mono in ring_basis(CIRCLE, N):
+            if ring_content_size(mono) + n <= N:
+                phi = Density(lam, mono)
+                rows.append(ring_vector(lie_derivative_density(X, phi).value, N))
+    return ring_dim(CIRCLE, N) - rank(rows)
+
+
 class TestInvariantFunctionals:
+    @pytest.mark.parametrize("lam", [F(1), F(0), F(1, 2), F(-2, 3), F(2), F(3, 2)])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_matches_the_monomial_loop(self, lam, N):
+        assert invariant_functionals_dimension(lam, N) == monomial_loop_functionals_dimension(lam, N)
+
     @pytest.mark.parametrize("N", [3, 5])
     def test_weight_one_unique(self, N):
         assert invariant_functionals_dimension(1, N) == 1
