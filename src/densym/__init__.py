@@ -17,12 +17,10 @@ from .rings import (
     circle_mean,
 )
 from .densities import (
-    Density,
     DensityOperator,
     VectorField,
     apply,
     compose,
-    lie_derivative_density,
     lie_derivative_operator,
     pairing,
 )
@@ -61,13 +59,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearOp", "CIRCLE", "ClassificationReport",
-    "CoefficientFunction", "Density", "DensityOperator", "FiniteAlgebra",
+    "CoefficientFunction", "DensityOperator", "FiniteAlgebra",
     "LINE", "PolyFn", "Projection", "SymmetryMap", "TrigFn",
     "TruncatedBasis", "VectorField", "apply", "brute_force_local_symmetries",
     "build_system", "circle_mean", "classify", "compose", "conjugate",
     "delta_compose", "delta_inverse", "equivariance_defect", "identify",
-    "invariant_functionals_dimension", "lie_derivative_density",
-    "lie_derivative_operator", "local_dimension", "nonlocal_trace", "p0",
+    "invariant_functionals_dimension", "lie_derivative_operator",
+    "local_dimension", "nonlocal_trace", "p0",
     "pairing", "realize", "s_map", "s_star", "span_algebra", "sweep", "symbol",
     "symmetry_from_projection", "wilmod",
 ]

@@ -1,9 +1,12 @@
-"""Densities and differential operators between density spaces.
+"""Differential operators between density spaces, densities among them.
 
-A weight-lam density is phi(x)(dx)^lam.  An operator A in D^k_{lam,mu} maps
-F_lam -> F_mu and is stored by its ordered coefficient list [a_0, ..., a_k]
-for A = a_k d^k/dx^k + ... + a_0.  Vector fields act by Lie derivative on
-densities and by commutator on operators; both actions are exact.
+An operator A in D^k_{lam,mu} maps F_lam -> F_mu and is stored by its
+ordered coefficient list [a_0, ..., a_k] for A = a_k d^k/dx^k + ... + a_0.
+A weight-nu density phi(x)(dx)^nu is the order-0 operator
+DensityOperator(0, nu, [phi]) in D^0_{0,nu}, the multiplication F_0 -> F_nu
+by phi: the two are the same Diff-module.  Vector fields act on operators by
+commutator, exactly; at order 0 that is the Lie derivative of densities,
+X phi' + nu X' phi.
 """
 from __future__ import annotations
 
@@ -13,58 +16,6 @@ from math import comb
 from . import rings
 from .errors import RingMismatchError, WeightMismatchError
 from .rings import CoefficientFunction, rat
-
-
-class Density:
-    """phi(x)(dx)^weight over one of the two base geometries."""
-
-    __slots__ = ("weight", "value")
-
-    def __init__(self, weight, value: CoefficientFunction):
-        object.__setattr__(self, "weight", rat(weight))
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("Density is immutable")
-
-    @property
-    def space(self):
-        return self.value.space
-
-    def __add__(self, other):
-        if self.weight != other.weight:
-            raise WeightMismatchError("cannot add densities of different weights")
-        return Density(self.weight, self.value + other.value)
-
-    def __sub__(self, other):
-        if self.weight != other.weight:
-            raise WeightMismatchError("cannot subtract densities of different weights")
-        return Density(self.weight, self.value - other.value)
-
-    def __mul__(self, scalar):
-        return Density(self.weight, self.value * rat(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Density(self.weight, -self.value)
-
-    @property
-    def is_zero(self):
-        return self.value.is_zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Density)
-            and self.weight == other.weight
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.weight, self.value))
-
-    def __repr__(self):
-        return f"Density({self.weight}, {self.value!r})"
 
 
 class VectorField:
@@ -135,11 +86,6 @@ class DensityOperator:
         """The operator d, an element of D^1_{0,1}."""
         return cls(0, 1, [rings.zero(space), rings.one(space)])
 
-    @classmethod
-    def multiplication(cls, lam, mu, fn: CoefficientFunction):
-        """Multiplication by the (mu-lam)-density fn, as an order-0 operator."""
-        return cls(lam, mu, [fn])
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -202,22 +148,31 @@ class DensityOperator:
 # operations
 # ----------------------------------------------------------------------
 
-def apply(A: DensityOperator, phi: Density) -> Density:
-    """A(phi) = (sum_i a_i phi^(i))(dx)^mu."""
-    if phi.weight != A.lam:
+def density_value(phi: DensityOperator) -> CoefficientFunction:
+    """phi of a density phi(dx)^nu in D^0_{0,nu}; rejects every other operator."""
+    if phi.lam != 0 or phi.order != 0:
         raise WeightMismatchError(
-            f"operator expects weight {A.lam}, density has weight {phi.weight}"
+            f"expected a density, an order-0 operator from weight 0; got {phi!r}"
+        )
+    return phi.coeffs[0]
+
+
+def apply(A: DensityOperator, phi: DensityOperator) -> DensityOperator:
+    """A(phi) = (sum_i a_i phi^(i))(dx)^mu for a density phi of weight lam."""
+    der = density_value(phi)
+    if phi.mu != A.lam:
+        raise WeightMismatchError(
+            f"operator expects weight {A.lam}, density has weight {phi.mu}"
         )
     if phi.space != A.space:
         raise RingMismatchError("operator and density live over different spaces")
     out = rings.zero(A.space)
-    der = phi.value
     for i, a in enumerate(A.coeffs):
         if i > 0:
             der = der.diff()
         if not a.is_zero:
             out = out + a * der
-    return Density(A.mu, out)
+    return DensityOperator(0, A.mu, [out])
 
 
 def compose(A: DensityOperator, B: DensityOperator) -> DensityOperator:
@@ -245,16 +200,9 @@ def compose(A: DensityOperator, B: DensityOperator) -> DensityOperator:
     return DensityOperator(B.lam, A.mu, out)
 
 
-def lie_derivative_density(X: VectorField, phi: Density) -> Density:
-    """L_X(phi) = (X phi' + weight X' phi)(dx)^weight."""
-    if X.space != phi.space:
-        raise RingMismatchError("field and density live over different spaces")
-    val = X.value * phi.value.diff() + phi.weight * (X.value.diff() * phi.value)
-    return Density(phi.weight, val)
-
-
 def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperator:
     """Commutator action L^mu_X o A - A o L^lam_X, with L^w_X = X d + w X'.
+    On a density phi in D^0_{0,nu} it is the Lie derivative X phi' + nu X' phi.
 
     Closed form (C(i,-1) = 0): (L_X A)_m = X a_m' + (mu-lam-m) X' a_m
     - sum_{i>m} (C(i,m-1) + lam C(i,m)) X^(i-m+1) a_i, the Leibniz expansion
@@ -274,10 +222,10 @@ def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperat
     return DensityOperator(A.lam, A.mu, out)
 
 
-def pairing(phi: Density, psi: Density) -> Fraction:
-    """Invariant pairing of F_lam with F_{1-lam}: mean of the product."""
-    if phi.space != rings.CIRCLE or psi.space != rings.CIRCLE:
-        raise WeightMismatchError("the pairing is only defined on the circle")
-    if phi.weight + psi.weight != 1:
+def pairing(phi: DensityOperator, psi: DensityOperator) -> Fraction:
+    """Invariant pairing of the densities F_lam and F_{1-lam}: the mean of
+    the product, so only on the circle."""
+    f, g = density_value(phi), density_value(psi)
+    if phi.mu + psi.mu != 1:
         raise WeightMismatchError("pairing needs weights summing to 1")
-    return rings.circle_mean(phi.value * psi.value)
+    return rings.circle_mean(f * g)

@@ -14,7 +14,7 @@ class UnsupportedFunctionalError(DensymError):
 
 
 class WeightMismatchError(DensymError):
-    """Density weights do not satisfy the operation's precondition."""
+    """Weights do not fit the operation, or a density is not in D^0_{0,nu}."""
 
 
 class InapplicableSymmetryError(DensymError):

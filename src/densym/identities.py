@@ -13,7 +13,7 @@ from functools import partial, reduce
 from operator import add
 from typing import Callable
 
-from .densities import Density, DensityOperator, apply, pairing
+from .densities import DensityOperator, apply, pairing
 from .errors import InapplicableSymmetryError
 from .linalg import max_abs, nullspace, rank
 from .operators import (
@@ -275,8 +275,8 @@ def check_adjoint_pairing(cfg: CheckConfig) -> CheckResult:
         mu = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         k = rng.randint(0, 3)
         A = DensityOperator(lam, mu, [_random_trig(rng, 2) for _ in range(k + 1)])
-        phi = Density(1 - mu, _random_trig(rng, 2))
-        psi = Density(lam, _random_trig(rng, 2))
+        phi = DensityOperator(0, 1 - mu, [_random_trig(rng, 2)])
+        psi = DensityOperator(0, lam, [_random_trig(rng, 2)])
         lhs = pairing(apply(conjugate(A), phi), psi)
         rhs = pairing(phi, apply(A, psi))
         worst = max(worst, abs(lhs - rhs))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from . import rings
-from .densities import Density, DensityOperator, apply, compose
+from .densities import DensityOperator, apply, compose, density_value
 from .errors import (
     InapplicableSymmetryError,
     NotInKernelError,
@@ -53,7 +53,7 @@ def p0(A: DensityOperator) -> DensityOperator:
     """A -> A(1): multiplication by a_0, for operators with source weight 0."""
     if A.lam != 0:
         raise InapplicableSymmetryError("the scalar-term projection needs lam = 0")
-    return DensityOperator.multiplication(A.lam, A.mu, A.coeffs[0])
+    return DensityOperator(A.lam, A.mu, A.coeffs[:1])
 
 
 def nonlocal_trace(A: DensityOperator) -> DensityOperator:
@@ -130,8 +130,9 @@ def s_star(A: DensityOperator) -> DensityOperator:
 
 class Projection:
     """A -> (sum_r c_r a_r^(r-n)) (dx)^nu on D^k_{lam,mu}, nu = mu - lam - n,
-    kept as its row of nonzero (r, c_r); it rejects operators of another
-    module or of order above k."""
+    kept as its row of nonzero (r, c_r).  The image is a density, the
+    order-0 operator in D^0_{0,nu}; operators of another module or of order
+    above k are rejected."""
 
     __slots__ = ("k", "lam", "mu", "n", "nu", "row")
 
@@ -145,7 +146,7 @@ class Projection:
         return Projection(self.k, self.lam, self.mu, self.n,
                           {r: scalar * c for r, c in self.row})
 
-    def __call__(self, A: DensityOperator) -> Density:
+    def __call__(self, A: DensityOperator) -> DensityOperator:
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise WeightMismatchError("operator weights do not match the projection")
         if A.order > self.k:
@@ -155,7 +156,7 @@ class Projection:
             # only the nonzero coefficients up to the operator's order contribute
             if r <= A.order and not A.coeffs[r].is_zero:
                 value = value + A.coeffs[r].diff(r - self.n) * c
-        return Density(self.nu, value)
+        return DensityOperator(0, self.nu, [value])
 
 
 def symbol(k: int, lam, mu) -> Projection:
@@ -244,7 +245,8 @@ class BilinearOp:
     operators phi psi' (on lam = 0) and phi' psi (on nu = 0), the
     compositions of the bracket with d, and the exceptional third-order
     operator at weights (-2/3, -2/3).  Its row in BILINEAR and its output
-    weight are evaluated once, at construction.
+    weight are evaluated once, at construction.  Densities are order-0
+    operators from weight 0, and J(phi, psi) is the density J(phi, .)(psi).
     """
 
     __slots__ = ("kind", "nu", "lam", "row", "out_weight")
@@ -266,19 +268,20 @@ class BilinearOp:
     def order(self) -> int:
         return len(self.row) - 1
 
-    def operator(self, phi: Density) -> DensityOperator:
+    def operator(self, phi: DensityOperator) -> DensityOperator:
         """J(phi, .) = sum_j c_j phi^(n-j) d^j, in D_{lam, out_weight}."""
-        if phi.weight != self.nu:
+        f = density_value(phi)
+        if phi.mu != self.nu:
             raise WeightMismatchError(
                 f"bilinear operator {self.kind!r} expects left weight "
-                f"{self.nu}, got {phi.weight}"
+                f"{self.nu}, got {phi.mu}"
             )
         z = rings.zero(phi.space)
         return DensityOperator(self.lam, self.out_weight, [
-            phi.value.diff(self.order - j) * c if c else z for j, c in enumerate(self.row)
+            f.diff(self.order - j) * c if c else z for j, c in enumerate(self.row)
         ])
 
-    def __call__(self, phi: Density, psi: Density) -> Density:
+    def __call__(self, phi: DensityOperator, psi: DensityOperator) -> DensityOperator:
         return apply(self.operator(phi), psi)
 
 

@@ -13,14 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import rings
-from .densities import (
-    Density,
-    DensityOperator,
-    VectorField,
-    apply,
-    lie_derivative_density,
-    lie_derivative_operator,
-)
+from .densities import DensityOperator, VectorField, apply, lie_derivative_operator
 from .errors import InapplicableSymmetryError, TruncationOverflowError
 from .operators import CATALOG
 from .linalg import integer_row, nullspace, rank
@@ -125,13 +118,12 @@ class TruncatedBasis:
     def dim(self) -> int:
         return (self.k + 1) * len(self.monomials)
 
-    def entries_of(self, A: DensityOperator | Density):
+    def entries_of(self, A: DensityOperator):
         """(coordinate, value) for the nonzero coordinates of vector_of(A).
 
-        A density of weight nu is read as the order-0 operator in D^0_{0,nu}.
+        On a density window basis.densities(nu) only the densities of weight
+        nu, order-0 operators in D^0_{0,nu}, have coordinates.
         """
-        if isinstance(A, Density):
-            A = DensityOperator(0, A.weight, [A.value])
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise TruncationOverflowError("operator weights do not match the basis")
         if A.order > self.k and not all(c.is_zero for c in A.coeffs[self.k + 1:]):
@@ -164,8 +156,9 @@ class SymmetryMap:
     """A linear map on a truncated module, carried as its sparse columns.
 
     The columns are coordinates on its target window, read off the first
-    image: the basis itself for an operator map, basis.densities(nu) (F_nu
-    as the order-0 window) for a projection.  A map built from a callable
+    image: the basis itself when that image lies in the basis's module
+    D_{lam,mu}, else basis.densities(nu) for an image in D^0_{0,nu} (F_nu
+    as the order-0 window), as a projection's.  A map built from a callable
     applies it once per basis element and keeps the image as a sparse
     column.  X @ Y, X + Y, X - Y and q * X are built from their operands'
     columns, apply no callable and keep no column of their own.  The
@@ -192,8 +185,9 @@ class SymmetryMap:
         if col is None:
             image = self.func(self.basis.elements[j])
             if self._target is None:
-                self._target = (self.basis.densities(image.weight)
-                                if isinstance(image, Density) else self.basis)
+                b = self.basis
+                self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
+                                else b.densities(image.mu))
             col = self._images[j] = self._target.entries_of(image)
         return col
 
@@ -335,13 +329,14 @@ def bilinear_defect(J, space: str, M: int, fields):
 
     Checks J(L_X phi, psi) + J(phi, L_X psi) = L_X J(phi, psi) on all pairs of
     basis densities whose products stay inside the window.  With A_phi =
-    J(phi, .) and L_X acting on operators by the commutator, the defect is
-    (A_{L_X phi} - L_X A_phi)(psi): one operator per field and phi.
+    J(phi, .) and L_X the commutator action on operators, phi in D^0_{0,nu}
+    among them, the defect is (A_{L_X phi} - L_X A_phi)(psi): one operator
+    per field and phi.
     """
     check_window(J.order, M)
     monos = ring_basis(space, M)
     sizes = [ring_content_size(f) for f in monos]
-    psis = [Density(J.lam, f) for f in monos]
+    psis = [DensityOperator(0, J.lam, [f]) for f in monos]
     cols = []
     for X in fields:
         growth = ring_content_size(X.value)
@@ -350,10 +345,10 @@ def bilinear_defect(J, space: str, M: int, fields):
             room = M - growth - size
             if room < 0:
                 continue
-            phi = Density(J.nu, f)
-            D = (J.operator(lie_derivative_density(X, phi))
+            phi = DensityOperator(0, J.nu, [f])
+            D = (J.operator(lie_derivative_operator(X, phi))
                  - lie_derivative_operator(X, J.operator(phi)))
-            cols += [ring_vector(apply(D, psi).value, M)
+            cols += [ring_vector(apply(D, psi).coeffs[0], M)
                      for psi, s in zip(psis, sizes) if s <= room]
     return cols
 

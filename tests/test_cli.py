@@ -7,7 +7,7 @@ import pytest
 
 from densym import identities, operators
 from densym.cli import main, parse_rational
-from densym.densities import Density, DensityOperator
+from densym.densities import DensityOperator
 from densym.truncation import TruncatedBasis
 from densym.operators import (
     CATALOG, BilinearOp, Projection, alternating, p0, symmetry_from_projection,
@@ -27,7 +27,7 @@ def _cal_v_off_by_one(A):
 def _v_beta_plus_one(k, lam, mu):
     """V with beta + 1: not equivariant."""
     V = v_formula(k, lam, mu)
-    return lambda A: V(A) + Density(mu - lam - k + 1, A.coefficient(k - 1))
+    return lambda A: V(A) + DensityOperator(0, mu - lam - k + 1, [A.coefficient(k - 1)])
 
 
 def run(capsys, *argv):
@@ -161,8 +161,8 @@ class TestInternalAssertion:
 
     def test_non_jet_map_exit_3(self, capsys, monkeypatch):
         def make(k, lam, mu):  # P0 plus a_0' at d^0: not a jet map
-            return lambda A: p0(A) + DensityOperator.multiplication(
-                A.lam, A.mu, A.coefficient(0).diff())
+            return lambda A: p0(A) + DensityOperator(
+                A.lam, A.mu, [A.coefficient(0).diff()])
         monkeypatch.setitem(CATALOG, "P0", replace(CATALOG["P0"], make=make))
         code, out, err = run(capsys, "classify", "-k", "2", "--lambda", "0", "--mu", "2/7")
         assert (code, out) == (3, "")

@@ -5,12 +5,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from densym.densities import (
-    Density, DensityOperator, VectorField, apply, compose,
-    lie_derivative_density, lie_derivative_operator, pairing,
+    DensityOperator, VectorField, apply, compose, lie_derivative_operator, pairing,
 )
-from densym.errors import WeightMismatchError
+from densym.errors import UnsupportedFunctionalError, WeightMismatchError
+from densym.operators import p0
 from densym.rings import PolyFn, TrigFn
 from densym.truncation import brute_force_fields, generator_family
+from reference import density, lie_derivative_density
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -35,15 +36,15 @@ def sympy_poly(f):
 
 def test_apply_first_derivative():
     A = poly_op(0, F(1, 2), [0], [1])  # d/dx
-    out = apply(A, Density(0, PolyFn.monomial(2)))
-    assert out == Density(F(1, 2), 2 * PolyFn.monomial(1))
+    out = apply(A, density(0, PolyFn.monomial(2)))
+    assert out == density(F(1, 2), 2 * PolyFn.monomial(1))
 
 
 def test_apply_multiplication_operator():
     a = TrigFn.cosine(1)
-    A = DensityOperator.multiplication(F(1, 3), F(5, 3), a)
-    phi = Density(F(1, 3), TrigFn.sine(2))
-    assert apply(A, phi) == Density(F(5, 3), a * TrigFn.sine(2))
+    A = DensityOperator(F(1, 3), F(5, 3), [a])
+    phi = density(F(1, 3), TrigFn.sine(2))
+    assert apply(A, phi) == density(F(5, 3), a * TrigFn.sine(2))
 
 
 def test_apply_spec_example_against_sympy():
@@ -54,7 +55,7 @@ def test_apply_spec_example_against_sympy():
     # same operator on ring elements, cross-checked against sympy
     A = poly_op(0, 1, [1], [0], [0, 1])  # x d^2 + 1
     for fn in (PolyFn.monomial(3), PolyFn([2, 0, 1])):
-        got = apply(A, Density(0, fn)).value
+        got = apply(A, density(0, fn)).coeffs[0]
         expected = sympy.expand(x * sympy_poly(fn).diff(x, 2) + sympy_poly(fn))
         assert sympy.expand(sympy_poly(got) - expected) == 0
 
@@ -62,12 +63,20 @@ def test_apply_spec_example_against_sympy():
 def test_apply_weight_mismatch():
     A = poly_op(0, 1, [1])
     with pytest.raises(WeightMismatchError):
-        apply(A, Density(F(1, 2), PolyFn.monomial(1)))
+        apply(A, density(F(1, 2), PolyFn.monomial(1)))
+
+
+def test_apply_rejects_a_non_density():
+    # a density is an order-0 operator from weight 0; A's source weight is 0
+    A = poly_op(0, 1, [1], [2])
+    for phi in (poly_op(0, 0, [0, 1], [1]), poly_op(F(1, 2), 0, [1])):
+        with pytest.raises(WeightMismatchError, match="expected a density"):
+            apply(A, phi)
 
 
 def test_compose_leibniz_example():
     d = DensityOperator(F(1), F(1), [PolyFn.zero(), PolyFn([1])])
-    mult_x = DensityOperator.multiplication(F(1), F(1), PolyFn.monomial(1))
+    mult_x = DensityOperator(F(1), F(1), [PolyFn.monomial(1)])
     assert compose(d, mult_x) == DensityOperator(
         F(1), F(1), [PolyFn([1]), PolyFn.monomial(1)])
 
@@ -87,16 +96,17 @@ def test_compose_weight_mismatch():
 
 
 def test_lie_derivative_density_examples():
+    lie = lie_derivative_operator  # a density is an order-0 operator
     const_field = VectorField(PolyFn([1]))
-    assert lie_derivative_density(const_field, Density(F(2), PolyFn([5]))).is_zero
+    assert lie(const_field, density(F(2), PolyFn([5]))).is_zero
     euler = VectorField(PolyFn.monomial(1))
     for lam in (F(0), F(1, 2), F(-2, 3)):
-        out = lie_derivative_density(euler, Density(lam, PolyFn.monomial(1)))
-        assert out == Density(lam, (1 + lam) * PolyFn.monomial(1))
+        out = lie(euler, density(lam, PolyFn.monomial(1)))
+        assert out == density(lam, (1 + lam) * PolyFn.monomial(1))
     quad = VectorField(PolyFn.monomial(2))
     for lam in (F(1, 3), F(2)):
-        out = lie_derivative_density(quad, Density(lam, PolyFn([1])))
-        assert out == Density(lam, 2 * lam * PolyFn.monomial(1))
+        out = lie(quad, density(lam, PolyFn([1])))
+        assert out == density(lam, 2 * lam * PolyFn.monomial(1))
 
 
 def test_lie_derivative_operator_examples():
@@ -116,20 +126,24 @@ def lie_operator(X, weight):
     return DensityOperator(weight, weight, [weight * X.value.diff(), X.value])
 
 
-@st.composite
-def ring_ops(draw):
-    """Operators of order 0..6 on either space, zero coefficients included."""
-    space = draw(st.sampled_from(["line", "circle"]))
+spaces = st.sampled_from(["line", "circle"])
+
+
+def ring_elements(space):
+    """Polynomials of degree < 4, or trig polynomials of frequency <= 2."""
     if space == "line":
-        def coeff():
-            return PolyFn(draw(st.lists(rationals, max_size=4)))
-    else:
-        def coeff():
-            harmonics = st.dictionaries(st.integers(1, 2), rationals, max_size=2)
-            return TrigFn(draw(rationals), draw(harmonics), draw(harmonics))
-    k = draw(st.integers(0, 6))
-    return DensityOperator(draw(rationals), draw(rationals),
-                           [coeff() for _ in range(k + 1)], space=space)
+        return st.lists(rationals, max_size=4).map(PolyFn)
+    harmonics = st.dictionaries(st.integers(1, 2), rationals, max_size=2)
+    return st.builds(TrigFn, rationals, harmonics, harmonics)
+
+
+@st.composite
+def ring_ops(draw, max_order=6):
+    """Operators of order 0..max_order on either space, zero coefficients included."""
+    space = draw(spaces)
+    k = draw(st.integers(0, max_order))
+    coeffs = draw(st.lists(ring_elements(space), min_size=k + 1, max_size=k + 1))
+    return DensityOperator(draw(rationals), draw(rationals), coeffs, space=space)
 
 
 @settings(max_examples=80, deadline=None)
@@ -140,6 +154,24 @@ def test_lie_derivative_operator_is_the_commutator(A):
     for X in generator_family(A.space) + brute_force_fields(A.space):
         want = compose(lie_operator(X, A.mu), A) - compose(A, lie_operator(X, A.lam))
         assert lie_derivative_operator(X, A) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces, rationals, st.data())
+def test_lie_derivative_operator_on_a_density_is_the_density_formula(space, nu, data):
+    # F_nu is D^0_{0,nu}: the commutator action at order 0 is X phi' + nu X' phi
+    phi = density(nu, data.draw(ring_elements(space)))
+    drawn = VectorField(data.draw(ring_elements(space)))
+    for X in generator_family(space) + brute_force_fields(space) + [drawn]:
+        assert lie_derivative_operator(X, phi) == lie_derivative_density(X, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_ops(max_order=3), st.data())
+def test_apply_is_the_scalar_term_of_the_composition(A, data):
+    # with phi in D^0_{0,lam}, A o phi is in D^k_{0,mu} and A(phi) = (A o phi)(1)
+    phi = density(A.lam, data.draw(ring_elements(A.space)))
+    assert apply(A, phi) == p0(compose(A, phi))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +191,7 @@ def test_action_axiom(A, xc, yc):
 @given(small_poly_ops(lam=F(1, 2)), small_poly_ops(mu=F(1, 2)),
        st.lists(rationals, max_size=3))
 def test_compose_is_action(A, B, phic):
-    phi = Density(B.lam, PolyFn(phic))
+    phi = density(B.lam, PolyFn(phic))
     assert apply(compose(A, B), phi) == apply(A, apply(B, phi))
 
 
@@ -183,15 +215,30 @@ def test_compose_associative():
 
 def test_pairing_examples():
     lam = F(2, 7)
-    c = Density(lam, TrigFn.cosine(1))
-    c2 = Density(1 - lam, TrigFn.cosine(1))
+    c = density(lam, TrigFn.cosine(1))
+    c2 = density(1 - lam, TrigFn.cosine(1))
     assert pairing(c, c2) == F(1, 2)
-    assert pairing(Density(lam, TrigFn.constant(1)),
-                   Density(1 - lam, TrigFn.sine(1))) == 0
-    assert pairing(Density(0, TrigFn.constant(1)),
-                   Density(1, TrigFn.constant(1))) == 1
+    assert pairing(density(lam, TrigFn.constant(1)),
+                   density(1 - lam, TrigFn.sine(1))) == 0
+    assert pairing(density(0, TrigFn.constant(1)),
+                   density(1, TrigFn.constant(1))) == 1
     with pytest.raises(WeightMismatchError):
-        pairing(c, Density(lam, TrigFn.cosine(1)))
+        pairing(c, density(lam, TrigFn.cosine(1)))
+
+
+def test_pairing_rejects_a_non_density():
+    phi = density(F(1, 3), TrigFn.cosine(1))
+    for psi in (DensityOperator(0, F(2, 3), [TrigFn.cosine(1), TrigFn.sine(1)]),
+                DensityOperator(F(1, 2), F(2, 3), [TrigFn.cosine(1)])):
+        for args in ((phi, psi), (psi, phi)):
+            with pytest.raises(WeightMismatchError, match="expected a density"):
+                pairing(*args)
+
+
+def test_pairing_on_the_line_is_unsupported():
+    # the mean exists only on the circle, as circle_mean says
+    with pytest.raises(UnsupportedFunctionalError):
+        pairing(density(F(1, 3), PolyFn([1, 2])), density(F(2, 3), PolyFn([3])))
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,10 +247,10 @@ def test_pairing_examples():
 def test_pairing_infinitesimal_invariance(xc, pc, lam):
     # <L_X phi, psi> + <phi, L_X psi> = 0 on the circle
     X = VectorField(TrigFn(xc[0], {1: xc[-1]}, {}))
-    phi = Density(lam, TrigFn(pc[0], {}, {2: pc[-1]}))
-    psi = Density(1 - lam, TrigFn(pc[-1], {1: pc[0]}, {}))
-    assert pairing(lie_derivative_density(X, phi), psi) + \
-        pairing(phi, lie_derivative_density(X, psi)) == 0
+    phi = density(lam, TrigFn(pc[0], {}, {2: pc[-1]}))
+    psi = density(1 - lam, TrigFn(pc[-1], {1: pc[0]}, {}))
+    assert pairing(lie_derivative_operator(X, phi), psi) + \
+        pairing(phi, lie_derivative_operator(X, psi)) == 0
 
 
 def test_symbol_intertwines_affine_action():

@@ -8,10 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from densym import cli, identities, rings, truncation
-from densym.densities import (
-    Density, DensityOperator, VectorField, lie_derivative_density,
-    lie_derivative_operator,
-)
+from densym.densities import DensityOperator, VectorField, lie_derivative_operator
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, rank
@@ -24,6 +21,7 @@ from densym.truncation import (
     invariant_functionals_dimension, line_fields, realize, ring_basis,
     ring_content_size, ring_dim, ring_entries, ring_vector,
 )
+from reference import density, lie_derivative_density
 
 
 def direct_equivariance_defect(T, X):
@@ -36,8 +34,8 @@ def direct_equivariance_defect(T, X):
     cols = []
     for b in safe:
         lhs, image = T.func(lie_derivative_operator(X, b)), T.func(b)
-        if isinstance(image, Density):
-            cols.append(ring_vector((lhs - lie_derivative_density(X, image)).value, basis.M))
+        if (image.lam, image.mu) != (basis.lam, basis.mu):  # a density off the module
+            cols.append(ring_vector((lhs - lie_derivative_density(X, image)).coeffs[0], basis.M))
         else:
             cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
     return cols
@@ -156,7 +154,7 @@ class TestColumnArithmetic:
     def test_projection_as_outer_map_gives_density_columns(self, space):
         basis, maps, f = _catalog_maps(space, ["sigma", "C", "P1"])
         sigma, C, P1 = maps["sigma"], maps["C"], maps["P1"]
-        nu = f["sigma"](basis.elements[0]).weight
+        nu = f["sigma"](basis.elements[0]).mu
         derived = [
             (sigma @ C, lambda A: f["sigma"](f["C"](A))),
             (sigma @ (C - P1), lambda A: f["sigma"](f["C"](A) - f["P1"](A))),
@@ -170,8 +168,8 @@ class TestColumnArithmetic:
             assert len(T.columns[0]) == densities.dim
             for j, b in enumerate(basis.elements):
                 image = func(b)
-                assert image.weight == nu
-                assert dict(T.image(j)) == dict(ring_entries(image.value, basis.M))
+                assert (image.lam, image.mu, image.order) == (0, nu, 0)
+                assert dict(T.image(j)) == dict(ring_entries(image.coeffs[0], basis.M))
 
     def test_composing_after_a_projection_raises(self):
         _, maps, _ = _catalog_maps(CIRCLE, ["sigma", "C"])
@@ -212,18 +210,73 @@ class TestDensityWindow:
         rng = random.Random(f"{space} {nu}")
         for _ in range(5):
             f = sum((rng.randint(-4, 4) * m for m in window.monomials), rings.zero(space))
-            assert window.entries_of(Density(nu, f)) == ring_entries(f, basis.M)
+            assert window.entries_of(density(nu, f)) == ring_entries(f, basis.M)
             with pytest.raises(TruncationOverflowError):
-                window.entries_of(Density(nu + F(1, 3), f))
+                window.entries_of(density(nu + F(1, 3), f))
+            # only densities have coordinates: not an operator from weight
+            # 1/2, nor one of order 1
+            with pytest.raises(TruncationOverflowError):
+                window.entries_of(DensityOperator(F(1, 2), nu, [f]))
+            with pytest.raises(TruncationOverflowError):
+                window.entries_of(DensityOperator(0, nu, [f, window.monomials[1]]))
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_window_lie_derivative_is_the_density_one(self, space):
         window = TruncatedBasis(3, 6, space, 0, 1).densities(F(-1, 2))
         for X in generator_family(space):
             for j in window.safe_indices(X):
-                phi = Density(window.mu, window.monomials[j])
-                want = ring_entries(lie_derivative_density(X, phi).value, window.M)
+                phi = density(window.mu, window.monomials[j])
+                want = ring_entries(lie_derivative_density(X, phi).coeffs[0], window.M)
                 assert window.lie_entries(X, j) == want
+
+
+# the projections at n = 0 and lam = 0, whose F_nu = F_mu is read in the
+# order-k window itself: (name, k, lam, mu, then the verify line's counts on
+# the circle and on the line)
+IN_MODULE_PROJECTIONS = [
+    ("V", 1, F(0), F(1, 2), (126, 30), (58, 16)),
+    ("sigma", 0, F(0), F(3, 5), (53, 13), (25, 7)),
+    ("wilmodA", 1, F(0), F(1), (126, 30), (58, 16)),
+    ("wilmodB", 1, F(0), F(1), (126, 30), (58, 16)),
+]
+
+
+def density_window_defect(func, basis, X):
+    """func o L_X - L_X o func on each safe element, read on the explicit
+    window basis.densities(mu), with L_X of the image by the density formula."""
+    window = basis.densities(basis.mu)
+    return [dict(window.entries_of(func(lie_derivative_operator(X, b))
+                                   - lie_derivative_density(X, func(b))))
+            for b in (basis.elements[j] for j in basis.safe_indices(X))]
+
+
+class TestProjectionIntoItsOwnModule:
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    @pytest.mark.parametrize("name, k, lam, mu, circle, line", IN_MODULE_PROJECTIONS)
+    def test_verify_line(self, capsys, space, name, k, lam, mu, circle, line):
+        entries, size = circle if space == CIRCLE else line
+        argv = ["verify", "--op", name, "-k", str(k), "--lambda", str(lam), "--mu", str(mu)]
+        assert cli.main(argv + ["--space", space]) == 0
+        assert capsys.readouterr().out == \
+            f"op:{name}: pass, defect 0, {entries} entries checked, basis size {size}\n"
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    @pytest.mark.parametrize("name, k, lam, mu, circle, line", IN_MODULE_PROJECTIONS)
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_defect_columns_equal_the_density_window(self, space, name, k, lam, mu,
+                                                     circle, line, perturbed):
+        proj = CATALOG[name].make(k, lam, mu)
+        assert proj.nu == mu  # n = 0 at lam = 0
+        # + a_0', a map into F_mu that no field leaves invariant
+        func = (lambda A: proj(A) + density(mu, A.coefficient(0).diff())) if perturbed else proj
+        T = SymmetryMap(TruncatedBasis(k, k + 6, space, lam, mu), func)
+        assert T.target is T.basis
+        defects = []
+        for X in generator_family(space):
+            cols = [{i: v for i, v in col.items() if v} for col in equivariance_defect(T, X)]
+            assert cols == density_window_defect(func, T.basis, X)
+            defects.append(any(cols))
+        assert any(defects) == perturbed
 
 
 class TestEquivarianceDefect:
@@ -360,8 +413,9 @@ class TestDefectByLinearity:
     def test_columns_are_the_image_vectors(self, name):
         # an operator image is read on the basis, a density on the ring window
         T = home_map(name, CIRCLE)
+        module = (T.basis.lam, T.basis.mu)
         images = [T.func(b) for b in T.basis.elements]
-        assert T.columns == [ring_vector(A.value, T.basis.M) if isinstance(A, Density)
+        assert T.columns == [ring_vector(A.coeffs[0], T.basis.M) if (A.lam, A.mu) != module
                              else T.basis.vector_of(A) for A in images]
 
     @pytest.mark.parametrize("name,space", every_map_home())
@@ -652,8 +706,8 @@ def monomial_loop_functionals_dimension(lam, N):
         n = ring_content_size(X.value)
         for mono in ring_basis(CIRCLE, N):
             if ring_content_size(mono) + n <= N:
-                phi = Density(lam, mono)
-                rows.append(ring_vector(lie_derivative_density(X, phi).value, N))
+                phi = density(lam, mono)
+                rows.append(ring_vector(lie_derivative_density(X, phi).coeffs[0], N))
     return ring_dim(CIRCLE, N) - rank(rows)
 
 
@@ -678,10 +732,8 @@ class TestInvariantFunctionals:
 
     def test_surviving_functional_is_the_mean(self):
         # at weight 1 the mean annihilates every Lie derivative in the window
-        from densym.densities import Density, lie_derivative_density
         from densym.rings import circle_mean
-        from densym.truncation import ring_basis
         for X in circle_fields(2):
             for mono in ring_basis(CIRCLE, 2):
-                phi = Density(1, mono)
-                assert circle_mean(lie_derivative_density(X, phi).value) == 0
+                phi = density(1, mono)
+                assert circle_mean(lie_derivative_operator(X, phi).coeffs[0]) == 0
