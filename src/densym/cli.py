@@ -72,7 +72,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one module")
-    _add_flags(p, "order", "lam", "mu", "space", "truncation")
+    _add_flags(p, "order", "lam", "mu", "space")
 
     p = sub.add_parser("table", help="reproduce the dimension table")
     _add_flags(p, "order", "space", "fmt")
@@ -129,7 +129,7 @@ def cmd_classify(args) -> int:
         raise ValueError("classify needs -k, --lambda and --mu")
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
     space = args.space or CIRCLE
-    report = classify(args.order, lam, mu, space, M=args.truncation)
+    report = classify(args.order, lam, mu, space)
     _write(report.to_json(), args.out)
     return 0
 

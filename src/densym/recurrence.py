@@ -13,11 +13,12 @@ and commutation with the cubic field forces, for 2 <= R <= k, 0 <= j <= R-2,
     (j+2)(j+1)(j + 3d - 3R) t[R,j+2] - 3(R + 2 lam - 1)(j+1) t[R-1,j+1]
         - (R + 3 lam - 2) t[R-2,j] + (R - j + 3 lam - 2) t[R,j] = 0.
 
-Both families are derived in closed form from the commutator action and
-cross-checked against the brute-force matrix route; the second family is
-genuinely four-term (a two-term version fails on the conjugation map, see
-the regression tests).  The exact nullspace of the combined sparse system is
-the space of local symmetries.
+Both families are derived in closed form from the commutator action, and
+each row is one coefficient row of the formal oracle in truncation, which
+classify solves on its own and compares; the second family is genuinely
+four-term (a two-term version fails on the conjugation map, see the
+regression tests).  The exact nullspace of the combined sparse system is the
+space of local symmetries.
 """
 from __future__ import annotations
 
@@ -33,11 +34,7 @@ from .operators import CATALOG, conjugated_endo, second_analog_locus
 from .linalg import ZERO, independent_subset, nullspace
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
 from .truncation import (
-    brute_force_local_symmetries,
-    check_window,
-    component_unknowns,
-    componentwise_map,
-    falling,
+    brute_force_local_symmetries, component_unknowns, componentwise_map, falling,
 )
 
 
@@ -60,7 +57,11 @@ def build_system(k: int, lam, mu) -> RecurrenceSystem:
     """All valid instances of the two recurrence families at (k, lam, mu).
 
     Every instance names distinct unknowns inside 0 <= l <= r <= k; a row
-    whose coefficients all vanish at these weights is left out.
+    whose coefficients all vanish at these weights is left out.  Up to scale,
+    each row is the formal oracle's coefficient of one monomial
+    f^(p) a_s^(q) d^m of the defect under X = f d: row (r, l) of the first
+    family is f'' a_r^(l-1) d^(r-l), and row (R, j) of the second is
+    f''' a_R^(j) d^(R-j-2).
     """
     lam, mu = rat(lam), rat(mu)
     d = mu - lam
@@ -368,22 +369,17 @@ def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
         names, vectors, lambda i, j: compose_jets(vectors[i], vectors[j], k))
 
 
-def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
-             check_oracle: bool = True):
+def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
     """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
 
     The dimension is the recurrence nullspace (plus the circle trace); the
-    brute-force oracle must find the same solution space.  The catalog
-    generators are read in jet coordinates t[r,l]; each must solve
-    the recurrence, an independent subset of them must span that dimension,
-    and their exact products give the algebra.  M is only the brute-force
-    oracle's truncation window (default k+6); it must be at least k+4.
+    formal oracle, brute_force_local_symmetries, must find the same solution
+    space.  The catalog generators are read in jet coordinates t[r,l]; each
+    must solve the recurrence, an independent subset of them must span that
+    dimension, and their exact products give the algebra.  No window is built.
     """
     check_module(k, space)
     lam, mu = rat(lam), rat(mu)
-    if M is None:
-        M = k + 6
-    check_window(k, M)
     sys = build_system(k, lam, mu)
     solutions = nullspace(sys.rows, sys.n_unknowns)
     local = len(solutions)
@@ -393,7 +389,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, M: int | None = None,
     if check_oracle:
         # both routes solve for the same unknowns t[r,l], and nullspace reads
         # its basis off the unique RREF: equal spaces give equal lists
-        brute = brute_force_local_symmetries(k, lam, mu, space, M)
+        brute = brute_force_local_symmetries(k, lam, mu)
         if brute != solutions:
             raise SpanMismatchError(
                 f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "

@@ -1,22 +1,23 @@
-"""Truncated test spaces, matrix realizations, and brute-force equivariance.
+"""Truncated test spaces for the verify checks, and the formal oracle.
 
 Every identity in this package is a polynomial identity in finitely many
 jets of the coefficients, so checking it exactly on a large enough truncated
 basis is decisive.  The truncation is explicit: maps whose image leaves the
 window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
-One kernel, equivariance_defect, builds the windowed defect of every linear
-map, the brute-force oracle's elementary maps included.
+One kernel, equivariance_defect, builds the windowed defect of every map
+that verify checks.  The jet ansatz and its formal oracle read no window.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from . import rings
 from .densities import DensityOperator, VectorField, apply, lie_derivative_operator
 from .errors import InapplicableSymmetryError, TruncationOverflowError
 from .operators import CATALOG
-from .linalg import integer_row, nullspace, rank
+from .linalg import nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
 
@@ -354,7 +355,7 @@ def bilinear_defect(J, space: str, M: int, fields):
 
 
 # ----------------------------------------------------------------------
-# brute-force classification of local symmetries
+# the jet ansatz and the formal classification of local symmetries
 # ----------------------------------------------------------------------
 
 def falling(r: int, l: int) -> int:
@@ -394,47 +395,37 @@ def componentwise_map(t, k: int, lam, mu, space: str):
     return act
 
 
-def brute_force_fields(space: str):
-    # the ansatz already commutes with d/dx and x d/dx, so only the
-    # quadratic and cubic directions (or their trig stand-ins) constrain it
-    if space == LINE:
-        return [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
-    return [
-        VectorField(TrigFn.cosine(1)), VectorField(TrigFn.sine(1)),
-        VectorField(TrigFn.cosine(2)), VectorField(TrigFn.sine(2)),
-    ]
+def brute_force_local_symmetries(k: int, lam, mu):
+    """Exact nullspace of the equivariance conditions on the jet ansatz t[r,l].
 
-
-def brute_force_local_symmetries(k: int, lam, mu, space: str = LINE, M: int | None = None):
-    """Exact nullspace of the equivariance conditions on the truncated basis.
-
-    Independent of the recurrence route: the general componentwise map is
-    sum_u t_u e_u over the elementary maps e_u = e_{r,l} (componentwise_map
-    with t[r,l] = 1, every other unknown 0), so each (safe element,
-    coordinate) pair of the equivariance_defect columns of the e_u is one
-    linear equation in the t_u.  Proportional equations have one integer_row
-    and are kept once, which leaves the nullspace unchanged.  Returns the
-    solution vectors, in component_unknowns order.
+    Independent of the recurrence route.  For X = f d and A = sum_s a_s d^s,
+    the defect T(L_X A) - L_X T(A) of the jet map T (componentwise_map) is
+    sum coef(p,s,q,m) f^(p) a_s^(q) d^m with constant coefficients, linear in
+    t.  Jets at a point can be chosen freely on the line and on the circle,
+    so T commutes with every field on every operator, on either space, if
+    and only if every coef vanishes.  At f = x^p/p! and a_s = x^q/q! the x^0
+    coefficient at d^m is coef(p,s,q,m), nonzero only for p + q = s - m + 1.
+    By translation invariance the rows up to p vanish exactly when T
+    commutes with d, ..., x^p d.  The rows with p <= 1 vanish, as the ansatz
+    commutes with d and x d, and [x^2 d, x^n d] = (n-2) x^(n+1) d, so the
+    rows p = 2, 3 give every row.  Each is read on the unit jets e_u (t[r,l]
+    = 1, every other unknown 0), and one nullspace solves them all.  Returns
+    the solution vectors, in component_unknowns order.
     """
-    M = k + 4 if M is None else M
-    check_window(k, M)
-    basis = TruncatedBasis(k, M, space, lam, mu)
     size = len(component_unknowns(k))
-    units = [SymmetryMap(basis, componentwise_map([int(v == u) for v in range(size)],
-                                                  k, lam, mu, space)) for u in range(size)]
-    rows = {}  # (unknown indices, integer_row of their values) of each equation
-    for X in brute_force_fields(space):
-        eqs = {}  # (safe element, coordinate) -> {unknown index: value}
-        for u, e in enumerate(units):
-            for b, col in enumerate(equivariance_defect(e, X)):
-                for i, v in col.items():
-                    if v:
-                        eqs.setdefault((b, i), {})[u] = v
-        # in element order: at k = 10 on the circle, rref then makes 30k row
-        # operations, against 53k in the order the e_u produce the equations
-        for eq in (eqs[key] for key in sorted(eqs)):
-            rows[tuple(eq), tuple(integer_row(list(eq.values())))] = None
-    return nullspace([[dict(zip(*row)).get(u, 0) for u in range(size)] for row in rows], size)
+    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu, LINE)
+             for u in range(size)]
+    rows = []
+    for p in (2, 3):
+        X = VectorField(PolyFn.monomial(p, Fraction(1, factorial(p))))
+        for s in range(p - 1, k + 1):
+            for q in range(s + 2 - p):
+                a = PolyFn.monomial(q, Fraction(1, factorial(q)))
+                A = DensityOperator(lam, mu, [0] * s + [a])
+                LA, m = lie_derivative_operator(X, A), s + 1 - p - q
+                rows.append([(e(LA) - lie_derivative_operator(X, e(A))).coefficient(m)
+                             .coefficient(0) for e in units])
+    return nullspace(rows, size)
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,14 @@ from densym.identities import (
     check_w_sharpness,
     run_identity,
 )
-from densym.recurrence import build_system, classify, local_dimension, sweep
+from densym.linalg import nullspace
+from densym.recurrence import build_system, classify, sweep
 from densym.rings import CIRCLE, LINE
 from densym.truncation import (
     TruncatedBasis, brute_force_local_symmetries,
     invariant_functionals_dimension, realize,
 )
+from oracle import windowed_local_symmetries
 
 PRINTED_TABLE = {
     "generic": [1, 2, 2, 1, 1, 1, 1],
@@ -74,12 +76,14 @@ def test_criterion_2_oracle_agreement():
     assert len(triples) >= 60
     bad = []
     for k, lam, mu in triples:
-        rec = local_dimension(build_system(k, lam, mu))
-        brute = len(brute_force_local_symmetries(k, lam, mu, LINE))
-        if rec != brute:
-            bad.append((k, lam, mu, rec, brute))
+        sys = build_system(k, lam, mu)
+        rec = nullspace(sys.rows, sys.n_unknowns)
+        formal = brute_force_local_symmetries(k, lam, mu)
+        windowed = windowed_local_symmetries(k, lam, mu, LINE)
+        if not rec == formal == windowed:
+            bad.append((k, lam, mu, len(rec), len(formal), len(windowed)))
     report(2, not bad,
-           f"recurrence = brute force on {len(triples)} triples"
+           f"recurrence = formal oracle = windowed oracle on {len(triples)} triples"
            if not bad else f"disagreements: {bad}")
 
 

@@ -55,6 +55,13 @@ UNREAD_FLAGS = [
     (("table", "-k", "1", "--no-kinds", "--format", "svg"), "--format"),
     (("figures", "-k", "3", "--lambda", "1"), "--lambda"),
     (("classify", "--config", "k=1\nlambda=0\nmu=1\nsamples=3\n"), "--samples"),
+    # classify builds no window
+    (("classify", "-k", "3", "--lambda", "0", "--mu", "1", "-M", "0"), "-M"),
+    (("classify", "-k", "1", "--config", "lambda=0\nmu=1\nM=9\n"), "-M"),
+    (("classify", "-k", "2", "--config", "lambda=0\nmu=1\ntruncation=9\n"),
+     "--truncation"),
+    *[(("verify", "oracle_agreement", flag, value), flag)
+      for flag, value in (("--space", "circle"), ("--space", "line"), ("-M", "0"))],
     *[(("verify", "w_sharpness", flag, "1/2"), flag) for flag in ("--lambda", "--mu")],
     *[(("verify", "grozman_equivariance", flag, value), flag)
       for flag, value in (("-k", "5"), ("--lambda", "1/2"), ("--mu", "1/2"))],
@@ -119,11 +126,6 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "-k", "2",
                            "--lambda", "0", "--mu", "1/0")
         assert code == 2 and "zero denominator" in err
-
-    def test_window_below_floor_exit_2(self, capsys):
-        code, _, err = run(capsys, "classify", "-k", "3", "--lambda", "0",
-                           "--mu", "1", "-M", "0")
-        assert code == 2 and "M >= k+4" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -329,45 +331,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--space", "line")
         assert code == 2 and out == "" and f"{argv[0]} is circle-only" in err
 
-    @pytest.mark.parametrize("argv, space", [
-        ((), "line"),
-        (("--space", "circle"), "circle"),
-        (("--space", "line"), "line"),
-    ])
-    def test_oracle_agreement_honours_space(self, capsys, monkeypatch, argv, space):
-        from densym import identities
-        seen = []
-        real = identities.brute_force_local_symmetries
-
-        def spy(k, lam, mu, sp, M):
-            seen.append(sp)
-            return real(k, lam, mu, sp, M)
-
-        monkeypatch.setattr(identities, "brute_force_local_symmetries", spy)
-        code, out, _ = run(capsys, "verify", "oracle_agreement", *argv)
-        assert code == 0 and seen == [space]
-        named = "" if space == "line" else ", circle"
-        assert out == ("oracle_agreement: pass, defect 0, 1 entries checked, "
-                       "basis size 0 (recurrence 1, brute force 1 at k=3, "
-                       f"(1/3,1/5){named})\n")
-
-    def test_oracle_agreement_names_the_circle(self, capsys):
-        # the default (line) line is the benchmark golden; the circle adds its name
-        lines = {space: run(capsys, "verify", "oracle_agreement", "--space", space)[1]
-                 for space in ("line", "circle")}
-        golden = json.loads(VERIFY_GOLDENS.read_text(encoding="utf-8"))
-        assert lines["line"] == golden["verify oracle_agreement"]
-        assert lines["circle"] != lines["line"]
-        assert lines["circle"] == lines["line"].replace(")\n", ", circle)\n")
-
     def test_oracle_agreement_compares_spaces(self, capsys, monkeypatch):
         # an oracle of the right dimension that spans another space must fail
         from fractions import Fraction
         from densym import identities
         real = identities.brute_force_local_symmetries
 
-        def wrong(k, lam, mu, sp, M):
-            n = len(real(k, lam, mu, sp, M)[0])
+        def wrong(k, lam, mu):
+            n = len(real(k, lam, mu)[0])
             return [[Fraction(int(j == n - 1)) for j in range(n)]]
 
         monkeypatch.setattr(identities, "brute_force_local_symmetries", wrong)
@@ -409,7 +380,6 @@ class TestVerify:
         ("mult_table_01", "-k", "4", "-M", "1"),
         ("grozman_equivariance", "-M", "1"),
         ("--op", "poisson", "-M", "0"),
-        ("oracle_agreement", "-M", "0"),
     ])
     def test_window_below_floor_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)

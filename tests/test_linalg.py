@@ -10,6 +10,7 @@ from densym.linalg import (
     independent_subset, integer_row, max_abs, nullspace, rank, rref, solve,
 )
 from densym.rings import CIRCLE, LINE
+import oracle
 
 
 def random_matrix(rng, rows, cols):
@@ -106,14 +107,20 @@ def test_rref_is_the_unique_rref(m):
     assert all(type(v) is F for row in red for v in row)
 
 
-@pytest.mark.parametrize("space", [CIRCLE, LINE])
+@pytest.mark.parametrize("route", [CIRCLE, LINE, "formal"])
 @pytest.mark.parametrize("point", [(F(0), F(1)), (F(2, 7), F(-3, 5))])
-def test_rref_on_the_oracle_matrices(monkeypatch, point, space):
-    seen = []  # the equations the brute-force oracle eliminates, as handed over
-    real = truncation.nullspace
-    monkeypatch.setattr(truncation, "nullspace",
+def test_rref_on_the_oracle_matrices(monkeypatch, point, route):
+    # the equations at k = 6 of the windowed reference (M = 12) and of the
+    # formal oracle, each as handed over to the elimination
+    module = truncation if route == "formal" else oracle
+    seen = []
+    real = module.nullspace
+    monkeypatch.setattr(module, "nullspace",
                         lambda rows, ncols: seen.append(rows) or real(rows, ncols))
-    truncation.brute_force_local_symmetries(6, *point, space, 12)
+    if route == "formal":
+        truncation.brute_force_local_symmetries(6, *point)
+    else:
+        oracle.windowed_local_symmetries(6, *point, route, 12)
     m = seen[0]
     red, pivots = rref(m)
     assert (red, pivots) == fraction_rref(m)

@@ -94,7 +94,7 @@ class TestRecurrenceSystem:
             k = 3
             sys = build_system(k, lam, mu)
             rec_solutions = nullspace(sys.rows, sys.n_unknowns)
-            brute = brute_force_local_symmetries(k, lam, mu, LINE)
+            brute = brute_force_local_symmetries(k, lam, mu)
             assert len(rec_solutions) == len(brute)
             # recurrence solutions realize to equivariant maps
             fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
@@ -207,13 +207,12 @@ class TestClassify:
         rep = classify(2, F(1, 3), F(1, 5), CIRCLE, check_oracle=True)
         assert rep.local_dimension == 2
 
-    @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("point", [(F(0), F(1)), (F(1, 3), F(7, 6)),
                                        (F(-2, 3), F(5, 3))])
-    def test_oracle_finds_the_recurrence_solutions(self, point, space):
+    def test_oracle_finds_the_recurrence_solutions(self, point):
         for k in (2, 3):
             sys = build_system(k, *point)
-            brute = brute_force_local_symmetries(k, *point, space, k + 6)
+            brute = brute_force_local_symmetries(k, *point)
             assert brute == nullspace(sys.rows, sys.n_unknowns)
 
     @pytest.mark.parametrize("count", ["same", "fewer"])
@@ -222,8 +221,8 @@ class TestClassify:
         # one vector short
         real = recurrence.brute_force_local_symmetries
 
-        def skewed(k, lam, mu, space, M):
-            dim = len(real(k, lam, mu, space, M))
+        def skewed(k, lam, mu):
+            dim = len(real(k, lam, mu))
             n = len(component_unknowns(k))
             units = [[F(int(i == j)) for i in range(n)] for j in range(dim)]
             return units if count == "same" else units[1:]
@@ -240,12 +239,6 @@ class TestClassify:
     def test_rejects_a_module_that_does_not_exist(self, args, bad):
         with pytest.raises(ValueError, match=bad):
             classify(*args)
-
-    def test_window_floor(self):
-        with pytest.raises(ValueError, match=r"M >= k\+4"):
-            classify(3, 0, 1, CIRCLE, M=6)
-        floor = classify(1, 0, 1, CIRCLE, M=5)
-        assert floor.to_json() == classify(1, 0, 1, CIRCLE).to_json()
 
 
 class TestSweep:

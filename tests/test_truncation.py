@@ -11,16 +11,18 @@ from densym import cli, identities, rings, truncation
 from densym.densities import DensityOperator, VectorField, lie_derivative_operator
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
-from densym.linalg import integer_row, max_abs, rank
+from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import CATALOG, conjugate, w_formula
+from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_fields,
-    brute_force_local_symmetries, circle_fields, component_unknowns,
-    componentwise_map, dense, equivariance_defect, generator_family,
-    invariant_functionals_dimension, line_fields, realize, ring_basis,
-    ring_content_size, ring_dim, ring_entries, ring_vector,
+    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, circle_fields,
+    component_unknowns, componentwise_map, dense, equivariance_defect,
+    generator_family, invariant_functionals_dimension, line_fields, realize,
+    ring_basis, ring_content_size, ring_dim, ring_entries, ring_vector,
 )
+import oracle
+from oracle import brute_force_fields, windowed_local_symmetries
 from reference import density, lie_derivative_density
 
 
@@ -472,26 +474,24 @@ FROZEN_LOCAL_DIMS = {
 }
 
 
-def oracle_maps(k, lam, mu, space, M=None):
-    """The oracle's solutions as SymmetryMaps on the oracle's own window."""
-    basis = TruncatedBasis(k, k + 4 if M is None else M, space, lam, mu)
+def oracle_maps(k, lam, mu, space, M):
+    """The formal oracle's solutions as SymmetryMaps on a window M."""
+    basis = TruncatedBasis(k, M, space, lam, mu)
     return [SymmetryMap(basis, componentwise_map(sol, k, lam, mu, space))
-            for sol in brute_force_local_symmetries(k, lam, mu, space, M)]
+            for sol in brute_force_local_symmetries(k, lam, mu)]
 
 
 class TestBruteForce:
     @pytest.mark.parametrize("point,dims", sorted(FROZEN_LOCAL_DIMS.items()))
     def test_dimensions_on_line(self, point, dims):
         lam, mu = point
-        got = [len(brute_force_local_symmetries(k, lam, mu, LINE))
-               for k in range(5)]
-        assert got == dims
+        assert [len(brute_force_local_symmetries(k, lam, mu)) for k in range(5)] == dims
 
     def test_circle_route_matches_line_route(self):
         for lam, mu in [(F(1, 3), F(1, 5)), (F(0), F(1)), (F(-1, 2), F(3, 2))]:
             for k in (1, 2, 3):
-                line = brute_force_local_symmetries(k, lam, mu, LINE)
-                circ = brute_force_local_symmetries(k, lam, mu, CIRCLE)
+                line = windowed_local_symmetries(k, lam, mu, LINE)
+                circ = windowed_local_symmetries(k, lam, mu, CIRCLE)
                 assert len(line) == len(circ)
 
     def test_representatives_commute_with_quartic_and_quintic_fields(self):
@@ -504,14 +504,14 @@ class TestBruteForce:
 
     def test_window_floor_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_local_symmetries(3, 0, 1, LINE, M=5)
+            windowed_local_symmetries(3, 0, 1, LINE, M=5)
 
     def test_unknown_space_raises(self):
         with pytest.raises(ValueError, match="'sphere'"):
-            brute_force_local_symmetries(2, 0, 1, "sphere")
+            windowed_local_symmetries(2, 0, 1, "sphere")
 
     def test_solutions_are_symmetry_maps(self):
-        maps = oracle_maps(2, F(1, 3), F(1, 5), LINE)
+        maps = oracle_maps(2, F(1, 3), F(1, 5), LINE, 6)
         assert len(maps) == 2
         fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
         for T in maps:
@@ -520,7 +520,8 @@ class TestBruteForce:
 
 
 # brute-force nullspace bases (rows over component_unknowns) at the default
-# window M = k+4, as the per-elementary-map route computed them
+# window M = k+4, as the per-elementary-map route computed them; the formal
+# oracle, which reads no space, finds the same rows
 PINNED_SOLUTIONS = {
     (CIRCLE, 1, F("0"), F("1")): [
         "1 0 0",
@@ -597,9 +598,9 @@ class TestBruteForceByLinearity:
     @pytest.mark.parametrize("case", sorted(PINNED_SOLUTIONS, key=str))
     def test_solution_vectors_are_pinned(self, case):
         space, k, lam, mu = case
-        got = brute_force_local_symmetries(k, lam, mu, space)
         want = [[F(v) for v in row.split()] for row in PINNED_SOLUTIONS[case]]
-        assert got == want
+        assert windowed_local_symmetries(k, lam, mu, space) == want
+        assert brute_force_local_symmetries(k, lam, mu) == want
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -611,16 +612,16 @@ class TestBruteForceByLinearity:
         rng = random.Random(1000 * k + len(space))
         lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
         defects, kept = {}, []  # field -> the defect of each e_u, in unknown order
-        real_defect, real_nullspace = truncation.equivariance_defect, truncation.nullspace
+        real_defect, real_nullspace = oracle.equivariance_defect, oracle.nullspace
 
         def spy(T, X):
             defects.setdefault(X, []).append(real_defect(T, X))
             return defects[X][-1]
 
-        monkeypatch.setattr(truncation, "equivariance_defect", spy)
-        monkeypatch.setattr(truncation, "nullspace",
+        monkeypatch.setattr(oracle, "equivariance_defect", spy)
+        monkeypatch.setattr(oracle, "nullspace",
                             lambda rows, n: kept.append(rows) or real_nullspace(rows, n))
-        brute_force_local_symmetries(k, lam, mu, space)
+        windowed_local_symmetries(k, lam, mu, space)
         unknowns = component_unknowns(k)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
         T = SymmetryMap(TruncatedBasis(k, k + 4, space, lam, mu),
@@ -639,12 +640,11 @@ class TestBruteForceByLinearity:
         assert {tuple(row) for row in kept[0]} == rows and len(kept[0]) == len(rows)
 
     def test_proportional_rows_are_kept_once(self, monkeypatch):
-        from densym import truncation
         seen = []
-        real = truncation.nullspace
-        monkeypatch.setattr(truncation, "nullspace",
+        real = oracle.nullspace
+        monkeypatch.setattr(oracle, "nullspace",
                             lambda rows, n: seen.append(rows) or real(rows, n))
-        brute_force_local_symmetries(3, F(0), F(1), CIRCLE)
+        windowed_local_symmetries(3, F(0), F(1), CIRCLE)
         rows = seen[0]
 
         def normalized(row):
@@ -659,7 +659,7 @@ class TestBruteForceByLinearity:
         real = truncation.lie_derivative_operator
         monkeypatch.setattr(truncation, "lie_derivative_operator",
                             lambda X, A: calls.update([(repr(X), A)]) or real(X, A))
-        brute_force_local_symmetries(3, F(1, 3), F(1, 5), CIRCLE, 7)
+        windowed_local_symmetries(3, F(1, 3), F(1, 5), CIRCLE, 7)
         basis = TruncatedBasis(3, 7, CIRCLE, F(1, 3), F(1, 5))
         assert calls == Counter((repr(X), basis.elements[j])
                                 for X in brute_force_fields(CIRCLE)
@@ -678,24 +678,24 @@ def _kernel_with_flipped_lie_after_t():
 
 
 class TestFlippedKernel:
-    """The --op checks and the oracle share one kernel; a fault in it still
-    fails the check, and the recurrence route catches it in classify."""
+    """The --op checks and the windowed oracle share one kernel; a fault in
+    it still fails the check, and the windowed oracle then disagrees with
+    the recurrence."""
 
     @pytest.fixture
     def flipped(self, monkeypatch):
         kernel = _kernel_with_flipped_lie_after_t()
-        monkeypatch.setattr(truncation, "equivariance_defect", kernel)
-        monkeypatch.setattr(identities, "equivariance_defect", kernel)
+        for module in (truncation, identities, oracle):
+            monkeypatch.setattr(module, "equivariance_defect", kernel)
 
     def test_verify_op_exit_1(self, capsys, flipped):
         assert cli.main(["verify", "--op", "S"]) == 1
         assert capsys.readouterr().out.startswith("op:S: FAIL, defect ")
 
-    def test_classify_exit_3(self, capsys, flipped):
-        assert cli.main(["classify", "-k", "3", "--lambda", "0", "--mu", "1"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("internal assertion failed: oracle disagreement at k=3")
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_windowed_oracle_disagrees(self, flipped, space):
+        sys = build_system(3, 0, 1)
+        assert windowed_local_symmetries(3, 0, 1, space) != nullspace(sys.rows, sys.n_unknowns)
 
 
 def monomial_loop_functionals_dimension(lam, N):
