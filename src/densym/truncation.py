@@ -423,8 +423,12 @@ def brute_force_local_symmetries(k: int, lam, mu):
                 a = PolyFn.monomial(q, Fraction(1, factorial(q)))
                 A = DensityOperator(lam, mu, [0] * s + [a])
                 LA, m = lie_derivative_operator(X, A), s + 1 - p - q
-                rows.append([(e(LA) - lie_derivative_operator(X, e(A))).coefficient(m)
-                             .coefficient(0) for e in units])
+                row = []
+                for e in units:  # e_u(A) is zero off order s, and so is its L_X
+                    D, eA = e(LA), e(A)
+                    D = D if eA.is_zero else D - lie_derivative_operator(X, eA)
+                    row.append(D.coefficient(m).coefficient(0))
+                rows.append(row)
     return nullspace(rows, size)
 
 

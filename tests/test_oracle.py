@@ -13,7 +13,7 @@ from densym.linalg import integer_row, nullspace, rank
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE
 from densym.truncation import brute_force_local_symmetries, component_unknowns
-from oracle import formal_rows, windowed_local_symmetries
+from oracle import formal_rows, solve, window_rows, windowed_equations
 from test_acceptance import LOCI_POINTS
 
 CLASSIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "classify.json"
@@ -82,39 +82,38 @@ class TestFormalRows:
                 assert by_line.get(tuple(integer_row(padded))) == [mono]
 
 
-@pytest.fixture
-def shared_lie(monkeypatch):
-    """L_X of a basis element is one operator on every window it lies in, so
-    the windows of one test compute it once: a cache of a pure function."""
-    cache = {}
-
-    def lie(X, A):
-        key = repr(X), A
-        if key not in cache:
-            cache[key] = lie_derivative_operator(X, A)
-        return cache[key]
-
-    monkeypatch.setattr(truncation, "lie_derivative_operator", lie)
-
-
-@pytest.mark.usefixtures("shared_lie")
 class TestAgreement:
-    @pytest.mark.parametrize("point", LOCI_POINTS + GENERIC_POINTS)
-    def test_formal_windowed_and_recurrence(self, point):
-        for k in range(6):
-            want = recurrence_solutions(k, *point)
-            assert brute_force_local_symmetries(k, *point) == want
-            for space in (LINE, CIRCLE):
-                for M in (k + 4, k + 6):
-                    assert windowed_local_symmetries(k, *point, space, M) == want
-
-    @pytest.mark.parametrize("k", [6, 7, 8])
-    def test_high_orders_at_zero_one(self, k):
-        want = recurrence_solutions(k, 0, 1)
-        assert brute_force_local_symmetries(k, 0, 1) == want
+    @staticmethod
+    def agree(k, point, windows):
+        """Recurrence = formal oracle = windowed reference at k, on both
+        spaces and M = k+4, k+6, read off windows: space -> equations of a
+        window that holds them."""
+        want = recurrence_solutions(k, *point)
+        assert brute_force_local_symmetries(k, *point) == want
         for space in (LINE, CIRCLE):
             for M in (k + 4, k + 6):
-                assert windowed_local_symmetries(k, 0, 1, space, M) == want
+                rows = window_rows(windows[space], k, *point, space, M)
+                assert solve(rows, len(component_unknowns(k))) == want
+
+    @pytest.mark.parametrize("point", LOCI_POINTS + GENERIC_POINTS)
+    def test_formal_windowed_and_recurrence(self, point):
+        windows = {space: windowed_equations(5, *point, space, 11) for space in (LINE, CIRCLE)}
+        for k in range(6):
+            self.agree(k, point, windows)
+
+    def test_high_orders_at_zero_one(self):
+        windows = {space: windowed_equations(8, 0, 1, space, 14) for space in (LINE, CIRCLE)}
+        for k in (6, 7, 8):
+            self.agree(k, (0, 1), windows)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_smaller_windows_are_read_off_a_larger_one(self, space):
+        point = GENERIC_POINTS[0]
+        eqs = windowed_equations(4, *point, space, 10)
+        for k in range(4):
+            for M in (k + 4, k + 6):
+                assert (window_rows(eqs, k, *point, space, M)
+                        == list(windowed_equations(k, *point, space, M).values()))
 
 
 def _flipped_lie(X, A):
