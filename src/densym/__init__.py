@@ -32,10 +32,7 @@ from .operators import (
     delta_inverse,
     nonlocal_trace,
     p0,
-    s_map,
-    s_star,
     symbol,
-    symmetry_from_projection,
     wilmod,
 )
 from .truncation import (
@@ -66,6 +63,5 @@ __all__ = [
     "delta_compose", "delta_inverse", "equivariance_defect", "identify",
     "invariant_functionals_dimension", "lie_derivative_operator",
     "local_dimension", "nonlocal_trace", "p0",
-    "pairing", "realize", "s_map", "s_star", "span_algebra", "sweep", "symbol",
-    "symmetry_from_projection", "wilmod",
+    "pairing", "realize", "span_algebra", "sweep", "symbol", "wilmod",
 ]

@@ -36,6 +36,6 @@ class SpanNotClosedError(DensymError):
 class SpanMismatchError(DensymError):
     """Catalog generators disagree with the computed symmetry space.
 
-    They fail to span its dimension, violate the recurrence, or are not
-    jet maps; the two classification routes disagreeing raises it too.
+    They fail to span its dimension or violate the recurrence; the two
+    classification routes disagreeing raises it too.
     """

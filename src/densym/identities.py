@@ -40,6 +40,7 @@ from .truncation import (
     generator_family,
     invariant_functionals_dimension,
     line_fields,
+    realize,
     ring_dim,
 )
 
@@ -242,7 +243,7 @@ def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     for lam, mu in row.points:
         basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
         size = basis.dim
-        maps = [SymmetryMap(basis, CATALOG[n].make(k, lam, mu), name=n) for n in row.uses]
+        maps = [realize(n, basis) for n in row.uses]
         for lhs, rhs in row.pairs(basis, *maps):
             defect = lhs if rhs is None else lhs - rhs
             worst = max(worst, max_abs(v for j in range(size) for _, v in defect.image(j)))

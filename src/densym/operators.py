@@ -9,15 +9,17 @@ remaining symmetry generators.
 
 Every map is an explicit exact formula on coefficient lists; a projection
 onto densities (`Projection`) and a bilinear operator (`BILINEAR`) are each
-one row of coefficients.  Weight preconditions are hard errors: the maps
-move between modules and silent coercion would mask bugs.
+one row of coefficients, and a local endomorphism of the catalog is its jet,
+the vector of t[r,l], acting through componentwise_map.  Weight
+preconditions are hard errors: the maps move between modules and silent
+coercion would mask bugs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import rings
 from .densities import DensityOperator, apply, compose, density_value
@@ -90,23 +92,10 @@ def delta_inverse(B: DensityOperator) -> DensityOperator:
     return DensityOperator(1, B.mu, B.coeffs[1:])
 
 
-def s_map(A: DensityOperator) -> DensityOperator:
-    """The involutive symmetry of D^k_{0,0}.
-
-    Explicit form: sum_{i<k} (-1)^i d^i o (a_i + a_{i+1}') + (-1)^k d^k o a_k.
-    Equal to the composition chain -C o delta^{-1} o (Id - P0) o C o delta o C,
-    which is asserted in tests.
-    """
-    if (A.lam, A.mu) != (0, 0):
-        raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
-    # sum_i (-1)^i d^i o f_i is the conjugate of sum_i f_i d^i in D^k_{1,1}
-    a = A.coeffs + (rings.zero(A.space),)
-    return conjugate(DensityOperator(1, 1, [a[i] + a[i + 1].diff()
-                                            for i in range(A.order + 1)]))
-
-
 def s_map_chain(A: DensityOperator) -> DensityOperator:
-    """The same symmetry through its defining composition chain."""
+    """The involutive symmetry S of D^k_{0,0} through its defining chain
+    -C o delta^{-1} o (Id - P0) o C o delta o C; the catalog keeps S as its
+    jet, _s_jet."""
     if (A.lam, A.mu) != (0, 0):
         raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
     step = conjugate(A)                      # D^k_{1,1}
@@ -115,13 +104,6 @@ def s_map_chain(A: DensityOperator) -> DensityOperator:
     step = step - p0(step)                   # Ker P0
     step = delta_inverse(step)               # D^k_{1,1}
     return -1 * conjugate(step)              # D^k_{0,0}
-
-
-def s_star(A: DensityOperator) -> DensityOperator:
-    """Conjugate of s_map, acting on D^k_{1,1}."""
-    if (A.lam, A.mu) != (1, 1):
-        raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (1, 1)")
-    return conjugate(s_map(conjugate(A)))
 
 
 # ----------------------------------------------------------------------
@@ -286,29 +268,111 @@ class BilinearOp:
 
 
 # ----------------------------------------------------------------------
-# symmetries built as bilinear-after-projection
+# jet coordinates: a local endomorphism T of D^k_{lam,mu} is its vector of
+# t[r,l], 0 <= l <= r <= k, with T(A)_{r-l} += t[r,l] fall(r,l) a_r^(l);
+# a vector for classify's algebra carries the coefficient of the trace last
 # ----------------------------------------------------------------------
 
-def symmetry_from_projection(J: BilinearOp, pi: Projection):
-    """The endomorphism A -> J(pi(A), .) of D^k_{lam,mu}, for a projection
-    pi: D^k_{lam,mu} -> F_nu.
+def falling(r: int, l: int) -> int:
+    out = 1
+    for t in range(l):
+        out *= (r - t)
+    return out
 
-    The weight chain J: F_nu x F_lam -> F_mu is checked up front; pi's call
-    checks that each operator is in D^k_{lam,mu}.
+
+def component_unknowns(k: int):
+    """Index map for the jet coordinates t[r,l], 0 <= l <= r <= k."""
+    return [(r, l) for r in range(k + 1) for l in range(r + 1)]
+
+
+def componentwise_map(t, k: int, lam, mu):
+    """The jet map of t on D^k_{lam,mu}, on either space.
+
+    t is a jet vector in component_unknowns order: t[r,l] multiplies D^l on
+    the degree-r component, so the action on coefficient lists is
+    (T A)_m = sum_l t[m+l,l] * fall(m+l, l) * a_{m+l}^(l).  An operator of
+    another module or of order above k is rejected.
     """
-    if J.nu != pi.nu:
+    lam, mu = rat(lam), rat(mu)
+    terms = [(r, l, c * falling(r, l))
+             for (r, l), c in zip(component_unknowns(k), t, strict=True) if c != 0]
+
+    def act(A: DensityOperator) -> DensityOperator:
+        if (A.lam, A.mu) != (lam, mu) or A.order > k:
+            raise WeightMismatchError(f"a jet map of D^{k}_{{{lam},{mu}}} got an "
+                                      f"operator of D^{A.order}_{{{A.lam},{A.mu}}}")
+        live = [(r, l, c) for r, l, c in terms if not A.coefficient(r).is_zero]
+        if not live:  # an elementary map off its one order: nothing to build
+            return DensityOperator.zero(lam, mu, A.space)
+        out = [rings.zero(A.space)] * (k + 1)
+        for r, l, c in live:
+            out[r - l] = out[r - l] + c * A.coefficient(r).diff(l)
+        return DensityOperator(lam, mu, out)
+
+    return act
+
+
+def compose_jets(x, y, k: int):
+    """Jet vector of X o Y (Y applied first), with or without the trace.
+
+    Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
+    fall(r-j,l) fall(r,j) = fall(r,L).  The trace reads only the mean of a_0
+    and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
+    and L o L = 0.
+    """
+    unknowns = component_unknowns(k)
+    index = {u: i for i, u in enumerate(unknowns)}
+    # only nonzero products are formed; an empty sum is the int 0, read as 0
+    out = [
+        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1)
+            if y[index[r, j]] and x[index[r - j, L - j]]) or Fraction(0)
+        for r, L in unknowns
+    ]
+    if len(x) > len(unknowns):
+        # t[1,0] exists only for k >= 1, the only orders with a trace
+        trace = (x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0)
+        out.append(trace or Fraction(0))
+    return out
+
+
+def conjugation_jet(k: int):
+    """t[r,l] = (-1)^r / l!: conjugate, from D^k_{lam,mu} to D^k_{1-mu,1-lam},
+    at every weight."""
+    return [Fraction((-1) ** r, factorial(l)) for r, l in component_unknowns(k)]
+
+
+def mirror_jet(t, k: int):
+    """c o T o c, for the jet t of T and c = conjugation_jet(k): T carried
+    from D^k_{1-mu,1-lam} to D^k_{lam,mu}."""
+    c = conjugation_jet(k)
+    return compose_jets(c, compose_jets(t, c, k), k)
+
+
+def _s_jet(k: int):
+    """c o n, where n: A -> sum_m (a_m + a_{m+1}') d^m on D^k_{1,1} has
+    t[r,0] = 1 and t[r,1] = 1/r: the symmetry S of D^k_{0,0}."""
+    n = [Fraction(1) if l == 0 else Fraction(1, r) if l == 1 else Fraction(0)
+         for r, l in component_unknowns(k)]
+    return compose_jets(conjugation_jet(k), n, k)
+
+
+def printed_jet(J: BilinearOp, pi: Projection):
+    """The jet of A -> J(pi(A), .) on D^k_{lam,mu}, for a projection
+    pi: D^k_{lam,mu} -> F_nu and J: F_nu x F_lam -> F_mu.
+
+    J's order is pi's n, so J's term c_j phi^(n-j) d^j takes pi's term
+    c_r a_r^(r-n) to c_j c_r a_r^(r-j) d^j: t[r,r-j] fall(r,r-j) = c_j c_r.
+    """
+    if (J.nu, J.lam, J.out_weight) != (pi.nu, pi.lam, pi.mu):
         raise WeightMismatchError(
-            f"bilinear left weight {J.nu} != projection target {pi.nu}"
+            f"bilinear {J.kind!r} maps F_{J.nu} x F_{J.lam} to F_{J.out_weight}, "
+            f"not F_{pi.nu} x F_{pi.lam} to F_{pi.mu}"
         )
-    if J.lam != pi.lam:
-        raise WeightMismatchError(
-            f"bilinear right weight {J.lam} != module source weight {pi.lam}"
-        )
-    if J.out_weight != pi.mu:
-        raise WeightMismatchError(
-            f"bilinear output weight {J.out_weight} != module target weight {pi.mu}"
-        )
-    return lambda A: J.operator(pi(A))
+    t = dict.fromkeys(component_unknowns(pi.k), Fraction(0))
+    for r, c in pi.row:
+        for j, cj in enumerate(J.row):
+            t[r, r - j] = c * cj / falling(r, r - j)
+    return list(t.values())
 
 
 # ----------------------------------------------------------------------
@@ -324,14 +388,28 @@ class CatalogEntry:
                                 # operators; bilinear: (nu, lam) -> BilinearOp
     home: tuple                 # (k, lam, mu) that `verify --op` checks by
                                 # default; (0, nu, lam) for a bilinear map
-    circle_only: bool = False
+    jet: object = None          # local endo: (k, lam, mu) -> its t[r,l] vector;
+                                # None for the nonlocal trace L
 
 
-def _e(name, home, applies, action, circle_only=False):
-    # formulas that read fixed coefficient slots do not depend on k
+def local_endo(name, home, applies, jet):
+    """A local endomorphism kept as its jet; make is the jet's map."""
     return CatalogEntry(
-        name, "endo", applies, lambda k, l, m, _a=action: _a, home, circle_only
+        name, "endo", applies,
+        lambda k, lam, mu: componentwise_map(jet(k, lam, mu), k, lam, mu), home, jet=jet,
     )
+
+
+def _on(name, home, weights, why, jet):
+    """The local endomorphism of jet jet(k) on the weights where
+    weights(lam, mu) holds; off them its jet raises, for the reason why."""
+
+    def gated(k, lam, mu):
+        if not weights(lam, mu):
+            raise InapplicableSymmetryError(why)
+        return jet(k)
+
+    return local_endo(name, home, lambda k, l, m, s: weights(l, m), gated)
 
 
 def _jv_kind(k, lam, mu):
@@ -348,52 +426,70 @@ def _jv_kind(k, lam, mu):
     return None
 
 
-def _printed(name, home, kind, projection, scale=1, applies=None):
-    """A printed generator: A -> J(pi(A), .) on D^k_{lam,mu}, where pi is
-    scale times projection(k, lam, mu) and J the bilinear operator of the
-    given kind (a name, or a function of (k, lam, mu)) at the weights the
-    chain forces.  Without `applies` it exists only at its home."""
-
-    def make(k, lam, mu):
+def _factors(kind, projection, scale=1):
+    def factors(k, lam, mu):
         lam, mu = rat(lam), rat(mu)
-        J_kind = kind(k, lam, mu) if callable(kind) else kind
-        J = BilinearOp(J_kind, mu - lam - BILINEAR[J_kind][0], lam)
-        return symmetry_from_projection(J, scale * projection(k, lam, mu))
+        pi = scale * projection(k, lam, mu)
+        return BilinearOp(kind(k, lam, mu) if callable(kind) else kind, pi.nu, lam), pi
 
+    return factors
+
+
+# each printed generator A -> J(pi(A), .): (k, lam, mu) -> (J, pi), where pi
+# is scale times the projection and J the bilinear kind (a name, or a function
+# of (k, lam, mu)) at the weights the chain forces.  Each scale is the printed
+# normalization: JW and GV are idempotent, calW drops the common factor 4 of
+# W at k = 3, and Gsigma is GV with a4 = 0
+PRINTED = {
+    "P0star": _factors("product", partial(alternating, 0)),
+    "P1": _factors("phi_dpsi", partial(alternating, 1)),
+    "calV": _factors("poisson", v_formula),
+    "calW": _factors("poisson", w_formula, Fraction(1, 4)),
+    "JV": _factors(_jv_kind, v_formula),
+    "JW": _factors("d_right", w_formula, Fraction(-2, 21)),
+    "Jsigma": _factors("dd_inner", symbol),
+    "GV": _factors("grozman", v_formula, Fraction(-3, 10)),
+    "Gsigma": _factors("grozman", symbol, Fraction(1, 2)),
+    "wilGen": _factors("d_left", symbol),
+}
+
+
+def _printed(name, home, applies=None):
+    """The entry of PRINTED[name], read at each call; without `applies` it
+    exists only at its home."""
     if applies is None:
         applies = lambda k, l, m, s: (k, l, m) == home
-    return CatalogEntry(name, "endo", applies, make, home)
+    return local_endo(name, home, applies,
+                      lambda k, lam, mu: printed_jet(*PRINTED[name](k, lam, mu)))
 
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
-    _e("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: True, lambda A: A),
-    _e("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda k, l, m, s: l + m == 1, conjugate),
-    _e("P0", (3, Fraction(0), Fraction(2, 7)), lambda k, l, m, s: l == 0, p0),
-    _printed("P0star", (3, Fraction(2, 7), Fraction(1)), "product", partial(alternating, 0),
-             applies=lambda k, l, m, s: m == 1),
-    _printed("P1", (3, Fraction(0), Fraction(1)), "phi_dpsi", partial(alternating, 1),
-             applies=lambda k, l, m, s: k >= 1 and (l, m) == (0, 1)),
-    _e("L", (3, Fraction(0), Fraction(1)),
-       lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
-       nonlocal_trace, circle_only=True),
-    _e("S", (4, Fraction(0), Fraction(0)), lambda k, l, m, s: (l, m) == (0, 0), s_map),
-    _e("Sstar", (4, Fraction(1), Fraction(1)), lambda k, l, m, s: (l, m) == (1, 1), s_star),
-    # each scale is the printed normalization: JW and GV are idempotent, calW
-    # drops the common factor 4 of W at k = 3, and Gsigma is GV with a4 = 0
-    _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), "poisson", v_formula,
-             applies=lambda k, l, m, s: k == 2),
-    _printed("calW", (3, Fraction(1, 3), Fraction(7, 6)), "poisson", w_formula,
-             Fraction(1, 4),
-             applies=lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0),
-    _printed("JV", (3, Fraction(1, 5), Fraction(11, 5)), _jv_kind, v_formula,
-             applies=lambda k, l, m, s: _jv_kind(k, l, m) is not None),
-    _printed("JW", (4, Fraction(0), Fraction(5, 4)), "d_right", w_formula, Fraction(-2, 21)),
-    _printed("Jsigma", (3, Fraction(0), Fraction(3)), "dd_inner", symbol),
-    _printed("GV", (4, Fraction(-2, 3), Fraction(5, 3)), "grozman", v_formula,
-             Fraction(-3, 10)),
-    _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3)), "grozman", symbol,
-             Fraction(1, 2)),
-    _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2)), "d_left", symbol),
+    _on("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda l, m: True, None,
+        lambda k: [Fraction(int(l == 0)) for _, l in component_unknowns(k)]),
+    _on("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda l, m: l + m == 1,
+        "C is an endomorphism only on lam + mu = 1", conjugation_jet),
+    _on("P0", (3, Fraction(0), Fraction(2, 7)), lambda l, m: l == 0,
+        "the scalar-term projection needs lam = 0",
+        lambda k: [Fraction(int(u == (0, 0))) for u in component_unknowns(k)]),
+    _printed("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m, s: m == 1),
+    _printed("P1", (3, Fraction(0), Fraction(1)),
+             lambda k, l, m, s: k >= 1 and (l, m) == (0, 1)),
+    CatalogEntry("L", "endo", lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
+                 lambda k, l, m: nonlocal_trace, (3, Fraction(0), Fraction(1))),
+    _on("S", (4, Fraction(0), Fraction(0)), lambda l, m: (l, m) == (0, 0),
+        "S needs (lam, mu) = (0, 0)", _s_jet),
+    _on("Sstar", (4, Fraction(1), Fraction(1)), lambda l, m: (l, m) == (1, 1),
+        "Sstar needs (lam, mu) = (1, 1)", lambda k: mirror_jet(_s_jet(k), k)),
+    _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: k == 2),
+    _printed("calW", (3, Fraction(1, 3), Fraction(7, 6)),
+             lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0),
+    _printed("JV", (3, Fraction(1, 5), Fraction(11, 5)),
+             lambda k, l, m, s: _jv_kind(k, l, m) is not None),
+    _printed("JW", (4, Fraction(0), Fraction(5, 4))),
+    _printed("Jsigma", (3, Fraction(0), Fraction(3))),
+    _printed("GV", (4, Fraction(-2, 3), Fraction(5, 3))),
+    _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3))),
+    _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("sigma", "projection",
                  lambda k, l, m, s: True,
                  symbol,
@@ -428,12 +524,3 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  lambda nu, lam: BilinearOp("grozman", nu, lam),
                  (0, Fraction(-2, 3), Fraction(-2, 3))),
 ]}
-
-
-def conjugated_endo(build):
-    """C o T o C: transports an endomorphism from (1-mu, 1-lam) to (lam, mu)."""
-
-    def act(A: DensityOperator) -> DensityOperator:
-        return conjugate(build(conjugate(A)))
-
-    return act

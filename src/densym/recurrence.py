@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import algebras
-from .densities import DensityOperator
 from .errors import SpanMismatchError
-from .operators import CATALOG, conjugated_endo, second_analog_locus
-from .linalg import ZERO, independent_subset, nullspace
-from .rings import CIRCLE, LINE, PolyFn, TrigFn, format_rat, rat
-from .truncation import (
-    brute_force_local_symmetries, component_unknowns, componentwise_map, falling,
+from .operators import (
+    CATALOG, component_unknowns, compose_jets, mirror_jet, second_analog_locus,
 )
+from .linalg import ZERO, independent_subset, nullspace
+from .rings import CIRCLE, LINE, format_rat, rat
+from .truncation import brute_force_local_symmetries
 
 
 @dataclass
@@ -241,19 +240,23 @@ class ClassificationReport:
 
 
 def candidate_generators(k: int, lam, mu, space: str):
-    """Cataloged endomorphisms applicable at (k, lam, mu), plus conjugates."""
+    """Cataloged endomorphisms applicable at (k, lam, mu), plus the mirrors
+    c o T o c (mirror_jet) of those at (1-mu, 1-lam).  Each comes as its jet
+    vector: t[r,l] in component_unknowns order, then the coefficient of the
+    nonlocal trace L."""
     lam, mu = rat(lam), rat(mu)
+    trace = [ZERO] * len(component_unknowns(k)) + [Fraction(1)]
     out = []
     for name in CANDIDATE_ORDER:
         entry = CATALOG[name]
         if entry.applies(k, lam, mu, space):
-            out.append((name, entry.make(k, lam, mu)))
+            out.append((name, trace if entry.jet is None else entry.jet(k, lam, mu) + [ZERO]))
     mirror = (1 - mu, 1 - lam)
     if mirror != (lam, mu):
         for name in MIRRORED_GENERATORS:
             entry = CATALOG[name]
             if entry.applies(k, mirror[0], mirror[1], space):
-                out.append((name + "*", conjugated_endo(entry.make(k, *mirror))))
+                out.append((name + "*", mirror_jet(entry.jet(k, *mirror), k) + [ZERO]))
     return out
 
 
@@ -263,101 +266,6 @@ def check_module(k: int, space: str):
         raise ValueError(f"unknown space {space!r}; use {CIRCLE!r} or {LINE!r}")
     if k < 0:
         raise ValueError(f"the order k must be nonnegative, got {k}")
-
-
-# ----------------------------------------------------------------------
-# jet coordinates: the recurrence unknowns t[r,l], with
-# T(A)_{r-l} += t[r,l] fall(r,l) a_r^(l), plus the trace
-# ----------------------------------------------------------------------
-
-def read_jet(build, k: int, lam, mu):
-    """The coordinates t[r,l] of a local map, in component_unknowns order.
-
-    On the line, the image of x^(k+1) d^r under a jet map has the coefficient
-    t[r,l] fall(r,l) fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r,
-    so these k+1 images fix every t[r,l].  Any other image is not of jet form,
-    and raises SpanMismatchError.
-    """
-    zero, top = PolyFn.zero(), PolyFn.monomial(k + 1)
-    t = []
-    for r in range(k + 1):
-        image = build(DensityOperator(lam, mu, [zero] * r + [top]))
-        if (image.lam, image.mu) != (lam, mu) or image.order > r:
-            raise SpanMismatchError(
-                f"the map sends x^{k + 1} d^{r} out of D^{r}_{{{lam},{mu}}}: "
-                "not a jet map"
-            )
-        for l in range(r + 1):
-            c = image.coefficient(r - l)
-            lead = c.coefficient(k + 1 - l)
-            if c != PolyFn.monomial(k + 1 - l, lead):
-                raise SpanMismatchError(
-                    f"the image of x^{k + 1} d^{r} has the coefficient {c} at "
-                    f"d^{r - l}, not a multiple of x^{k + 1 - l}: not a jet map"
-                )
-            t.append(lead / (falling(r, l) * falling(k + 1, l)))
-    return t
-
-
-def _confirm_on_circle(name, build, t, k: int, lam, mu):
-    """The line read-off must act the same on the circle: one probe operator.
-
-    Its coefficients are distinct and of frequency k+1, so no derivative up
-    to order k vanishes on them.
-    """
-    probe = DensityOperator(lam, mu, [
-        TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
-    ])
-    jet = componentwise_map(t, k, lam, mu, CIRCLE)
-    if build(probe) != jet(probe):
-        raise SpanMismatchError(
-            f"{name} acts on the circle unlike its jet coordinates read off "
-            f"the line at k={k}, ({lam},{mu})"
-        )
-
-
-def jet_vector(name, build, sys: RecurrenceSystem, space: str):
-    """Coordinates of a candidate: t[r,l] in component_unknowns order, then
-    the coefficient of the nonlocal trace L.
-
-    A local candidate must solve the recurrence exactly; a nonzero residual
-    raises SpanMismatchError.
-    """
-    entry = CATALOG.get(name)
-    if entry is not None and entry.circle_only:
-        return [Fraction(0)] * sys.n_unknowns + [Fraction(1)]
-    k, lam, mu = sys.k, sys.lam, sys.mu
-    t = read_jet(build, k, lam, mu)
-    if space == CIRCLE:
-        _confirm_on_circle(name, build, t, k, lam, mu)
-    worst = residual(sys, t)
-    if worst != 0:
-        raise SpanMismatchError(
-            f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
-            f"{space}: residual {worst}"
-        )
-    return t + [Fraction(0)]
-
-
-def compose_jets(x, y, k: int):
-    """Jet vector of X o Y (Y applied first).
-
-    Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
-    fall(r-j,l) fall(r,j) = fall(r,L).  The trace reads only the mean of a_0
-    and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
-    and L o L = 0.
-    """
-    index = {u: i for i, u in enumerate(component_unknowns(k))}
-    # only nonzero products are formed; an empty sum is the int 0, read as ZERO
-    out = [
-        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1)
-            if y[index[r, j]] and x[index[r - j, L - j]]) or ZERO
-        for r, L in component_unknowns(k)
-    ]
-    # t[1,0] exists only for k >= 1, the only orders with a trace
-    trace = (x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0)
-    out.append(trace or ZERO)
-    return out
 
 
 def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
@@ -374,9 +282,10 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
 
     The dimension is the recurrence nullspace (plus the circle trace); the
     formal oracle, brute_force_local_symmetries, must find the same solution
-    space.  The catalog generators are read in jet coordinates t[r,l]; each
-    must solve the recurrence, an independent subset of them must span that
-    dimension, and their exact products give the algebra.  No window is built.
+    space.  The catalog generators are their jet vectors, read off the
+    catalog with no operator applied; each must solve the recurrence, an
+    independent subset of them must span that dimension, and their exact
+    products give the algebra.  No window is built.
     """
     check_module(k, space)
     lam, mu = rat(lam), rat(mu)
@@ -398,8 +307,13 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
             )
 
     names, vectors = [], []
-    for name, build in candidate_generators(k, lam, mu, space):
-        vec = jet_vector(name, build, sys, space)
+    for name, vec in candidate_generators(k, lam, mu, space):
+        worst = residual(sys, vec[:-1])
+        if worst != 0:
+            raise SpanMismatchError(
+                f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
+                f"{space}: residual {worst}"
+            )
         if any(vec):
             names.append(name)
             vectors.append(vec)

@@ -16,7 +16,7 @@ from math import factorial
 from . import rings
 from .densities import DensityOperator, VectorField, apply, lie_derivative_operator
 from .errors import InapplicableSymmetryError, TruncationOverflowError
-from .operators import CATALOG
+from .operators import CATALOG, component_unknowns, componentwise_map
 from .linalg import nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
@@ -358,43 +358,6 @@ def bilinear_defect(J, space: str, M: int, fields):
 # the jet ansatz and the formal classification of local symmetries
 # ----------------------------------------------------------------------
 
-def falling(r: int, l: int) -> int:
-    out = 1
-    for t in range(l):
-        out *= (r - t)
-    return out
-
-
-def component_unknowns(k: int):
-    """Index map for the ansatz unknowns t[r,l], 0 <= l <= r <= k."""
-    return [(r, l) for r in range(k + 1) for l in range(r + 1)]
-
-
-def componentwise_map(t, k: int, lam, mu, space: str):
-    """The translation/scaling-invariant ansatz as an operator map.
-
-    t is a jet vector in component_unknowns order: t[r,l] multiplies D^l on
-    the degree-r component, so the action on coefficient lists is
-    (T A)_m = sum_l t[m+l,l] * fall(m+l, l) * a_{m+l}^(l).
-    """
-    lam, mu = rat(lam), rat(mu)
-    terms = [(r, l, c * falling(r, l))
-             for (r, l), c in zip(component_unknowns(k), t, strict=True) if c != 0]
-
-    zero = DensityOperator.zero(lam, mu, space)
-
-    def act(A: DensityOperator) -> DensityOperator:
-        live = [(r, l, c) for r, l, c in terms if not A.coefficient(r).is_zero]
-        if not live:  # an elementary map off its one order: nothing to build
-            return zero
-        out = list(zero.coeffs) * (k + 1)
-        for r, l, c in live:
-            out[r - l] = out[r - l] + c * A.coefficient(r).diff(l)
-        return DensityOperator(lam, mu, out)
-
-    return act
-
-
 def brute_force_local_symmetries(k: int, lam, mu):
     """Exact nullspace of the equivariance conditions on the jet ansatz t[r,l].
 
@@ -413,7 +376,7 @@ def brute_force_local_symmetries(k: int, lam, mu):
     the solution vectors, in component_unknowns order.
     """
     size = len(component_unknowns(k))
-    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu, LINE)
+    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu)
              for u in range(size)]
     rows = []
     for p in (2, 3):

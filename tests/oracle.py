@@ -19,10 +19,8 @@ from math import factorial
 from densym.densities import DensityOperator, VectorField, lie_derivative_operator
 from densym.linalg import integer_row, nullspace
 from densym.rings import LINE, PolyFn, TrigFn
-from densym.truncation import (
-    SymmetryMap, TruncatedBasis, check_window, component_unknowns, componentwise_map,
-    equivariance_defect,
-)
+from densym.operators import component_unknowns, componentwise_map
+from densym.truncation import SymmetryMap, TruncatedBasis, check_window, equivariance_defect
 
 
 def brute_force_fields(space):
@@ -56,7 +54,7 @@ def windowed_equations(k, lam, mu, space=LINE, M=None):
     basis = TruncatedBasis(k, M, space, lam, mu)
     size = len(component_unknowns(k))
     units = [SymmetryMap(basis, componentwise_map([int(v == u) for v in range(size)],
-                                                  k, lam, mu, space)) for u in range(size)]
+                                                  k, lam, mu)) for u in range(size)]
     n, out = len(basis.monomials), {}
     for f, X in enumerate(brute_force_fields(space)):
         safe = basis.safe_indices(X)
@@ -114,7 +112,7 @@ def formal_rows(k, lam, mu):
     show that they add no rank.
     """
     size = len(component_unknowns(k))
-    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu, LINE)
+    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu)
              for u in range(size)]
     out = {}
     for p in range(6):

@@ -1,10 +1,16 @@
-"""Reference formulas on densities, shared by the test modules.
+"""Reference formulas shared by the test modules.
 
 A weight-nu density phi(x)(dx)^nu is the order-0 operator D^0_{0,nu} with
 coefficient phi; these helpers build one and act on it by the textbook
-formula, independently of densym's operator action.
+formula, independently of densym's operator action.  The catalog keeps each
+local endomorphism as its jet; the formulas below act on operators, and
+read_jet reads a jet back off such a formula, as the reference route.
 """
+from densym import rings
 from densym.densities import DensityOperator
+from densym.errors import InapplicableSymmetryError, SpanMismatchError, WeightMismatchError
+from densym.operators import PRINTED, componentwise_map, conjugate, falling, nonlocal_trace, p0
+from densym.rings import PolyFn, TrigFn
 
 
 def density(nu, f):
@@ -17,3 +23,91 @@ def lie_derivative_density(X, phi):
     assert phi.lam == 0 and phi.order == 0, phi
     f = phi.coeffs[0]
     return density(phi.mu, X.value * f.diff() + phi.mu * (X.value.diff() * f))
+
+
+# ----------------------------------------------------------------------
+# the catalog's local endomorphisms as formulas on operators
+# ----------------------------------------------------------------------
+
+def s_map(A: DensityOperator) -> DensityOperator:
+    """The involutive symmetry of D^k_{0,0}.
+
+    Explicit form: sum_{i<k} (-1)^i d^i o (a_i + a_{i+1}') + (-1)^k d^k o a_k.
+    Equal to the composition chain -C o delta^{-1} o (Id - P0) o C o delta o C.
+    """
+    if (A.lam, A.mu) != (0, 0):
+        raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
+    # sum_i (-1)^i d^i o f_i is the conjugate of sum_i f_i d^i in D^k_{1,1}
+    a = A.coeffs + (rings.zero(A.space),)
+    return conjugate(DensityOperator(1, 1, [a[i] + a[i + 1].diff()
+                                            for i in range(A.order + 1)]))
+
+
+def mirrored(build):
+    """C o T o C: transports an endomorphism from (1-mu, 1-lam) to (lam, mu)."""
+    return lambda A: conjugate(build(conjugate(A)))
+
+
+def j_after_pi(J, pi):
+    """A -> J(pi(A), .) on D^k_{lam,mu}, for pi: D^k_{lam,mu} -> F_nu and
+    J: F_nu x F_lam -> F_mu; the weight chain is checked up front."""
+    if (J.nu, J.lam, J.out_weight) != (pi.nu, pi.lam, pi.mu):
+        raise WeightMismatchError(f"{J.kind!r} does not fit after the projection")
+    return lambda A: J.operator(pi(A))
+
+
+def reference_map(name, k, lam, mu):
+    """A candidate generator of classify on D^k_{lam,mu} as a formula on
+    operators: conjugate, p0, the trace, s_map, J.operator o pi for a
+    printed generator, and C o T o C for Sstar and each mirror T*."""
+    if name.endswith("*"):
+        return mirrored(reference_map(name[:-1], k, 1 - mu, 1 - lam))
+    if name in PRINTED:
+        return j_after_pi(*PRINTED[name](k, lam, mu))
+    return {"Id": lambda A: A, "C": conjugate, "P0": p0, "L": nonlocal_trace,
+            "S": s_map, "Sstar": mirrored(s_map)}[name]
+
+
+# ----------------------------------------------------------------------
+# jets read off operator maps
+# ----------------------------------------------------------------------
+
+def read_jet(build, k: int, lam, mu):
+    """The coordinates t[r,l] of a local map, in component_unknowns order.
+
+    On the line, the image of x^(k+1) d^r under a jet map has the coefficient
+    t[r,l] fall(r,l) fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r,
+    so these k+1 images fix every t[r,l].  Any other image is not of jet form,
+    and raises SpanMismatchError.
+    """
+    zero, top = PolyFn.zero(), PolyFn.monomial(k + 1)
+    t = []
+    for r in range(k + 1):
+        image = build(DensityOperator(lam, mu, [zero] * r + [top]))
+        if (image.lam, image.mu) != (lam, mu) or image.order > r:
+            raise SpanMismatchError(
+                f"the map sends x^{k + 1} d^{r} out of D^{r}_{{{lam},{mu}}}: "
+                "not a jet map"
+            )
+        for l in range(r + 1):
+            c = image.coefficient(r - l)
+            lead = c.coefficient(k + 1 - l)
+            if c != PolyFn.monomial(k + 1 - l, lead):
+                raise SpanMismatchError(
+                    f"the image of x^{k + 1} d^{r} has the coefficient {c} at "
+                    f"d^{r - l}, not a multiple of x^{k + 1 - l}: not a jet map"
+                )
+            t.append(lead / (falling(r, l) * falling(k + 1, l)))
+    return t
+
+
+def acts_on_circle_as(build, t, k: int, lam, mu) -> bool:
+    """Whether build acts on one circle probe as the jet t does.
+
+    The probe's coefficients are distinct and of frequency k+1, so no
+    derivative up to order k vanishes on them.
+    """
+    probe = DensityOperator(lam, mu, [
+        TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
+    ])
+    return build(probe) == componentwise_map(t, k, lam, mu)(probe)

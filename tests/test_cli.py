@@ -10,18 +10,20 @@ from densym.cli import main, parse_rational
 from densym.densities import DensityOperator
 from densym.truncation import TruncatedBasis
 from densym.operators import (
-    CATALOG, BilinearOp, Projection, alternating, p0, symmetry_from_projection,
+    CATALOG, PRINTED, BilinearOp, Projection, alternating, local_endo, printed_jet,
     v_formula,
 )
 
-VERIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify.json"
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+VERIFY_GOLDENS = GOLDENS / "verify.json"
 
 
-def _cal_v_off_by_one(A):
-    """calV with its factor (d-2) changed to (d-1): not equivariant."""
-    lam, d = A.lam, A.delta
-    inner = (2 * lam + 1) * A.coefficient(2).diff() + (d - 1) * A.coefficient(1)
-    return DensityOperator(A.lam, A.mu, [-lam * inner.diff(), (d - 1) * inner])
+def _cal_v_off_by_one(k, lam, mu):
+    """calV's jet with V's factor (d-2) changed to (d-1): not equivariant."""
+    J, V = PRINTED["calV"](k, lam, mu)
+    row = dict(V.row)
+    row[k - 1] = row.get(k - 1, 0) + 1
+    return printed_jet(J, Projection(k, lam, mu, V.n, row))
 
 
 def _v_beta_plus_one(k, lam, mu):
@@ -161,16 +163,6 @@ class TestInternalAssertion:
             3, "", "internal assertion failed: catalog generators span 1 dimensions "
                    "at k=2, (1/3,1/5), circle; classifier computed 2\n")
 
-    def test_non_jet_map_exit_3(self, capsys, monkeypatch):
-        def make(k, lam, mu):  # P0 plus a_0' at d^0: not a jet map
-            return lambda A: p0(A) + DensityOperator(
-                A.lam, A.mu, [A.coefficient(0).diff()])
-        monkeypatch.setitem(CATALOG, "P0", replace(CATALOG["P0"], make=make))
-        code, out, err = run(capsys, "classify", "-k", "2", "--lambda", "0", "--mu", "2/7")
-        assert (code, out) == (3, "")
-        assert err.startswith("internal assertion failed: ")
-        assert err.endswith("not a jet map\n")
-
 
 def _alternating_flipped(n, k, lam, mu):
     """The alternating row with the sign of its r = n+1 slot flipped."""
@@ -184,9 +176,8 @@ class TestFlippedAlternatingRow:
 
     @pytest.fixture
     def flipped(self, monkeypatch):
-        monkeypatch.setitem(CATALOG, "P1", replace(
-            CATALOG["P1"], make=lambda k, lam, mu: symmetry_from_projection(
-                BilinearOp("phi_dpsi", 0, 0), _alternating_flipped(1, k, lam, mu))))
+        monkeypatch.setitem(PRINTED, "P1", lambda k, lam, mu: (
+            BilinearOp("phi_dpsi", 0, 0), _alternating_flipped(1, k, lam, mu)))
         monkeypatch.setitem(CATALOG, "piDelta", replace(
             CATALOG["piDelta"], make=lambda k, lam, mu: _alternating_flipped(1, k, lam, mu)))
 
@@ -200,6 +191,90 @@ class TestFlippedAlternatingRow:
         code, out, err = run(capsys, "classify", "-k", "3", "--lambda", "0", "--mu", "1")
         assert (code, out) == (3, "")
         assert err.startswith("internal assertion failed: P1 violates the recurrence")
+
+
+class TestFlippedConjugationJet:
+    """One entry of C's jet flipped fails the equivariance check and the
+    classifier's recurrence check."""
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        C = CATALOG["C"]
+
+        def jet(k, lam, mu):
+            t = C.jet(k, lam, mu)
+            t[4] = -t[4]  # t[2,1]
+            return t
+
+        monkeypatch.setitem(CATALOG, "C", local_endo("C", C.home, C.applies, jet))
+
+    def test_verify_op_exit_1(self, capsys, flipped):
+        code, out, _ = run(capsys, "verify", "--op", "C")
+        assert code == 1
+        assert out.startswith("op:C: FAIL, defect ") and ", defect 0," not in out
+
+    def test_classify_exit_3(self, capsys, flipped):
+        code, out, err = run(capsys, "classify", "-k", "3", "--lambda", "1/4", "--mu", "3/4")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal assertion failed: C violates the recurrence")
+
+
+def test_classify_applies_no_catalog_map(capsys, monkeypatch):
+    """classify reads every generator's jet off the catalog: with every
+    endomorphism's map refused, it still prints its goldens."""
+    def refuse(*args):
+        raise AssertionError("classify built a catalog map")
+
+    for name, entry in CATALOG.items():
+        if entry.kind == "endo":
+            monkeypatch.setitem(CATALOG, name, replace(entry, make=refuse))
+    golden = json.loads((GOLDENS / "classify.json").read_text(encoding="utf-8"))
+    for command, want in golden.items():
+        assert run(capsys, *command.split()) == (0, want, ""), command
+
+
+# classify stdout for the printed mirrors JV* and JW*, recorded before the
+# catalog kept its generators as jets
+PRINTED_MIRRORS = {
+    ("3", "-1/4", "circle"):
+        '{"algebra": "R^3", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 3, "lambda": "-1/4", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "circle", "total": 3}\n',
+    ("3", "-1/4", "line"):
+        '{"algebra": "R^3", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 3, "lambda": "-1/4", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "line", "total": 3}\n',
+    ("3", "-2", "circle"):
+        '{"algebra": "a+R", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 3, "lambda": "-2", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "circle", "total": 3}\n',
+    ("3", "-2", "line"):
+        '{"algebra": "a+R", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 3, "lambda": "-2", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "line", "total": 3}\n',
+    ("4", "-1/4", "circle"):
+        '{"algebra": "R^3", "generators": ["Id", "P0star", "JW*"]'
+        ', "k": 4, "lambda": "-1/4", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "circle", "total": 3}\n',
+    ("4", "-1/4", "line"):
+        '{"algebra": "R^3", "generators": ["Id", "P0star", "JW*"]'
+        ', "k": 4, "lambda": "-1/4", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "line", "total": 3}\n',
+    ("4", "-2", "circle"):
+        '{"algebra": "a+R", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 4, "lambda": "-2", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "circle", "total": 3}\n',
+    ("4", "-2", "line"):
+        '{"algebra": "a+R", "generators": ["Id", "P0star", "JV*"]'
+        ', "k": 4, "lambda": "-2", "local_dim": 3, '
+        '"mu": "1", "nonlocal_dim": 0, "space": "line", "total": 3}\n',
+}
+
+
+@pytest.mark.parametrize("k, lam, space", PRINTED_MIRRORS)
+def test_printed_mirrors_are_pinned(capsys, k, lam, space):
+    assert run(capsys, "classify", "-k", k, f"--lambda={lam}", "--mu", "1",
+               "--space", space) == (0, PRINTED_MIRRORS[k, lam, space], "")
 
 
 class TestTable:
@@ -443,20 +518,21 @@ class TestVerify:
         assert code == 0 and "op:GV: pass" in out
 
     def test_op_builds_its_generator_once(self, capsys, monkeypatch):
+        # one jet, whose map the window applies
         calls = []
-        build = operators.symmetry_from_projection
-        monkeypatch.setattr(operators, "symmetry_from_projection",
+        build = operators.printed_jet
+        monkeypatch.setattr(operators, "printed_jet",
                             lambda *args: calls.append(args) or build(*args))
         code, out, _ = run(capsys, "verify", "--op", "JV", "--lambda", "0", "--mu", "1")
         assert code == 0 and out.startswith("op:JV: pass")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name, make", [
-        ("calV", lambda k, lam, mu: _cal_v_off_by_one),
-        ("V", lambda k, lam, mu: _v_beta_plus_one(k, lam, mu)),
+    @pytest.mark.parametrize("name, wrong", [
+        ("calV", lambda e: local_endo(e.name, e.home, e.applies, _cal_v_off_by_one)),
+        ("V", lambda e: replace(e, make=_v_beta_plus_one)),
     ])
-    def test_wrong_catalog_formula_fails(self, capsys, monkeypatch, name, make):
-        monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+    def test_wrong_catalog_formula_fails(self, capsys, monkeypatch, name, wrong):
+        monkeypatch.setitem(CATALOG, name, wrong(CATALOG[name]))
         code, out, _ = run(capsys, "verify", "--op", name)
         assert code == 1
         assert out.startswith(f"op:{name}: FAIL, defect ") and ", defect 0," not in out

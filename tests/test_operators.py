@@ -12,16 +12,15 @@ from densym.errors import (
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
     BILINEAR, CATALOG, BilinearOp, alternating, conjugate, delta_compose,
-    delta_inverse, nonlocal_trace, p0, s_map, s_map_chain, s_star,
-    second_analog_locus, symbol, symmetry_from_projection, v_formula, w_coefficients,
-    w_formula, wilmod, wilmod_weights,
+    delta_inverse, nonlocal_trace, p0, printed_jet, s_map_chain, second_analog_locus,
+    symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
     ring_content_size, ring_vector,
 )
-from reference import density, lie_derivative_density
+from reference import density, j_after_pi, lie_derivative_density, mirrored, s_map
 
 
 def poly_op(lam, mu, *coeff_lists):
@@ -210,8 +209,9 @@ class TestInvolutiveSymmetry:
 
     def test_s_star_on_target_side(self):
         A = poly_op(1, 1, [0, 1], [2], [1])
+        s_star = CATALOG["Sstar"].make(2, 1, 1)
         assert s_star(s_star(A)) == A
-        assert s_star(A) == conjugate(s_map(conjugate(A)))
+        assert s_star(A) == mirrored(s_map)(A)
 
 
 class TestRightCompositionWithD:
@@ -546,7 +546,7 @@ def sample_operator(k, lam, mu, space):
 class TestBilinearAfterProjection:
     def test_order3_symbol_generator_exact(self):
         J = BilinearOp("dd_inner", 0, 0)
-        T = symmetry_from_projection(J, symbol(3, 0, 3))
+        T = j_after_pi(J, symbol(3, 0, 3))
         A = poly_op(0, 3, [1], [0, 1], [0], [0, 0, 0, 1])
         assert T(A) == printed_j_sigma(A)
         assert T(A) == poly_op(0, 3, [0], [0, -6], [0, 0, 3])
@@ -554,48 +554,48 @@ class TestBilinearAfterProjection:
     def test_cal_v_is_bracket_after_v(self):
         lam, mu = F(1, 3), F(1, 5)
         J = BilinearOp("poisson", mu - lam - 1, lam)
-        T = symmetry_from_projection(J, v_formula(2, lam, mu))
+        T = j_after_pi(J, v_formula(2, lam, mu))
         A = poly_op(lam, mu, [1, 2], [0, 1], [3, 0, 1])
         assert T(A) == printed_cal_v(A)
 
     def test_line_shift_generator_is_dleft_after_v(self):
         lam, mu = F(1, 5), F(11, 5)
         J = BilinearOp("d_left", 0, lam)
-        T = symmetry_from_projection(J, v_formula(3, lam, mu))
+        T = j_after_pi(J, v_formula(3, lam, mu))
         A = poly_op(lam, mu, [1], [2, 1], [0, 3], [0, 0, 1])
         assert T(A) == printed_j_v3_shift(A)
 
     def test_g_v_proportional_to_raw_composition(self):
         lam, mu = F(-2, 3), F(5, 3)
         J = BilinearOp("grozman", lam, lam)
-        T = symmetry_from_projection(J, v_formula(4, lam, mu))
+        T = j_after_pi(J, v_formula(4, lam, mu))
         A = poly_op(lam, mu, [0], [0], [1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-10, 3) * printed_g_v(A)
 
     def test_j_w_proportional_to_raw_composition(self):
         J = BilinearOp("d_right", F(-3, 4), 0)
-        T = symmetry_from_projection(J, w_formula(4, 0, F(5, 4)))
+        T = j_after_pi(J, w_formula(4, 0, F(5, 4)))
         A = poly_op(0, F(5, 4), [1], [0], [0, 1], [0, 0, 1], [0, 0, 0, 1])
         assert T(A) == F(-21, 2) * printed_j_w(A)
 
     def test_wil_gen_is_bracket_after_wilmod(self):
         lam, mu = wilmod_weights(2)
         J = BilinearOp("poisson", 1, lam)
-        T = symmetry_from_projection(J, wilmod(0, 2, lam, mu))
+        T = j_after_pi(J, wilmod(0, 2, lam, mu))
         A = poly_op(lam, mu, [1], [0, 2], [0, 0, 1])
         assert T(A) == printed_wil_gen(A)
 
     def test_weight_chain_is_checked(self):
         sigma = symbol(3, 0, 3)  # D^3_{0,3} -> F_0
-        symmetry_from_projection(BilinearOp("dd_inner", 0, 0), sigma)
-        for J, side in [(BilinearOp("poisson", 1, 0), "left"),
-                        (BilinearOp("d_left", 0, 1), "right"),
-                        (BilinearOp("poisson", 0, 0), "output")]:
-            with pytest.raises(WeightMismatchError, match=f"bilinear {side} weight"):
-                symmetry_from_projection(J, sigma)
+        printed_jet(BilinearOp("dd_inner", 0, 0), sigma)
+        for J in [BilinearOp("poisson", 1, 0),    # left weight
+                  BilinearOp("d_left", 0, 1),     # right weight
+                  BilinearOp("poisson", 0, 0)]:   # output weight
+            with pytest.raises(WeightMismatchError, match=f"bilinear {J.kind!r} maps"):
+                printed_jet(J, sigma)
 
     def test_operator_of_another_module_is_rejected(self):
-        T = symmetry_from_projection(BilinearOp("dd_inner", 0, 0), symbol(3, 0, 3))
+        T = j_after_pi(BilinearOp("dd_inner", 0, 0), symbol(3, 0, 3))
         with pytest.raises(WeightMismatchError):
             T(poly_op(0, 2, [1], [0, 1]))
         with pytest.raises(WeightMismatchError):

@@ -12,7 +12,8 @@ from densym.identities import GENERIC_POINTS
 from densym.linalg import integer_row, nullspace, rank
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE
-from densym.truncation import brute_force_local_symmetries, component_unknowns
+from densym.operators import component_unknowns
+from densym.truncation import brute_force_local_symmetries
 from oracle import formal_rows, solve, window_rows, windowed_equations
 from test_acceptance import LOCI_POINTS
 

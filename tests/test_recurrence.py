@@ -6,21 +6,22 @@ from densym import recurrence
 from densym.algebras import span_algebra
 from densym.densities import DensityOperator, VectorField
 from densym.errors import SpanMismatchError, SpanNotClosedError
-from densym.identities import CATALOG_HOMES
+from densym.errors import InapplicableSymmetryError, WeightMismatchError
+from densym.identities import CATALOG_HOMES, GENERIC_POINTS
 from densym.linalg import max_abs, nullspace
-from densym.operators import CATALOG
+from densym.operators import (
+    CATALOG, component_unknowns, componentwise_map, compose_jets, conjugation_jet,
+)
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
-    build_system, candidate_generators, classify, compose_jets,
-    exceptional_conditions, is_generic, jet_algebra, jet_vector,
-    local_dimension, nonlocal_dimension, read_jet, residual,
-    sample_generic, sweep,
+    build_system, candidate_generators, classify, exceptional_conditions, is_generic,
+    jet_algebra, local_dimension, nonlocal_dimension, residual, sample_generic, sweep,
 )
 from densym.rings import CIRCLE, LINE, PolyFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
-    component_unknowns, componentwise_map, equivariance_defect,
+    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, equivariance_defect,
 )
+from reference import acts_on_circle_as, read_jet, reference_map
 import random
 
 
@@ -100,7 +101,7 @@ class TestRecurrenceSystem:
             fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
             basis = TruncatedBasis(k, k + 4, LINE, lam, mu)
             for sol in rec_solutions:
-                T = SymmetryMap(basis, componentwise_map(sol, k, lam, mu, LINE))
+                T = SymmetryMap(basis, componentwise_map(sol, k, lam, mu))
                 for X in fields:
                     assert max_abs(col.values() for col in equivariance_defect(T, X)) == 0
 
@@ -350,10 +351,10 @@ class TestExceptionalLoci:
 
 
 # ----------------------------------------------------------------------
-# jet coordinates, against the truncated-basis route
+# jet coordinates, against the reference formulas and the truncated-basis route
 # ----------------------------------------------------------------------
 
-LOCAL_ENDOS = [n for n, e in CATALOG.items() if e.kind == "endo" and not e.circle_only]
+LOCAL_ENDOS = [n for n, e in CATALOG.items() if e.jet is not None]
 
 
 def _home_candidates():
@@ -368,30 +369,55 @@ def _home_candidates():
     return out
 
 
-def _candidate(name, k, lam, mu, space):
-    (build,) = [b for n, b in candidate_generators(k, lam, mu, space) if n == name]
-    return build
+def _reference_points():
+    """The TABLE_ROWS points (the sampled rows at SWEEP_SEED), every catalog
+    home and its mirror, and GENERIC_POINTS."""
+    points = [(F(l), F(m)) for row in SWEEP_POINTS for l, m in row]
+    for _, lam, mu in CATALOG_HOMES.values():
+        points += [(lam, mu), (1 - mu, 1 - lam)]
+    return list(dict.fromkeys(points + GENERIC_POINTS))
 
 
 def _jet_and_span_algebras(k, lam, mu, space):
-    """The jet structure constants and span_algebra's, for classify's generators."""
+    """The jet structure constants of classify's generators, and
+    span_algebra's of their reference formulas on a window."""
     names = classify(k, lam, mu, space, check_oracle=False).generator_names
-    sys = build_system(k, lam, mu)
-    builds = dict(candidate_generators(k, lam, mu, space))
-    vectors = [jet_vector(n, builds[n], sys, space) for n in names]
+    vectors = dict(candidate_generators(k, lam, mu, space))
     basis = TruncatedBasis(k, k + 6, space, lam, mu)
-    maps = [SymmetryMap(basis, builds[n], name=n) for n in names]
-    return jet_algebra(names, vectors, k), span_algebra(maps)
+    maps = [SymmetryMap(basis, reference_map(n, k, lam, mu), name=n) for n in names]
+    return jet_algebra(names, [vectors[n] for n in names], k), span_algebra(maps)
 
 
 class TestJetCoordinates:
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("lam, mu", _reference_points())
+    def test_catalog_jets_are_read_off_the_reference_formulas(self, lam, mu, space):
+        for k in range(7):
+            for name, vec in candidate_generators(k, lam, mu, space):
+                build = reference_map(name, k, lam, mu)
+                if name == "L":
+                    assert vec == [0] * (len(vec) - 1) + [1]
+                    continue
+                t = read_jet(build, k, lam, mu)
+                assert vec == t + [0], (name, k)
+                assert space == LINE or acts_on_circle_as(build, t, k, lam, mu), (name, k)
+
+    def test_reference_points_reach_every_candidate(self):
+        # a generator whose home is its own mirror point has no mirror
+        names = {n for lam, mu in _reference_points() for k in range(7)
+                 for space in (LINE, CIRCLE) for n, _ in candidate_generators(k, lam, mu, space)}
+        mirrors = {n + "*" for n in MIRRORED_GENERATORS
+                   if CATALOG_HOMES[n][1] + CATALOG_HOMES[n][2] != 1}
+        assert names == {n for n, e in CATALOG.items() if e.kind == "endo"} | mirrors
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, k, lam, mu", _home_candidates())
     def test_read_off_realizes_the_candidate(self, name, k, lam, mu, space):
-        build = _candidate(name, k, lam, mu, space)
-        t = read_jet(build, k, lam, mu)
-        assert len(t) == (k + 1) * (k + 2) // 2
-        jet = componentwise_map(t, k, lam, mu, space)
+        # the candidate's jet map is its reference formula on a window
+        vec = dict(candidate_generators(k, lam, mu, space))[name]
+        build = reference_map(name, k, lam, mu)
+        assert vec[:-1] == read_jet(build, k, lam, mu)
+        jet = componentwise_map(vec[:-1], k, lam, mu)
         for b in TruncatedBasis(k, k + 6, space, lam, mu).elements:
             assert jet(b) == build(b)
 
@@ -404,11 +430,23 @@ class TestJetCoordinates:
         for _ in range(3):
             t = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0)
                  for _ in component_unknowns(k)]
-            assert read_jet(componentwise_map(t, k, lam, mu, LINE), k, lam, mu) == t
+            assert read_jet(componentwise_map(t, k, lam, mu), k, lam, mu) == t
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_conjugation_jet_is_an_involution(self, k):
+        rng = random.Random(900 + k)
+        identity = [F(int(l == 0)) for _, l in component_unknowns(k)]
+        c = conjugation_jet(k)
+        assert compose_jets(c, c, k) == identity
+        for _ in range(3):
+            lam = F(rng.randint(-9, 9), rng.randint(1, 9))
+            C = CATALOG["C"].jet(k, lam, 1 - lam)
+            assert C == c and compose_jets(C, C, k) == CATALOG["Id"].jet(k, lam, 1 - lam)
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k, lam, mu", [(k, F(0), F(1)) for k in range(1, 5)] + [
         (4, F(0), F(0)), (3, F(-1, 2), F(3, 2)), (4, F(-2, 3), F(5, 3)),
+        (3, F(-1, 4), F(1)), (4, F(-2), F(1)),
     ])
     def test_structure_constants_equal_span_algebra(self, k, lam, mu, space):
         jet, span = _jet_and_span_algebras(k, lam, mu, space)
@@ -417,18 +455,17 @@ class TestJetCoordinates:
 
     def test_trace_rules_match_nonlocal_trace(self):
         k, lam, mu = 2, F(0), F(1)
-        sys = build_system(k, lam, mu)
         basis = TruncatedBasis(k, k + 6, CIRCLE, lam, mu)
-        builds = dict(candidate_generators(k, lam, mu, CIRCLE))
-        L = SymmetryMap(basis, builds["L"], name="L")
-        L_vec = jet_vector("L", builds["L"], sys, CIRCLE)
+        vectors = dict(candidate_generators(k, lam, mu, CIRCLE))
+        L = SymmetryMap(basis, reference_map("L", k, lam, mu), name="L")
+        L_vec = vectors["L"]
         zero = [F(0)] * len(L_vec)
         assert compose_jets(L_vec, L_vec, k) == zero
         assert (L @ L).is_zero()
         index = {u: i for i, u in enumerate(component_unknowns(k))}
         for name in ("Id", "P0", "P0star", "C", "P1"):
-            T = SymmetryMap(basis, builds[name], name=name)
-            T_vec = jet_vector(name, builds[name], sys, CIRCLE)
+            T = SymmetryMap(basis, reference_map(name, k, lam, mu), name=name)
+            T_vec = vectors[name]
             t00, t10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
             assert compose_jets(L_vec, T_vec, k) == [t00 * v for v in L_vec]
             assert compose_jets(T_vec, L_vec, k) == [t10 * v for v in L_vec]
@@ -437,17 +474,18 @@ class TestJetCoordinates:
 
     def test_local_products_match_composition(self):
         k, lam, mu = 3, F(0), F(1)
-        builds = dict(candidate_generators(k, lam, mu, LINE))
+        vectors = dict(candidate_generators(k, lam, mu, LINE))
         basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
         for x in ("C", "P0star", "P1"):
             for y in ("C", "P0", "P1"):
-                t_x = read_jet(builds[x], k, lam, mu)
-                t_y = read_jet(builds[y], k, lam, mu)
-                product = compose_jets(t_x + [F(0)], t_y + [F(0)], k)
+                product = compose_jets(vectors[x], vectors[y], k)
                 assert product[-1] == 0
-                jet = componentwise_map(product[:-1], k, lam, mu, LINE)
+                # without the trace coordinate, the same local part
+                assert compose_jets(vectors[x][:-1], vectors[y][:-1], k) == product[:-1]
+                jet = componentwise_map(product[:-1], k, lam, mu)
+                X, Y = reference_map(x, k, lam, mu), reference_map(y, k, lam, mu)
                 for b in basis.elements:
-                    assert jet(b) == builds[x](builds[y](b))
+                    assert jet(b) == X(Y(b))
 
 
 # the local generators of the k >= 5 column, at weights where each exists
@@ -462,8 +500,7 @@ class TestRestrictionToLowerOrder:
     def test_generator_jets_restrict(self, name):
         _, lam, mu = CATALOG[name].home
         n = lambda k: (k + 1) * (k + 2) // 2
-        jets = {k: read_jet(CATALOG[name].make(k, lam, mu), k, lam, mu)
-                for k in range(1, 14)}
+        jets = {k: CATALOG[name].jet(k, lam, mu) for k in range(1, 14)}
         for k in range(1, 13):
             assert len(jets[k]) == n(k)
             assert jets[k + 1][:n(k)] == jets[k]
@@ -496,11 +533,6 @@ def _raise_order(A):
     return DensityOperator(A.lam, A.mu, [PolyFn.zero()] + list(A.coeffs))
 
 
-def _scalar_term(A):
-    # the scalar-term projection without its lam = 0 precondition
-    return DensityOperator(A.lam, A.mu, [A.coefficient(0)])
-
-
 class TestJetHardErrors:
     @pytest.mark.parametrize("build", [_times_x, _raise_order])
     def test_read_off_rejects_a_map_that_is_not_a_jet_map(self, build):
@@ -516,10 +548,28 @@ class TestJetHardErrors:
         def ring_dependent(A):
             return A if A.space == LINE else 2 * A
 
-        sys = build_system(2, F(1, 3), F(1, 5))
-        assert jet_vector("Id", ring_dependent, sys, LINE)[0] == 1
-        with pytest.raises(SpanMismatchError, match="on the circle"):
-            jet_vector("Id", ring_dependent, sys, CIRCLE)
+        t = read_jet(ring_dependent, 2, F(1, 3), F(1, 5))
+        assert t == CATALOG["Id"].jet(2, F(1, 3), F(1, 5))
+        assert not acts_on_circle_as(ring_dependent, t, 2, F(1, 3), F(1, 5))
+
+    @pytest.mark.parametrize("name, lam, mu, why", [
+        ("C", F(1, 3), F(1, 5), "lam \\+ mu = 1"),
+        ("P0", F(1, 3), F(0), "lam = 0"),
+        ("S", F(0), F(1), "\\(0, 0\\)"),
+        ("Sstar", F(0), F(0), "\\(1, 1\\)"),
+    ])
+    def test_jet_off_its_weights_raises(self, name, lam, mu, why):
+        with pytest.raises(InapplicableSymmetryError, match=why):
+            CATALOG[name].jet(3, lam, mu)
+        with pytest.raises(InapplicableSymmetryError, match=why):
+            CATALOG[name].make(3, lam, mu)
+
+    def test_jet_map_rejects_an_operator_of_another_module(self):
+        T = CATALOG["Id"].make(2, F(1, 3), F(1, 5))
+        with pytest.raises(WeightMismatchError):
+            T(DensityOperator(F(1, 3), F(1, 2), [PolyFn.monomial(1)]))
+        with pytest.raises(WeightMismatchError):
+            T(DensityOperator(F(1, 3), F(1, 5), [0, 0, 0, PolyFn.monomial(1)]))
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_candidate_violating_the_recurrence_raises(self, monkeypatch, space):
@@ -528,8 +578,8 @@ class TestJetHardErrors:
         lam, mu = F(1, 3), F(1, 5)
         assert classify(1, lam, mu, space, check_oracle=False).total == 2
         monkeypatch.setattr(recurrence, "candidate_generators",
-                            lambda *args: [("Id", lambda A: A),
-                                           ("scalar", _scalar_term)])
+                            lambda *args: [("Id", [F(1), F(1), F(0), F(0)]),
+                                           ("scalar", [F(1), F(0), F(0), F(0)])])
         with pytest.raises(SpanMismatchError, match="scalar violates the recurrence"):
             classify(1, lam, mu, space, check_oracle=False)
 
@@ -537,9 +587,7 @@ class TestJetHardErrors:
         # P0 o P0 = P0 stays in the span of P0 and C; the next product in
         # row-major order, P0 o C = P0star, is the first to leave it
         k, lam, mu = 2, F(0), F(1)
-        builds = dict(candidate_generators(k, lam, mu, LINE))
-        sys = build_system(k, lam, mu)
+        vectors = dict(candidate_generators(k, lam, mu, LINE))
         names = ["P0", "C"]
-        vectors = [jet_vector(n, builds[n], sys, LINE) for n in names]
         with pytest.raises(SpanNotClosedError, match="^product P0 o C leaves the span$"):
-            jet_algebra(names, vectors, k)
+            jet_algebra(names, [vectors[n] for n in names], k)

@@ -12,12 +12,14 @@ from densym.densities import DensityOperator, VectorField, lie_derivative_operat
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
-from densym.operators import CATALOG, conjugate, w_formula
+from densym.operators import (
+    CATALOG, component_unknowns, componentwise_map, conjugate, w_formula,
+)
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, circle_fields,
-    component_unknowns, componentwise_map, dense, equivariance_defect,
+    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, circle_fields, dense,
+    equivariance_defect,
     generator_family, invariant_functionals_dimension, line_fields, realize,
     ring_basis, ring_content_size, ring_dim, ring_entries, ring_vector,
 )
@@ -299,7 +301,7 @@ class TestEquivarianceDefect:
         # D^1_{0,0}: the quadratic field must detect it
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
         # t[1,1] = 1 in the order t[0,0], t[1,0], t[1,1]
-        T = SymmetryMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0, LINE))
+        T = SymmetryMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0))
         defects = [dense_defect(T, X) for X in line_fields(3)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in line_fields(3)]
@@ -348,7 +350,7 @@ def every_home_entry():
     out = []
     for name in sorted(CATALOG_HOMES):
         for space in (CIRCLE, LINE):
-            if CATALOG[name].circle_only and space == LINE:
+            if not CATALOG[name].applies(*CATALOG_HOMES[name], space):
                 continue
             out.append((name, space))
     return out
@@ -477,7 +479,7 @@ FROZEN_LOCAL_DIMS = {
 def oracle_maps(k, lam, mu, space, M):
     """The formal oracle's solutions as SymmetryMaps on a window M."""
     basis = TruncatedBasis(k, M, space, lam, mu)
-    return [SymmetryMap(basis, componentwise_map(sol, k, lam, mu, space))
+    return [SymmetryMap(basis, componentwise_map(sol, k, lam, mu))
             for sol in brute_force_local_symmetries(k, lam, mu)]
 
 
@@ -625,7 +627,7 @@ class TestBruteForceByLinearity:
         unknowns = component_unknowns(k)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
         T = SymmetryMap(TruncatedBasis(k, k + 4, space, lam, mu),
-                        componentwise_map(t, k, lam, mu, space))
+                        componentwise_map(t, k, lam, mu))
         assert len(defects) == len(brute_force_fields(space))
         rows = set()
         for X, per_unit in defects.items():
