@@ -184,39 +184,3 @@ def identify(alg: FiniteAlgebra) -> str:
         if r == 2 and n >= 4 and z == n - 3:
             return _kind("b", n - 4)
     return f"unidentified(dim={n}, radical={r}, center={z}, commutative={comm})"
-
-
-# reference multiplication tables, used by the isomorphism tests
-def reference_kind_table(kind: str):
-    """Structure constants of a named reference algebra in its print basis."""
-    F = Fraction
-    if kind == "a":
-        names = ["atil", "btil"]
-        table = {("atil", "atil"): {"atil": 1}, ("atil", "btil"): {"btil": 1},
-                 ("btil", "atil"): {"btil": 1}}
-    elif kind == "b":
-        names = ["abar", "bbar", "cbar", "dbar"]
-        table = {
-            ("abar", "abar"): {"abar": 1}, ("abar", "dbar"): {"dbar": 1},
-            ("bbar", "bbar"): {"bbar": 1}, ("bbar", "cbar"): {"cbar": 1},
-            ("cbar", "abar"): {"cbar": 1}, ("dbar", "bbar"): {"dbar": 1},
-        }
-    elif kind == "t2":
-        names = ["e11", "e22", "e21"]
-        table = {
-            ("e11", "e11"): {"e11": 1}, ("e22", "e22"): {"e22": 1},
-            ("e21", "e11"): {"e21": 1}, ("e22", "e21"): {"e21": 1},
-        }
-    elif kind.startswith("R^") or kind == "R":
-        n = 1 if kind == "R" else int(kind[2:])
-        names = [f"u{i}" for i in range(n)]
-        table = {(f"u{i}", f"u{i}"): {f"u{i}": 1} for i in range(n)}
-    else:
-        raise ValueError(f"unknown reference kind {kind!r}")
-    idx = {nm: i for i, nm in enumerate(names)}
-    n = len(names)
-    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for (x, y), out in table.items():
-        for znm, c in out.items():
-            sc[idx[x]][idx[y]][idx[znm]] = F(c)
-    return FiniteAlgebra(names, sc)

@@ -21,7 +21,8 @@ from .errors import DensymError, SpanMismatchError, SpanNotClosedError
 from .identities import (
     CATALOG_HOMES, CheckConfig, IDENTITIES, check_catalog_op, reject_unread, run_identity,
 )
-from .recurrence import EXCEPTIONAL_LOCI, HYPERBOLA, LOCUS_LINES, classify, hyperbola_mu, sweep
+from .operators import second_analog_mu
+from .recurrence import EXCEPTIONAL_LOCI, HYPERBOLA, LOCUS_LINES, classify, sweep
 from .rings import CIRCLE, LINE, format_rat
 
 OUTDIR_ENV = "DENSYM_OUT"
@@ -227,7 +228,7 @@ def _hyperbola_paths(n: int = 160):
         pts = []
         for i in range(n + 1):
             lam = lo + (hi - lo) * i / n
-            mu = hyperbola_mu(lam)
+            mu = second_analog_mu(3, lam)
             if m0 <= mu <= m1:
                 pts.append((lam, mu))
         if len(pts) >= 2:

@@ -78,10 +78,6 @@ class DensityOperator:
         return cls(lam, mu, [rings.zero(space)])
 
     @classmethod
-    def identity(cls, lam, space):
-        return cls(lam, lam, [rings.one(space)])
-
-    @classmethod
     def de_rham(cls, space):
         """The operator d, an element of D^1_{0,1}."""
         return cls(0, 1, [rings.zero(space), rings.one(space)])

@@ -14,11 +14,11 @@ from operator import add
 from typing import Callable
 
 from .densities import DensityOperator, apply, pairing
-from .errors import InapplicableSymmetryError
 from .linalg import max_abs, nullspace, rank
 from .operators import (
     CATALOG,
     BilinearOp,
+    component_unknowns,
     conjugate,
     s_map_chain,
     second_analog_locus,
@@ -371,8 +371,7 @@ def check_oracle_agreement(cfg: CheckConfig) -> CheckResult:
     k = cfg.k if cfg.k is not None else 3
     lam = cfg.lam if cfg.lam is not None else Fraction(1, 3)
     mu = cfg.mu if cfg.mu is not None else Fraction(1, 5)
-    sys = build_system(k, lam, mu)
-    rec = nullspace(sys.rows, sys.n_unknowns)
+    rec = nullspace(build_system(k, lam, mu), len(component_unknowns(k)))
     brute = brute_force_local_symmetries(k, lam, mu)
     # equal spaces give equal nullspace bases (as in classify);
     # defect dim(U+V) - dim(U n V)
@@ -426,11 +425,7 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
         worst = max_abs(cols)
         return CheckResult(f"op:{name}", worst == 0, worst,
                            0, len(cols), detail=f"(nu,lam)=({lam},{mu})")
-    if not entry.applies(k, lam, mu, space):
-        raise InapplicableSymmetryError(
-            f"{name!r} is not defined at k={k}, ({lam},{mu}) on the {space}"
-        )
-    T = SymmetryMap(_basis(k, lam, mu, space, cfg.M), entry.make(k, lam, mu), name=name)
+    T = realize(name, _basis(k, lam, mu, space, cfg.M))
     detail = "" if entry.kind == "projection" else f"k={k}, ({lam},{mu}), {space}"
     worst = Fraction(0)
     entries = 0

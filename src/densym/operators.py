@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import rings
 from .densities import DensityOperator, apply, compose, density_value
@@ -183,6 +183,12 @@ def second_analog_locus(k: int, lam, mu) -> Fraction:
         Fraction((k + 1) * (k - 2), 36)
 
 
+def second_analog_mu(k: int, lam):
+    """mu where second_analog_locus(k, lam, mu) = 0, for lam != (2-k)/3:
+    exact on rationals, and on floats for the figures."""
+    return Fraction(k + 1, 3) - Fraction((k + 1) * (k - 2), 36) / (lam + Fraction(k - 2, 3))
+
+
 def w_coefficients(k: int, lam) -> tuple[Fraction, Fraction, Fraction]:
     lam = rat(lam)
     a2 = Fraction(2, 3) * k * (k - 1) * (k + 3 * lam - 2) ** 2
@@ -269,16 +275,9 @@ class BilinearOp:
 
 # ----------------------------------------------------------------------
 # jet coordinates: a local endomorphism T of D^k_{lam,mu} is its vector of
-# t[r,l], 0 <= l <= r <= k, with T(A)_{r-l} += t[r,l] fall(r,l) a_r^(l);
+# t[r,l], 0 <= l <= r <= k, with T(A)_{r-l} += t[r,l] perm(r,l) a_r^(l);
 # a vector for classify's algebra carries the coefficient of the trace last
 # ----------------------------------------------------------------------
-
-def falling(r: int, l: int) -> int:
-    out = 1
-    for t in range(l):
-        out *= (r - t)
-    return out
-
 
 def component_unknowns(k: int):
     """Index map for the jet coordinates t[r,l], 0 <= l <= r <= k."""
@@ -290,11 +289,11 @@ def componentwise_map(t, k: int, lam, mu):
 
     t is a jet vector in component_unknowns order: t[r,l] multiplies D^l on
     the degree-r component, so the action on coefficient lists is
-    (T A)_m = sum_l t[m+l,l] * fall(m+l, l) * a_{m+l}^(l).  An operator of
+    (T A)_m = sum_l t[m+l,l] * perm(m+l, l) * a_{m+l}^(l).  An operator of
     another module or of order above k is rejected.
     """
     lam, mu = rat(lam), rat(mu)
-    terms = [(r, l, c * falling(r, l))
+    terms = [(r, l, c * perm(r, l))
              for (r, l), c in zip(component_unknowns(k), t, strict=True) if c != 0]
 
     def act(A: DensityOperator) -> DensityOperator:
@@ -316,7 +315,7 @@ def compose_jets(x, y, k: int):
     """Jet vector of X o Y (Y applied first), with or without the trace.
 
     Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
-    fall(r-j,l) fall(r,j) = fall(r,L).  The trace reads only the mean of a_0
+    perm(r-j,l) perm(r,j) = perm(r,L).  The trace reads only the mean of a_0
     and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
     and L o L = 0.
     """
@@ -361,7 +360,7 @@ def printed_jet(J: BilinearOp, pi: Projection):
     pi: D^k_{lam,mu} -> F_nu and J: F_nu x F_lam -> F_mu.
 
     J's order is pi's n, so J's term c_j phi^(n-j) d^j takes pi's term
-    c_r a_r^(r-n) to c_j c_r a_r^(r-j) d^j: t[r,r-j] fall(r,r-j) = c_j c_r.
+    c_r a_r^(r-n) to c_j c_r a_r^(r-j) d^j: t[r,r-j] perm(r,r-j) = c_j c_r.
     """
     if (J.nu, J.lam, J.out_weight) != (pi.nu, pi.lam, pi.mu):
         raise WeightMismatchError(
@@ -371,7 +370,7 @@ def printed_jet(J: BilinearOp, pi: Projection):
     t = dict.fromkeys(component_unknowns(pi.k), Fraction(0))
     for r, c in pi.row:
         for j, cj in enumerate(J.row):
-            t[r, r - j] = c * cj / falling(r, r - j)
+            t[r, r - j] = c * cj / perm(r, r - j)
     return list(t.values())
 
 

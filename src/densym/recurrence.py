@@ -24,36 +24,23 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebras
 from .errors import SpanMismatchError
 from .operators import (
     CATALOG, component_unknowns, compose_jets, mirror_jet, second_analog_locus,
+    second_analog_mu,
 )
 from .linalg import ZERO, independent_subset, nullspace
 from .rings import CIRCLE, LINE, format_rat, rat
 from .truncation import brute_force_local_symmetries
 
 
-@dataclass
-class RecurrenceSystem:
-    """Exact linear system in the unknowns t[r,l], 0 <= l <= r <= k: dense
-    rows over component_unknowns order, where t[r,l] sits at r(r+1)/2 + l."""
-
-    k: int
-    lam: Fraction
-    mu: Fraction
-    rows: list = field(repr=False)
-
-    @property
-    def n_unknowns(self) -> int:
-        return (self.k + 1) * (self.k + 2) // 2
-
-
-def build_system(k: int, lam, mu) -> RecurrenceSystem:
-    """All valid instances of the two recurrence families at (k, lam, mu).
+def build_system(k: int, lam, mu) -> list:
+    """All valid instances of the two recurrence families at (k, lam, mu), as
+    dense rows over the jet coordinates t[r,l] in component_unknowns order.
 
     Every instance names distinct unknowns inside 0 <= l <= r <= k; a row
     whose coefficients all vanish at these weights is left out.  Up to scale,
@@ -89,17 +76,18 @@ def build_system(k: int, lam, mu) -> RecurrenceSystem:
                 ((R - 2, j), -(R + 3 * lam - 2)),
                 ((R, j), R - j + 3 * lam - 2),
             ])
-    return RecurrenceSystem(k, lam, mu, rows)
+    return rows
 
 
-def local_dimension(sys: RecurrenceSystem) -> int:
-    return len(nullspace(sys.rows, sys.n_unknowns))
+def local_dimension(k: int, lam, mu) -> int:
+    """Dimension of the local symmetries of D^k_{lam,mu}: the nullspace of the rows."""
+    return len(nullspace(build_system(k, lam, mu), len(component_unknowns(k))))
 
 
-def residual(sys: RecurrenceSystem, t) -> Fraction:
-    """Largest absolute violation of the system by a jet vector t."""
+def residual(rows, t) -> Fraction:
+    """Largest absolute violation of the recurrence rows by a jet vector t."""
     return max((abs(sum(c * x for c, x in zip(row, t, strict=True) if c))
-                for row in sys.rows), default=Fraction(0))
+                for row in rows), default=Fraction(0))
 
 
 def nonlocal_dimension(k: int, lam, mu, space: str) -> int:
@@ -121,11 +109,6 @@ LOCUS_LINES = {  # name -> (a, b, c) for the line a*lambda + b*mu = c
 }
 
 HYPERBOLA = "(3*lambda+1)*(3*mu-4)=-1"  # the order-3 locus, locus-k3
-
-
-def hyperbola_mu(lam):
-    """mu on the order-3 hyperbola (3 lam + 1)(3 mu - 4) = -1, lam != -1/3."""
-    return (4 - 1 / (3 * lam + 1)) / 3
 
 
 def _points(*texts):
@@ -289,8 +272,8 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
     """
     check_module(k, space)
     lam, mu = rat(lam), rat(mu)
-    sys = build_system(k, lam, mu)
-    solutions = nullspace(sys.rows, sys.n_unknowns)
+    rows = build_system(k, lam, mu)
+    solutions = nullspace(rows, len(component_unknowns(k)))
     local = len(solutions)
     nonloc = nonlocal_dimension(k, lam, mu, space)
     total = local + nonloc
@@ -308,7 +291,7 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
 
     names, vectors = [], []
     for name, vec in candidate_generators(k, lam, mu, space):
-        worst = residual(sys, vec[:-1])
+        worst = residual(rows, vec[:-1])
         if worst != 0:
             raise SpanMismatchError(
                 f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
@@ -361,9 +344,9 @@ def _sample_on_condition(cond_name: str, rng: random.Random, kmax: int):
             a, b, c = LOCUS_LINES[cond_name]
             lam, mu = (t, (c - a * t) / b) if b else (Fraction(c, a), t)
         elif cond_name == "locus-k3":
-            if 3 * t + 1 == 0:
+            if 3 * t + 1 == 0:  # lam = -1/3, the curve's asymptote
                 continue
-            lam, mu = t, hyperbola_mu(t)
+            lam, mu = t, second_analog_mu(3, t)
         else:
             raise ValueError(f"no sampler for condition {cond_name!r}")
         if on_locus(lam, mu) and is_generic(lam, mu, kmax, ignore={cond_name}):
@@ -397,11 +380,8 @@ def sweep(kmax: int = 6, space: str = CIRCLE, samples: int = 3,
     table = []
     for row_name, row_conditions in TABLE_ROWS:
         points = sweep_points(row_conditions, samples, rng, kmax)
-        dims_per_point = []
-        for lam, mu in points:
-            dims_per_point.append(
-                [local_dimension(build_system(k, lam, mu)) for k in range(kmax + 1)]
-            )
+        dims_per_point = [[local_dimension(k, lam, mu) for k in range(kmax + 1)]
+                          for lam, mu in points]
         for other in dims_per_point[1:]:
             if other != dims_per_point[0]:
                 raise SpanMismatchError(

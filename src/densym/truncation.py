@@ -162,8 +162,8 @@ class SymmetryMap:
     as the order-0 window), as a projection's.  A map built from a callable
     applies it once per basis element and keeps the image as a sparse
     column.  X @ Y, X + Y, X - Y and q * X are built from their operands'
-    columns, apply no callable and keep no column of their own.  The
-    matrix, flat() and the equivariance defects all read the columns.
+    columns, apply no callable and keep no column of their own.  flat()
+    and the equivariance defects read the columns.
     """
 
     def __init__(self, basis: TruncatedBasis, func, name="T"):
@@ -197,11 +197,6 @@ class SymmetryMap:
         n = self.target.dim
         return [dense(self.image(j), n) for j in range(self.basis.dim)]
 
-    @property
-    def matrix(self):
-        cols = self.columns
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.target.dim)]
-
     def flat(self):
         return [v for col in self.columns for v in col]
 
@@ -218,9 +213,6 @@ class SymmetryMap:
         return _Combination(f"{scalar}*{self.name}", [(rat(scalar), self, None)])
 
     __rmul__ = __mul__
-
-    def equals(self, other: "SymmetryMap") -> bool:
-        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
         return not any(self.image(j) for j in range(self.basis.dim))
@@ -255,17 +247,15 @@ class _Combination(SymmetryMap):
 
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
-    """Realize a cataloged endomorphism, by name, on the basis."""
+    """Realize a cataloged endomorphism or projection, by name, on the basis."""
     entry = CATALOG.get(name)
     if entry is None:
         raise KeyError(f"unknown catalog name {name!r}")
-    if entry.kind != "endo":
-        raise InapplicableSymmetryError(f"{name!r} is a {entry.kind}, not an endomorphism")
+    if entry.kind == "bilinear":
+        raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
     if not entry.applies(basis.k, basis.lam, basis.mu, basis.space):
-        raise InapplicableSymmetryError(
-            f"{name!r} is not defined at k={basis.k}, "
-            f"(lam, mu)=({basis.lam}, {basis.mu}) on the {basis.space}"
-        )
+        raise InapplicableSymmetryError(f"{name!r} is not defined at k={basis.k}, "
+                                        f"({basis.lam},{basis.mu}) on the {basis.space}")
     return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu), name=name)
 
 

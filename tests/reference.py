@@ -6,10 +6,14 @@ formula, independently of densym's operator action.  The catalog keeps each
 local endomorphism as its jet; the formulas below act on operators, and
 read_jet reads a jet back off such a formula, as the reference route.
 """
+from fractions import Fraction
+from math import perm
+
 from densym import rings
+from densym.algebras import FiniteAlgebra
 from densym.densities import DensityOperator
 from densym.errors import InapplicableSymmetryError, SpanMismatchError, WeightMismatchError
-from densym.operators import PRINTED, componentwise_map, conjugate, falling, nonlocal_trace, p0
+from densym.operators import PRINTED, componentwise_map, conjugate, nonlocal_trace, p0
 from densym.rings import PolyFn, TrigFn
 
 
@@ -76,7 +80,7 @@ def read_jet(build, k: int, lam, mu):
     """The coordinates t[r,l] of a local map, in component_unknowns order.
 
     On the line, the image of x^(k+1) d^r under a jet map has the coefficient
-    t[r,l] fall(r,l) fall(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r,
+    t[r,l] perm(r,l) perm(k+1,l) x^(k+1-l) at d^(r-l) and nothing above d^r,
     so these k+1 images fix every t[r,l].  Any other image is not of jet form,
     and raises SpanMismatchError.
     """
@@ -97,7 +101,7 @@ def read_jet(build, k: int, lam, mu):
                     f"the image of x^{k + 1} d^{r} has the coefficient {c} at "
                     f"d^{r - l}, not a multiple of x^{k + 1 - l}: not a jet map"
                 )
-            t.append(lead / (falling(r, l) * falling(k + 1, l)))
+            t.append(lead / (perm(r, l) * perm(k + 1, l)))
     return t
 
 
@@ -111,3 +115,42 @@ def acts_on_circle_as(build, t, k: int, lam, mu) -> bool:
         TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
     ])
     return build(probe) == componentwise_map(t, k, lam, mu)(probe)
+
+
+# ----------------------------------------------------------------------
+# reference multiplication tables, used by the isomorphism tests
+# ----------------------------------------------------------------------
+
+def reference_kind_table(kind: str):
+    """Structure constants of a named reference algebra in its print basis."""
+    F = Fraction
+    if kind == "a":
+        names = ["atil", "btil"]
+        table = {("atil", "atil"): {"atil": 1}, ("atil", "btil"): {"btil": 1},
+                 ("btil", "atil"): {"btil": 1}}
+    elif kind == "b":
+        names = ["abar", "bbar", "cbar", "dbar"]
+        table = {
+            ("abar", "abar"): {"abar": 1}, ("abar", "dbar"): {"dbar": 1},
+            ("bbar", "bbar"): {"bbar": 1}, ("bbar", "cbar"): {"cbar": 1},
+            ("cbar", "abar"): {"cbar": 1}, ("dbar", "bbar"): {"dbar": 1},
+        }
+    elif kind == "t2":
+        names = ["e11", "e22", "e21"]
+        table = {
+            ("e11", "e11"): {"e11": 1}, ("e22", "e22"): {"e22": 1},
+            ("e21", "e11"): {"e21": 1}, ("e22", "e21"): {"e21": 1},
+        }
+    elif kind.startswith("R^") or kind == "R":
+        n = 1 if kind == "R" else int(kind[2:])
+        names = [f"u{i}" for i in range(n)]
+        table = {(f"u{i}", f"u{i}"): {f"u{i}": 1} for i in range(n)}
+    else:
+        raise ValueError(f"unknown reference kind {kind!r}")
+    idx = {nm: i for i, nm in enumerate(names)}
+    n = len(names)
+    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for (x, y), out in table.items():
+        for znm, c in out.items():
+            sc[idx[x]][idx[y]][idx[znm]] = F(c)
+    return FiniteAlgebra(names, sc)

@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from densym.algebras import reference_kind_table, span_algebra
+from densym.algebras import span_algebra
 from densym.identities import (
     CheckConfig,
     check_adjoint_pairing,
@@ -18,6 +18,7 @@ from densym.identities import (
     run_identity,
 )
 from densym.linalg import nullspace
+from densym.operators import component_unknowns
 from densym.recurrence import build_system, classify, sweep
 from densym.rings import CIRCLE, LINE
 from densym.truncation import (
@@ -25,6 +26,7 @@ from densym.truncation import (
     invariant_functionals_dimension, realize,
 )
 from oracle import windowed_local_symmetries
+from reference import reference_kind_table
 
 PRINTED_TABLE = {
     "generic": [1, 2, 2, 1, 1, 1, 1],
@@ -76,8 +78,7 @@ def test_criterion_2_oracle_agreement():
     assert len(triples) >= 60
     bad = []
     for k, lam, mu in triples:
-        sys = build_system(k, lam, mu)
-        rec = nullspace(sys.rows, sys.n_unknowns)
+        rec = nullspace(build_system(k, lam, mu), len(component_unknowns(k)))
         formal = brute_force_local_symmetries(k, lam, mu)
         windowed = windowed_local_symmetries(k, lam, mu, LINE)
         if not rec == formal == windowed:
@@ -118,7 +119,7 @@ def test_criterion_4_isomorphism_suite():
         z2 = m["Id"] - m["C"] - m["P0"] + m["P0star"] - 2 * m["P1"]
         for z in (z1, z2):
             for g in m.values():
-                if not (z @ g).equals(g @ z):
+                if not (z @ g - g @ z).is_zero():
                     problems.append(f"k={k}: center fails")
         if k == 3 and (z1.is_zero() or z2.is_zero()):
             problems.append("k=3: central elements should be nonzero")

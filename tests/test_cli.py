@@ -16,6 +16,8 @@ from densym.operators import (
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 VERIFY_GOLDENS = GOLDENS / "verify.json"
+# figure and table bytes, recorded before the order-3 curve moved into operators
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 
 def _cal_v_off_by_one(k, lam, mu):
@@ -601,6 +603,23 @@ class TestFigures:
         code, out, _ = run(capsys, "figures", "-k", "2")
         assert code == 0
         assert (tmp_path / "loci_k2.svg").exists()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_figures(self, capsys, tmp_path, k):
+        assert run(capsys, "figures", "-k", str(k), "-o", str(tmp_path))[0] == 0
+        for name in (f"loci_k{k}.svg", f"loci_k{k}.csv"):
+            assert (tmp_path / name).read_bytes() == (PINNED / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv, name", [
+        (("table", "-k", "4"), "table_k4_circle.csv"),
+        (("table", "-k", "4", "--space", "line"), "table_k4_line.csv"),
+        (("table", "-k", "3", "--format", "json"), "table_k3.json"),
+    ])
+    def test_table(self, capsys, argv, name):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.encode() == (PINNED / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv, flag", UNREAD_FLAGS, ids=[

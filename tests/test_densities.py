@@ -84,7 +84,7 @@ def test_compose_leibniz_example():
 
 def test_compose_identity_and_powers():
     A = poly_op(F(1, 2), F(3, 2), [1, 2], [0, 0, 1])
-    assert compose(A, DensityOperator.identity(F(1, 2), "line")) == A
+    assert compose(A, DensityOperator(F(1, 2), F(1, 2), [1], space="line")) == A
     d1 = poly_op(0, 0, [0], [1])
     assert compose(d1, d1) == poly_op(0, 0, [0], [0], [1])
 
@@ -112,7 +112,7 @@ def test_lie_derivative_density_examples():
 
 def test_lie_derivative_operator_examples():
     for X in (VectorField(PolyFn.monomial(2)), VectorField(PolyFn([1, 3]))):
-        Id = DensityOperator.identity(F(1, 4), "line")
+        Id = DensityOperator(F(1, 4), F(1, 4), [1], space="line")
         assert lie_derivative_operator(X, Id).is_zero
         d_rham = DensityOperator.de_rham("line")
         assert lie_derivative_operator(X, d_rham).is_zero

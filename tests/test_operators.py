@@ -13,6 +13,7 @@ from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
     BILINEAR, CATALOG, BilinearOp, alternating, conjugate, delta_compose,
     delta_inverse, nonlocal_trace, p0, printed_jet, s_map_chain, second_analog_locus,
+    second_analog_mu,
     symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
@@ -368,6 +369,22 @@ class TestDensityProjections:
         assert applies(4, 0, F(5, 4), LINE) and applies(4, 0, F(5, 4), CIRCLE)
         assert not applies(4, 0, 1, LINE)  # off the locus
         assert not applies(2, 0, F(5, 4), LINE)  # below k = 3
+
+    def test_second_analog_mu_solves_the_locus(self):
+        rng = random.Random(3)
+        for k in range(3, 8):
+            for _ in range(40):
+                lam = F(rng.randint(-97, 97), rng.randint(1, 97))
+                if lam != F(2 - k, 3):
+                    assert second_analog_locus(k, lam, second_analog_mu(k, lam)) == 0
+
+    def test_second_analog_mu_is_the_printed_hyperbola_at_order_three(self):
+        # HYPERBOLA: (3 lam + 1)(3 mu - 4) = -1
+        for lam in (F(1, 3), F(-2, 5), F(7)):
+            mu = second_analog_mu(3, lam)
+            assert isinstance(mu, F) and (3 * lam + 1) * (3 * mu - 4) == -1
+        mu = second_analog_mu(3, 0.5)  # the figures call it on floats
+        assert isinstance(mu, float) and abs((3 * 0.5 + 1) * (3 * mu - 4) + 1) < 1e-12
 
     def test_w_formula_low_order_input_gives_zero(self):
         A = poly_op(0, F(5, 4), [1, 2])

@@ -28,8 +28,7 @@ def rows_at(point):
 
 
 def recurrence_solutions(k, lam, mu):
-    sys = build_system(k, lam, mu)
-    return nullspace(sys.rows, sys.n_unknowns)
+    return nullspace(build_system(k, lam, mu), len(component_unknowns(k)))
 
 
 def family_monomials(k):
@@ -76,7 +75,7 @@ class TestFormalRows:
             if any(row):
                 by_line.setdefault(tuple(integer_row(row)), []).append(mono)
         for k in range(1, K + 1):
-            rows = build_system(k, *point).rows
+            rows = build_system(k, *point)
             assert len(rows) == len(family_monomials(k))
             for row, mono in zip(rows, family_monomials(k), strict=True):
                 padded = row + [0] * (n - len(row))

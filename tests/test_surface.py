@@ -4,9 +4,11 @@ perfbench wraps densym from outside: its tracer replaces the functions and
 methods named in `LAYERS` and `COUNTED`, and its setup and golden recorder
 call the CLI parser and the identity tables.  A rename or deletion in src/
 that breaks one of these names should fail here, not in the benchmark.
+The package itself imports only the standard library.
 """
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import densym
 from densym import cli, identities
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "densym"
 
 
 def traced_names():
@@ -51,3 +54,21 @@ def test_benchmark_setup_argv_parses():
 def test_golden_recorder_tables_import():
     assert identities.CATALOG_HOMES and identities.IDENTITIES
     assert set(identities.RELATIONS) <= set(identities.IDENTITIES)
+
+
+def test_package_imports_only_the_standard_library():
+    """densym stays pure standard library: every absolute import in src/densym
+    names a standard-library module; relative imports stay inside the package."""
+    outside = {}
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        bad = [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+        if bad:
+            outside[path.name] = bad
+    assert outside == {}
