@@ -13,8 +13,7 @@ from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
     BILINEAR, CATALOG, BilinearOp, alternating, conjugate, delta_compose,
     delta_inverse, nonlocal_trace, p0, printed_jet, s_map_chain, second_analog_locus,
-    second_analog_mu,
-    symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
+    second_analog_mu, symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
