@@ -196,13 +196,31 @@ def compose(A: DensityOperator, B: DensityOperator) -> DensityOperator:
     return DensityOperator(B.lam, A.mu, out)
 
 
+def lie_terms(i: int, lam, mu):
+    """The closed form of the commutator action on one coefficient: the
+    terms (m, p, q, c) of L_X(a d^i) = sum c X^(p) a^(q) d^m in D_{lam,mu}.
+
+    With C(i,-1) = 0 they are X a' and (mu-lam-i) X' a at order i, and
+    -(C(i,m-1) + lam C(i,m)) X^(i-m+1) a at each order m < i: the Leibniz
+    expansion of both products after their t = 0 terms X a d^(i+1) cancel.
+    Terms whose scalar vanishes are left out.  lie_derivative_operator and
+    the window's L_X (TruncatedBasis.lie_entries) both read it.
+    """
+    terms = [(i, 0, 1, 1)]
+    if c := mu - lam - i:
+        terms.append((i, 1, 0, c))
+    for m in range(i):
+        if c := (comb(i, m - 1) if m else 0) + lam * comb(i, m):
+            terms.append((m, i - m + 1, 0, -c))
+    return terms
+
+
 def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperator:
     """Commutator action L^mu_X o A - A o L^lam_X, with L^w_X = X d + w X'.
     On a density phi in D^0_{0,nu} it is the Lie derivative X phi' + nu X' phi.
 
-    Closed form (C(i,-1) = 0): (L_X A)_m = X a_m' + (mu-lam-m) X' a_m
-    - sum_{i>m} (C(i,m-1) + lam C(i,m)) X^(i-m+1) a_i, the Leibniz expansion
-    of both products after their t = 0 terms X a_i d^(i+1) cancel.
+    Each coefficient a_i contributes the terms of lie_terms(i, lam, mu), the
+    closed form of the action.
     """
     if X.space != A.space:
         raise RingMismatchError("field and operator live over different spaces")
@@ -211,10 +229,9 @@ def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperat
     for i, a in enumerate(A.coeffs):
         if a.is_zero:
             continue
-        out[i] = out[i] + ders[0] * a.diff() + (A.delta - i) * (ders[1] * a)
-        for m in range(i):
-            if c := (comb(i, m - 1) if m else 0) + A.lam * comb(i, m):
-                out[m] = out[m] - c * (ders[i - m + 1] * a)
+        jet = (a, a.diff())
+        for m, p, q, c in lie_terms(i, A.lam, A.mu):
+            out[m] = out[m] + c * (ders[p] * jet[q])
     return DensityOperator(A.lam, A.mu, out)
 
 

@@ -18,6 +18,7 @@ from .linalg import max_abs, nullspace, rank
 from .operators import (
     CATALOG,
     BilinearOp,
+    catalog_entry,
     component_unknowns,
     conjugate,
     s_map_chain,
@@ -407,9 +408,7 @@ CATALOG_HOMES = {name: entry.home for name, entry in CATALOG.items()}
 
 def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     """Equivariance defect of a cataloged map at its home weights."""
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise KeyError(f"unknown catalog name {name!r}")
+    entry = catalog_entry(name)
     k0, lam0, mu0 = entry.home
     if entry.kind == "bilinear":
         reject_unread(cfg, f"op:{name}", "is a bilinear map at its own order", "k")

@@ -523,3 +523,11 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
                  lambda nu, lam: BilinearOp("grozman", nu, lam),
                  (0, Fraction(-2, 3), Fraction(-2, 3))),
 ]}
+
+
+def catalog_entry(name: str) -> CatalogEntry:
+    """The catalog's entry for name; an unknown name raises KeyError."""
+    entry = CATALOG.get(name)
+    if entry is None:
+        raise KeyError(f"unknown catalog name {name!r}")
+    return entry

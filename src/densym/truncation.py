@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import factorial
 
 from . import rings
-from .densities import DensityOperator, VectorField, apply, lie_derivative_operator
+from .densities import DensityOperator, VectorField, apply, lie_derivative_operator, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError
-from .operators import CATALOG, component_unknowns, componentwise_map
+from .operators import catalog_entry, component_unknowns, componentwise_map
 from .linalg import nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
@@ -45,22 +45,29 @@ def ring_dim(space: str, M: int) -> int:
     return M + 1 if space == LINE else 2 * M + 1
 
 
+def ring_coordinates(fn):
+    """(coordinate, value) for the nonzero coordinates of fn, ascending, in
+    the monomial order of ring_basis on any window that holds fn."""
+    if fn.space == LINE:
+        return [(t, c) for t, c in enumerate(fn.coeffs) if c]
+    out = [(2 * n - 1, c) for n, c in fn.cos.items()]
+    out += [(2 * n, c) for n, c in fn.sin.items()]
+    out.sort()
+    return [(0, fn.mean_coeff), *out] if fn.mean_coeff else out
+
+
+def overflow(space: str, size: int, M: int) -> TruncationOverflowError:
+    """The error for a ring element of degree or frequency size above M."""
+    what = "polynomial degree" if space == LINE else "frequency"
+    return TruncationOverflowError(f"{what} {size} exceeds the window M={M}")
+
+
 def ring_entries(fn, M: int):
     """(coordinate, value) for the nonzero coordinates of ring_vector(fn, M)."""
-    if fn.space == LINE:
-        if fn.degree is not None and fn.degree > M:
-            raise TruncationOverflowError(
-                f"polynomial degree {fn.degree} exceeds the window M={M}"
-            )
-        return [(t, c) for t, c in enumerate(fn.coeffs) if c]
-    if fn.max_frequency > M:
-        raise TruncationOverflowError(
-            f"frequency {fn.max_frequency} exceeds the window M={M}"
-        )
-    out = [(0, fn.mean_coeff)] if fn.mean_coeff else []
-    out += [(2 * n - 1, c) for n, c in fn.cos.items()]
-    out += [(2 * n, c) for n, c in fn.sin.items()]
-    return out
+    size = ring_content_size(fn)
+    if size > M:
+        raise overflow(fn.space, size, M)
+    return ring_coordinates(fn)
 
 
 def dense(entries, n: int):
@@ -88,6 +95,11 @@ class TruncatedBasis:
 
     Ordering is i ascending then m ascending; this ordering is part of any
     serialized output and must not change.
+
+    The window's L_X is read off one product table per ring window (space
+    and M), which the basis shares with its density windows
+    basis.densities(nu): for each field X, the ring coordinates of
+    X^(p) * m^(q) for the monomials m, filled as the columns ask for them.
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
@@ -105,14 +117,18 @@ class TruncatedBasis:
                 self.elements.append(DensityOperator(self.lam, self.mu, coeffs))
         self._lie = {}  # field -> {element index: entries of L_X(element)}
         self._densities = {}  # weight nu -> the window of F_nu
+        self._terms = [lie_terms(i, self.lam, self.mu) for i in range(k + 1)]
+        self._products = {}  # field -> ([X, X', ...], {(p, q, t): coordinates})
 
     def densities(self, nu) -> "TruncatedBasis":
         """F_nu as the order-0 window D^0_{0,nu} on this ring window, one per
         weight: its coordinates are ring_entries, and its L_X, the operator
-        action at order 0, is X a' + nu X' a."""
+        action at order 0, is X a' + nu X' a.  It shares the basis's
+        product table."""
         nu = rat(nu)
         if nu not in self._densities:
-            self._densities[nu] = TruncatedBasis(0, self.M, self.space, 0, nu)
+            window = self._densities[nu] = TruncatedBasis(0, self.M, self.space, 0, nu)
+            window._products = self._products
         return self._densities[nu]
 
     @property
@@ -146,10 +162,38 @@ class TruncatedBasis:
                 if ring_content_size(b.coeffs[-1]) + growth <= self.M]
 
     def lie_entries(self, X: VectorField, j: int):
-        """entries_of(L_X of element j), computed once per field and element."""
+        """entries_of(L_X of element j), computed once per field and element.
+
+        For e_j = m d^i the column sums the product table's rows X^(p) m^(q),
+        each times its scalar c, over the terms (m', p, q, c) of
+        lie_terms(i, lam, mu).  A product may reach past the window; only a
+        nonzero coordinate past it that survives the sum raises
+        TruncationOverflowError, as entries_of(lie_derivative_operator(X,
+        e_j)) does.
+        """
         lie = self._lie.setdefault(X, {})
         if j not in lie:
-            lie[j] = self.entries_of(lie_derivative_operator(X, self.elements[j]))
+            ders, products = self._products.setdefault(X, ([X.value], {}))
+            n = len(self.monomials)
+            i, t = divmod(j, n)
+            col = {}
+            for m, p, q, c in self._terms[i]:
+                row = products.get((p, q, t))
+                if row is None:
+                    while len(ders) <= p:
+                        ders.append(ders[-1].diff())
+                    mono = self.monomials[t]
+                    row = products[p, q, t] = ring_coordinates(
+                        ders[p] * (mono.diff() if q else mono))
+                for s, v in row:
+                    v = v if c == 1 else c * v
+                    col[m, s] = col[m, s] + v if (m, s) in col else v
+            past = [(m, s) for (m, s), v in col.items() if v and s >= n]
+            if past:
+                first = min(past)[0]
+                s = max(s for m, s in past if m == first)
+                raise overflow(self.space, s if self.space == LINE else (s + 1) // 2, self.M)
+            lie[j] = sorted((m * n + s, v) for (m, s), v in col.items() if v)
         return lie[j]
 
 
@@ -248,9 +292,7 @@ class _Combination(SymmetryMap):
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     """Realize a cataloged endomorphism or projection, by name, on the basis."""
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise KeyError(f"unknown catalog name {name!r}")
+    entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
     if not entry.applies(basis.k, basis.lam, basis.mu, basis.space):
@@ -293,8 +335,9 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
     sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
     vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single elements e_j
     of the basis and of the target window: T.image applies T once per
-    element and map, and each window L_X once per element and field.  An
-    image T(e_j) or L_X(e_j) that leaves the window raises
+    element and map, and lie_entries reads each window L_X once per
+    element and field off the ring window's product table.  An image
+    T(e_j) or L_X(e_j) that leaves the window raises
     TruncationOverflowError; nothing is cut off.
     """
     basis = T.basis

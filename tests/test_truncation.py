@@ -238,6 +238,46 @@ class TestDensityWindow:
                 assert window.lie_entries(X, j) == want
 
 
+def lie_outcome(read):
+    """read()'s entries as a dict, or the message of the overflow it raises."""
+    try:
+        return dict(read())
+    except TruncationOverflowError as exc:
+        return f"overflow: {exc}"
+
+
+class TestWindowLieDerivative:
+    # every element of the window, safe or not, under the verify and oracle
+    # fields, on the basis and on two of its density windows
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_every_column_is_the_operator_action(self, space, k):
+        fields = generator_family(space) + brute_force_fields(space)
+        outcomes = Counter()
+        for M in (k + 4, k + 6):
+            for lam, mu in [(F(0), F(1)), (F(1, 3), F(1, 5)), (F(-1, 2), F(3, 2))]:
+                basis = TruncatedBasis(k, M, space, lam, mu)
+                for window in (basis, basis.densities(mu), basis.densities(-1)):
+                    for X in fields:
+                        for j, b in enumerate(window.elements):
+                            want = lie_outcome(
+                                lambda: window.entries_of(lie_derivative_operator(X, b)))
+                            assert lie_outcome(lambda: window.lie_entries(X, j)) == want
+                            outcomes[isinstance(want, str)] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_products_that_cancel_past_the_window_do_not_overflow(self):
+        # at nu = -1, X = cos x, phi = cos x and M = 1: X phi' = -sin(2x)/2
+        # and -X' phi = sin(2x)/2 both reach past the window, and cancel
+        window = TruncatedBasis(0, 1, CIRCLE, 0, 0).densities(-1)
+        X, phi = VectorField(TrigFn.cosine(1)), TrigFn.cosine(1)
+        j = window.monomials.index(phi)
+        assert j not in window.safe_indices(X)
+        assert ring_content_size(X.value * phi.diff()) == 2
+        assert window.entries_of(lie_derivative_operator(X, window.elements[j])) == []
+        assert window.lie_entries(X, j) == []
+
+
 # the projections at n = 0 and lam = 0, whose F_nu = F_mu is read in the
 # order-k window itself: (name, k, lam, mu, then the verify line's counts on
 # the circle and on the line)
@@ -441,34 +481,69 @@ class TestDefectByLinearity:
     def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
         # L_X is counted per (field, element, window): W's images are read on
         # the densities window, whose elements L_X meets once each as well
-        applied, lie_calls, window = [], Counter(), []
-        real_make, real_lie_entries = CATALOG[name].make, TruncatedBasis.lie_entries
+        applied = []
+        real_make = CATALOG[name].make
 
         def make(k, lam, mu):
             T = real_make(k, lam, mu)
             return lambda A: applied.append(A) or T(A)
 
-        def lie_entries(self, X, j):
-            window.append(self)
-            try:
-                return real_lie_entries(self, X, j)
-            finally:
-                window.pop()
-
-        def lie(X, A):
-            lie_calls[repr(X), A, id(window[-1])] += 1
-            return lie_derivative_operator(X, A)
-
         monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
-        monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
-        monkeypatch.setattr(truncation, "lie_derivative_operator", lie)
+        lie_builds = count_window_lie_builds(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
         assert 0 < len(applied) <= res.basis_size
-        assert {X for X, _, _ in lie_calls} == {repr(X) for X in generator_family(CIRCLE)}
-        assert set(lie_calls.values()) == {1}
+        assert {X for X, _, _ in lie_builds} == {repr(X) for X in generator_family(CIRCLE)}
+        assert set(lie_builds.values()) == {1}
         if name == "W":  # a projection: L_X on the basis and on F_nu
-            assert len({w for _, _, w in lie_calls}) == 2
+            assert len({w for _, _, w in lie_builds}) == 2
+
+    @pytest.mark.parametrize("name", ["S", "W"])
+    def test_ring_products_stay_within_the_product_table(self, name, monkeypatch):
+        # the window's L_X multiplies X^(p) by each monomial or its derivative
+        # once, for p <= k+1 and for X times m': at most (k+3) ring_dim
+        # products per field, however many elements and windows read them
+        # (W reads the basis and its density window, which share the table)
+        products, windows = [], set()
+        real_mul, real_lie_entries = TrigFn.__mul__, TruncatedBasis.lie_entries
+
+        def mul(self, other):
+            if isinstance(other, TrigFn):
+                products.append((self, other))
+            return real_mul(self, other)
+
+        def lie_entries(self, X, j):
+            windows.add(self)
+            return real_lie_entries(self, X, j)
+
+        monkeypatch.setattr(TrigFn, "__mul__", mul)
+        monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
+        res = check_catalog_op(name, CheckConfig())
+        assert res.passed, res.line()
+        basis = max(windows, key=lambda w: w.k)
+        assert len(windows) == (2 if name == "W" else 1)
+        fields = generator_family(CIRCLE)
+        assert 0 < len(products) <= len(fields) * (basis.k + 3) * ring_dim(CIRCLE, basis.M)
+
+
+def count_window_lie_builds(monkeypatch):
+    """Counter of the window L_X builds, keyed (repr(X), element, id(window)).
+
+    A build is a lie_entries call that returns a column no earlier call
+    returned; every column is kept here, so no id is reused.
+    """
+    builds, columns = Counter(), {}
+    real_lie_entries = TruncatedBasis.lie_entries
+
+    def lie_entries(self, X, j):
+        col = real_lie_entries(self, X, j)
+        if id(col) not in columns:
+            columns[id(col)] = col
+            builds[repr(X), self.elements[j], id(self)] += 1
+        return col
+
+    monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
+    return builds
 
 
 FROZEN_LOCAL_DIMS = {
@@ -661,15 +736,13 @@ class TestBruteForceByLinearity:
 
     def test_one_lie_derivative_per_safe_element(self, monkeypatch):
         # every elementary map reads L_X off the shared basis
-        calls = Counter()
-        real = truncation.lie_derivative_operator
-        monkeypatch.setattr(truncation, "lie_derivative_operator",
-                            lambda X, A: calls.update([(repr(X), A)]) or real(X, A))
+        builds = count_window_lie_builds(monkeypatch)
         windowed_local_symmetries(3, F(1, 3), F(1, 5), CIRCLE, 7)
         basis = TruncatedBasis(3, 7, CIRCLE, F(1, 3), F(1, 5))
-        assert calls == Counter((repr(X), basis.elements[j])
-                                for X in brute_force_fields(CIRCLE)
-                                for j in basis.safe_indices(X))
+        assert Counter((X, A) for X, A, _ in builds.elements()) == Counter(
+            (repr(X), basis.elements[j])
+            for X in brute_force_fields(CIRCLE) for j in basis.safe_indices(X))
+        assert len({w for _, _, w in builds}) == 1
 
 
 def _kernel_with_flipped_lie_after_t():
