@@ -96,10 +96,10 @@ class TruncatedBasis:
     Ordering is i ascending then m ascending; this ordering is part of any
     serialized output and must not change.
 
-    The window's L_X is read off one product table per ring window (space
-    and M), which the basis shares with its density windows
-    basis.densities(nu): for each field X, the ring coordinates of
-    X^(p) * m^(q) for the monomials m, filled as the columns ask for them.
+    Its L_X is read off a product table, which the basis shares with its
+    density windows basis.densities(nu), as they have the same monomials:
+    for each field X, the ring coordinates of X^(p) * m^(q) for the
+    monomials m, filled as the columns ask for them.
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
