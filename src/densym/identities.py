@@ -17,7 +17,6 @@ from .densities import DensityOperator, apply, pairing
 from .linalg import max_abs, nullspace, rank
 from .operators import (
     CATALOG,
-    BilinearOp,
     catalog_entry,
     component_unknowns,
     conjugate,
@@ -83,6 +82,11 @@ def _basis(k, lam, mu, space, M=None):
         M = k + 6
     check_window(k, M)
     return TruncatedBasis(k, M, space, lam, mu)
+
+
+def _bilinear_window(cfg) -> int:
+    """The window of a bilinear check: M = 8 by default."""
+    return 8 if cfg.M is None else cfg.M
 
 
 def reject_unread(cfg, name, why, *fields):
@@ -356,8 +360,10 @@ def check_v_wilmod_vanishing(cfg: CheckConfig) -> CheckResult:
 def check_grozman_equivariance(cfg: CheckConfig) -> CheckResult:
     reject_unread(cfg, "grozman_equivariance", "is checked at its own order and weights",
                   "k", "lam", "mu")
-    J = BilinearOp("grozman", Fraction(-2, 3), Fraction(-2, 3))
-    M = 8 if cfg.M is None else cfg.M
+    entry = catalog_entry("grozman")
+    _, nu, lam = entry.home
+    J = entry.make(nu, lam)
+    M = _bilinear_window(cfg)
     spaces = [CIRCLE, LINE] if cfg.space is None else [cfg.space]
     cols = [c for sp in spaces for c in bilinear_defect(
         J, sp, M, circle_fields(3) if sp == CIRCLE else line_fields(5))]
@@ -420,7 +426,7 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
     fields = generator_family(space)
     if entry.kind == "bilinear":
         J = entry.make(lam, mu)
-        cols = bilinear_defect(J, space, 8 if cfg.M is None else cfg.M, fields)
+        cols = bilinear_defect(J, space, _bilinear_window(cfg), fields)
         worst = max_abs(cols)
         return CheckResult(f"op:{name}", worst == 0, worst,
                            0, len(cols), detail=f"(nu,lam)=({lam},{mu})")

@@ -4,6 +4,11 @@ Two computable dense subrings of the smooth functions are used everywhere:
 rational polynomials in x on the line, and finite trigonometric polynomials
 with rational coefficients on the circle.  All arithmetic is exact; nothing
 here ever truncates or rounds.
+
+An element of either ring is one sparse map {index: c} of Fractions with no
+zero entry: a polynomial keyed by degree, a trigonometric polynomial by the
+signed index of its basis e_0 = 1, e_n = cos nx, e_-n = sin nx (n >= 1).
+The two rings share everything but their product and derivative rules.
 """
 from __future__ import annotations
 
@@ -31,69 +36,77 @@ def format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-class PolyFn:
-    """Polynomial in x with Fraction coefficients, index = monomial degree.
+class _SparseFn:
+    """A ring element as the map `terms` = {index: c}: Fraction values, no
+    zero entry, index 0 the constant term.  Elements are immutable, so each
+    ring keeps one shared zero, the element with no terms."""
 
-    Trailing zero coefficients are stripped; the zero polynomial has an empty
-    coefficient tuple and degree None.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("coeffs",)
-    space = LINE
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._zero = object.__new__(cls)
+        object.__setattr__(cls._zero, "terms", {})
 
-    def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    @classmethod
+    def _of(cls, terms: dict):
+        """Trusted constructor: terms the ring itself produced are already
+        canonical, so they skip the coercion and validation of the public
+        constructors."""
+        if not terms:
+            return cls._zero
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyFn is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "PolyFn":
-        return _POLY_ZERO
+    def zero(cls):
+        return cls._zero
 
     @classmethod
-    def constant(cls, c) -> "PolyFn":
-        return cls((rat(c),))
-
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "PolyFn":
-        return cls((Fraction(0),) * degree + (rat(c),))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
+    def constant(cls, c):
+        q = rat(c)
+        return cls._of({0: q} if q else {})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def coefficient(self, degree: int) -> Fraction:
-        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else _ZERO
+    def _scale(self, q):
+        """q * self for an int or Fraction q."""
+        if not q:
+            return self._zero
+        if q == 1:
+            return self
+        q = rat(q)
+        return self._of({i: q * c for i, c in self.terms.items()})
 
     def __add__(self, other):
         other = _coerce(other, self)
-        if other.is_zero:
+        a, b = self.terms, other.terms
+        if not b:
             return self
-        if self.is_zero:
+        if not a:
             return other
-        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        if len(a) == len(b):  # only equal degrees can cancel the top
-            while cs and not cs[-1]:
-                cs.pop()
-        return _poly(tuple(cs))
+        out = dict(a)
+        for i, c in b.items():
+            if i in out:
+                c += out[i]
+                if not c:
+                    del out[i]
+                    continue
+            out[i] = c
+        return self._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(tuple(-c for c in self.coeffs))
+        return self._of({i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other, self))
@@ -101,79 +114,92 @@ class PolyFn:
     def __rsub__(self, other):
         return _coerce(other, self) - self
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _POLY_ZERO
-            if other == 1:
-                return self
-            q = rat(other)
-            return _poly(tuple(q * c for c in self.coeffs))
-        other = _coerce(other, self)
-        if self.is_zero or other.is_zero:
-            return _POLY_ZERO
-        # the top coefficient is a product of nonzero rationals: no stripping
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return _poly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def diff(self, n: int = 1) -> "PolyFn":
-        cur = self.coeffs
-        for _ in range(n):
-            cur = tuple(cur[i] * i for i in range(1, len(cur)))
-        return _poly(cur)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PolyFn.constant(other)
-        return isinstance(other, PolyFn) and self.coeffs == other.coeffs
+            other = self.constant(other)
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(("poly", self.coeffs))
-
-    def __repr__(self):
-        return f"PolyFn({list(self.coeffs)})"
+        return hash((self.space, frozenset(self.terms.items())))
 
     def __str__(self):
         return to_text(self)
 
 
-class TrigFn:
-    """Finite trigonometric polynomial: mean + sum of cos(nx), sin(nx) terms.
+class PolyFn(_SparseFn):
+    """Polynomial in x with Fraction coefficients, keyed by monomial degree.
 
-    Zero entries are pruned from the frequency maps.  Products are re-expanded
-    through the product-to-sum identities, so the ring is closed.
+    The zero polynomial has an empty coefficient tuple and degree None.
     """
 
-    __slots__ = ("mean_coeff", "cos", "sin")
+    __slots__ = ()
+    space = LINE
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "terms",
+                           {t: c for t, c in enumerate(map(rat, coeffs)) if c})
+
+    @classmethod
+    def monomial(cls, degree: int, c=1) -> "PolyFn":
+        q = rat(c)
+        return cls._of({degree: q} if q else {})
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficients c_0, ..., c_degree."""
+        return tuple(self.terms.get(t, _ZERO) for t in range(max(self.terms, default=-1) + 1))
+
+    @property
+    def degree(self):
+        return max(self.terms, default=None)
+
+    def coefficient(self, degree: int) -> Fraction:
+        return self.terms.get(degree, _ZERO)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        other = _coerce(other, self)
+        out = {}
+        for s, a in self.terms.items():
+            for t, b in other.terms.items():
+                c = a * b
+                out[s + t] = out[s + t] + c if s + t in out else c
+        return self._of({t: c for t, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def diff(self, n: int = 1) -> "PolyFn":
+        terms = self.terms
+        for _ in range(n):
+            terms = {t - 1: t * c for t, c in terms.items() if t}
+        return self._of(terms)
+
+    def __repr__(self):
+        return f"PolyFn({list(self.coeffs)})"
+
+
+class TrigFn(_SparseFn):
+    """Finite trigonometric polynomial: mean + sum of cos(nx), sin(nx) terms,
+    keyed 0 for the mean, n for cos nx and -n for sin nx.
+
+    Products are re-expanded through the product-to-sum identities, so the
+    ring is closed.
+    """
+
+    __slots__ = ()
     space = CIRCLE
 
     def __init__(self, mean=0, cos=None, sin=None):
-        object.__setattr__(self, "mean_coeff", rat(mean))
-        object.__setattr__(
-            self, "cos", {n: rat(c) for n, c in (cos or {}).items() if rat(c) != 0}
-        )
-        object.__setattr__(
-            self, "sin", {n: rat(c) for n, c in (sin or {}).items() if rat(c) != 0}
-        )
-        if any(n < 1 for n in self.cos) or any(n < 1 for n in self.sin):
-            raise ValueError("harmonic frequencies must be >= 1")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigFn is immutable")
-
-    @classmethod
-    def zero(cls) -> "TrigFn":
-        return _TRIG_ZERO
-
-    @classmethod
-    def constant(cls, c) -> "TrigFn":
-        return cls(mean=c)
+        terms = {0: rat(mean)}
+        for sign, harmonics in ((1, cos), (-1, sin)):
+            for n, c in (harmonics or {}).items():
+                c = rat(c)
+                if c:
+                    if n < 1:
+                        raise ValueError("harmonic frequencies must be >= 1")
+                    terms[sign * n] = c
+        object.__setattr__(self, "terms", {i: c for i, c in terms.items() if c})
 
     @classmethod
     def cosine(cls, n: int, c=1) -> "TrigFn":
@@ -184,184 +210,56 @@ class TrigFn:
         return cls(sin={n: c})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.mean_coeff and not self.cos and not self.sin
+    def mean_coeff(self) -> Fraction:
+        return self.terms.get(0, _ZERO)
+
+    @property
+    def cos(self) -> dict:
+        return {i: c for i, c in sorted(self.terms.items()) if i > 0}
+
+    @property
+    def sin(self) -> dict:
+        return {-i: c for i, c in sorted(self.terms.items(), reverse=True) if i < 0}
 
     @property
     def max_frequency(self) -> int:
-        return max([0, *self.cos.keys(), *self.sin.keys()])
-
-    def __add__(self, other):
-        other = _coerce(other, self)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        return _trig(self.mean_coeff + other.mean_coeff,
-                     _add_terms(self.cos, other.cos),
-                     _add_terms(self.sin, other.sin))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _trig(
-            -self.mean_coeff,
-            {n: -c for n, c in self.cos.items()},
-            {n: -c for n, c in self.sin.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-_coerce(other, self))
-
-    def __rsub__(self, other):
-        return _coerce(other, self) - self
-
-    def _terms(self):
-        # (kind, freq, coeff) with kind 'c' or 's'; the mean is ('c', 0, m)
-        if self.mean_coeff:
-            yield ("c", 0, self.mean_coeff)
-        for n, c in self.cos.items():
-            yield ("c", n, c)
-        for n, c in self.sin.items():
-            yield ("s", n, c)
+        return max(map(abs, self.terms), default=0)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _TRIG_ZERO
-            if other == 1:
-                return self
-            q = rat(other)
-            return _trig(
-                q * self.mean_coeff,
-                {n: q * c for n, c in self.cos.items()},
-                {n: q * c for n, c in self.sin.items()},
-            )
+            return self._scale(other)
         other = _coerce(other, self)
-        acc = _TrigAcc()
-        right = list(other._terms())
-        for k1, n1, c1 in self._terms():
-            for k2, n2, c2 in right:
-                c = c1 * c2 * _HALF
-                # product-to-sum: indices n1+n2 and n1-n2
-                if k1 == "c" and k2 == "c":
-                    acc.add_cos(n1 - n2, c)
-                    acc.add_cos(n1 + n2, c)
-                elif k1 == "s" and k2 == "s":
-                    acc.add_cos(n1 - n2, c)
-                    acc.add_cos(n1 + n2, -c)
-                elif k1 == "s" and k2 == "c":
-                    acc.add_sin(n1 + n2, c)
-                    acc.add_sin(n1 - n2, c)
-                else:  # cos * sin
-                    acc.add_sin(n1 + n2, c)
-                    acc.add_sin(n2 - n1, c)
-        return acc.build()
+        out = {}  # twice each coefficient; the mean is cos 0x
+
+        def add(i, c):
+            out[i] = out[i] + c if i in out else c
+
+        for s, a in self.terms.items():
+            for t, b in other.terms.items():
+                c = a * b
+                if s >= 0 and t >= 0:  # 2 cos s cos t = cos(s-t) + cos(s+t)
+                    add(abs(s - t), c)
+                    add(s + t, c)
+                elif s < 0 and t < 0:  # 2 sin u sin v = cos(u-v) - cos(u+v)
+                    add(abs(s - t), c)
+                    add(-s - t, -c)
+                else:  # 2 sin u cos v = sin(u+v) + sin(u-v)
+                    u, v = (-s, t) if s < 0 else (-t, s)
+                    add(-u - v, c)
+                    if u != v:
+                        add(-abs(u - v), c if u > v else -c)
+        return self._of({i: c * _HALF for i, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def diff(self, n: int = 1) -> "TrigFn":
-        cur = self
+        terms = self.terms
         for _ in range(n):
-            cos = {m: m * c for m, c in cur.sin.items()}
-            sin = {m: -m * c for m, c in cur.cos.items()}
-            cur = _trig(_ZERO, cos, sin)
-        return cur
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TrigFn.constant(other)
-        return (
-            isinstance(other, TrigFn)
-            and self.mean_coeff == other.mean_coeff
-            and self.cos == other.cos
-            and self.sin == other.sin
-        )
-
-    def __hash__(self):
-        return hash(
-            ("trig", self.mean_coeff, tuple(sorted(self.cos.items())),
-             tuple(sorted(self.sin.items())))
-        )
+            terms = {-m: -m * c for m, c in terms.items() if m}
+        return self._of(terms)
 
     def __repr__(self):
         return f"TrigFn({self.mean_coeff!r}, {self.cos!r}, {self.sin!r})"
-
-    def __str__(self):
-        return to_text(self)
-
-
-class _TrigAcc:
-    """Accumulator normalizing signed frequencies during products."""
-
-    def __init__(self):
-        self.mean = _ZERO
-        self.cos = {}
-        self.sin = {}
-
-    def add_cos(self, n, c):
-        n = abs(n)
-        if n == 0:
-            self.mean += c
-        else:
-            self.cos[n] = self.cos.get(n, _ZERO) + c
-
-    def add_sin(self, n, c):
-        if n == 0:
-            return
-        if n < 0:
-            n, c = -n, -c
-        self.sin[n] = self.sin.get(n, _ZERO) + c
-
-    def build(self):
-        return _trig(
-            self.mean,
-            {n: c for n, c in self.cos.items() if c},
-            {n: c for n, c in self.sin.items() if c},
-        )
-
-
-# ----------------------------------------------------------------------
-# trusted constructors: data the ring itself produced is already canonical
-# (Fraction values, no zero harmonic, no trailing zero, frequencies >= 1),
-# so it skips the coercion and validation of the public constructors
-# ----------------------------------------------------------------------
-
-def _poly(coeffs: tuple) -> PolyFn:
-    if not coeffs:
-        return _POLY_ZERO
-    f = object.__new__(PolyFn)
-    object.__setattr__(f, "coeffs", coeffs)
-    return f
-
-
-def _trig(mean: Fraction, cos: dict, sin: dict) -> TrigFn:
-    f = object.__new__(TrigFn)
-    object.__setattr__(f, "mean_coeff", mean)
-    object.__setattr__(f, "cos", cos)
-    object.__setattr__(f, "sin", sin)
-    return f
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    """Termwise sum of two harmonic maps, pruning the entries that cancel."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for n, c in b.items():
-        if n in out:
-            c += out[n]
-            if not c:
-                del out[n]
-                continue
-        out[n] = c
-    return out
-
-
-# one shared zero per ring; nothing mutates a ring element in place
-_POLY_ZERO = object.__new__(PolyFn)
-object.__setattr__(_POLY_ZERO, "coeffs", ())
-_TRIG_ZERO = _trig(_ZERO, {}, {})
 
 
 CoefficientFunction = PolyFn | TrigFn
@@ -369,8 +267,8 @@ CoefficientFunction = PolyFn | TrigFn
 
 def _coerce(value, like):
     if isinstance(value, (int, Fraction)):
-        return type(like).constant(value)
-    if not isinstance(value, (PolyFn, TrigFn)):
+        return like.constant(value)
+    if not isinstance(value, _SparseFn):
         raise TypeError(f"cannot use {value!r} as a ring element")
     if value.space != like.space:
         raise RingMismatchError(
@@ -380,7 +278,7 @@ def _coerce(value, like):
 
 
 def zero(space: str) -> CoefficientFunction:
-    return _POLY_ZERO if space == LINE else _TRIG_ZERO
+    return PolyFn.zero() if space == LINE else TrigFn.zero()
 
 
 def one(space: str) -> CoefficientFunction:
@@ -409,24 +307,15 @@ def circle_mean(f: CoefficientFunction) -> Fraction:
 
 def to_text(f: CoefficientFunction) -> str:
     if isinstance(f, PolyFn):
-        if f.is_zero:
-            return "poly: 0"
-        parts = []
-        for i, c in enumerate(f.coeffs):
-            if c == 0:
-                continue
-            parts.append(format_rat(c) if i == 0 else f"{format_rat(c)}*x^{i}")
-        return "poly: " + " + ".join(parts)
+        parts = [format_rat(c) if t == 0 else f"{format_rat(c)}*x^{t}"
+                 for t, c in sorted(f.terms.items())]
+        return "poly: " + (" + ".join(parts) or "0")
     if isinstance(f, TrigFn):
-        head = format_rat(f.mean_coeff)
-        freqs = sorted(set(f.cos) | set(f.sin))
-        chunks = []
-        for n in freqs:
-            fields = []
-            if n in f.cos:
-                fields.append(f"cos={format_rat(f.cos[n])}")
-            if n in f.sin:
-                fields.append(f"sin={format_rat(f.sin[n])}")
-            chunks.append(f"{n}:" + ",".join(fields))
-        return f"trig: {head}" + (" | " + " ; ".join(chunks) if chunks else "")
+        chunks = {}  # frequency -> its cos and sin fields, cos first
+        for i, c in sorted(f.terms.items(), key=lambda e: (abs(e[0]), e[0] < 0)):
+            if i:
+                chunks.setdefault(abs(i), []).append(
+                    f"{'cos' if i > 0 else 'sin'}={format_rat(c)}")
+        tail = " ; ".join(f"{n}:" + ",".join(fields) for n, fields in chunks.items())
+        return f"trig: {format_rat(f.mean_coeff)}" + (" | " + tail if tail else "")
     raise TypeError(f"not a ring element: {f!r}")

@@ -5,8 +5,9 @@ jets of the coefficients, so checking it exactly on a large enough truncated
 basis is decisive.  The truncation is explicit: maps whose image leaves the
 window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
-One kernel, equivariance_defect, builds the windowed defect of every map
-that verify checks.  The jet ansatz and its formal oracle read no window.
+One kernel, equivariance_defect, builds the windowed defect of every
+linear map that verify checks, and bilinear_defect that of every bilinear
+operator.  The jet ansatz and its formal oracle read no window.
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ def ring_basis(space: str, M: int):
 
 
 def check_window(k: int, M: int):
-    """Reject a window below M = k+4, the floor of the brute-force oracle and
-    of the windowed identity checks (k is the order of a bilinear operator)."""
+    """Reject a window below M = k+4, the floor of the windowed identity
+    checks and of the windowed oracle in tests/oracle.py (k is the order of
+    the operators, or of a bilinear operator)."""
     if M < k + 4:
         raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
 
@@ -49,11 +51,9 @@ def ring_coordinates(fn):
     """(coordinate, value) for the nonzero coordinates of fn, ascending, in
     the monomial order of ring_basis on any window that holds fn."""
     if fn.space == LINE:
-        return [(t, c) for t, c in enumerate(fn.coeffs) if c]
-    out = [(2 * n - 1, c) for n, c in fn.cos.items()]
-    out += [(2 * n, c) for n, c in fn.sin.items()]
-    out.sort()
-    return [(0, fn.mean_coeff), *out] if fn.mean_coeff else out
+        return sorted(fn.terms.items())
+    # 1, cos nx, sin nx have the signed indices 0, n, -n
+    return sorted((2 * i - 1 if i > 0 else -2 * i, c) for i, c in fn.terms.items())
 
 
 def overflow(space: str, size: int, M: int) -> TruncationOverflowError:
@@ -143,7 +143,7 @@ class TruncatedBasis:
         """
         if (A.lam, A.mu) != (self.lam, self.mu):
             raise TruncationOverflowError("operator weights do not match the basis")
-        if A.order > self.k and not all(c.is_zero for c in A.coeffs[self.k + 1:]):
+        if A.order > self.k:
             raise TruncationOverflowError(
                 f"operator order {A.order} exceeds the window k={self.k}"
             )

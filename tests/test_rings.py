@@ -203,3 +203,31 @@ def test_no_operation_changes_the_shared_zero(pair, q):
     else:
         assert zero.mean_coeff == 0 and zero.cos == {} and zero.sin == {}
     assert zero == (PolyFn() if f.space == LINE else TrigFn())
+
+
+# ----------------------------------------------------------------------
+# the product rules and derivatives against sympy
+# ----------------------------------------------------------------------
+
+def sympy_poly(f):
+    """A PolyFn as a sympy expression in x."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * X ** i
+               for i, c in enumerate(f.coeffs))
+
+
+def sympy_zero(expr):
+    """Whether a trig or polynomial expression in x is identically zero:
+    written in exp(i n x), it expands to a unique sum."""
+    return sympy.expand(sympy.sympify(expr).rewrite(sympy.exp)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_space_pairs)
+def test_product_and_derivative_match_sympy(pair):
+    """Independent oracle for the two product rules and derivatives:
+    sympy's own expansion of f * g and d/dx f."""
+    f, g = pair
+    to_sympy = sympy_poly if f.space == LINE else sympy_trig
+    assert sympy_zero(to_sympy(f * g) - to_sympy(f) * to_sympy(g))
+    assert sympy_zero(to_sympy(f.diff()) - sympy.diff(to_sympy(f), X))
+    assert sympy_zero(to_sympy(g.diff(2)) - sympy.diff(to_sympy(g), X, 2))

@@ -70,6 +70,21 @@ class TestTruncatedBasis:
         assert sum((c * b for c, b in zip(vec, basis.elements) if c),
                    DensityOperator.zero(A.lam, A.mu, CIRCLE)) == A
 
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_ring_coordinates_follow_the_monomial_order(self, space):
+        """The window reads coordinates in ring_basis order: the monomial m_t
+        has the one coordinate (t, 1), and the coordinates of any element
+        come out ascending."""
+        monos = ring_basis(space, 5)
+        for t, mono in enumerate(monos):
+            assert truncation.ring_coordinates(mono) == [(t, 1)]
+        rng = random.Random(11)
+        for _ in range(50):
+            picked = sorted(rng.sample(range(len(monos)), rng.randint(0, len(monos))))
+            want = [(t, F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))) for t in picked]
+            fn = sum((c * monos[t] for t, c in want), rings.zero(space))
+            assert truncation.ring_coordinates(fn) == want
+
     def test_unknown_space_raises(self):
         with pytest.raises(ValueError, match="unknown space 'sphere'"):
             TruncatedBasis(2, 6, "sphere", 0, 1)
