@@ -163,8 +163,8 @@ class PolyFn(_SparseFn):
         out = {}
         for s, a in self.terms.items():
             for t, b in other.terms.items():
-                c = a * b
-                out[s + t] = out[s + t] + c if s + t in out else c
+                i, c = s + t, a * b
+                out[i] = out[i] + c if i in out else c
         return self._of({t: c for t, c in out.items() if c})
 
     __rmul__ = __mul__
