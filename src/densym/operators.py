@@ -301,8 +301,6 @@ def componentwise_map(t, k: int, lam, mu):
             raise WeightMismatchError(f"a jet map of D^{k}_{{{lam},{mu}}} got an "
                                       f"operator of D^{A.order}_{{{A.lam},{A.mu}}}")
         live = [(r, l, c) for r, l, c in terms if not A.coefficient(r).is_zero]
-        if not live:  # an elementary map off its one order: nothing to build
-            return DensityOperator.zero(lam, mu, A.space)
         out = [rings.zero(A.space)] * (k + 1)
         for r, l, c in live:
             out[r - l] = out[r - l] + c * A.coefficient(r).diff(l)

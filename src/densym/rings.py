@@ -153,9 +153,6 @@ class PolyFn(_SparseFn):
     def degree(self):
         return max(self.terms, default=None)
 
-    def coefficient(self, degree: int) -> Fraction:
-        return self.terms.get(degree, _ZERO)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)

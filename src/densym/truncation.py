@@ -7,17 +7,17 @@ window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
 One kernel, equivariance_defect, builds the windowed defect of every
 linear map that verify checks, and bilinear_defect that of every bilinear
-operator.  The jet ansatz and its formal oracle read no window.
+operator.  The formal oracle reads no window and builds no ring element.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, perm
 
 from . import rings
 from .densities import DensityOperator, VectorField, apply, lie_derivative_operator, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError
-from .operators import catalog_entry, component_unknowns, componentwise_map
+from .operators import catalog_entry, component_unknowns
 from .linalg import nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
@@ -391,6 +391,29 @@ def bilinear_defect(J, space: str, M: int, fields):
 # the jet ansatz and the formal classification of local symmetries
 # ----------------------------------------------------------------------
 
+def formal_rows(k: int, lam, mu):
+    """{(p, s, q, m): row over the t[r,l]}: the x^0 coefficient at d^m of
+    T(L_X A) - L_X T(A) for X = (x^p/p!) d, A = (x^q/q!) d^s and p = 2, 3.
+    A term (r, p', q', c) of lie_terms(s) adds perm(r,l) comb(l, p-p') c at
+    t[r,l] when l = r - m = p-p' + q-q'.  t[s,l] sends A to perm(s,l)
+    x^(q-l)/(q-l)! d^(s-l), so the term (m, p, q-l, c) of lie_terms(s-l)
+    subtracts perm(s,l) c at t[s,l]."""
+    lie = [{t[:3]: t[3] for t in lie_terms(i, rat(lam), rat(mu))} for i in range(k + 1)]
+    index = {u: i for i, u in enumerate(component_unknowns(k))}
+    rows = {}
+    for p in (2, 3):
+        for s in range(p - 1, k + 1):
+            for q in range(s + 2 - p):
+                m = s + 1 - p - q
+                row = rows[p, s, q, m] = [0] * len(index)
+                for (r, a, b), c in lie[s].items():
+                    if a <= p and b <= q and r - m == p - a + q - b:
+                        row[index[r, r - m]] += perm(r, r - m) * comb(r - m, p - a) * c
+                for l in range(q + 1):
+                    row[index[s, l]] -= perm(s, l) * lie[s - l].get((m, p, q - l), 0)
+    return rows
+
+
 def brute_force_local_symmetries(k: int, lam, mu):
     """Exact nullspace of the equivariance conditions on the jet ansatz t[r,l].
 
@@ -404,28 +427,10 @@ def brute_force_local_symmetries(k: int, lam, mu):
     By translation invariance the rows up to p vanish exactly when T
     commutes with d, ..., x^p d.  The rows with p <= 1 vanish, as the ansatz
     commutes with d and x d, and [x^2 d, x^n d] = (n-2) x^(n+1) d, so the
-    rows p = 2, 3 give every row.  Each is read on the unit jets e_u (t[r,l]
-    = 1, every other unknown 0), and one nullspace solves them all.  Returns
-    the solution vectors, in component_unknowns order.
+    rows p = 2, 3 give every row.  One nullspace of formal_rows solves them
+    all; it returns the solution vectors, in component_unknowns order.
     """
-    size = len(component_unknowns(k))
-    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu)
-             for u in range(size)]
-    rows = []
-    for p in (2, 3):
-        X = VectorField(PolyFn.monomial(p, Fraction(1, factorial(p))))
-        for s in range(p - 1, k + 1):
-            for q in range(s + 2 - p):
-                a = PolyFn.monomial(q, Fraction(1, factorial(q)))
-                A = DensityOperator(lam, mu, [0] * s + [a])
-                LA, m = lie_derivative_operator(X, A), s + 1 - p - q
-                row = []
-                for e in units:  # e_u(A) is zero off order s, and so is its L_X
-                    D, eA = e(LA), e(A)
-                    D = D if eA.is_zero else D - lie_derivative_operator(X, eA)
-                    row.append(D.coefficient(m).coefficient(0))
-                rows.append(row)
-    return nullspace(rows, size)
+    return nullspace(list(formal_rows(k, lam, mu).values()), len(component_unknowns(k)))
 
 
 # ----------------------------------------------------------------------

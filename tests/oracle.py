@@ -10,8 +10,9 @@ module keeps the two routes it is checked against:
   come from `windowed_equations`; `window_rows` reads those of every smaller
   window off one larger window, so a test of many windows builds one;
 * `formal_rows`, every formal coefficient row with its monomial
-  f^(p) a_s^(q) d^m, for field orders p <= 5, read with densym's own
-  `lie_derivative_operator` rather than the one `truncation` binds.
+  f^(p) a_s^(q) d^m, for field orders p <= 5, read through operators with
+  the unit jet maps and `lie_derivative_operator`: the reference for
+  `truncation.formal_rows`, which reads the rows p = 2, 3 off `lie_terms`.
 """
 from fractions import Fraction
 from math import factorial
@@ -127,6 +128,6 @@ def formal_rows(k, lam, mu):
                     eA, D = e(A), e(LA)
                     defects.append(D if eA.is_zero else D - lie_derivative_operator(X, eA))
                 for m in range(s + 1):
-                    out[p, s, q, m] = [D.coefficient(m).coefficient(0) for D in defects]
+                    out[p, s, q, m] = [D.coefficient(m).terms.get(0, 0) for D in defects]
     return out
 

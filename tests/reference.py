@@ -95,7 +95,7 @@ def read_jet(build, k: int, lam, mu):
             )
         for l in range(r + 1):
             c = image.coefficient(r - l)
-            lead = c.coefficient(k + 1 - l)
+            lead = c.terms.get(k + 1 - l, 0)
             if c != PolyFn.monomial(k + 1 - l, lead):
                 raise SpanMismatchError(
                     f"the image of x^{k + 1} d^{r} has the coefficient {c} at "

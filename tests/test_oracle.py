@@ -1,21 +1,23 @@
-"""The formal oracle that classify runs: its statement, its agreement with the
-windowed reference and the recurrence, and that classify builds no window."""
+"""The formal oracle that classify runs: its rows against the reference rows,
+its statement, its agreement with the windowed reference and the recurrence,
+and that classify builds no window and does no ring arithmetic."""
 import json
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from densym import cli, truncation
-from densym.densities import DensityOperator, lie_derivative_operator
+from densym import cli, densities, operators, truncation
+from densym.densities import DensityOperator, compose, lie_derivative_operator, lie_terms
 from densym.identities import GENERIC_POINTS
 from densym.linalg import integer_row, nullspace, rank
 from densym.recurrence import build_system
-from densym.rings import CIRCLE, LINE
+from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.operators import component_unknowns
 from densym.truncation import brute_force_local_symmetries
-from oracle import formal_rows, solve, window_rows, windowed_equations
+from oracle import brute_force_fields, formal_rows, solve, window_rows, windowed_equations
 from test_acceptance import LOCI_POINTS
+from test_densities import lie_operator
 
 CLASSIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "classify.json"
 
@@ -58,6 +60,15 @@ class TestFormalRows:
         high = [row for (p, *_), row in rows.items() if p in (4, 5)]
         assert any(any(row) for row in high)
         assert rank(low + high) == rank(low)
+
+    @pytest.mark.parametrize("point", GENERIC_POINTS + LOCI_POINTS)
+    def test_src_rows_are_the_reference_rows(self, point):
+        # truncation reads its rows off lie_terms, the reference through
+        # operators; a p = 2, 3 row that src leaves out is zero
+        ref, rows = rows_at(point), truncation.formal_rows(K, *point)
+        assert all(row == ref[key] for key, row in rows.items())
+        assert not any(any(row) for key, row in ref.items()
+                       if key[0] in (2, 3) and key not in rows)
 
     @pytest.mark.parametrize("point", GENERIC_POINTS[:3])
     def test_the_oracle_solves_the_rows_p_2_and_3(self, point):
@@ -116,20 +127,33 @@ class TestAgreement:
                         == list(windowed_equations(k, *point, space, M).values()))
 
 
-def _flipped_lie(X, A):
-    """lie_derivative_operator with the sign of its (mu-lam-m) X' a_m term flipped."""
-    d = X.value.diff()
-    term = DensityOperator(A.lam, A.mu, [2 * (A.delta - m) * (d * a)
-                                         for m, a in enumerate(A.coeffs)])
-    return lie_derivative_operator(X, A) - term
+def _flipped_lie_terms(i, lam, mu):
+    """densities.lie_terms with the sign of its (mu-lam-i) X' a term flipped."""
+    return [(m, p, q, -c if (m, p, q) == (i, 1, 0) else c)
+            for m, p, q, c in lie_terms(i, lam, mu)]
 
 
 def test_flipped_lie_action_makes_classify_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(truncation, "lie_derivative_operator", _flipped_lie)
+    monkeypatch.setattr(truncation, "lie_terms", _flipped_lie_terms)
+    monkeypatch.setattr(densities, "lie_terms", _flipped_lie_terms)
+    # the flip breaks the action against its definition L^mu_X o A - A o L^lam_X
+    A = DensityOperator(0, 1, [PolyFn.monomial(2), PolyFn.monomial(1), PolyFn.monomial(3)])
+    X = brute_force_fields(LINE)[0]
+    assert lie_derivative_operator(X, A) != (compose(lie_operator(X, A.mu), A)
+                                             - compose(A, lie_operator(X, A.lam)))
     assert cli.main(["classify", "-k", "3", "--lambda", "0", "--mu", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal assertion failed: oracle disagreement at k=3")
+
+
+def classify_matches_goldens(capsys, space):
+    """classify at (0,1), k = 1..4, prints the perfbench goldens' stdout."""
+    golden = json.loads(CLASSIFY_GOLDENS.read_text(encoding="utf-8"))
+    for k in range(1, 5):
+        argv = ["classify", "-k", str(k), "--lambda", "0", "--mu", "1", "--space", space]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == golden[" ".join(argv)]
 
 
 @pytest.mark.parametrize("space", [CIRCLE, LINE])
@@ -138,11 +162,22 @@ def test_classify_builds_no_window(capsys, monkeypatch, space):
         raise AssertionError("classify built a TruncatedBasis")
 
     monkeypatch.setattr(truncation, "TruncatedBasis", no_window)
-    golden = json.loads(CLASSIFY_GOLDENS.read_text(encoding="utf-8"))
-    for k in range(1, 5):
-        argv = ["classify", "-k", str(k), "--lambda", "0", "--mu", "1", "--space", space]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == golden[" ".join(argv)]
+    classify_matches_goldens(capsys, space)
+
+
+@pytest.mark.parametrize("space", [CIRCLE, LINE])
+def test_classify_does_no_ring_arithmetic(capsys, monkeypatch, space):
+    def banned(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"classify called {name}")
+        return call
+
+    for cls in (PolyFn, TrigFn):
+        for attr in ("__mul__", "__rmul__", "diff"):
+            monkeypatch.setattr(cls, attr, banned(f"{cls.__name__}.{attr}"))
+    monkeypatch.setattr(DensityOperator, "__init__", banned("DensityOperator.__init__"))
+    monkeypatch.setattr(operators, "componentwise_map", banned("componentwise_map"))
+    classify_matches_goldens(capsys, space)
 
 
 @pytest.mark.parametrize("argv", [("--space", "circle"), ("--space", "line"), ("-M", "9")])

@@ -167,7 +167,7 @@ class TestClassify:
             "generators": ["Id", "P0", "P0star", "C", "P1", "L"],
         }
 
-    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    @pytest.mark.parametrize("k", range(5, 13))
     def test_high_orders_at_zero_one_with_the_oracle(self, k):
         # the k >= 5 column of the table: the algebra stops growing at k = 3
         rep = classify(k, 0, 1, CIRCLE)
