@@ -76,12 +76,11 @@ class CheckConfig:
         return default if self.space is None else self.space
 
 
-def _basis(k, lam, mu, space, M=None):
-    """The window for a windowed check: M = k+6 by default, never below k+4."""
-    if M is None:
-        M = k + 6
+def _window(k, M=None) -> int:
+    """The window M of a windowed check at order k: k+6 by default, never below k+4."""
+    M = k + 6 if M is None else M
     check_window(k, M)
-    return TruncatedBasis(k, M, space, lam, mu)
+    return M
 
 
 def _bilinear_window(cfg) -> int:
@@ -246,7 +245,7 @@ def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
     worst = Fraction(0)
     size = entries = 0
     for lam, mu in row.points:
-        basis = _basis(k, lam, mu, cfg.space_or(), cfg.M)
+        basis = TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu)
         size = basis.dim
         maps = [realize(n, basis) for n in row.uses]
         for lhs, rhs in row.pairs(basis, *maps):
@@ -262,7 +261,7 @@ def check_mult_table_01(cfg: CheckConfig) -> CheckResult:
         raise ValueError(f"mult_table_01 needs k >= 1 for P1 and L, got k={k}")
     _circle_only(cfg, "mult_table_01", "the trace L exists only on the circle")
     result = _run_relation("mult_table_01", cfg)
-    result.detail = f"k={k}, M={k + 6 if cfg.M is None else cfg.M}"
+    result.detail = f"k={k}, M={_window(k, cfg.M)}"
     return result
 
 
@@ -320,7 +319,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
                 where = "off" if expect_zero else "on"
                 raise ValueError(f"w_sharpness needs k=4: ({lam},{mu}) is {where} "
                                  f"the order-{k} locus")
-            W = SymmetryMap(_basis(k, lam, mu, cfg.space_or(), cfg.M),
+            W = SymmetryMap(TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu),
                             w_formula(k, lam, mu))
             size = W.basis.dim
             defect = Fraction(0)
@@ -430,7 +429,7 @@ def check_catalog_op(name: str, cfg: CheckConfig) -> CheckResult:
         worst = max_abs(cols)
         return CheckResult(f"op:{name}", worst == 0, worst,
                            0, len(cols), detail=f"(nu,lam)=({lam},{mu})")
-    T = realize(name, _basis(k, lam, mu, space, cfg.M))
+    T = realize(name, TruncatedBasis(k, _window(k, cfg.M), space, lam, mu))
     detail = "" if entry.kind == "projection" else f"k={k}, ({lam},{mu}), {space}"
     worst = Fraction(0)
     entries = 0

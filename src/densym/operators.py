@@ -26,7 +26,6 @@ from .densities import DensityOperator, apply, compose, density_value
 from .errors import (
     InapplicableSymmetryError,
     NotInKernelError,
-    UnsupportedFunctionalError,
     WeightMismatchError,
 )
 from .rings import CIRCLE, rat
@@ -67,9 +66,7 @@ def nonlocal_trace(A: DensityOperator) -> DensityOperator:
     """
     if (A.lam, A.mu) != (0, 1):
         raise InapplicableSymmetryError("the nonlocal trace needs (lam, mu) = (0, 1)")
-    if A.space != CIRCLE:
-        raise UnsupportedFunctionalError("the nonlocal trace exists only on the circle")
-    c = rings.circle_mean(A.coeffs[0])
+    c = rings.circle_mean(A.coeffs[0])  # on the line, circle_mean raises
     zero = rings.zero(A.space)
     return DensityOperator(0, 1, [zero, rings.constant(A.space, c)])
 
@@ -380,13 +377,19 @@ def printed_jet(J: BilinearOp, pi: Projection):
 class CatalogEntry:
     name: str
     kind: str                   # endo | projection | bilinear
-    applies: object             # callable (k, lam, mu, space) -> bool
+    applies: object             # callable (k, lam, mu) -> bool, on either space
     make: object                # endo/projection: (k, lam, mu) -> callable on
                                 # operators; bilinear: (nu, lam) -> BilinearOp
     home: tuple                 # (k, lam, mu) that `verify --op` checks by
                                 # default; (0, nu, lam) for a bilinear map
     jet: object = None          # local endo: (k, lam, mu) -> its t[r,l] vector;
                                 # None for the nonlocal trace L
+
+    def exists(self, k: int, lam, mu, space: str) -> bool:
+        """Where the map applies; a nonlocal endomorphism (no jet: the trace
+        L, an integral) exists only on the circle."""
+        nonlocal_endo = self.kind == "endo" and self.jet is None
+        return self.applies(k, lam, mu) and (space == CIRCLE or not nonlocal_endo)
 
 
 def local_endo(name, home, applies, jet):
@@ -406,7 +409,7 @@ def _on(name, home, weights, why, jet):
             raise InapplicableSymmetryError(why)
         return jet(k)
 
-    return local_endo(name, home, lambda k, l, m, s: weights(l, m), gated)
+    return local_endo(name, home, lambda k, l, m: weights(l, m), gated)
 
 
 def _jv_kind(k, lam, mu):
@@ -455,7 +458,7 @@ def _printed(name, home, applies=None):
     """The entry of PRINTED[name], read at each call; without `applies` it
     exists only at its home."""
     if applies is None:
-        applies = lambda k, l, m, s: (k, l, m) == home
+        applies = lambda k, l, m: (k, l, m) == home
     return local_endo(name, home, applies,
                       lambda k, lam, mu: printed_jet(*PRINTED[name](k, lam, mu)))
 
@@ -468,56 +471,56 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _on("P0", (3, Fraction(0), Fraction(2, 7)), lambda l, m: l == 0,
         "the scalar-term projection needs lam = 0",
         lambda k: [Fraction(int(u == (0, 0))) for u in component_unknowns(k)]),
-    _printed("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m, s: m == 1),
+    _printed("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m: m == 1),
     _printed("P1", (3, Fraction(0), Fraction(1)),
-             lambda k, l, m, s: k >= 1 and (l, m) == (0, 1)),
-    CatalogEntry("L", "endo", lambda k, l, m, s: k >= 1 and (l, m) == (0, 1) and s == CIRCLE,
+             lambda k, l, m: k >= 1 and (l, m) == (0, 1)),
+    CatalogEntry("L", "endo", lambda k, l, m: k >= 1 and (l, m) == (0, 1),
                  lambda k, l, m: nonlocal_trace, (3, Fraction(0), Fraction(1))),
     _on("S", (4, Fraction(0), Fraction(0)), lambda l, m: (l, m) == (0, 0),
         "S needs (lam, mu) = (0, 0)", _s_jet),
     _on("Sstar", (4, Fraction(1), Fraction(1)), lambda l, m: (l, m) == (1, 1),
         "Sstar needs (lam, mu) = (1, 1)", lambda k: mirror_jet(_s_jet(k), k)),
-    _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m, s: k == 2),
+    _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m: k == 2),
     _printed("calW", (3, Fraction(1, 3), Fraction(7, 6)),
-             lambda k, l, m, s: k == 3 and second_analog_locus(3, l, m) == 0),
+             lambda k, l, m: k == 3 and second_analog_locus(3, l, m) == 0),
     _printed("JV", (3, Fraction(1, 5), Fraction(11, 5)),
-             lambda k, l, m, s: _jv_kind(k, l, m) is not None),
+             lambda k, l, m: _jv_kind(k, l, m) is not None),
     _printed("JW", (4, Fraction(0), Fraction(5, 4))),
     _printed("Jsigma", (3, Fraction(0), Fraction(3))),
     _printed("GV", (4, Fraction(-2, 3), Fraction(5, 3))),
     _printed("Gsigma", (3, Fraction(-2, 3), Fraction(5, 3))),
     _printed("wilGen", (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("sigma", "projection",
-                 lambda k, l, m, s: True,
+                 lambda k, l, m: True,
                  symbol,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     # V, wilmodB and piDelta are the zero map at k = 0
     CatalogEntry("V", "projection",
-                 lambda k, l, m, s: k >= 1,
+                 lambda k, l, m: k >= 1,
                  v_formula,
                  (3, Fraction(1, 3), Fraction(1, 5))),
     CatalogEntry("W", "projection",
-                 lambda k, l, m, s: k >= 3 and second_analog_locus(k, l, m) == 0,
+                 lambda k, l, m: k >= 3 and second_analog_locus(k, l, m) == 0,
                  w_formula,
                  (4, Fraction(0), Fraction(5, 4))),
     CatalogEntry("wilmodA", "projection",
-                 lambda k, l, m, s: (l, m) == wilmod_weights(k),
+                 lambda k, l, m: (l, m) == wilmod_weights(k),
                  partial(wilmod, 0),
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("wilmodB", "projection",
-                 lambda k, l, m, s: k >= 1 and (l, m) == wilmod_weights(k),
+                 lambda k, l, m: k >= 1 and (l, m) == wilmod_weights(k),
                  partial(wilmod, 1),
                  (2, Fraction(-1, 2), Fraction(3, 2))),
     CatalogEntry("piDelta", "projection",
-                 lambda k, l, m, s: k >= 1 and (l, m) == (0, 1),
+                 lambda k, l, m: k >= 1 and (l, m) == (0, 1),
                  partial(alternating, 1),
                  (3, Fraction(0), Fraction(1))),
     CatalogEntry("poisson", "bilinear",
-                 lambda k, l, m, s: True,
+                 lambda k, l, m: True,
                  lambda nu, lam: BilinearOp("poisson", nu, lam),
                  (0, Fraction(2, 3), Fraction(1, 5))),
     CatalogEntry("grozman", "bilinear",
-                 lambda k, l, m, s: True,
+                 lambda k, l, m: True,
                  lambda nu, lam: BilinearOp("grozman", nu, lam),
                  (0, Fraction(-2, 3), Fraction(-2, 3))),
 ]}

@@ -91,9 +91,9 @@ def residual(rows, t) -> Fraction:
 
 
 def nonlocal_dimension(k: int, lam, mu, space: str) -> int:
-    """1 where the trace L exists (the circle modules from functions to
-    1-forms, k >= 1), else 0."""
-    return int(CATALOG["L"].applies(k, rat(lam), rat(mu), space))
+    """1 where the trace L exists, else 0: the hand rule of the paper's theorem
+    (the circle modules from functions to 1-forms, k >= 1), read off L's entry."""
+    return int(CATALOG["L"].exists(k, rat(lam), rat(mu), space))
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +185,7 @@ def sample_generic(rng: random.Random, kmax: int = 6):
 MIRRORED_GENERATORS = ["calV", "calW", "JV", "JW", "Jsigma", "GV", "Gsigma", "wilGen"]
 
 CANDIDATE_ORDER = [
-    "Id", "P0", "P0star", "C", "P1", "L", "S", "Sstar",
+    "Id", "P0", "P0star", "C", "P1", "S", "Sstar",
     "calV", "wilGen", "calW", "JV", "JW", "Jsigma", "GV", "Gsigma",
 ]
 
@@ -222,24 +222,17 @@ class ClassificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def candidate_generators(k: int, lam, mu, space: str):
-    """Cataloged endomorphisms applicable at (k, lam, mu), plus the mirrors
-    c o T o c (mirror_jet) of those at (1-mu, 1-lam).  Each comes as its jet
-    vector: t[r,l] in component_unknowns order, then the coefficient of the
-    nonlocal trace L."""
+def candidate_generators(k: int, lam, mu):
+    """Cataloged local endomorphisms applicable at (k, lam, mu), plus the
+    mirrors c o T o c (mirror_jet) of those at (1-mu, 1-lam), on either
+    space.  Each comes as its jet vector, t[r,l] in component_unknowns order."""
     lam, mu = rat(lam), rat(mu)
-    trace = [ZERO] * len(component_unknowns(k)) + [Fraction(1)]
-    out = []
-    for name in CANDIDATE_ORDER:
-        entry = CATALOG[name]
-        if entry.applies(k, lam, mu, space):
-            out.append((name, trace if entry.jet is None else entry.jet(k, lam, mu) + [ZERO]))
+    out = [(name, CATALOG[name].jet(k, lam, mu))
+           for name in CANDIDATE_ORDER if CATALOG[name].applies(k, lam, mu)]
     mirror = (1 - mu, 1 - lam)
     if mirror != (lam, mu):
-        for name in MIRRORED_GENERATORS:
-            entry = CATALOG[name]
-            if entry.applies(k, mirror[0], mirror[1], space):
-                out.append((name + "*", mirror_jet(entry.jet(k, *mirror), k) + [ZERO]))
+        out += [(name + "*", mirror_jet(CATALOG[name].jet(k, *mirror), k))
+                for name in MIRRORED_GENERATORS if CATALOG[name].applies(k, *mirror)]
     return out
 
 
@@ -263,20 +256,19 @@ def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
 def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
     """Dimension, generators, and matrix-algebra kind of the symmetry algebra.
 
-    The dimension is the recurrence nullspace (plus the circle trace); the
-    formal oracle, brute_force_local_symmetries, must find the same solution
-    space.  The catalog generators are their jet vectors, read off the
-    catalog with no operator applied; each must solve the recurrence, an
-    independent subset of them must span that dimension, and their exact
-    products give the algebra.  No window is built.
+    The local part reads no space: the recurrence nullspace, which the
+    formal oracle brute_force_local_symmetries must find too, and the
+    catalog's jet vectors, read off with no operator applied, each solving
+    the recurrence.  The nonlocal stage adds L's coordinate where
+    nonlocal_dimension is 1.  An independent subset must span the total,
+    and the exact products give the algebra.  No window is built.
     """
     check_module(k, space)
     lam, mu = rat(lam), rat(mu)
     rows = build_system(k, lam, mu)
-    solutions = nullspace(rows, len(component_unknowns(k)))
+    n = len(component_unknowns(k))
+    solutions = nullspace(rows, n)
     local = len(solutions)
-    nonloc = nonlocal_dimension(k, lam, mu, space)
-    total = local + nonloc
 
     if check_oracle:
         # both routes solve for the same unknowns t[r,l], and nullspace reads
@@ -284,22 +276,27 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
         brute = brute_force_local_symmetries(k, lam, mu)
         if brute != solutions:
             raise SpanMismatchError(
-                f"oracle disagreement at k={k}, ({lam},{mu}), {space}: "
+                f"oracle disagreement at k={k}, ({lam},{mu}): "
                 f"recurrence gives {local} solutions, brute force gives "
                 f"{len(brute)}, and they span different spaces"
             )
 
     names, vectors = [], []
-    for name, vec in candidate_generators(k, lam, mu, space):
-        worst = residual(rows, vec[:-1])
+    for name, vec in candidate_generators(k, lam, mu):
+        worst = residual(rows, vec)
         if worst != 0:
             raise SpanMismatchError(
-                f"{name} violates the recurrence at k={k}, ({lam},{mu}), "
-                f"{space}: residual {worst}"
+                f"{name} violates the recurrence at k={k}, ({lam},{mu}): residual {worst}"
             )
         if any(vec):
             names.append(name)
             vectors.append(vec)
+    nonloc = nonlocal_dimension(k, lam, mu, space)
+    total = local + nonloc
+    if nonloc:
+        # L's vector (0, ..., 0, 1) is independent of every local jet
+        names.append("L")
+        vectors = [v + [ZERO] for v in vectors] + [[ZERO] * n + [Fraction(1)]]
     chosen = independent_subset(vectors)
     span_dim = len(chosen)
     if span_dim != total:

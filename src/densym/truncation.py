@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from . import rings
-from .densities import DensityOperator, VectorField, apply, lie_derivative_operator, lie_terms
+from .densities import DensityOperator, VectorField, lie_derivative_operator, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError
 from .operators import catalog_entry, component_unknowns
 from .linalg import nullspace, rank
@@ -295,7 +295,7 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
-    if not entry.applies(basis.k, basis.lam, basis.mu, basis.space):
+    if not entry.exists(basis.k, basis.lam, basis.mu, basis.space):
         raise InapplicableSymmetryError(f"{name!r} is not defined at k={basis.k}, "
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
     return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu), name=name)
@@ -365,12 +365,13 @@ def bilinear_defect(J, space: str, M: int, fields):
     basis densities whose products stay inside the window.  With A_phi =
     J(phi, .) and L_X the commutator action on operators, phi in D^0_{0,nu}
     among them, the defect is (A_{L_X phi} - L_X A_phi)(psi): one operator
-    per field and phi.
+    D per field and phi, read on psi as sum_j D.coeffs[j] psi^(j) from
+    psi's derivatives up to J's order, each worked out once per call.
     """
     check_window(J.order, M)
     monos = ring_basis(space, M)
     sizes = [ring_content_size(f) for f in monos]
-    psis = [DensityOperator(0, J.lam, [f]) for f in monos]
+    psis = [[f.diff(j) for j in range(J.order + 1)] for f in monos]
     cols = []
     for X in fields:
         growth = ring_content_size(X.value)
@@ -382,8 +383,8 @@ def bilinear_defect(J, space: str, M: int, fields):
             phi = DensityOperator(0, J.nu, [f])
             D = (J.operator(lie_derivative_operator(X, phi))
                  - lie_derivative_operator(X, J.operator(phi)))
-            cols += [ring_vector(apply(D, psi).coeffs[0], M)
-                     for psi, s in zip(psis, sizes) if s <= room]
+            cols += [ring_vector(sum(a * d for a, d in zip(D.coeffs, ders)), M)
+                     for ders, s in zip(psis, sizes) if s <= room]
     return cols
 
 

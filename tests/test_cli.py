@@ -160,7 +160,7 @@ class TestInternalAssertion:
 
     def test_span_mismatch_exit_3(self, capsys, monkeypatch):
         monkeypatch.setitem(CATALOG, "calV",
-                            replace(CATALOG["calV"], applies=lambda k, l, m, s: False))
+                            replace(CATALOG["calV"], applies=lambda k, l, m: False))
         assert run(capsys, "classify", "-k", "2", "--lambda", "1/3", "--mu", "1/5") == (
             3, "", "internal assertion failed: catalog generators span 1 dimensions "
                    "at k=2, (1/3,1/5), circle; classifier computed 2\n")

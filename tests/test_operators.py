@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from densym import rings
-from densym.densities import DensityOperator, apply, compose, pairing
+from densym import rings, truncation
+from densym.densities import DensityOperator, apply, compose, lie_derivative_operator, pairing
 from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, UnsupportedFunctionalError,
     WeightMismatchError,
@@ -132,7 +133,7 @@ class TestScalarProjections:
 
     def test_p0_star_requires_target_weight_one(self):
         applies = CATALOG["P0star"].applies
-        assert applies(3, F(2, 7), 1, LINE) and not applies(3, 0, 0, LINE)
+        assert applies(3, F(2, 7), 1) and not applies(3, 0, 0)
         with pytest.raises(InapplicableSymmetryError):
             check_catalog_op("P0star", CheckConfig(mu=F(0)))
 
@@ -365,9 +366,9 @@ class TestDensityProjections:
     def test_w_locus_gate(self):
         applies = CATALOG["W"].applies
         assert second_analog_locus(4, 0, F(5, 4)) == 0
-        assert applies(4, 0, F(5, 4), LINE) and applies(4, 0, F(5, 4), CIRCLE)
-        assert not applies(4, 0, 1, LINE)  # off the locus
-        assert not applies(2, 0, F(5, 4), LINE)  # below k = 3
+        assert applies(4, 0, F(5, 4))
+        assert not applies(4, 0, 1)  # off the locus
+        assert not applies(2, 0, F(5, 4))  # below k = 3
 
     def test_second_analog_mu_solves_the_locus(self):
         rng = random.Random(3)
@@ -630,7 +631,7 @@ class TestPrintedGenerators:
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, printed, k, lam, mu", PRINTED_CASES)
     def test_catalog_map_is_the_printed_formula(self, name, printed, k, lam, mu, space):
-        assert CATALOG[name].applies(k, lam, mu, space)
+        assert CATALOG[name].applies(k, lam, mu)
         A = sample_operator(k, lam, mu, space)
         got = CATALOG[name].make(k, lam, mu)(A)
         assert not got.is_zero and got == printed(A)
@@ -649,7 +650,7 @@ class TestPrintedGenerators:
 def test_catalog_home_is_applicable(name):
     # `verify --op NAME` checks the entry at its home unless told otherwise
     k, lam, mu = CATALOG[name].home
-    assert CATALOG[name].applies(k, lam, mu, CIRCLE)
+    assert CATALOG[name].exists(k, lam, mu, CIRCLE)
 
 
 # ----------------------------------------------------------------------
@@ -808,6 +809,38 @@ class TestCoefficientRows:
         cols = bilinear_defect(BilinearOp(kind, *BILINEAR_HOMES[kind]), space, 8,
                                defect_fields(space))
         assert cols and all(v == 0 for col in cols for v in col)
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("kind", ["poisson", "grozman"])
+    def test_psi_derivatives_are_built_once_per_call(self, monkeypatch, kind, space):
+        # outside J(phi, .) and L_X, which differentiate phi and X, the only
+        # ring derivatives are psi^(j), j = 0..n, once for each window monomial
+        ring = PolyFn if space == LINE else TrigFn
+        diff, builds, counting = ring.diff, [], [True]
+
+        def spy(self, n=1):
+            if counting[0]:
+                builds.append((self, n))
+            return diff(self, n)
+
+        def paused(f):
+            def run(*args):
+                counting[0] = False
+                try:
+                    return f(*args)
+                finally:
+                    counting[0] = True
+            return run
+
+        monkeypatch.setattr(ring, "diff", spy)
+        monkeypatch.setattr(BilinearOp, "operator", paused(BilinearOp.operator))
+        monkeypatch.setattr(truncation, "lie_derivative_operator",
+                            paused(lie_derivative_operator))
+        J = BilinearOp(kind, *BILINEAR_HOMES[kind])
+        cols = bilinear_defect(J, space, 8, defect_fields(space))
+        assert cols and all(v == 0 for col in cols for v in col)
+        assert Counter(builds) == Counter(
+            (f, j) for f in ring_basis(space, 8) for j in range(J.order + 1))
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("changed", [False, True])

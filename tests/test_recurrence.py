@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,8 @@ from densym.errors import InapplicableSymmetryError, WeightMismatchError
 from densym.identities import CATALOG_HOMES, GENERIC_POINTS
 from densym.linalg import max_abs, nullspace
 from densym.operators import (
-    CATALOG, component_unknowns, componentwise_map, compose_jets, conjugation_jet,
+    CATALOG, CatalogEntry, component_unknowns, componentwise_map, compose_jets,
+    conjugation_jet,
 )
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
@@ -284,7 +286,7 @@ class TestSweep:
         assert points == SWEEP_POINTS
 
     def test_candidate_generators_cover_mirrors(self):
-        names = [n for n, _ in candidate_generators(4, F(-1, 4), F(1), CIRCLE)]
+        names = [n for n, _ in candidate_generators(4, F(-1, 4), F(1))]
         assert "JW*" in names and "P0star" in names
 
 
@@ -389,46 +391,56 @@ def _reference_points():
     return list(dict.fromkeys(points + GENERIC_POINTS))
 
 
+def _generator_vectors(k, lam, mu, space):
+    """classify's generator vectors by name: the local jets and, where the
+    space has the trace, each with a trace coordinate and L's (0, ..., 0, 1)."""
+    vectors = dict(candidate_generators(k, lam, mu))
+    if nonlocal_dimension(k, lam, mu, space):
+        vectors = {n: v + [F(0)] for n, v in vectors.items()}
+        vectors["L"] = [F(0)] * len(component_unknowns(k)) + [F(1)]
+    return vectors
+
+
 def _jet_and_span_algebras(k, lam, mu, space):
     """The jet structure constants of classify's generators, and
     span_algebra's of their reference formulas on a window."""
     names = classify(k, lam, mu, space, check_oracle=False).generator_names
-    vectors = dict(candidate_generators(k, lam, mu, space))
+    vectors = _generator_vectors(k, lam, mu, space)
     basis = TruncatedBasis(k, k + 6, space, lam, mu)
     maps = [SymmetryMap(basis, reference_map(n, k, lam, mu), name=n) for n in names]
     return jet_algebra(names, [vectors[n] for n in names], k), span_algebra(maps)
 
 
 class TestJetCoordinates:
-    @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("lam, mu", _reference_points())
-    def test_catalog_jets_are_read_off_the_reference_formulas(self, lam, mu, space):
+    def test_catalog_jets_are_read_off_the_reference_formulas(self, lam, mu):
+        # one jet for both spaces: read off the formula on the line, it is
+        # also the formula's action on the circle
         for k in range(7):
-            for name, vec in candidate_generators(k, lam, mu, space):
+            for name, vec in candidate_generators(k, lam, mu):
                 build = reference_map(name, k, lam, mu)
-                if name == "L":
-                    assert vec == [0] * (len(vec) - 1) + [1]
-                    continue
                 t = read_jet(build, k, lam, mu)
-                assert vec == t + [0], (name, k)
-                assert space == LINE or acts_on_circle_as(build, t, k, lam, mu), (name, k)
+                assert vec == t, (name, k)
+                assert acts_on_circle_as(build, t, k, lam, mu), (name, k)
 
     def test_reference_points_reach_every_candidate(self):
-        # a generator whose home is its own mirror point has no mirror
+        # a generator whose home is its own mirror point has no mirror; the
+        # nonlocal trace L is never a candidate
         names = {n for lam, mu in _reference_points() for k in range(7)
-                 for space in (LINE, CIRCLE) for n, _ in candidate_generators(k, lam, mu, space)}
+                 for n, _ in candidate_generators(k, lam, mu)}
         mirrors = {n + "*" for n in MIRRORED_GENERATORS
                    if CATALOG_HOMES[n][1] + CATALOG_HOMES[n][2] != 1}
-        assert names == {n for n, e in CATALOG.items() if e.kind == "endo"} | mirrors
+        assert names == set(LOCAL_ENDOS) | mirrors
+        assert {n for n, e in CATALOG.items() if e.kind == "endo"} - set(LOCAL_ENDOS) == {"L"}
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, k, lam, mu", _home_candidates())
     def test_read_off_realizes_the_candidate(self, name, k, lam, mu, space):
         # the candidate's jet map is its reference formula on a window
-        vec = dict(candidate_generators(k, lam, mu, space))[name]
+        vec = dict(candidate_generators(k, lam, mu))[name]
         build = reference_map(name, k, lam, mu)
-        assert vec[:-1] == read_jet(build, k, lam, mu)
-        jet = componentwise_map(vec[:-1], k, lam, mu)
+        assert vec == read_jet(build, k, lam, mu)
+        jet = componentwise_map(vec, k, lam, mu)
         for b in TruncatedBasis(k, k + 6, space, lam, mu).elements:
             assert jet(b) == build(b)
 
@@ -467,7 +479,7 @@ class TestJetCoordinates:
     def test_trace_rules_match_nonlocal_trace(self):
         k, lam, mu = 2, F(0), F(1)
         basis = TruncatedBasis(k, k + 6, CIRCLE, lam, mu)
-        vectors = dict(candidate_generators(k, lam, mu, CIRCLE))
+        vectors = _generator_vectors(k, lam, mu, CIRCLE)
         L = SymmetryMap(basis, reference_map("L", k, lam, mu), name="L")
         L_vec = vectors["L"]
         zero = [F(0)] * len(L_vec)
@@ -485,15 +497,14 @@ class TestJetCoordinates:
 
     def test_local_products_match_composition(self):
         k, lam, mu = 3, F(0), F(1)
-        vectors = dict(candidate_generators(k, lam, mu, LINE))
+        vectors = dict(candidate_generators(k, lam, mu))
         basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
         for x in ("C", "P0star", "P1"):
             for y in ("C", "P0", "P1"):
                 product = compose_jets(vectors[x], vectors[y], k)
-                assert product[-1] == 0
-                # without the trace coordinate, the same local part
-                assert compose_jets(vectors[x][:-1], vectors[y][:-1], k) == product[:-1]
-                jet = componentwise_map(product[:-1], k, lam, mu)
+                # with a zero trace coordinate, the same local part and no trace
+                assert compose_jets(vectors[x] + [0], vectors[y] + [0], k) == product + [0]
+                jet = componentwise_map(product, k, lam, mu)
                 X, Y = reference_map(x, k, lam, mu), reference_map(y, k, lam, mu)
                 for b in basis.elements:
                     assert jet(b) == X(Y(b))
@@ -582,23 +593,91 @@ class TestJetHardErrors:
         with pytest.raises(WeightMismatchError):
             T(DensityOperator(F(1, 3), F(1, 5), [0, 0, 0, PolyFn.monomial(1)]))
 
-    @pytest.mark.parametrize("space", [LINE, CIRCLE])
-    def test_candidate_violating_the_recurrence_raises(self, monkeypatch, space):
+    def test_candidate_violating_the_recurrence_raises(self, monkeypatch):
         # at a generic point, {Id, scalar term} spans the right dimension,
-        # so only the residual check can reject it
+        # so only the residual check, which reads no space, can reject it
         lam, mu = F(1, 3), F(1, 5)
-        assert classify(1, lam, mu, space, check_oracle=False).total == 2
+        assert classify(1, lam, mu, check_oracle=False).total == 2
         monkeypatch.setattr(recurrence, "candidate_generators",
-                            lambda *args: [("Id", [F(1), F(1), F(0), F(0)]),
-                                           ("scalar", [F(1), F(0), F(0), F(0)])])
+                            lambda *args: [("Id", [F(1), F(1), F(0)]),
+                                           ("scalar", [F(1), F(0), F(0)])])
         with pytest.raises(SpanMismatchError, match="scalar violates the recurrence"):
-            classify(1, lam, mu, space, check_oracle=False)
+            classify(1, lam, mu, check_oracle=False)
 
     def test_product_outside_the_span_raises(self):
         # P0 o P0 = P0 stays in the span of P0 and C; the next product in
         # row-major order, P0 o C = P0star, is the first to leave it
         k, lam, mu = 2, F(0), F(1)
-        vectors = dict(candidate_generators(k, lam, mu, LINE))
+        vectors = dict(candidate_generators(k, lam, mu))
         names = ["P0", "C"]
         with pytest.raises(SpanNotClosedError, match="^product P0 o C leaves the span$"):
             jet_algebra(names, [vectors[n] for n in names], k)
+
+
+# ----------------------------------------------------------------------
+# the compact and the non-compact case: the circle's answer is the line's
+# plus one nonlocal stage, the trace L at (0,1) for k >= 1
+# ----------------------------------------------------------------------
+
+def _comparison_points():
+    """_reference_points, the isolated points of EXCEPTIONAL_LOCI and seeded
+    generic points."""
+    rng = random.Random(SWEEP_SEED)
+    loci = [p for loci in EXCEPTIONAL_LOCI.values() for p in loci["points"]]
+    generic = [sample_generic(rng) for _ in range(4)]
+    return list(dict.fromkeys(_reference_points() + loci + generic))
+
+
+def space_differences(lam, mu, kmax=8):
+    """(k, what) wherever the circle's report at (k, lam, mu) is not the
+    line's plus the trace L, which the circle has exactly at (0,1), k >= 1."""
+    out = []
+    for k in range(kmax + 1):
+        circle, line = (classify(k, lam, mu, s, check_oracle=False) for s in (CIRCLE, LINE))
+        trace = k >= 1 and (lam, mu) == (0, 1)
+        if circle.local_dimension != line.local_dimension:
+            out.append((k, "local dimension"))
+        if [n for n in circle.generator_names if n != "L"] != line.generator_names:
+            out.append((k, "local generators"))
+        if (circle.nonlocal_dimension, line.nonlocal_dimension) != (int(trace), 0):
+            out.append((k, "nonlocal dimension"))
+        if ("L" in circle.generator_names) != trace:
+            out.append((k, "trace generator"))
+        if not trace and circle.algebra_kind != line.algebra_kind:
+            out.append((k, "kind"))
+    return out
+
+
+COMPARISON_POINTS = _comparison_points()
+
+
+class TestSpaceComparison:
+    @pytest.mark.parametrize("lam, mu", COMPARISON_POINTS,
+                             ids=[f"{lam},{mu}" for lam, mu in COMPARISON_POINTS])
+    def test_circle_is_the_line_plus_the_trace(self, lam, mu):
+        assert space_differences(lam, mu) == []
+
+    def test_points_cover_the_trace_and_every_locus_point(self):
+        points = COMPARISON_POINTS
+        assert (F(0), F(1)) in points and len(points) > 40
+        assert all(p in points for loci in EXCEPTIONAL_LOCI.values() for p in loci["points"])
+
+    def test_kinds_differ_where_the_trace_is(self):
+        # the nonlocal stage changes the algebra, not only its dimension
+        circle, line = (classify(3, 0, 1, s, check_oracle=False) for s in (CIRCLE, LINE))
+        assert circle.generator_names == line.generator_names + ["L"]
+        assert circle.algebra_kind != line.algebra_kind
+
+    def test_a_trace_on_the_line_is_caught(self, monkeypatch):
+        monkeypatch.setattr(CatalogEntry, "exists",
+                            lambda self, k, lam, mu, space: self.applies(k, lam, mu))
+        assert nonlocal_dimension(3, 0, 1, LINE) == 1
+        assert (1, "nonlocal dimension") in space_differences(F(0), F(1), kmax=3)
+
+    @pytest.mark.parametrize("point", [(F(1), F(1)), (F(0), F(0)), (F(1, 3), F(1, 5))])
+    def test_a_trace_at_a_second_point_is_caught(self, monkeypatch, point):
+        L = CATALOG["L"]
+        monkeypatch.setitem(CATALOG, "L", replace(
+            L, applies=lambda k, l, m: L.applies(k, l, m) or (k >= 1 and (l, m) == point)))
+        assert nonlocal_dimension(3, *point, CIRCLE) == 1
+        assert (1, "nonlocal dimension") in space_differences(*point, kmax=3)

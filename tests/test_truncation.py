@@ -409,7 +409,7 @@ def every_home_entry():
     out = []
     for name in sorted(CATALOG_HOMES):
         for space in (CIRCLE, LINE):
-            if not CATALOG[name].applies(*CATALOG_HOMES[name], space):
+            if not CATALOG[name].exists(*CATALOG_HOMES[name], space):
                 continue
             out.append((name, space))
     return out
