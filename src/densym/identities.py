@@ -250,7 +250,9 @@ def _run_relation(name: str, cfg: CheckConfig) -> CheckResult:
         maps = [realize(n, basis) for n in row.uses]
         for lhs, rhs in row.pairs(basis, *maps):
             defect = lhs if rhs is None else lhs - rhs
-            worst = max(worst, max_abs(v for j in range(size) for _, v in defect.image(j)))
+            # the columns are integers over defect.den: divide the largest once
+            top = max((abs(v) for j in range(size) for _, v in defect.image(j)), default=0)
+            worst = max(worst, Fraction(top, defect.den))
             entries += size if row.per_element else 1
     return CheckResult(name, worst == 0, worst, size, entries)
 
@@ -313,14 +315,16 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
     worst_on = Fraction(0)
     ok_off = True
     size = 0
+    window = None  # the first point's; every point's window shares its product table
     for points, expect_zero in ((on_points, True), (off_points, False)):
         for lam, mu in points:
             if (second_analog_locus(k, lam, mu) == 0) != expect_zero:
                 where = "off" if expect_zero else "on"
                 raise ValueError(f"w_sharpness needs k=4: ({lam},{mu}) is {where} "
                                  f"the order-{k} locus")
-            W = SymmetryMap(TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu),
-                            w_formula(k, lam, mu))
+            if window is None:
+                window = TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu)
+            W = SymmetryMap(window.reweighted(lam, mu), w_formula(k, lam, mu))
             size = W.basis.dim
             defect = Fraction(0)
             for X in fields:

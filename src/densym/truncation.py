@@ -8,17 +8,22 @@ only ever evaluated on the sub-basis whose image provably stays inside.
 One kernel, equivariance_defect, builds the windowed defect of every
 linear map that verify checks, and bilinear_defect that of every bilinear
 operator.  The formal oracle reads no window and builds no ring element.
+
+The window's sparse columns, the L_X columns of a basis and the images of a
+map, are integers over one denominator per column set, so the defect and
+relation kernels multiply and add ints; a value becomes a Fraction only
+when a defect is reported.  Ring elements stay sparse maps of Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 from . import rings
 from .densities import DensityOperator, VectorField, lie_derivative_operator, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError
 from .operators import catalog_entry, component_unknowns
-from .linalg import nullspace, rank
+from .linalg import ZERO, nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
 
@@ -83,6 +88,15 @@ def ring_vector(fn, M: int):
     return dense(ring_entries(fn, M), ring_dim(fn.space, M))
 
 
+def numerator_over(den: int, q) -> int:
+    """The integer q * den, for an int or Fraction q whose denominator
+    divides den."""
+    n, r = divmod(den, q.denominator)
+    if r:
+        raise ArithmeticError(f"{q} is not a multiple of 1/{den}")
+    return q.numerator * n
+
+
 def ring_content_size(fn) -> int:
     """Degree (line) or max frequency (circle); 0 for constants and zero."""
     if fn.space == LINE:
@@ -96,10 +110,14 @@ class TruncatedBasis:
     Ordering is i ascending then m ascending; this ordering is part of any
     serialized output and must not change.
 
-    Its L_X is read off a product table, which the basis shares with its
-    density windows basis.densities(nu), as they have the same monomials:
-    for each field X, the ring coordinates of X^(p) * m^(q) for the
-    monomials m, filled as the columns ask for them.
+    Its L_X columns are integers over lie_den(X), one denominator per
+    field: the lie_terms scalars are affine in (lam, mu) with integer
+    coefficients, so lcm(den lam, den mu) clears them, and the rest clears
+    the product rows.  Those rows come off a product table, which the basis
+    shares with its density windows basis.densities(nu) and its reweighted
+    siblings, as they have the same monomials: for each field X, the ring
+    coordinates of X^(p) * m^(q) for the monomials m, filled as the columns
+    ask for them, as integers over one denominator per field.
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
@@ -115,10 +133,14 @@ class TruncatedBasis:
             for mono in self.monomials:
                 coeffs = [z] * i + [mono]
                 self.elements.append(DensityOperator(self.lam, self.mu, coeffs))
-        self._lie = {}  # field -> {element index: entries of L_X(element)}
+        self._lie = {}  # field -> {element index: integer entries of L_X(element)}
         self._densities = {}  # weight nu -> the window of F_nu
-        self._terms = [lie_terms(i, self.lam, self.mu) for i in range(k + 1)]
-        self._products = {}  # field -> ([X, X', ...], {(p, q, t): coordinates})
+        self._scale = lcm(self.lam.denominator, self.mu.denominator)
+        self._terms = [[(m, p, q, numerator_over(self._scale, c))
+                        for m, p, q, c in lie_terms(i, self.lam, self.mu)]
+                       for i in range(k + 1)]
+        # field -> (den, [X, X', ...], {(p, q, t): integer coordinates over den})
+        self._products = {}
 
     def densities(self, nu) -> "TruncatedBasis":
         """F_nu as the order-0 window D^0_{0,nu} on this ring window, one per
@@ -130,6 +152,16 @@ class TruncatedBasis:
             window = self._densities[nu] = TruncatedBasis(0, self.M, self.space, 0, nu)
             window._products = self._products
         return self._densities[nu]
+
+    def reweighted(self, lam, mu) -> "TruncatedBasis":
+        """The window of D^k_{lam,mu} at this order on this ring window; it
+        shares the basis's product table, so a check that reads several
+        weights on one ring window multiplies each ring product once."""
+        if (rat(lam), rat(mu)) == (self.lam, self.mu):
+            return self
+        basis = TruncatedBasis(self.k, self.M, self.space, lam, mu)
+        basis._products = self._products
+        return basis
 
     @property
     def dim(self) -> int:
@@ -161,8 +193,25 @@ class TruncatedBasis:
         return [j for j, b in enumerate(self.elements)
                 if ring_content_size(b.coeffs[-1]) + growth <= self.M]
 
+    def _table(self, X: VectorField):
+        """The product table of X: (den, [X, X', ...], rows).  Derivatives
+        keep X's denominators and a product of trig monomials halves its
+        coefficients, so den is the lcm of X's coefficient denominators,
+        doubled on the circle."""
+        table = self._products.get(X)
+        if table is None:
+            den = lcm(*[c.denominator for c in X.value.terms.values()])
+            table = self._products[X] = (den * (2 if self.space == CIRCLE else 1),
+                                         [X.value], {})
+        return table
+
+    def lie_den(self, X: VectorField) -> int:
+        """The denominator of the lie_entries columns of X."""
+        return self._scale * self._table(X)[0]
+
     def lie_entries(self, X: VectorField, j: int):
-        """entries_of(L_X of element j), computed once per field and element.
+        """entries_of(L_X of element j) times lie_den(X), as ints, computed
+        once per field and element.
 
         For e_j = m d^i the column sums the product table's rows X^(p) m^(q),
         each times its scalar c, over the terms (m', p, q, c) of
@@ -173,7 +222,7 @@ class TruncatedBasis:
         """
         lie = self._lie.setdefault(X, {})
         if j not in lie:
-            ders, products = self._products.setdefault(X, ([X.value], {}))
+            den, ders, products = self._table(X)
             n = len(self.monomials)
             i, t = divmod(j, n)
             col = {}
@@ -183,10 +232,11 @@ class TruncatedBasis:
                     while len(ders) <= p:
                         ders.append(ders[-1].diff())
                     mono = self.monomials[t]
-                    row = products[p, q, t] = ring_coordinates(
-                        ders[p] * (mono.diff() if q else mono))
+                    row = products[p, q, t] = [
+                        (s, numerator_over(den, v))
+                        for s, v in ring_coordinates(ders[p] * (mono.diff() if q else mono))]
                 for s, v in row:
-                    v = v if c == 1 else c * v
+                    v *= c
                     col[m, s] = col[m, s] + v if (m, s) in col else v
             past = [(m, s) for (m, s), v in col.items() if v and s >= n]
             if past:
@@ -204,10 +254,13 @@ class SymmetryMap:
     image: the basis itself when that image lies in the basis's module
     D_{lam,mu}, else basis.densities(nu) for an image in D^0_{0,nu} (F_nu
     as the order-0 window), as a projection's.  A map built from a callable
-    applies it once per basis element and keeps the image as a sparse
-    column.  X @ Y, X + Y, X - Y and q * X are built from their operands'
-    columns, apply no callable and keep no column of their own.  flat()
-    and the equivariance defects read the columns.
+    applies it once per basis element, the first time any column is read,
+    and keeps each image as a sparse column of integers over one
+    denominator den, the lcm over its images.  X @ Y, X + Y, X - Y and
+    q * X are built from their operands' columns, apply no callable and
+    keep no column of their own.  The equivariance defects and the
+    relation checks read the integer columns; columns and flat() give the
+    true values.
     """
 
     def __init__(self, basis: TruncatedBasis, func, name="T"):
@@ -215,31 +268,44 @@ class SymmetryMap:
         self.func = func
         self.name = name
         self._target = None
-        self._images = {}  # basis index -> (coordinate, value) entries
+        self._images = None  # per basis element: (coordinate, value * den) entries
+
+    def _load(self):
+        """Apply the callable to every basis element, in order; an image that
+        leaves the window raises TruncationOverflowError."""
+        if self._images is None:
+            b, cols = self.basis, []
+            for element in b.elements:
+                image = self.func(element)
+                if self._target is None:
+                    self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
+                                    else b.densities(image.mu))
+                cols.append(self._target.entries_of(image))
+            den = self._den = lcm(*[v.denominator for col in cols for _, v in col])
+            self._images = [[(t, numerator_over(den, v)) for t, v in col] for col in cols]
+        return self._images
 
     @property
     def target(self) -> TruncatedBasis:
-        if self._target is None:
-            self.image(0)
+        self._load()
         return self._target
 
+    @property
+    def den(self) -> int:
+        """The common denominator of the image columns."""
+        self._load()
+        return self._den
+
     def image(self, j: int):
-        """Nonzero (coordinate, value) entries of the image of element j;
-        an image that leaves the window raises TruncationOverflowError."""
-        col = self._images.get(j)
-        if col is None:
-            image = self.func(self.basis.elements[j])
-            if self._target is None:
-                b = self.basis
-                self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
-                                else b.densities(image.mu))
-            col = self._images[j] = self._target.entries_of(image)
-        return col
+        """Nonzero (coordinate, value * den) entries of the image of element
+        j, as ints."""
+        return self._load()[j]
 
     @property
     def columns(self):
-        n = self.target.dim
-        return [dense(self.image(j), n) for j in range(self.basis.dim)]
+        n, den = self.target.dim, self.den
+        return [dense([(t, Fraction(v, den)) for t, v in self.image(j)], n)
+                for j in range(self.basis.dim)]
 
     def flat(self):
         return [v for col in self.columns for v in col]
@@ -264,7 +330,11 @@ class SymmetryMap:
 
 class _Combination(SymmetryMap):
     """sum c * outer o inner over its terms (c, outer, inner), inner None
-    meaning the identity: each image is read off the operands' columns."""
+    meaning the identity: each image is read off the operands' columns.
+
+    A term is over c.den * outer.den * inner.den, so the combination is over
+    their lcm, den, and each term's scalar becomes the integer that puts it
+    over den."""
 
     def __init__(self, name, terms):
         basis = terms[0][1].basis
@@ -276,17 +346,27 @@ class _Combination(SymmetryMap):
         if len({outer.target for _, outer, _ in terms}) > 1:
             raise ValueError(f"{name} adds maps into different spaces")
         self.basis, self.name, self.terms = basis, name, terms
+        dens = [c.denominator * outer.den * (1 if inner is None else inner.den)
+                for c, outer, inner in terms]
+        self._den = lcm(*dens)
+        self._scaled = [(c.numerator * (self._den // d), outer, inner)
+                        for (c, outer, inner), d in zip(terms, dens)]
 
     @property
     def target(self) -> TruncatedBasis:
         return self.terms[0][1].target
 
+    @property
+    def den(self) -> int:
+        return self._den
+
     def image(self, j: int):
         col = {}
-        for c, outer, inner in self.terms:
+        for c, outer, inner in self._scaled:
             for i, v in [(j, 1)] if inner is None else inner.image(j):
+                v *= c
                 for t, w in outer.image(i):
-                    col[t] = col.get(t, 0) + c * v * w
+                    col[t] = col.get(t, 0) + v * w
         return [(t, v) for t, v in col.items() if v]
 
 
@@ -339,23 +419,33 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
     element and field off the ring window's product table.  An image
     T(e_j) or L_X(e_j) that leaves the window raises
     TruncationOverflowError; nothing is cut off.
+
+    Both sums run in integers: T's columns are over T.den and the two L_X
+    over their lie_den, so each sum is put over T.den times the lcm of the
+    two, and each nonzero entry is divided once at the end.
     """
     basis = T.basis
     safe = basis.safe_indices(X)
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
     target = T.target
+    dx, dt = basis.lie_den(X), target.lie_den(X)
+    den = lcm(dx, dt)
+    sx, st = den // dx, den // dt
     cols = []
     for b in safe:
         col = {}
         for j, c in basis.lie_entries(X, b):
+            c *= sx
             for i, v in T.image(j):
                 col[i] = col.get(i, 0) + c * v
         for j, c in T.image(b):
+            c *= st
             for i, v in target.lie_entries(X, j):
                 col[i] = col.get(i, 0) - c * v
         cols.append(col)
-    return cols
+    den *= T.den
+    return [{i: Fraction(v, den) if v else ZERO for i, v in col.items()} for col in cols]
 
 
 def bilinear_defect(J, space: str, M: int, fields):
@@ -366,23 +456,27 @@ def bilinear_defect(J, space: str, M: int, fields):
     J(phi, .) and L_X the commutator action on operators, phi in D^0_{0,nu}
     among them, the defect is (A_{L_X phi} - L_X A_phi)(psi): one operator
     D per field and phi, read on psi as sum_j D.coeffs[j] psi^(j) from
-    psi's derivatives up to J's order, each worked out once per call.
+    psi's derivatives up to J's order, and A_phi once per phi, each worked
+    out once per call.
     """
     check_window(J.order, M)
     monos = ring_basis(space, M)
     sizes = [ring_content_size(f) for f in monos]
     psis = [[f.diff(j) for j in range(J.order + 1)] for f in monos]
+    ops = {}  # monomial index -> (phi, A_phi)
     cols = []
     for X in fields:
         growth = ring_content_size(X.value)
-        for f, size in zip(monos, sizes):
+        for t, size in enumerate(sizes):
             # the constant has size 0, so a phi with room < 0 is in no pair
             room = M - growth - size
             if room < 0:
                 continue
-            phi = DensityOperator(0, J.nu, [f])
-            D = (J.operator(lie_derivative_operator(X, phi))
-                 - lie_derivative_operator(X, J.operator(phi)))
+            if t not in ops:
+                phi = DensityOperator(0, J.nu, [monos[t]])
+                ops[t] = phi, J.operator(phi)
+            phi, A = ops[t]
+            D = J.operator(lie_derivative_operator(X, phi)) - lie_derivative_operator(X, A)
             cols += [ring_vector(sum(a * d for a, d in zip(D.coeffs, ders)), M)
                      for ders, s in zip(psis, sizes) if s <= room]
     return cols
@@ -448,6 +542,7 @@ def invariant_functionals_dimension(lam, N: int) -> int:
     if N < 2:
         raise ValueError("need N >= 2")
     window = TruncatedBasis(0, N, CIRCLE, 0, lam)
+    # each row is a column of L_X times lie_den(X), which leaves the rank alone
     rows = [dense(window.lie_entries(X, j), window.dim)
             for X in circle_fields(N) for j in window.safe_indices(X)]
     return window.dim - rank(rows)

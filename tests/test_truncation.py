@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -13,13 +14,14 @@ from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
-    CATALOG, component_unknowns, componentwise_map, conjugate, w_formula,
+    CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, conjugate,
+    w_formula,
 )
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, brute_force_local_symmetries, circle_fields, dense,
-    equivariance_defect,
+    SymmetryMap, TruncatedBasis, bilinear_defect, brute_force_local_symmetries,
+    circle_fields, dense, equivariance_defect,
     generator_family, invariant_functionals_dimension, line_fields, realize,
     ring_basis, ring_content_size, ring_dim, ring_entries, ring_vector,
 )
@@ -43,6 +45,16 @@ def direct_equivariance_defect(T, X):
         else:
             cols.append(basis.vector_of(lhs - lie_derivative_operator(X, image)))
     return cols
+
+
+def true_image(T, j):
+    """T.image(j), integers over T.den, as a dict of its true values."""
+    return {t: F(v, T.den) for t, v in T.image(j)}
+
+
+def true_lie(window, X, j):
+    """window.lie_entries(X, j), integers over lie_den(X), as true values."""
+    return [(t, F(v, window.lie_den(X))) for t, v in window.lie_entries(X, j)]
 
 
 def dense_defect(T, X):
@@ -170,7 +182,7 @@ class TestColumnArithmetic:
         for T, func in derived:
             assert not hasattr(T, "func")
             for j, b in enumerate(basis.elements):
-                assert dict(T.image(j)) == dict(basis.entries_of(func(b))), (T.name, j)
+                assert true_image(T, j) == dict(basis.entries_of(func(b))), (T.name, j)
             assert T.target is basis
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
@@ -192,7 +204,7 @@ class TestColumnArithmetic:
             for j, b in enumerate(basis.elements):
                 image = func(b)
                 assert (image.lam, image.mu, image.order) == (0, nu, 0)
-                assert dict(T.image(j)) == dict(ring_entries(image.coeffs[0], basis.M))
+                assert true_image(T, j) == dict(ring_entries(image.coeffs[0], basis.M))
 
     def test_composing_after_a_projection_raises(self):
         _, maps, _ = _catalog_maps(CIRCLE, ["sigma", "C"])
@@ -250,7 +262,7 @@ class TestDensityWindow:
             for j in window.safe_indices(X):
                 phi = density(window.mu, window.monomials[j])
                 want = ring_entries(lie_derivative_density(X, phi).coeffs[0], window.M)
-                assert window.lie_entries(X, j) == want
+                assert true_lie(window, X, j) == want
 
 
 def lie_outcome(read):
@@ -277,7 +289,7 @@ class TestWindowLieDerivative:
                         for j, b in enumerate(window.elements):
                             want = lie_outcome(
                                 lambda: window.entries_of(lie_derivative_operator(X, b)))
-                            assert lie_outcome(lambda: window.lie_entries(X, j)) == want
+                            assert lie_outcome(lambda: true_lie(window, X, j)) == want
                             outcomes[isinstance(want, str)] += 1
         assert outcomes[True] and outcomes[False]
 
@@ -519,26 +531,33 @@ class TestDefectByLinearity:
         # once, for p <= k+1 and for X times m': at most (k+3) ring_dim
         # products per field, however many elements and windows read them
         # (W reads the basis and its density window, which share the table)
-        products, windows = [], set()
-        real_mul, real_lie_entries = TrigFn.__mul__, TruncatedBasis.lie_entries
-
-        def mul(self, other):
-            if isinstance(other, TrigFn):
-                products.append((self, other))
-            return real_mul(self, other)
-
-        def lie_entries(self, X, j):
-            windows.add(self)
-            return real_lie_entries(self, X, j)
-
-        monkeypatch.setattr(TrigFn, "__mul__", mul)
-        monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
+        products, windows = spy_ring_products(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
         basis = max(windows, key=lambda w: w.k)
         assert len(windows) == (2 if name == "W" else 1)
         fields = generator_family(CIRCLE)
         assert 0 < len(products) <= len(fields) * (basis.k + 3) * ring_dim(CIRCLE, basis.M)
+
+
+def spy_ring_products(monkeypatch):
+    """The list of ring x ring TrigFn products made from here on, and the
+    set of windows whose lie_entries are read."""
+    products, windows = [], set()
+    real_mul, real_lie_entries = TrigFn.__mul__, TruncatedBasis.lie_entries
+
+    def mul(self, other):
+        if isinstance(other, TrigFn):
+            products.append((self, other))
+        return real_mul(self, other)
+
+    def lie_entries(self, X, j):
+        windows.add(self)
+        return real_lie_entries(self, X, j)
+
+    monkeypatch.setattr(TrigFn, "__mul__", mul)
+    monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
+    return products, windows
 
 
 def count_window_lie_builds(monkeypatch):
@@ -761,7 +780,8 @@ class TestBruteForceByLinearity:
 
 
 def _kernel_with_flipped_lie_after_t():
-    """equivariance_defect with the sign of its L_X o T term flipped."""
+    """equivariance_defect with the sign of its L_X o T term flipped: the
+    integer subtraction of T(b)_j times the target's L_X(e_j)."""
     source = inspect.getsource(truncation.equivariance_defect)
     term = "col[i] = col.get(i, 0) - c * v"
     assert source.count(term) == 1
@@ -786,10 +806,199 @@ class TestFlippedKernel:
         assert cli.main(["verify", "--op", "S"]) == 1
         assert capsys.readouterr().out.startswith("op:S: FAIL, defect ")
 
+    def test_verify_op_on_the_line_exit_1(self, capsys, flipped):
+        assert cli.main(["verify", "--op", "S", "--space", LINE]) == 1
+        assert capsys.readouterr().out.startswith("op:S: FAIL, defect ")
+
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_windowed_oracle_disagrees(self, flipped, space):
         rec = nullspace(build_system(3, 0, 1), len(component_unknowns(3)))
         assert windowed_local_symmetries(3, 0, 1, space) != rec
+
+
+def test_a_flipped_combination_term_fails_s_relations(capsys, monkeypatch):
+    # the last term of every combination of two or more maps changes sign,
+    # so S o S - Id reads S o S + Id = 2 Id, and S - (the chain) reads 2 S
+    real_init = truncation._Combination.__init__
+
+    def init(self, name, terms):
+        real_init(self, name, terms)
+        if len(self._scaled) > 1:
+            c, outer, inner = self._scaled[-1]
+            self._scaled[-1] = (-c, outer, inner)
+
+    monkeypatch.setattr(truncation._Combination, "__init__", init)
+    assert cli.main(["verify", "s_relations"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("s_relations: FAIL, defect ") and "defect 0," not in out
+
+
+def random_jet_map(k, lam, mu, space, seed):
+    """A jet map with random coefficients t[r,l]: no symmetry, for rational
+    jets in general, on the window M = k+6."""
+    rng = random.Random(seed)
+    t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
+    return SymmetryMap(TruncatedBasis(k, k + 6, space, lam, mu), componentwise_map(t, k, lam, mu))
+
+
+def assert_defects_are_direct(T, fields):
+    """Every field's integer-kernel defect equals the direct Fraction route;
+    returns whether any of them is nonzero."""
+    defects = [dense_defect(T, X) for X in fields]
+    assert defects == [direct_equivariance_defect(T, X) for X in fields]
+    return any(max_abs(cols) != 0 for cols in defects)
+
+
+# fields with fractional coefficients: halving trig products and thirds,
+# sevenths and fifths in the coefficients themselves
+FRACTIONAL_FIELDS = {
+    CIRCLE: [VectorField(TrigFn(0, {2: F(2, 3)})),
+             VectorField(TrigFn(F(1, 2), {1: F(-3, 4)}, {1: F(5, 6)}))],
+    LINE: [VectorField(PolyFn.monomial(3, F(5, 7))),
+           VectorField(PolyFn([F(1, 3), 0, F(-2, 5)]))],
+}
+
+HUGE_WEIGHTS = (F(10 ** 22 + 1, 3), F(-7, 9))
+
+
+def apply_map(T, A):
+    """T(A) through the maps' callables alone, for a leaf or a combination:
+    the Fraction reference for the integer columns."""
+    if hasattr(T, "func"):
+        return T.func(A)
+    return reduce(operator.add, [c * apply_map(outer, A if inner is None else apply_map(inner, A))
+                                 for c, outer, inner in T.terms])
+
+
+def relation_defect_by_callables(name):
+    """The worst defect of a RELATIONS row, every image built by its
+    callables and read on the window with Fractions."""
+    row = identities.RELATIONS[name]
+    worst = F(0)
+    for lam, mu in row.points:
+        basis = TruncatedBasis(row.k, row.k + 6, CIRCLE, lam, mu)
+        for lhs, rhs in row.pairs(basis, *[realize(n, basis) for n in row.uses]):
+            for b in basis.elements:
+                image = apply_map(lhs, b) if rhs is None else apply_map(lhs, b) - apply_map(rhs, b)
+                worst = max(worst, max_abs(v for _, v in lhs.target.entries_of(image)))
+    return worst
+
+
+class TestIntegerKernel:
+    """The window's columns are integers over one denominator; every value
+    they give is the one the Fraction routes give."""
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k, seed", [(1, 5), (2, 6), (3, 7)])
+    def test_random_jets_equal_the_direct_route(self, space, k, seed):
+        rng = random.Random(seed)
+        lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
+        T = random_jet_map(k, lam, mu, space, seed)
+        assert assert_defects_are_direct(T, generator_family(space))
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_a_perturbed_projection_equals_the_direct_route(self, space):
+        # W at a point of the order-4 locus is equivariant; a third more on
+        # its a_4'' slot is not
+        lam, mu = F(1, 3), F(25, 18)
+        W = w_formula(4, lam, mu)
+        assert assert_defects_are_direct(
+            SymmetryMap(TruncatedBasis(4, 10, space, lam, mu), W), generator_family(space)) is False
+        row = {r: c + (F(1, 3) if r == 4 else 0) for r, c in W.row}
+        T = SymmetryMap(TruncatedBasis(4, 10, space, lam, mu), Projection(4, lam, mu, 2, row))
+        assert T.target is T.basis.densities(W.nu)
+        assert assert_defects_are_direct(T, generator_family(space))
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_large_denominators(self, space):
+        lam, mu = HUGE_WEIGHTS
+        T = random_jet_map(3, lam, mu, space, 8)
+        assert T.basis.lie_den(generator_family(space)[0]) % 9 == 0
+        assert assert_defects_are_direct(T, generator_family(space))
+        V = realize("V", TruncatedBasis(3, 9, space, lam, mu))
+        assert assert_defects_are_direct(V, generator_family(space)) is False
+        res = check_catalog_op("V", CheckConfig(k=3, lam=lam, mu=mu, space=space))
+        assert res.passed, res.line()
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_fields_with_fractional_coefficients(self, space):
+        fields = FRACTIONAL_FIELDS[space]
+        basis = TruncatedBasis(2, 8, space, F(2, 5), F(-1, 3))
+        for window in (basis, basis.densities(F(-4, 3))):
+            for X in fields:
+                for j in window.safe_indices(X):
+                    want = window.entries_of(lie_derivative_operator(X, window.elements[j]))
+                    assert true_lie(window, X, j) == want
+        assert assert_defects_are_direct(random_jet_map(2, F(2, 5), F(-1, 3), space, 9), fields)
+        assert assert_defects_are_direct(home_map("S", space), fields) is False
+
+    @pytest.mark.parametrize("name, pairs", [
+        ("calv_square", lambda basis, V: [(V @ V, F(1, 7) * V)]),
+        ("gsigma_decomposition", lambda basis, G, W, Id, C: [
+            (G, F(1, 2) * (Id - C) - F(7, 3) * W)]),
+        ("jv_square_zero", lambda basis, J: [(J @ J - F(2, 9) * J, None)]),
+    ])
+    def test_a_wrong_relation_reports_the_fraction_defect(self, name, pairs, monkeypatch):
+        monkeypatch.setitem(identities.RELATIONS, name,
+                            replace(identities.RELATIONS[name], pairs=pairs))
+        res = identities.run_identity(name)
+        want = relation_defect_by_callables(name)
+        assert not res.passed and res.defect == want != 0
+        assert type(res.defect) is F
+
+
+def test_bilinear_defect_builds_each_density_operator_once(monkeypatch):
+    # J(phi, .) is built once per phi; J(L_X phi, .) once per field and phi
+    calls = []
+    real = BilinearOp.operator
+    monkeypatch.setattr(BilinearOp, "operator",
+                        lambda self, phi: calls.append(phi) or real(self, phi))
+    entry = CATALOG["grozman"]
+    J = entry.make(*entry.home[1:])
+    M = 8
+    for space, fields in ((CIRCLE, circle_fields(3)), (LINE, line_fields(5))):
+        calls.clear()
+        cols = bilinear_defect(J, space, M, fields)
+        sizes = [ring_content_size(f) for f in ring_basis(space, M)]
+        rooms = [[M - ring_content_size(X.value) - s for s in sizes] for X in fields]
+        pairs = sum(r >= 0 for row in rooms for r in row)
+        phis = sum(any(row[t] >= 0 for row in rooms) for t in range(len(sizes)))
+        assert len(calls) == pairs + phis
+        assert cols == reference_bilinear_defect(J, space, M, fields)
+    calls.clear()
+    identities.run_identity("grozman_equivariance")
+    assert len(calls) == 160  # 268 when J(phi, .) was built per field
+
+
+def reference_bilinear_defect(J, space, M, fields):
+    """bilinear_defect's columns in its order, J(phi, psi) for each pair
+    worked out from the operators of phi and L_X phi, per field."""
+    monos = ring_basis(space, M)
+    cols = []
+    for X in fields:
+        growth = ring_content_size(X.value)
+        for f in monos:
+            room = M - growth - ring_content_size(f)
+            if room < 0:
+                continue
+            phi = DensityOperator(0, J.nu, [f])
+            D = (J.operator(lie_derivative_operator(X, phi))
+                 - lie_derivative_operator(X, J.operator(phi)))
+            cols += [ring_vector(sum(a * psi.diff(j) for j, a in enumerate(D.coeffs)), M)
+                     for psi in monos if ring_content_size(psi) <= room]
+    return cols
+
+
+def test_w_sharpness_fills_one_product_table(monkeypatch):
+    # its six points and their density windows are one ring window (circle,
+    # M = 10): each row X^(p) m^(q) is one ring product, made once
+    products, windows = spy_ring_products(monkeypatch)
+    res = identities.run_identity("w_sharpness")
+    assert res.passed, res.line()
+    tables = {id(w._products): w._products for w in windows}
+    assert len(windows) == 12 and len(tables) == 1
+    rows = sum(len(rows) for table in tables.values() for _, _, rows in table.values())
+    assert len(products) == rows == 558
 
 
 def monomial_loop_functionals_dimension(lam, N):
