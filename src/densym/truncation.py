@@ -12,7 +12,10 @@ operator.  The formal oracle reads no window and builds no ring element.
 The window's sparse columns, the L_X columns of a basis and the images of a
 map, are integers over one denominator per column set, so the defect and
 relation kernels multiply and add ints; a value becomes a Fraction only
-when a defect is reported.  Ring elements stay sparse maps of Fractions.
+when a defect is reported.  The ring products behind them, the product
+table's rows and the bilinear J(m_a, m_b), are read off two closed-form
+rules on monomials (monomial_derivative, monomial_product) in ints, so the
+Lie actions of verify build no ring element.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import comb, lcm, perm
 
 from . import rings
-from .densities import DensityOperator, VectorField, lie_derivative_operator, lie_terms
+from .densities import DensityOperator, VectorField, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError
 from .operators import catalog_entry, component_unknowns
 from .linalg import ZERO, nullspace, rank
@@ -52,13 +55,64 @@ def ring_dim(space: str, M: int) -> int:
     return M + 1 if space == LINE else 2 * M + 1
 
 
+def coordinate(space: str, i: int) -> int:
+    """The window coordinate of the monomial with signed index i: x^i on the
+    line; on the circle 1, cos nx, sin nx have the signed indices 0, n, -n."""
+    if space == LINE:
+        return i
+    return 2 * i - 1 if i > 0 else -2 * i
+
+
+def signed_index(space: str, t: int) -> int:
+    """The signed index of the monomial at window coordinate t."""
+    if space == LINE:
+        return t
+    return (t + 1) // 2 if t % 2 else -(t // 2)
+
+
 def ring_coordinates(fn):
     """(coordinate, value) for the nonzero coordinates of fn, ascending, in
     the monomial order of ring_basis on any window that holds fn."""
     if fn.space == LINE:
         return sorted(fn.terms.items())
-    # 1, cos nx, sin nx have the signed indices 0, n, -n
-    return sorted((2 * i - 1 if i > 0 else -2 * i, c) for i, c in fn.terms.items())
+    return sorted((coordinate(CIRCLE, i), c) for i, c in fn.terms.items())
+
+
+def monomial_derivative(space: str, i: int, q: int):
+    """m_i^(q) as (signed index, int c), one monomial times c (c = 0 when it
+    vanishes): (x^i)^(q) = perm(i, q) x^(i-q) on the line, and on the circle
+    m_i' = -i m_-i, so m_i^(q) = (-1)^ceil(q/2) i^q m_((-1)^q i)."""
+    if space == LINE:
+        return i - q, perm(i, q)
+    return (-i if q % 2 else i), (-1) ** ((q + 1) // 2) * i ** q
+
+
+def monomial_product(space: str, a: int, b: int):
+    """m_a m_b as (signed index, int c) terms: x^(a+b) on the line; on the
+    circle twice the product, by the product-to-sum identities, so at most
+    two terms with c = +-1."""
+    if space == LINE:
+        return [(a + b, 1)]
+    if a >= 0 and b >= 0:  # 2 cos a cos b = cos(a-b) + cos(a+b)
+        return [(abs(a - b), 1), (a + b, 1)]
+    if a < 0 and b < 0:  # 2 sin u sin v = cos(u-v) - cos(u+v)
+        return [(abs(a - b), 1), (-a - b, -1)]
+    u, v = (-a, b) if a < 0 else (-b, a)  # 2 sin u cos v = sin(u+v) + sin(u-v)
+    return [(-u - v, 1)] + ([(-abs(u - v), 1 if u > v else -1)] if u != v else [])
+
+
+def product_entries(space: str, f, i: int, q: int):
+    """(coordinate, value) for the nonzero coordinates, ascending, of
+    f * m_i^(q), where f = sum c m_a over the (signed index a, int c) pairs
+    of f; on the circle the values are those of twice the product."""
+    b, v = monomial_derivative(space, i, q)
+    col = {}
+    if v:
+        for a, u in f:
+            for s, w in monomial_product(space, a, b):
+                s = coordinate(space, s)
+                col[s] = col.get(s, 0) + u * v * w
+    return sorted((s, c) for s, c in col.items() if c)
 
 
 def overflow(space: str, size: int, M: int) -> TruncationOverflowError:
@@ -68,7 +122,8 @@ def overflow(space: str, size: int, M: int) -> TruncationOverflowError:
 
 
 def ring_entries(fn, M: int):
-    """(coordinate, value) for the nonzero coordinates of ring_vector(fn, M)."""
+    """(coordinate, value) for the nonzero coordinates of fn on the window
+    M, ascending, or overflow."""
     size = ring_content_size(fn)
     if size > M:
         raise overflow(fn.space, size, M)
@@ -81,11 +136,6 @@ def dense(entries, n: int):
     for t, c in entries:
         vec[t] = c
     return vec
-
-
-def ring_vector(fn, M: int):
-    """Exact coordinates of a ring element in the monomial list, or overflow."""
-    return dense(ring_entries(fn, M), ring_dim(fn.space, M))
 
 
 def numerator_over(den: int, q) -> int:
@@ -117,7 +167,9 @@ class TruncatedBasis:
     shares with its density windows basis.densities(nu) and its reweighted
     siblings, as they have the same monomials: for each field X, the ring
     coordinates of X^(p) * m^(q) for the monomials m, filled as the columns
-    ask for them, as integers over one denominator per field.
+    ask for them, as integers over one denominator per field.  Each row is
+    read off the monomial rules from X's terms, kept as integers over that
+    denominator (product_row), with no ring product.
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
@@ -139,7 +191,8 @@ class TruncatedBasis:
         self._terms = [[(m, p, q, numerator_over(self._scale, c))
                         for m, p, q, c in lie_terms(i, self.lam, self.mu)]
                        for i in range(k + 1)]
-        # field -> (den, [X, X', ...], {(p, q, t): integer coordinates over den})
+        # field -> (den, [X, X', ...] as (signed index, int) terms,
+        #           {(p, q, t): integer coordinates over den})
         self._products = {}
 
     def densities(self, nu) -> "TruncatedBasis":
@@ -197,17 +250,34 @@ class TruncatedBasis:
         """The product table of X: (den, [X, X', ...], rows).  Derivatives
         keep X's denominators and a product of trig monomials halves its
         coefficients, so den is the lcm of X's coefficient denominators,
-        doubled on the circle."""
+        doubled on the circle.  The derivatives are (signed index, int)
+        terms over that lcm; the monomial product rule doubles on the
+        circle, so the rows come out over den."""
         table = self._products.get(X)
         if table is None:
-            den = lcm(*[c.denominator for c in X.value.terms.values()])
-            table = self._products[X] = (den * (2 if self.space == CIRCLE else 1),
-                                         [X.value], {})
+            terms = X.value.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            table = self._products[X] = (
+                den * (2 if self.space == CIRCLE else 1),
+                [[(i, numerator_over(den, c)) for i, c in terms.items()]], {})
         return table
 
     def lie_den(self, X: VectorField) -> int:
         """The denominator of the lie_entries columns of X."""
         return self._scale * self._table(X)[0]
+
+    def product_row(self, X: VectorField, p: int, q: int, t: int):
+        """The table row of X^(p) m_t^(q): its nonzero ring coordinates,
+        ascending, times the table's den, as ints; filled once per table."""
+        _, ders, rows = self._table(X)
+        row = rows.get((p, q, t))
+        if row is None:
+            while len(ders) <= p:
+                ders.append([(j, c * v) for i, c in ders[-1]
+                             for j, v in [monomial_derivative(self.space, i, 1)] if v])
+            row = rows[p, q, t] = product_entries(
+                self.space, ders[p], signed_index(self.space, t), q)
+        return row
 
     def lie_entries(self, X: VectorField, j: int):
         """entries_of(L_X of element j) times lie_den(X), as ints, computed
@@ -222,20 +292,11 @@ class TruncatedBasis:
         """
         lie = self._lie.setdefault(X, {})
         if j not in lie:
-            den, ders, products = self._table(X)
             n = len(self.monomials)
             i, t = divmod(j, n)
             col = {}
             for m, p, q, c in self._terms[i]:
-                row = products.get((p, q, t))
-                if row is None:
-                    while len(ders) <= p:
-                        ders.append(ders[-1].diff())
-                    mono = self.monomials[t]
-                    row = products[p, q, t] = [
-                        (s, numerator_over(den, v))
-                        for s, v in ring_coordinates(ders[p] * (mono.diff() if q else mono))]
-                for s, v in row:
+                for s, v in self.product_row(X, p, q, t):
                     v *= c
                     col[m, s] = col[m, s] + v if (m, s) in col else v
             past = [(m, s) for (m, s), v in col.items() if v and s >= n]
@@ -448,37 +509,77 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
     return [{i: Fraction(v, den) if v else ZERO for i, v in col.items()} for col in cols]
 
 
+def bilinear_entries(space: str, row, a: int, b: int):
+    """J(m_a, m_b) = sum_j c_j m_a^(n-j) m_b^(j) for the int row (c_0, ...,
+    c_n) and signed indices a, b, as (coordinate, value) for its nonzero
+    coordinates; on the circle the values are those of twice J(m_a, m_b)."""
+    n = len(row) - 1
+    col = {}
+    for j, c in enumerate(row):
+        x, u = monomial_derivative(space, a, n - j)
+        if c and u:
+            for s, v in product_entries(space, [(x, c * u)], b, j):
+                col[s] = col.get(s, 0) + v
+    return [(s, v) for s, v in col.items() if v]
+
+
 def bilinear_defect(J, space: str, M: int, fields):
     """Equivariance defect of a bilinear operator on density pairs.
 
     Checks J(L_X phi, psi) + J(phi, L_X psi) = L_X J(phi, psi) on all pairs of
-    basis densities whose products stay inside the window.  With A_phi =
-    J(phi, .) and L_X the commutator action on operators, phi in D^0_{0,nu}
-    among them, the defect is (A_{L_X phi} - L_X A_phi)(psi): one operator
-    D per field and phi, read on psi as sum_j D.coeffs[j] psi^(j) from
-    psi's derivatives up to J's order, and A_phi once per phi, each worked
-    out once per call.
+    basis densities whose products stay inside the window: one dense column
+    per field X, monomial phi and monomial psi, in that order.  The three
+    L_X are the lie_entries of the windows of F_nu, F_lam and F_out_weight,
+    which share one product table, and J is read on monomial pairs,
+    J(m_a, m_b) once per pair and call (bilinear_entries), so each column is
+    a sum of ints over one denominator, divided once per entry.  The room
+    filter keeps every term of the sum inside the window.
     """
     check_window(J.order, M)
-    monos = ring_basis(space, M)
-    sizes = [ring_content_size(f) for f in monos]
-    psis = [[f.diff(j) for j in range(J.order + 1)] for f in monos]
-    ops = {}  # monomial index -> (phi, A_phi)
+    left = TruncatedBasis(0, M, space, 0, J.nu)
+    right, out = (left.reweighted(0, w) for w in (J.lam, J.out_weight))
+    jden = lcm(*[c.denominator for c in J.row])
+    row = [numerator_over(jden, c) for c in J.row]
+    jden *= 2 if space == CIRCLE else 1
+    pairs = {}  # (coordinate a, coordinate b) -> entries of J(m_a, m_b) times jden
+
+    def j_entries(a, b):
+        if (a, b) not in pairs:
+            pairs[a, b] = bilinear_entries(space, row, signed_index(space, a),
+                                           signed_index(space, b))
+        return pairs[a, b]
+
+    n = ring_dim(space, M)
+    sizes = [ring_content_size(f) for f in left.monomials]
     cols = []
     for X in fields:
+        dens = [w.lie_den(X) for w in (left, right, out)]
+        den = lcm(*dens)
+        sl, sr, so = (den // d for d in dens)
+        den *= jden
         growth = ring_content_size(X.value)
         for t, size in enumerate(sizes):
             # the constant has size 0, so a phi with room < 0 is in no pair
             room = M - growth - size
             if room < 0:
                 continue
-            if t not in ops:
-                phi = DensityOperator(0, J.nu, [monos[t]])
-                ops[t] = phi, J.operator(phi)
-            phi, A = ops[t]
-            D = J.operator(lie_derivative_operator(X, phi)) - lie_derivative_operator(X, A)
-            cols += [ring_vector(sum(a * d for a, d in zip(D.coeffs, ders)), M)
-                     for ders, s in zip(psis, sizes) if s <= room]
+            lie_phi = [(a, u * sl) for a, u in left.lie_entries(X, t)]
+            for s in range(n):
+                if sizes[s] > room:
+                    continue
+                col = {}
+                for a, u in lie_phi:  # J(L_X phi, psi)
+                    for i, v in j_entries(a, s):
+                        col[i] = col.get(i, 0) + u * v
+                for b, u in right.lie_entries(X, s):  # J(phi, L_X psi)
+                    u *= sr
+                    for i, v in j_entries(t, b):
+                        col[i] = col.get(i, 0) + u * v
+                for c, u in j_entries(t, s):  # L_X J(phi, psi)
+                    u *= so
+                    for i, v in out.lie_entries(X, c):
+                        col[i] = col.get(i, 0) - u * v
+                cols.append(dense([(i, Fraction(v, den)) for i, v in col.items() if v], n))
     return cols
 
 

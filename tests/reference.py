@@ -11,10 +11,11 @@ from math import perm
 
 from densym import rings
 from densym.algebras import FiniteAlgebra
-from densym.densities import DensityOperator
+from densym.densities import DensityOperator, lie_derivative_operator
 from densym.errors import InapplicableSymmetryError, SpanMismatchError, WeightMismatchError
 from densym.operators import PRINTED, componentwise_map, conjugate, nonlocal_trace, p0
 from densym.rings import PolyFn, TrigFn
+from densym.truncation import dense, ring_basis, ring_content_size, ring_dim, ring_entries
 
 
 def density(nu, f):
@@ -27,6 +28,31 @@ def lie_derivative_density(X, phi):
     assert phi.lam == 0 and phi.order == 0, phi
     f = phi.coeffs[0]
     return density(phi.mu, X.value * f.diff() + phi.mu * (X.value.diff() * f))
+
+
+def ring_vector(fn, M: int):
+    """Exact coordinates of a ring element in the monomial list, or overflow."""
+    return dense(ring_entries(fn, M), ring_dim(fn.space, M))
+
+
+def reference_bilinear_defect(J, space, M, fields):
+    """bilinear_defect's columns in its order, J(phi, psi) for each pair
+    worked out with ring arithmetic from the operators of phi and L_X phi,
+    per field."""
+    monos = ring_basis(space, M)
+    cols = []
+    for X in fields:
+        growth = ring_content_size(X.value)
+        for f in monos:
+            room = M - growth - ring_content_size(f)
+            if room < 0:
+                continue
+            phi = DensityOperator(0, J.nu, [f])
+            D = (J.operator(lie_derivative_operator(X, phi))
+                 - lie_derivative_operator(X, J.operator(phi)))
+            cols += [ring_vector(sum(a * psi.diff(j) for j, a in enumerate(D.coeffs)), M)
+                     for psi in monos if ring_content_size(psi) <= room]
+    return cols
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from densym import rings, truncation
+from densym import densities, rings, truncation
 from densym.densities import DensityOperator, apply, compose, lie_derivative_operator, pairing
 from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, UnsupportedFunctionalError,
@@ -19,9 +19,12 @@ from densym.operators import (
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
-    ring_content_size, ring_vector,
+    ring_content_size,
 )
-from reference import density, j_after_pi, lie_derivative_density, mirrored, s_map
+from reference import (
+    density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
+    ring_vector, s_map,
+)
 
 
 def poly_op(lam, mu, *coeff_lists):
@@ -812,35 +815,47 @@ class TestCoefficientRows:
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("kind", ["poisson", "grozman"])
-    def test_psi_derivatives_are_built_once_per_call(self, monkeypatch, kind, space):
-        # outside J(phi, .) and L_X, which differentiate phi and X, the only
-        # ring derivatives are psi^(j), j = 0..n, once for each window monomial
+    def test_defect_makes_no_ring_arithmetic(self, monkeypatch, kind, space):
+        # every derivative and product is read off the monomial rules: no
+        # ring derivative or product, no J(phi, .) and no Lie action on
+        # operators, and each J(m_a, m_b) is built once per call
         ring = PolyFn if space == LINE else TrigFn
-        diff, builds, counting = ring.diff, [], [True]
+        calls, pairs = [], Counter()
 
-        def spy(self, n=1):
-            if counting[0]:
-                builds.append((self, n))
-            return diff(self, n)
+        def recorded(name, f):
+            return lambda *args: calls.append(name) or f(*args)
 
-        def paused(f):
-            def run(*args):
-                counting[0] = False
-                try:
-                    return f(*args)
-                finally:
-                    counting[0] = True
-            return run
-
-        monkeypatch.setattr(ring, "diff", spy)
-        monkeypatch.setattr(BilinearOp, "operator", paused(BilinearOp.operator))
-        monkeypatch.setattr(truncation, "lie_derivative_operator",
-                            paused(lie_derivative_operator))
+        for name in ("__mul__", "__rmul__", "diff"):
+            monkeypatch.setattr(ring, name, recorded(name, getattr(ring, name)))
+        monkeypatch.setattr(BilinearOp, "operator", recorded("operator", BilinearOp.operator))
+        monkeypatch.setattr(densities, "lie_derivative_operator",
+                            recorded("lie_derivative_operator", lie_derivative_operator))
+        real_entries = truncation.bilinear_entries
+        monkeypatch.setattr(truncation, "bilinear_entries",
+                            lambda sp, row, a, b: pairs.update([(a, b)])
+                            or real_entries(sp, row, a, b))
         J = BilinearOp(kind, *BILINEAR_HOMES[kind])
         cols = bilinear_defect(J, space, 8, defect_fields(space))
         assert cols and all(v == 0 for col in cols for v in col)
-        assert Counter(builds) == Counter(
-            (f, j) for f in ring_basis(space, 8) for j in range(J.order + 1))
+        assert calls == []
+        assert pairs and set(pairs.values()) == {1}
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    def test_defect_columns_are_the_reference_columns(self, monkeypatch, kind, perturbed,
+                                                      space):
+        # the columns read off the monomial rules equal those of ring
+        # arithmetic on the operators of phi and L_X phi; the row with a
+        # term 1/3 phi psi^(n+1) appended is equivariant for no kind
+        if perturbed:
+            order, defined, row = BILINEAR[kind]
+            monkeypatch.setitem(BILINEAR, kind, (order + 1, defined,
+                                                 lambda nu, lam: (*row(nu, lam), F(1, 3))))
+        J = BilinearOp(kind, *BILINEAR_HOMES[kind])
+        cols = bilinear_defect(J, space, 8, defect_fields(space))
+        assert cols == reference_bilinear_defect(J, space, 8, defect_fields(space))
+        assert any(v != 0 for col in cols for v in col) == perturbed
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("changed", [False, True])

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from densym import cli, identities, rings, truncation
+from densym import cli, densities, identities, rings, truncation
 from densym.densities import DensityOperator, VectorField, lie_derivative_operator
 from densym.errors import InapplicableSymmetryError, TruncationOverflowError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
@@ -20,14 +21,15 @@ from densym.operators import (
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    SymmetryMap, TruncatedBasis, bilinear_defect, brute_force_local_symmetries,
-    circle_fields, dense, equivariance_defect,
-    generator_family, invariant_functionals_dimension, line_fields, realize,
-    ring_basis, ring_content_size, ring_dim, ring_entries, ring_vector,
+    SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
+    circle_fields, coordinate, dense, equivariance_defect,
+    generator_family, invariant_functionals_dimension, line_fields, monomial_derivative,
+    monomial_product, numerator_over, realize, ring_basis, ring_content_size,
+    ring_coordinates, ring_dim, ring_entries, signed_index,
 )
 import oracle
 from oracle import brute_force_fields, windowed_local_symmetries
-from reference import density, lie_derivative_density
+from reference import density, lie_derivative_density, reference_bilinear_defect, ring_vector
 
 
 def direct_equivariance_defect(T, X):
@@ -305,6 +307,57 @@ class TestWindowLieDerivative:
         assert window.lie_entries(X, j) == []
 
 
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def multi_term_fields(draw):
+    """A field X with two to four terms and fractional coefficients, on
+    either space."""
+    space = draw(st.sampled_from([LINE, CIRCLE]))
+    indices = st.integers(0, 4) if space == LINE else st.integers(-3, 3)
+    terms = draw(st.dictionaries(indices, rationals, min_size=2, max_size=4))
+    if space == LINE:
+        return VectorField(PolyFn([terms.get(d, 0) for d in range(5)]))
+    return VectorField(TrigFn(terms.get(0, 0), {n: c for n, c in terms.items() if n > 0},
+                              {-n: c for n, c in terms.items() if n < 0}))
+
+
+def signed_monomial(space, i):
+    """The ring monomial with signed index i."""
+    return ring_basis(space, abs(i))[coordinate(space, i)]
+
+
+class TestMonomialRules:
+    # the two rules the product table and J(m_a, m_b) read, against the
+    # rings' own product and derivative
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([LINE, CIRCLE]), st.integers(-5, 5), st.integers(-5, 5),
+           st.integers(0, 3))
+    def test_rules_are_the_ring_operations(self, space, a, b, q):
+        if space == LINE:
+            a, b = abs(a), abs(b)
+        ma, mb = signed_monomial(space, a), signed_monomial(space, b)
+        assert signed_index(space, coordinate(space, a)) == a
+        i, c = monomial_derivative(space, a, q)
+        assert ma.diff(q) == (signed_monomial(space, i) * c if c else ma.diff(q).zero())
+        twice = 1 if space == LINE else 2
+        assert reduce(operator.add, [signed_monomial(space, s) * c
+                                     for s, c in monomial_product(space, a, b)]) == twice * (ma * mb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multi_term_fields(), st.integers(0, 6), st.integers(0, 3), st.integers(0, 8))
+    def test_product_rows_are_the_ring_products(self, X, p, q, t):
+        # the row of X^(p) m_t^(q), ints over the table's den, is the ring
+        # product's coordinates times den; den clears every value (9
+        # monomials on either window)
+        window = TruncatedBasis(0, 8 if X.space == LINE else 4, X.space, 0, 0)
+        den = window.lie_den(X)  # the table's den: the window's weights are integers
+        product = X.value.diff(p) * window.monomials[t].diff(q)
+        assert window.product_row(X, p, q, t) == [
+            (s, numerator_over(den, v)) for s, v in ring_coordinates(product)]
+
+
 # the projections at n = 0 and lam = 0, whose F_nu = F_mu is read in the
 # order-k window itself: (name, k, lam, mu, then the verify line's counts on
 # the circle and on the line)
@@ -527,37 +580,74 @@ class TestDefectByLinearity:
 
     @pytest.mark.parametrize("name", ["S", "W"])
     def test_ring_products_stay_within_the_product_table(self, name, monkeypatch):
-        # the window's L_X multiplies X^(p) by each monomial or its derivative
-        # once, for p <= k+1 and for X times m': at most (k+3) ring_dim
-        # products per field, however many elements and windows read them
-        # (W reads the basis and its density window, which share the table)
-        products, windows = spy_ring_products(monkeypatch)
+        # the window's L_X reads the rows X^(p) m^(q) for p <= k+1 and X m':
+        # at most (k+3) ring_dim rows per field, each filled once off the
+        # monomial rules however many elements and windows read it (W reads
+        # the basis and its density window, which share the table), with no
+        # ring product or derivative
+        ring, fills, _, windows = spy_window_kernel(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
         basis = max(windows, key=lambda w: w.k)
         assert len(windows) == (2 if name == "W" else 1)
+        assert len({id(w._products) for w in windows}) == 1
+        rows = sum(len(rows) for _, _, rows in basis._products.values())
         fields = generator_family(CIRCLE)
-        assert 0 < len(products) <= len(fields) * (basis.k + 3) * ring_dim(CIRCLE, basis.M)
+        assert 0 < len(fills) == rows <= len(fields) * (basis.k + 3) * ring_dim(CIRCLE, basis.M)
+        assert ring == []
 
 
-def spy_ring_products(monkeypatch):
-    """The list of ring x ring TrigFn products made from here on, and the
-    set of windows whose lie_entries are read."""
-    products, windows = [], set()
-    real_mul, real_lie_entries = TrigFn.__mul__, TruncatedBasis.lie_entries
+def spy_window_kernel(monkeypatch):
+    """Spies on the window kernel from here on; returns (ring, fills, pairs,
+    windows).  ring lists the ring products and derivatives and the
+    lie_derivative_operator and BilinearOp.operator calls made inside
+    lie_entries or bilinear_defect; fills the product_entries calls, one
+    per product-table row filled (and per term of a J(m_a, m_b) column);
+    pairs the bilinear_entries calls, one per J(m_a, m_b) column built; and
+    windows the windows whose lie_entries are read."""
+    # truncation binds no name of the Lie action on operators, so the spy
+    # on densities.lie_derivative_operator sees every call
+    assert not hasattr(truncation, "lie_derivative_operator")
+    ring, fills, pairs, windows, depth = [], [], [], set(), [0]
 
-    def mul(self, other):
-        if isinstance(other, TrigFn):
-            products.append((self, other))
-        return real_mul(self, other)
+    def inside(f):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return f(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def logged(name, f, log, always=False):
+        def run(*args):
+            if always or depth[0]:
+                log.append((name, args))
+            return f(*args)
+        return run
+
+    for cls in (PolyFn, TrigFn):
+        for name in ("__mul__", "__rmul__", "diff"):
+            monkeypatch.setattr(cls, name, logged(f"{cls.__name__}.{name}",
+                                                  getattr(cls, name), ring))
+    monkeypatch.setattr(densities, "lie_derivative_operator", logged(
+        "lie_derivative_operator", densities.lie_derivative_operator, ring))
+    monkeypatch.setattr(BilinearOp, "operator",
+                        logged("BilinearOp.operator", BilinearOp.operator, ring))
+    for name, log in (("product_entries", fills), ("bilinear_entries", pairs)):
+        monkeypatch.setattr(truncation, name,
+                            logged(name, getattr(truncation, name), log, always=True))
+    real_lie_entries = TruncatedBasis.lie_entries
 
     def lie_entries(self, X, j):
         windows.add(self)
         return real_lie_entries(self, X, j)
 
-    monkeypatch.setattr(TrigFn, "__mul__", mul)
-    monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
-    return products, windows
+    monkeypatch.setattr(TruncatedBasis, "lie_entries", inside(lie_entries))
+    bilinear = inside(truncation.bilinear_defect)
+    monkeypatch.setattr(truncation, "bilinear_defect", bilinear)
+    monkeypatch.setattr(identities, "bilinear_defect", bilinear)
+    return ring, fills, pairs, windows
 
 
 def count_window_lie_builds(monkeypatch):
@@ -947,58 +1037,38 @@ class TestIntegerKernel:
         assert type(res.defect) is F
 
 
-def test_bilinear_defect_builds_each_density_operator_once(monkeypatch):
-    # J(phi, .) is built once per phi; J(L_X phi, .) once per field and phi
-    calls = []
-    real = BilinearOp.operator
-    monkeypatch.setattr(BilinearOp, "operator",
-                        lambda self, phi: calls.append(phi) or real(self, phi))
+def test_bilinear_defect_builds_each_pair_column_once(monkeypatch):
+    # each column J(m_a, m_b) is built once per call, off the monomial rules:
+    # no density operator, Lie action, ring product or derivative
+    ring, _, pairs, _ = spy_window_kernel(monkeypatch)
     entry = CATALOG["grozman"]
     J = entry.make(*entry.home[1:])
     M = 8
     for space, fields in ((CIRCLE, circle_fields(3)), (LINE, line_fields(5))):
-        calls.clear()
-        cols = bilinear_defect(J, space, M, fields)
-        sizes = [ring_content_size(f) for f in ring_basis(space, M)]
-        rooms = [[M - ring_content_size(X.value) - s for s in sizes] for X in fields]
-        pairs = sum(r >= 0 for row in rooms for r in row)
-        phis = sum(any(row[t] >= 0 for row in rooms) for t in range(len(sizes)))
-        assert len(calls) == pairs + phis
+        pairs.clear()
+        cols = truncation.bilinear_defect(J, space, M, fields)
+        assert ring == []
+        built = Counter((args[2], args[3]) for _, args in pairs)
+        assert built and set(built.values()) == {1}
         assert cols == reference_bilinear_defect(J, space, M, fields)
-    calls.clear()
-    identities.run_identity("grozman_equivariance")
-    assert len(calls) == 160  # 268 when J(phi, .) was built per field
-
-
-def reference_bilinear_defect(J, space, M, fields):
-    """bilinear_defect's columns in its order, J(phi, psi) for each pair
-    worked out from the operators of phi and L_X phi, per field."""
-    monos = ring_basis(space, M)
-    cols = []
-    for X in fields:
-        growth = ring_content_size(X.value)
-        for f in monos:
-            room = M - growth - ring_content_size(f)
-            if room < 0:
-                continue
-            phi = DensityOperator(0, J.nu, [f])
-            D = (J.operator(lie_derivative_operator(X, phi))
-                 - lie_derivative_operator(X, J.operator(phi)))
-            cols += [ring_vector(sum(a * psi.diff(j) for j, a in enumerate(D.coeffs)), M)
-                     for psi in monos if ring_content_size(psi) <= room]
-    return cols
+    pairs.clear()
+    res = identities.run_identity("grozman_equivariance")
+    assert res.passed and ring == []
+    # one J(m_a, m_b) per pair that some column reads, on each space
+    assert len(pairs) == len(set((args[0], args[2], args[3]) for _, args in pairs))
 
 
 def test_w_sharpness_fills_one_product_table(monkeypatch):
     # its six points and their density windows are one ring window (circle,
-    # M = 10): each row X^(p) m^(q) is one ring product, made once
-    products, windows = spy_ring_products(monkeypatch)
+    # M = 10): each row X^(p) m^(q) is read off the monomial rules once
+    ring, fills, _, windows = spy_window_kernel(monkeypatch)
     res = identities.run_identity("w_sharpness")
     assert res.passed, res.line()
     tables = {id(w._products): w._products for w in windows}
     assert len(windows) == 12 and len(tables) == 1
     rows = sum(len(rows) for table in tables.values() for _, _, rows in table.values())
-    assert len(products) == rows == 558
+    assert len(fills) == rows == 558
+    assert ring == []
 
 
 def monomial_loop_functionals_dimension(lam, N):
