@@ -109,17 +109,21 @@ def s_map_chain(A: DensityOperator) -> DensityOperator:
 
 class Projection:
     """A -> (sum_r c_r a_r^(r-n)) (dx)^nu on D^k_{lam,mu}, nu = mu - lam - n,
-    kept as its row of nonzero (r, c_r).  The image is a density, the
-    order-0 operator in D^0_{0,nu}; operators of another module or of order
-    above k are rejected."""
+    kept as its row of nonzero (r, c_r).  A slot r < 0 drops out (a_r is
+    zero) and a slot 0 <= r < n, a negative derivative, raises ValueError.
+    The image is a density, the order-0 operator in D^0_{0,nu}; operators of
+    another module or of order above k are rejected."""
 
     __slots__ = ("k", "lam", "mu", "n", "nu", "row")
 
     def __init__(self, k: int, lam, mu, n: int, row: dict):
         self.k, self.lam, self.mu, self.n = k, rat(lam), rat(mu), n
         self.nu = self.mu - self.lam - n
-        # a_r is zero for r < 0, so such slots drop out with the zero c_r
         self.row = tuple((r, rat(c)) for r, c in row.items() if c and r >= 0)
+        low = [r for r, _ in self.row if r < n]
+        if low:
+            raise ValueError(f"the slot a_{low[0]}^({low[0] - n}) is a negative "
+                             f"derivative: a row at n = {n} needs r >= {n}")
 
     def __rmul__(self, scalar) -> "Projection":
         return Projection(self.k, self.lam, self.mu, self.n,

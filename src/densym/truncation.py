@@ -15,17 +15,23 @@ relation kernels multiply and add ints; a value becomes a Fraction only
 when a defect is reported.  The ring products behind them, the product
 table's rows and the bilinear J(m_a, m_b), are read off two closed-form
 rules on monomials (monomial_derivative, monomial_product) in ints, so the
-Lie actions of verify build no ring element.
+Lie actions of verify build no ring element.  Nor do the catalog's maps
+onto a window: a local endomorphism is read off its jet and a projection
+off its row (term_images, one monomial_derivative per term).  Only the maps
+that leave the module on the way (C o C, the defining chain of S) and the
+nonlocal trace L are applied as callables, to the basis elements as
+operators, which a window builds only then.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm, perm
 
 from . import rings
 from .densities import DensityOperator, VectorField, lie_terms
-from .errors import InapplicableSymmetryError, TruncationOverflowError
-from .operators import catalog_entry, component_unknowns
+from .errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
+from .operators import Projection, catalog_entry, component_unknowns, componentwise_map
 from .linalg import ZERO, nullspace, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
 
@@ -179,12 +185,6 @@ class TruncatedBasis:
         self.lam = rat(lam)
         self.mu = rat(mu)
         self.monomials = ring_basis(space, M)
-        self.elements = []
-        z = rings.zero(space)
-        for i in range(k + 1):
-            for mono in self.monomials:
-                coeffs = [z] * i + [mono]
-                self.elements.append(DensityOperator(self.lam, self.mu, coeffs))
         self._lie = {}  # field -> {element index: integer entries of L_X(element)}
         self._densities = {}  # weight nu -> the window of F_nu
         self._scale = lcm(self.lam.denominator, self.mu.denominator)
@@ -216,6 +216,14 @@ class TruncatedBasis:
         basis._products = self._products
         return basis
 
+    @cached_property
+    def elements(self):
+        """The basis elements as operators, built on first read: the window
+        kernels read only the monomials."""
+        z = rings.zero(self.space)
+        return [DensityOperator(self.lam, self.mu, [z] * i + [mono])
+                for i in range(self.k + 1) for mono in self.monomials]
+
     @property
     def dim(self) -> int:
         return (self.k + 1) * len(self.monomials)
@@ -243,8 +251,9 @@ class TruncatedBasis:
         """Indices of the basis elements whose image under the X-action stays
         in the window."""
         growth = max(ring_content_size(X.value) - (1 if self.space == LINE else 0), 0)
-        return [j for j, b in enumerate(self.elements)
-                if ring_content_size(b.coeffs[-1]) + growth <= self.M]
+        n = len(self.monomials)
+        return [i * n + t for i in range(self.k + 1) for t, m in enumerate(self.monomials)
+                if ring_content_size(m) + growth <= self.M]
 
     def _table(self, X: VectorField):
         """The product table of X: (den, [X, X', ...], rows).  Derivatives
@@ -308,43 +317,88 @@ class TruncatedBasis:
         return lie[j]
 
 
+def term_images(basis: TruncatedBasis, terms):
+    """(den, images) of the map A -> sum c a_r^(l) d^o over its terms (r, o,
+    l, c), at most one term per (r, o): the image of each basis element
+    m d^i, in order, as its nonzero (coordinate, value * den) entries,
+    ascending, where den is the lcm of the terms' denominators.  A term at
+    r = i puts c m^(l), one monomial_derivative, at d^o, so no ring element
+    is built; the target window has the basis's monomials."""
+    den = lcm(*[c.denominator for *_, c in terms])
+    space, n = basis.space, len(basis.monomials)
+    at = [[] for _ in range(basis.k + 1)]  # r -> (offset of d^o, l, c * den)
+    for r, o, l, c in sorted(terms):
+        if r <= basis.k:
+            at[r].append((o * n, l, numerator_over(den, c)))
+    return den, [[(shift + coordinate(space, j), c * v) for shift, l, c in at[i]
+                  for j, v in [monomial_derivative(space, signed_index(space, t), l)] if v]
+                 for i in range(basis.k + 1) for t in range(n)]
+
+
 class SymmetryMap:
     """A linear map on a truncated module, carried as its sparse columns.
 
-    The columns are coordinates on its target window, read off the first
-    image: the basis itself when that image lies in the basis's module
-    D_{lam,mu}, else basis.densities(nu) for an image in D^0_{0,nu} (F_nu
-    as the order-0 window), as a projection's.  A map built from a callable
-    applies it once per basis element, the first time any column is read,
-    and keeps each image as a sparse column of integers over one
-    denominator den, the lcm over its images.  X @ Y, X + Y, X - Y and
-    q * X are built from their operands' columns, apply no callable and
-    keep no column of their own.  The equivariance defects and the
-    relation checks read the integer columns; columns and flat() give the
-    true values.
+    The columns are coordinates on its target window: the basis itself when
+    the images lie in the basis's module D_{lam,mu}, else
+    basis.densities(nu) for images in D^0_{0,nu} (F_nu as the order-0
+    window), as a projection's.  Each image is a sparse column of integers
+    over one denominator den, built for every basis element the first time
+    any column, the target or den is read.  Two kinds of map are read in
+    closed form, by term_images, with no ring element and without func:
+    a map given with its jet t (func is then the jet's map), whose terms are
+    (r, r-l, l, t[r,l] perm(r,l)) into the basis, and a Projection, whose
+    row gives the terms (r, 0, r-n, c_r) into basis.densities(nu), or into
+    the basis when (0, nu) is its weight pair.  Any other func is applied
+    once per basis element, and den is the lcm over its images: the maps
+    that leave the module on the way (C o C, the chain of S) and the
+    nonlocal trace L.  X @ Y, X + Y, X - Y and q * X are built from their
+    operands' columns, apply no callable and keep no column of their own.
+    The equivariance defects and the relation checks read the integer
+    columns; columns and flat() give the true values.
     """
 
-    def __init__(self, basis: TruncatedBasis, func, name="T"):
+    def __init__(self, basis: TruncatedBasis, func, name="T", jet=None):
         self.basis = basis
         self.func = func
         self.name = name
+        self.jet = jet
         self._target = None
         self._images = None  # per basis element: (coordinate, value * den) entries
 
     def _load(self):
-        """Apply the callable to every basis element, in order; an image that
-        leaves the window raises TruncationOverflowError."""
+        """Build every image, in basis order."""
         if self._images is None:
-            b, cols = self.basis, []
-            for element in b.elements:
-                image = self.func(element)
-                if self._target is None:
-                    self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
-                                    else b.densities(image.mu))
-                cols.append(self._target.entries_of(image))
-            den = self._den = lcm(*[v.denominator for col in cols for _, v in col])
-            self._images = [[(t, numerator_over(den, v)) for t, v in col] for col in cols]
+            if self.jet is None and not isinstance(self.func, Projection):
+                self._apply()
+            else:
+                self._target, terms = self._terms()
+                self._den, self._images = term_images(self.basis, terms)
         return self._images
+
+    def _terms(self):
+        """(target, terms) of the closed form: of the jet, or of the Projection."""
+        b, pi = self.basis, self.func
+        if self.jet is not None:
+            return b, [(r, r - l, l, c * perm(r, l)) for (r, l), c
+                       in zip(component_unknowns(b.k), self.jet, strict=True) if c]
+        if (pi.lam, pi.mu) != (b.lam, b.mu) or b.k > pi.k:
+            raise WeightMismatchError(f"a projection of D^{pi.k}_{{{pi.lam},{pi.mu}}} "
+                                      f"on a window of D^{b.k}_{{{b.lam},{b.mu}}}")
+        target = b if (0, pi.nu) == (b.lam, b.mu) else b.densities(pi.nu)
+        return target, [(r, 0, r - pi.n, c) for r, c in pi.row]
+
+    def _apply(self):
+        """Apply func to every basis element; an image that leaves the
+        window raises TruncationOverflowError."""
+        b, cols = self.basis, []
+        for element in b.elements:
+            image = self.func(element)
+            if self._target is None:
+                self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
+                                else b.densities(image.mu))
+            cols.append(self._target.entries_of(image))
+        den = self._den = lcm(*[v.denominator for col in cols for _, v in col])
+        self._images = [[(t, numerator_over(den, v)) for t, v in col] for col in cols]
 
     @property
     def target(self) -> TruncatedBasis:
@@ -432,14 +486,21 @@ class _Combination(SymmetryMap):
 
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
-    """Realize a cataloged endomorphism or projection, by name, on the basis."""
+    """Realize a cataloged endomorphism or projection, by name, on the basis:
+    a local endomorphism by its jet, read off the entry's jet, a projection
+    by the Projection its make returns, both in closed form; the trace L by
+    its callable."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
     if not entry.exists(basis.k, basis.lam, basis.mu, basis.space):
         raise InapplicableSymmetryError(f"{name!r} is not defined at k={basis.k}, "
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
-    return SymmetryMap(basis, entry.make(basis.k, basis.lam, basis.mu), name=name)
+    k, lam, mu = basis.k, basis.lam, basis.mu
+    if entry.jet is not None:
+        t = entry.jet(k, lam, mu)
+        return SymmetryMap(basis, componentwise_map(t, k, lam, mu), name=name, jet=t)
+    return SymmetryMap(basis, entry.make(k, lam, mu), name=name)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from densym.errors import (
 )
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
-    BILINEAR, CATALOG, BilinearOp, alternating, conjugate, delta_compose,
+    BILINEAR, CATALOG, BilinearOp, Projection, alternating, conjugate, delta_compose,
     delta_inverse, nonlocal_trace, p0, printed_jet, s_map_chain, second_analog_locus,
     second_analog_mu, symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
@@ -322,6 +322,19 @@ class TestDensityProjections:
         assert (F(1, 2) * symbol(3, 0, 3)).row == ((3, F(1, 2)),)
         with pytest.raises(WeightMismatchError):
             symbol(2, 0, 1)(poly_op(0, 2, [1]))  # another module
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_a_negative_derivative_slot_raises(self, space):
+        # a_1^(-1) at n = 2 is no derivative: it raises, where the row once
+        # read a_1 underived
+        with pytest.raises(ValueError, match=r"slot a_1\^\(-1\) is a negative derivative"):
+            Projection(2, 0, 1, 2, {1: 1})
+        with pytest.raises(ValueError, match=r"slot a_0\^\(-1\)"):
+            Projection(3, 0, 1, 1, {3: 1, 0: F(1, 2)})
+        # zero slots and slots below r = 0 drop out, as V's a_{-1} at k = 0
+        assert Projection(2, 0, 1, 2, {1: 0, 2: 3, -1: 5}).row == ((2, 3),)
+        V = v_formula(0, F(1, 3), F(2, 5))
+        assert V.row == () and V(DensityOperator(F(1, 3), F(2, 5), [rings.one(space)])).is_zero
 
     def test_v_formula_at_zero_zero(self):
         # (lam, mu) = (0, 0), k = 2: alpha = 1, beta = -2, so a2' - 2 a1

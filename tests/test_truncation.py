@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from densym import cli, densities, identities, rings, truncation
 from densym.densities import DensityOperator, VectorField, lie_derivative_operator
-from densym.errors import InapplicableSymmetryError, TruncationOverflowError
+from densym.errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
-    CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, conjugate,
-    w_formula,
+    CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_jets,
+    conjugate, conjugation_jet, symbol, w_formula,
 )
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
@@ -528,12 +528,19 @@ class TestDefectByLinearity:
             return conjugate(DensityOperator(1, 1, [a[i] - a[i + 1].diff()
                                                     for i in range(A.order + 1)]))
 
+        def s_sign_flipped_jet(k, lam, mu):
+            # c o n, with n's t[r,1] = -1/r
+            n = [F(int(l == 0)) if l != 1 else F(-1, r) for r, l in component_unknowns(k)]
+            return compose_jets(conjugation_jet(k), n, k)
+
         monkeypatch.setitem(CATALOG, "S", replace(
-            CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped))
+            CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped, jet=s_sign_flipped_jet))
         T = home_map("S", CIRCLE)
         defects = [dense_defect(T, X) for X in circle_fields(2)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
+        # verify reads the flipped jet in closed form: the same columns
+        assert realize("S", T.basis).columns == T.columns
         assert cli.main(["verify", "--op", "S"]) == 1
         assert "op:S: FAIL" in capsys.readouterr().out
 
@@ -560,7 +567,9 @@ class TestDefectByLinearity:
     @pytest.mark.parametrize("name", ["S", "Sstar", "W"])
     def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
         # L_X is counted per (field, element, window): W's images are read on
-        # the densities window, whose elements L_X meets once each as well
+        # the densities window, whose elements L_X meets once each as well.
+        # A map that is not a Projection is applied once per element; S and
+        # Sstar are read off their jets, so their callables are never applied
         applied = []
         real_make = CATALOG[name].make
 
@@ -572,7 +581,7 @@ class TestDefectByLinearity:
         lie_builds = count_window_lie_builds(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
-        assert 0 < len(applied) <= res.basis_size
+        assert len(applied) == (res.basis_size if name == "W" else 0)
         assert {X for X, _, _ in lie_builds} == {repr(X) for X in generator_family(CIRCLE)}
         assert set(lie_builds.values()) == {1}
         if name == "W":  # a projection: L_X on the basis and on F_nu
@@ -601,10 +610,12 @@ def spy_window_kernel(monkeypatch):
     """Spies on the window kernel from here on; returns (ring, fills, pairs,
     windows).  ring lists the ring products and derivatives and the
     lie_derivative_operator and BilinearOp.operator calls made inside
-    lie_entries or bilinear_defect; fills the product_entries calls, one
-    per product-table row filled (and per term of a J(m_a, m_b) column);
-    pairs the bilinear_entries calls, one per J(m_a, m_b) column built; and
-    windows the windows whose lie_entries are read."""
+    lie_entries, bilinear_defect, equivariance_defect or a map's image
+    build (SymmetryMap._load), and every read of a window's elements
+    (operators that no kernel should need); fills the product_entries
+    calls, one per product-table row filled (and per term of a J(m_a, m_b)
+    column); pairs the bilinear_entries calls, one per J(m_a, m_b) column
+    built; and windows the windows whose lie_entries are read."""
     # truncation binds no name of the Lie action on operators, so the spy
     # on densities.lie_derivative_operator sees every call
     assert not hasattr(truncation, "lie_derivative_operator")
@@ -644,9 +655,14 @@ def spy_window_kernel(monkeypatch):
         return real_lie_entries(self, X, j)
 
     monkeypatch.setattr(TruncatedBasis, "lie_entries", inside(lie_entries))
-    bilinear = inside(truncation.bilinear_defect)
-    monkeypatch.setattr(truncation, "bilinear_defect", bilinear)
-    monkeypatch.setattr(identities, "bilinear_defect", bilinear)
+    monkeypatch.setattr(SymmetryMap, "_load", inside(SymmetryMap._load))
+    for name in ("bilinear_defect", "equivariance_defect"):
+        kernel = inside(getattr(truncation, name))
+        monkeypatch.setattr(truncation, name, kernel)
+        monkeypatch.setattr(identities, name, kernel)
+    elements = TruncatedBasis.elements
+    monkeypatch.setattr(TruncatedBasis, "elements", property(
+        lambda self: ring.append(("elements", (self,))) or elements.__get__(self)))
     return ring, fills, pairs, windows
 
 
@@ -1035,6 +1051,113 @@ class TestIntegerKernel:
         want = relation_defect_by_callables(name)
         assert not res.passed and res.defect == want != 0
         assert type(res.defect) is F
+
+
+# the points of the closed-form check: every catalog home, a generic point,
+# points on the loci (lam + mu = 1, lam = 0, mu = 1, mu - lam = 2, W's
+# order-4 curve, the Wilczynski weights at k = 4, and (0, nu) at k = 0, where
+# sigma maps into its own module) and weights with large denominators
+CLOSED_FORM_POINTS = sorted(set(CATALOG_HOMES.values()) | {
+    (3, F(2, 7), F(-3, 5)), (5, F(2, 9), F(7, 9)), (3, F(0), F(3, 7)), (3, F(5, 3), F(1)),
+    (3, F(-2, 3), F(4, 3)), (4, F(1, 3), F(25, 18)), (4, F(-3, 2), F(5, 2)),
+    (0, F(0), F(1, 3)), (2, *HUGE_WEIGHTS), (3, *HUGE_WEIGHTS)})
+
+
+def closed_form_cases():
+    """(name, k, lam, mu, space) for each catalog map read in closed form (a
+    local endomorphism's jet, a projection's row) at each point where it
+    exists."""
+    return [(name, k, lam, mu, space) for name, entry in sorted(CATALOG.items())
+            if entry.kind == "projection" or entry.jet is not None
+            for k, lam, mu in CLOSED_FORM_POINTS for space in (CIRCLE, LINE)
+            if entry.exists(k, lam, mu, space)]
+
+
+def perturbed_jet(jet):
+    """The jet function jet with t[2,1] a third larger."""
+    def wrong(k, lam, mu):
+        t = jet(k, lam, mu)
+        t[4] *= F(4, 3)
+        return t
+    return wrong
+
+
+def perturbed_w(k, lam, mu):
+    """W with a third more on its a_k'' slot: no symmetry."""
+    W = w_formula(k, lam, mu)
+    return Projection(k, lam, mu, k - 2, {r: c + F(1, 3) * (r == k) for r, c in W.row})
+
+
+class TestClosedFormColumns:
+    """realize reads a local endomorphism off its jet and a projection off
+    its row, with no ring element: the columns are the callable's."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["M=k+4", "M=k+6"])
+    @pytest.mark.parametrize("name, k, lam, mu, space", closed_form_cases())
+    def test_columns_are_the_callables(self, name, k, lam, mu, space, wide):
+        basis = TruncatedBasis(k, k + (6 if wide else 4), space, lam, mu)
+        T = realize(name, basis)
+        assert T.jet is not None or isinstance(T.func, Projection)
+        images = [CATALOG[name].make(k, lam, mu)(b) for b in basis.elements]
+        module = (images[0].lam, images[0].mu)
+        assert T.target is (basis if module == (lam, mu) else basis.densities(module[1]))
+        assert [T.image(j) for j in range(basis.dim)] == [
+            [(t, v * T.den) for t, v in T.target.entries_of(A)] for A in images]
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("k, seed", [(2, 11), (4, 12)])
+    def test_random_jets_are_the_callables(self, space, k, seed):
+        # denominators 1..9: the columns are over the lcm of the terms'
+        lam, mu = F(2, 9), F(-5, 7)
+        rng = random.Random(seed)
+        t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
+        basis = TruncatedBasis(k, k + 4, space, lam, mu)
+        T = SymmetryMap(basis, componentwise_map(t, k, lam, mu), jet=t)
+        reference = SymmetryMap(basis, T.func)
+        assert T.columns == reference.columns and T.target is reference.target is basis
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    def test_a_projection_of_another_module_raises(self, space):
+        # as the callable does on the first element it cannot take
+        basis = TruncatedBasis(3, 7, space, F(1, 3), F(1, 5))
+        for pi in (symbol(3, 0, F(1, 5)), symbol(2, F(1, 3), F(1, 5))):
+            for T in (SymmetryMap(basis, pi), SymmetryMap(basis, lambda A: pi(A))):
+                with pytest.raises(WeightMismatchError):
+                    T.target
+        assert SymmetryMap(basis, symbol(4, F(1, 3), F(1, 5))).is_zero()  # no a_4 below k = 4
+
+    def test_every_map_is_covered(self):
+        names = {name for name, *_ in closed_form_cases()}
+        assert names == {n for n, e in CATALOG.items() if e.kind != "bilinear"} - {"L"}
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("name", ["S", "W"])
+    def test_no_ring_element_and_no_basis_element(self, name, space, monkeypatch):
+        ring, _, _, windows = spy_window_kernel(monkeypatch)
+        k, lam, mu = CATALOG_HOMES[name]
+        T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
+        for X in generator_family(space):
+            assert max_abs(col.values() for col in equivariance_defect(T, X)) == 0
+        assert ring == []
+        assert T.basis in windows and T.target in windows
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("name, wrong", [
+        ("S", lambda e: replace(e, jet=perturbed_jet(e.jet))),
+        ("W", lambda e: replace(e, make=perturbed_w)),
+    ])
+    def test_a_perturbed_map_fails_through_the_closed_form(self, capsys, monkeypatch,
+                                                           space, name, wrong):
+        monkeypatch.setitem(CATALOG, name, wrong(CATALOG[name]))
+        k, lam, mu = CATALOG_HOMES[name]
+        T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
+        assert T.jet is not None or isinstance(T.func, Projection)
+        reference = SymmetryMap(T.basis, lambda A: T.func(A))  # applied per element
+        for X in generator_family(space):
+            assert equivariance_defect(T, X) == equivariance_defect(reference, X)
+        assert assert_defects_are_direct(T, generator_family(space))
+        assert cli.main(["verify", "--op", name, "--space", space]) == 1
+        assert capsys.readouterr().out.startswith(f"op:{name}: FAIL, defect ")
 
 
 def test_bilinear_defect_builds_each_pair_column_once(monkeypatch):
