@@ -32,13 +32,13 @@ from .rings import CIRCLE, LINE, TrigFn
 from .truncation import (
     SymmetryMap,
     TruncatedBasis,
+    _functionals_dimension,
     bilinear_defect,
     brute_force_local_symmetries,
     check_window,
     circle_fields,
     equivariance_defect,
     generator_family,
-    invariant_functionals_dimension,
     line_fields,
     realize,
     ring_dim,
@@ -401,8 +401,10 @@ def check_lemma_functionals(cfg: CheckConfig) -> CheckResult:
              Fraction(-2, 3): 0, Fraction(2): 0}
     bad = []
     for N in (3, 5):
+        # one product table per N: every weight's window reads the same rows
+        base, fields = TruncatedBasis(0, N, CIRCLE, 0, 0), circle_fields(N)
         for lam, want in cases.items():
-            got = invariant_functionals_dimension(lam, N)
+            got = _functionals_dimension(base.densities(lam), fields)
             if got != want:
                 bad.append((lam, N, got, want))
     return CheckResult(

@@ -8,11 +8,13 @@ here ever truncates or rounds.
 An element of either ring is one sparse map {index: c} of Fractions with no
 zero entry: a polynomial keyed by degree, a trigonometric polynomial by the
 signed index of its basis e_0 = 1, e_n = cos nx, e_-n = sin nx (n >= 1).
-The two rings share everything but their product and derivative rules.
+The two rings differ only in their rules on these monomials,
+monomial_product and monomial_derivative, the one statement of each.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .errors import RingMismatchError, UnsupportedFunctionalError
 
@@ -34,6 +36,29 @@ def rat(value) -> Fraction:
 
 def format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def monomial_derivative(space: str, i: int, q: int):
+    """m_i^(q) as (signed index, int c), one monomial times c (c = 0 when it
+    vanishes): (x^i)^(q) = perm(i, q) x^(i-q) on the line, and on the circle
+    m_i' = -i m_-i, so m_i^(q) = (-1)^ceil(q/2) i^q m_((-1)^q i)."""
+    if space == LINE:
+        return i - q, perm(i, q)
+    return (-i if q % 2 else i), (-1) ** ((q + 1) // 2) * i ** q
+
+
+def monomial_product(space: str, a: int, b: int):
+    """m_a m_b as (signed index, int c) terms: x^(a+b) on the line; on the
+    circle twice the product, by the product-to-sum identities, so at most
+    two terms with c = +-1."""
+    if space == LINE:
+        return [(a + b, 1)]
+    if a >= 0 and b >= 0:  # 2 cos a cos b = cos(a-b) + cos(a+b)
+        return [(abs(a - b), 1), (a + b, 1)]
+    if a < 0 and b < 0:  # 2 sin u sin v = cos(u-v) - cos(u+v)
+        return [(abs(a - b), 1), (-a - b, -1)]
+    u, v = (-a, b) if a < 0 else (-b, a)  # 2 sin u cos v = sin(u+v) + sin(u-v)
+    return [(-u - v, 1)] + ([(-abs(u - v), 1 if u > v else -1)] if u != v else [])
 
 
 class _SparseFn:
@@ -68,12 +93,24 @@ class _SparseFn:
 
     @classmethod
     def constant(cls, c):
+        return cls.monomial(0, c)
+
+    @classmethod
+    def monomial(cls, index: int, c=1):
+        """c times the monomial with the given index: x^index on the line,
+        the basis function e_index on the circle."""
         q = rat(c)
-        return cls._of({0: q} if q else {})
+        return cls._of({index: q} if q else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def size(self) -> int:
+        """The largest |index|: the degree on the line, the top frequency on
+        the circle; 0 for constants and zero."""
+        return max(map(abs, self.terms), default=0)
 
     def _scale(self, q):
         """q * self for an int or Fraction q."""
@@ -120,7 +157,31 @@ class _SparseFn:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its rational, so it hashes as that rational
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, _ZERO))
         return hash((self.space, frozenset(self.terms.items())))
+
+    def _product(self, other):
+        """self * other through monomial_product: each ring's __mul__."""
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        other = _coerce(other, self)
+        space, out = self.space, {}
+        for a, c in self.terms.items():
+            for b, d in other.terms.items():
+                cd = c * d
+                for i, w in monomial_product(space, a, b):
+                    v = cd if w > 0 else -cd
+                    out[i] = out[i] + v if i in out else v
+        halve = space == CIRCLE  # the circle rule gives twice each product
+        return self._of({i: c * _HALF if halve else c for i, c in out.items() if c})
+
+    def _derivative(self, n: int = 1):
+        """Each ring's diff(n), through monomial_derivative, which sends
+        distinct monomials to distinct ones."""
+        return self._of({j: c * v for i, c in self.terms.items()
+                         for j, v in [monomial_derivative(self.space, i, n)] if v})
 
     def __str__(self):
         return to_text(self)
@@ -139,11 +200,6 @@ class PolyFn(_SparseFn):
         object.__setattr__(self, "terms",
                            {t: c for t, c in enumerate(map(rat, coeffs)) if c})
 
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "PolyFn":
-        q = rat(c)
-        return cls._of({degree: q} if q else {})
-
     @property
     def coeffs(self) -> tuple:
         """The dense coefficients c_0, ..., c_degree."""
@@ -153,24 +209,9 @@ class PolyFn(_SparseFn):
     def degree(self):
         return max(self.terms, default=None)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = _coerce(other, self)
-        out = {}
-        for s, a in self.terms.items():
-            for t, b in other.terms.items():
-                i, c = s + t, a * b
-                out[i] = out[i] + c if i in out else c
-        return self._of({t: c for t, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def diff(self, n: int = 1) -> "PolyFn":
-        terms = self.terms
-        for _ in range(n):
-            terms = {t - 1: t * c for t, c in terms.items() if t}
-        return self._of(terms)
+    # own entries of each ring: perfbench/tracing.py replaces them in the class __dict__
+    __mul__ = __rmul__ = _SparseFn._product
+    diff = _SparseFn._derivative
 
     def __repr__(self):
         return f"PolyFn({list(self.coeffs)})"
@@ -180,8 +221,8 @@ class TrigFn(_SparseFn):
     """Finite trigonometric polynomial: mean + sum of cos(nx), sin(nx) terms,
     keyed 0 for the mean, n for cos nx and -n for sin nx.
 
-    Products are re-expanded through the product-to-sum identities, so the
-    ring is closed.
+    Products are re-expanded through the product-to-sum identities
+    (monomial_product), so the ring is closed.
     """
 
     __slots__ = ()
@@ -218,42 +259,8 @@ class TrigFn(_SparseFn):
     def sin(self) -> dict:
         return {-i: c for i, c in sorted(self.terms.items(), reverse=True) if i < 0}
 
-    @property
-    def max_frequency(self) -> int:
-        return max(map(abs, self.terms), default=0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = _coerce(other, self)
-        out = {}  # twice each coefficient; the mean is cos 0x
-
-        def add(i, c):
-            out[i] = out[i] + c if i in out else c
-
-        for s, a in self.terms.items():
-            for t, b in other.terms.items():
-                c = a * b
-                if s >= 0 and t >= 0:  # 2 cos s cos t = cos(s-t) + cos(s+t)
-                    add(abs(s - t), c)
-                    add(s + t, c)
-                elif s < 0 and t < 0:  # 2 sin u sin v = cos(u-v) - cos(u+v)
-                    add(abs(s - t), c)
-                    add(-s - t, -c)
-                else:  # 2 sin u cos v = sin(u+v) + sin(u-v)
-                    u, v = (-s, t) if s < 0 else (-t, s)
-                    add(-u - v, c)
-                    if u != v:
-                        add(-abs(u - v), c if u > v else -c)
-        return self._of({i: c * _HALF for i, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def diff(self, n: int = 1) -> "TrigFn":
-        terms = self.terms
-        for _ in range(n):
-            terms = {-m: -m * c for m, c in terms.items() if m}
-        return self._of(terms)
+    __mul__ = __rmul__ = _SparseFn._product
+    diff = _SparseFn._derivative
 
     def __repr__(self):
         return f"TrigFn({self.mean_coeff!r}, {self.cos!r}, {self.sin!r})"

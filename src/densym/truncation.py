@@ -13,9 +13,10 @@ The window's sparse columns, the L_X columns of a basis and the images of a
 map, are integers over one denominator per column set, so the defect and
 relation kernels multiply and add ints; a value becomes a Fraction only
 when a defect is reported.  The ring products behind them, the product
-table's rows and the bilinear J(m_a, m_b), are read off two closed-form
-rules on monomials (monomial_derivative, monomial_product) in ints, so the
-Lie actions of verify build no ring element.  Nor do the catalog's maps
+table's rows and the bilinear J(m_a, m_b), are read off the rings' two
+closed-form rules on monomials (rings.monomial_derivative and
+monomial_product, which the ring product and derivative read too) in ints,
+so the Lie actions of verify build no ring element.  Nor do the catalog's maps
 onto a window: a local endomorphism is read off its jet and a projection
 off its row (term_images, one monomial_derivative per term).  Only the maps
 that leave the module on the way (C o C, the defining chain of S) and the
@@ -33,20 +34,16 @@ from .densities import DensityOperator, VectorField, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
 from .operators import Projection, catalog_entry, component_unknowns, componentwise_map
 from .linalg import ZERO, nullspace, rank
-from .rings import CIRCLE, LINE, PolyFn, TrigFn, rat
+from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
 
 def ring_basis(space: str, M: int):
-    """Monomial list: x^0..x^M on the line; 1, cos x, sin x, ... on the circle."""
-    if space == LINE:
-        return [PolyFn.monomial(t) for t in range(M + 1)]
-    if space != CIRCLE:
+    """The window's monomials, m_t at the signed index signed_index(space, t):
+    x^0..x^M on the line; 1, cos x, sin x, ... on the circle."""
+    if space not in (LINE, CIRCLE):
         raise ValueError(f"unknown space {space!r}; use {CIRCLE!r} or {LINE!r}")
-    out = [TrigFn.constant(1)]
-    for n in range(1, M + 1):
-        out.append(TrigFn.cosine(n))
-        out.append(TrigFn.sine(n))
-    return out
+    ring = PolyFn if space == LINE else TrigFn
+    return [ring.monomial(signed_index(space, t)) for t in range(ring_dim(space, M))]
 
 
 def check_window(k: int, M: int):
@@ -79,32 +76,7 @@ def signed_index(space: str, t: int) -> int:
 def ring_coordinates(fn):
     """(coordinate, value) for the nonzero coordinates of fn, ascending, in
     the monomial order of ring_basis on any window that holds fn."""
-    if fn.space == LINE:
-        return sorted(fn.terms.items())
-    return sorted((coordinate(CIRCLE, i), c) for i, c in fn.terms.items())
-
-
-def monomial_derivative(space: str, i: int, q: int):
-    """m_i^(q) as (signed index, int c), one monomial times c (c = 0 when it
-    vanishes): (x^i)^(q) = perm(i, q) x^(i-q) on the line, and on the circle
-    m_i' = -i m_-i, so m_i^(q) = (-1)^ceil(q/2) i^q m_((-1)^q i)."""
-    if space == LINE:
-        return i - q, perm(i, q)
-    return (-i if q % 2 else i), (-1) ** ((q + 1) // 2) * i ** q
-
-
-def monomial_product(space: str, a: int, b: int):
-    """m_a m_b as (signed index, int c) terms: x^(a+b) on the line; on the
-    circle twice the product, by the product-to-sum identities, so at most
-    two terms with c = +-1."""
-    if space == LINE:
-        return [(a + b, 1)]
-    if a >= 0 and b >= 0:  # 2 cos a cos b = cos(a-b) + cos(a+b)
-        return [(abs(a - b), 1), (a + b, 1)]
-    if a < 0 and b < 0:  # 2 sin u sin v = cos(u-v) - cos(u+v)
-        return [(abs(a - b), 1), (-a - b, -1)]
-    u, v = (-a, b) if a < 0 else (-b, a)  # 2 sin u cos v = sin(u+v) + sin(u-v)
-    return [(-u - v, 1)] + ([(-abs(u - v), 1 if u > v else -1)] if u != v else [])
+    return sorted((coordinate(fn.space, i), c) for i, c in fn.terms.items())
 
 
 def product_entries(space: str, f, i: int, q: int):
@@ -130,9 +102,8 @@ def overflow(space: str, size: int, M: int) -> TruncationOverflowError:
 def ring_entries(fn, M: int):
     """(coordinate, value) for the nonzero coordinates of fn on the window
     M, ascending, or overflow."""
-    size = ring_content_size(fn)
-    if size > M:
-        raise overflow(fn.space, size, M)
+    if fn.size > M:
+        raise overflow(fn.space, fn.size, M)
     return ring_coordinates(fn)
 
 
@@ -153,13 +124,6 @@ def numerator_over(den: int, q) -> int:
     return q.numerator * n
 
 
-def ring_content_size(fn) -> int:
-    """Degree (line) or max frequency (circle); 0 for constants and zero."""
-    if fn.space == LINE:
-        return fn.degree or 0
-    return fn.max_frequency
-
-
 class TruncatedBasis:
     """Finite model of D^k_{lam,mu}: elements b_{i,m} = monomial_m * d^i.
 
@@ -175,7 +139,7 @@ class TruncatedBasis:
     coordinates of X^(p) * m^(q) for the monomials m, filled as the columns
     ask for them, as integers over one denominator per field.  Each row is
     read off the monomial rules from X's terms, kept as integers over that
-    denominator (product_row), with no ring product.
+    denominator (product_row), with no ring product or derivative.
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
@@ -191,7 +155,7 @@ class TruncatedBasis:
         self._terms = [[(m, p, q, numerator_over(self._scale, c))
                         for m, p, q, c in lie_terms(i, self.lam, self.mu)]
                        for i in range(k + 1)]
-        # field -> (den, [X, X', ...] as (signed index, int) terms,
+        # field -> (den, X's (signed index, int) terms,
         #           {(p, q, t): integer coordinates over den})
         self._products = {}
 
@@ -250,25 +214,25 @@ class TruncatedBasis:
     def safe_indices(self, X: VectorField):
         """Indices of the basis elements whose image under the X-action stays
         in the window."""
-        growth = max(ring_content_size(X.value) - (1 if self.space == LINE else 0), 0)
+        growth = max(X.value.size - (1 if self.space == LINE else 0), 0)
         n = len(self.monomials)
-        return [i * n + t for i in range(self.k + 1) for t, m in enumerate(self.monomials)
-                if ring_content_size(m) + growth <= self.M]
+        return [i * n + t for i in range(self.k + 1) for t in range(n)
+                if abs(signed_index(self.space, t)) + growth <= self.M]
 
     def _table(self, X: VectorField):
-        """The product table of X: (den, [X, X', ...], rows).  Derivatives
+        """The product table of X: (den, X's terms, rows).  Derivatives
         keep X's denominators and a product of trig monomials halves its
         coefficients, so den is the lcm of X's coefficient denominators,
-        doubled on the circle.  The derivatives are (signed index, int)
-        terms over that lcm; the monomial product rule doubles on the
-        circle, so the rows come out over den."""
+        doubled on the circle.  X's terms are (signed index, int) pairs over
+        that lcm; the monomial product rule doubles on the circle, so the
+        rows come out over den."""
         table = self._products.get(X)
         if table is None:
             terms = X.value.terms
             den = lcm(*[c.denominator for c in terms.values()])
             table = self._products[X] = (
                 den * (2 if self.space == CIRCLE else 1),
-                [[(i, numerator_over(den, c)) for i, c in terms.items()]], {})
+                [(i, numerator_over(den, c)) for i, c in terms.items()], {})
         return table
 
     def lie_den(self, X: VectorField) -> int:
@@ -278,14 +242,13 @@ class TruncatedBasis:
     def product_row(self, X: VectorField, p: int, q: int, t: int):
         """The table row of X^(p) m_t^(q): its nonzero ring coordinates,
         ascending, times the table's den, as ints; filled once per table."""
-        _, ders, rows = self._table(X)
+        _, terms, rows = self._table(X)
         row = rows.get((p, q, t))
         if row is None:
-            while len(ders) <= p:
-                ders.append([(j, c * v) for i, c in ders[-1]
-                             for j, v in [monomial_derivative(self.space, i, 1)] if v])
+            der = [(j, c * v) for i, c in terms
+                   for j, v in [monomial_derivative(self.space, i, p)] if v]
             row = rows[p, q, t] = product_entries(
-                self.space, ders[p], signed_index(self.space, t), q)
+                self.space, der, signed_index(self.space, t), q)
         return row
 
     def lie_entries(self, X: VectorField, j: int):
@@ -312,7 +275,7 @@ class TruncatedBasis:
             if past:
                 first = min(past)[0]
                 s = max(s for m, s in past if m == first)
-                raise overflow(self.space, s if self.space == LINE else (s + 1) // 2, self.M)
+                raise overflow(self.space, abs(signed_index(self.space, s)), self.M)
             lie[j] = sorted((m * n + s, v) for (m, s), v in col.items() if v)
         return lie[j]
 
@@ -508,19 +471,15 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
 # ----------------------------------------------------------------------
 
 def line_fields(max_degree: int = 3):
-    """d/dx, x d/dx, ..., x^max_degree d/dx."""
-    return [VectorField(PolyFn.monomial(p)) for p in range(max_degree + 1)]
+    """d/dx, x d/dx, ..., x^max_degree d/dx, in ring_basis order."""
+    return [VectorField(m) for m in ring_basis(LINE, max_degree)]
 
 
 def circle_fields(N: int = 2):
-    """d/dx plus cos(nx) d/dx, sin(nx) d/dx for 1 <= n <= N."""
+    """d/dx plus cos(nx) d/dx, sin(nx) d/dx for 1 <= n <= N, in ring_basis order."""
     if N < 2:
         raise ValueError("the circle family needs N >= 2")
-    fields = [VectorField(TrigFn.constant(1))]
-    for n in range(1, N + 1):
-        fields.append(VectorField(TrigFn.cosine(n)))
-        fields.append(VectorField(TrigFn.sine(n)))
-    return fields
+    return [VectorField(m) for m in ring_basis(CIRCLE, N)]
 
 
 def generator_family(space: str):
@@ -611,14 +570,14 @@ def bilinear_defect(J, space: str, M: int, fields):
         return pairs[a, b]
 
     n = ring_dim(space, M)
-    sizes = [ring_content_size(f) for f in left.monomials]
+    sizes = [abs(signed_index(space, t)) for t in range(n)]
     cols = []
     for X in fields:
         dens = [w.lie_den(X) for w in (left, right, out)]
         den = lcm(*dens)
         sl, sr, so = (den // d for d in dens)
         den *= jden
-        growth = ring_content_size(X.value)
+        growth = X.value.size
         for t, size in enumerate(sizes):
             # the constant has size 0, so a phi with room < 0 is in no pair
             room = M - growth - size
@@ -703,8 +662,13 @@ def invariant_functionals_dimension(lam, N: int) -> int:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    window = TruncatedBasis(0, N, CIRCLE, 0, lam)
+    return _functionals_dimension(TruncatedBasis(0, N, CIRCLE, 0, 0).densities(lam),
+                                  circle_fields(N))
+
+
+def _functionals_dimension(window: TruncatedBasis, fields) -> int:
+    """dim - rank of the density window's L_X columns over the fields."""
     # each row is a column of L_X times lie_den(X), which leaves the rank alone
     rows = [dense(window.lie_entries(X, j), window.dim)
-            for X in circle_fields(N) for j in window.safe_indices(X)]
+            for X in fields for j in window.safe_indices(X)]
     return window.dim - rank(rows)

@@ -15,7 +15,7 @@ from densym.densities import DensityOperator, lie_derivative_operator
 from densym.errors import InapplicableSymmetryError, SpanMismatchError, WeightMismatchError
 from densym.operators import PRINTED, componentwise_map, conjugate, nonlocal_trace, p0
 from densym.rings import PolyFn, TrigFn
-from densym.truncation import dense, ring_basis, ring_content_size, ring_dim, ring_entries
+from densym.truncation import dense, ring_basis, ring_dim, ring_entries
 
 
 def density(nu, f):
@@ -42,16 +42,16 @@ def reference_bilinear_defect(J, space, M, fields):
     monos = ring_basis(space, M)
     cols = []
     for X in fields:
-        growth = ring_content_size(X.value)
+        growth = X.value.size
         for f in monos:
-            room = M - growth - ring_content_size(f)
+            room = M - growth - f.size
             if room < 0:
                 continue
             phi = DensityOperator(0, J.nu, [f])
             D = (J.operator(lie_derivative_operator(X, phi))
                  - lie_derivative_operator(X, J.operator(phi)))
             cols += [ring_vector(sum(a * psi.diff(j) for j, a in enumerate(D.coeffs)), M)
-                     for psi in monos if ring_content_size(psi) <= room]
+                     for psi in monos if psi.size <= room]
     return cols
 
 

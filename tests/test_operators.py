@@ -19,7 +19,6 @@ from densym.operators import (
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
     bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
-    ring_content_size,
 )
 from reference import (
     density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
@@ -727,12 +726,12 @@ def pairwise_bilinear_defect(J, space, M, fields):
     """J(L_X phi, psi) + J(phi, L_X psi) - L_X J(phi, psi), three J calls a pair."""
     check_window(J.order, M)
     monos = ring_basis(space, M)
-    sizes = [ring_content_size(f) for f in monos]
+    sizes = [f.size for f in monos]
     phis = [density(J.nu, f) for f in monos]
     psis = [density(J.lam, f) for f in monos]
     cols = []
     for X in fields:
-        room = [M - ring_content_size(X.value) - s for s in sizes]
+        room = [M - X.value.size - s for s in sizes]
         for i, r in enumerate(room):
             for j, s in enumerate(sizes):
                 if s > r:

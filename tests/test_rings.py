@@ -85,7 +85,7 @@ def test_circle_mean_examples():
 def test_product_frequency_adds():
     f = TrigFn.cosine(2) + TrigFn.sine(1)
     g = TrigFn.sine(3)
-    assert (f * g).max_frequency == 5
+    assert (f * g).size == 5
 
 
 def test_zero_polynomial_degree_is_none():
@@ -190,6 +190,26 @@ def test_each_ring_has_one_zero():
     assert TrigFn.constant(3).diff() == TrigFn.zero()
 
 
+def test_a_constant_hashes_as_its_rational():
+    assert PolyFn.constant(3) == 3 and 3 in {PolyFn.constant(3)}
+    assert TrigFn.constant(F(-1, 2)) in {F(-1, 2)} and F(-1, 2) in {TrigFn.constant(F(-1, 2))}
+    assert hash(PolyFn.zero()) == hash(TrigFn.zero()) == hash(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars, elements, elements)
+def test_equal_objects_hash_equal(q, f, g):
+    """Python's rule that f == g implies hash(f) == hash(g), across both
+    rings, ints and Fractions: a constant element equals its rational."""
+    values = [q, F(q), PolyFn.constant(q), TrigFn.constant(q), f, g, (f - f) + q, f + q - q]
+    if f.space == g.space:
+        values += [(f + g) - g, f * g, g * f, (g - f) + f]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(same_space_pairs, scalars)
 def test_no_operation_changes_the_shared_zero(pair, q):
@@ -225,9 +245,12 @@ def sympy_zero(expr):
 @given(same_space_pairs)
 def test_product_and_derivative_match_sympy(pair):
     """Independent oracle for the two product rules and derivatives:
-    sympy's own expansion of f * g and d/dx f."""
+    sympy's own expansion of f * g and (d/dx)^n f for n = 0..5; a
+    polynomial here has degree at most 4, so n = 5 is above its degree."""
     f, g = pair
     to_sympy = sympy_poly if f.space == LINE else sympy_trig
     assert sympy_zero(to_sympy(f * g) - to_sympy(f) * to_sympy(g))
-    assert sympy_zero(to_sympy(f.diff()) - sympy.diff(to_sympy(f), X))
-    assert sympy_zero(to_sympy(g.diff(2)) - sympy.diff(to_sympy(g), X, 2))
+    for n in range(6):
+        assert sympy_zero(to_sympy(f.diff(n)) - sympy.diff(to_sympy(f), X, n))
+    if f.space == LINE:
+        assert f.diff(f.size + 1).is_zero and g.diff(5).is_zero

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from densym import cli, densities, identities, rings, truncation
@@ -19,13 +20,12 @@ from densym.operators import (
     conjugate, conjugation_jet, symbol, w_formula,
 )
 from densym.recurrence import build_system
-from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
+from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
     circle_fields, coordinate, dense, equivariance_defect,
-    generator_family, invariant_functionals_dimension, line_fields, monomial_derivative,
-    monomial_product, numerator_over, realize, ring_basis, ring_content_size,
-    ring_coordinates, ring_dim, ring_entries, signed_index,
+    generator_family, invariant_functionals_dimension, line_fields, numerator_over,
+    realize, ring_basis, ring_coordinates, ring_dim, ring_entries, signed_index,
 )
 import oracle
 from oracle import brute_force_fields, windowed_local_symmetries
@@ -87,10 +87,18 @@ class TestTruncatedBasis:
     @pytest.mark.parametrize("space", [CIRCLE, LINE])
     def test_ring_coordinates_follow_the_monomial_order(self, space):
         """The window reads coordinates in ring_basis order: the monomial m_t
-        has the one coordinate (t, 1), and the coordinates of any element
-        come out ascending."""
+        is the one at signed_index(space, t), x^t on the line and 1, cos x,
+        sin x, cos 2x, ... on the circle, with the one coordinate (t, 1), and
+        the coordinates of any element come out ascending."""
         monos = ring_basis(space, 5)
+        if space == LINE:
+            want = [PolyFn([0] * d + [1]) for d in range(6)]
+        else:
+            want = [TrigFn.constant(1)] + [f for n in range(1, 6)
+                                           for f in (TrigFn.cosine(n), TrigFn.sine(n))]
+        assert monos == want
         for t, mono in enumerate(monos):
+            assert mono.terms == {signed_index(space, t): 1}
             assert truncation.ring_coordinates(mono) == [(t, 1)]
         rng = random.Random(11)
         for _ in range(50):
@@ -302,7 +310,7 @@ class TestWindowLieDerivative:
         X, phi = VectorField(TrigFn.cosine(1)), TrigFn.cosine(1)
         j = window.monomials.index(phi)
         assert j not in window.safe_indices(X)
-        assert ring_content_size(X.value * phi.diff()) == 2
+        assert (X.value * phi.diff()).size == 2
         assert window.entries_of(lie_derivative_operator(X, window.elements[j])) == []
         assert window.lie_entries(X, j) == []
 
@@ -323,27 +331,34 @@ def multi_term_fields(draw):
                               {-n: c for n, c in terms.items() if n < 0}))
 
 
-def signed_monomial(space, i):
-    """The ring monomial with signed index i."""
-    return ring_basis(space, abs(i))[coordinate(space, i)]
+x = sympy.Symbol("x")
+
+
+def sympy_monomial(space, i):
+    """The monomial with signed index i as a sympy expression in x."""
+    if space == LINE:
+        return x ** i
+    return sympy.cos(i * x) if i >= 0 else sympy.sin(-i * x)
 
 
 class TestMonomialRules:
-    # the two rules the product table and J(m_a, m_b) read, against the
-    # rings' own product and derivative
+    # the two rules that the ring product and derivative, the product table
+    # and J(m_a, m_b) all read, against sympy's own expansion: written in
+    # exp(i n x), a trig or polynomial expression is zero when it expands to 0
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([LINE, CIRCLE]), st.integers(-5, 5), st.integers(-5, 5),
            st.integers(0, 3))
-    def test_rules_are_the_ring_operations(self, space, a, b, q):
+    def test_rules_match_sympy(self, space, a, b, q):
         if space == LINE:
             a, b = abs(a), abs(b)
-        ma, mb = signed_monomial(space, a), signed_monomial(space, b)
+        ma, mb = sympy_monomial(space, a), sympy_monomial(space, b)
         assert signed_index(space, coordinate(space, a)) == a
         i, c = monomial_derivative(space, a, q)
-        assert ma.diff(q) == (signed_monomial(space, i) * c if c else ma.diff(q).zero())
+        want = sympy.diff(ma, x, q)
+        assert sympy.expand((c * sympy_monomial(space, i) - want).rewrite(sympy.exp)) == 0
         twice = 1 if space == LINE else 2
-        assert reduce(operator.add, [signed_monomial(space, s) * c
-                                     for s, c in monomial_product(space, a, b)]) == twice * (ma * mb)
+        got = sum(c * sympy_monomial(space, s) for s, c in monomial_product(space, a, b))
+        assert sympy.expand((got - twice * ma * mb).rewrite(sympy.exp)) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(multi_term_fields(), st.integers(0, 6), st.integers(0, 3), st.integers(0, 8))
@@ -1194,14 +1209,28 @@ def test_w_sharpness_fills_one_product_table(monkeypatch):
     assert ring == []
 
 
+def test_lemma_functionals_fills_one_product_table_per_window(monkeypatch):
+    # its five weights at each of N = 3, 5 are density windows of one base
+    # window per N, so the ten windows fill two tables, each row once: 172
+    # rows, where a table per weight filled 774
+    ring, fills, _, windows = spy_window_kernel(monkeypatch)
+    res = identities.run_identity("lemma_functionals")
+    assert res.passed, res.line()
+    tables = {id(w._products): w._products for w in windows}
+    assert len(windows) == 10 and len(tables) == 2
+    rows = sum(len(rows) for table in tables.values() for _, _, rows in table.values())
+    assert len(fills) == rows == 172
+    assert ring == []
+
+
 def monomial_loop_functionals_dimension(lam, N):
     """Reference for invariant_functionals_dimension: the rank of the density
     Lie derivatives of each monomial that stays in the window."""
     rows = []
     for X in circle_fields(N):
-        n = ring_content_size(X.value)
+        n = X.value.size
         for mono in ring_basis(CIRCLE, N):
-            if ring_content_size(mono) + n <= N:
+            if mono.size + n <= N:
                 phi = density(lam, mono)
                 rows.append(ring_vector(lie_derivative_density(X, phi).coeffs[0], N))
     return ring_dim(CIRCLE, N) - rank(rows)
