@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import DensymError, SpanMismatchError, SpanNotClosedError
 from .identities import (
@@ -64,7 +65,10 @@ def _add_flags(p, *names):
         p.add_argument(*options, dest=name, default=None, **kwargs)
 
 
+@cache
 def build_parser():
+    """The densym parser, built once per process: parse_args leaves it as it
+    was, so every main call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="densym",
         description="Exact symmetry calculus for modules of differential "
@@ -348,6 +352,9 @@ def _join_rational_flags(argv):
 
 
 def main(argv=None) -> int:
+    """Run one densym command and return its exit code (see the module
+    docstring).  The parser is build_parser's one instance; a --config file's
+    flags are parsed before the command line's, which win."""
     parser = build_parser()
     argv = _join_rational_flags(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)

@@ -4,7 +4,8 @@ Matrices are lists of rows of Fractions (or anything Fraction accepts).
 `rref` is the only function that performs row operations; it returns the
 unique reduced row echelon form over Q, every entry a Fraction.  Rank,
 nullspace, solve and independent_subset here, and the structure-constant
-reader in `algebras`, each read their answer off a single call to it.
+reader in `algebras`, each read their answer off a single call to it;
+`over_one_denominator` scales an answer back to ints over one denominator.
 """
 from __future__ import annotations
 
@@ -28,6 +29,22 @@ def integer_row(row):
     den = lcm(*[v.denominator for v in row])
     row = _primitive([v.numerator * (den // v.denominator) for v in row])
     return [-v for v in row] if next((v for v in row if v), 0) < 0 else row
+
+
+def numerator_over(den: int, q) -> int:
+    """The integer q * den, for an int or Fraction q whose denominator
+    divides den."""
+    n, r = divmod(den, q.denominator)
+    if r:
+        raise ArithmeticError(f"{q} is not a multiple of 1/{den}")
+    return q.numerator * n
+
+
+def over_one_denominator(rows):
+    """(den, int_rows): den is the lcm of the entries' denominators, and
+    int_rows the rows times den, as ints."""
+    den = lcm(*[v.denominator for row in rows for v in row])
+    return den, [[numerator_over(den, v) for v in row] for row in rows]
 
 
 def rref(m):

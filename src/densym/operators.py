@@ -316,20 +316,20 @@ def compose_jets(x, y, k: int):
     Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
     perm(r-j,l) perm(r,j) = perm(r,L).  The trace reads only the mean of a_0
     and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
-    and L o L = 0.
+    and L o L = 0.  Int jets give an int jet; an entry with no nonzero
+    product is the int 0.
     """
     unknowns = component_unknowns(k)
     index = {u: i for i, u in enumerate(unknowns)}
-    # only nonzero products are formed; an empty sum is the int 0, read as 0
+    # only nonzero products are formed
     out = [
         sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1)
-            if y[index[r, j]] and x[index[r - j, L - j]]) or Fraction(0)
+            if y[index[r, j]] and x[index[r - j, L - j]])
         for r, L in unknowns
     ]
     if len(x) > len(unknowns):
         # t[1,0] exists only for k >= 1, the only orders with a trace
-        trace = (x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0)
-        out.append(trace or Fraction(0))
+        out.append((x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0))
     return out
 
 

@@ -33,7 +33,7 @@ from .operators import (
     CATALOG, component_unknowns, compose_jets, mirror_jet, second_analog_locus,
     second_analog_mu,
 )
-from .linalg import ZERO, independent_subset, nullspace
+from .linalg import ZERO, independent_subset, nullspace, over_one_denominator
 from .rings import CIRCLE, LINE, format_rat, rat
 from .truncation import brute_force_local_symmetries
 
@@ -246,11 +246,13 @@ def check_module(k: int, space: str):
 
 def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
     """Exact structure constants of the span of independent jet vectors under
-    compose_jets.  A product outside their span raises SpanNotClosedError;
+    compose_jets, which multiplies the jets scaled to ints over one
+    denominator.  A product outside their span raises SpanNotClosedError;
     closure here holds on every operator, not only on a truncated window.
     """
+    den, scaled = over_one_denominator(vectors)
     return algebras.structure_constants(
-        names, vectors, lambda i, j: compose_jets(vectors[i], vectors[j], k))
+        names, scaled, lambda i, j: compose_jets(scaled[i], scaled[j], k), den)
 
 
 def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):

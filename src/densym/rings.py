@@ -154,7 +154,10 @@ class _SparseFn:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.constant(other)
-        return type(other) is type(self) and self.terms == other.terms
+        # a constant is its rational in either ring, so equal constants of
+        # the two rings are equal, as each is to that rational
+        return (isinstance(other, _SparseFn) and self.terms == other.terms
+                and (type(other) is type(self) or self.terms.keys() <= {0}))
 
     def __hash__(self):
         # a constant equals its rational, so it hashes as that rational

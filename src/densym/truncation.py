@@ -33,7 +33,7 @@ from . import rings
 from .densities import DensityOperator, VectorField, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
 from .operators import Projection, catalog_entry, component_unknowns, componentwise_map
-from .linalg import ZERO, nullspace, rank
+from .linalg import ZERO, nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
 
@@ -113,15 +113,6 @@ def dense(entries, n: int):
     for t, c in entries:
         vec[t] = c
     return vec
-
-
-def numerator_over(den: int, q) -> int:
-    """The integer q * den, for an int or Fraction q whose denominator
-    divides den."""
-    n, r = divmod(den, q.denominator)
-    if r:
-        raise ArithmeticError(f"{q} is not a multiple of 1/{den}")
-    return q.numerator * n
 
 
 class TruncatedBasis:

@@ -12,7 +12,10 @@ from math import perm
 from densym import rings
 from densym.algebras import FiniteAlgebra
 from densym.densities import DensityOperator, lie_derivative_operator
-from densym.errors import InapplicableSymmetryError, SpanMismatchError, WeightMismatchError
+from densym.errors import (
+    InapplicableSymmetryError, SpanMismatchError, SpanNotClosedError, WeightMismatchError,
+)
+from densym.linalg import rref
 from densym.operators import PRINTED, componentwise_map, conjugate, nonlocal_trace, p0
 from densym.rings import PolyFn, TrigFn
 from densym.truncation import dense, ring_basis, ring_dim, ring_entries
@@ -148,8 +151,8 @@ def acts_on_circle_as(build, t, k: int, lam, mu) -> bool:
 # ----------------------------------------------------------------------
 
 def reference_kind_table(kind: str):
-    """Structure constants of a named reference algebra in its print basis."""
-    F = Fraction
+    """Structure constants of a named reference algebra in its print basis,
+    as an int table."""
     if kind == "a":
         names = ["atil", "btil"]
         table = {("atil", "atil"): {"atil": 1}, ("atil", "btil"): {"btil": 1},
@@ -175,8 +178,43 @@ def reference_kind_table(kind: str):
         raise ValueError(f"unknown reference kind {kind!r}")
     idx = {nm: i for i, nm in enumerate(names)}
     n = len(names)
-    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (x, y), out in table.items():
         for znm, c in out.items():
-            sc[idx[x]][idx[y]][idx[znm]] = F(c)
+            sc[idx[x]][idx[y]][idx[znm]] = c
     return FiniteAlgebra(names, sc)
+
+
+def reference_structure_constants(names, vectors, product) -> FiniteAlgebra:
+    """algebras.structure_constants in Fractions: the span of independent
+    rational coordinate vectors, with product(i, j) the rational coordinate
+    vector of item i times item j, and its constants a Fraction table over 1.
+
+    One rref of the vectors, each extended by a unit vector, gives their
+    pivot coordinates and the inverse of the pivot block as Fractions; each
+    product is solved there and confirmed on every coordinate.
+    """
+    if not vectors:
+        raise ValueError("need at least one vector")
+    n, width = len(vectors), len(vectors[0])
+    red, pivots = rref([list(v) + [int(i == j) for j in range(n)]
+                        for i, v in enumerate(vectors)])
+    if pivots[-1] >= width:
+        raise ValueError("the vectors are not linearly independent")
+    inverse = [row[width:] for row in red]
+    nonzero = [[(p, c) for p, c in enumerate(v) if c] for v in vectors]
+
+    def coordinates(i, j):
+        prod = product(i, j)
+        at_pivots = [(prod[p], inv_row) for p, inv_row in zip(pivots, inverse) if prod[p]]
+        coords = [sum((c * inv_row[s] for c, inv_row in at_pivots), Fraction(0))
+                  for s in range(n)]
+        combo = [Fraction(0)] * width
+        for c, entries in zip(coords, nonzero):
+            for p, v in entries:
+                combo[p] += c * v
+        if combo != prod:
+            raise SpanNotClosedError(f"product {names[i]} o {names[j]} leaves the span")
+        return coords
+
+    return FiniteAlgebra(names, [[coordinates(i, j) for j in range(n)] for i in range(n)])

@@ -1,15 +1,22 @@
+import json
+import re
 from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
 
 import pytest
 
 from densym.algebras import FiniteAlgebra, identify, span_algebra, structure_constants
-from densym import algebras
+from densym import algebras, recurrence
 from densym.errors import SpanNotClosedError
-from densym.linalg import rank
-from densym.recurrence import classify
+from densym.linalg import over_one_denominator, rank, rref
+from densym.operators import compose_jets
+from densym.recurrence import TABLE_ROWS, candidate_generators, classify, jet_algebra, sweep
 from densym.truncation import TruncatedBasis, realize
 from densym.rings import CIRCLE, LINE
-from reference import reference_kind_table
+from reference import reference_kind_table, reference_structure_constants
+
+CLASSIFY_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "classify.json"
 
 
 def zero_one_basis(k, M=None):
@@ -25,16 +32,15 @@ def zero_one_maps(k, M=None):
 def block_sum(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     n, m = a.dim, b.dim
     names = [f"x{i}" for i in range(n + m)]
-    sc = [[[F(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                sc[i][j][t] = a.sc[i][j][t]
-    for i in range(m):
-        for j in range(m):
-            for t in range(m):
-                sc[n + i][n + j][n + t] = b.sc[i][j][t]
-    return FiniteAlgebra(names, sc)
+    den = lcm(a.den, b.den)
+    table = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for alg, at in ((a, 0), (b, n)):
+        scale = den // alg.den
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                for t in range(alg.dim):
+                    table[at + i][at + j][at + t] = alg.table[i][j][t] * scale
+    return FiniteAlgebra(names, table, den)
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +97,10 @@ def reference_radical_dim(alg):
     return n - rank(gram)
 
 
-def _unchecked(sc):
+def _unchecked(table, den=1):
     """A FiniteAlgebra that skips the constructor's associativity check."""
     alg = FiniteAlgebra.__new__(FiniteAlgebra)
-    alg.names, alg.sc = [f"x{i}" for i in range(len(sc))], sc
+    alg.names, alg.table, alg.den = [f"x{i}" for i in range(len(table))], table, den
     return alg
 
 
@@ -138,20 +144,30 @@ class TestInvariantsAgainstDefinitions:
         for i in range(n):
             for j in range(n):
                 t = (i + j) % n
-                sc = [[list(v) for v in row] for row in base.sc]
-                sc[i][j][t] += 1
-                alg = _unchecked(sc)
+                table = [[list(v) for v in row] for row in base.table]
+                table[i][j][t] += 1
+                alg = _unchecked(table, base.den)
                 assert alg.is_associative() == reference_is_associative(alg)
                 assert alg.radical_dim() == reference_radical_dim(alg)
 
 
 class TestFiniteAlgebra:
     def test_rejects_non_associative(self):
-        # x*x = y, x*y = x, all else 0 is not associative
-        sc = [[[F(0), F(1)], [F(1), F(0)]],
-              [[F(0), F(0)], [F(0), F(0)]]]
-        with pytest.raises(ValueError):
-            FiniteAlgebra(["x", "y"], sc)
+        # x*x = y, x*y = x, all else 0 is not associative, over any denominator
+        table = [[[0, 1], [1, 0]],
+                 [[0, 0], [0, 0]]]
+        for den in (1, 3):
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteAlgebra(["x", "y"], table, den)
+
+    def test_rejects_a_perturbed_integer_table(self):
+        # the reference b over den 6, with one constant moved by 1/6
+        b = reference_kind_table("b")
+        table = [[[6 * v for v in vec] for vec in row] for row in b.table]
+        assert FiniteAlgebra(b.names, table, 6).sc == b.sc
+        table[0][3][3] += 1
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteAlgebra(b.names, table, 6)
 
     def test_reference_fingerprints(self):
         b = reference_kind_table("b")
@@ -181,9 +197,9 @@ class TestFiniteAlgebra:
 
     def test_identify_reports_what_it_cannot_name(self):
         # x x = 0 has no unit; Q[x]/x^3 (basis 1, x, x^2) is local of radical 2
-        assert identify(FiniteAlgebra(["x"], [[[F(0)]]])) == "unidentified(dim=1, no unit)"
+        assert identify(FiniteAlgebra(["x"], [[[0]]])) == "unidentified(dim=1, no unit)"
         truncated = FiniteAlgebra(["1", "x", "x2"], [
-            [[F(int(s == i + j)) for s in range(3)] for j in range(3)] for i in range(3)])
+            [[int(s == i + j) for s in range(3)] for j in range(3)] for i in range(3)])
         assert identify(truncated) == \
             "unidentified(dim=3, radical=2, center=3, commutative=True)"
 
@@ -344,3 +360,115 @@ class TestSpanAlgebra:
         e2 = F(1, 2) * (Id - S)
         assert (e2 @ e2 - e2).is_zero()
         assert (P0 @ e2).is_zero() and (e2 @ P0).is_zero()
+
+
+# ----------------------------------------------------------------------
+# the integer reader against the Fraction reference, on classify's jets
+# ----------------------------------------------------------------------
+
+LARGE_DENOMINATORS = ((10 ** 22 + 1) / F(3), F(-7, 9))
+
+
+def _flagship_points():
+    """(k, lam, mu, space) of every classify-flagship query, read off its goldens."""
+    points = []
+    for argv in json.loads(CLASSIFY_GOLDENS.read_text(encoding="utf-8")):
+        flags = dict(zip(argv.split()[1::2], argv.split()[2::2]))
+        points.append((int(flags["-k"]), F(flags["--lambda"]), F(flags["--mu"]),
+                       flags["--space"]))
+    return points
+
+
+@pytest.fixture
+def jet_algebra_pairs(monkeypatch):
+    """Each jet_algebra call's algebra, paired with the Fraction reference's
+    on the same jets and compose_jets in Fractions."""
+    pairs = []
+
+    def spy(names, vectors, k):
+        alg = jet_algebra(names, vectors, k)
+        pairs.append((alg, reference_structure_constants(
+            names, vectors, lambda i, j: compose_jets(vectors[i], vectors[j], k))))
+        return alg
+
+    monkeypatch.setattr(recurrence, "jet_algebra", spy)
+    return pairs
+
+
+def _assert_agree(pairs):
+    assert pairs
+    for alg, ref in pairs:
+        assert all(type(v) is int for row in alg.table for vec in row for v in vec)
+        assert alg.names == ref.names and alg.sc == ref.sc
+        assert alg.unit() == ref.unit() and identify(alg) == identify(ref)
+
+
+class TestIntegerStructureConstants:
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_every_table_cell(self, jet_algebra_pairs, space):
+        sweep(kmax=6, space=space)
+        assert len(jet_algebra_pairs) == 7 * len(TABLE_ROWS)
+        _assert_agree(jet_algebra_pairs)
+
+    def test_flagship_points(self, jet_algebra_pairs):
+        points = _flagship_points()
+        assert len(points) == 28
+        for k, lam, mu, space in points:
+            classify(k, lam, mu, space)
+        _assert_agree(jet_algebra_pairs)
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_large_denominators(self, jet_algebra_pairs, space):
+        lam, mu = LARGE_DENOMINATORS
+        for k in range(9):
+            for weights in ((lam, mu), (1 - mu, 1 - lam), (lam, lam + 1), (lam, lam + 2),
+                            (lam, 1 - lam), (lam, F(1))):
+                classify(k, *weights, space, check_oracle=False)
+        _assert_agree(jet_algebra_pairs)
+        # on the loci the algebras grow, up to R^3 at mu = 1 and a non-semisimple
+        # a on mu - lam = 1, and their jets carry the large denominators
+        assert max(alg.dim for alg, _ in jet_algebra_pairs) == 3
+        assert "a" in {identify(alg) for alg, _ in jet_algebra_pairs}
+        assert max(alg.den for alg, _ in jet_algebra_pairs) >= 10 ** 22
+
+
+def _local_jets(k, lam, mu):
+    """classify's chosen local generators at the weights, with their jets."""
+    vectors = dict(candidate_generators(k, lam, mu))
+    names = classify(k, lam, mu, LINE, check_oracle=False).generator_names
+    return names, [vectors[n] for n in names]
+
+
+class TestIntegerReaderFailures:
+    @pytest.mark.parametrize("weights", [(F(0), F(1)), (F(-1, 2), F(3, 2)),
+                                         (LARGE_DENOMINATORS[0], F(1))])
+    def test_a_product_perturbed_in_one_coordinate_leaves_the_span(self, weights):
+        # a unit vector at a non-pivot coordinate is never in the span, so
+        # moving one int entry of a product there by 1 fails its check; of two
+        # moved products the first in row-major order is named
+        k = 3
+        names, vectors = _local_jets(k, *weights)
+        den, scaled = over_one_denominator(vectors)
+        pivots = rref(scaled)[1]
+        n = len(names)
+        moved = {(n - 1, 0), (n // 2, n - 1)}
+        first = min(moved)  # tuples order row-major
+        for p in (p for p in range(len(scaled[0])) if p not in pivots):
+            def product(i, j):
+                prod = compose_jets(scaled[i], scaled[j], k)
+                if (i, j) in moved:
+                    prod[p] += 1
+                return prod
+
+            message = f"product {names[first[0]]} o {names[first[1]]} leaves the span"
+            with pytest.raises(SpanNotClosedError, match=f"^{re.escape(message)}$"):
+                structure_constants(names, scaled, product, den)
+        assert structure_constants(
+            names, scaled, lambda i, j: compose_jets(scaled[i], scaled[j], k), den).sc == \
+            jet_algebra(names, vectors, k).sc
+
+    def test_dependent_jets_raise(self):
+        names, vectors = _local_jets(3, F(0), F(1))
+        dependent = [a + 2 * b for a, b in zip(vectors[0], vectors[-1])]
+        with pytest.raises(ValueError, match="not linearly independent"):
+            jet_algebra(names + ["sum"], vectors + [dependent], 3)

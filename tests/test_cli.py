@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from densym import identities, operators
+from densym import cli, identities, operators
 from densym.cli import main, parse_rational
 from densym.densities import DensityOperator
 from densym.truncation import TruncatedBasis
@@ -636,6 +636,26 @@ def test_unread_flag_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
     code, out, err = run_exit(capsys, *argv)
     assert code == 2 and out == "" and flag in err
     assert list(tmp_path.iterdir()) == written  # figures wrote nothing
+
+
+def test_main_reuses_one_parser(capsys, tmp_path):
+    """main's calls in one process read one parser, and each gives what it
+    gives on a parser built afresh."""
+    assert cli.build_parser() is cli.build_parser()
+    conf = tmp_path / "run.conf"
+    conf.write_text("k=3\nlambda=-1/2\nmu=3/2\nspace=line\n")
+    classify = ("classify", "-k", "2", "--lambda", "0", "--mu", "1")
+    calls = [classify, ("classify", "-k", "1", "--lambda", "1/0", "--mu", "1"),
+             ("verify", "--list"), ("table", "-k", "2"), ("classify", "--config", str(conf)),
+             classify]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0]
+    assert shared[0] == shared[-1]
+    assert shared[1][2] == "error: zero denominator in '1/0'\n"
+    for argv, got in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == got
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestConfigFile:

@@ -196,6 +196,21 @@ def test_a_constant_hashes_as_its_rational():
     assert hash(PolyFn.zero()) == hash(TrigFn.zero()) == hash(0)
 
 
+def test_equal_constants_of_the_two_rings_are_equal():
+    # each equals its rational, so equality stays transitive across the rings
+    assert PolyFn.constant(3) == TrigFn.constant(3) and TrigFn.constant(3) == PolyFn.constant(3)
+    assert len({PolyFn.constant(3), TrigFn.constant(3)}) == 1
+    assert len({PolyFn.constant(3), TrigFn.constant(3), 3}) == 1
+    assert PolyFn.zero() == TrigFn.zero()
+    assert PolyFn.constant(3) != TrigFn.constant(2)
+    # non-constant elements of the two rings stay unequal, even with equal terms
+    for index in (1, 2):
+        assert PolyFn.monomial(index) != TrigFn.monomial(index)
+        assert PolyFn.monomial(index) + 3 != TrigFn.monomial(index) + 3
+        assert TrigFn.monomial(-index) != PolyFn.monomial(index)
+    assert PolyFn([3, 1]) != TrigFn.constant(3) and TrigFn.constant(3) != PolyFn([3, 1])
+
+
 @settings(max_examples=80, deadline=None)
 @given(scalars, elements, elements)
 def test_equal_objects_hash_equal(q, f, g):
