@@ -51,7 +51,8 @@ FLAGS = {
     "mu": (("--mu",), {"help": "target weight, as p/q"}),
     "space": (("--space",), {"choices": [CIRCLE, LINE]}),
     "truncation": (("-M", "--truncation"), {
-        "type": int, "help": "coefficient degree / frequency window (default k+6)"}),
+        "type": int, "help": "coefficient degree / frequency window "
+                             "(default k+6; 8 for a bilinear map)"}),
     "fmt": (("--format",), {"choices": ["json", "csv"]}),
     "out": (("-o", "--out"), {"help": "output file or directory"}),
     "config": (("--config",), {"help": "key=value file mirroring the flags"}),

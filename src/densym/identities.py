@@ -40,6 +40,7 @@ from .truncation import (
     equivariance_defect,
     generator_family,
     line_fields,
+    projection_terms,
     realize,
     ring_dim,
 )
@@ -324,7 +325,8 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
                                  f"the order-{k} locus")
             if window is None:
                 window = TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu)
-            W = SymmetryMap(window.reweighted(lam, mu), w_formula(k, lam, mu))
+            basis = window.sibling(k, lam, mu)
+            W = SymmetryMap(basis, None, "W", projection_terms(basis, w_formula(k, lam, mu)))
             size = W.basis.dim
             defect = Fraction(0)
             for X in fields:

@@ -5,15 +5,16 @@ jets of the coefficients, so checking it exactly on a large enough truncated
 basis is decisive.  The truncation is explicit: maps whose image leaves the
 window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
-One kernel, equivariance_defect, builds the windowed defect of every
-linear map that verify checks, and bilinear_defect that of every bilinear
-operator.  The formal oracle reads no window and builds no ring element.
+One kernel, defect_columns, builds every windowed defect that verify
+checks: of a linear map (equivariance_defect), and of a bilinear operator J
+as the linear map phi -> J(phi, .) (bilinear_defect).  The formal oracle
+reads no window and builds no ring element.
 
 The window's sparse columns, the L_X columns of a basis and the images of a
 map, are integers over one denominator per column set, so the defect and
 relation kernels multiply and add ints; a value becomes a Fraction only
 when a defect is reported.  The ring products behind them, the product
-table's rows and the bilinear J(m_a, m_b), are read off the rings' two
+table's rows and a bilinear defect's values, are read off the rings' two
 closed-form rules on monomials (rings.monomial_derivative and
 monomial_product, which the ring product and derivative read too) in ints,
 so the Lie actions of verify build no ring element.  Nor do the catalog's maps
@@ -32,7 +33,7 @@ from math import comb, lcm, perm
 from . import rings
 from .densities import DensityOperator, VectorField, lie_terms
 from .errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
-from .operators import Projection, catalog_entry, component_unknowns, componentwise_map
+from .operators import Projection, catalog_entry, component_unknowns
 from .linalg import ZERO, nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
@@ -125,8 +126,8 @@ class TruncatedBasis:
     field: the lie_terms scalars are affine in (lam, mu) with integer
     coefficients, so lcm(den lam, den mu) clears them, and the rest clears
     the product rows.  Those rows come off a product table, which the basis
-    shares with its density windows basis.densities(nu) and its reweighted
-    siblings, as they have the same monomials: for each field X, the ring
+    shares with its siblings (basis.densities(nu) among them), as they have
+    the same monomials: for each field X, the ring
     coordinates of X^(p) * m^(q) for the monomials m, filled as the columns
     ask for them, as integers over one denominator per field.  Each row is
     read off the monomial rules from X's terms, kept as integers over that
@@ -141,7 +142,7 @@ class TruncatedBasis:
         self.mu = rat(mu)
         self.monomials = ring_basis(space, M)
         self._lie = {}  # field -> {element index: integer entries of L_X(element)}
-        self._densities = {}  # weight nu -> the window of F_nu
+        self._siblings = {}  # (k, lam, mu) -> the window of D^k_{lam,mu}
         self._scale = lcm(self.lam.denominator, self.mu.denominator)
         self._terms = [[(m, p, q, numerator_over(self._scale, c))
                         for m, p, q, c in lie_terms(i, self.lam, self.mu)]
@@ -150,26 +151,22 @@ class TruncatedBasis:
         #           {(p, q, t): integer coordinates over den})
         self._products = {}
 
-    def densities(self, nu) -> "TruncatedBasis":
-        """F_nu as the order-0 window D^0_{0,nu} on this ring window, one per
-        weight: its coordinates are ring_entries, and its L_X, the operator
-        action at order 0, is X a' + nu X' a.  It shares the basis's
-        product table."""
-        nu = rat(nu)
-        if nu not in self._densities:
-            window = self._densities[nu] = TruncatedBasis(0, self.M, self.space, 0, nu)
-            window._products = self._products
-        return self._densities[nu]
-
-    def reweighted(self, lam, mu) -> "TruncatedBasis":
-        """The window of D^k_{lam,mu} at this order on this ring window; it
-        shares the basis's product table, so a check that reads several
-        weights on one ring window multiplies each ring product once."""
-        if (rat(lam), rat(mu)) == (self.lam, self.mu):
+    def sibling(self, k: int, lam, mu) -> "TruncatedBasis":
+        """The window of D^k_{lam,mu} on this ring window, one per module
+        (the basis itself at its own); it shares the basis's product table,
+        so each ring product is multiplied once across the modules."""
+        key = (k, rat(lam), rat(mu))
+        if key == (self.k, self.lam, self.mu):
             return self
-        basis = TruncatedBasis(self.k, self.M, self.space, lam, mu)
-        basis._products = self._products
-        return basis
+        if key not in self._siblings:
+            window = self._siblings[key] = TruncatedBasis(k, self.M, self.space, *key[1:])
+            window._products = self._products
+        return self._siblings[key]
+
+    def densities(self, nu) -> "TruncatedBasis":
+        """F_nu as the order-0 window D^0_{0,nu}, sibling(0, 0, nu): its L_X,
+        the operator action at order 0, is X a' + nu X' a."""
+        return self.sibling(0, 0, nu)
 
     @cached_property
     def elements(self):
@@ -289,6 +286,23 @@ def term_images(basis: TruncatedBasis, terms):
                  for i in range(basis.k + 1) for t in range(n)]
 
 
+def jet_terms(basis: TruncatedBasis, t):
+    """(target, terms) of the jet map of t: (r, r-l, l, t[r,l] perm(r,l)) into the basis."""
+    return basis, [(r, r - l, l, c * perm(r, l)) for (r, l), c
+                   in zip(component_unknowns(basis.k), t, strict=True) if c]
+
+
+def projection_terms(b: TruncatedBasis, pi: Projection):
+    """(target, terms) of pi: (r, 0, r-n, c_r) into b.densities(nu), or into b
+    when (0, nu) is its weight pair.  pi of another module, or of an order
+    below b's, raises WeightMismatchError."""
+    if (pi.lam, pi.mu) != (b.lam, b.mu) or b.k > pi.k:
+        raise WeightMismatchError(f"a projection of D^{pi.k}_{{{pi.lam},{pi.mu}}} "
+                                  f"on a window of D^{b.k}_{{{b.lam},{b.mu}}}")
+    target = b if (0, pi.nu) == (b.lam, b.mu) else b.densities(pi.nu)
+    return target, [(r, 0, r - pi.n, c) for r, c in pi.row]
+
+
 class SymmetryMap:
     """A linear map on a truncated module, carried as its sparse columns.
 
@@ -297,49 +311,34 @@ class SymmetryMap:
     basis.densities(nu) for images in D^0_{0,nu} (F_nu as the order-0
     window), as a projection's.  Each image is a sparse column of integers
     over one denominator den, built for every basis element the first time
-    any column, the target or den is read.  Two kinds of map are read in
-    closed form, by term_images, with no ring element and without func:
-    a map given with its jet t (func is then the jet's map), whose terms are
-    (r, r-l, l, t[r,l] perm(r,l)) into the basis, and a Projection, whose
-    row gives the terms (r, 0, r-n, c_r) into basis.densities(nu), or into
-    the basis when (0, nu) is its weight pair.  Any other func is applied
+    any column, the target or den is read.  A map in closed form (func None)
+    is given as closed = (target, terms), from jet_terms or projection_terms,
+    and read by term_images with no ring element.  Otherwise func is applied
     once per basis element, and den is the lcm over its images: the maps
     that leave the module on the way (C o C, the chain of S) and the
     nonlocal trace L.  X @ Y, X + Y, X - Y and q * X are built from their
     operands' columns, apply no callable and keep no column of their own.
-    The equivariance defects and the relation checks read the integer
-    columns; columns and flat() give the true values.
+    The defects and the relation checks read the integer columns; columns
+    and flat() give the true values.
     """
 
-    def __init__(self, basis: TruncatedBasis, func, name="T", jet=None):
+    def __init__(self, basis: TruncatedBasis, func, name="T", closed=None):
         self.basis = basis
         self.func = func
         self.name = name
-        self.jet = jet
+        self.closed = closed
         self._target = None
         self._images = None  # per basis element: (coordinate, value * den) entries
 
     def _load(self):
         """Build every image, in basis order."""
         if self._images is None:
-            if self.jet is None and not isinstance(self.func, Projection):
+            if self.closed is None:
                 self._apply()
             else:
-                self._target, terms = self._terms()
+                self._target, terms = self.closed
                 self._den, self._images = term_images(self.basis, terms)
         return self._images
-
-    def _terms(self):
-        """(target, terms) of the closed form: of the jet, or of the Projection."""
-        b, pi = self.basis, self.func
-        if self.jet is not None:
-            return b, [(r, r - l, l, c * perm(r, l)) for (r, l), c
-                       in zip(component_unknowns(b.k), self.jet, strict=True) if c]
-        if (pi.lam, pi.mu) != (b.lam, b.mu) or b.k > pi.k:
-            raise WeightMismatchError(f"a projection of D^{pi.k}_{{{pi.lam},{pi.mu}}} "
-                                      f"on a window of D^{b.k}_{{{b.lam},{b.mu}}}")
-        target = b if (0, pi.nu) == (b.lam, b.mu) else b.densities(pi.nu)
-        return target, [(r, 0, r - pi.n, c) for r, c in pi.row]
 
     def _apply(self):
         """Apply func to every basis element; an image that leaves the
@@ -441,9 +440,9 @@ class _Combination(SymmetryMap):
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     """Realize a cataloged endomorphism or projection, by name, on the basis:
-    a local endomorphism by its jet, read off the entry's jet, a projection
-    by the Projection its make returns, both in closed form; the trace L by
-    its callable."""
+    a local endomorphism by the entry's jet and a projection by the
+    Projection its make returns, both in closed form; the trace L by its
+    callable."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
@@ -452,9 +451,10 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
     k, lam, mu = basis.k, basis.lam, basis.mu
     if entry.jet is not None:
-        t = entry.jet(k, lam, mu)
-        return SymmetryMap(basis, componentwise_map(t, k, lam, mu), name=name, jet=t)
-    return SymmetryMap(basis, entry.make(k, lam, mu), name=name)
+        return SymmetryMap(basis, None, name, jet_terms(basis, entry.jet(k, lam, mu)))
+    if entry.kind == "projection":
+        return SymmetryMap(basis, None, name, projection_terms(basis, entry.make(k, lam, mu)))
+    return SymmetryMap(basis, entry.make(k, lam, mu), name)
 
 
 # ----------------------------------------------------------------------
@@ -477,35 +477,27 @@ def generator_family(space: str):
     return line_fields(3) if space == LINE else circle_fields(2)
 
 
-def equivariance_defect(T: SymmetryMap, X: VectorField):
-    """T o L_X - L_X o T on the safe sub-basis: one sparse column, a dict
-    {coordinate on T.target: value}, per safe element, in order.
+def defect_columns(T: SymmetryMap, X: VectorField, elements):
+    """(den, cols): T o L_X - L_X o T at each of the elements (indices of
+    T.basis), in order, one sparse column {coordinate on T.target: int} each,
+    den times the defect.
 
-    All-zero columns are equivalent to equivariance at this truncation.
-
-    T is assumed linear, so the column of a safe element b is assembled from
+    T is assumed linear, so the column of an element b is assembled from
     sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
     vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single elements e_j
-    of the basis and of the target window: T.image applies T once per
+    of the basis and of the target window: T.image builds T once per
     element and map, and lie_entries reads each window L_X once per
     element and field off the ring window's product table.  An image
     T(e_j) or L_X(e_j) that leaves the window raises
-    TruncationOverflowError; nothing is cut off.
-
-    Both sums run in integers: T's columns are over T.den and the two L_X
-    over their lie_den, so each sum is put over T.den times the lcm of the
-    two, and each nonzero entry is divided once at the end.
+    TruncationOverflowError; nothing is cut off.  T's columns are over T.den
+    and the two L_X over their lie_den, so den is T.den times their lcm.
     """
-    basis = T.basis
-    safe = basis.safe_indices(X)
-    if not safe:
-        raise TruncationOverflowError("no safe sub-basis: window M is too small")
-    target = T.target
+    basis, target = T.basis, T.target
     dx, dt = basis.lie_den(X), target.lie_den(X)
     den = lcm(dx, dt)
     sx, st = den // dx, den // dt
     cols = []
-    for b in safe:
+    for b in elements:
         col = {}
         for j, c in basis.lie_entries(X, b):
             c *= sx
@@ -516,81 +508,60 @@ def equivariance_defect(T: SymmetryMap, X: VectorField):
             for i, v in target.lie_entries(X, j):
                 col[i] = col.get(i, 0) - c * v
         cols.append(col)
-    den *= T.den
+    return den * T.den, cols
+
+
+def equivariance_defect(T: SymmetryMap, X: VectorField):
+    """T o L_X - L_X o T on the safe sub-basis: defect_columns as dicts
+    {coordinate on T.target: value}, one per safe element, in order.  All-zero
+    columns are equivalent to equivariance at this truncation."""
+    safe = T.basis.safe_indices(X)
+    if not safe:
+        raise TruncationOverflowError("no safe sub-basis: window M is too small")
+    den, cols = defect_columns(T, X, safe)
     return [{i: Fraction(v, den) if v else ZERO for i, v in col.items()} for col in cols]
-
-
-def bilinear_entries(space: str, row, a: int, b: int):
-    """J(m_a, m_b) = sum_j c_j m_a^(n-j) m_b^(j) for the int row (c_0, ...,
-    c_n) and signed indices a, b, as (coordinate, value) for its nonzero
-    coordinates; on the circle the values are those of twice J(m_a, m_b)."""
-    n = len(row) - 1
-    col = {}
-    for j, c in enumerate(row):
-        x, u = monomial_derivative(space, a, n - j)
-        if c and u:
-            for s, v in product_entries(space, [(x, c * u)], b, j):
-                col[s] = col.get(s, 0) + v
-    return [(s, v) for s, v in col.items() if v]
 
 
 def bilinear_defect(J, space: str, M: int, fields):
     """Equivariance defect of a bilinear operator on density pairs.
 
-    Checks J(L_X phi, psi) + J(phi, L_X psi) = L_X J(phi, psi) on all pairs of
-    basis densities whose products stay inside the window: one dense column
-    per field X, monomial phi and monomial psi, in that order.  The three
-    L_X are the lie_entries of the windows of F_nu, F_lam and F_out_weight,
-    which share one product table, and J is read on monomial pairs,
-    J(m_a, m_b) once per pair and call (bilinear_entries), so each column is
-    a sum of ints over one denominator, divided once per entry.  The room
-    filter keeps every term of the sum inside the window.
+    J: F_nu x F_lam -> F_out_weight of order n is invariant exactly when
+    T: phi -> J(phi, .) = sum_j c_j phi^(n-j) d^j, F_nu -> D^n_{lam,out_weight},
+    is equivariant: as (L_X A)(psi) = L_X(A psi) - A(L_X psi), T's defect at
+    phi, J(L_X phi, .) - L_X J(phi, .), takes psi to J(L_X phi, psi) +
+    J(phi, L_X psi) - L_X J(phi, psi).  T is the closed form (0, j, n-j, c_j)
+    into the order-n sibling of the F_nu window; each nonzero coefficient of
+    its defect_columns is multiplied into psi by product_entries, in ints.
+    One dense column per field X, monomial phi and monomial psi, in that
+    order, over the pairs whose every term stays inside the window.
     """
     check_window(J.order, M)
-    left = TruncatedBasis(0, M, space, 0, J.nu)
-    right, out = (left.reweighted(0, w) for w in (J.lam, J.out_weight))
-    jden = lcm(*[c.denominator for c in J.row])
-    row = [numerator_over(jden, c) for c in J.row]
-    jden *= 2 if space == CIRCLE else 1
-    pairs = {}  # (coordinate a, coordinate b) -> entries of J(m_a, m_b) times jden
-
-    def j_entries(a, b):
-        if (a, b) not in pairs:
-            pairs[a, b] = bilinear_entries(space, row, signed_index(space, a),
-                                           signed_index(space, b))
-        return pairs[a, b]
-
-    n = ring_dim(space, M)
-    sizes = [abs(signed_index(space, t)) for t in range(n)]
+    n = J.order
+    phis = TruncatedBasis(0, M, space, 0, J.nu)
+    T = SymmetryMap(phis, None, J.kind, (phis.sibling(n, J.lam, J.out_weight),
+                                         [(0, j, n - j, c) for j, c in enumerate(J.row) if c]))
+    size = len(phis.monomials)
+    sizes = [abs(signed_index(space, t)) for t in range(size)]
     cols = []
     for X in fields:
-        dens = [w.lie_den(X) for w in (left, right, out)]
-        den = lcm(*dens)
-        sl, sr, so = (den // d for d in dens)
-        den *= jden
+        # the constant has size 0, so a phi with room < 0 is in no pair
         growth = X.value.size
-        for t, size in enumerate(sizes):
-            # the constant has size 0, so a phi with room < 0 is in no pair
-            room = M - growth - size
-            if room < 0:
-                continue
-            lie_phi = [(a, u * sl) for a, u in left.lie_entries(X, t)]
-            for s in range(n):
-                if sizes[s] > room:
-                    continue
-                col = {}
-                for a, u in lie_phi:  # J(L_X phi, psi)
-                    for i, v in j_entries(a, s):
-                        col[i] = col.get(i, 0) + u * v
-                for b, u in right.lie_entries(X, s):  # J(phi, L_X psi)
-                    u *= sr
-                    for i, v in j_entries(t, b):
-                        col[i] = col.get(i, 0) + u * v
-                for c, u in j_entries(t, s):  # L_X J(phi, psi)
-                    u *= so
-                    for i, v in out.lie_entries(X, c):
-                        col[i] = col.get(i, 0) - u * v
-                cols.append(dense([(i, Fraction(v, den)) for i, v in col.items() if v], n))
+        rooms = [(t, M - growth - s) for t, s in enumerate(sizes) if s <= M - growth]
+        den, defects = defect_columns(T, X, [t for t, _ in rooms])
+        den *= 2 if space == CIRCLE else 1  # product_entries doubles on the circle
+        for (_, room), defect in zip(rooms, defects):
+            at = {}  # o -> the nonzero (signed index, int) terms of the defect at d^o
+            for i, v in defect.items():
+                if v:
+                    o, t = divmod(i, size)
+                    at.setdefault(o, []).append((signed_index(space, t), v))
+            for s in range(size):
+                if sizes[s] <= room:
+                    col = {}
+                    for o, f in at.items():
+                        for i, v in product_entries(space, f, signed_index(space, s), o):
+                            col[i] = col.get(i, 0) + v
+                    cols.append(dense([(i, Fraction(v, den)) for i, v in col.items() if v], size))
     return cols
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from densym import cli, identities, operators
 from densym.cli import main, parse_rational
-from densym.densities import DensityOperator
 from densym.truncation import TruncatedBasis
 from densym.operators import (
     CATALOG, PRINTED, BilinearOp, Projection, alternating, local_endo, printed_jet,
@@ -30,8 +29,8 @@ def _cal_v_off_by_one(k, lam, mu):
 
 def _v_beta_plus_one(k, lam, mu):
     """V with beta + 1: not equivariant."""
-    V = v_formula(k, lam, mu)
-    return lambda A: V(A) + DensityOperator(0, mu - lam - k + 1, [A.coefficient(k - 1)])
+    row = dict(v_formula(k, lam, mu).row)
+    return Projection(k, lam, mu, k - 1, {**row, k - 1: row.get(k - 1, 0) + 1})
 
 
 def run(capsys, *argv):

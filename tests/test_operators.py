@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +17,7 @@ from densym.operators import (
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
+    TruncatedBasis, bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
 )
 from reference import (
     density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
@@ -830,9 +829,10 @@ class TestCoefficientRows:
     def test_defect_makes_no_ring_arithmetic(self, monkeypatch, kind, space):
         # every derivative and product is read off the monomial rules: no
         # ring derivative or product, no J(phi, .) and no Lie action on
-        # operators, and each J(m_a, m_b) is built once per call
+        # operators; J(phi, .)'s images are built once per call, and the
+        # windows of F_nu and D^n share one product table
         ring = PolyFn if space == LINE else TrigFn
-        calls, pairs = [], Counter()
+        calls, images, windows = [], [], set()
 
         def recorded(name, f):
             return lambda *args: calls.append(name) or f(*args)
@@ -842,15 +842,57 @@ class TestCoefficientRows:
         monkeypatch.setattr(BilinearOp, "operator", recorded("operator", BilinearOp.operator))
         monkeypatch.setattr(densities, "lie_derivative_operator",
                             recorded("lie_derivative_operator", lie_derivative_operator))
-        real_entries = truncation.bilinear_entries
-        monkeypatch.setattr(truncation, "bilinear_entries",
-                            lambda sp, row, a, b: pairs.update([(a, b)])
-                            or real_entries(sp, row, a, b))
+        real_images, real_lie = truncation.term_images, TruncatedBasis.lie_entries
+        monkeypatch.setattr(truncation, "term_images",
+                            lambda *args: images.append(args) or real_images(*args))
+        monkeypatch.setattr(TruncatedBasis, "lie_entries",
+                            lambda w, X, j: windows.add(w) or real_lie(w, X, j))
         J = BilinearOp(kind, *BILINEAR_HOMES[kind])
         cols = bilinear_defect(J, space, 8, defect_fields(space))
         assert cols and all(v == 0 for col in cols for v in col)
         assert calls == []
-        assert pairs and set(pairs.values()) == {1}
+        assert len(images) == 1
+        assert {(w.k, w.lam, w.mu) for w in windows} == {
+            (0, 0, J.nu), (J.order, J.lam, J.out_weight)}
+        assert len({id(w._products) for w in windows}) == 1
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    def test_operator_defect_is_the_operator_route(self, monkeypatch, kind, perturbed,
+                                                   space):
+        # bilinear_defect checks J as the linear map T: phi -> J(phi, .); T's
+        # defect at each phi, read on the D^n window, is the operator
+        # J(L_X phi, .) - L_X J(phi, .) of ring arithmetic; the row with a
+        # term 1/3 phi psi^(n+1) appended makes it nonzero for every kind
+        if perturbed:
+            order, defined, row = BILINEAR[kind]
+            monkeypatch.setitem(BILINEAR, kind, (order + 1, defined,
+                                                 lambda nu, lam: (*row(nu, lam), F(1, 3))))
+        J = BilinearOp(kind, *BILINEAR_HOMES[kind])
+        defects, real_columns = [], truncation.defect_columns
+
+        def spy(T, X, elements):
+            den, cols = real_columns(T, X, elements)
+            defects.append((T, X, elements, den, cols))
+            return den, cols
+
+        monkeypatch.setattr(truncation, "defect_columns", spy)
+        fields = defect_fields(space)
+        bilinear_defect(J, space, 8, fields)
+        assert [X for _, X, *_ in defects] == fields
+        nonzero = False
+        for T, X, elements, den, cols in defects:
+            assert (T.target.k, T.target.lam, T.target.mu) == (J.order, J.lam, J.out_weight)
+            assert elements
+            for t, col in zip(elements, cols, strict=True):
+                phi = DensityOperator(0, J.nu, [T.basis.monomials[t]])
+                D = (J.operator(lie_derivative_operator(X, phi))
+                     - lie_derivative_operator(X, J.operator(phi)))
+                got = sorted((i, F(v, den)) for i, v in col.items() if v)
+                assert got == T.target.entries_of(D)
+                nonzero = nonzero or bool(got)
+        assert nonzero == perturbed
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("perturbed", [False, True])

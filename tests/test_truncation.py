@@ -24,24 +24,35 @@ from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, mono
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
     circle_fields, coordinate, dense, equivariance_defect,
-    generator_family, invariant_functionals_dimension, line_fields, numerator_over,
-    realize, ring_basis, ring_coordinates, ring_dim, ring_entries, signed_index,
+    generator_family, invariant_functionals_dimension, jet_terms, line_fields, numerator_over,
+    projection_terms, realize, ring_basis, ring_coordinates, ring_dim, ring_entries, signed_index,
 )
 import oracle
 from oracle import brute_force_fields, windowed_local_symmetries
 from reference import density, lie_derivative_density, reference_bilinear_defect, ring_vector
 
 
+def callable_of(T):
+    """T's func, or, for a catalog map that realize reads in closed form, the
+    callable of its entry: the jet map of its jet, or its Projection."""
+    if T.func is not None:
+        return T.func
+    entry, (k, lam, mu) = CATALOG[T.name], (T.basis.k, T.basis.lam, T.basis.mu)
+    if entry.jet is not None:
+        return componentwise_map(entry.jet(k, lam, mu), k, lam, mu)
+    return entry.make(k, lam, mu)
+
+
 def direct_equivariance_defect(T, X):
     """Reference for equivariance_defect: T o L_X - L_X o T evaluated on each
     safe basis element directly, with no appeal to linearity."""
-    basis = T.basis
+    basis, func = T.basis, callable_of(T)
     safe = [basis.elements[j] for j in basis.safe_indices(X)]
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
     cols = []
     for b in safe:
-        lhs, image = T.func(lie_derivative_operator(X, b)), T.func(b)
+        lhs, image = func(lie_derivative_operator(X, b)), func(b)
         if (image.lam, image.mu) != (basis.lam, basis.mu):  # a density off the module
             cols.append(ring_vector((lhs - lie_derivative_density(X, image)).coeffs[0], basis.M))
         else:
@@ -579,24 +590,33 @@ class TestDefectByLinearity:
             q1, q2 = (F(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4)) for _ in range(2))
             assert T.func(q1 * b1 + q2 * b2) == q1 * T.func(b1) + q2 * T.func(b2)
 
-    @pytest.mark.parametrize("name", ["S", "Sstar", "W"])
+    @pytest.mark.parametrize("name", ["S", "Sstar", "W", "L"])
     def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
         # L_X is counted per (field, element, window): W's images are read on
         # the densities window, whose elements L_X meets once each as well.
-        # A map that is not a Projection is applied once per element; S and
-        # Sstar are read off their jets, so their callables are never applied
-        applied = []
-        real_make = CATALOG[name].make
+        # S, Sstar and W are read in closed form, all their images in one
+        # term_images call, so their callables are never applied; the trace
+        # L is applied once per element
+        applied, built = [], []
+        real_make, real_call = CATALOG[name].make, Projection.__call__
 
         def make(k, lam, mu):
             T = real_make(k, lam, mu)
             return lambda A: applied.append(A) or T(A)
 
-        monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+        if name == "W":  # realize reads the row of the Projection that make returns
+            monkeypatch.setattr(Projection, "__call__",
+                                lambda pi, A: applied.append(A) or real_call(pi, A))
+        else:
+            monkeypatch.setitem(CATALOG, name, replace(CATALOG[name], make=make))
+        real_images = truncation.term_images
+        monkeypatch.setattr(truncation, "term_images",
+                            lambda *args: built.append(args) or real_images(*args))
         lie_builds = count_window_lie_builds(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
-        assert len(applied) == (res.basis_size if name == "W" else 0)
+        assert len(applied) == (res.basis_size if name == "L" else 0)
+        assert len(built) == (0 if name == "L" else 1)
         assert {X for X, _, _ in lie_builds} == {repr(X) for X in generator_family(CIRCLE)}
         assert set(lie_builds.values()) == {1}
         if name == "W":  # a projection: L_X on the basis and on F_nu
@@ -622,19 +642,20 @@ class TestDefectByLinearity:
 
 
 def spy_window_kernel(monkeypatch):
-    """Spies on the window kernel from here on; returns (ring, fills, pairs,
+    """Spies on the window kernel from here on; returns (ring, fills, images,
     windows).  ring lists the ring products and derivatives and the
     lie_derivative_operator and BilinearOp.operator calls made inside
     lie_entries, bilinear_defect, equivariance_defect or a map's image
     build (SymmetryMap._load), and every read of a window's elements
     (operators that no kernel should need); fills the product_entries
-    calls, one per product-table row filled (and per term of a J(m_a, m_b)
-    column); pairs the bilinear_entries calls, one per J(m_a, m_b) column
-    built; and windows the windows whose lie_entries are read."""
+    calls, one per product-table row filled (and per coefficient of a
+    bilinear defect operator at d^o and psi); images the term_images calls,
+    one per closed-form map whose images are built; and windows the windows
+    whose lie_entries are read."""
     # truncation binds no name of the Lie action on operators, so the spy
     # on densities.lie_derivative_operator sees every call
     assert not hasattr(truncation, "lie_derivative_operator")
-    ring, fills, pairs, windows, depth = [], [], [], set(), [0]
+    ring, fills, images, windows, depth = [], [], [], set(), [0]
 
     def inside(f):
         def run(*args):
@@ -660,7 +681,7 @@ def spy_window_kernel(monkeypatch):
         "lie_derivative_operator", densities.lie_derivative_operator, ring))
     monkeypatch.setattr(BilinearOp, "operator",
                         logged("BilinearOp.operator", BilinearOp.operator, ring))
-    for name, log in (("product_entries", fills), ("bilinear_entries", pairs)):
+    for name, log in (("product_entries", fills), ("term_images", images)):
         monkeypatch.setattr(truncation, name,
                             logged(name, getattr(truncation, name), log, always=True))
     real_lie_entries = TruncatedBasis.lie_entries
@@ -678,7 +699,7 @@ def spy_window_kernel(monkeypatch):
     elements = TruncatedBasis.elements
     monkeypatch.setattr(TruncatedBasis, "elements", property(
         lambda self: ring.append(("elements", (self,))) or elements.__get__(self)))
-    return ring, fills, pairs, windows
+    return ring, fills, images, windows
 
 
 def count_window_lie_builds(monkeypatch):
@@ -901,27 +922,27 @@ class TestBruteForceByLinearity:
 
 
 def _kernel_with_flipped_lie_after_t():
-    """equivariance_defect with the sign of its L_X o T term flipped: the
-    integer subtraction of T(b)_j times the target's L_X(e_j)."""
-    source = inspect.getsource(truncation.equivariance_defect)
+    """defect_columns with the sign of its L_X o T term flipped: the integer
+    subtraction of T(b)_j times the target's L_X(e_j)."""
+    source = inspect.getsource(truncation.defect_columns)
     term = "col[i] = col.get(i, 0) - c * v"
     assert source.count(term) == 1
     namespace = dict(vars(truncation))
     exec(compile(source.replace(term, "col[i] = col.get(i, 0) + c * v"),
                  truncation.__file__, "exec"), namespace)
-    return namespace["equivariance_defect"]
+    return namespace["defect_columns"]
 
 
 class TestFlippedKernel:
-    """The --op checks and the windowed oracle share one kernel; a fault in
-    it still fails the check, and the windowed oracle then disagrees with
-    the recurrence."""
+    """The --op checks, the bilinear checks and the windowed oracle share one
+    kernel; a fault in it still fails every check, and the windowed oracle
+    then disagrees with the recurrence."""
 
     @pytest.fixture
     def flipped(self, monkeypatch):
-        kernel = _kernel_with_flipped_lie_after_t()
-        for module in (truncation, identities, oracle):
-            monkeypatch.setattr(module, "equivariance_defect", kernel)
+        # equivariance_defect and bilinear_defect read the builder from
+        # truncation's namespace, so every caller of either sees the fault
+        monkeypatch.setattr(truncation, "defect_columns", _kernel_with_flipped_lie_after_t())
 
     def test_verify_op_exit_1(self, capsys, flipped):
         assert cli.main(["verify", "--op", "S"]) == 1
@@ -930,6 +951,12 @@ class TestFlippedKernel:
     def test_verify_op_on_the_line_exit_1(self, capsys, flipped):
         assert cli.main(["verify", "--op", "S", "--space", LINE]) == 1
         assert capsys.readouterr().out.startswith("op:S: FAIL, defect ")
+
+    @pytest.mark.parametrize("argv", [["--op", "grozman"], ["grozman_equivariance"]])
+    def test_verify_bilinear_exit_1(self, capsys, flipped, argv):
+        assert cli.main(["verify", *argv]) == 1
+        out = capsys.readouterr().out
+        assert ": FAIL, defect " in out and ", defect 0," not in out
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_windowed_oracle_disagrees(self, flipped, space):
@@ -986,7 +1013,7 @@ def apply_map(T, A):
     """T(A) through the maps' callables alone, for a leaf or a combination:
     the Fraction reference for the integer columns."""
     if hasattr(T, "func"):
-        return T.func(A)
+        return callable_of(T)(A)
     return reduce(operator.add, [c * apply_map(outer, A if inner is None else apply_map(inner, A))
                                  for c, outer, inner in T.terms])
 
@@ -1112,7 +1139,7 @@ class TestClosedFormColumns:
     def test_columns_are_the_callables(self, name, k, lam, mu, space, wide):
         basis = TruncatedBasis(k, k + (6 if wide else 4), space, lam, mu)
         T = realize(name, basis)
-        assert T.jet is not None or isinstance(T.func, Projection)
+        assert T.func is None and T.closed is not None
         images = [CATALOG[name].make(k, lam, mu)(b) for b in basis.elements]
         module = (images[0].lam, images[0].mu)
         assert T.target is (basis if module == (lam, mu) else basis.densities(module[1]))
@@ -1127,19 +1154,24 @@ class TestClosedFormColumns:
         rng = random.Random(seed)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
         basis = TruncatedBasis(k, k + 4, space, lam, mu)
-        T = SymmetryMap(basis, componentwise_map(t, k, lam, mu), jet=t)
-        reference = SymmetryMap(basis, T.func)
+        T = SymmetryMap(basis, None, "T", jet_terms(basis, t))
+        reference = SymmetryMap(basis, componentwise_map(t, k, lam, mu))
         assert T.columns == reference.columns and T.target is reference.target is basis
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_a_projection_of_another_module_raises(self, space):
-        # as the callable does on the first element it cannot take
+        # the closed form when its terms are read, the callable on the first
+        # element it cannot take
         basis = TruncatedBasis(3, 7, space, F(1, 3), F(1, 5))
         for pi in (symbol(3, 0, F(1, 5)), symbol(2, F(1, 3), F(1, 5))):
+            with pytest.raises(WeightMismatchError):
+                SymmetryMap(basis, None, "sigma", projection_terms(basis, pi)).target
             for T in (SymmetryMap(basis, pi), SymmetryMap(basis, lambda A: pi(A))):
                 with pytest.raises(WeightMismatchError):
                     T.target
-        assert SymmetryMap(basis, symbol(4, F(1, 3), F(1, 5))).is_zero()  # no a_4 below k = 4
+        pi = symbol(4, F(1, 3), F(1, 5))  # no a_4 below k = 4
+        assert SymmetryMap(basis, None, "sigma", projection_terms(basis, pi)).is_zero()
+        assert SymmetryMap(basis, pi).is_zero()
 
     def test_every_map_is_covered(self):
         names = {name for name, *_ in closed_form_cases()}
@@ -1166,8 +1198,8 @@ class TestClosedFormColumns:
         monkeypatch.setitem(CATALOG, name, wrong(CATALOG[name]))
         k, lam, mu = CATALOG_HOMES[name]
         T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
-        assert T.jet is not None or isinstance(T.func, Projection)
-        reference = SymmetryMap(T.basis, lambda A: T.func(A))  # applied per element
+        assert T.func is None and T.closed is not None
+        reference = SymmetryMap(T.basis, callable_of(T))  # applied per element
         for X in generator_family(space):
             assert equivariance_defect(T, X) == equivariance_defect(reference, X)
         assert assert_defects_are_direct(T, generator_family(space))
@@ -1175,25 +1207,32 @@ class TestClosedFormColumns:
         assert capsys.readouterr().out.startswith(f"op:{name}: FAIL, defect ")
 
 
-def test_bilinear_defect_builds_each_pair_column_once(monkeypatch):
-    # each column J(m_a, m_b) is built once per call, off the monomial rules:
-    # no density operator, Lie action, ring product or derivative
-    ring, _, pairs, _ = spy_window_kernel(monkeypatch)
+def test_bilinear_defect_reads_j_as_one_closed_form_map(monkeypatch):
+    # J(phi, .) is one closed-form map from the window of F_nu into its order-n
+    # sibling, its images built once per call off the monomial rules: no
+    # density operator, Lie action, ring product or derivative.  Its defects
+    # read L_X on both windows, which share one product table
+    ring, _, images, windows = spy_window_kernel(monkeypatch)
     entry = CATALOG["grozman"]
     J = entry.make(*entry.home[1:])
     M = 8
     for space, fields in ((CIRCLE, circle_fields(3)), (LINE, line_fields(5))):
-        pairs.clear()
+        images.clear()
+        windows.clear()
         cols = truncation.bilinear_defect(J, space, M, fields)
         assert ring == []
-        built = Counter((args[2], args[3]) for _, args in pairs)
-        assert built and set(built.values()) == {1}
+        [(basis, terms)] = [args for _, args in images]
+        assert (basis.k, basis.lam, basis.mu) == (0, 0, J.nu)
+        assert sorted(terms) == [(0, j, J.order - j, c) for j, c in enumerate(J.row)]
+        assert {(w.k, w.lam, w.mu) for w in windows} == {
+            (0, 0, J.nu), (J.order, J.lam, J.out_weight)}
+        assert len({id(w._products) for w in windows}) == 1
         assert cols == reference_bilinear_defect(J, space, M, fields)
-    pairs.clear()
+    images.clear()
     res = identities.run_identity("grozman_equivariance")
     assert res.passed and ring == []
-    # one J(m_a, m_b) per pair that some column reads, on each space
-    assert len(pairs) == len(set((args[0], args[2], args[3]) for _, args in pairs))
+    # one build of J(phi, .)'s images per space
+    assert [args[0].space for _, args in images] == [CIRCLE, LINE]
 
 
 def test_w_sharpness_fills_one_product_table(monkeypatch):
