@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from . import rings
-from .errors import RingMismatchError, WeightMismatchError
-from .rings import CoefficientFunction, rat
+from .errors import RingMismatchError, UnsupportedFunctionalError, WeightMismatchError
+from .rings import CIRCLE, CoefficientFunction, monomial_product, rat
 
 
 class VectorField:
@@ -237,8 +237,12 @@ def lie_derivative_operator(X: VectorField, A: DensityOperator) -> DensityOperat
 
 def pairing(phi: DensityOperator, psi: DensityOperator) -> Fraction:
     """Invariant pairing of the densities F_lam and F_{1-lam}: the mean of
-    the product, so only on the circle."""
+    the product, so only on the circle.  As mean(m_a m_b) = 0 for a != b, it
+    is sum f_a g_a mean(m_a m_a), read off monomial_product with no product."""
     f, g = density_value(phi), density_value(psi)
     if phi.mu + psi.mu != 1:
         raise WeightMismatchError("pairing needs weights summing to 1")
-    return rings.circle_mean(f * g)
+    if {f.space, g.space} != {CIRCLE}:
+        raise UnsupportedFunctionalError("the mean functional needs circle elements")
+    return sum((c * g.terms[a] * Fraction(w, 2) for a, c in f.terms.items() if a in g.terms
+                for s, w in monomial_product(CIRCLE, a, a) if s == 0), Fraction(0))

@@ -20,7 +20,6 @@ from .operators import (
     catalog_entry,
     component_unknowns,
     conjugate,
-    s_map_chain,
     second_analog_locus,
     v_formula,
     w_coefficients,
@@ -37,12 +36,15 @@ from .truncation import (
     brute_force_local_symmetries,
     check_window,
     circle_fields,
+    conjugation_map,
     equivariance_defect,
     generator_family,
+    jet_terms,
     line_fields,
     projection_terms,
     realize,
     ring_dim,
+    shift_map,
 )
 
 
@@ -171,8 +173,8 @@ class Relation:
     At each point, pairs receives the TruncatedBasis and the maps of `uses`
     realized on it, and returns [(lhs, rhs)]: SymmetryMaps on that basis, rhs
     None meaning 0.  Sums, differences, scalings and compositions of the maps
-    are read off their cached columns; a map that leaves the module on the
-    way is one leaf SymmetryMap of its own callable."""
+    are read off their cached columns, and a chain that leaves the module
+    composes closed-form maps between sibling windows."""
 
     k: int  # the order the relations are stated at
     points: list  # the weight points (lam, mu)
@@ -182,21 +184,31 @@ class Relation:
     any_order: bool = False  # the relations hold at every order; k is a default
 
 
+def _s_chain(basis):
+    """S of D^k_{0,0} by its chain -C o delta^-1 o (Id - P0) o C o delta o C,
+    nested to the right, every outer operand a leaf; Id - P0 is its jet."""
+    C = conjugation_map(basis)                       # D^k_{1,1}
+    delta = shift_map(C.target, 1)                   # D^{k+1}_{0,1}
+    w = delta.target
+    kernel = jet_terms(w, [int(l == 0 < r) for r, l in component_unknowns(w.k)])
+    inverse = shift_map(w, -1)                       # Ker P0 -> D^k_{1,1}
+    Z = inverse @ (SymmetryMap(w, kernel, "Id-P0") @ (realize("C", w) @ (delta @ C)))
+    return -1 * (conjugation_map(inverse.target) @ Z)
+
+
 RELATIONS = {
-    # C leaves the module off lam + mu = 1, so C o C is one callable
+    # C leaves the module off lam + mu = 1: C o C passes through its sibling
     "conj_involution": Relation(
         3, [(Fraction(1, 4), Fraction(3, 4)), (Fraction(2, 7), Fraction(3, 5))],
-        lambda basis, Id: [(SymmetryMap(basis, lambda A: conjugate(conjugate(A))), Id)],
+        lambda basis, Id: [(conjugation_map((C := conjugation_map(basis)).target) @ C, Id)],
         uses=("Id",), per_element=True, any_order=True),
     "mult_table_01": Relation(
         4, [(Fraction(0), Fraction(1))], _mult_table_pairs, uses=tuple(MULT_TABLE_01),
         any_order=True),
-    # the chain passes through D^{k+1}_{0,1}, so it is one callable
     "s_relations": Relation(
         5, [(Fraction(0), Fraction(0))],
         lambda basis, S, P0, Id: [
-            (S @ S, Id), (P0 @ S, P0), (S @ P0, P0), (P0 @ P0, P0),
-            (S, SymmetryMap(basis, s_map_chain)),
+            (S @ S, Id), (P0 @ S, P0), (S @ P0, P0), (P0 @ P0, P0), (S, _s_chain(basis)),
         ], uses=("S", "P0", "Id"), any_order=True),
     "calw_square": Relation(
         3, HYPERBOLA_POINTS,
@@ -326,7 +338,7 @@ def check_w_sharpness(cfg: CheckConfig) -> CheckResult:
             if window is None:
                 window = TruncatedBasis(k, _window(k, cfg.M), cfg.space_or(), lam, mu)
             basis = window.sibling(k, lam, mu)
-            W = SymmetryMap(basis, None, "W", projection_terms(basis, w_formula(k, lam, mu)))
+            W = SymmetryMap(basis, projection_terms(basis, w_formula(k, lam, mu)), "W")
             size = W.basis.dim
             defect = Fraction(0)
             for X in fields:

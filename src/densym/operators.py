@@ -89,20 +89,6 @@ def delta_inverse(B: DensityOperator) -> DensityOperator:
     return DensityOperator(1, B.mu, B.coeffs[1:])
 
 
-def s_map_chain(A: DensityOperator) -> DensityOperator:
-    """The involutive symmetry S of D^k_{0,0} through its defining chain
-    -C o delta^{-1} o (Id - P0) o C o delta o C; the catalog keeps S as its
-    jet, _s_jet."""
-    if (A.lam, A.mu) != (0, 0):
-        raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
-    step = conjugate(A)                      # D^k_{1,1}
-    step = delta_compose(step)               # D^{k+1}_{0,1}
-    step = conjugate(step)                   # D^{k+1}_{0,1}
-    step = step - p0(step)                   # Ker P0
-    step = delta_inverse(step)               # D^k_{1,1}
-    return -1 * conjugate(step)              # D^k_{0,0}
-
-
 # ----------------------------------------------------------------------
 # projections onto densities
 # ----------------------------------------------------------------------

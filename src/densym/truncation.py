@@ -17,23 +17,24 @@ when a defect is reported.  The ring products behind them, the product
 table's rows and a bilinear defect's values, are read off the rings' two
 closed-form rules on monomials (rings.monomial_derivative and
 monomial_product, which the ring product and derivative read too) in ints,
-so the Lie actions of verify build no ring element.  Nor do the catalog's maps
-onto a window: a local endomorphism is read off its jet and a projection
-off its row (term_images, one monomial_derivative per term).  Only the maps
-that leave the module on the way (C o C, the defining chain of S) and the
-nonlocal trace L are applied as callables, to the basis elements as
-operators, which a window builds only then.
+so the Lie actions of verify build no ring element.  Nor does any map onto
+a window: every SymmetryMap is a closed form, terms read by term_images
+(one monomial_derivative per term), into a target window.  A catalog
+endomorphism is read off its jet, a projection off its row and the trace L
+off its rule; the maps that leave the module on the way (conjugation off
+lam + mu = 1, right composition with d and its inverse) land in sibling
+windows, and compositions chain through them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm, perm
 
-from . import rings
 from .densities import DensityOperator, VectorField, lie_terms
-from .errors import InapplicableSymmetryError, TruncationOverflowError, WeightMismatchError
-from .operators import Projection, catalog_entry, component_unknowns
+from .errors import (
+    InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
+)
+from .operators import Projection, catalog_entry, component_unknowns, conjugation_jet
 from .linalg import ZERO, nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
@@ -142,7 +143,8 @@ class TruncatedBasis:
         self.mu = rat(mu)
         self.monomials = ring_basis(space, M)
         self._lie = {}  # field -> {element index: integer entries of L_X(element)}
-        self._siblings = {}  # (k, lam, mu) -> the window of D^k_{lam,mu}
+        # (k, lam, mu) -> the window of D^k_{lam,mu}, one dict for the family
+        self._siblings = {(k, self.lam, self.mu): self}
         self._scale = lcm(self.lam.denominator, self.mu.denominator)
         self._terms = [[(m, p, q, numerator_over(self._scale, c))
                         for m, p, q, c in lie_terms(i, self.lam, self.mu)]
@@ -153,28 +155,19 @@ class TruncatedBasis:
 
     def sibling(self, k: int, lam, mu) -> "TruncatedBasis":
         """The window of D^k_{lam,mu} on this ring window, one per module
-        (the basis itself at its own); it shares the basis's product table,
-        so each ring product is multiplied once across the modules."""
+        across the family (the basis itself at its own), so maps between
+        siblings chain; the family shares one product table, so each ring
+        product is multiplied once across the modules."""
         key = (k, rat(lam), rat(mu))
-        if key == (self.k, self.lam, self.mu):
-            return self
         if key not in self._siblings:
             window = self._siblings[key] = TruncatedBasis(k, self.M, self.space, *key[1:])
-            window._products = self._products
+            window._products, window._siblings = self._products, self._siblings
         return self._siblings[key]
 
     def densities(self, nu) -> "TruncatedBasis":
         """F_nu as the order-0 window D^0_{0,nu}, sibling(0, 0, nu): its L_X,
         the operator action at order 0, is X a' + nu X' a."""
         return self.sibling(0, 0, nu)
-
-    @cached_property
-    def elements(self):
-        """The basis elements as operators, built on first read: the window
-        kernels read only the monomials."""
-        z = rings.zero(self.space)
-        return [DensityOperator(self.lam, self.mu, [z] * i + [mono])
-                for i in range(self.k + 1) for mono in self.monomials]
 
     @property
     def dim(self) -> int:
@@ -274,22 +267,26 @@ def term_images(basis: TruncatedBasis, terms):
     m d^i, in order, as its nonzero (coordinate, value * den) entries,
     ascending, where den is the lcm of the terms' denominators.  A term at
     r = i puts c m^(l), one monomial_derivative, at d^o, so no ring element
-    is built; the target window has the basis's monomials."""
+    is built; l None puts c mean(m) there, and o < 0 leaves the element with
+    no image (None).  The target window has the basis's monomials."""
     den = lcm(*[c.denominator for *_, c in terms])
     space, n = basis.space, len(basis.monomials)
     at = [[] for _ in range(basis.k + 1)]  # r -> (offset of d^o, l, c * den)
     for r, o, l, c in sorted(terms):
         if r <= basis.k:
             at[r].append((o * n, l, numerator_over(den, c)))
-    return den, [[(shift + coordinate(space, j), c * v) for shift, l, c in at[i]
-                  for j, v in [monomial_derivative(space, signed_index(space, t), l)] if v]
+    return den, [None if any(s < 0 for s, _, _ in at[i]) else
+                 [(s + coordinate(space, j), c * v) for s, l, c in at[i]
+                  for j, v in [(0, int(t == 0)) if l is None
+                               else monomial_derivative(space, signed_index(space, t), l)] if v]
                  for i in range(basis.k + 1) for t in range(n)]
 
 
-def jet_terms(basis: TruncatedBasis, t):
-    """(target, terms) of the jet map of t: (r, r-l, l, t[r,l] perm(r,l)) into the basis."""
-    return basis, [(r, r - l, l, c * perm(r, l)) for (r, l), c
-                   in zip(component_unknowns(basis.k), t, strict=True) if c]
+def jet_terms(target: TruncatedBasis, t):
+    """(target, terms) of the jet map of t: (r, r-l, l, t[r,l] perm(r,l)) into
+    target, a window of the jet's order."""
+    return target, [(r, r - l, l, c * perm(r, l)) for (r, l), c
+                    in zip(component_unknowns(target.k), t, strict=True) if c]
 
 
 def projection_terms(b: TruncatedBasis, pi: Projection):
@@ -304,59 +301,35 @@ def projection_terms(b: TruncatedBasis, pi: Projection):
 
 
 class SymmetryMap:
-    """A linear map on a truncated module, carried as its sparse columns.
+    """A linear map from a truncated module into a window of its family,
+    carried as its sparse columns.
 
-    The columns are coordinates on its target window: the basis itself when
-    the images lie in the basis's module D_{lam,mu}, else
-    basis.densities(nu) for images in D^0_{0,nu} (F_nu as the order-0
-    window), as a projection's.  Each image is a sparse column of integers
-    over one denominator den, built for every basis element the first time
-    any column, the target or den is read.  A map in closed form (func None)
-    is given as closed = (target, terms), from jet_terms or projection_terms,
-    and read by term_images with no ring element.  Otherwise func is applied
-    once per basis element, and den is the lcm over its images: the maps
-    that leave the module on the way (C o C, the chain of S) and the
-    nonlocal trace L.  X @ Y, X + Y, X - Y and q * X are built from their
-    operands' columns, apply no callable and keep no column of their own.
-    The defects and the relation checks read the integer columns; columns
-    and flat() give the true values.
+    It is given in closed form, closed = (target, terms), from jet_terms,
+    projection_terms, conjugation_map or shift_map: the target window (the
+    basis for an endomorphism, basis.densities(nu) for a projection, or a
+    sibling) and the terms that term_images reads with no ring element.
+    The images are sparse columns of integers over one denominator den,
+    built for every basis element the first time any column or den is read.
+    X @ Y, X + Y, X - Y and q * X are read off their operands' columns and
+    keep no column of their own.  The defects and the relation checks read
+    the integer columns; columns and flat() give the true values.
     """
 
-    def __init__(self, basis: TruncatedBasis, func, name="T", closed=None):
+    def __init__(self, basis: TruncatedBasis, closed, name="T"):
         self.basis = basis
-        self.func = func
-        self.name = name
         self.closed = closed
-        self._target = None
+        self.name = name
         self._images = None  # per basis element: (coordinate, value * den) entries
 
     def _load(self):
         """Build every image, in basis order."""
         if self._images is None:
-            if self.closed is None:
-                self._apply()
-            else:
-                self._target, terms = self.closed
-                self._den, self._images = term_images(self.basis, terms)
+            self._den, self._images = term_images(self.basis, self.closed[1])
         return self._images
-
-    def _apply(self):
-        """Apply func to every basis element; an image that leaves the
-        window raises TruncationOverflowError."""
-        b, cols = self.basis, []
-        for element in b.elements:
-            image = self.func(element)
-            if self._target is None:
-                self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
-                                else b.densities(image.mu))
-            cols.append(self._target.entries_of(image))
-        den = self._den = lcm(*[v.denominator for col in cols for _, v in col])
-        self._images = [[(t, numerator_over(den, v)) for t, v in col] for col in cols]
 
     @property
     def target(self) -> TruncatedBasis:
-        self._load()
-        return self._target
+        return self.closed[0]
 
     @property
     def den(self) -> int:
@@ -366,8 +339,11 @@ class SymmetryMap:
 
     def image(self, j: int):
         """Nonzero (coordinate, value * den) entries of the image of element
-        j, as ints."""
-        return self._load()[j]
+        j, as ints; an element off the map's domain raises NotInKernelError."""
+        image = self._load()[j]
+        if image is None:
+            raise NotInKernelError(f"{self.name} takes basis element {j} below d^0")
+        return image
 
     @property
     def columns(self):
@@ -399,18 +375,22 @@ class SymmetryMap:
 class _Combination(SymmetryMap):
     """sum c * outer o inner over its terms (c, outer, inner), inner None
     meaning the identity: each image is read off the operands' columns.
+    Every term maps one basis into one target, and a composition chains
+    windows: inner's target is outer's basis.  Nothing is cached, and outer
+    is read once per entry of inner's image, so a chain nests to the right.
 
     A term is over c.den * outer.den * inner.den, so the combination is over
     their lcm, den, and each term's scalar becomes the integer that puts it
     over den."""
 
     def __init__(self, name, terms):
-        basis = terms[0][1].basis
-        if any(m.basis is not basis for _, *pair in terms for m in pair if m is not None):
+        basis = (terms[0][1] if terms[0][2] is None else terms[0][2]).basis
+        if any((outer if inner is None else inner).basis is not basis for _, outer, inner in terms):
             raise ValueError("maps live on different bases")
         for _, outer, inner in terms:
-            if inner is not None and inner.target is not basis:
-                raise ValueError(f"cannot compose after the projection {inner.name}")
+            if inner is not None and inner.target is not outer.basis:
+                raise ValueError(f"cannot compose {outer.name} after {inner.name}: its target "
+                                 f"and the source of {outer.name} are different bases")
         if len({outer.target for _, outer, _ in terms}) > 1:
             raise ValueError(f"{name} adds maps into different spaces")
         self.basis, self.name, self.terms = basis, name, terms
@@ -438,11 +418,28 @@ class _Combination(SymmetryMap):
         return [(t, v) for t, v in col.items() if v]
 
 
+def conjugation_map(b: TruncatedBasis) -> SymmetryMap:
+    """A -> A*, from b into its sibling at (1-mu, 1-lam): conjugation_jet
+    as the terms (r, r-l, l, (-1)^r C(r,l))."""
+    return SymmetryMap(b, jet_terms(b.sibling(b.k, 1 - b.mu, 1 - b.lam), conjugation_jet(b.k)),
+                       "C")
+
+
+def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:
+    """Right composition with d (s = 1), D^k_{lam,mu} -> D^{k+1}_{lam-1,mu},
+    or its inverse on Ker P0 (s = -1), D^k_{lam,mu} -> D^{k-1}_{lam+1,mu}:
+    the terms (r, r+s, 0, 1).  The inverse would put a_0 below d^0, so an
+    element at d^0 has no image: reading it raises NotInKernelError."""
+    return SymmetryMap(b, (b.sibling(b.k + s, b.lam - s, b.mu),
+                           [(r, r + s, 0, 1) for r in range(b.k + 1)]),
+                       "delta" if s > 0 else "delta^-1")
+
+
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
-    """Realize a cataloged endomorphism or projection, by name, on the basis:
-    a local endomorphism by the entry's jet and a projection by the
-    Projection its make returns, both in closed form; the trace L by its
-    callable."""
+    """Realize a cataloged endomorphism or projection, by name, on the basis,
+    in closed form: a local endomorphism by the entry's jet, a projection by
+    the Projection its make returns, and the trace L, mean(a_0) d, by the
+    rule compose_jets states: only the constant at d^0 maps, to d^1."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
@@ -451,10 +448,10 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
     k, lam, mu = basis.k, basis.lam, basis.mu
     if entry.jet is not None:
-        return SymmetryMap(basis, None, name, jet_terms(basis, entry.jet(k, lam, mu)))
+        return SymmetryMap(basis, jet_terms(basis, entry.jet(k, lam, mu)), name)
     if entry.kind == "projection":
-        return SymmetryMap(basis, None, name, projection_terms(basis, entry.make(k, lam, mu)))
-    return SymmetryMap(basis, entry.make(k, lam, mu), name)
+        return SymmetryMap(basis, projection_terms(basis, entry.make(k, lam, mu)), name)
+    return SymmetryMap(basis, (basis, [(0, 1, None, 1)]), name)  # the trace L
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +535,8 @@ def bilinear_defect(J, space: str, M: int, fields):
     check_window(J.order, M)
     n = J.order
     phis = TruncatedBasis(0, M, space, 0, J.nu)
-    T = SymmetryMap(phis, None, J.kind, (phis.sibling(n, J.lam, J.out_weight),
-                                         [(0, j, n - j, c) for j, c in enumerate(J.row) if c]))
+    T = SymmetryMap(phis, (phis.sibling(n, J.lam, J.out_weight),
+                           [(0, j, n - j, c) for j, c in enumerate(J.row) if c]), J.kind)
     size = len(phis.monomials)
     sizes = [abs(signed_index(space, t)) for t in range(size)]
     cols = []

@@ -9,19 +9,62 @@ module keeps the two routes it is checked against:
   jets under `brute_force_fields`, exact inside its window.  Its equations
   come from `windowed_equations`; `window_rows` reads those of every smaller
   window off one larger window, so a test of many windows builds one;
+* `AppliedMap`, a window map of a callable on operators, applied to each
+  basis element (`elements`): the reference for the closed forms that
+  `truncation` reads every map in;
 * `formal_rows`, every formal coefficient row with its monomial
   f^(p) a_s^(q) d^m, for field orders p <= 5, read through operators with
   the unit jet maps and `lie_derivative_operator`: the reference for
   `truncation.formal_rows`, which reads the rows p = 2, 3 off `lie_terms`.
 """
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
+from densym import rings
 from densym.densities import DensityOperator, VectorField, lie_derivative_operator
-from densym.linalg import integer_row, nullspace
+from densym.linalg import integer_row, nullspace, numerator_over
 from densym.rings import LINE, PolyFn, TrigFn
 from densym.operators import component_unknowns, componentwise_map
 from densym.truncation import SymmetryMap, TruncatedBasis, check_window, equivariance_defect
+
+
+def elements(basis):
+    """The basis elements m d^i as operators, in basis order."""
+    z = rings.zero(basis.space)
+    return [DensityOperator(basis.lam, basis.mu, [z] * i + [mono])
+            for i in range(basis.k + 1) for mono in basis.monomials]
+
+
+class AppliedMap(SymmetryMap):
+    """A SymmetryMap of the callable func on operators, applied once to each
+    basis element the first time a column, the target or den is read; den
+    is the lcm over its images.  The target is the given window, else the
+    basis when the first image lies in the basis's module, else
+    basis.densities(nu).  An image that leaves the window raises
+    TruncationOverflowError."""
+
+    def __init__(self, basis, func, name="T", target=None):
+        super().__init__(basis, None, name)
+        self.func, self._target = func, target
+
+    def _load(self):
+        if self._images is None:
+            b, cols = self.basis, []
+            for element in elements(b):
+                image = self.func(element)
+                if self._target is None:
+                    self._target = (b if (image.lam, image.mu) == (b.lam, b.mu)
+                                    else b.densities(image.mu))
+                cols.append(self._target.entries_of(image))
+            den = self._den = lcm(*[v.denominator for col in cols for _, v in col])
+            self._images = [[(t, numerator_over(den, v)) for t, v in col] for col in cols]
+        return self._images
+
+    @property
+    def target(self):
+        if self._target is None:
+            self._load()
+        return self._target
 
 
 def brute_force_fields(space):
@@ -54,8 +97,8 @@ def windowed_equations(k, lam, mu, space=LINE, M=None):
     check_window(k, M)
     basis = TruncatedBasis(k, M, space, lam, mu)
     size = len(component_unknowns(k))
-    units = [SymmetryMap(basis, componentwise_map([int(v == u) for v in range(size)],
-                                                  k, lam, mu)) for u in range(size)]
+    units = [AppliedMap(basis, componentwise_map([int(v == u) for v in range(size)],
+                                                 k, lam, mu)) for u in range(size)]
     n, out = len(basis.monomials), {}
     for f, X in enumerate(brute_force_fields(space)):
         safe = basis.safe_indices(X)

@@ -16,7 +16,9 @@ from densym.errors import (
     InapplicableSymmetryError, SpanMismatchError, SpanNotClosedError, WeightMismatchError,
 )
 from densym.linalg import rref
-from densym.operators import PRINTED, componentwise_map, conjugate, nonlocal_trace, p0
+from densym.operators import (
+    PRINTED, componentwise_map, conjugate, delta_compose, delta_inverse, nonlocal_trace, p0,
+)
 from densym.rings import PolyFn, TrigFn
 from densym.truncation import dense, ring_basis, ring_dim, ring_entries
 
@@ -74,6 +76,20 @@ def s_map(A: DensityOperator) -> DensityOperator:
     a = A.coeffs + (rings.zero(A.space),)
     return conjugate(DensityOperator(1, 1, [a[i] + a[i + 1].diff()
                                             for i in range(A.order + 1)]))
+
+
+def s_map_chain(A: DensityOperator) -> DensityOperator:
+    """The involutive symmetry S of D^k_{0,0} through its defining chain
+    -C o delta^{-1} o (Id - P0) o C o delta o C, on operators; the catalog
+    keeps S as its jet, and verify composes the chain on window columns."""
+    if (A.lam, A.mu) != (0, 0):
+        raise InapplicableSymmetryError("this symmetry needs (lam, mu) = (0, 0)")
+    step = conjugate(A)                      # D^k_{1,1}
+    step = delta_compose(step)               # D^{k+1}_{0,1}
+    step = conjugate(step)                   # D^{k+1}_{0,1}
+    step = step - p0(step)                   # Ker P0
+    step = delta_inverse(step)               # D^k_{1,1}
+    return -1 * conjugate(step)              # D^k_{0,0}
 
 
 def mirrored(build):

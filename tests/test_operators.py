@@ -12,7 +12,7 @@ from densym.errors import (
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
     BILINEAR, CATALOG, BilinearOp, Projection, alternating, conjugate, delta_compose,
-    delta_inverse, nonlocal_trace, p0, printed_jet, s_map_chain, second_analog_locus,
+    delta_inverse, nonlocal_trace, p0, printed_jet, second_analog_locus,
     second_analog_mu, symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
@@ -21,7 +21,7 @@ from densym.truncation import (
 )
 from reference import (
     density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
-    ring_vector, s_map,
+    ring_vector, s_map, s_map_chain,
 )
 
 
