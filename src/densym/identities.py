@@ -39,7 +39,6 @@ from .truncation import (
     conjugation_map,
     equivariance_defect,
     generator_family,
-    jet_terms,
     line_fields,
     projection_terms,
     realize,
@@ -87,7 +86,7 @@ def _window(k, M=None) -> int:
 
 
 def _bilinear_window(cfg) -> int:
-    """The window of a bilinear check: M = 8 by default."""
+    """The window of a bilinear check: M = 8 by default, at least n+4."""
     return 8 if cfg.M is None else cfg.M
 
 
@@ -172,9 +171,8 @@ class Relation:
 
     At each point, pairs receives the TruncatedBasis and the maps of `uses`
     realized on it, and returns [(lhs, rhs)]: SymmetryMaps on that basis, rhs
-    None meaning 0.  Sums, differences, scalings and compositions of the maps
-    are read off their cached columns, and a chain that leaves the module
-    composes closed-form maps between sibling windows."""
+    None meaning 0; lhs - rhs is one closed form, read once, and a chain
+    that leaves the module composes maps between sibling windows."""
 
     k: int  # the order the relations are stated at
     points: list  # the weight points (lam, mu)
@@ -185,15 +183,13 @@ class Relation:
 
 
 def _s_chain(basis):
-    """S of D^k_{0,0} by its chain -C o delta^-1 o (Id - P0) o C o delta o C,
-    nested to the right, every outer operand a leaf; Id - P0 is its jet."""
+    """S of D^k_{0,0} by its chain -C o delta^-1 o (Id - P0) o C o delta o C."""
     C = conjugation_map(basis)                       # D^k_{1,1}
     delta = shift_map(C.target, 1)                   # D^{k+1}_{0,1}
     w = delta.target
-    kernel = jet_terms(w, [int(l == 0 < r) for r, l in component_unknowns(w.k)])
     inverse = shift_map(w, -1)                       # Ker P0 -> D^k_{1,1}
-    Z = inverse @ (SymmetryMap(w, kernel, "Id-P0") @ (realize("C", w) @ (delta @ C)))
-    return -1 * (conjugation_map(inverse.target) @ Z)
+    return (-1 * conjugation_map(inverse.target) @ inverse
+            @ (realize("Id", w) - realize("P0", w)) @ realize("C", w) @ delta @ C)
 
 
 RELATIONS = {

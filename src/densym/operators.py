@@ -297,14 +297,12 @@ def componentwise_map(t, k: int, lam, mu):
 
 
 def compose_jets(x, y, k: int):
-    """Jet vector of X o Y (Y applied first), with or without the trace.
-
-    Local part: t[r,L] = sum_{l+j=L} t_X[r-j,l] t_Y[r,j], as
-    perm(r-j,l) perm(r,j) = perm(r,L).  The trace reads only the mean of a_0
-    and returns a constant times d, so L o T = t_T[0,0] L, T o L = t_T[1,0] L
-    and L o L = 0.  Int jets give an int jet; an entry with no nonzero
-    product is the int 0.
-    """
+    """Jet vector of X o Y (Y applied first), with or without the trace:
+    compose_terms on the jets' terms.  Local part: t[r,L] = sum_{l+j=L}
+    t_X[r-j,l] t_Y[r,j], as perm(r-j,l) perm(r,j) = perm(r,L); the trace
+    reads only the mean of a_0, so L o T = t_T[0,0] L, T o L = t_T[1,0] L and
+    L o L = 0.  Int jets give an int jet; an entry with no nonzero product
+    is the int 0."""
     unknowns = component_unknowns(k)
     index = {u: i for i, u in enumerate(unknowns)}
     # only nonzero products are formed
@@ -317,6 +315,34 @@ def compose_jets(x, y, k: int):
         # t[1,0] exists only for k >= 1, the only orders with a trace
         out.append((x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0))
     return out
+
+
+def sum_terms(terms):
+    """The terms (r, o, l, c) with like (r, o, l) added; a zero sum drops
+    out, except below d^0 (o < 0), where it is delta_inverse's guard."""
+    out = {}
+    for r, o, l, c in terms:
+        out[r, o, l] = out.get((r, o, l), 0) + c
+    return [(*rol, c) for rol, c in out.items() if c or rol[1] < 0]
+
+
+def compose_terms(outer, inner):
+    """The terms of X o Y (Y applied first), each c a_r^(l) at d^o (l None:
+    c mean(a_r)): Y's term at d^o meets X's at r = o and the derivatives
+    add, but a mean keeps only its 0-th derivative and the mean of a
+    derivative is 0.  Y's terms below d^0 pass through.  The trace L is the
+    term (0, 1, None, 1)."""
+    at = {}
+    for r, o, l, c in outer:
+        at.setdefault(r, []).append((o, l, c))
+    out = [term for term in inner if term[1] < 0]
+    for r, o, l, c in inner:
+        for o2, l2, c2 in at.get(o, ()):
+            if None not in (l, l2):
+                out.append((r, o2, l + l2, c * c2))
+            elif not (l or l2):
+                out.append((r, o2, None, c * c2))
+    return sum_terms(out)
 
 
 def conjugation_jet(k: int):

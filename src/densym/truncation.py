@@ -13,17 +13,16 @@ reads no window and builds no ring element.
 The window's sparse columns, the L_X columns of a basis and the images of a
 map, are integers over one denominator per column set, so the defect and
 relation kernels multiply and add ints; a value becomes a Fraction only
-when a defect is reported.  The ring products behind them, the product
-table's rows and a bilinear defect's values, are read off the rings' two
+when a defect is reported.  Both are read in ints off the rings' two
 closed-form rules on monomials (rings.monomial_derivative and
-monomial_product, which the ring product and derivative read too) in ints,
-so the Lie actions of verify build no ring element.  Nor does any map onto
-a window: every SymmetryMap is a closed form, terms read by term_images
-(one monomial_derivative per term), into a target window.  A catalog
-endomorphism is read off its jet, a projection off its row and the trace L
-off its rule; the maps that leave the module on the way (conjugation off
-lam + mu = 1, right composition with d and its inverse) land in sibling
-windows, and compositions chain through them.
+monomial_product), so no window builds a ring element: the L_X columns
+through a product table, and a map's images off its terms (term_images).
+Every SymmetryMap is a closed form into a target window: a catalog
+endomorphism is its jet's terms, a projection its row's and the trace L
+its rule's.  Conjugation off lam + mu = 1 and right composition with d and
+its inverse land in sibling windows, and a composition, which chains
+windows, a sum or a scaling of closed forms is one (operators.compose_terms
+and sum_terms).
 """
 from __future__ import annotations
 
@@ -34,7 +33,9 @@ from .densities import DensityOperator, VectorField, lie_terms
 from .errors import (
     InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
 )
-from .operators import Projection, catalog_entry, component_unknowns, conjugation_jet
+from .operators import (
+    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_jet, sum_terms,
+)
 from .linalg import ZERO, nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
@@ -48,12 +49,13 @@ def ring_basis(space: str, M: int):
     return [ring.monomial(signed_index(space, t)) for t in range(ring_dim(space, M))]
 
 
-def check_window(k: int, M: int):
+def check_window(k: int, M: int, bilinear: bool = False):
     """Reject a window below M = k+4, the floor of the windowed identity
     checks and of the windowed oracle in tests/oracle.py (k is the order of
-    the operators, or of a bilinear operator)."""
+    the operators, or n, that of a bilinear operator)."""
     if M < k + 4:
-        raise ValueError(f"window M={M} too small; need M >= k+4 = {k + 4}")
+        need = f"n+4 = {k + 4} for the bilinear order n = {k}" if bilinear else f"k+4 = {k + 4}"
+        raise ValueError(f"window M={M} too small; need M >= {need}")
 
 
 def ring_dim(space: str, M: int) -> int:
@@ -263,22 +265,29 @@ class TruncatedBasis:
 
 def term_images(basis: TruncatedBasis, terms):
     """(den, images) of the map A -> sum c a_r^(l) d^o over its terms (r, o,
-    l, c), at most one term per (r, o): the image of each basis element
-    m d^i, in order, as its nonzero (coordinate, value * den) entries,
-    ascending, where den is the lcm of the terms' denominators.  A term at
-    r = i puts c m^(l), one monomial_derivative, at d^o, so no ring element
-    is built; l None puts c mean(m) there, and o < 0 leaves the element with
-    no image (None).  The target window has the basis's monomials."""
+    l, c): the image of each basis element m d^i, in order, as its nonzero
+    (coordinate, value * den) entries, ascending, where den is the lcm of the
+    terms' denominators.  A term at r = i adds c m^(l), one
+    monomial_derivative, at d^o (l None: c mean(m)), so no ring element is
+    built, and one below d^0 leaves every m d^i with no image (None).  The
+    target window has the basis's monomials."""
     den = lcm(*[c.denominator for *_, c in terms])
     space, n = basis.space, len(basis.monomials)
     at = [[] for _ in range(basis.k + 1)]  # r -> (offset of d^o, l, c * den)
-    for r, o, l, c in sorted(terms):
+    for r, o, l, c in terms:
         if r <= basis.k:
             at[r].append((o * n, l, numerator_over(den, c)))
-    return den, [None if any(s < 0 for s, _, _ in at[i]) else
-                 [(s + coordinate(space, j), c * v) for s, l, c in at[i]
-                  for j, v in [(0, int(t == 0)) if l is None
-                               else monomial_derivative(space, signed_index(space, t), l)] if v]
+
+    def image(i, t):
+        col = {}
+        for s, l, c in at[i]:
+            j, v = (0, int(t == 0)) if l is None else \
+                monomial_derivative(space, signed_index(space, t), l)
+            s += coordinate(space, j)
+            col[s] = col.get(s, 0) + c * v
+        return sorted((s, v) for s, v in col.items() if v)
+
+    return den, [None if any(s < 0 for s, _, _ in at[i]) else image(i, t)
                  for i in range(basis.k + 1) for t in range(n)]
 
 
@@ -301,18 +310,15 @@ def projection_terms(b: TruncatedBasis, pi: Projection):
 
 
 class SymmetryMap:
-    """A linear map from a truncated module into a window of its family,
-    carried as its sparse columns.
-
-    It is given in closed form, closed = (target, terms), from jet_terms,
-    projection_terms, conjugation_map or shift_map: the target window (the
-    basis for an endomorphism, basis.densities(nu) for a projection, or a
-    sibling) and the terms that term_images reads with no ring element.
-    The images are sparse columns of integers over one denominator den,
-    built for every basis element the first time any column or den is read.
-    X @ Y, X + Y, X - Y and q * X are read off their operands' columns and
-    keep no column of their own.  The defects and the relation checks read
-    the integer columns; columns and flat() give the true values.
+    """A linear map from a truncated module into a window of its family, in
+    closed form: closed = (target, terms), the target window (the basis for
+    an endomorphism, basis.densities(nu) for a projection, or a sibling) and
+    the terms that term_images reads with no ring element.  jet_terms,
+    projection_terms, conjugation_map and shift_map give them, and X @ Y,
+    X + Y, X - Y and q * X are closed forms too (compose_terms, sum_terms).
+    The images are sparse integer columns over one denominator den, built
+    for every basis element the first time any of them is read; columns
+    and flat() give the true values.
     """
 
     def __init__(self, basis: TruncatedBasis, closed, name="T"):
@@ -355,16 +361,20 @@ class SymmetryMap:
         return [v for col in self.columns for v in col]
 
     def __matmul__(self, other: "SymmetryMap") -> "SymmetryMap":
-        return _Combination(f"{self.name}*{other.name}", [(1, self, other)])
+        if other.target is not self.basis:
+            raise ValueError(f"cannot compose {self.name} after {other.name}: its target "
+                             f"and the source of {self.name} are different bases")
+        terms = compose_terms(self.closed[1], other.closed[1])
+        return SymmetryMap(other.basis, (self.target, terms), f"{self.name}*{other.name}")
 
     def __add__(self, other):
-        return _Combination(f"({self.name}+{other.name})", [(1, self, None), (1, other, None)])
+        return _weighted_sum(f"({self.name}+{other.name})", [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return _Combination(f"({self.name}-{other.name})", [(1, self, None), (-1, other, None)])
+        return _weighted_sum(f"({self.name}-{other.name})", [(1, self), (-1, other)])
 
     def __mul__(self, scalar):
-        return _Combination(f"{scalar}*{self.name}", [(rat(scalar), self, None)])
+        return _weighted_sum(f"{scalar}*{self.name}", [(rat(scalar), self)])
 
     __rmul__ = __mul__
 
@@ -372,50 +382,15 @@ class SymmetryMap:
         return not any(self.image(j) for j in range(self.basis.dim))
 
 
-class _Combination(SymmetryMap):
-    """sum c * outer o inner over its terms (c, outer, inner), inner None
-    meaning the identity: each image is read off the operands' columns.
-    Every term maps one basis into one target, and a composition chains
-    windows: inner's target is outer's basis.  Nothing is cached, and outer
-    is read once per entry of inner's image, so a chain nests to the right.
-
-    A term is over c.den * outer.den * inner.den, so the combination is over
-    their lcm, den, and each term's scalar becomes the integer that puts it
-    over den."""
-
-    def __init__(self, name, terms):
-        basis = (terms[0][1] if terms[0][2] is None else terms[0][2]).basis
-        if any((outer if inner is None else inner).basis is not basis for _, outer, inner in terms):
-            raise ValueError("maps live on different bases")
-        for _, outer, inner in terms:
-            if inner is not None and inner.target is not outer.basis:
-                raise ValueError(f"cannot compose {outer.name} after {inner.name}: its target "
-                                 f"and the source of {outer.name} are different bases")
-        if len({outer.target for _, outer, _ in terms}) > 1:
-            raise ValueError(f"{name} adds maps into different spaces")
-        self.basis, self.name, self.terms = basis, name, terms
-        dens = [c.denominator * outer.den * (1 if inner is None else inner.den)
-                for c, outer, inner in terms]
-        self._den = lcm(*dens)
-        self._scaled = [(c.numerator * (self._den // d), outer, inner)
-                        for (c, outer, inner), d in zip(terms, dens)]
-
-    @property
-    def target(self) -> TruncatedBasis:
-        return self.terms[0][1].target
-
-    @property
-    def den(self) -> int:
-        return self._den
-
-    def image(self, j: int):
-        col = {}
-        for c, outer, inner in self._scaled:
-            for i, v in [(j, 1)] if inner is None else inner.image(j):
-                v *= c
-                for t, w in outer.image(i):
-                    col[t] = col.get(t, 0) + v * w
-        return [(t, v) for t, v in col.items() if v]
+def _weighted_sum(name, parts):
+    """sum q X over the (q, X) of parts, maps of one basis into one target."""
+    basis, target = parts[0][1].basis, parts[0][1].target
+    if any(X.basis is not basis for _, X in parts):
+        raise ValueError("maps live on different bases")
+    if any(X.target is not target for _, X in parts):
+        raise ValueError(f"{name} adds maps into different spaces")
+    return SymmetryMap(basis, (target, sum_terms(
+        [(r, o, l, q * c) for q, X in parts for r, o, l, c in X.closed[1]])), name)
 
 
 def conjugation_map(b: TruncatedBasis) -> SymmetryMap:
@@ -532,7 +507,7 @@ def bilinear_defect(J, space: str, M: int, fields):
     One dense column per field X, monomial phi and monomial psi, in that
     order, over the pairs whose every term stays inside the window.
     """
-    check_window(J.order, M)
+    check_window(J.order, M, bilinear=True)
     n = J.order
     phis = TruncatedBasis(0, M, space, 0, J.nu)
     T = SymmetryMap(phis, (phis.sibling(n, J.lam, J.out_weight),

@@ -11,7 +11,8 @@ module keeps the two routes it is checked against:
   window off one larger window, so a test of many windows builds one;
 * `AppliedMap`, a window map of a callable on operators, applied to each
   basis element (`elements`): the reference for the closed forms that
-  `truncation` reads every map in;
+  `truncation` reads every map in, and, as its `@`, `+`, `-` and `*`
+  compose the callables, for their term algebra;
 * `formal_rows`, every formal coefficient row with its monomial
   f^(p) a_s^(q) d^m, for field orders p <= 5, read through operators with
   the unit jet maps and `lie_derivative_operator`: the reference for
@@ -65,6 +66,32 @@ class AppliedMap(SymmetryMap):
         if self._target is None:
             self._load()
         return self._target
+
+    # X @ Y, X + Y, X - Y and q * X compose the callables, not columns: the
+    # reference for the closed forms' term algebra.  The result keeps the
+    # given target of X, if any
+
+    def __matmul__(self, other):
+        f, g = self.func, other.func
+        return AppliedMap(other.basis, lambda A: f(g(A)), f"{self.name}*{other.name}",
+                          self._target)
+
+    def __add__(self, other):
+        f, g = self.func, other.func
+        return AppliedMap(self.basis, lambda A: f(A) + g(A), f"({self.name}+{other.name})",
+                          self._target)
+
+    def __sub__(self, other):
+        f, g = self.func, other.func
+        return AppliedMap(self.basis, lambda A: f(A) - g(A), f"({self.name}-{other.name})",
+                          self._target)
+
+    def __mul__(self, scalar):
+        f = self.func
+        return AppliedMap(self.basis, lambda A: scalar * f(A), f"{scalar}*{self.name}",
+                          self._target)
+
+    __rmul__ = __mul__
 
 
 def brute_force_fields(space):

@@ -450,14 +450,19 @@ class TestVerify:
         per_point = [calls.count(p) for p in dict.fromkeys(calls)]
         assert per_point[:3] == [5, 5, 5] and max(per_point[3:]) < 5
 
-    @pytest.mark.parametrize("argv", [
-        ("mult_table_01", "-k", "4", "-M", "1"),
-        ("grozman_equivariance", "-M", "1"),
-        ("--op", "poisson", "-M", "0"),
+    @pytest.mark.parametrize("argv, floor", [
+        (("mult_table_01", "-k", "4", "-M", "1"), "window M=1 too small; need M >= k+4 = 8"),
+        # a bilinear check takes no -k: its floor is its own order n + 4
+        (("grozman_equivariance", "-M", "1"),
+         "window M=1 too small; need M >= n+4 = 7 for the bilinear order n = 3"),
+        (("--op", "poisson", "-M", "0"),
+         "window M=0 too small; need M >= n+4 = 5 for the bilinear order n = 1"),
+        (("--op", "poisson", "-M", "3"),
+         "window M=3 too small; need M >= n+4 = 5 for the bilinear order n = 1"),
     ])
-    def test_window_below_floor_exit_2(self, capsys, argv):
+    def test_window_below_floor_exit_2(self, capsys, argv, floor):
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2 and out == "" and "M >= k+4" in err
+        assert code == 2 and out == "" and err == f"error: {floor}\n"
 
     @pytest.mark.parametrize("argv, bad", [
         (("conj_involution", "-k", "-1"), "got -1"),

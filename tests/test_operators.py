@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 
@@ -11,8 +12,9 @@ from densym.errors import (
 )
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
-    BILINEAR, CATALOG, BilinearOp, Projection, alternating, conjugate, delta_compose,
-    delta_inverse, nonlocal_trace, p0, printed_jet, second_analog_locus,
+    BILINEAR, CATALOG, BilinearOp, Projection, alternating, component_unknowns, compose_jets,
+    compose_terms, conjugate, delta_compose, delta_inverse, nonlocal_trace, p0, printed_jet,
+    second_analog_locus,
     second_analog_mu, symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
@@ -936,3 +938,82 @@ class TestCoefficientRows:
         for drop, former in enumerate(former_wilmod(k)):
             got = wilmod(drop, k, lam, mu)(A)
             assert got == former(A) and not got.is_zero
+
+
+# ----------------------------------------------------------------------
+# compose_terms, the composition of closed forms, against compose_jets, the
+# composition of jet vectors that classify multiplies: the two statements of
+# one rule
+# ----------------------------------------------------------------------
+
+def jet_terms_of(x, k):
+    """The terms (r, r-l, l, t[r,l] perm(r,l)) of the jet x, and L's (0, 1,
+    None, t_L) when x carries the trace coordinate t_L last."""
+    unknowns = component_unknowns(k)
+    terms = [(r, r - l, l, c * perm(r, l)) for (r, l), c in zip(unknowns, x) if c]
+    if len(x) > len(unknowns) and x[-1]:
+        terms.append((0, 1, None, x[-1]))
+    return terms
+
+
+def as_dict(terms):
+    return {(r, o, l): c for r, o, l, c in terms}
+
+
+class TestComposeTerms:
+    # the trace exists only for k >= 1
+    @pytest.mark.parametrize("k, trace", [(k, False) for k in range(7)]
+                             + [(k, True) for k in range(1, 7)])
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    def test_compose_terms_is_compose_jets(self, k, trace, kind):
+        rng = random.Random(f"{k} {trace} {kind}")
+        size = len(component_unknowns(k)) + trace
+
+        def jet():
+            # about a third of the entries zero, as in classify's sparse jets
+            return [0 if rng.random() < 0.3 else rng.randint(-5, 5) if kind == "int"
+                    else F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(size)]
+
+        for _ in range(30):
+            x, y = jet(), jet()
+            got = compose_terms(jet_terms_of(x, k), jet_terms_of(y, k))
+            assert as_dict(got) == as_dict(jet_terms_of(compose_jets(x, y, k), k))
+            assert len(got) == len(as_dict(got))
+            if kind == "int":
+                assert all(type(c) is int for *_, c in got)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_trace_rules(self, k):
+        # L o L = 0, L o T = t[0,0] L and T o L = t[1,0] L, on the terms and
+        # on the jets
+        rng = random.Random(k)
+        unknowns = component_unknowns(k)
+        L = [0] * len(unknowns) + [1]
+        assert compose_terms(jet_terms_of(L, k), jet_terms_of(L, k)) == []
+        assert compose_jets(L, L, k) == [0] * len(L)
+        for _ in range(10):
+            t = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in unknowns]
+            t00, t10 = t[unknowns.index((0, 0))], t[unknowns.index((1, 0))]
+            T = jet_terms_of(t, k)
+            for got, c in ((compose_terms(jet_terms_of(L, k), T), t00),
+                           (compose_terms(T, jet_terms_of(L, k)), t10)):
+                assert got == ([(0, 1, None, c)] if c else [])
+            assert compose_jets(L, t + [0], k) == [t00 * v for v in L]
+            assert compose_jets(t + [0], L, k) == [t10 * v for v in L]
+
+    def test_a_mean_meets_only_the_zeroth_derivative(self):
+        # the mean of a derivative is 0, and a constant's derivative is 0
+        mean = [(0, 1, None, 2)]
+        assert compose_terms([(1, 1, 0, 3), (1, 0, 1, 5)], mean) == [(0, 1, None, 6)]
+        assert compose_terms(mean, [(0, 0, 0, 3), (1, 0, 1, 5)]) == [(0, 1, None, 6)]
+        assert compose_terms(mean, [(1, 0, 1, 5)]) == []
+
+    def test_a_term_below_d0_never_cancels(self):
+        guard = (0, -1, 0, 1)
+        # it passes through an outer map, and an inner term that reaches it
+        # adds another
+        assert compose_terms([(0, 0, 0, 7)], [guard]) == [guard]
+        assert as_dict(compose_terms([guard, (1, 0, 0, 1)], [(1, 0, 1, 3), (1, 1, 0, 2)])) == {
+            (1, -1, 1): 3, (1, 0, 0): 2}
+        # a guard scaled to 0 (0 * X) still guards
+        assert compose_terms([(0, -1, 0, 0)], [(1, 0, 1, 3)]) == [(1, -1, 1, 0)]

@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 import sympy
@@ -19,7 +18,8 @@ from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
     CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_jets,
-    conjugate, conjugation_jet, delta_compose, delta_inverse, nonlocal_trace, symbol, w_formula,
+    conjugate, conjugation_jet, delta_compose, delta_inverse, nonlocal_trace, p0, symbol,
+    w_formula,
 )
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product
@@ -37,12 +37,19 @@ from reference import (
 )
 
 
+# the operator routes of the closed-form maps that leave the module:
+# conjugation_map and shift_map(basis, 1) and (basis, -1), by name
+OPERATOR_ROUTES = {"C": conjugate, "delta": delta_compose, "delta^-1": delta_inverse}
+
+
 def callable_of(T):
-    """T's func, or, for a catalog map that realize reads in closed form, the
-    callable of its entry: the jet map of its jet, its Projection, or the
-    trace."""
+    """T's func, or, for a closed-form leaf, the callable of its name: the
+    operator route of OPERATOR_ROUTES (C on lam + mu = 1 too), else that of
+    its catalog entry: the jet map of its jet, its Projection, or the trace."""
     if isinstance(T, AppliedMap):
         return T.func
+    if T.name in OPERATOR_ROUTES:
+        return OPERATOR_ROUTES[T.name]
     entry, (k, lam, mu) = CATALOG[T.name], (T.basis.k, T.basis.lam, T.basis.mu)
     if entry.jet is not None:
         return componentwise_map(entry.jet(k, lam, mu), k, lam, mu)
@@ -187,17 +194,19 @@ class TestRealize:
 
 
 def _catalog_maps(space, names, k=3, lam=F(0), mu=F(1), M=None):
-    """The named catalog maps at (lam, mu) on one basis, and their callables."""
+    """The named catalog maps at (lam, mu) on one basis, in closed form, and
+    their callables."""
     basis = TruncatedBasis(k, k + 6 if M is None else M, space, lam, mu)
     funcs = {n: CATALOG[n].make(k, lam, mu) for n in names}
-    return basis, {n: AppliedMap(basis, f, name=n) for n, f in funcs.items()}, funcs
+    return basis, {n: realize(n, basis) for n in names}, funcs
 
 
-class TestColumnArithmetic:
-    # each derived map against the callables applied per element
-    @pytest.mark.parametrize("space", [LINE, CIRCLE])
-    @pytest.mark.parametrize("x, y", [("C", "P1"), ("P0star", "C"), ("P1", "P0"),
-                                      ("P0", "P0star")])
+class TestTermArithmetic:
+    # each derived closed form against the callables applied per element
+    @pytest.mark.parametrize("space, x, y", [
+        (space, x, y) for space in (LINE, CIRCLE)
+        for x, y in [("C", "P1"), ("P0star", "C"), ("P1", "P0"), ("P0", "P0star")]
+    ] + [(CIRCLE, "L", "C"), (CIRCLE, "P1", "L")])  # the trace L exists only on the circle
     def test_images_match_the_callables(self, space, x, y):
         basis, maps, f = _catalog_maps(space, [x, y])
         X, Y, q = maps[x], maps[y], F(-3, 7)
@@ -209,7 +218,7 @@ class TestColumnArithmetic:
             (X * q - Y @ X, lambda A: q * f[x](A) - f[y](f[x](A))),
         ]
         for T, func in derived:
-            assert not hasattr(T, "func")
+            assert type(T) is SymmetryMap
             for j, b in enumerate(elements(basis)):
                 assert true_image(T, j) == dict(basis.entries_of(func(b))), (T.name, j)
             assert T.target is basis
@@ -254,15 +263,18 @@ class TestColumnArithmetic:
         with pytest.raises(ValueError, match="different bases"):
             op(one["C"], 2 * other["C"])
 
-    def test_derived_maps_apply_no_callable_and_keep_no_column(self):
-        calls = Counter()
+    def test_a_derived_map_is_one_closed_form(self, monkeypatch):
+        # its images come from one term_images call, on its own terms; no
+        # operand builds its images
+        _, _, images, _ = spy_window_kernel(monkeypatch)
         basis = TruncatedBasis(2, 8, CIRCLE, F(0), F(1))
-        C = AppliedMap(basis, lambda A: calls.update([A]) or conjugate(A), name="C")
-        Z = C @ C - 3 * C
+        C, L = realize("C", basis), realize("L", basis)
+        Z = C @ C - 3 * C + L @ C
         for _ in range(2):
             Z.flat()
-        assert set(calls.values()) == {1} and len(calls) == basis.dim
-        assert not hasattr(Z, "_images")
+        assert type(Z) is SymmetryMap and Z.target is basis
+        assert [args for _, args in images] == [(basis, Z.closed[1])]
+        assert C._images is None and L._images is None
 
 
 class TestDensityWindow:
@@ -972,17 +984,18 @@ class TestFlippedKernel:
 
 
 def test_a_flipped_combination_term_fails_s_relations(capsys, monkeypatch):
-    # the last term of every combination of two or more maps changes sign,
-    # so S o S - Id reads S o S + Id = 2 Id, and S - (the chain) reads 2 S
-    real_init = truncation._Combination.__init__
+    # once the pairs are built, every difference X - Y adds its last summand
+    # instead, so S o S - Id reads S o S + Id = 2 Id, and S - (the chain)
+    # reads 2 S.  The chain's own Id - P0 is built before: flipped, it would
+    # leave Ker P0, and the check would exit 2 (test_the_chain_without_p0_*)
+    row = identities.RELATIONS["s_relations"]
 
-    def init(self, name, terms):
-        real_init(self, name, terms)
-        if len(self._scaled) > 1:
-            c, outer, inner = self._scaled[-1]
-            self._scaled[-1] = (-c, outer, inner)
+    def pairs(*args):
+        built = row.pairs(*args)
+        monkeypatch.setattr(SymmetryMap, "__sub__", SymmetryMap.__add__)
+        return built
 
-    monkeypatch.setattr(truncation._Combination, "__init__", init)
+    monkeypatch.setitem(identities.RELATIONS, "s_relations", replace(row, pairs=pairs))
     assert cli.main(["verify", "s_relations"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("s_relations: FAIL, defect ") and "defect 0," not in out
@@ -1016,26 +1029,33 @@ FRACTIONAL_FIELDS = {
 HUGE_WEIGHTS = (F(10 ** 22 + 1, 3), F(-7, 9))
 
 
-def apply_map(T, A):
-    """T(A) through the maps' callables alone, for a leaf or a combination:
-    the Fraction reference for the integer columns."""
-    if not isinstance(T, truncation._Combination):
-        return callable_of(T)(A)
-    return reduce(operator.add, [c * apply_map(outer, A if inner is None else apply_map(inner, A))
-                                 for c, outer, inner in T.terms])
+def applied(T):
+    """The AppliedMap of callable_of(T), into T's target."""
+    return AppliedMap(T.basis, callable_of(T), T.name, T.target)
 
 
-def relation_defect_by_callables(name):
-    """The worst defect of a RELATIONS row, every image built by its
-    callables and read on the window with Fractions."""
+def relation_pairs_by_callables(name, basis):
+    """The pairs of a RELATIONS row on the basis, every map an AppliedMap:
+    identities' realize, conjugation_map and shift_map give the applied
+    maps of their closed forms, so the pairs, and the chain of S, compose
+    the callables."""
+    row = identities.RELATIONS[name]
+    with pytest.MonkeyPatch.context() as patch:
+        for leaf in ("realize", "conjugation_map", "shift_map"):
+            patch.setattr(identities, leaf,
+                          lambda *args, real=getattr(identities, leaf): applied(real(*args)))
+        return row.pairs(basis, *[identities.realize(n, basis) for n in row.uses])
+
+
+def relation_defect_by_callables(name, space=CIRCLE):
+    """The worst defect of a RELATIONS row, every image built by the
+    composed callables and read on the window with Fractions."""
     row = identities.RELATIONS[name]
     worst = F(0)
     for lam, mu in row.points:
-        basis = TruncatedBasis(row.k, row.k + 6, CIRCLE, lam, mu)
-        for lhs, rhs in row.pairs(basis, *[realize(n, basis) for n in row.uses]):
-            for b in elements(basis):
-                image = apply_map(lhs, b) if rhs is None else apply_map(lhs, b) - apply_map(rhs, b)
-                worst = max(worst, max_abs(v for _, v in lhs.target.entries_of(image)))
+        basis = TruncatedBasis(row.k, row.k + 6, space, lam, mu)
+        for lhs, rhs in relation_pairs_by_callables(name, basis):
+            worst = max(worst, max_abs((lhs if rhs is None else lhs - rhs).columns))
     return worst
 
 
@@ -1094,11 +1114,20 @@ class TestIntegerKernel:
             (G, F(1, 2) * (Id - C) - F(7, 3) * W)]),
         ("jv_square_zero", lambda basis, J: [(J @ J - F(2, 9) * J, None)]),
     ])
-    def test_a_wrong_relation_reports_the_fraction_defect(self, name, pairs, monkeypatch):
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_a_wrong_relation_reports_the_fraction_defect(self, name, pairs, space, monkeypatch):
         monkeypatch.setitem(identities.RELATIONS, name,
                             replace(identities.RELATIONS[name], pairs=pairs))
-        res = identities.run_identity(name)
-        want = relation_defect_by_callables(name)
+        res = identities.run_identity(name, CheckConfig(space=space))
+        want = relation_defect_by_callables(name, space)
+        assert not res.passed and res.defect == want != 0
+        assert type(res.defect) is F
+
+    def test_a_wrong_mult_table_entry_reports_the_fraction_defect(self, monkeypatch):
+        # C o P1 = P0star - P1 - P0, read with + P0
+        monkeypatch.setitem(identities.MULT_TABLE_01["C"], "P1", {"P0star": 1, "P1": -1, "P0": 1})
+        res = identities.run_identity("mult_table_01")
+        want = relation_defect_by_callables("mult_table_01")
         assert not res.passed and res.defect == want != 0
         assert type(res.defect) is F
 
@@ -1340,7 +1369,7 @@ def flipped_conjugation_jet(k):
 def s_chain_without_p0():
     """identities._s_chain with its Id - P0 step dropped."""
     source = inspect.getsource(identities._s_chain)
-    step = 'SymmetryMap(w, kernel, "Id-P0") @ '
+    step = '(realize("Id", w) - realize("P0", w)) @ '
     assert source.count(step) == 1
     namespace = dict(vars(identities))
     exec(compile(source.replace(step, ""), identities.__file__, "exec"), namespace)
@@ -1454,3 +1483,158 @@ class TestCompositionAcrossWindows:
         assert type(T) is SymmetryMap
         assert len(T.columns) == T.basis.dim
         assert ring == [] and len(images) == 1
+
+
+# ----------------------------------------------------------------------
+# the term algebra: X @ Y, X + Y, X - Y and q * X of closed forms are closed
+# forms, against the composed callables of tests/oracle.AppliedMap
+# ----------------------------------------------------------------------
+
+def relation_cases():
+    """(name, space) for each RELATIONS row and each space where its maps
+    exist at every point."""
+    return [(name, space) for name, row in identities.RELATIONS.items()
+            for space in (CIRCLE, LINE)
+            if all(CATALOG[n].exists(row.k, lam, mu, space)
+                   for n in row.uses for lam, mu in row.points)]
+
+
+def coefficient(rng):
+    """A random rational, zero or not, with a small denominator."""
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def random_step(rng, w):
+    """A random closed-form map from the window w, with its callable: a jet
+    map, a projection onto densities, conjugation, right composition with d
+    (on lam = 1), delta^-1 after Id - P0 (on lam = 0, k >= 1), or the trace
+    L (on (0, 1) on the circle, k >= 1)."""
+    k, lam, mu = w.k, w.lam, w.mu
+    kinds = ["jet", "projection", "C"]
+    kinds += ["delta"] * (lam == 1) + ["inverse"] * (lam == 0 and k >= 1)
+    kinds += ["L"] * ((lam, mu) == (0, 1) and k >= 1 and w.space == CIRCLE)
+    kind = rng.choice(kinds)
+    if kind == "jet":
+        return random_jet(rng, w)
+    if kind == "projection":
+        n = rng.randint(0, k)
+        pi = Projection(k, lam, mu, n, {r: coefficient(rng) for r in range(n, k + 1)})
+        return SymmetryMap(w, projection_terms(w, pi), "pi"), pi
+    if kind == "C":
+        return conjugation_map(w), conjugate
+    if kind == "delta":
+        return shift_map(w, 1), delta_compose
+    if kind == "L":
+        return realize("L", w), nonlocal_trace
+    kernel = realize("Id", w) - realize("P0", w)
+    return shift_map(w, -1) @ kernel, lambda A: delta_inverse(A - p0(A))
+
+
+def random_jet(rng, w):
+    """A jet map with random coefficients on the window w, with its callable."""
+    t = [coefficient(rng) for _ in component_unknowns(w.k)]
+    return SymmetryMap(w, jet_terms(w, t), "J"), componentwise_map(t, w.k, w.lam, w.mu)
+
+
+def random_chain(seed, space):
+    """The steps (map, callable) of a random chain of two to five maps from
+    a window at order 1..3, each step from the last one's target."""
+    rng = random.Random(f"{seed} {space}")
+    lam, mu = rng.choice([(F(0), F(0)), (F(1), F(2, 3)), (F(0), F(1)), (F(2, 7), F(3, 5))])
+    w, steps = TruncatedBasis(rng.randint(1, 3), 5, space, lam, mu), []
+    for _ in range(rng.randint(2, 5)):
+        steps.append(random_step(rng, w))
+        w = steps[-1][0].target
+    return rng, steps
+
+
+def term_dict(T):
+    """T's terms as {(r, o, l): c}: the term list up to order."""
+    terms = {(r, o, l): c for r, o, l, c in T.closed[1]}
+    assert len(terms) == len(T.closed[1])
+    return terms
+
+
+class TestTermAlgebra:
+    @pytest.mark.parametrize("name, space", relation_cases())
+    def test_every_relation_is_the_composed_callables(self, name, space):
+        # each side of each pair, at each point, read in closed form and by
+        # the callables of its leaves, composed, added and scaled
+        row = identities.RELATIONS[name]
+        for lam, mu in row.points:
+            basis = TruncatedBasis(row.k, row.k + 6, space, lam, mu)
+            pairs = row.pairs(basis, *[realize(n, basis) for n in row.uses])
+            references = relation_pairs_by_callables(name, basis)
+            assert len(pairs) == len(references)
+            for pair, reference in zip(pairs, references):
+                for T, R in zip(pair, reference):
+                    assert (T is None) == (R is None)
+                    if T is not None:
+                        assert type(T) is SymmetryMap and T.target is R.target
+                        assert T.columns == R.columns, (name, lam, mu, T.name)
+
+    def test_every_row_is_covered(self):
+        assert {name for name, _ in relation_cases()} == set(identities.RELATIONS)
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_chains_are_the_composed_callables(self, space, seed):
+        rng, steps = random_chain(seed, space)
+        (T, f), *rest = steps
+        for X, g in rest:
+            T, f = X @ T, lambda A, f=f, g=g: g(f(A))
+            if rng.random() < 0.4:  # and a sum: T + q J T, J a jet map on T's target
+                (J, j), q = random_jet(rng, T.target), coefficient(rng)
+                T, f = T + q * (J @ T), lambda A, f=f, j=j, q=q: f(A) + q * j(f(A))
+        assert type(T) is SymmetryMap
+        assert T.columns == AppliedMap(T.basis, f, target=T.target).columns
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_associative_and_distributive_as_term_lists(self, space, seed):
+        # no step has a term below d^0 (delta^-1 comes after Id - P0); one
+        # that had would never cancel in a sum, see the test below
+        rng, steps = random_chain(seed, space)
+        maps = [X for X, _ in steps]
+        for Z, Y, X in zip(maps, maps[1:], maps[2:]):
+            assert term_dict((X @ Y) @ Z) == term_dict(X @ (Y @ Z))
+        for Y, X in zip(maps, maps[1:]):
+            q = coefficient(rng)
+            # Y' = q Y + J Y has Y's basis and target, for a jet map J
+            Y2 = q * Y + random_jet(rng, Y.target)[0] @ Y
+            assert term_dict(X @ (Y + Y2)) == term_dict(X @ Y + X @ Y2)
+            assert term_dict((X @ Y) * q) == term_dict((q * X) @ Y) == term_dict(X @ (Y * q))
+            assert term_dict(X @ Y - X @ Y) == {}
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_terms_on_one_coordinate_add(self, space):
+        # a_2 + a_2'' at d^0: on the circle m and m'' are on one coordinate,
+        # and (cos x)'' + cos x = 0
+        basis = TruncatedBasis(2, 6, space, F(1, 3), F(1, 5))
+        T = (SymmetryMap(basis, (basis, [(2, 0, 0, 1)]), "a_2")
+             + SymmetryMap(basis, (basis, [(2, 0, 2, 1)]), "a_2''"))
+        assert T.columns == AppliedMap(basis, lambda A: DensityOperator(
+            A.lam, A.mu, [A.coefficient(2) + A.coefficient(2).diff(2)])).columns
+        cos = 2 * len(basis.monomials) + coordinate(space, 1)  # cos x d^2, or x d^2
+        assert T.image(cos) == ([] if space == CIRCLE else [(1, T.den)])
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_a_term_below_d0_survives_the_term_algebra(self, space):
+        # delta^-1 of D^3_{0,2/3} has the term (0, -1, 0, 1): a_0 below d^0
+        w = TruncatedBasis(3, 7, space, 0, F(2, 3))
+        X = shift_map(w, -1)
+        Id, P0 = realize("Id", w), realize("P0", w)
+        guarded = [X, shift_map(X.target, 1) @ X, X @ Id, X @ (2 * Id - P0),
+                   0 * X, X - X, 0 * X @ Id, X @ P0 - X @ P0, X @ Id - X @ P0]
+        for T in guarded:
+            assert any(o < 0 for _, o, _, _ in T.closed[1]), T.name
+            with pytest.raises(NotInKernelError, match="below d\\^0"):
+                T.is_zero()
+        assert (X - X).closed[1] == [(0, -1, 0, 0)]
+        # composed after Id - P0, nothing reaches the guard: delta^-1 on Ker P0;
+        # X @ Id - X @ P0 above keeps it, so distributivity stops at a guard
+        kernel = X @ (Id - P0)
+        assert not any(o < 0 for _, o, _, _ in kernel.closed[1])
+        assert kernel.columns == AppliedMap(w, lambda A: delta_inverse(A - p0(A)),
+                                            target=X.target).columns
+
