@@ -172,7 +172,9 @@ class Relation:
     At each point, pairs receives the TruncatedBasis and the maps of `uses`
     realized on it, and returns [(lhs, rhs)]: SymmetryMaps on that basis, rhs
     None meaning 0; lhs - rhs is one closed form, read once, and a chain
-    that leaves the module composes maps between sibling windows."""
+    that leaves the module composes maps between sibling windows.  Apply
+    delta^-1 after the projection onto Ker P0, never distributed across it:
+    its guard below d^0 never cancels: X o Id - X o P0 raises when read."""
 
     k: int  # the order the relations are stated at
     points: list  # the weight points (lam, mu)

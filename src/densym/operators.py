@@ -10,8 +10,8 @@ remaining symmetry generators.
 Every map is an explicit exact formula on coefficient lists; a projection
 onto densities (`Projection`) and a bilinear operator (`BILINEAR`) are each
 one row of coefficients, and a local endomorphism of the catalog is its jet,
-the vector of t[r,l], acting through componentwise_map.  Weight
-preconditions are hard errors: the maps move between modules and silent
+the vector of t[r,l]; every map composes as its terms, by compose_terms.
+Weight preconditions are hard errors: the maps move between modules and silent
 coercion would mask bugs.
 """
 from __future__ import annotations
@@ -95,17 +95,18 @@ def delta_inverse(B: DensityOperator) -> DensityOperator:
 
 class Projection:
     """A -> (sum_r c_r a_r^(r-n)) (dx)^nu on D^k_{lam,mu}, nu = mu - lam - n,
-    kept as its row of nonzero (r, c_r).  A slot r < 0 drops out (a_r is
-    zero) and a slot 0 <= r < n, a negative derivative, raises ValueError.
-    The image is a density, the order-0 operator in D^0_{0,nu}; operators of
-    another module or of order above k are rejected."""
+    kept as its row of nonzero (r, c_r) and its terms (r, 0, r-n, c_r).  A
+    slot r < 0 drops out (a_r is zero) and a slot 0 <= r < n, a negative
+    derivative, raises ValueError.  The image is the density in D^0_{0,nu};
+    operators of another module or of order above k are rejected."""
 
-    __slots__ = ("k", "lam", "mu", "n", "nu", "row")
+    __slots__ = ("k", "lam", "mu", "n", "nu", "row", "terms")
 
     def __init__(self, k: int, lam, mu, n: int, row: dict):
         self.k, self.lam, self.mu, self.n = k, rat(lam), rat(mu), n
         self.nu = self.mu - self.lam - n
         self.row = tuple((r, rat(c)) for r, c in row.items() if c and r >= 0)
+        self.terms = [(r, 0, r - n, c) for r, c in self.row]
         low = [r for r, _ in self.row if r < n]
         if low:
             raise ValueError(f"the slot a_{low[0]}^({low[0] - n}) is a negative "
@@ -219,12 +220,12 @@ class BilinearOp:
     The kinds are the product, the Poisson bracket, the two order-1
     operators phi psi' (on lam = 0) and phi' psi (on nu = 0), the
     compositions of the bracket with d, and the exceptional third-order
-    operator at weights (-2/3, -2/3).  Its row in BILINEAR and its output
-    weight are evaluated once, at construction.  Densities are order-0
-    operators from weight 0, and J(phi, psi) is the density J(phi, .)(psi).
+    operator at weights (-2/3, -2/3).  Its row in BILINEAR, output weight and
+    terms (0, j, n-j, c_j) of phi -> J(phi, .) are set at construction.  A
+    density is an order-0 operator from weight 0; J(phi, psi) = J(phi, .)(psi).
     """
 
-    __slots__ = ("kind", "nu", "lam", "row", "out_weight")
+    __slots__ = ("kind", "nu", "lam", "row", "out_weight", "terms")
 
     def __init__(self, kind: str, nu, lam):
         self.kind, self.nu, self.lam = kind, rat(nu), rat(lam)
@@ -238,6 +239,7 @@ class BilinearOp:
             )
         self.row = tuple(rat(c) for c in row(self.nu, self.lam))
         self.out_weight = self.nu + self.lam + self.order
+        self.terms = [(0, j, self.order - j, c) for j, c in enumerate(self.row) if c]
 
     @property
     def order(self) -> int:
@@ -271,50 +273,57 @@ def component_unknowns(k: int):
     return [(r, l) for r in range(k + 1) for l in range(r + 1)]
 
 
+def jet_terms(t, k: int):
+    """The terms of the jet vector t of order k, (r, r-l, l, t[r,l] perm(r,l)),
+    and the trace's (0, 1, None, c) for a trailing trace coordinate c."""
+    unknowns = component_unknowns(k)
+    (trace,) = t[len(unknowns):] or [0]  # at most one coordinate past the jet's
+    terms = [(r, r - l, l, c * perm(r, l)) for (r, l), c
+             in zip(unknowns, t[:len(unknowns)], strict=True) if c]
+    return terms + [(0, 1, None, trace)] if trace else terms
+
+
+def term_coordinates(terms, k: int, trace: bool):
+    """The inverse of jet_terms up to the factors perm(r,l): each term's c at
+    its t[r,l], and with trace, the trace's c last; ints for int terms.  A
+    term that is no endomorphism's of order k raises ValueError: o != r - l,
+    a mean other than the trace's or with no trace slot, a guard o < 0."""
+    keys = [(r, r - l, l) for r, l in component_unknowns(k)] + [(0, 1, None)] * trace
+    out = dict.fromkeys(keys, 0)
+    for r, o, l, c in terms:
+        if (r, o, l) not in out:
+            raise ValueError(f"no endomorphism of order {k}, trace {trace}, has {(r, o, l, c)}")
+        out[r, o, l] += c
+    return list(out.values())
+
+
+def terms_jet(terms, k: int):
+    """The jet of a local endomorphism's terms: t[r,l] = c / perm(r,l)."""
+    return [Fraction(c, perm(r, l))
+            for (r, l), c in zip(component_unknowns(k), term_coordinates(terms, k, False))]
+
+
 def componentwise_map(t, k: int, lam, mu):
     """The jet map of t on D^k_{lam,mu}, on either space.
 
-    t is a jet vector in component_unknowns order: t[r,l] multiplies D^l on
-    the degree-r component, so the action on coefficient lists is
-    (T A)_m = sum_l t[m+l,l] * perm(m+l, l) * a_{m+l}^(l).  An operator of
-    another module or of order above k is rejected.
+    t is a jet vector in component_unknowns order, and each term (r, o, l, c)
+    of jet_terms adds c a_r^(l) at d^o.  An operator of another module or of
+    order above k is rejected.
     """
     lam, mu = rat(lam), rat(mu)
-    terms = [(r, l, c * perm(r, l))
-             for (r, l), c in zip(component_unknowns(k), t, strict=True) if c != 0]
+    terms = jet_terms(t, k)
 
     def act(A: DensityOperator) -> DensityOperator:
         if (A.lam, A.mu) != (lam, mu) or A.order > k:
             raise WeightMismatchError(f"a jet map of D^{k}_{{{lam},{mu}}} got an "
                                       f"operator of D^{A.order}_{{{A.lam},{A.mu}}}")
-        live = [(r, l, c) for r, l, c in terms if not A.coefficient(r).is_zero]
         out = [rings.zero(A.space)] * (k + 1)
-        for r, l, c in live:
-            out[r - l] = out[r - l] + c * A.coefficient(r).diff(l)
+        for r, o, l, c in terms:
+            if not A.coefficient(r).is_zero:
+                out[o] = out[o] + c * A.coefficient(r).diff(l)
         return DensityOperator(lam, mu, out)
 
     return act
-
-
-def compose_jets(x, y, k: int):
-    """Jet vector of X o Y (Y applied first), with or without the trace:
-    compose_terms on the jets' terms.  Local part: t[r,L] = sum_{l+j=L}
-    t_X[r-j,l] t_Y[r,j], as perm(r-j,l) perm(r,j) = perm(r,L); the trace
-    reads only the mean of a_0, so L o T = t_T[0,0] L, T o L = t_T[1,0] L and
-    L o L = 0.  Int jets give an int jet; an entry with no nonzero product
-    is the int 0."""
-    unknowns = component_unknowns(k)
-    index = {u: i for i, u in enumerate(unknowns)}
-    # only nonzero products are formed
-    out = [
-        sum(x[index[r - j, L - j]] * y[index[r, j]] for j in range(L + 1)
-            if y[index[r, j]] and x[index[r - j, L - j]])
-        for r, L in unknowns
-    ]
-    if len(x) > len(unknowns):
-        # t[1,0] exists only for k >= 1, the only orders with a trace
-        out.append((x[-1] * y[0] if x[-1] else 0) + (y[-1] * x[index[1, 0]] if y[-1] else 0))
-    return out
 
 
 def sum_terms(terms):
@@ -331,7 +340,8 @@ def compose_terms(outer, inner):
     c mean(a_r)): Y's term at d^o meets X's at r = o and the derivatives
     add, but a mean keeps only its 0-th derivative and the mean of a
     derivative is 0.  Y's terms below d^0 pass through.  The trace L is the
-    term (0, 1, None, 1)."""
+    term (0, 1, None, 1), so L o T = t_T[0,0] L, T o L = t_T[1,0] L and
+    L o L = 0.  Int terms give int terms."""
     at = {}
     for r, o, l, c in outer:
         at.setdefault(r, []).append((o, l, c))
@@ -354,35 +364,26 @@ def conjugation_jet(k: int):
 def mirror_jet(t, k: int):
     """c o T o c, for the jet t of T and c = conjugation_jet(k): T carried
     from D^k_{1-mu,1-lam} to D^k_{lam,mu}."""
-    c = conjugation_jet(k)
-    return compose_jets(c, compose_jets(t, c, k), k)
+    c = jet_terms(conjugation_jet(k), k)
+    return terms_jet(compose_terms(c, compose_terms(jet_terms(t, k), c)), k)
 
 
 def _s_jet(k: int):
-    """c o n, where n: A -> sum_m (a_m + a_{m+1}') d^m on D^k_{1,1} has
-    t[r,0] = 1 and t[r,1] = 1/r: the symmetry S of D^k_{0,0}."""
-    n = [Fraction(1) if l == 0 else Fraction(1, r) if l == 1 else Fraction(0)
-         for r, l in component_unknowns(k)]
-    return compose_jets(conjugation_jet(k), n, k)
+    """c o n, where n: A -> sum_m (a_m + a_{m+1}') d^m on D^k_{1,1} is the
+    terms (r, r, 0, 1) and (r, r-1, 1, 1): the symmetry S of D^k_{0,0}."""
+    n = [(r, r, 0, 1) for r in range(k + 1)] + [(r, r - 1, 1, 1) for r in range(1, k + 1)]
+    return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), n), k)
 
 
 def printed_jet(J: BilinearOp, pi: Projection):
-    """The jet of A -> J(pi(A), .) on D^k_{lam,mu}, for a projection
-    pi: D^k_{lam,mu} -> F_nu and J: F_nu x F_lam -> F_mu.
-
-    J's order is pi's n, so J's term c_j phi^(n-j) d^j takes pi's term
-    c_r a_r^(r-n) to c_j c_r a_r^(r-j) d^j: t[r,r-j] perm(r,r-j) = c_j c_r.
-    """
+    """The jet of A -> J(pi(A), .) on D^k_{lam,mu}, J's terms after pi's, for
+    pi: D^k_{lam,mu} -> F_nu and J: F_nu x F_lam -> F_mu."""
     if (J.nu, J.lam, J.out_weight) != (pi.nu, pi.lam, pi.mu):
         raise WeightMismatchError(
             f"bilinear {J.kind!r} maps F_{J.nu} x F_{J.lam} to F_{J.out_weight}, "
             f"not F_{pi.nu} x F_{pi.lam} to F_{pi.mu}"
         )
-    t = dict.fromkeys(component_unknowns(pi.k), Fraction(0))
-    for r, c in pi.row:
-        for j, cj in enumerate(J.row):
-            t[r, r - j] = c * cj / perm(r, r - j)
-    return list(t.values())
+    return terms_jet(compose_terms(J.terms, pi.terms), pi.k)
 
 
 # ----------------------------------------------------------------------

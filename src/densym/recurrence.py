@@ -30,8 +30,8 @@ from fractions import Fraction
 from . import algebras
 from .errors import SpanMismatchError
 from .operators import (
-    CATALOG, component_unknowns, compose_jets, mirror_jet, second_analog_locus,
-    second_analog_mu,
+    CATALOG, component_unknowns, compose_terms, jet_terms, mirror_jet, second_analog_locus,
+    second_analog_mu, term_coordinates,
 )
 from .linalg import ZERO, independent_subset, nullspace, over_one_denominator
 from .rings import CIRCLE, LINE, format_rat, rat
@@ -246,13 +246,16 @@ def check_module(k: int, space: str):
 
 def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
     """Exact structure constants of the span of independent jet vectors under
-    compose_jets, which multiplies the jets scaled to ints over one
-    denominator.  A product outside their span raises SpanNotClosedError;
-    closure here holds on every operator, not only on a truncated window.
+    compose_terms, in the int term coordinates t[r,l] perm(r,l) of the jets
+    over one denominator, a diagonal change of basis.  A product outside the
+    span raises SpanNotClosedError; closure holds on every operator.
     """
     den, scaled = over_one_denominator(vectors)
+    trace = len(vectors[0]) > len(component_unknowns(k))
+    terms = [jet_terms(v, k) for v in scaled]
     return algebras.structure_constants(
-        names, scaled, lambda i, j: compose_jets(scaled[i], scaled[j], k), den)
+        names, [term_coordinates(t, k, trace) for t in terms],
+        lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, trace), den)
 
 
 def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):

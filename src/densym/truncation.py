@@ -34,7 +34,8 @@ from .errors import (
     InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
 )
 from .operators import (
-    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_jet, sum_terms,
+    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_jet, jet_terms,
+    sum_terms,
 )
 from .linalg import ZERO, nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
@@ -291,13 +292,6 @@ def term_images(basis: TruncatedBasis, terms):
                  for i in range(basis.k + 1) for t in range(n)]
 
 
-def jet_terms(target: TruncatedBasis, t):
-    """(target, terms) of the jet map of t: (r, r-l, l, t[r,l] perm(r,l)) into
-    target, a window of the jet's order."""
-    return target, [(r, r - l, l, c * perm(r, l)) for (r, l), c
-                    in zip(component_unknowns(target.k), t, strict=True) if c]
-
-
 def projection_terms(b: TruncatedBasis, pi: Projection):
     """(target, terms) of pi: (r, 0, r-n, c_r) into b.densities(nu), or into b
     when (0, nu) is its weight pair.  pi of another module, or of an order
@@ -306,7 +300,7 @@ def projection_terms(b: TruncatedBasis, pi: Projection):
         raise WeightMismatchError(f"a projection of D^{pi.k}_{{{pi.lam},{pi.mu}}} "
                                   f"on a window of D^{b.k}_{{{b.lam},{b.mu}}}")
     target = b if (0, pi.nu) == (b.lam, b.mu) else b.densities(pi.nu)
-    return target, [(r, 0, r - pi.n, c) for r, c in pi.row]
+    return target, pi.terms
 
 
 class SymmetryMap:
@@ -396,8 +390,8 @@ def _weighted_sum(name, parts):
 def conjugation_map(b: TruncatedBasis) -> SymmetryMap:
     """A -> A*, from b into its sibling at (1-mu, 1-lam): conjugation_jet
     as the terms (r, r-l, l, (-1)^r C(r,l))."""
-    return SymmetryMap(b, jet_terms(b.sibling(b.k, 1 - b.mu, 1 - b.lam), conjugation_jet(b.k)),
-                       "C")
+    return SymmetryMap(b, (b.sibling(b.k, 1 - b.mu, 1 - b.lam),
+                           jet_terms(conjugation_jet(b.k), b.k)), "C")
 
 
 def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:
@@ -412,9 +406,9 @@ def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     """Realize a cataloged endomorphism or projection, by name, on the basis,
-    in closed form: a local endomorphism by the entry's jet, a projection by
-    the Projection its make returns, and the trace L, mean(a_0) d, by the
-    rule compose_jets states: only the constant at d^0 maps, to d^1."""
+    in closed form, by its terms: a local endomorphism's jet's, a projection's
+    Projection's, and the trace L's, mean(a_0) d, of its coordinate vector
+    (0, ..., 0, 1) in classify: only the constant at d^0 maps, to d^1."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
@@ -423,10 +417,11 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
     k, lam, mu = basis.k, basis.lam, basis.mu
     if entry.jet is not None:
-        return SymmetryMap(basis, jet_terms(basis, entry.jet(k, lam, mu)), name)
+        return SymmetryMap(basis, (basis, jet_terms(entry.jet(k, lam, mu), k)), name)
     if entry.kind == "projection":
         return SymmetryMap(basis, projection_terms(basis, entry.make(k, lam, mu)), name)
-    return SymmetryMap(basis, (basis, [(0, 1, None, 1)]), name)  # the trace L
+    L = [0] * len(component_unknowns(k)) + [1]  # the trace's coordinate vector
+    return SymmetryMap(basis, (basis, jet_terms(L, k)), name)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +496,7 @@ def bilinear_defect(J, space: str, M: int, fields):
     T: phi -> J(phi, .) = sum_j c_j phi^(n-j) d^j, F_nu -> D^n_{lam,out_weight},
     is equivariant: as (L_X A)(psi) = L_X(A psi) - A(L_X psi), T's defect at
     phi, J(L_X phi, .) - L_X J(phi, .), takes psi to J(L_X phi, psi) +
-    J(phi, L_X psi) - L_X J(phi, psi).  T is the closed form (0, j, n-j, c_j)
+    J(phi, L_X psi) - L_X J(phi, psi).  T is J.terms, (0, j, n-j, c_j),
     into the order-n sibling of the F_nu window; each nonzero coefficient of
     its defect_columns is multiplied into psi by product_entries, in ints.
     One dense column per field X, monomial phi and monomial psi, in that
@@ -510,8 +505,7 @@ def bilinear_defect(J, space: str, M: int, fields):
     check_window(J.order, M, bilinear=True)
     n = J.order
     phis = TruncatedBasis(0, M, space, 0, J.nu)
-    T = SymmetryMap(phis, (phis.sibling(n, J.lam, J.out_weight),
-                           [(0, j, n - j, c) for j, c in enumerate(J.row) if c]), J.kind)
+    T = SymmetryMap(phis, (phis.sibling(n, J.lam, J.out_weight), J.terms), J.kind)
     size = len(phis.monomials)
     sizes = [abs(signed_index(space, t)) for t in range(size)]
     cols = []

@@ -10,7 +10,7 @@ from densym.algebras import FiniteAlgebra, identify, span_algebra, structure_con
 from densym import algebras, recurrence
 from densym.errors import SpanNotClosedError
 from densym.linalg import over_one_denominator, rank, rref
-from densym.operators import compose_jets
+from densym.operators import compose_terms, jet_terms, term_coordinates
 from densym.recurrence import TABLE_ROWS, candidate_generators, classify, jet_algebra, sweep
 from densym.truncation import TruncatedBasis, realize
 from densym.rings import CIRCLE, LINE
@@ -382,13 +382,17 @@ def _flagship_points():
 @pytest.fixture
 def jet_algebra_pairs(monkeypatch):
     """Each jet_algebra call's algebra, paired with the Fraction reference's
-    on the same jets and compose_jets in Fractions."""
+    on the same jets' terms, composed by compose_terms and read in term
+    coordinates in Fractions."""
     pairs = []
 
     def spy(names, vectors, k):
         alg = jet_algebra(names, vectors, k)
+        trace = len(vectors[0]) > (k + 1) * (k + 2) // 2
+        terms = [jet_terms(v, k) for v in vectors]
         pairs.append((alg, reference_structure_constants(
-            names, vectors, lambda i, j: compose_jets(vectors[i], vectors[j], k))))
+            names, [term_coordinates(t, k, trace) for t in terms],
+            lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, trace))))
         return alg
 
     monkeypatch.setattr(recurrence, "jet_algebra", spy)
@@ -449,23 +453,26 @@ class TestIntegerReaderFailures:
         k = 3
         names, vectors = _local_jets(k, *weights)
         den, scaled = over_one_denominator(vectors)
-        pivots = rref(scaled)[1]
+        # classify's algebra reads the jets in term coordinates, as ints
+        terms = [jet_terms(v, k) for v in scaled]
+        coords = [term_coordinates(t, k, False) for t in terms]
+        pivots = rref(coords)[1]
         n = len(names)
         moved = {(n - 1, 0), (n // 2, n - 1)}
         first = min(moved)  # tuples order row-major
-        for p in (p for p in range(len(scaled[0])) if p not in pivots):
+        for p in (p for p in range(len(coords[0])) if p not in pivots):
             def product(i, j):
-                prod = compose_jets(scaled[i], scaled[j], k)
+                prod = term_coordinates(compose_terms(terms[i], terms[j]), k, False)
                 if (i, j) in moved:
                     prod[p] += 1
                 return prod
 
             message = f"product {names[first[0]]} o {names[first[1]]} leaves the span"
             with pytest.raises(SpanNotClosedError, match=f"^{re.escape(message)}$"):
-                structure_constants(names, scaled, product, den)
+                structure_constants(names, coords, product, den)
         assert structure_constants(
-            names, scaled, lambda i, j: compose_jets(scaled[i], scaled[j], k), den).sc == \
-            jet_algebra(names, vectors, k).sc
+            names, coords,
+            lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, False), den).sc == jet_algebra(names, vectors, k).sc
 
     def test_dependent_jets_raise(self):
         names, vectors = _local_jets(3, F(0), F(1))

@@ -7,6 +7,8 @@ import pytest
 
 from densym import cli, identities, operators
 from densym.cli import main, parse_rational
+from densym.recurrence import EXCEPTIONAL_LOCI
+from densym.rings import format_rat
 from densym.truncation import TruncatedBasis
 from densym.operators import (
     CATALOG, PRINTED, BilinearOp, Projection, alternating, local_endo, printed_jet,
@@ -622,6 +624,20 @@ class TestPinnedOutputs:
     def test_table(self, capsys, argv, name):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.encode() == (PINNED / name).read_bytes()
+
+    def test_classify_at_every_isolated_point(self, capsys):
+        """classify at each point of EXCEPTIONAL_LOCI, k = 1..6, both spaces,
+        recorded while the jet algebra, the mirrors and S composed through an
+        int-vector product of their own: the homes of S, S*, GV, JW, Jsigma,
+        wilGen and the printed mirrors."""
+        pinned = json.loads((PINNED / "classify_loci.json").read_text(encoding="utf-8"))
+        points = dict.fromkeys(p for loci in EXCEPTIONAL_LOCI.values() for p in loci["points"])
+        commands = [f"classify -k {k} --lambda={format_rat(lam)} --mu={format_rat(mu)} "
+                    f"--space {space}"
+                    for space in ("circle", "line") for k in range(1, 7) for lam, mu in points]
+        assert sorted(commands) == sorted(pinned)
+        for command in commands:
+            assert run(capsys, *command.split()) == (0, pinned[command], ""), command
 
 
 @pytest.mark.parametrize("argv, flag", UNREAD_FLAGS, ids=[

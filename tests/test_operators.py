@@ -12,15 +12,17 @@ from densym.errors import (
 )
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
-    BILINEAR, CATALOG, BilinearOp, Projection, alternating, component_unknowns, compose_jets,
-    compose_terms, conjugate, delta_compose, delta_inverse, nonlocal_trace, p0, printed_jet,
-    second_analog_locus,
-    second_analog_mu, symbol, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
+    BILINEAR, CATALOG, BilinearOp, Projection, alternating, component_unknowns,
+    componentwise_map, compose_terms, conjugate, delta_compose, delta_inverse, jet_terms,
+    nonlocal_trace, p0, printed_jet, second_analog_locus, second_analog_mu, symbol,
+    term_coordinates, terms_jet, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
 from densym.truncation import (
-    TruncatedBasis, bilinear_defect, check_window, circle_fields, line_fields, ring_basis,
+    SymmetryMap, TruncatedBasis, bilinear_defect, check_window, circle_fields, line_fields,
+    ring_basis,
 )
+from oracle import AppliedMap
 from reference import (
     density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
     ring_vector, s_map, s_map_chain,
@@ -941,65 +943,66 @@ class TestCoefficientRows:
 
 
 # ----------------------------------------------------------------------
-# compose_terms, the composition of closed forms, against compose_jets, the
-# composition of jet vectors that classify multiplies: the two statements of
-# one rule
+# compose_terms, the one composition rule, against the composition of the
+# maps applied to operators (oracle.AppliedMap), and the conversion between
+# jet vectors and terms (jet_terms, term_coordinates)
 # ----------------------------------------------------------------------
-
-def jet_terms_of(x, k):
-    """The terms (r, r-l, l, t[r,l] perm(r,l)) of the jet x, and L's (0, 1,
-    None, t_L) when x carries the trace coordinate t_L last."""
-    unknowns = component_unknowns(k)
-    terms = [(r, r - l, l, c * perm(r, l)) for (r, l), c in zip(unknowns, x) if c]
-    if len(x) > len(unknowns) and x[-1]:
-        terms.append((0, 1, None, x[-1]))
-    return terms
-
 
 def as_dict(terms):
     return {(r, o, l): c for r, o, l, c in terms}
 
 
+def jet_callable(x, k, lam, mu):
+    """A -> the jet map of x's local part at A, plus x's trace coordinate
+    times nonlocal_trace(A) when x carries one."""
+    n = len(component_unknowns(k))
+    local = componentwise_map(x[:n], k, lam, mu)
+    if len(x) == n:
+        return local
+    return lambda A: local(A) + x[-1] * nonlocal_trace(A)
+
+
 class TestComposeTerms:
-    # the trace exists only for k >= 1
-    @pytest.mark.parametrize("k, trace", [(k, False) for k in range(7)]
-                             + [(k, True) for k in range(1, 7)])
+    # the trace exists only at (0, 1) on the circle, for k >= 1
+    @pytest.mark.parametrize("k, space, trace", [(k, space, False) for k in range(5)
+                                                 for space in (LINE, CIRCLE)]
+                             + [(k, CIRCLE, True) for k in range(1, 5)])
     @pytest.mark.parametrize("kind", ["int", "Fraction"])
-    def test_compose_terms_is_compose_jets(self, k, trace, kind):
-        rng = random.Random(f"{k} {trace} {kind}")
+    def test_compose_terms_is_the_composite_on_operators(self, k, space, trace, kind):
+        rng = random.Random(f"{k} {space} {trace} {kind}")
         size = len(component_unknowns(k)) + trace
+        lam, mu = (F(0), F(1)) if trace else (F(2, 9), F(-5, 7))
+        basis = TruncatedBasis(k, k + 4, space, lam, mu)
 
         def jet():
             # about a third of the entries zero, as in classify's sparse jets
             return [0 if rng.random() < 0.3 else rng.randint(-5, 5) if kind == "int"
                     else F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(size)]
 
-        for _ in range(30):
+        for _ in range(4):
             x, y = jet(), jet()
-            got = compose_terms(jet_terms_of(x, k), jet_terms_of(y, k))
-            assert as_dict(got) == as_dict(jet_terms_of(compose_jets(x, y, k), k))
+            got = compose_terms(jet_terms(x, k), jet_terms(y, k))
             assert len(got) == len(as_dict(got))
             if kind == "int":
                 assert all(type(c) is int for *_, c in got)
+            X, Y = (AppliedMap(basis, jet_callable(v, k, lam, mu)) for v in (x, y))
+            assert SymmetryMap(basis, (basis, got)).columns == (X @ Y).columns
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_trace_rules(self, k):
-        # L o L = 0, L o T = t[0,0] L and T o L = t[1,0] L, on the terms and
-        # on the jets
+        # L o L = 0, L o T = t[0,0] L and T o L = t[1,0] L
         rng = random.Random(k)
         unknowns = component_unknowns(k)
-        L = [0] * len(unknowns) + [1]
-        assert compose_terms(jet_terms_of(L, k), jet_terms_of(L, k)) == []
-        assert compose_jets(L, L, k) == [0] * len(L)
+        L = jet_terms([0] * len(unknowns) + [1], k)
+        assert L == [(0, 1, None, 1)]
+        assert compose_terms(L, L) == []
         for _ in range(10):
             t = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in unknowns]
             t00, t10 = t[unknowns.index((0, 0))], t[unknowns.index((1, 0))]
-            T = jet_terms_of(t, k)
-            for got, c in ((compose_terms(jet_terms_of(L, k), T), t00),
-                           (compose_terms(T, jet_terms_of(L, k)), t10)):
+            T = jet_terms(t, k)
+            for got, c in ((compose_terms(L, T), t00), (compose_terms(T, L), t10)):
                 assert got == ([(0, 1, None, c)] if c else [])
-            assert compose_jets(L, t + [0], k) == [t00 * v for v in L]
-            assert compose_jets(t + [0], L, k) == [t10 * v for v in L]
+                assert term_coordinates(got, k, True) == [0] * len(unknowns) + [c]
 
     def test_a_mean_meets_only_the_zeroth_derivative(self):
         # the mean of a derivative is 0, and a constant's derivative is 0
@@ -1017,3 +1020,55 @@ class TestComposeTerms:
             (1, -1, 1): 3, (1, 0, 0): 2}
         # a guard scaled to 0 (0 * X) still guards
         assert compose_terms([(0, -1, 0, 0)], [(1, 0, 1, 3)]) == [(1, -1, 1, 0)]
+
+
+class TestTermConversion:
+    """jet_terms and term_coordinates, the one conversion between jet vectors
+    and terms, and its refusals."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_term_coordinates_invert_jet_terms(self, k):
+        rng = random.Random(700 + k)
+        unknowns = component_unknowns(k)
+        scale = [perm(r, l) for r, l in unknowns]
+        for trace in (False, True):
+            t = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else F(0)
+                 for _ in range(len(unknowns) + trace)]
+            terms = jet_terms(t, k)
+            assert term_coordinates(terms, k, trace) == [
+                c * p for c, p in zip(t, scale + [1] * trace)]
+            if not trace:
+                assert terms_jet(terms, k) == t
+        ints = [rng.randint(-9, 9) for _ in unknowns] + [5]
+        assert all(type(c) is int for c in term_coordinates(jet_terms(ints, k), k, True))
+
+    def test_a_jet_of_another_length_raises(self):
+        # order 1 has the 3 coordinates t[0,0], t[1,0], t[1,1], and the trace
+        with pytest.raises(ValueError, match="shorter"):
+            jet_terms([1] * 2, 1)
+        with pytest.raises(ValueError, match="too many values"):
+            jet_terms([1] * 5, 1)
+        assert jet_terms([1] * 4, 1)[-1] == (0, 1, None, 1)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("term", [
+        (2, 0, 1, 1),     # o != r - l: a projection's term, a_2' at d^0
+        (1, 2, 0, 1),     # o != r - l: right composition with d
+        (3, 0, 3, 1),     # a slot past k = 2
+        (0, -1, 0, 1),    # a guard term below d^0 (delta^-1 of a_0)
+        (0, -1, 0, 0),    # a guard scaled to 0 still guards
+        (1, 1, None, 1),  # a mean of a_1, not the trace's
+        (0, 0, None, 1),  # the mean of a_0 at d^0, not the trace's
+    ])
+    def test_a_term_of_no_endomorphism_raises(self, term, trace):
+        with pytest.raises(ValueError, match=f"^no endomorphism of order 2, trace {trace}, has"):
+            term_coordinates([(0, 0, 0, 1), term], 2, trace)
+
+    def test_the_trace_term_needs_a_trace_slot(self):
+        trace = (0, 1, None, 1)
+        assert term_coordinates([trace], 2, True) == [0] * 6 + [1]
+        message = r"^no endomorphism of order 2, trace False, has \(0, 1, None, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            term_coordinates([trace], 2, False)
+        with pytest.raises(ValueError, match=message):
+            terms_jet([trace], 2)

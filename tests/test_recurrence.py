@@ -11,8 +11,8 @@ from densym.errors import InapplicableSymmetryError, WeightMismatchError
 from densym.identities import CATALOG_HOMES, GENERIC_POINTS
 from densym.linalg import max_abs, nullspace
 from densym.operators import (
-    CATALOG, CatalogEntry, component_unknowns, componentwise_map, compose_jets,
-    conjugation_jet,
+    CATALOG, CatalogEntry, component_unknowns, componentwise_map, compose_terms,
+    conjugation_jet, jet_terms, term_coordinates, terms_jet,
 )
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
@@ -457,13 +457,14 @@ class TestJetCoordinates:
     @pytest.mark.parametrize("k", range(9))
     def test_conjugation_jet_is_an_involution(self, k):
         rng = random.Random(900 + k)
-        identity = [F(int(l == 0)) for _, l in component_unknowns(k)]
-        c = conjugation_jet(k)
-        assert compose_jets(c, c, k) == identity
+        identity = jet_terms([F(int(l == 0)) for _, l in component_unknowns(k)], k)
+        c = jet_terms(conjugation_jet(k), k)
+        assert compose_terms(c, c) == identity
         for _ in range(3):
             lam = F(rng.randint(-9, 9), rng.randint(1, 9))
-            C = CATALOG["C"].jet(k, lam, 1 - lam)
-            assert C == c and compose_jets(C, C, k) == CATALOG["Id"].jet(k, lam, 1 - lam)
+            C = jet_terms(CATALOG["C"].jet(k, lam, 1 - lam), k)
+            assert C == c
+            assert compose_terms(C, C) == jet_terms(CATALOG["Id"].jet(k, lam, 1 - lam), k)
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k, lam, mu", [(k, F(0), F(1)) for k in range(1, 5)] + [
@@ -481,16 +482,19 @@ class TestJetCoordinates:
         vectors = _generator_vectors(k, lam, mu, CIRCLE)
         L = AppliedMap(basis, reference_map("L", k, lam, mu), name="L")
         L_vec = vectors["L"]
-        zero = [F(0)] * len(L_vec)
-        assert compose_jets(L_vec, L_vec, k) == zero
+        L_terms = jet_terms(L_vec, k)
+        assert compose_terms(L_terms, L_terms) == []
         assert (L @ L).is_zero()
         index = {u: i for i, u in enumerate(component_unknowns(k))}
         for name in ("Id", "P0", "P0star", "C", "P1"):
             T = AppliedMap(basis, reference_map(name, k, lam, mu), name=name)
             T_vec = vectors[name]
             t00, t10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
-            assert compose_jets(L_vec, T_vec, k) == [t00 * v for v in L_vec]
-            assert compose_jets(T_vec, L_vec, k) == [t10 * v for v in L_vec]
+            T_terms = jet_terms(T_vec, k)
+            # L's coordinates are its jet's: the trace's term has no perm
+            for LT, c in ((compose_terms(L_terms, T_terms), t00),
+                          (compose_terms(T_terms, L_terms), t10)):
+                assert term_coordinates(LT, k, True) == [c * v for v in L_vec]
             assert (L @ T - t00 * L).is_zero()
             assert (T @ L - t10 * L).is_zero()
 
@@ -500,9 +504,10 @@ class TestJetCoordinates:
         basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
         for x in ("C", "P0star", "P1"):
             for y in ("C", "P0", "P1"):
-                product = compose_jets(vectors[x], vectors[y], k)
-                # with a zero trace coordinate, the same local part and no trace
-                assert compose_jets(vectors[x] + [0], vectors[y] + [0], k) == product + [0]
+                X, Y = jet_terms(vectors[x], k), jet_terms(vectors[y], k)
+                # a zero trace coordinate adds no term
+                assert jet_terms(vectors[x] + [0], k) == X
+                product = terms_jet(compose_terms(X, Y), k)
                 jet = componentwise_map(product, k, lam, mu)
                 X, Y = reference_map(x, k, lam, mu), reference_map(y, k, lam, mu)
                 for b in elements(basis):
@@ -515,7 +520,8 @@ COLUMN_GENERATORS = ["Id", "P0", "P0star", "C", "S", "Sstar", "P1"]
 
 class TestRestrictionToLowerOrder:
     """The order-k jet is the r <= k prefix of the order-(k+1) jet, and
-    compose_jets respects that prefix: restriction is an algebra map."""
+    compose_terms respects the terms with r <= k: restriction is an algebra
+    map."""
 
     @pytest.mark.parametrize("name", COLUMN_GENERATORS)
     def test_generator_jets_restrict(self, name):
@@ -528,22 +534,29 @@ class TestRestrictionToLowerOrder:
         assert any(jets[13])
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_compose_jets_block_depends_only_on_the_input_blocks(self, k):
+    def test_the_terms_up_to_r_k_depend_only_on_the_input_terms_up_to_r_k(self, k):
         rng = random.Random(500 + k)
         low, high = (k + 1) * (k + 2) // 2, (k + 2) * (k + 3) // 2
 
         def q():
             return F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0)
 
+        def block(terms):
+            return {(r, o, l): c for r, o, l, c in terms if r <= k}
+
         for _ in range(4):
             x, y = [q() for _ in range(high + 1)], [q() for _ in range(high + 1)]
-            block = compose_jets(x, y, k + 1)[:low]
-            # the order-k product of the blocks, traces kept
-            assert block == compose_jets(x[:low] + x[-1:], y[:low] + y[-1:], k)[:low]
-            # new top rows t[k+1, .] leave the block unchanged
+            X, Y = jet_terms(x, k + 1), jet_terms(y, k + 1)
+            # the order-k jet's terms are the order-(k+1) jet's with r <= k,
+            # traces kept
+            assert block(X) == block(jet_terms(x[:low] + x[-1:], k))
+            product = block(compose_terms(X, Y))
+            assert product == block(compose_terms(jet_terms(x[:low] + x[-1:], k),
+                                                  jet_terms(y[:low] + y[-1:], k)))
+            # new top rows t[k+1, .] leave the terms with r <= k unchanged
             x2 = x[:low] + [q() for _ in range(low, high)] + x[-1:]
             y2 = y[:low] + [q() for _ in range(low, high)] + y[-1:]
-            assert compose_jets(x2, y2, k + 1)[:low] == block
+            assert block(compose_terms(jet_terms(x2, k + 1), jet_terms(y2, k + 1))) == product
 
 
 def _times_x(A):

@@ -17,16 +17,16 @@ from densym.errors import (
 from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
-    CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_jets,
-    conjugate, conjugation_jet, delta_compose, delta_inverse, nonlocal_trace, p0, symbol,
-    w_formula,
+    CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_terms,
+    conjugate, conjugation_jet, delta_compose, delta_inverse, jet_terms, nonlocal_trace, p0,
+    symbol, terms_jet, w_formula,
 )
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
     circle_fields, conjugation_map, coordinate, dense, equivariance_defect,
-    generator_family, invariant_functionals_dimension, jet_terms, line_fields, numerator_over,
+    generator_family, invariant_functionals_dimension, line_fields, numerator_over,
     projection_terms, realize, ring_basis, ring_coordinates, ring_dim, ring_entries, shift_map,
     signed_index,
 )
@@ -578,7 +578,7 @@ class TestDefectByLinearity:
         def s_sign_flipped_jet(k, lam, mu):
             # c o n, with n's t[r,1] = -1/r
             n = [F(int(l == 0)) if l != 1 else F(-1, r) for r, l in component_unknowns(k)]
-            return compose_jets(conjugation_jet(k), n, k)
+            return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), jet_terms(n, k)), k)
 
         monkeypatch.setitem(CATALOG, "S", replace(
             CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped, jet=s_sign_flipped_jet))
@@ -1192,7 +1192,7 @@ class TestClosedFormColumns:
         rng = random.Random(seed)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
         basis = TruncatedBasis(k, k + 4, space, lam, mu)
-        T = SymmetryMap(basis, jet_terms(basis, t), "T")
+        T = SymmetryMap(basis, (basis, jet_terms(t, k)), "T")
         reference = AppliedMap(basis, componentwise_map(t, k, lam, mu))
         assert T.columns == reference.columns and T.target is reference.target is basis
 
@@ -1356,7 +1356,7 @@ def perturbed_s_jet(k, lam, mu):
     """c o n, with n's t[2,1] a third larger than 1/2: no symmetry."""
     n = [F(int(l == 0)) if l != 1 else F(1, r) * (F(4, 3) if r == 2 else 1)
          for r, l in component_unknowns(k)]
-    return compose_jets(conjugation_jet(k), n, k)
+    return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), jet_terms(n, k)), k)
 
 
 def flipped_conjugation_jet(k):
@@ -1533,7 +1533,7 @@ def random_step(rng, w):
 def random_jet(rng, w):
     """A jet map with random coefficients on the window w, with its callable."""
     t = [coefficient(rng) for _ in component_unknowns(w.k)]
-    return SymmetryMap(w, jet_terms(w, t), "J"), componentwise_map(t, w.k, w.lam, w.mu)
+    return SymmetryMap(w, (w, jet_terms(t, w.k)), "J"), componentwise_map(t, w.k, w.lam, w.mu)
 
 
 def random_chain(seed, space):
