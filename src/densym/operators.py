@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 
 from . import rings
 from .densities import DensityOperator, apply, compose, density_value
@@ -288,18 +288,19 @@ def term_coordinates(terms, k: int, trace: bool):
     its t[r,l], and with trace, the trace's c last; ints for int terms.  A
     term that is no endomorphism's of order k raises ValueError: o != r - l,
     a mean other than the trace's or with no trace slot, a guard o < 0."""
-    keys = [(r, r - l, l) for r, l in component_unknowns(k)] + [(0, 1, None)] * trace
-    out = dict.fromkeys(keys, 0)
+    out = [0] * ((k + 1) * (k + 2) // 2 + trace)
     for r, o, l, c in terms:
-        if (r, o, l) not in out:
+        if not (0 <= l <= r <= k and o == r - l if l is not None else trace and (r, o) == (0, 1)):
             raise ValueError(f"no endomorphism of order {k}, trace {trace}, has {(r, o, l, c)}")
-        out[r, o, l] += c
-    return list(out.values())
+        i = -1 if l is None else r * (r + 1) // 2 + l  # t[r,l]'s place in component_unknowns
+        out[i] = out[i] + c if out[i] else c
+    return out
 
 
 def terms_jet(terms, k: int):
     """The jet of a local endomorphism's terms: t[r,l] = c / perm(r,l)."""
-    return [Fraction(c, perm(r, l))
+    zero = Fraction(0)
+    return [Fraction(c, perm(r, l)) if c else zero
             for (r, l), c in zip(component_unknowns(k), term_coordinates(terms, k, False))]
 
 
@@ -331,7 +332,7 @@ def sum_terms(terms):
     out, except below d^0 (o < 0), where it is delta_inverse's guard."""
     out = {}
     for r, o, l, c in terms:
-        out[r, o, l] = out.get((r, o, l), 0) + c
+        out[r, o, l] = out[r, o, l] + c if (r, o, l) in out else c
     return [(*rol, c) for rol, c in out.items() if c or rol[1] < 0]
 
 
@@ -355,16 +356,16 @@ def compose_terms(outer, inner):
     return sum_terms(out)
 
 
-def conjugation_jet(k: int):
-    """t[r,l] = (-1)^r / l!: conjugate, from D^k_{lam,mu} to D^k_{1-mu,1-lam},
-    at every weight."""
-    return [Fraction((-1) ** r, factorial(l)) for r, l in component_unknowns(k)]
+def conjugation_terms(k: int):
+    """The int terms (r, r-l, l, (-1)^r C(r,l)), the jet t[r,l] = (-1)^r / l!:
+    conjugate, from D^k_{lam,mu} to D^k_{1-mu,1-lam}, at every weight."""
+    return [(r, r - l, l, (-1) ** r * comb(r, l)) for r, l in component_unknowns(k)]
 
 
 def mirror_jet(t, k: int):
-    """c o T o c, for the jet t of T and c = conjugation_jet(k): T carried
+    """c o T o c, for the jet t of T and c = conjugation_terms(k): T carried
     from D^k_{1-mu,1-lam} to D^k_{lam,mu}."""
-    c = jet_terms(conjugation_jet(k), k)
+    c = conjugation_terms(k)
     return terms_jet(compose_terms(c, compose_terms(jet_terms(t, k), c)), k)
 
 
@@ -372,7 +373,7 @@ def _s_jet(k: int):
     """c o n, where n: A -> sum_m (a_m + a_{m+1}') d^m on D^k_{1,1} is the
     terms (r, r, 0, 1) and (r, r-1, 1, 1): the symmetry S of D^k_{0,0}."""
     n = [(r, r, 0, 1) for r in range(k + 1)] + [(r, r - 1, 1, 1) for r in range(1, k + 1)]
-    return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), n), k)
+    return terms_jet(compose_terms(conjugation_terms(k), n), k)
 
 
 def printed_jet(J: BilinearOp, pi: Projection):
@@ -484,7 +485,8 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _on("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda l, m: True, None,
         lambda k: [Fraction(int(l == 0)) for _, l in component_unknowns(k)]),
     _on("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda l, m: l + m == 1,
-        "C is an endomorphism only on lam + mu = 1", conjugation_jet),
+        "C is an endomorphism only on lam + mu = 1",
+        lambda k: terms_jet(conjugation_terms(k), k)),
     _on("P0", (3, Fraction(0), Fraction(2, 7)), lambda l, m: l == 0,
         "the scalar-term projection needs lam = 0",
         lambda k: [Fraction(int(u == (0, 0))) for u in component_unknowns(k)]),

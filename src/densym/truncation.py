@@ -34,7 +34,7 @@ from .errors import (
     InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
 )
 from .operators import (
-    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_jet, jet_terms,
+    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_terms, jet_terms,
     sum_terms,
 )
 from .linalg import ZERO, nullspace, numerator_over, rank
@@ -388,10 +388,8 @@ def _weighted_sum(name, parts):
 
 
 def conjugation_map(b: TruncatedBasis) -> SymmetryMap:
-    """A -> A*, from b into its sibling at (1-mu, 1-lam): conjugation_jet
-    as the terms (r, r-l, l, (-1)^r C(r,l))."""
-    return SymmetryMap(b, (b.sibling(b.k, 1 - b.mu, 1 - b.lam),
-                           jet_terms(conjugation_jet(b.k), b.k)), "C")
+    """A -> A*, from b into its sibling at (1-mu, 1-lam): conjugation_terms."""
+    return SymmetryMap(b, (b.sibling(b.k, 1 - b.mu, 1 - b.lam), conjugation_terms(b.k)), "C")
 
 
 def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -12,7 +13,7 @@ from densym.identities import CATALOG_HOMES, GENERIC_POINTS
 from densym.linalg import max_abs, nullspace
 from densym.operators import (
     CATALOG, CatalogEntry, component_unknowns, componentwise_map, compose_terms,
-    conjugation_jet, jet_terms, term_coordinates, terms_jet,
+    conjugation_terms, jet_terms, term_coordinates, terms_jet,
 )
 from densym.recurrence import (
     EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
@@ -455,10 +456,13 @@ class TestJetCoordinates:
             assert read_jet(componentwise_map(t, k, lam, mu), k, lam, mu) == t
 
     @pytest.mark.parametrize("k", range(9))
-    def test_conjugation_jet_is_an_involution(self, k):
+    def test_conjugation_is_an_involution(self, k):
         rng = random.Random(900 + k)
         identity = jet_terms([F(int(l == 0)) for _, l in component_unknowns(k)], k)
-        c = jet_terms(conjugation_jet(k), k)
+        c = conjugation_terms(k)
+        # the int terms are the jet t[r,l] = (-1)^r / l!
+        assert terms_jet(c, k) == [F((-1) ** r, factorial(l)) for r, l in component_unknowns(k)]
+        assert all(type(v) is int for *_, v in c)
         assert compose_terms(c, c) == identity
         for _ in range(3):
             lam = F(rng.randint(-9, 9), rng.randint(1, 9))

@@ -18,7 +18,7 @@ from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
     CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_terms,
-    conjugate, conjugation_jet, delta_compose, delta_inverse, jet_terms, nonlocal_trace, p0,
+    conjugate, conjugation_terms, delta_compose, delta_inverse, jet_terms, nonlocal_trace, p0,
     symbol, terms_jet, w_formula,
 )
 from densym.recurrence import build_system
@@ -578,7 +578,7 @@ class TestDefectByLinearity:
         def s_sign_flipped_jet(k, lam, mu):
             # c o n, with n's t[r,1] = -1/r
             n = [F(int(l == 0)) if l != 1 else F(-1, r) for r, l in component_unknowns(k)]
-            return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), jet_terms(n, k)), k)
+            return terms_jet(compose_terms(conjugation_terms(k), jet_terms(n, k)), k)
 
         monkeypatch.setitem(CATALOG, "S", replace(
             CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped, jet=s_sign_flipped_jet))
@@ -1356,14 +1356,12 @@ def perturbed_s_jet(k, lam, mu):
     """c o n, with n's t[2,1] a third larger than 1/2: no symmetry."""
     n = [F(int(l == 0)) if l != 1 else F(1, r) * (F(4, 3) if r == 2 else 1)
          for r, l in component_unknowns(k)]
-    return terms_jet(compose_terms(jet_terms(conjugation_jet(k), k), jet_terms(n, k)), k)
+    return terms_jet(compose_terms(conjugation_terms(k), jet_terms(n, k)), k)
 
 
-def flipped_conjugation_jet(k):
-    """conjugation_jet(k) with the sign of t[1,1] flipped."""
-    t = conjugation_jet(k)
-    t[component_unknowns(k).index((1, 1))] *= -1
-    return t
+def flipped_conjugation_terms(k):
+    """conjugation_terms(k) with the sign of its t[1,1] term flipped."""
+    return [(r, o, l, -c if (r, l) == (1, 1) else c) for r, o, l, c in conjugation_terms(k)]
 
 
 def s_chain_without_p0():
@@ -1441,7 +1439,7 @@ class TestChainMutations:
 
     @pytest.mark.parametrize("space", [CIRCLE, LINE])
     def test_a_sign_flip_in_conjugation_fails_both_checks(self, capsys, monkeypatch, space):
-        monkeypatch.setattr(truncation, "conjugation_jet", flipped_conjugation_jet)
+        monkeypatch.setattr(truncation, "conjugation_terms", flipped_conjugation_terms)
         basis = TruncatedBasis(5, 11, space, 0, 0)
         assert not (realize("S", basis) - identities._s_chain(basis)).is_zero()
         for name in ("conj_involution", "s_relations"):
