@@ -305,12 +305,12 @@ def terms_jet(terms, k: int):
 
 
 def componentwise_map(t, k: int, lam, mu):
-    """The jet map of t on D^k_{lam,mu}, on either space.
-
-    t is a jet vector in component_unknowns order, and each term (r, o, l, c)
-    of jet_terms adds c a_r^(l) at d^o.  An operator of another module or of
-    order above k is rejected.
-    """
+    """The jet map of t on D^k_{lam,mu}, on either space: each term (r, o, l, c)
+    of jet_terms(t, k) adds c a_r^(l) at d^o.  A t of another length, as one
+    with a trace coordinate, raises ValueError; an operator of another module
+    or of order above k is rejected."""
+    if len(t) != len(component_unknowns(k)):
+        raise ValueError(f"{len(t)} coordinates are no jet vector of order {k}")
     lam, mu = rat(lam), rat(mu)
     terms = jet_terms(t, k)
 

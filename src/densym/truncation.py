@@ -405,8 +405,8 @@ def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     """Realize a cataloged endomorphism or projection, by name, on the basis,
     in closed form, by its terms: a local endomorphism's jet's, a projection's
-    Projection's, and the trace L's, mean(a_0) d, of its coordinate vector
-    (0, ..., 0, 1) in classify: only the constant at d^0 maps, to d^1."""
+    Projection's, and the trace L, mean(a_0) d, as the one term (0, 1, None, 1):
+    only the constant at d^0 maps, to d^1."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
@@ -418,8 +418,7 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
         return SymmetryMap(basis, (basis, jet_terms(entry.jet(k, lam, mu), k)), name)
     if entry.kind == "projection":
         return SymmetryMap(basis, projection_terms(basis, entry.make(k, lam, mu)), name)
-    L = [0] * len(component_unknowns(k)) + [1]  # the trace's coordinate vector
-    return SymmetryMap(basis, (basis, jet_terms(L, k)), name)
+    return SymmetryMap(basis, (basis, [(0, 1, None, 1)]), name)  # the trace L
 
 
 # ----------------------------------------------------------------------

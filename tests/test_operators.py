@@ -964,9 +964,9 @@ def jet_callable(x, k, lam, mu):
 
 class TestComposeTerms:
     # the trace exists only at (0, 1) on the circle, for k >= 1
-    @pytest.mark.parametrize("k, space, trace", [(k, space, False) for k in range(5)
+    @pytest.mark.parametrize("k, space, trace", [(k, space, False) for k in range(7)
                                                  for space in (LINE, CIRCLE)]
-                             + [(k, CIRCLE, True) for k in range(1, 5)])
+                             + [(k, CIRCLE, True) for k in range(1, 7)])
     @pytest.mark.parametrize("kind", ["int", "Fraction"])
     def test_compose_terms_is_the_composite_on_operators(self, k, space, trace, kind):
         rng = random.Random(f"{k} {space} {trace} {kind}")
@@ -979,7 +979,7 @@ class TestComposeTerms:
             return [0 if rng.random() < 0.3 else rng.randint(-5, 5) if kind == "int"
                     else F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(size)]
 
-        for _ in range(4):
+        for _ in range(30):
             x, y = jet(), jet()
             got = compose_terms(jet_terms(x, k), jet_terms(y, k))
             assert len(got) == len(as_dict(got))
@@ -1049,6 +1049,14 @@ class TestTermConversion:
         with pytest.raises(ValueError, match="too many values"):
             jet_terms([1] * 5, 1)
         assert jet_terms([1] * 4, 1)[-1] == (0, 1, None, 1)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_componentwise_map_refuses_a_vector_of_another_length(self, k, extra):
+        # a trailing trace coordinate has no local action: refused at
+        # construction, not dropped (a_0 = 0) or failing when applied
+        with pytest.raises(ValueError, match="no jet vector of order"):
+            componentwise_map([1] * (len(component_unknowns(k)) + extra), k, 0, 1)
 
     @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("term", [
