@@ -203,8 +203,8 @@ def lie_terms(i: int, lam, mu):
     With C(i,-1) = 0 they are X a' and (mu-lam-i) X' a at order i, and
     -(C(i,m-1) + lam C(i,m)) X^(i-m+1) a at each order m < i: the Leibniz
     expansion of both products after their t = 0 terms X a d^(i+1) cancel.
-    Terms whose scalar vanishes are left out.  lie_derivative_operator, the
-    window's L_X (TruncatedBasis.lie_entries) and formal_rows all read it.
+    Terms whose scalar vanishes are left out.  lie_derivative_operator,
+    formal_defect, formal_rows and the density windows' L_X all read it.
     """
     terms = [(i, 0, 1, 1)]
     if c := mu - lam - i:

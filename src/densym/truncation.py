@@ -5,24 +5,20 @@ jets of the coefficients, so checking it exactly on a large enough truncated
 basis is decisive.  The truncation is explicit: maps whose image leaves the
 window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
-One kernel, defect_columns, builds every windowed defect that verify
-checks: of a linear map (equivariance_defect), and of a bilinear operator J
-as the linear map phi -> J(phi, .) (bilinear_defect).  The formal oracle
-reads no window and builds no ring element.
 
-The window's sparse columns, the L_X columns of a basis and the images of a
-map, are integers over one denominator per column set, so the defect and
-relation kernels multiply and add ints; a value becomes a Fraction only
-when a defect is reported.  Both are read in ints off the rings' two
-closed-form rules on monomials (rings.monomial_derivative and
-monomial_product), so no window builds a ring element: the L_X columns
-through a product table, and a map's images off its terms (term_images).
-Every SymmetryMap is a closed form into a target window: a catalog
-endomorphism is its jet's terms, a projection its row's and the trace L
-its rule's.  Conjugation off lam + mu = 1 and right composition with d and
-its inverse land in sibling windows, and a composition, which chains
-windows, a sum or a scaling of closed forms is one (operators.compose_terms
-and sum_terms).
+Every SymmetryMap is a closed form, its terms into a target window: a
+catalog endomorphism is its jet's terms, a projection its row's and the
+trace L its rule's.  Conjugation off lam + mu = 1 and right composition
+with d and its inverse land in sibling windows, and a composition, a sum
+or a scaling of closed forms is one (operators.compose_terms and
+sum_terms).  One kernel reads every windowed defect that verify checks, of
+a map (equivariance_defect) and of a bilinear operator J as the map
+phi -> J(phi, .) (bilinear_defect): the map's formal_defect, off lie_terms,
+each of its products X^(p) a^(q) a row of the ring window's product table
+(SymmetryMap.defect_columns).  The rows and a map's images (term_images)
+are ints off the rings' rules on monomials (rings.monomial_derivative and
+monomial_product), over one denominator per column set: no window builds
+a ring element, and a value becomes a Fraction only in a reported defect.
 """
 from __future__ import annotations
 
@@ -37,7 +33,7 @@ from .operators import (
     Projection, catalog_entry, component_unknowns, compose_terms, conjugation_terms, jet_terms,
     sum_terms,
 )
-from .linalg import ZERO, nullspace, numerator_over, rank
+from .linalg import nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
 
 
@@ -126,16 +122,11 @@ class TruncatedBasis:
     Ordering is i ascending then m ascending; this ordering is part of any
     serialized output and must not change.
 
-    Its L_X columns are integers over lie_den(X), one denominator per
-    field: the lie_terms scalars are affine in (lam, mu) with integer
-    coefficients, so lcm(den lam, den mu) clears them, and the rest clears
-    the product rows.  Those rows come off a product table, which the basis
-    shares with its siblings (basis.densities(nu) among them), as they have
-    the same monomials: for each field X, the ring
-    coordinates of X^(p) * m^(q) for the monomials m, filled as the columns
-    ask for them, as integers over one denominator per field.  Each row is
-    read off the monomial rules from X's terms, kept as integers over that
-    denominator (product_row), with no ring product or derivative.
+    Its columns sum rows of a product table, shared with its siblings
+    (basis.densities(nu) among them), which have the same monomials: for
+    each field X, the ring coordinates of X^(p) * m^(q), filled as the
+    columns ask for them off the monomial rules, with no ring product or
+    derivative, as integers over one denominator, product_den(X).
     """
 
     def __init__(self, k: int, M: int, space: str, lam, mu):
@@ -145,13 +136,8 @@ class TruncatedBasis:
         self.lam = rat(lam)
         self.mu = rat(mu)
         self.monomials = ring_basis(space, M)
-        self._lie = {}  # field -> {element index: integer entries of L_X(element)}
         # (k, lam, mu) -> the window of D^k_{lam,mu}, one dict for the family
         self._siblings = {(k, self.lam, self.mu): self}
-        self._scale = lcm(self.lam.denominator, self.mu.denominator)
-        self._terms = [[(m, p, q, numerator_over(self._scale, c))
-                        for m, p, q, c in lie_terms(i, self.lam, self.mu)]
-                       for i in range(k + 1)]
         # field -> (den, X's (signed index, int) terms,
         #           {(p, q, t): integer coordinates over den})
         self._products = {}
@@ -219,9 +205,9 @@ class TruncatedBasis:
                 [(i, numerator_over(den, c)) for i, c in terms.items()], {})
         return table
 
-    def lie_den(self, X: VectorField) -> int:
-        """The denominator of the lie_entries columns of X."""
-        return self._scale * self._table(X)[0]
+    def product_den(self, X: VectorField) -> int:
+        """The denominator of the product rows of X."""
+        return self._table(X)[0]
 
     def product_row(self, X: VectorField, p: int, q: int, t: int):
         """The table row of X^(p) m_t^(q): its nonzero ring coordinates,
@@ -235,33 +221,28 @@ class TruncatedBasis:
                 self.space, der, signed_index(self.space, t), q)
         return row
 
-    def lie_entries(self, X: VectorField, j: int):
-        """entries_of(L_X of element j) times lie_den(X), as ints, computed
-        once per field and element.
-
-        For e_j = m d^i the column sums the product table's rows X^(p) m^(q),
-        each times its scalar c, over the terms (m', p, q, c) of
-        lie_terms(i, lam, mu).  A product may reach past the window; only a
-        nonzero coordinate past it that survives the sum raises
-        TruncationOverflowError, as entries_of(lie_derivative_operator(X,
-        e_j)) does.
-        """
-        lie = self._lie.setdefault(X, {})
-        if j not in lie:
-            n = len(self.monomials)
-            i, t = divmod(j, n)
+    def columns(self, X: VectorField, sigma, elements):
+        """For each of the elements m_t d^s, in order, the sparse column
+        {coordinate: value * product_den(X)} of sum sigma[s][m, p, q, mean]
+        X^(p) m_t^(q) at d^m: each product a table row (m_t^(None) is
+        mean(m_t)), a mean its constant coordinate.  A row past the window,
+        which no safe element has at p + q >= 1, raises TruncationOverflowError."""
+        n, cols = len(self.monomials), []
+        for b in elements:
+            s, t = divmod(b, n)
             col = {}
-            for m, p, q, c in self._terms[i]:
-                for s, v in self.product_row(X, p, q, t):
-                    v *= c
-                    col[m, s] = col[m, s] + v if (m, s) in col else v
-            past = [(m, s) for (m, s), v in col.items() if v and s >= n]
-            if past:
-                first = min(past)[0]
-                s = max(s for m, s in past if m == first)
-                raise overflow(self.space, abs(signed_index(self.space, s)), self.M)
-            lie[j] = sorted((m * n + s, v) for (m, s), v in col.items() if v)
-        return lie[j]
+            for (m, p, q, mean), c in sigma[s].items():
+                # mean(m_t) is 1 at m_0 = 1 and 0 at every other monomial
+                row = self.product_row(X, p, q or 0, t) if q is not None or t == 0 else ()
+                if mean:
+                    row = row[:1] if row and row[0][0] == 0 else ()
+                elif row and row[-1][0] >= n:
+                    raise overflow(self.space, abs(signed_index(self.space, row[-1][0])), self.M)
+                for i, v in row:
+                    i += m * n
+                    col[i] = col.get(i, 0) + c * v
+            cols.append(col)
+        return cols
 
 
 def term_images(basis: TruncatedBasis, terms):
@@ -320,6 +301,7 @@ class SymmetryMap:
         self.closed = closed
         self.name = name
         self._images = None  # per basis element: (coordinate, value * den) entries
+        self._formal = None  # formal_defect of the terms
 
     def _load(self):
         """Build every image, in basis order."""
@@ -374,6 +356,17 @@ class SymmetryMap:
 
     def is_zero(self) -> bool:
         return not any(self.image(j) for j in range(self.basis.dim))
+
+    def defect_columns(self, X: VectorField, elements):
+        """(den, cols): T o L_X - L_X o T at each of the elements (safe
+        indices of the basis), in order, one sparse column {coordinate on the
+        target: int} each, den times the defect: the basis's columns of its
+        formal_defect, read once per map.  An equivariant map's are empty."""
+        b, t = self.basis, self.target
+        if self._formal is None:
+            self._formal = formal_defect(self.closed[1], (b.k, b.lam, b.mu), (t.lam, t.mu))
+        den, sigma = self._formal
+        return den * b.product_den(X), b.columns(X, sigma, elements)
 
 
 def _weighted_sum(name, parts):
@@ -441,49 +434,15 @@ def generator_family(space: str):
     return line_fields(3) if space == LINE else circle_fields(2)
 
 
-def defect_columns(T: SymmetryMap, X: VectorField, elements):
-    """(den, cols): T o L_X - L_X o T at each of the elements (indices of
-    T.basis), in order, one sparse column {coordinate on T.target: int} each,
-    den times the defect.
-
-    T is assumed linear, so the column of an element b is assembled from
-    sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
-    vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single elements e_j
-    of the basis and of the target window: T.image builds T once per
-    element and map, and lie_entries reads each window L_X once per
-    element and field off the ring window's product table.  An image
-    T(e_j) or L_X(e_j) that leaves the window raises
-    TruncationOverflowError; nothing is cut off.  T's columns are over T.den
-    and the two L_X over their lie_den, so den is T.den times their lcm.
-    """
-    basis, target = T.basis, T.target
-    dx, dt = basis.lie_den(X), target.lie_den(X)
-    den = lcm(dx, dt)
-    sx, st = den // dx, den // dt
-    cols = []
-    for b in elements:
-        col = {}
-        for j, c in basis.lie_entries(X, b):
-            c *= sx
-            for i, v in T.image(j):
-                col[i] = col.get(i, 0) + c * v
-        for j, c in T.image(b):
-            c *= st
-            for i, v in target.lie_entries(X, j):
-                col[i] = col.get(i, 0) - c * v
-        cols.append(col)
-    return den * T.den, cols
-
-
 def equivariance_defect(T: SymmetryMap, X: VectorField):
-    """T o L_X - L_X o T on the safe sub-basis: defect_columns as dicts
-    {coordinate on T.target: value}, one per safe element, in order.  All-zero
-    columns are equivalent to equivariance at this truncation."""
+    """T o L_X - L_X o T on the safe sub-basis: T.defect_columns as dicts
+    {coordinate on T.target: value} of the nonzero values, one per safe
+    element, in order; empty columns are equivariance at this truncation."""
     safe = T.basis.safe_indices(X)
     if not safe:
         raise TruncationOverflowError("no safe sub-basis: window M is too small")
-    den, cols = defect_columns(T, X, safe)
-    return [{i: Fraction(v, den) if v else ZERO for i, v in col.items()} for col in cols]
+    den, cols = T.defect_columns(X, safe)
+    return [{i: Fraction(v, den) for i, v in col.items() if v} for col in cols]
 
 
 def bilinear_defect(J, space: str, M: int, fields):
@@ -494,36 +453,31 @@ def bilinear_defect(J, space: str, M: int, fields):
     is equivariant: as (L_X A)(psi) = L_X(A psi) - A(L_X psi), T's defect at
     phi, J(L_X phi, .) - L_X J(phi, .), takes psi to J(L_X phi, psi) +
     J(phi, L_X psi) - L_X J(phi, psi).  T is J.terms, (0, j, n-j, c_j),
-    into the order-n sibling of the F_nu window; each nonzero coefficient of
-    its defect_columns is multiplied into psi by product_entries, in ints.
-    One dense column per field X, monomial phi and monomial psi, in that
-    order, over the pairs whose every term stays inside the window.
+    into the order-n sibling of the F_nu window; each nonzero term v m_t d^o
+    of its T.defect_columns takes psi to v m_t psi^(o) (product_entries), in
+    ints.  One dense column per field X, monomial phi and monomial psi, in
+    that order, over the pairs whose every term stays inside the window.
     """
     check_window(J.order, M, bilinear=True)
-    n = J.order
     phis = TruncatedBasis(0, M, space, 0, J.nu)
-    T = SymmetryMap(phis, (phis.sibling(n, J.lam, J.out_weight), J.terms), J.kind)
+    T = SymmetryMap(phis, (phis.sibling(J.order, J.lam, J.out_weight), J.terms), J.kind)
     size = len(phis.monomials)
     sizes = [abs(signed_index(space, t)) for t in range(size)]
     cols = []
     for X in fields:
         # the constant has size 0, so a phi with room < 0 is in no pair
-        growth = X.value.size
-        rooms = [(t, M - growth - s) for t, s in enumerate(sizes) if s <= M - growth]
-        den, defects = defect_columns(T, X, [t for t, _ in rooms])
+        rooms = [(t, room) for t, s in enumerate(sizes) if (room := M - X.value.size - s) >= 0]
+        den, defects = T.defect_columns(X, [t for t, _ in rooms])
         den *= 2 if space == CIRCLE else 1  # product_entries doubles on the circle
         for (_, room), defect in zip(rooms, defects):
-            at = {}  # o -> the nonzero (signed index, int) terms of the defect at d^o
-            for i, v in defect.items():
-                if v:
-                    o, t = divmod(i, size)
-                    at.setdefault(o, []).append((signed_index(space, t), v))
+            terms = [(*divmod(i, size), v) for i, v in defect.items() if v]  # (o, t, v)
             for s in range(size):
                 if sizes[s] <= room:
                     col = {}
-                    for o, f in at.items():
-                        for i, v in product_entries(space, f, signed_index(space, s), o):
-                            col[i] = col.get(i, 0) + v
+                    for o, t, v in terms:
+                        for i, w in product_entries(space, [(signed_index(space, t), v)],
+                                                    signed_index(space, s), o):
+                            col[i] = col.get(i, 0) + w
                     cols.append(dense([(i, Fraction(v, den)) for i, v in col.items() if v], size))
     return cols
 
@@ -553,6 +507,50 @@ def formal_rows(k: int, lam, mu):
                 for l in range(q + 1):
                     row[index[s, l]] -= perm(s, l) * lie[s - l].get((m, p, q - l), 0)
     return rows
+
+
+def formal_defect(terms, source, target):
+    """(den, sigma): T(L_X A) - L_X T(A) = sum sigma[s][m, p, q, mean]
+    f^(p) a^(q) d^m / den at X = f d and A = a d^s, for T of the terms
+    (r, o, l, c) from D^k_{lam,mu}, source = (k, lam, mu), into
+    D_{lam',mu'}, target = (lam', mu'): the nonzero int coefficients, for
+    each s <= k; a^(None) is mean(a), as in the terms, and mean marks
+    mean(f^(p) a^(q)).  T's terms at r = m take each c' f^(p) a^(q) d^m of
+    L_X(a d^s) (lie_terms(s, lam, mu)) to C(l,j) c c' f^(p+j) a^(q+l-j)
+    d^o, by Leibniz; L_X takes each c a^(l) d^o of T(a d^s) to c c''
+    f^(p') a^(l+q') d^m' over lie_terms(o, lam', mu'), a mean only at
+    q' = 0.  No window or ring element is read.  A term below d^0 raises
+    NotInKernelError: its elements have no image."""
+    k, lam, mu = source
+    scale = lcm(*[w.denominator for w in (lam, mu, *target)])
+    den = lcm(*[c.denominator for *_, c in terms])
+    at = [[] for _ in range(k + 1)]  # r -> T's (o, l, c * den) at a_r
+    for r, o, l, c in terms:
+        if r <= k:
+            if o < 0:
+                raise NotInKernelError(f"the term {(r, o, l, c)} lies below d^0")
+            at[r].append((o, l, numerator_over(den, c)))
+
+    def lie(i, lam, mu):  # lie_terms with its scalars times scale
+        return [(m, p, q, numerator_over(scale, c)) for m, p, q, c in lie_terms(i, lam, mu)]
+
+    out = {o: lie(o, *target) for row in at for o, _, _ in row}
+    sigma = []
+    for s in range(k + 1):
+        col = {}
+        for m, p, q, c1 in lie(s, lam, mu):  # T(L_X A)
+            for o, l, c in at[m]:
+                leibniz = [((o, p, q, True), 1)] if l is None else \
+                    [((o, p + j, q + l - j, False), comb(l, j)) for j in range(l + 1)]
+                for key, b in leibniz:
+                    col[key] = col.get(key, 0) + b * c * c1
+        for o, l, c in at[s]:  # - L_X T(A)
+            for m, p, q, c2 in out[o]:
+                if l is not None or not q:
+                    key = (m, p, None if l is None else l + q, False)
+                    col[key] = col.get(key, 0) - c * c2
+        sigma.append({key: v for key, v in col.items() if v})
+    return den * scale, sigma
 
 
 def brute_force_local_symmetries(k: int, lam, mu):
@@ -592,8 +590,10 @@ def invariant_functionals_dimension(lam, N: int) -> int:
 
 
 def _functionals_dimension(window: TruncatedBasis, fields) -> int:
-    """dim - rank of the density window's L_X columns over the fields."""
-    # each row is a column of L_X times lie_den(X), which leaves the rank alone
-    rows = [dense(window.lie_entries(X, j), window.dim)
-            for X in fields for j in window.safe_indices(X)]
-    return window.dim - rank(rows)
+    """dim - rank of the density window's L_X columns over the fields, its
+    columns of lie_terms(0, 0, nu) in ints: the same rank."""
+    scale = lcm(window.lam.denominator, window.mu.denominator)
+    lie = [{(m, p, q, False): numerator_over(scale, c)
+            for m, p, q, c in lie_terms(0, window.lam, window.mu)}]
+    return window.dim - rank([dense(col.items(), window.dim) for X in fields
+                              for col in window.columns(X, lie, window.safe_indices(X))])

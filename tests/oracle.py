@@ -13,6 +13,12 @@ module keeps the two routes it is checked against:
   basis element (`elements`): the reference for the closed forms that
   `truncation` reads every map in, and, as its `@`, `+`, `-` and `*`
   compose the callables, for their term algebra;
+* `element_defect_columns`, the defect of a window map assembled element by
+  element from its images and the windows' L_X columns (`lie_entries`,
+  read off the windows' product tables): the defect kernel
+  of `AppliedMap`, and so of the windowed oracle, and the reference for
+  `SymmetryMap.defect_columns`, which reads every column off the map's
+  `truncation.formal_defect`;
 * `formal_rows`, every formal coefficient row with its monomial
   f^(p) a_s^(q) d^m, for field orders p <= 5, read through operators with
   the unit jet maps and `lie_derivative_operator`: the reference for
@@ -20,13 +26,16 @@ module keeps the two routes it is checked against:
 """
 from fractions import Fraction
 from math import factorial, lcm
+from weakref import WeakKeyDictionary
 
 from densym import rings
-from densym.densities import DensityOperator, VectorField, lie_derivative_operator
+from densym.densities import DensityOperator, VectorField, lie_derivative_operator, lie_terms
 from densym.linalg import integer_row, nullspace, numerator_over
 from densym.rings import LINE, PolyFn, TrigFn
 from densym.operators import component_unknowns, componentwise_map
-from densym.truncation import SymmetryMap, TruncatedBasis, check_window, equivariance_defect
+from densym.truncation import (
+    SymmetryMap, TruncatedBasis, check_window, equivariance_defect, overflow, signed_index,
+)
 
 
 def elements(basis):
@@ -36,13 +45,95 @@ def elements(basis):
             for i in range(basis.k + 1) for mono in basis.monomials]
 
 
+def lie_den(window, X):
+    """The denominator of the lie_entries columns of X: the lie_terms scalars
+    are affine in (lam, mu) with integer coefficients, so lcm(den lam,
+    den mu) clears them, and the window's product_den(X) the product rows."""
+    return lcm(window.lam.denominator, window.mu.denominator) * window.product_den(X)
+
+
+_LIE = WeakKeyDictionary()  # window -> {(field, element index): lie_entries}
+
+
+def lie_entries(window, X, j):
+    """entries_of(L_X of element j) times lie_den(window, X), as ints,
+    computed once per window, field and element.
+
+    For e_j = m d^i the column sums the product table's rows X^(p) m^(q),
+    each times its scalar c, over the terms (m', p, q, c) of
+    lie_terms(i, lam, mu).  A product may reach past the window; only a
+    nonzero coordinate past it that survives the sum raises
+    TruncationOverflowError, as entries_of(lie_derivative_operator(X,
+    e_j)) does.
+    """
+    lie = _LIE.setdefault(window, {})
+    if (X, j) not in lie:
+        scale, n = lcm(window.lam.denominator, window.mu.denominator), len(window.monomials)
+        i, t = divmod(j, n)
+        col = {}
+        for m, p, q, c in lie_terms(i, window.lam, window.mu):
+            c = numerator_over(scale, c)
+            for s, v in window.product_row(X, p, q, t):
+                col[m, s] = col.get((m, s), 0) + c * v
+        past = [(m, s) for (m, s), v in col.items() if v and s >= n]
+        if past:
+            first = min(past)[0]
+            s = max(s for m, s in past if m == first)
+            raise overflow(window.space, abs(signed_index(window.space, s)), window.M)
+        lie[X, j] = sorted((m * n + s, v) for (m, s), v in col.items() if v)
+    return lie[X, j]
+
+
+def element_defect_columns(T, X, elements):
+    """The per-element reference for SymmetryMap.defect_columns: (den, cols),
+    T o L_X - L_X o T at each of the elements, in order, one sparse column
+    {coordinate on T.target: int} each, den times the defect.
+
+    T is assumed linear, so the column of an element b is assembled from
+    sparse columns, vec T(L_X b) = sum_j vec(L_X b)_j vec T(e_j) and
+    vec L_X T(b) = sum_j vec T(b)_j vec L_X(e_j), over single elements e_j
+    of the basis and of the target window: T.image builds T once per
+    element and map, and lie_entries reads each window L_X once per
+    element and field off the ring window's product table.  An image
+    T(e_j) or L_X(e_j) that leaves the window raises
+    TruncationOverflowError; nothing is cut off.  T's columns are over T.den
+    and the two L_X over their lie_den, so den is T.den times their lcm.
+    """
+    basis, target = T.basis, T.target
+    dx, dt = lie_den(basis, X), lie_den(target, X)
+    den = lcm(dx, dt)
+    sx, st = den // dx, den // dt
+    cols = []
+    for b in elements:
+        col = {}
+        for j, c in lie_entries(basis, X, b):
+            c *= sx
+            for i, v in T.image(j):
+                col[i] = col.get(i, 0) + c * v
+        for j, c in T.image(b):
+            c *= st
+            for i, v in lie_entries(target, X, j):
+                col[i] = col.get(i, 0) - c * v
+        cols.append(col)
+    return den * T.den, cols
+
+
+def sparse_vectors(den, cols):
+    """defect_columns' (den, cols) as vectors: each column's nonzero
+    coordinates with their true values."""
+    return [{i: Fraction(v, den) for i, v in col.items() if v} for col in cols]
+
+
 class AppliedMap(SymmetryMap):
     """A SymmetryMap of the callable func on operators, applied once to each
     basis element the first time a column, the target or den is read; den
     is the lcm over its images.  The target is the given window, else the
     basis when the first image lies in the basis's module, else
     basis.densities(nu).  An image that leaves the window raises
-    TruncationOverflowError."""
+    TruncationOverflowError.  It has no terms, so its defect is read per
+    element (element_defect_columns)."""
+
+    defect_columns = element_defect_columns
 
     def __init__(self, basis, func, name="T", target=None):
         super().__init__(basis, None, name)

@@ -22,7 +22,7 @@ from densym.truncation import (
     SymmetryMap, TruncatedBasis, bilinear_defect, check_window, circle_fields, line_fields,
     ring_basis,
 )
-from oracle import AppliedMap
+from oracle import AppliedMap, element_defect_columns, sparse_vectors
 from reference import (
     density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
     ring_vector, s_map, s_map_chain,
@@ -833,10 +833,11 @@ class TestCoefficientRows:
     def test_defect_makes_no_ring_arithmetic(self, monkeypatch, kind, space):
         # every derivative and product is read off the monomial rules: no
         # ring derivative or product, no J(phi, .) and no Lie action on
-        # operators; J(phi, .)'s images are built once per call, and the
-        # windows of F_nu and D^n share one product table
+        # operators; J(phi, .)'s defect is one formal_defect of its terms
+        # per call, with no image, and the windows of F_nu and D^n, the map's
+        # source and target, share one product table
         ring = PolyFn if space == LINE else TrigFn
-        calls, images, windows = [], [], set()
+        calls, images, formal, windows = [], [], [], set()
 
         def recorded(name, f):
             return lambda *args: calls.append(name) or f(*args)
@@ -846,16 +847,19 @@ class TestCoefficientRows:
         monkeypatch.setattr(BilinearOp, "operator", recorded("operator", BilinearOp.operator))
         monkeypatch.setattr(densities, "lie_derivative_operator",
                             recorded("lie_derivative_operator", lie_derivative_operator))
-        real_images, real_lie = truncation.term_images, TruncatedBasis.lie_entries
+        real_images, real_formal = truncation.term_images, truncation.formal_defect
+        real_columns = SymmetryMap.defect_columns
         monkeypatch.setattr(truncation, "term_images",
                             lambda *args: images.append(args) or real_images(*args))
-        monkeypatch.setattr(TruncatedBasis, "lie_entries",
-                            lambda w, X, j: windows.add(w) or real_lie(w, X, j))
+        monkeypatch.setattr(truncation, "formal_defect",
+                            lambda *args: formal.append(args) or real_formal(*args))
+        monkeypatch.setattr(SymmetryMap, "defect_columns", lambda T, X, elements: windows.update(
+            (T.basis, T.target)) or real_columns(T, X, elements))
         J = BilinearOp(kind, *BILINEAR_HOMES[kind])
         cols = bilinear_defect(J, space, 8, defect_fields(space))
         assert cols and all(v == 0 for col in cols for v in col)
         assert calls == []
-        assert len(images) == 1
+        assert images == [] and len(formal) == 1
         assert {(w.k, w.lam, w.mu) for w in windows} == {
             (0, 0, J.nu), (J.order, J.lam, J.out_weight)}
         assert len({id(w._products) for w in windows}) == 1
@@ -874,14 +878,14 @@ class TestCoefficientRows:
             monkeypatch.setitem(BILINEAR, kind, (order + 1, defined,
                                                  lambda nu, lam: (*row(nu, lam), F(1, 3))))
         J = BilinearOp(kind, *BILINEAR_HOMES[kind])
-        defects, real_columns = [], truncation.defect_columns
+        defects, real_columns = [], SymmetryMap.defect_columns
 
         def spy(T, X, elements):
             den, cols = real_columns(T, X, elements)
             defects.append((T, X, elements, den, cols))
             return den, cols
 
-        monkeypatch.setattr(truncation, "defect_columns", spy)
+        monkeypatch.setattr(SymmetryMap, "defect_columns", spy)
         fields = defect_fields(space)
         bilinear_defect(J, space, 8, fields)
         assert [X for _, X, *_ in defects] == fields
@@ -914,6 +918,30 @@ class TestCoefficientRows:
         cols = bilinear_defect(J, space, 8, defect_fields(space))
         assert cols == reference_bilinear_defect(J, space, 8, defect_fields(space))
         assert any(v != 0 for col in cols for v in col) == perturbed
+
+    @pytest.mark.parametrize("space", [LINE, CIRCLE])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("kind", list(BILINEAR_HOMES))
+    def test_formal_columns_are_the_per_element_columns(self, monkeypatch, kind, perturbed,
+                                                        space):
+        # J(phi, .) as bilinear_defect reads it, from the window of F_nu into
+        # its order-n sibling: its columns off formal_defect equal the
+        # per-element reference's, as vectors; the row with a term
+        # 1/3 phi psi^(n+1) appended is equivariant for no kind
+        if perturbed:
+            order, defined, row = BILINEAR[kind]
+            monkeypatch.setitem(BILINEAR, kind, (order + 1, defined,
+                                                 lambda nu, lam: (*row(nu, lam), F(1, 3))))
+        J = BilinearOp(kind, *BILINEAR_HOMES[kind])
+        phis = TruncatedBasis(0, 8, space, 0, J.nu)
+        T = SymmetryMap(phis, (phis.sibling(J.order, J.lam, J.out_weight), J.terms), kind)
+        nonzero = False
+        for X in defect_fields(space):
+            safe = phis.safe_indices(X)
+            got = sparse_vectors(*T.defect_columns(X, safe))
+            assert got == sparse_vectors(*element_defect_columns(T, X, safe))
+            nonzero = nonzero or any(got)
+        assert nonzero == perturbed
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("changed", [False, True])

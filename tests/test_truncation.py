@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from densym import cli, densities, identities, rings, truncation
-from densym.densities import DensityOperator, VectorField, lie_derivative_operator
+from densym.densities import DensityOperator, VectorField, lie_derivative_operator, lie_terms
 from densym.errors import (
     InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
 )
@@ -25,13 +25,16 @@ from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product
 from densym.truncation import (
     SymmetryMap, TruncatedBasis, brute_force_local_symmetries,
-    circle_fields, conjugation_map, coordinate, dense, equivariance_defect,
-    generator_family, invariant_functionals_dimension, line_fields, numerator_over,
+    circle_fields, conjugation_map, coordinate, dense, equivariance_defect, formal_defect,
+    formal_rows, generator_family, invariant_functionals_dimension, line_fields, numerator_over,
     projection_terms, realize, ring_basis, ring_coordinates, ring_dim, ring_entries, shift_map,
     signed_index,
 )
 import oracle
-from oracle import AppliedMap, brute_force_fields, elements, windowed_local_symmetries
+from oracle import (
+    AppliedMap, brute_force_fields, element_defect_columns, elements, sparse_vectors,
+    windowed_local_symmetries,
+)
 from reference import (
     density, lie_derivative_density, reference_bilinear_defect, ring_vector, s_map_chain,
 )
@@ -80,8 +83,17 @@ def true_image(T, j):
 
 
 def true_lie(window, X, j):
-    """window.lie_entries(X, j), integers over lie_den(X), as true values."""
-    return [(t, F(v, window.lie_den(X))) for t, v in window.lie_entries(X, j)]
+    """oracle.lie_entries(window, X, j), integers over lie_den, as true values."""
+    return [(t, F(v, oracle.lie_den(window, X))) for t, v in oracle.lie_entries(window, X, j)]
+
+
+def true_columns(window, X):
+    """The L_X columns of the window's safe elements that window.columns reads
+    off lie_terms, as true values."""
+    lie = [{(m, p, q, False): c for m, p, q, c in lie_terms(i, window.lam, window.mu)}
+           for i in range(window.k + 1)]
+    return [sorted((t, F(v, window.product_den(X))) for t, v in col.items() if v)
+            for col in window.columns(X, lie, window.safe_indices(X))]
 
 
 def dense_defect(T, X):
@@ -266,7 +278,7 @@ class TestTermArithmetic:
     def test_a_derived_map_is_one_closed_form(self, monkeypatch):
         # its images come from one term_images call, on its own terms; no
         # operand builds its images
-        _, _, images, _ = spy_window_kernel(monkeypatch)
+        _, _, images, _, _ = spy_window_kernel(monkeypatch)
         basis = TruncatedBasis(2, 8, CIRCLE, F(0), F(1))
         C, L = realize("C", basis), realize("L", basis)
         Z = C @ C - 3 * C + L @ C
@@ -317,7 +329,9 @@ def lie_outcome(read):
 
 class TestWindowLieDerivative:
     # every element of the window, safe or not, under the verify and oracle
-    # fields, on the basis and on two of its density windows
+    # fields, on the basis and on two of its density windows: the reference's
+    # L_X (oracle.lie_entries), and on the safe elements the columns that
+    # the functionals read (TruncatedBasis.columns of lie_terms)
     @pytest.mark.parametrize("k", range(5))
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     def test_every_column_is_the_operator_action(self, space, k):
@@ -333,6 +347,8 @@ class TestWindowLieDerivative:
                                 lambda: window.entries_of(lie_derivative_operator(X, b)))
                             assert lie_outcome(lambda: true_lie(window, X, j)) == want
                             outcomes[isinstance(want, str)] += 1
+                        assert true_columns(window, X) == [
+                            true_lie(window, X, j) for j in window.safe_indices(X)]
         assert outcomes[True] and outcomes[False]
 
     def test_products_that_cancel_past_the_window_do_not_overflow(self):
@@ -344,7 +360,7 @@ class TestWindowLieDerivative:
         assert j not in window.safe_indices(X)
         assert (X.value * phi.diff()).size == 2
         assert window.entries_of(lie_derivative_operator(X, elements(window)[j])) == []
-        assert window.lie_entries(X, j) == []
+        assert oracle.lie_entries(window, X, j) == []
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
@@ -399,7 +415,7 @@ class TestMonomialRules:
         # product's coordinates times den; den clears every value (9
         # monomials on either window)
         window = TruncatedBasis(0, 8 if X.space == LINE else 4, X.space, 0, 0)
-        den = window.lie_den(X)  # the table's den: the window's weights are integers
+        den = window.product_den(X)
         product = X.value.diff(p) * window.monomials[t].diff(q)
         assert window.product_row(X, p, q, t) == [
             (s, numerator_over(den, v)) for s, v in ring_coordinates(product)]
@@ -612,11 +628,12 @@ class TestDefectByLinearity:
             assert T.func(q1 * b1 + q2 * b2) == q1 * T.func(b1) + q2 * T.func(b2)
 
     @pytest.mark.parametrize("name", ["S", "Sstar", "W", "L"])
-    def test_each_map_and_each_lie_derivative_once_per_element(self, name, monkeypatch):
-        # L_X is counted per (field, element, window): W's images are read on
-        # the densities window, whose elements L_X meets once each as well.
-        # every map, the trace L too, is read in closed form, all its images
-        # in one term_images call, so its callable is never applied
+    def test_each_map_reads_one_formal_defect(self, name, monkeypatch):
+        # every map, the trace L too, is read in closed form: one
+        # formal_defect of its terms, from its module into the target's
+        # weights (W's into F_nu), gives its defect under every field, so its
+        # callable is never applied, no image is built and no window L_X is
+        # read per element
         applied, built = [], []
         real_make, real_call = CATALOG[name].make, Projection.__call__
 
@@ -632,49 +649,66 @@ class TestDefectByLinearity:
         real_images = truncation.term_images
         monkeypatch.setattr(truncation, "term_images",
                             lambda *args: built.append(args) or real_images(*args))
+        _, _, _, _, formal = spy_window_kernel(monkeypatch)
         lie_builds = count_window_lie_builds(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
         assert res.passed, res.line()
-        assert applied == [] and len(built) == 1
-        assert {X for X, _, _ in lie_builds} == {repr(X) for X in generator_family(CIRCLE)}
-        assert set(lie_builds.values()) == {1}
-        if name == "W":  # a projection: L_X on the basis and on F_nu
-            assert len({w for _, _, w in lie_builds}) == 2
+        assert applied == [] and built == [] and not lie_builds
+        k, lam, mu = CATALOG_HOMES[name]
+        [(_, source, target)] = [args for _, args in formal]
+        assert source == (k, lam, mu)
+        assert target == ((0, w_formula(k, lam, mu).nu) if name == "W" else (lam, mu))
 
-    @pytest.mark.parametrize("name", ["S", "W"])
-    def test_ring_products_stay_within_the_product_table(self, name, monkeypatch):
-        # the window's L_X reads the rows X^(p) m^(q) for p <= k+1 and X m':
-        # at most (k+3) ring_dim rows per field, each filled once off the
-        # monomial rules however many elements and windows read it (W reads
-        # the basis and its density window, which share the table), with no
-        # ring product or derivative
-        ring, fills, _, windows = spy_window_kernel(monkeypatch)
+    @pytest.mark.parametrize("name, wrong", [
+        ("S", lambda e: replace(e, jet=perturbed_jet(e.jet))),
+        ("W", lambda e: replace(e, make=perturbed_w)),
+    ])
+    def test_ring_products_stay_within_the_product_table(self, name, wrong, monkeypatch):
+        # the map's formal defect is empty, so its check fills no product
+        # row.  A perturbed map's defect reads the rows X^(p) m^(q) of its
+        # formal defect's (p, q): at most that many ring_dim rows per field,
+        # each filled once off the monomial rules however many elements and
+        # windows read it (W reads the basis and its density window, which
+        # share the table), with no ring product or derivative
+        ring, fills, _, windows, formal = spy_window_kernel(monkeypatch)
         res = check_catalog_op(name, CheckConfig())
-        assert res.passed, res.line()
+        assert res.passed and fills == [], res.line()
+        windows.clear()
+        formal.clear()
+        monkeypatch.setitem(CATALOG, name, wrong(CATALOG[name]))
+        assert not check_catalog_op(name, CheckConfig()).passed
         basis = max(windows, key=lambda w: w.k)
         assert len(windows) == (2 if name == "W" else 1)
         assert len({id(w._products) for w in windows}) == 1
         rows = sum(len(rows) for _, _, rows in basis._products.values())
+        [(terms, source, target)] = [args for _, args in formal]
+        products = {(p, q or 0) for col in truncation.formal_defect(terms, source, target)[1]
+                    for _, p, q, _ in col}
         fields = generator_family(CIRCLE)
-        assert 0 < len(fills) == rows <= len(fields) * (basis.k + 3) * ring_dim(CIRCLE, basis.M)
+        assert 0 < len(fills) == rows <= len(fields) * len(products) * ring_dim(CIRCLE, basis.M)
         assert ring == []
 
 
 def spy_window_kernel(monkeypatch):
     """Spies on the window kernel from here on; returns (ring, fills, images,
-    windows).  ring lists the ring products and derivatives and the
-    lie_derivative_operator and BilinearOp.operator calls made inside
-    lie_entries, bilinear_defect, equivariance_defect or a map's image
+    windows, formal).  ring lists the ring products and derivatives and the
+    lie_derivative_operator and BilinearOp.operator calls made inside a
+    window's columns, oracle.lie_entries, bilinear_defect,
+    equivariance_defect or a map's image
     build (SymmetryMap._load), and every operator built there (no kernel
     needs one); fills the product_entries
     calls, one per product-table row filled (and per coefficient of a
     bilinear defect operator at d^o and psi); images the term_images calls,
-    one per closed-form map whose images are built; and windows the windows
-    whose lie_entries are read."""
+    one per closed-form map whose images are built; windows the windows
+    whose columns (TruncatedBasis.columns, the functionals' L_X) or
+    reference L_X (oracle.lie_entries) are read, and the basis and target
+    of each closed-form map whose defect is read
+    (SymmetryMap.defect_columns); and formal the formal_defect calls, one
+    per closed-form map whose defect is read."""
     # truncation binds no name of the Lie action on operators, so the spy
     # on densities.lie_derivative_operator sees every call
     assert not hasattr(truncation, "lie_derivative_operator")
-    ring, fills, images, windows, depth = [], [], [], set(), [0]
+    ring, fills, images, windows, formal, depth = [], [], [], set(), [], [0]
 
     def inside(f):
         def run(*args):
@@ -700,16 +734,28 @@ def spy_window_kernel(monkeypatch):
         "lie_derivative_operator", densities.lie_derivative_operator, ring))
     monkeypatch.setattr(BilinearOp, "operator",
                         logged("BilinearOp.operator", BilinearOp.operator, ring))
-    for name, log in (("product_entries", fills), ("term_images", images)):
+    for name, log in (("product_entries", fills), ("term_images", images),
+                      ("formal_defect", formal)):
         monkeypatch.setattr(truncation, name,
                             logged(name, getattr(truncation, name), log, always=True))
-    real_lie_entries = TruncatedBasis.lie_entries
+    real_lie_entries, real_columns = oracle.lie_entries, TruncatedBasis.columns
+    real_defect_columns = SymmetryMap.defect_columns
 
-    def lie_entries(self, X, j):
+    def lie_entries(window, X, j):
+        windows.add(window)
+        return real_lie_entries(window, X, j)
+
+    def columns(self, X, sigma, elements):
         windows.add(self)
-        return real_lie_entries(self, X, j)
+        return real_columns(self, X, sigma, elements)
 
-    monkeypatch.setattr(TruncatedBasis, "lie_entries", inside(lie_entries))
+    def defect_columns(self, X, elements):
+        windows.update((self.basis, self.target))
+        return real_defect_columns(self, X, elements)
+
+    monkeypatch.setattr(oracle, "lie_entries", inside(lie_entries))
+    monkeypatch.setattr(TruncatedBasis, "columns", inside(columns))
+    monkeypatch.setattr(SymmetryMap, "defect_columns", defect_columns)
     monkeypatch.setattr(SymmetryMap, "_load", inside(SymmetryMap._load))
     for name in ("bilinear_defect", "equivariance_defect"):
         kernel = inside(getattr(truncation, name))
@@ -717,27 +763,27 @@ def spy_window_kernel(monkeypatch):
         monkeypatch.setattr(identities, name, kernel)
     monkeypatch.setattr(DensityOperator, "__init__",
                         logged("DensityOperator", DensityOperator.__init__, ring))
-    return ring, fills, images, windows
+    return ring, fills, images, windows, formal
 
 
 def count_window_lie_builds(monkeypatch):
-    """Counter of the window L_X builds, keyed (repr(X), element index,
-    id(window)).
+    """Counter of the reference's window L_X builds, keyed (repr(X), element
+    index, id(window)).
 
-    A build is a lie_entries call that returns a column no earlier call
-    returned; every column is kept here, so no id is reused.
+    A build is an oracle.lie_entries call that returns a column no earlier
+    call returned; every column is kept here, so no id is reused.
     """
     builds, columns = Counter(), {}
-    real_lie_entries = TruncatedBasis.lie_entries
+    real_lie_entries = oracle.lie_entries
 
-    def lie_entries(self, X, j):
-        col = real_lie_entries(self, X, j)
+    def lie_entries(window, X, j):
+        col = real_lie_entries(window, X, j)
         if id(col) not in columns:
             columns[id(col)] = col
-            builds[repr(X), j, id(self)] += 1
+            builds[repr(X), j, id(window)] += 1
         return col
 
-    monkeypatch.setattr(TruncatedBasis, "lie_entries", lie_entries)
+    monkeypatch.setattr(oracle, "lie_entries", lie_entries)
     return builds
 
 
@@ -940,28 +986,28 @@ class TestBruteForceByLinearity:
         assert len({w for _, _, w in builds}) == 1
 
 
-def _kernel_with_flipped_lie_after_t():
-    """defect_columns with the sign of its L_X o T term flipped: the integer
-    subtraction of T(b)_j times the target's L_X(e_j)."""
-    source = inspect.getsource(truncation.defect_columns)
-    term = "col[i] = col.get(i, 0) - c * v"
+def _with_flipped_sign(module, function, term, flipped):
+    """module's function with its one occurrence of term replaced by flipped."""
+    source = inspect.getsource(getattr(module, function))
     assert source.count(term) == 1
-    namespace = dict(vars(truncation))
-    exec(compile(source.replace(term, "col[i] = col.get(i, 0) + c * v"),
-                 truncation.__file__, "exec"), namespace)
-    return namespace["defect_columns"]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(term, flipped), module.__file__, "exec"), namespace)
+    return namespace[function]
 
 
 class TestFlippedKernel:
-    """The --op checks, the bilinear checks and the windowed oracle share one
-    kernel; a fault in it still fails every check, and the windowed oracle
-    then disagrees with the recurrence."""
+    """The --op checks and the bilinear checks share one kernel, the formal
+    defect of a closed form; with the sign of its L_X o T half flipped every
+    check fails.  The windowed oracle reads the per-element reference
+    instead (oracle.element_defect_columns); flipped there, the oracle
+    disagrees with the recurrence."""
 
     @pytest.fixture
     def flipped(self, monkeypatch):
-        # equivariance_defect and bilinear_defect read the builder from
-        # truncation's namespace, so every caller of either sees the fault
-        monkeypatch.setattr(truncation, "defect_columns", _kernel_with_flipped_lie_after_t())
+        # SymmetryMap.defect_columns reads formal_defect from truncation's
+        # namespace, so every check sees the fault
+        monkeypatch.setattr(truncation, "formal_defect", _with_flipped_sign(
+            truncation, "formal_defect", "col.get(key, 0) - c * c2", "col.get(key, 0) + c * c2"))
 
     def test_verify_op_exit_1(self, capsys, flipped):
         assert cli.main(["verify", "--op", "S"]) == 1
@@ -978,7 +1024,10 @@ class TestFlippedKernel:
         assert ": FAIL, defect " in out and ", defect 0," not in out
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
-    def test_windowed_oracle_disagrees(self, flipped, space):
+    def test_windowed_oracle_disagrees(self, monkeypatch, space):
+        monkeypatch.setattr(AppliedMap, "defect_columns", _with_flipped_sign(
+            oracle, "element_defect_columns", "col[i] = col.get(i, 0) - c * v",
+            "col[i] = col.get(i, 0) + c * v"))
         rec = nullspace(build_system(3, 0, 1), len(component_unknowns(3)))
         assert windowed_local_symmetries(3, 0, 1, space) != rec
 
@@ -1088,7 +1137,7 @@ class TestIntegerKernel:
     def test_large_denominators(self, space):
         lam, mu = HUGE_WEIGHTS
         T = random_jet_map(3, lam, mu, space, 8)
-        assert T.basis.lie_den(generator_family(space)[0]) % 9 == 0
+        assert oracle.lie_den(T.basis, generator_family(space)[0]) % 9 == 0
         assert assert_defects_are_direct(T, generator_family(space))
         V = realize("V", TruncatedBasis(3, 9, space, lam, mu))
         assert assert_defects_are_direct(V, generator_family(space)) is False
@@ -1218,13 +1267,15 @@ class TestClosedFormColumns:
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name", ["S", "W"])
     def test_no_ring_element_and_no_basis_element(self, name, space, monkeypatch):
-        ring, _, _, windows = spy_window_kernel(monkeypatch)
+        # the defect reads one formal_defect of the terms: no ring element,
+        # no image of a basis element and no window L_X
+        ring, _, images, windows, formal = spy_window_kernel(monkeypatch)
         k, lam, mu = CATALOG_HOMES[name]
         T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
         for X in generator_family(space):
-            assert max_abs(col.values() for col in equivariance_defect(T, X)) == 0
-        assert ring == []
-        assert T.basis in windows and T.target in windows
+            assert equivariance_defect(T, X) == [{} for _ in T.basis.safe_indices(X)]
+        assert ring == [] and images == [] and len(formal) == 1
+        assert windows == {T.basis, T.target}
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, wrong", [
@@ -1245,44 +1296,154 @@ class TestClosedFormColumns:
         assert capsys.readouterr().out.startswith(f"op:{name}: FAIL, defect ")
 
 
+# the --op points of the CI's console-script step, (name, k, lam, mu), the
+# weights a home's when the step does not set them
+CI_OP_POINTS = [
+    ("V", 1, F(0), F(1, 2)), ("V", 3, *HUGE_WEIGHTS), ("S", 6, F(0), F(0)),
+    ("sigma", 0, F(0), F(1, 3)), ("wilmodB", 4, F(-3, 2), F(5, 2)), ("C", 5, F(2, 9), F(7, 9)),
+    ("Sstar", 7, F(1), F(1)), ("L", 5, F(0), F(1)), ("S", 20, F(0), F(0)), ("L", 8, F(0), F(1)),
+    ("P0star", 10, F(2, 7), F(1)),
+]
+
+
+def formal_defect_cases():
+    """(name, k, lam, mu, space) for every non-bilinear catalog name at its
+    home and at its CI points, on each space where it exists."""
+    points = [(name, *home) for name, home in CATALOG_HOMES.items()] + CI_OP_POINTS
+    return [(name, k, lam, mu, space) for name, k, lam, mu in points
+            for space in (CIRCLE, LINE)
+            if CATALOG[name].kind != "bilinear" and CATALOG[name].exists(k, lam, mu, space)]
+
+
+def defect_is_the_per_element_defect(T, fields):
+    """Every field's defect columns of the closed form T equal the
+    per-element reference's, as vectors; returns whether any is nonzero."""
+    nonzero = False
+    for X in fields:
+        safe = T.basis.safe_indices(X)
+        got = sparse_vectors(*T.defect_columns(X, safe))
+        assert got == sparse_vectors(*element_defect_columns(T, X, safe))
+        nonzero = nonzero or any(got)
+    return nonzero
+
+
+class TestFormalDefect:
+    """SymmetryMap.defect_columns reads every column off formal_defect, the
+    map's defect as coefficients of f^(p) a^(q) d^m: on jets it is the
+    formal oracle's rows, and on every map its columns are the per-element
+    reference's (oracle.element_defect_columns)."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_jets_are_the_formal_rows(self, k):
+        # at f = x^p/p! and a = x^q/q! the x^0 coefficient at d^m of the
+        # defect is sigma_s(m, p, q): formal_rows(k, lam, mu)[p, s, q, m] . t
+        rng = random.Random(3700 + k)
+        for _ in range(4):
+            lam, mu = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
+            t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
+            den, sigma = formal_defect(jet_terms(t, k), (k, lam, mu), (lam, mu))
+            rows = formal_rows(k, lam, mu)
+            got = {(p, s, q, m): F(v, den) for s, col in enumerate(sigma)
+                   for (m, p, q, mean), v in col.items() if p in (2, 3)}
+            assert all(q is not None and not mean
+                       for col in sigma for _, _, q, mean in col)
+            assert set(got) <= set(rows)
+            assert got == {key: value for key, row in rows.items()
+                           if (value := sum(c * x for c, x in zip(row, t) if c))}
+
+    @pytest.mark.parametrize("name, k, lam, mu, space", formal_defect_cases())
+    def test_columns_are_the_per_element_columns(self, name, k, lam, mu, space):
+        T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
+        assert not defect_is_the_per_element_defect(T, generator_family(space))
+
+    @pytest.mark.parametrize("name, k, lam, mu, space", [
+        case for case in formal_defect_cases() if case[1:4] == CATALOG_HOMES[case[0]]])
+    def test_a_perturbed_map_is_the_per_element_defect(self, name, k, lam, mu, space):
+        # plus a third of a_k^(k+1) at d^0, a derivative no term of any map
+        # takes: no symmetry
+        T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
+        wrong = SymmetryMap(T.basis, (T.target, T.closed[1] + [(k, 0, k + 1, F(1, 3))]))
+        assert defect_is_the_per_element_defect(wrong, generator_family(space))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_means_off_the_trace(self, k):
+        # delta o L puts mean(a_0) at d^2 of D^{k+1}_{-1,1}, where L_X of a
+        # constant is not 0, while L_X o L = 0 on D^k_{0,1}; off (0, 1) the
+        # trace's rule takes L_X a_0 to mean(X a_0' + (mu - lam) X' a_0),
+        # which is not 0
+        basis = TruncatedBasis(k, k + 6, CIRCLE, F(0), F(1))
+        L = realize("L", basis)
+        assert defect_is_the_per_element_defect(shift_map(basis, 1) @ L, circle_fields(2))
+        assert not defect_is_the_per_element_defect(L, circle_fields(2))
+        other = basis.sibling(k, F(1, 3), F(1, 5))
+        trace = SymmetryMap(other, (other, [(0, 1, None, 1)]), "L")
+        assert defect_is_the_per_element_defect(trace, circle_fields(2))
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_a_product_past_the_window_raises(self, space):
+        # an element off the safe sub-basis reaches past M; its coordinates
+        # must not wrap into the next order's
+        basis = TruncatedBasis(2, 6, space, F(0), F(1))
+        T = SymmetryMap(basis, (basis, [(2, 0, 0, F(1, 3))]))
+        X = generator_family(space)[-1]
+        assert defect_is_the_per_element_defect(T, [X])
+        with pytest.raises(TruncationOverflowError, match="exceeds the window M=6"):
+            T.defect_columns(X, range(basis.dim))
+
+    @pytest.mark.parametrize("space", [CIRCLE, LINE])
+    def test_a_term_below_d0_raises_and_gives_no_column(self, space):
+        # delta^-1 takes no element at d^0, and neither does X o delta^-1:
+        # its guard passes through; after Id - P0 the chain has a defect
+        w = TruncatedBasis(3, 9, space, F(0), F(1, 5))
+        inverse = shift_map(w, -1)
+        Id, P0 = realize("Id", w), realize("P0", w)
+        for T in (inverse, conjugation_map(inverse.target) @ inverse, inverse @ Id):
+            for X in generator_family(space):
+                with pytest.raises(NotInKernelError):
+                    equivariance_defect(T, X)
+        assert not defect_is_the_per_element_defect(inverse @ (Id - P0), generator_family(space))
+
+
 def test_bilinear_defect_reads_j_as_one_closed_form_map(monkeypatch):
-    # J(phi, .) is one closed-form map from the window of F_nu into its order-n
-    # sibling, its images built once per call off the monomial rules: no
-    # density operator, Lie action, ring product or derivative.  Its defects
-    # read L_X on both windows, which share one product table
-    ring, _, images, windows = spy_window_kernel(monkeypatch)
+    # J(phi, .) is one closed-form map from the window of F_nu into its
+    # order-n sibling, its defect read off one formal_defect of its terms
+    # per call: no density operator, Lie action, ring product or
+    # derivative, and no image.  Both windows share one product table
+    ring, _, images, windows, formal = spy_window_kernel(monkeypatch)
     entry = CATALOG["grozman"]
     J = entry.make(*entry.home[1:])
     M = 8
     for space, fields in ((CIRCLE, circle_fields(3)), (LINE, line_fields(5))):
-        images.clear()
+        formal.clear()
         windows.clear()
         cols = truncation.bilinear_defect(J, space, M, fields)
-        assert ring == []
-        [(basis, terms)] = [args for _, args in images]
-        assert (basis.k, basis.lam, basis.mu) == (0, 0, J.nu)
+        assert ring == [] and images == []
+        [(terms, source, target)] = [args for _, args in formal]
+        assert (source, target) == ((0, 0, J.nu), (J.lam, J.out_weight))
         assert sorted(terms) == [(0, j, J.order - j, c) for j, c in enumerate(J.row)]
         assert {(w.k, w.lam, w.mu) for w in windows} == {
             (0, 0, J.nu), (J.order, J.lam, J.out_weight)}
         assert len({id(w._products) for w in windows}) == 1
         assert cols == reference_bilinear_defect(J, space, M, fields)
-    images.clear()
+    formal.clear()
     res = identities.run_identity("grozman_equivariance")
-    assert res.passed and ring == []
-    # one build of J(phi, .)'s images per space
-    assert [args[0].space for _, args in images] == [CIRCLE, LINE]
+    assert res.passed and ring == [] and images == []
+    # one formal defect of J(phi, .) per space
+    assert len(formal) == 2
 
 
 def test_w_sharpness_fills_one_product_table(monkeypatch):
     # its six points and their density windows are one ring window (circle,
-    # M = 10): each row X^(p) m^(q) is read off the monomial rules once
-    ring, fills, _, windows = spy_window_kernel(monkeypatch)
+    # M = 10): each row X^(p) m^(q) is read off the monomial rules once.  On
+    # the locus W's formal defect is empty, so the rows are those of the
+    # three points off it
+    ring, fills, _, windows, _ = spy_window_kernel(monkeypatch)
     res = identities.run_identity("w_sharpness")
     assert res.passed, res.line()
     tables = {id(w._products): w._products for w in windows}
     assert len(windows) == 12 and len(tables) == 1
     rows = sum(len(rows) for table in tables.values() for _, _, rows in table.values())
-    assert len(fills) == rows == 558
+    assert len(fills) == rows == 120
     assert ring == []
 
 
@@ -1290,7 +1451,7 @@ def test_lemma_functionals_fills_one_product_table_per_window(monkeypatch):
     # its five weights at each of N = 3, 5 are density windows of one base
     # window per N, so the ten windows fill two tables, each row once: 172
     # rows, where a table per weight filled 774
-    ring, fills, _, windows = spy_window_kernel(monkeypatch)
+    ring, fills, _, windows, _ = spy_window_kernel(monkeypatch)
     res = identities.run_identity("lemma_functionals")
     assert res.passed, res.line()
     tables = {id(w._products): w._products for w in windows}
@@ -1475,7 +1636,7 @@ class TestCompositionAcrossWindows:
 
     @pytest.mark.parametrize("name,space", every_map_home())
     def test_realize_is_closed_form_at_every_home(self, name, space, monkeypatch):
-        ring, _, images, _ = spy_window_kernel(monkeypatch)
+        ring, _, images, _, _ = spy_window_kernel(monkeypatch)
         k, lam, mu = CATALOG_HOMES[name]
         T = realize(name, TruncatedBasis(k, k + 6, space, lam, mu))
         assert type(T) is SymmetryMap
