@@ -9,8 +9,9 @@ remaining symmetry generators.
 
 Every map is an explicit exact formula on coefficient lists; a projection
 onto densities (`Projection`) and a bilinear operator (`BILINEAR`) are each
-one row of coefficients, and a local endomorphism of the catalog is its jet,
-the vector of t[r,l]; every map composes as its terms, by compose_terms.
+one row of coefficients, and an endomorphism of the catalog is its terms
+(r, o, l, c), c a_r^(l) at d^o; every map composes as its terms, by
+compose_terms.
 Weight preconditions are hard errors: the maps move between modules and silent
 coercion would mask bugs.
 """
@@ -263,9 +264,9 @@ class BilinearOp:
 
 
 # ----------------------------------------------------------------------
-# jet coordinates: a local endomorphism T of D^k_{lam,mu} is its vector of
-# t[r,l], 0 <= l <= r <= k, with T(A)_{r-l} += t[r,l] perm(r,l) a_r^(l);
-# a vector for classify's algebra carries the coefficient of the trace last
+# terms: a local endomorphism T of D^k_{lam,mu} is its terms (r, r-l, l, c),
+# 0 <= l <= r <= k, with T(A)_{r-l} += c a_r^(l); its jet is the vector of
+# t[r,l] = c / perm(r,l), and the trace L is the one term (0, 1, None, 1)
 # ----------------------------------------------------------------------
 
 def component_unknowns(k: int):
@@ -273,21 +274,11 @@ def component_unknowns(k: int):
     return [(r, l) for r in range(k + 1) for l in range(r + 1)]
 
 
-def jet_terms(t, k: int):
-    """The terms of the jet vector t of order k, (r, r-l, l, t[r,l] perm(r,l)),
-    and the trace's (0, 1, None, c) for a trailing trace coordinate c."""
-    unknowns = component_unknowns(k)
-    (trace,) = t[len(unknowns):] or [0]  # at most one coordinate past the jet's
-    terms = [(r, r - l, l, c * perm(r, l)) for (r, l), c
-             in zip(unknowns, t[:len(unknowns)], strict=True) if c]
-    return terms + [(0, 1, None, trace)] if trace else terms
-
-
 def term_coordinates(terms, k: int, trace: bool):
-    """The inverse of jet_terms up to the factors perm(r,l): each term's c at
-    its t[r,l], and with trace, the trace's c last; ints for int terms.  A
-    term that is no endomorphism's of order k raises ValueError: o != r - l,
-    a mean other than the trace's or with no trace slot, a guard o < 0."""
+    """Each term's c at its t[r,l], in component_unknowns order, and with
+    trace, the trace's c last; ints for int terms.  A term that is no
+    endomorphism's of order k raises ValueError: o != r - l, a mean other
+    than the trace's or with no trace slot, a guard o < 0."""
     out = [0] * ((k + 1) * (k + 2) // 2 + trace)
     for r, o, l, c in terms:
         if not (0 <= l <= r <= k and o == r - l if l is not None else trace and (r, o) == (0, 1)):
@@ -304,15 +295,14 @@ def terms_jet(terms, k: int):
             for (r, l), c in zip(component_unknowns(k), term_coordinates(terms, k, False))]
 
 
-def componentwise_map(t, k: int, lam, mu):
-    """The jet map of t on D^k_{lam,mu}, on either space: each term (r, o, l, c)
-    of jet_terms(t, k) adds c a_r^(l) at d^o.  A t of another length, as one
-    with a trace coordinate, raises ValueError; an operator of another module
-    or of order above k is rejected."""
-    if len(t) != len(component_unknowns(k)):
-        raise ValueError(f"{len(t)} coordinates are no jet vector of order {k}")
+def componentwise_map(terms, k: int, lam, mu):
+    """The map of a local endomorphism's terms on D^k_{lam,mu}, on either
+    space: each term (r, o, l, c) adds c a_r^(l) at d^o.  Terms that are no
+    local endomorphism's of order k (term_coordinates, with no trace) raise
+    ValueError; an operator of another module or of order above k is
+    rejected."""
+    term_coordinates(terms, k, False)
     lam, mu = rat(lam), rat(mu)
-    terms = jet_terms(t, k)
 
     def act(A: DensityOperator) -> DensityOperator:
         if (A.lam, A.mu) != (lam, mu) or A.order > k:
@@ -362,29 +352,29 @@ def conjugation_terms(k: int):
     return [(r, r - l, l, (-1) ** r * comb(r, l)) for r, l in component_unknowns(k)]
 
 
-def mirror_jet(t, k: int):
-    """c o T o c, for the jet t of T and c = conjugation_terms(k): T carried
+def mirror_terms(terms, k: int):
+    """c o T o c, for the terms of T and c = conjugation_terms(k): T carried
     from D^k_{1-mu,1-lam} to D^k_{lam,mu}."""
     c = conjugation_terms(k)
-    return terms_jet(compose_terms(c, compose_terms(jet_terms(t, k), c)), k)
+    return compose_terms(c, compose_terms(terms, c))
 
 
-def _s_jet(k: int):
+def _s_terms(k: int):
     """c o n, where n: A -> sum_m (a_m + a_{m+1}') d^m on D^k_{1,1} is the
     terms (r, r, 0, 1) and (r, r-1, 1, 1): the symmetry S of D^k_{0,0}."""
     n = [(r, r, 0, 1) for r in range(k + 1)] + [(r, r - 1, 1, 1) for r in range(1, k + 1)]
-    return terms_jet(compose_terms(conjugation_terms(k), n), k)
+    return compose_terms(conjugation_terms(k), n)
 
 
-def printed_jet(J: BilinearOp, pi: Projection):
-    """The jet of A -> J(pi(A), .) on D^k_{lam,mu}, J's terms after pi's, for
+def printed_terms(J: BilinearOp, pi: Projection):
+    """The terms of A -> J(pi(A), .) on D^k_{lam,mu}, J's after pi's, for
     pi: D^k_{lam,mu} -> F_nu and J: F_nu x F_lam -> F_mu."""
     if (J.nu, J.lam, J.out_weight) != (pi.nu, pi.lam, pi.mu):
         raise WeightMismatchError(
             f"bilinear {J.kind!r} maps F_{J.nu} x F_{J.lam} to F_{J.out_weight}, "
             f"not F_{pi.nu} x F_{pi.lam} to F_{pi.mu}"
         )
-    return terms_jet(compose_terms(J.terms, pi.terms), pi.k)
+    return compose_terms(J.terms, pi.terms)
 
 
 # ----------------------------------------------------------------------
@@ -400,32 +390,32 @@ class CatalogEntry:
                                 # operators; bilinear: (nu, lam) -> BilinearOp
     home: tuple                 # (k, lam, mu) that `verify --op` checks by
                                 # default; (0, nu, lam) for a bilinear map
-    jet: object = None          # local endo: (k, lam, mu) -> its t[r,l] vector;
-                                # None for the nonlocal trace L
+    terms: object = None        # endo: (k, lam, mu) -> its terms (r, o, l, c)
 
     def exists(self, k: int, lam, mu, space: str) -> bool:
-        """Where the map applies; a nonlocal endomorphism (no jet: the trace
-        L, an integral) exists only on the circle."""
-        nonlocal_endo = self.kind == "endo" and self.jet is None
-        return self.applies(k, lam, mu) and (space == CIRCLE or not nonlocal_endo)
+        """Where the map applies; an endomorphism with a mean term (the
+        trace L, an integral) exists only on the circle."""
+        return self.applies(k, lam, mu) and (
+            space == CIRCLE or self.kind != "endo"
+            or None not in [l for _, _, l, _ in self.terms(k, lam, mu)])
 
 
-def local_endo(name, home, applies, jet):
-    """A local endomorphism kept as its jet; make is the jet's map."""
+def local_endo(name, home, applies, terms):
+    """A local endomorphism kept as its terms; make is their map."""
     return CatalogEntry(
         name, "endo", applies,
-        lambda k, lam, mu: componentwise_map(jet(k, lam, mu), k, lam, mu), home, jet=jet,
+        lambda k, lam, mu: componentwise_map(terms(k, lam, mu), k, lam, mu), home, terms=terms,
     )
 
 
-def _on(name, home, weights, why, jet):
-    """The local endomorphism of jet jet(k) on the weights where
-    weights(lam, mu) holds; off them its jet raises, for the reason why."""
+def _on(name, home, weights, why, terms):
+    """The local endomorphism of terms terms(k) on the weights where
+    weights(lam, mu) holds; off them its terms raise, for the reason why."""
 
     def gated(k, lam, mu):
         if not weights(lam, mu):
             raise InapplicableSymmetryError(why)
-        return jet(k)
+        return terms(k)
 
     return local_endo(name, home, lambda k, l, m: weights(l, m), gated)
 
@@ -478,27 +468,28 @@ def _printed(name, home, applies=None):
     if applies is None:
         applies = lambda k, l, m: (k, l, m) == home
     return local_endo(name, home, applies,
-                      lambda k, lam, mu: printed_jet(*PRINTED[name](k, lam, mu)))
+                      lambda k, lam, mu: printed_terms(*PRINTED[name](k, lam, mu)))
 
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _on("Id", (3, Fraction(1, 3), Fraction(1, 5)), lambda l, m: True, None,
-        lambda k: [Fraction(int(l == 0)) for _, l in component_unknowns(k)]),
+        lambda k: [(r, r, 0, 1) for r in range(k + 1)]),
     _on("C", (3, Fraction(1, 4), Fraction(3, 4)), lambda l, m: l + m == 1,
         "C is an endomorphism only on lam + mu = 1",
-        lambda k: terms_jet(conjugation_terms(k), k)),
+        conjugation_terms),
     _on("P0", (3, Fraction(0), Fraction(2, 7)), lambda l, m: l == 0,
         "the scalar-term projection needs lam = 0",
-        lambda k: [Fraction(int(u == (0, 0))) for u in component_unknowns(k)]),
+        lambda k: [(0, 0, 0, 1)]),
     _printed("P0star", (3, Fraction(2, 7), Fraction(1)), lambda k, l, m: m == 1),
     _printed("P1", (3, Fraction(0), Fraction(1)),
              lambda k, l, m: k >= 1 and (l, m) == (0, 1)),
     CatalogEntry("L", "endo", lambda k, l, m: k >= 1 and (l, m) == (0, 1),
-                 lambda k, l, m: nonlocal_trace, (3, Fraction(0), Fraction(1))),
+                 lambda k, l, m: nonlocal_trace, (3, Fraction(0), Fraction(1)),
+                 terms=lambda k, l, m: [(0, 1, None, 1)]),
     _on("S", (4, Fraction(0), Fraction(0)), lambda l, m: (l, m) == (0, 0),
-        "S needs (lam, mu) = (0, 0)", _s_jet),
+        "S needs (lam, mu) = (0, 0)", _s_terms),
     _on("Sstar", (4, Fraction(1), Fraction(1)), lambda l, m: (l, m) == (1, 1),
-        "Sstar needs (lam, mu) = (1, 1)", lambda k: mirror_jet(_s_jet(k), k)),
+        "Sstar needs (lam, mu) = (1, 1)", lambda k: mirror_terms(_s_terms(k), k)),
     _printed("calV", (2, Fraction(1, 3), Fraction(1, 5)), lambda k, l, m: k == 2),
     _printed("calW", (3, Fraction(1, 3), Fraction(7, 6)),
              lambda k, l, m: k == 3 and second_analog_locus(3, l, m) == 0),

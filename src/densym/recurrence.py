@@ -30,10 +30,10 @@ from fractions import Fraction
 from . import algebras
 from .errors import SpanMismatchError
 from .operators import (
-    CATALOG, component_unknowns, compose_terms, jet_terms, mirror_jet, second_analog_locus,
-    second_analog_mu, term_coordinates,
+    CATALOG, component_unknowns, compose_terms, mirror_terms, second_analog_locus,
+    second_analog_mu, term_coordinates, terms_jet,
 )
-from .linalg import ZERO, independent_subset, nullspace, over_one_denominator
+from .linalg import independent_subset, nullspace, numerator_over, over_one_denominator
 from .rings import CIRCLE, LINE, format_rat, rat
 from .truncation import brute_force_local_symmetries
 
@@ -224,14 +224,14 @@ class ClassificationReport:
 
 def candidate_generators(k: int, lam, mu):
     """Cataloged local endomorphisms applicable at (k, lam, mu), plus the
-    mirrors c o T o c (mirror_jet) of those at (1-mu, 1-lam), on either
-    space.  Each comes as its jet vector, t[r,l] in component_unknowns order."""
+    mirrors c o T o c (mirror_terms) of those at (1-mu, 1-lam), on either
+    space.  Each comes as its terms (r, o, l, c)."""
     lam, mu = rat(lam), rat(mu)
-    out = [(name, CATALOG[name].jet(k, lam, mu))
+    out = [(name, CATALOG[name].terms(k, lam, mu))
            for name in CANDIDATE_ORDER if CATALOG[name].applies(k, lam, mu)]
     mirror = (1 - mu, 1 - lam)
     if mirror != (lam, mu):
-        out += [(name + "*", mirror_jet(CATALOG[name].jet(k, *mirror), k))
+        out += [(name + "*", mirror_terms(CATALOG[name].terms(k, *mirror), k))
                 for name in MIRRORED_GENERATORS if CATALOG[name].applies(k, *mirror)]
     return out
 
@@ -244,18 +244,17 @@ def check_module(k: int, space: str):
         raise ValueError(f"the order k must be nonnegative, got {k}")
 
 
-def jet_algebra(names, vectors, k: int) -> algebras.FiniteAlgebra:
-    """Exact structure constants of the span of independent jet vectors under
-    compose_terms, in the int term coordinates t[r,l] perm(r,l) of the jets
-    over one denominator, a diagonal change of basis.  A product outside the
-    span raises SpanNotClosedError; closure holds on every operator.
+def jet_algebra(names, terms, k: int, trace: bool) -> algebras.FiniteAlgebra:
+    """Exact structure constants of the span of independent endomorphisms'
+    terms under compose_terms, in their coordinates term_coordinates(., k,
+    trace) over one denominator.  A product outside the span raises
+    SpanNotClosedError; closure holds on every operator.
     """
-    den, scaled = over_one_denominator(vectors)
-    trace = len(vectors[0]) > len(component_unknowns(k))
-    terms = [jet_terms(v, k) for v in scaled]
+    den, vectors = over_one_denominator([term_coordinates(t, k, trace) for t in terms])
+    scaled = [[(r, o, l, numerator_over(den, c)) for r, o, l, c in t] for t in terms]
     return algebras.structure_constants(
-        names, [term_coordinates(t, k, trace) for t in terms],
-        lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, trace), den)
+        names, vectors,
+        lambda i, j: term_coordinates(compose_terms(scaled[i], scaled[j]), k, trace), den)
 
 
 def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
@@ -263,16 +262,15 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
 
     The local part reads no space: the recurrence nullspace, which the
     formal oracle brute_force_local_symmetries must find too, and the
-    catalog's jet vectors, read off with no operator applied, each solving
-    the recurrence.  The nonlocal stage adds L's coordinate where
+    catalog's terms, read off with no operator applied, whose jets each
+    solve the recurrence.  The nonlocal stage adds L's term where
     nonlocal_dimension is 1.  An independent subset must span the total,
     and the exact products give the algebra.  No window is built.
     """
     check_module(k, space)
     lam, mu = rat(lam), rat(mu)
     rows = build_system(k, lam, mu)
-    n = len(component_unknowns(k))
-    solutions = nullspace(rows, n)
+    solutions = nullspace(rows, len(component_unknowns(k)))
     local = len(solutions)
 
     if check_oracle:
@@ -286,33 +284,33 @@ def classify(k: int, lam, mu, space: str = CIRCLE, check_oracle: bool = True):
                 f"{len(brute)}, and they span different spaces"
             )
 
-    names, vectors = [], []
-    for name, vec in candidate_generators(k, lam, mu):
-        worst = residual(rows, vec)
+    names, terms = [], []
+    for name, t in candidate_generators(k, lam, mu):
+        jet = terms_jet(t, k)
+        worst = residual(rows, jet)
         if worst != 0:
             raise SpanMismatchError(
                 f"{name} violates the recurrence at k={k}, ({lam},{mu}): residual {worst}"
             )
-        if any(vec):
+        if any(jet):
             names.append(name)
-            vectors.append(vec)
+            terms.append(t)
     nonloc = nonlocal_dimension(k, lam, mu, space)
     total = local + nonloc
     if nonloc:
-        # L's vector (0, ..., 0, 1) is independent of every local jet
+        # L's one term is a mean, independent of every local term
         names.append("L")
-        vectors = [v + [ZERO] for v in vectors] + [[ZERO] * n + [Fraction(1)]]
-    chosen = independent_subset(vectors)
+        terms.append(CATALOG["L"].terms(k, lam, mu))
+    chosen = independent_subset([term_coordinates(t, k, nonloc) for t in terms])
     span_dim = len(chosen)
     if span_dim != total:
         raise SpanMismatchError(
             f"catalog generators span {span_dim} dimensions at k={k}, "
             f"({lam},{mu}), {space}; classifier computed {total}"
         )
-    selected = [vectors[i] for i in chosen]
     selected_names = [names[i] for i in chosen]
 
-    kind = algebras.identify(jet_algebra(selected_names, selected, k))
+    kind = algebras.identify(jet_algebra(selected_names, [terms[i] for i in chosen], k, nonloc))
     return ClassificationReport(
         k, lam, mu, space, local, nonloc, selected_names, kind
     )

@@ -7,8 +7,8 @@ window raise instead of silently cutting off, and equivariance defects are
 only ever evaluated on the sub-basis whose image provably stays inside.
 
 Every SymmetryMap is a closed form, its terms into a target window: a
-catalog endomorphism is its jet's terms, a projection its row's and the
-trace L its rule's.  Conjugation off lam + mu = 1 and right composition
+catalog endomorphism, the trace L too, is its catalog terms and a
+projection its row's.  Conjugation off lam + mu = 1 and right composition
 with d and its inverse land in sibling windows, and a composition, a sum
 or a scaling of closed forms is one (operators.compose_terms and
 sum_terms).  One kernel reads every windowed defect that verify checks, of
@@ -30,8 +30,7 @@ from .errors import (
     InapplicableSymmetryError, NotInKernelError, TruncationOverflowError, WeightMismatchError,
 )
 from .operators import (
-    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_terms, jet_terms,
-    sum_terms,
+    Projection, catalog_entry, component_unknowns, compose_terms, conjugation_terms, sum_terms,
 )
 from .linalg import nullspace, numerator_over, rank
 from .rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product, rat
@@ -288,7 +287,7 @@ class SymmetryMap:
     """A linear map from a truncated module into a window of its family, in
     closed form: closed = (target, terms), the target window (the basis for
     an endomorphism, basis.densities(nu) for a projection, or a sibling) and
-    the terms that term_images reads with no ring element.  jet_terms,
+    the terms that term_images reads with no ring element.  The catalog,
     projection_terms, conjugation_map and shift_map give them, and X @ Y,
     X + Y, X - Y and q * X are closed forms too (compose_terms, sum_terms).
     The images are sparse integer columns over one denominator den, built
@@ -397,9 +396,8 @@ def shift_map(b: TruncatedBasis, s: int) -> SymmetryMap:
 
 def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
     """Realize a cataloged endomorphism or projection, by name, on the basis,
-    in closed form, by its terms: a local endomorphism's jet's, a projection's
-    Projection's, and the trace L, mean(a_0) d, as the one term (0, 1, None, 1):
-    only the constant at d^0 maps, to d^1."""
+    in closed form, by its terms: an endomorphism's catalog terms, among them
+    the trace L's one term (0, 1, None, 1), and a projection's Projection's."""
     entry = catalog_entry(name)
     if entry.kind == "bilinear":
         raise InapplicableSymmetryError(f"{name!r} is a bilinear map, not a map of one module")
@@ -407,11 +405,9 @@ def realize(name: str, basis: TruncatedBasis) -> SymmetryMap:
         raise InapplicableSymmetryError(f"{name!r} is not defined at k={basis.k}, "
                                         f"({basis.lam},{basis.mu}) on the {basis.space}")
     k, lam, mu = basis.k, basis.lam, basis.mu
-    if entry.jet is not None:
-        return SymmetryMap(basis, (basis, jet_terms(entry.jet(k, lam, mu), k)), name)
     if entry.kind == "projection":
         return SymmetryMap(basis, projection_terms(basis, entry.make(k, lam, mu)), name)
-    return SymmetryMap(basis, (basis, [(0, 1, None, 1)]), name)  # the trace L
+    return SymmetryMap(basis, (basis, entry.terms(k, lam, mu)), name)
 
 
 # ----------------------------------------------------------------------

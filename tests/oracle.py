@@ -25,7 +25,7 @@ module keeps the two routes it is checked against:
   `truncation.formal_rows`, which reads the rows p = 2, 3 off `lie_terms`.
 """
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from weakref import WeakKeyDictionary
 
 from densym import rings
@@ -196,11 +196,18 @@ def brute_force_fields(space):
     ]
 
 
+def unit_jet_maps(k, lam, mu):
+    """The maps e_u of the unit jets t[r,l] = 1, each componentwise_map of the
+    one term (r, r-l, l, perm(r,l)), in component_unknowns order."""
+    return [componentwise_map([(r, r - l, l, perm(r, l))], k, lam, mu)
+            for r, l in component_unknowns(k)]
+
+
 def windowed_equations(k, lam, mu, space=LINE, M=None):
     """The equivariance conditions on the truncated basis, one row per equation.
 
     The general componentwise map is sum_u t_u e_u over the unit jets e_u
-    (componentwise_map with t[r,l] = 1, every other unknown 0), so each
+    (t[r,l] = 1, every other unknown 0: unit_jet_maps), so each
     (safe element, coordinate) pair of the equivariance_defect columns of the
     e_u is one linear equation in the t_u.  Returns {(field index, order,
     monomial index, coordinate): (unknown indices, integer_row of their
@@ -214,9 +221,7 @@ def windowed_equations(k, lam, mu, space=LINE, M=None):
     M = k + 4 if M is None else M
     check_window(k, M)
     basis = TruncatedBasis(k, M, space, lam, mu)
-    size = len(component_unknowns(k))
-    units = [AppliedMap(basis, componentwise_map([int(v == u) for v in range(size)],
-                                                 k, lam, mu)) for u in range(size)]
+    units = [AppliedMap(basis, e) for e in unit_jet_maps(k, lam, mu)]
     n, out = len(basis.monomials), {}
     for f, X in enumerate(brute_force_fields(space)):
         safe = basis.safe_indices(X)
@@ -273,9 +278,7 @@ def formal_rows(k, lam, mu):
     reads the rows p = 2, 3 with p + q = s - m + 1, and p = 4, 5 are here to
     show that they add no rank.
     """
-    size = len(component_unknowns(k))
-    units = [componentwise_map([int(v == u) for v in range(size)], k, lam, mu)
-             for u in range(size)]
+    units = unit_jet_maps(k, lam, mu)
     out = {}
     for p in range(6):
         X = VectorField(PolyFn.monomial(p, Fraction(1, factorial(p))))

@@ -3,8 +3,9 @@
 A weight-nu density phi(x)(dx)^nu is the order-0 operator D^0_{0,nu} with
 coefficient phi; these helpers build one and act on it by the textbook
 formula, independently of densym's operator action.  The catalog keeps each
-local endomorphism as its jet; the formulas below act on operators, and
-read_jet reads a jet back off such a formula, as the reference route.
+endomorphism as its terms; the formulas below act on operators, read_jet
+reads a jet back off such a formula, as the reference route, and jet_terms
+turns a jet, a random one too, into terms.
 """
 from fractions import Fraction
 from math import perm
@@ -17,10 +18,27 @@ from densym.errors import (
 )
 from densym.linalg import rref
 from densym.operators import (
-    PRINTED, componentwise_map, conjugate, delta_compose, delta_inverse, nonlocal_trace, p0,
+    PRINTED, component_unknowns, componentwise_map, conjugate, delta_compose, delta_inverse,
+    nonlocal_trace, p0,
 )
 from densym.rings import PolyFn, TrigFn
 from densym.truncation import dense, ring_basis, ring_dim, ring_entries
+
+
+def jet_terms(t, k: int):
+    """The terms of the jet vector t of order k, (r, r-l, l, t[r,l] perm(r,l)),
+    and the trace's (0, 1, None, c) for a trailing trace coordinate c: the
+    inverse of term_coordinates up to the factors perm(r,l)."""
+    unknowns = component_unknowns(k)
+    (trace,) = t[len(unknowns):] or [0]  # at most one coordinate past the jet's
+    terms = [(r, r - l, l, c * perm(r, l)) for (r, l), c
+             in zip(unknowns, t[:len(unknowns)], strict=True) if c]
+    return terms + [(0, 1, None, trace)] if trace else terms
+
+
+def jet_map(t, k: int, lam, mu):
+    """The map of the jet vector t on D^k_{lam,mu}: componentwise_map of its terms."""
+    return componentwise_map(jet_terms(t, k), k, lam, mu)
 
 
 def density(nu, f):
@@ -159,7 +177,7 @@ def acts_on_circle_as(build, t, k: int, lam, mu) -> bool:
     probe = DensityOperator(lam, mu, [
         TrigFn(0, {k + 1: 1}, {k + 1: r + 1}) for r in range(k + 1)
     ])
-    return build(probe) == componentwise_map(t, k, lam, mu)(probe)
+    return build(probe) == jet_map(t, k, lam, mu)(probe)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from densym.algebras import FiniteAlgebra, identify, span_algebra, structure_constants
 from densym import algebras, recurrence
 from densym.errors import SpanNotClosedError
-from densym.linalg import over_one_denominator, rank, rref
-from densym.operators import compose_terms, jet_terms, term_coordinates
+from densym.linalg import numerator_over, over_one_denominator, rank, rref
+from densym.operators import compose_terms, sum_terms, term_coordinates
 from densym.recurrence import TABLE_ROWS, candidate_generators, classify, jet_algebra, sweep
 from densym.truncation import TruncatedBasis, realize
 from densym.rings import CIRCLE, LINE
@@ -382,14 +382,12 @@ def _flagship_points():
 @pytest.fixture
 def jet_algebra_pairs(monkeypatch):
     """Each jet_algebra call's algebra, paired with the Fraction reference's
-    on the same jets' terms, composed by compose_terms and read in term
+    on the same terms, composed by compose_terms and read in term
     coordinates in Fractions."""
     pairs = []
 
-    def spy(names, vectors, k):
-        alg = jet_algebra(names, vectors, k)
-        trace = len(vectors[0]) > (k + 1) * (k + 2) // 2
-        terms = [jet_terms(v, k) for v in vectors]
+    def spy(names, terms, k, trace):
+        alg = jet_algebra(names, terms, k, trace)
         pairs.append((alg, reference_structure_constants(
             names, [term_coordinates(t, k, trace) for t in terms],
             lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, trace))))
@@ -436,11 +434,11 @@ class TestIntegerStructureConstants:
         assert max(alg.den for alg, _ in jet_algebra_pairs) >= 10 ** 22
 
 
-def _local_jets(k, lam, mu):
-    """classify's chosen local generators at the weights, with their jets."""
-    vectors = dict(candidate_generators(k, lam, mu))
+def _local_terms(k, lam, mu):
+    """classify's chosen local generators at the weights, with their terms."""
+    terms = dict(candidate_generators(k, lam, mu))
     names = classify(k, lam, mu, LINE, check_oracle=False).generator_names
-    return names, [vectors[n] for n in names]
+    return names, [terms[n] for n in names]
 
 
 class TestIntegerReaderFailures:
@@ -451,11 +449,10 @@ class TestIntegerReaderFailures:
         # moving one int entry of a product there by 1 fails its check; of two
         # moved products the first in row-major order is named
         k = 3
-        names, vectors = _local_jets(k, *weights)
-        den, scaled = over_one_denominator(vectors)
-        # classify's algebra reads the jets in term coordinates, as ints
-        terms = [jet_terms(v, k) for v in scaled]
-        coords = [term_coordinates(t, k, False) for t in terms]
+        names, generators = _local_terms(k, *weights)
+        # classify's algebra reads the terms in their coordinates, as ints
+        den, coords = over_one_denominator([term_coordinates(t, k, False) for t in generators])
+        terms = [[(r, o, l, numerator_over(den, c)) for r, o, l, c in t] for t in generators]
         pivots = rref(coords)[1]
         n = len(names)
         moved = {(n - 1, 0), (n // 2, n - 1)}
@@ -472,10 +469,11 @@ class TestIntegerReaderFailures:
                 structure_constants(names, coords, product, den)
         assert structure_constants(
             names, coords,
-            lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, False), den).sc == jet_algebra(names, vectors, k).sc
+            lambda i, j: term_coordinates(compose_terms(terms[i], terms[j]), k, False),
+            den).sc == jet_algebra(names, generators, k, False).sc
 
-    def test_dependent_jets_raise(self):
-        names, vectors = _local_jets(3, F(0), F(1))
-        dependent = [a + 2 * b for a, b in zip(vectors[0], vectors[-1])]
+    def test_dependent_terms_raise(self):
+        names, terms = _local_terms(3, F(0), F(1))
+        dependent = sum_terms(terms[0] + [(r, o, l, 2 * c) for r, o, l, c in terms[-1]])
         with pytest.raises(ValueError, match="not linearly independent"):
-            jet_algebra(names + ["sum"], vectors + [dependent], 3)
+            jet_algebra(names + ["sum"], terms + [dependent], 3, False)

@@ -11,7 +11,7 @@ from densym.recurrence import EXCEPTIONAL_LOCI
 from densym.rings import format_rat
 from densym.truncation import TruncatedBasis
 from densym.operators import (
-    CATALOG, PRINTED, BilinearOp, Projection, alternating, local_endo, printed_jet,
+    CATALOG, PRINTED, BilinearOp, Projection, alternating, local_endo, printed_terms,
     v_formula,
 )
 
@@ -22,11 +22,11 @@ PINNED = Path(__file__).resolve().parent / "pinned"
 
 
 def _cal_v_off_by_one(k, lam, mu):
-    """calV's jet with V's factor (d-2) changed to (d-1): not equivariant."""
+    """calV's terms with V's factor (d-2) changed to (d-1): not equivariant."""
     J, V = PRINTED["calV"](k, lam, mu)
     row = dict(V.row)
     row[k - 1] = row.get(k - 1, 0) + 1
-    return printed_jet(J, Projection(k, lam, mu, V.n, row))
+    return printed_terms(J, Projection(k, lam, mu, V.n, row))
 
 
 def _v_beta_plus_one(k, lam, mu):
@@ -196,20 +196,21 @@ class TestFlippedAlternatingRow:
         assert err.startswith("internal assertion failed: P1 violates the recurrence")
 
 
-class TestFlippedConjugationJet:
-    """One entry of C's jet flipped fails the equivariance check and the
+class TestFlippedConjugationTerm:
+    """One of C's terms flipped fails the equivariance check and the
     classifier's recurrence check."""
 
     @pytest.fixture
     def flipped(self, monkeypatch):
         C = CATALOG["C"]
 
-        def jet(k, lam, mu):
-            t = C.jet(k, lam, mu)
-            t[4] = -t[4]  # t[2,1]
+        def terms(k, lam, mu):
+            t = C.terms(k, lam, mu)
+            r, o, l, c = t[4]  # t[2,1]'s
+            t[4] = (r, o, l, -c)
             return t
 
-        monkeypatch.setitem(CATALOG, "C", local_endo("C", C.home, C.applies, jet))
+        monkeypatch.setitem(CATALOG, "C", local_endo("C", C.home, C.applies, terms))
 
     def test_verify_op_exit_1(self, capsys, flipped):
         code, out, _ = run(capsys, "verify", "--op", "C")
@@ -223,7 +224,7 @@ class TestFlippedConjugationJet:
 
 
 def test_classify_applies_no_catalog_map(capsys, monkeypatch):
-    """classify reads every generator's jet off the catalog: with every
+    """classify reads every generator's terms off the catalog: with every
     endomorphism's map refused, it still prints its goldens."""
     def refuse(*args):
         raise AssertionError("classify built a catalog map")
@@ -524,10 +525,10 @@ class TestVerify:
         assert code == 0 and "op:GV: pass" in out
 
     def test_op_builds_its_generator_once(self, capsys, monkeypatch):
-        # one jet, whose map the window applies
+        # one term list, whose map the window applies
         calls = []
-        build = operators.printed_jet
-        monkeypatch.setattr(operators, "printed_jet",
+        build = operators.printed_terms
+        monkeypatch.setattr(operators, "printed_terms",
                             lambda *args: calls.append(args) or build(*args))
         code, out, _ = run(capsys, "verify", "--op", "JV", "--lambda", "0", "--mu", "1")
         assert code == 0 and out.startswith("op:JV: pass")

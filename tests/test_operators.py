@@ -13,8 +13,8 @@ from densym.errors import (
 from densym.identities import CheckConfig, check_catalog_op
 from densym.operators import (
     BILINEAR, CATALOG, BilinearOp, Projection, alternating, component_unknowns,
-    componentwise_map, compose_terms, conjugate, delta_compose, delta_inverse, jet_terms,
-    nonlocal_trace, p0, printed_jet, second_analog_locus, second_analog_mu, symbol,
+    componentwise_map, compose_terms, conjugate, delta_compose, delta_inverse,
+    nonlocal_trace, p0, printed_terms, second_analog_locus, second_analog_mu, symbol,
     term_coordinates, terms_jet, v_formula, w_coefficients, w_formula, wilmod, wilmod_weights,
 )
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn
@@ -24,8 +24,8 @@ from densym.truncation import (
 )
 from oracle import AppliedMap, element_defect_columns, sparse_vectors
 from reference import (
-    density, j_after_pi, lie_derivative_density, mirrored, reference_bilinear_defect,
-    ring_vector, s_map, s_map_chain,
+    density, j_after_pi, jet_map, jet_terms, lie_derivative_density, mirrored,
+    reference_bilinear_defect, ring_vector, s_map, s_map_chain,
 )
 
 
@@ -622,12 +622,12 @@ class TestBilinearAfterProjection:
 
     def test_weight_chain_is_checked(self):
         sigma = symbol(3, 0, 3)  # D^3_{0,3} -> F_0
-        printed_jet(BilinearOp("dd_inner", 0, 0), sigma)
+        printed_terms(BilinearOp("dd_inner", 0, 0), sigma)
         for J in [BilinearOp("poisson", 1, 0),    # left weight
                   BilinearOp("d_left", 0, 1),     # right weight
                   BilinearOp("poisson", 0, 0)]:   # output weight
             with pytest.raises(WeightMismatchError, match=f"bilinear {J.kind!r} maps"):
-                printed_jet(J, sigma)
+                printed_terms(J, sigma)
 
     def test_operator_of_another_module_is_rejected(self):
         T = j_after_pi(BilinearOp("dd_inner", 0, 0), symbol(3, 0, 3))
@@ -973,7 +973,7 @@ class TestCoefficientRows:
 # ----------------------------------------------------------------------
 # compose_terms, the one composition rule, against the composition of the
 # maps applied to operators (oracle.AppliedMap), and the conversion between
-# jet vectors and terms (jet_terms, term_coordinates)
+# jet vectors and terms (reference.jet_terms, term_coordinates)
 # ----------------------------------------------------------------------
 
 def as_dict(terms):
@@ -984,7 +984,7 @@ def jet_callable(x, k, lam, mu):
     """A -> the jet map of x's local part at A, plus x's trace coordinate
     times nonlocal_trace(A) when x carries one."""
     n = len(component_unknowns(k))
-    local = componentwise_map(x[:n], k, lam, mu)
+    local = jet_map(x[:n], k, lam, mu)
     if len(x) == n:
         return local
     return lambda A: local(A) + x[-1] * nonlocal_trace(A)
@@ -1051,8 +1051,8 @@ class TestComposeTerms:
 
 
 class TestTermConversion:
-    """jet_terms and term_coordinates, the one conversion between jet vectors
-    and terms, and its refusals."""
+    """The test-side jet_terms and term_coordinates, the conversion between
+    jet vectors and terms, and its refusals."""
 
     @pytest.mark.parametrize("k", range(6))
     def test_term_coordinates_invert_jet_terms(self, k):
@@ -1079,12 +1079,15 @@ class TestTermConversion:
         assert jet_terms([1] * 4, 1)[-1] == (0, 1, None, 1)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_componentwise_map_refuses_a_vector_of_another_length(self, k, extra):
-        # a trailing trace coordinate has no local action: refused at
-        # construction, not dropped (a_0 = 0) or failing when applied
-        with pytest.raises(ValueError, match="no jet vector of order"):
-            componentwise_map([1] * (len(component_unknowns(k)) + extra), k, 0, 1)
+    @pytest.mark.parametrize("term", [
+        (0, 1, None, 1),  # the trace's mean term: no local action
+        (1, 0, 0, 1),     # o != r - l: a_1 at d^0
+        (4, 4, 0, 1),     # a slot past k
+    ])
+    def test_componentwise_map_refuses_terms_of_no_local_endomorphism(self, k, term):
+        # refused at construction, not dropped or failing when applied
+        with pytest.raises(ValueError, match=f"^no endomorphism of order {k}, trace False, has"):
+            componentwise_map([(0, 0, 0, 1), term], k, 0, 1)
 
     @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("term", [

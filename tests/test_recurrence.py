@@ -13,17 +13,17 @@ from densym.identities import CATALOG_HOMES, GENERIC_POINTS
 from densym.linalg import max_abs, nullspace
 from densym.operators import (
     CATALOG, CatalogEntry, component_unknowns, componentwise_map, compose_terms,
-    conjugation_terms, jet_terms, term_coordinates, terms_jet,
+    conjugation_terms, term_coordinates, terms_jet,
 )
 from densym.recurrence import (
-    EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, _sample_on_condition,
+    EXCEPTIONAL_LOCI, MIRRORED_GENERATORS, SWEEP_SEED, TABLE_ROWS, _sample_on_condition,
     build_system, candidate_generators, classify, exceptional_conditions, is_generic,
     jet_algebra, local_dimension, nonlocal_dimension, residual, sample_generic, sweep,
 )
 from densym.rings import CIRCLE, LINE, PolyFn
 from densym.truncation import TruncatedBasis, brute_force_local_symmetries, equivariance_defect
 from oracle import AppliedMap, elements
-from reference import acts_on_circle_as, read_jet, reference_map
+from reference import acts_on_circle_as, jet_map, jet_terms, read_jet, reference_map
 import random
 
 
@@ -102,7 +102,7 @@ class TestRecurrenceSystem:
             fields = [VectorField(PolyFn.monomial(2)), VectorField(PolyFn.monomial(3))]
             basis = TruncatedBasis(k, k + 4, LINE, lam, mu)
             for sol in rec_solutions:
-                T = AppliedMap(basis, componentwise_map(sol, k, lam, mu))
+                T = AppliedMap(basis, jet_map(sol, k, lam, mu))
                 for X in fields:
                     assert max_abs(col.values() for col in equivariance_defect(T, X)) == 0
 
@@ -182,8 +182,8 @@ class TestClassify:
         built = []
         real = recurrence.jet_algebra
 
-        def spy(names, vectors, k):
-            built.append(real(names, vectors, k))
+        def spy(names, terms, k, trace):
+            built.append(real(names, terms, k, trace))
             return built[-1]
 
         monkeypatch.setattr(recurrence, "jet_algebra", spy)
@@ -367,7 +367,7 @@ class TestExceptionalLoci:
 # jet coordinates, against the reference formulas and the truncated-basis route
 # ----------------------------------------------------------------------
 
-LOCAL_ENDOS = [n for n, e in CATALOG.items() if e.jet is not None]
+LOCAL_ENDOS = [n for n, e in CATALOG.items() if e.kind == "endo" and e.exists(*e.home, LINE)]
 
 
 def _home_candidates():
@@ -391,24 +391,24 @@ def _reference_points():
     return list(dict.fromkeys(points + GENERIC_POINTS))
 
 
-def _generator_vectors(k, lam, mu, space):
-    """classify's generator vectors by name: the local jets and, where the
-    space has the trace, each with a trace coordinate and L's (0, ..., 0, 1)."""
-    vectors = dict(candidate_generators(k, lam, mu))
-    if nonlocal_dimension(k, lam, mu, space):
-        vectors = {n: v + [F(0)] for n, v in vectors.items()}
-        vectors["L"] = [F(0)] * len(component_unknowns(k)) + [F(1)]
-    return vectors
+def _generator_terms(k, lam, mu, space):
+    """classify's generator terms by name, and whether the space has the
+    trace: the local candidates' and, with the trace, L's one term."""
+    terms = dict(candidate_generators(k, lam, mu))
+    trace = bool(nonlocal_dimension(k, lam, mu, space))
+    if trace:
+        terms["L"] = CATALOG["L"].terms(k, lam, mu)
+    return terms, trace
 
 
 def _jet_and_span_algebras(k, lam, mu, space):
     """The jet structure constants of classify's generators, and
     span_algebra's of their reference formulas on a window."""
     names = classify(k, lam, mu, space, check_oracle=False).generator_names
-    vectors = _generator_vectors(k, lam, mu, space)
+    terms, trace = _generator_terms(k, lam, mu, space)
     basis = TruncatedBasis(k, k + 6, space, lam, mu)
     maps = [AppliedMap(basis, reference_map(n, k, lam, mu), name=n) for n in names]
-    return jet_algebra(names, [vectors[n] for n in names], k), span_algebra(maps)
+    return jet_algebra(names, [terms[n] for n in names], k, trace), span_algebra(maps)
 
 
 class TestJetCoordinates:
@@ -417,10 +417,10 @@ class TestJetCoordinates:
         # one jet for both spaces: read off the formula on the line, it is
         # also the formula's action on the circle
         for k in range(7):
-            for name, vec in candidate_generators(k, lam, mu):
+            for name, terms in candidate_generators(k, lam, mu):
                 build = reference_map(name, k, lam, mu)
                 t = read_jet(build, k, lam, mu)
-                assert vec == t, (name, k)
+                assert terms_jet(terms, k) == t, (name, k)
                 assert acts_on_circle_as(build, t, k, lam, mu), (name, k)
 
     def test_reference_points_reach_every_candidate(self):
@@ -436,11 +436,11 @@ class TestJetCoordinates:
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, k, lam, mu", _home_candidates())
     def test_read_off_realizes_the_candidate(self, name, k, lam, mu, space):
-        # the candidate's jet map is its reference formula on a window
-        vec = dict(candidate_generators(k, lam, mu))[name]
+        # the candidate's terms' map is its reference formula on a window
+        terms = dict(candidate_generators(k, lam, mu))[name]
         build = reference_map(name, k, lam, mu)
-        assert vec == read_jet(build, k, lam, mu)
-        jet = componentwise_map(vec, k, lam, mu)
+        assert terms_jet(terms, k) == read_jet(build, k, lam, mu)
+        jet = componentwise_map(terms, k, lam, mu)
         for b in elements(TruncatedBasis(k, k + 6, space, lam, mu)):
             assert jet(b) == build(b)
 
@@ -453,12 +453,12 @@ class TestJetCoordinates:
         for _ in range(3):
             t = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0)
                  for _ in component_unknowns(k)]
-            assert read_jet(componentwise_map(t, k, lam, mu), k, lam, mu) == t
+            assert read_jet(jet_map(t, k, lam, mu), k, lam, mu) == t
 
     @pytest.mark.parametrize("k", range(9))
     def test_conjugation_is_an_involution(self, k):
         rng = random.Random(900 + k)
-        identity = jet_terms([F(int(l == 0)) for _, l in component_unknowns(k)], k)
+        identity = [(r, r, 0, 1) for r in range(k + 1)]
         c = conjugation_terms(k)
         # the int terms are the jet t[r,l] = (-1)^r / l!
         assert terms_jet(c, k) == [F((-1) ** r, factorial(l)) for r, l in component_unknowns(k)]
@@ -466,9 +466,9 @@ class TestJetCoordinates:
         assert compose_terms(c, c) == identity
         for _ in range(3):
             lam = F(rng.randint(-9, 9), rng.randint(1, 9))
-            C = jet_terms(CATALOG["C"].jet(k, lam, 1 - lam), k)
+            C = CATALOG["C"].terms(k, lam, 1 - lam)
             assert C == c
-            assert compose_terms(C, C) == jet_terms(CATALOG["Id"].jet(k, lam, 1 - lam), k)
+            assert compose_terms(C, C) == CATALOG["Id"].terms(k, lam, 1 - lam) == identity
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("k, lam, mu", [(k, F(0), F(1)) for k in range(1, 5)] + [
@@ -483,19 +483,20 @@ class TestJetCoordinates:
     def test_trace_rules_match_nonlocal_trace(self):
         k, lam, mu = 2, F(0), F(1)
         basis = TruncatedBasis(k, k + 6, CIRCLE, lam, mu)
-        vectors = _generator_vectors(k, lam, mu, CIRCLE)
+        terms, trace = _generator_terms(k, lam, mu, CIRCLE)
+        assert trace
         L = AppliedMap(basis, reference_map("L", k, lam, mu), name="L")
-        L_vec = vectors["L"]
-        L_terms = jet_terms(L_vec, k)
+        L_terms = terms["L"]
+        L_vec = term_coordinates(L_terms, k, True)
+        assert L_vec == [0] * len(component_unknowns(k)) + [1]
         assert compose_terms(L_terms, L_terms) == []
         assert (L @ L).is_zero()
         index = {u: i for i, u in enumerate(component_unknowns(k))}
         for name in ("Id", "P0", "P0star", "C", "P1"):
             T = AppliedMap(basis, reference_map(name, k, lam, mu), name=name)
-            T_vec = vectors[name]
+            T_terms = terms[name]
+            T_vec = terms_jet(T_terms, k)
             t00, t10 = T_vec[index[0, 0]], T_vec[index[1, 0]]
-            T_terms = jet_terms(T_vec, k)
-            # L's coordinates are its jet's: the trace's term has no perm
             for LT, c in ((compose_terms(L_terms, T_terms), t00),
                           (compose_terms(T_terms, L_terms), t10)):
                 assert term_coordinates(LT, k, True) == [c * v for v in L_vec]
@@ -504,15 +505,11 @@ class TestJetCoordinates:
 
     def test_local_products_match_composition(self):
         k, lam, mu = 3, F(0), F(1)
-        vectors = dict(candidate_generators(k, lam, mu))
+        terms = dict(candidate_generators(k, lam, mu))
         basis = TruncatedBasis(k, k + 6, LINE, lam, mu)
         for x in ("C", "P0star", "P1"):
             for y in ("C", "P0", "P1"):
-                X, Y = jet_terms(vectors[x], k), jet_terms(vectors[y], k)
-                # a zero trace coordinate adds no term
-                assert jet_terms(vectors[x] + [0], k) == X
-                product = terms_jet(compose_terms(X, Y), k)
-                jet = componentwise_map(product, k, lam, mu)
+                jet = componentwise_map(compose_terms(terms[x], terms[y]), k, lam, mu)
                 X, Y = reference_map(x, k, lam, mu), reference_map(y, k, lam, mu)
                 for b in elements(basis):
                     assert jet(b) == X(Y(b))
@@ -523,19 +520,19 @@ COLUMN_GENERATORS = ["Id", "P0", "P0star", "C", "S", "Sstar", "P1"]
 
 
 class TestRestrictionToLowerOrder:
-    """The order-k jet is the r <= k prefix of the order-(k+1) jet, and
+    """The order-k terms are the order-(k+1) terms with r <= k, and
     compose_terms respects the terms with r <= k: restriction is an algebra
     map."""
 
     @pytest.mark.parametrize("name", COLUMN_GENERATORS)
-    def test_generator_jets_restrict(self, name):
+    def test_generator_terms_restrict(self, name):
         _, lam, mu = CATALOG[name].home
-        n = lambda k: (k + 1) * (k + 2) // 2
-        jets = {k: CATALOG[name].jet(k, lam, mu) for k in range(1, 14)}
+        terms = {k: CATALOG[name].terms(k, lam, mu) for k in range(1, 14)}
         for k in range(1, 13):
-            assert len(jets[k]) == n(k)
-            assert jets[k + 1][:n(k)] == jets[k]
-        assert any(jets[13])
+            term_coordinates(terms[k], k, False)  # an endomorphism's of order k
+            assert {t[:3]: t[3] for t in terms[k + 1] if t[0] <= k} == \
+                {t[:3]: t[3] for t in terms[k]}
+        assert terms[13]
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_the_terms_up_to_r_k_depend_only_on_the_input_terms_up_to_r_k(self, k):
@@ -563,6 +560,35 @@ class TestRestrictionToLowerOrder:
             assert block(compose_terms(jet_terms(x2, k + 1), jet_terms(y2, k + 1))) == product
 
 
+def _catalog_term_points():
+    """The EXCEPTIONAL_LOCI points, the fixed points of TABLE_ROWS and
+    GENERIC_POINTS."""
+    points = [p for loci in EXCEPTIONAL_LOCI.values() for p in loci["points"]]
+    points += [p for _, cond in TABLE_ROWS if isinstance(cond, list) for p in cond]
+    return list(dict.fromkeys(points + GENERIC_POINTS))
+
+
+class TestCatalogTerms:
+    """Every catalog endomorphism's terms are an endomorphism's of order k,
+    wherever the entry applies; only the trace L carries a mean term, so
+    exactly L does not exist on the line."""
+
+    ENDOS = [n for n, e in CATALOG.items() if e.kind == "endo"]
+
+    @pytest.mark.parametrize("name", ENDOS)
+    def test_terms_are_an_endomorphisms(self, name):
+        entry, trace = CATALOG[name], name == "L"
+        assert entry.applies(*entry.home)
+        for k, lam, mu in [entry.home] + [(k, *p) for p in _catalog_term_points()
+                                          for k in range(7)]:
+            if entry.applies(k, lam, mu):
+                terms = entry.terms(k, lam, mu)
+                term_coordinates(terms, k, trace)  # raises on a term of no endomorphism
+                assert any(l is None for _, _, l, _ in terms) == trace, (k, lam, mu)
+                assert entry.exists(k, lam, mu, LINE) != trace
+                assert entry.exists(k, lam, mu, CIRCLE)
+
+
 def _times_x(A):
     return DensityOperator(A.lam, A.mu, [PolyFn.monomial(1) * c for c in A.coeffs])
 
@@ -587,7 +613,7 @@ class TestJetHardErrors:
             return A if A.space == LINE else 2 * A
 
         t = read_jet(ring_dependent, 2, F(1, 3), F(1, 5))
-        assert t == CATALOG["Id"].jet(2, F(1, 3), F(1, 5))
+        assert t == terms_jet(CATALOG["Id"].terms(2, F(1, 3), F(1, 5)), 2)
         assert not acts_on_circle_as(ring_dependent, t, 2, F(1, 3), F(1, 5))
 
     @pytest.mark.parametrize("name, lam, mu, why", [
@@ -596,9 +622,9 @@ class TestJetHardErrors:
         ("S", F(0), F(1), "\\(0, 0\\)"),
         ("Sstar", F(0), F(0), "\\(1, 1\\)"),
     ])
-    def test_jet_off_its_weights_raises(self, name, lam, mu, why):
+    def test_terms_off_their_weights_raise(self, name, lam, mu, why):
         with pytest.raises(InapplicableSymmetryError, match=why):
-            CATALOG[name].jet(3, lam, mu)
+            CATALOG[name].terms(3, lam, mu)
         with pytest.raises(InapplicableSymmetryError, match=why):
             CATALOG[name].make(3, lam, mu)
 
@@ -615,8 +641,8 @@ class TestJetHardErrors:
         lam, mu = F(1, 3), F(1, 5)
         assert classify(1, lam, mu, check_oracle=False).total == 2
         monkeypatch.setattr(recurrence, "candidate_generators",
-                            lambda *args: [("Id", [F(1), F(1), F(0)]),
-                                           ("scalar", [F(1), F(0), F(0)])])
+                            lambda *args: [("Id", [(0, 0, 0, 1), (1, 1, 0, 1)]),
+                                           ("scalar", [(0, 0, 0, 1)])])
         with pytest.raises(SpanMismatchError, match="scalar violates the recurrence"):
             classify(1, lam, mu, check_oracle=False)
 
@@ -624,10 +650,10 @@ class TestJetHardErrors:
         # P0 o P0 = P0 stays in the span of P0 and C; the next product in
         # row-major order, P0 o C = P0star, is the first to leave it
         k, lam, mu = 2, F(0), F(1)
-        vectors = dict(candidate_generators(k, lam, mu))
+        terms = dict(candidate_generators(k, lam, mu))
         names = ["P0", "C"]
         with pytest.raises(SpanNotClosedError, match="^product P0 o C leaves the span$"):
-            jet_algebra(names, [vectors[n] for n in names], k)
+            jet_algebra(names, [terms[n] for n in names], k, False)
 
 
 # ----------------------------------------------------------------------
@@ -697,3 +723,12 @@ class TestSpaceComparison:
             L, applies=lambda k, l, m: L.applies(k, l, m) or (k >= 1 and (l, m) == point)))
         assert nonlocal_dimension(3, *point, CIRCLE) == 1
         assert (1, "nonlocal dimension") in space_differences(*point, kmax=3)
+
+    def test_a_trace_with_no_mean_term_is_caught(self, monkeypatch):
+        # exists reads the nonlocal trace off its mean term: without one, L
+        # exists on the line too, and its local term repeats P0's there
+        monkeypatch.setitem(CATALOG, "L", replace(
+            CATALOG["L"], terms=lambda k, l, m: [(0, 0, 0, 1)]))
+        assert nonlocal_dimension(3, 0, 1, LINE) == 1
+        with pytest.raises(SpanMismatchError, match="span 5 dimensions .* computed 6"):
+            classify(3, 0, 1, LINE, check_oracle=False)

@@ -18,8 +18,8 @@ from densym.identities import CATALOG_HOMES, CheckConfig, check_catalog_op
 from densym.linalg import integer_row, max_abs, nullspace, rank
 from densym.operators import (
     CATALOG, BilinearOp, Projection, component_unknowns, componentwise_map, compose_terms,
-    conjugate, conjugation_terms, delta_compose, delta_inverse, jet_terms, nonlocal_trace, p0,
-    symbol, terms_jet, w_formula,
+    conjugate, conjugation_terms, delta_compose, delta_inverse, nonlocal_trace, p0, symbol,
+    w_formula,
 )
 from densym.recurrence import build_system
 from densym.rings import CIRCLE, LINE, PolyFn, TrigFn, monomial_derivative, monomial_product
@@ -36,7 +36,8 @@ from oracle import (
     windowed_local_symmetries,
 )
 from reference import (
-    density, lie_derivative_density, reference_bilinear_defect, ring_vector, s_map_chain,
+    density, jet_map, jet_terms, lie_derivative_density, reference_bilinear_defect, ring_vector,
+    s_map_chain,
 )
 
 
@@ -48,14 +49,15 @@ OPERATOR_ROUTES = {"C": conjugate, "delta": delta_compose, "delta^-1": delta_inv
 def callable_of(T):
     """T's func, or, for a closed-form leaf, the callable of its name: the
     operator route of OPERATOR_ROUTES (C on lam + mu = 1 too), else that of
-    its catalog entry: the jet map of its jet, its Projection, or the trace."""
+    its catalog entry: the map of a local endomorphism's terms, its
+    Projection, or the trace."""
     if isinstance(T, AppliedMap):
         return T.func
     if T.name in OPERATOR_ROUTES:
         return OPERATOR_ROUTES[T.name]
     entry, (k, lam, mu) = CATALOG[T.name], (T.basis.k, T.basis.lam, T.basis.mu)
-    if entry.jet is not None:
-        return componentwise_map(entry.jet(k, lam, mu), k, lam, mu)
+    if entry.kind == "endo" and entry.exists(k, lam, mu, LINE):
+        return componentwise_map(entry.terms(k, lam, mu), k, lam, mu)
     return entry.make(k, lam, mu)
 
 
@@ -487,8 +489,8 @@ class TestEquivarianceDefect:
         # a1 d/dx -> a1' is translation-invariant but not a symmetry of
         # D^1_{0,0}: the quadratic field must detect it
         basis = TruncatedBasis(1, 4, LINE, 0, 0)
-        # t[1,1] = 1 in the order t[0,0], t[1,0], t[1,1]
-        T = AppliedMap(basis, componentwise_map([F(0), F(0), F(1)], 1, 0, 0))
+        # t[1,1] = 1: the one term a_1' at d^0
+        T = AppliedMap(basis, componentwise_map([(1, 0, 1, 1)], 1, 0, 0))
         defects = [dense_defect(T, X) for X in line_fields(3)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in line_fields(3)]
@@ -591,18 +593,18 @@ class TestDefectByLinearity:
             return conjugate(DensityOperator(1, 1, [a[i] - a[i + 1].diff()
                                                     for i in range(A.order + 1)]))
 
-        def s_sign_flipped_jet(k, lam, mu):
-            # c o n, with n's t[r,1] = -1/r
-            n = [F(int(l == 0)) if l != 1 else F(-1, r) for r, l in component_unknowns(k)]
-            return terms_jet(compose_terms(conjugation_terms(k), jet_terms(n, k)), k)
+        def s_sign_flipped_terms(k, lam, mu):
+            # c o n, with n's terms a_r at d^r and -a_r' at d^(r-1)
+            n = [(r, r, 0, 1) for r in range(k + 1)] + [(r, r - 1, 1, -1) for r in range(1, k + 1)]
+            return compose_terms(conjugation_terms(k), n)
 
         monkeypatch.setitem(CATALOG, "S", replace(
-            CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped, jet=s_sign_flipped_jet))
+            CATALOG["S"], make=lambda k, lam, mu: s_sign_flipped, terms=s_sign_flipped_terms))
         T = home_map("S", CIRCLE)
         defects = [dense_defect(T, X) for X in circle_fields(2)]
         assert any(max_abs(cols) != 0 for cols in defects)
         assert defects == [direct_equivariance_defect(T, X) for X in circle_fields(2)]
-        # verify reads the flipped jet in closed form: the same columns
+        # verify reads the flipped terms in closed form: the same columns
         assert realize("S", T.basis).columns == T.columns
         assert cli.main(["verify", "--op", "S"]) == 1
         assert "op:S: FAIL" in capsys.readouterr().out
@@ -660,7 +662,7 @@ class TestDefectByLinearity:
         assert target == ((0, w_formula(k, lam, mu).nu) if name == "W" else (lam, mu))
 
     @pytest.mark.parametrize("name, wrong", [
-        ("S", lambda e: replace(e, jet=perturbed_jet(e.jet))),
+        ("S", lambda e: replace(e, terms=perturbed_terms(e.terms))),
         ("W", lambda e: replace(e, make=perturbed_w)),
     ])
     def test_ring_products_stay_within_the_product_table(self, name, wrong, monkeypatch):
@@ -799,7 +801,7 @@ FROZEN_LOCAL_DIMS = {
 def oracle_maps(k, lam, mu, space, M):
     """The formal oracle's solutions as SymmetryMaps on a window M."""
     basis = TruncatedBasis(k, M, space, lam, mu)
-    return [AppliedMap(basis, componentwise_map(sol, k, lam, mu))
+    return [AppliedMap(basis, jet_map(sol, k, lam, mu))
             for sol in brute_force_local_symmetries(k, lam, mu)]
 
 
@@ -946,8 +948,7 @@ class TestBruteForceByLinearity:
         windowed_local_symmetries(k, lam, mu, space)
         unknowns = component_unknowns(k)
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in unknowns]
-        T = AppliedMap(TruncatedBasis(k, k + 4, space, lam, mu),
-                       componentwise_map(t, k, lam, mu))
+        T = AppliedMap(TruncatedBasis(k, k + 4, space, lam, mu), jet_map(t, k, lam, mu))
         assert len(defects) == len(brute_force_fields(space))
         rows = set()
         for X, per_unit in defects.items():
@@ -1055,7 +1056,7 @@ def random_jet_map(k, lam, mu, space, seed):
     jets in general, on the window M = k+6."""
     rng = random.Random(seed)
     t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
-    return AppliedMap(TruncatedBasis(k, k + 6, space, lam, mu), componentwise_map(t, k, lam, mu))
+    return AppliedMap(TruncatedBasis(k, k + 6, space, lam, mu), jet_map(t, k, lam, mu))
 
 
 def assert_defects_are_direct(T, fields):
@@ -1201,12 +1202,11 @@ def closed_form_cases():
             if entry.exists(k, lam, mu, space)]
 
 
-def perturbed_jet(jet):
-    """The jet function jet with t[2,1] a third larger."""
+def perturbed_terms(terms):
+    """The terms function terms with the term at t[2,1] a third larger."""
     def wrong(k, lam, mu):
-        t = jet(k, lam, mu)
-        t[4] *= F(4, 3)
-        return t
+        return [(r, o, l, c * F(4, 3) if (r, l) == (2, 1) else c)
+                for r, o, l, c in terms(k, lam, mu)]
     return wrong
 
 
@@ -1242,7 +1242,7 @@ class TestClosedFormColumns:
         t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in component_unknowns(k)]
         basis = TruncatedBasis(k, k + 4, space, lam, mu)
         T = SymmetryMap(basis, (basis, jet_terms(t, k)), "T")
-        reference = AppliedMap(basis, componentwise_map(t, k, lam, mu))
+        reference = AppliedMap(basis, jet_map(t, k, lam, mu))
         assert T.columns == reference.columns and T.target is reference.target is basis
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
@@ -1279,7 +1279,7 @@ class TestClosedFormColumns:
 
     @pytest.mark.parametrize("space", [LINE, CIRCLE])
     @pytest.mark.parametrize("name, wrong", [
-        ("S", lambda e: replace(e, jet=perturbed_jet(e.jet))),
+        ("S", lambda e: replace(e, terms=perturbed_terms(e.terms))),
         ("W", lambda e: replace(e, make=perturbed_w)),
     ])
     def test_a_perturbed_map_fails_through_the_closed_form(self, capsys, monkeypatch,
@@ -1513,11 +1513,11 @@ CONJUGATION_POINTS = [*identities.RELATIONS["conj_involution"].points,
                       (F(-3, 5), F(7, 4)), (F(5, 2), F(1, 9))]
 
 
-def perturbed_s_jet(k, lam, mu):
-    """c o n, with n's t[2,1] a third larger than 1/2: no symmetry."""
-    n = [F(int(l == 0)) if l != 1 else F(1, r) * (F(4, 3) if r == 2 else 1)
-         for r, l in component_unknowns(k)]
-    return terms_jet(compose_terms(conjugation_terms(k), jet_terms(n, k)), k)
+def perturbed_s_terms(k, lam, mu):
+    """c o n, with n's term at t[2,1] a third larger than 1: no symmetry."""
+    n = [(r, r, 0, 1) for r in range(k + 1)] + \
+        [(r, r - 1, 1, F(4, 3) if r == 2 else 1) for r in range(1, k + 1)]
+    return compose_terms(conjugation_terms(k), n)
 
 
 def flipped_conjugation_terms(k):
@@ -1587,12 +1587,12 @@ class TestMapsBetweenSiblings:
 
 
 class TestChainMutations:
-    """A wrong S jet or a wrong conjugation fails the relations read in
+    """A wrong S term or a wrong conjugation fails the relations read in
     closed form, and delta^-1 keeps delta_inverse's guard."""
 
     @pytest.mark.parametrize("space", [CIRCLE, LINE])
     def test_a_perturbed_s_jet_fails_s_relations(self, capsys, monkeypatch, space):
-        monkeypatch.setitem(CATALOG, "S", replace(CATALOG["S"], jet=perturbed_s_jet))
+        monkeypatch.setitem(CATALOG, "S", replace(CATALOG["S"], terms=perturbed_s_terms))
         basis = TruncatedBasis(5, 11, space, 0, 0)
         assert not (realize("S", basis) - identities._s_chain(basis)).is_zero()
         assert cli.main(["verify", "s_relations", "--space", space]) == 1
@@ -1692,7 +1692,7 @@ def random_step(rng, w):
 def random_jet(rng, w):
     """A jet map with random coefficients on the window w, with its callable."""
     t = [coefficient(rng) for _ in component_unknowns(w.k)]
-    return SymmetryMap(w, (w, jet_terms(t, w.k)), "J"), componentwise_map(t, w.k, w.lam, w.mu)
+    return SymmetryMap(w, (w, jet_terms(t, w.k)), "J"), jet_map(t, w.k, w.lam, w.mu)
 
 
 def random_chain(seed, space):
